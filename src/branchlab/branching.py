@@ -72,7 +72,8 @@ def branch_U_step(N: int, lam: Sequence) -> list[tuple[Vector, Fraction]]:
 def branch_case(record, pi_params: Sequence):
     """Decompose the case's pi(pi_params) into Disc(G/H); multiplicity-free.
 
-    Returns a list of (DiscElement, IrrepLabel-of-G) pairs sorted by parameters.
+    Returns a list of (theta, IrrepLabel-of-G) pairs, theta a tuple of ints,
+    sorted by theta.
     """
     return record.branch(pi_params)
 

@@ -2,9 +2,10 @@
 discrete-series parametrization, branching enumerator, Harish-Chandra closed
 forms, relation set, transfer-map family, ranks, and generator degrees.
 
-Records are fully declarative and round-trip through a versioned JSON document
-(``catalog.json``), which is the single source of truth for the CLI and tests;
-``build_records`` is the compiler that produces it.
+The ``_case_*`` builders are the single source of the catalog: ``build_records``
+(and ``load_default``, which the CLI calls) instantiates them in memory.
+``dump_catalog`` exports the records as a versioned JSON document
+(``python -m branchlab.catalog``); nothing reads that document back.
 """
 
 from __future__ import annotations
@@ -186,7 +187,6 @@ class SymbolSpec:
     scale: int = 1
     k: int = 1
     poly: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
-    imaginary_unit_normalized: bool = False
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ class CaseRecord:
     tau_label_map: AffineMap
     lam_rhoa_map: AffineMap
     rho_a: Vector
-    restricted_weyl: WeylType
     g_weyl: WeylType
     g_rho: Vector
     symbols: dict
@@ -424,12 +423,7 @@ def _casimir(side, label, factor=None):
 
 
 def _euler(side, names, terms, const=0):
-    return SymbolSpec(
-        "euler",
-        side=side,
-        form=_amap(names, [(terms, const)]),
-        imaginary_unit_normalized=True,
-    )
+    return SymbolSpec("euler", side=side, form=_amap(names, [(terms, const)]))
 
 
 def _rel(name, *terms) -> Relation:
@@ -507,7 +501,6 @@ def _case_i(n: int) -> CaseRecord:
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, n)]),
         rho_a=vec((n,)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.A(n),
         g_rho=weights.rho(weights.A(n)),
         symbols={
@@ -605,7 +598,6 @@ def _case_ii(n: int) -> CaseRecord:
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) - 1, 2)) for i in range(m - 1)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 1) for i in range(m)]
         rho_a = vec(tuple(4 * (m - 1 - i) + 1 for i in range(m)))
-        restricted = weights.C(m)
         g_type = weights.B(2 * m - 1)
         target = 2 * m - 1
         rows = []
@@ -632,7 +624,6 @@ def _case_ii(n: int) -> CaseRecord:
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) + 1, 2)) for i in range(m)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 3) for i in range(m)]
         rho_a = vec(tuple(4 * (m - 1 - i) + 3 for i in range(m)))
-        restricted = weights.BC(m)
         g_type = weights.B(2 * m)
         target = 2 * m
         rows = []
@@ -684,7 +675,6 @@ def _case_ii(n: int) -> CaseRecord:
         tau_label_map=_amap(tuple(kn), tau_rows),
         lam_rhoa_map=_amap(names, lam_rows),
         rho_a=rho_a,
-        restricted_weyl=restricted,
         g_weyl=g_type,
         g_rho=weights.rho(g_type),
         symbols=symbols,
@@ -795,7 +785,6 @@ def _case_iii(n: int) -> CaseRecord:
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
         rho_a=vec((2 * n + 1,)),
-        restricted_weyl=weights.BC(1),
         g_weyl=weights.C(n + 1),
         g_rho=weights.rho(weights.C(n + 1)),
         symbols={
@@ -920,7 +909,6 @@ def _case_iv(n: int) -> CaseRecord:
         tau_label_map=_amap(tau_names, tau_rows),
         lam_rhoa_map=_amap(names, lam_rows),
         rho_a=vec(tuple(2 * (n - 2 * (i + 1) + 2) for i in range(n + 1))),
-        restricted_weyl=weights.A(n),
         g_weyl=weights.A(2 * n),
         g_rho=weights.rho(weights.A(2 * n)),
         symbols=symbols,
@@ -985,7 +973,6 @@ def _case_v(n: int) -> CaseRecord:
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
         rho_a=vec((2 * n + 1,)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.Product(weights.C(n + 1), weights.C(1)),
         g_rho=weights.rho(weights.Product(weights.C(n + 1), weights.C(1))),
         symbols={
@@ -1071,7 +1058,6 @@ def _case_v_prime(n: int) -> CaseRecord:
         tau_label_map=_amap(tau_names, tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
         rho_a=vec((2 * n + 1,)),
-        restricted_weyl=weights.B(1),
         g_weyl=g_type,
         g_rho=weights.rho(g_type),
         symbols={
@@ -1139,7 +1125,6 @@ def _case_vi() -> CaseRecord:
         tau_label_map=_amap(("k",), [({"k": half}, 0)] * 4),
         lam_rhoa_map=_amap(names, [({"j": 1}, 7)]),
         rho_a=vec((7,)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.B(4),
         g_rho=weights.rho(weights.B(4)),
         symbols={
@@ -1196,7 +1181,6 @@ def _case_vii() -> CaseRecord:
         tau_label_map=_amap(("k",), [({"k": 1}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 2}, 3)]),
         rho_a=vec((3,)),
-        restricted_weyl=weights.B(1),
         g_weyl=g_type,
         g_rho=weights.rho(g_type),
         symbols={
@@ -1268,7 +1252,6 @@ def _case_viii() -> CaseRecord:
         tau_label_map=_amap(tau_names, [({"k": 1}, 0), ({"k": 1}, 0), ({"a": 1}, 0)]),
         lam_rhoa_map=_amap(names, [({"j": 1}, Fraction(3, 2))]),
         rho_a=vec((Fraction(3, 2),)),
-        restricted_weyl=weights.B(1),
         g_weyl=g_type,
         g_rho=weights.rho(g_type),
         symbols={
@@ -1327,7 +1310,6 @@ def _case_ix() -> CaseRecord:
         tau_label_map=_amap(("k",), [({"k": 1}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 1}, Fraction(3, 2))]),
         rho_a=vec((Fraction(3, 2),)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.D(3),
         g_rho=weights.rho(weights.D(3)),
         symbols={
@@ -1379,7 +1361,6 @@ def _case_x() -> CaseRecord:
         tau_label_map=_amap((), [({}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"k": 1}, Fraction(5, 2))]),
         rho_a=vec((Fraction(5, 2),)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.G2,
         g_rho=weights.rho(weights.G2),
         symbols={
@@ -1428,7 +1409,6 @@ def _case_xi() -> CaseRecord:
         tau_label_map=_amap((), [({}, 0)] * 2),
         lam_rhoa_map=_amap(names, [({"k": 2}, 3)]),
         rho_a=vec((3,)),
-        restricted_weyl=weights.B(1),
         g_weyl=weights.B(3),
         g_rho=weights.rho(weights.B(3)),
         symbols={
@@ -1528,7 +1508,6 @@ def _case_star() -> CaseRecord:
         tau_label_map=_amap(("a",), [({"a": half}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 1}, 3), ({"jp": 1}, 3)]),
         rho_a=vec((3, 3)),
-        restricted_weyl=weights.Product(weights.B(1), weights.B(1)),
         g_weyl=weights.D(4),
         g_rho=weights.rho(weights.D(4)),
         symbols={
@@ -1699,10 +1678,6 @@ def _frac_str(x: Fraction) -> str:
     return "%d" % x.numerator if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def _frac_parse(s) -> Fraction:
-    return Fraction(s)
-
-
 def _vec_payload(v) -> list:
     return [_frac_str(x) for x in v]
 
@@ -1719,23 +1694,11 @@ def _amap_payload(a: AffineMap) -> dict:
     }
 
 
-def _amap_parse(d) -> AffineMap:
-    return AffineMap(
-        mat([[_frac_parse(x) for x in row] for row in d["matrix"]]),
-        vec([_frac_parse(x) for x in d["offset"]]),
-        source=d.get("source"),
-    )
-
-
 def _weyl_payload(t: WeylType) -> dict:
     out = {"family": t.family, "rank": t.rank}
     if t.factors:
         out["factors"] = [_weyl_payload(f) for f in t.factors]
     return out
-
-
-def _weyl_parse(d) -> WeylType:
-    return WeylType(d["family"], d.get("rank", 1), tuple(_weyl_parse(f) for f in d.get("factors", ())))
 
 
 def _group_payload(g: GroupDescriptor) -> dict:
@@ -1749,16 +1712,6 @@ def _group_payload(g: GroupDescriptor) -> dict:
     return out
 
 
-def _group_parse(d) -> GroupDescriptor:
-    return GroupDescriptor(
-        d["kind"],
-        d.get("n", 0),
-        tuple(_group_parse(f) for f in d.get("factors", ())),
-        d.get("almost", False),
-        d.get("label", ""),
-    )
-
-
 def _space_payload(s: ParamSpace) -> dict:
     return {
         "names": list(s.names),
@@ -1769,22 +1722,8 @@ def _space_payload(s: ParamSpace) -> dict:
     }
 
 
-def _space_parse(d) -> ParamSpace:
-    return ParamSpace(
-        tuple(d["names"]),
-        tuple(d["domains"]),
-        tuple(
-            Constraint(tuple(c["coeffs"]), c["const"], c["mod"]) for c in d["constraints"]
-        ),
-    )
-
-
 def _poly_payload(p) -> list:
     return [{"exps": list(e), "coeff": _frac_str(c)} for e, c in p]
-
-
-def _poly_parse(items):
-    return tuple((tuple(d["exps"]), _frac_parse(d["coeff"])) for d in items)
 
 
 def _symbol_payload(s: SymbolSpec) -> dict:
@@ -1794,7 +1733,6 @@ def _symbol_payload(s: SymbolSpec) -> dict:
         out["factor"] = s.factor
     elif s.kind == "euler":
         out["form"] = _amap_payload(s.form)
-        out["imaginary_unit_normalized"] = True
     elif s.kind == "power_ab":
         out.update({"vec": s.vecname, "base": s.base, "scale": s.scale, "k": s.k})
     elif s.kind == "power_nu":
@@ -1804,25 +1742,6 @@ def _symbol_payload(s: SymbolSpec) -> dict:
     else:
         raise ValueError(s.kind)
     return out
-
-
-def _symbol_parse(d) -> SymbolSpec:
-    kind = d["kind"]
-    if kind == "casimir":
-        return SymbolSpec(kind, side=d["side"], label=d["label"], factor=d["factor"])
-    if kind == "euler":
-        return SymbolSpec(
-            kind, side=d["side"], form=_amap_parse(d["form"]), imaginary_unit_normalized=True
-        )
-    if kind == "power_ab":
-        return SymbolSpec(
-            kind, side=d["side"], vecname=d["vec"], base=d["base"], scale=d["scale"], k=d["k"]
-        )
-    if kind == "power_nu":
-        return SymbolSpec(kind, side=d["side"], scale=d["scale"], k=d["k"])
-    if kind in ("theta_poly", "xyz_poly"):
-        return SymbolSpec(kind, side=d["side"], poly=_poly_parse(d["poly"]))
-    raise ValueError(kind)
 
 
 def record_payload(r: CaseRecord) -> dict:
@@ -1842,7 +1761,6 @@ def record_payload(r: CaseRecord) -> dict:
         "tau_label_map": _amap_payload(r.tau_label_map),
         "lam_rhoa_map": _amap_payload(r.lam_rhoa_map),
         "rho_a": _vec_payload(r.rho_a),
-        "restricted_weyl": _weyl_payload(r.restricted_weyl),
         "g_weyl": _weyl_payload(r.g_weyl),
         "g_rho": _vec_payload(r.g_rho),
         "symbols": {k: _symbol_payload(s) for k, s in sorted(r.symbols.items())},
@@ -1877,60 +1795,6 @@ def record_payload(r: CaseRecord) -> dict:
     }
 
 
-def record_from_payload(d: dict) -> CaseRecord:
-    return CaseRecord(
-        id=CaseId(d["id"]["tag"], d["id"]["n"]),
-        groups={k: _group_parse(g) for k, g in d["groups"].items()},
-        pi_group=_group_parse(d["pi_group"]),
-        nu_group=_group_parse(d["nu_group"]),
-        tau_group=_group_parse(d["tau_group"]),
-        theta=_space_parse(d["theta"]),
-        pi_space=_space_parse(d["pi_space"]),
-        tau_space=_space_parse(d["tau_space"]),
-        pi_of_theta=_amap_parse(d["pi_of_theta"]),
-        tau_of_theta=_amap_parse(d["tau_of_theta"]),
-        pi_label_map=_amap_parse(d["pi_label_map"]),
-        nu_label_map=_amap_parse(d["nu_label_map"]),
-        tau_label_map=_amap_parse(d["tau_label_map"]),
-        lam_rhoa_map=_amap_parse(d["lam_rhoa_map"]),
-        rho_a=vec([_frac_parse(x) for x in d["rho_a"]]),
-        restricted_weyl=_weyl_parse(d["restricted_weyl"]),
-        g_weyl=_weyl_parse(d["g_weyl"]),
-        g_rho=vec([_frac_parse(x) for x in d["g_rho"]]),
-        symbols={k: _symbol_parse(s) for k, s in d["symbols"].items()},
-        relations=tuple(
-            Relation(
-                rel["name"], tuple((_frac_parse(c), s) for c, s in rel["terms"])
-            )
-            for rel in d["relations"]
-        ),
-        transfer_matrix=mat([[_frac_parse(x) for x in row] for row in d["transfer_matrix"]]),
-        transfer_tau=mat([[_frac_parse(x) for x in row] for row in d["transfer_tau"]]),
-        transfer_offset=vec([_frac_parse(x) for x in d["transfer_offset"]]),
-        rank3=tuple(d["rank_triple"]),
-        degrees_p=tuple(d["degrees_p"]),
-        degrees_q=tuple(d["degrees_q"]),
-        degrees_rank=d["degrees_rank"],
-        hilbert_model=d["hilbert_model"],
-        indep_gens=tuple(d["indep_gens"]),
-        branch_rule=tuple(d["branch_rule"]),
-        a_map=_amap_parse(d["a_map"]) if d["a_map"] else None,
-        b_map=_amap_parse(d["b_map"]) if d["b_map"] else None,
-        ch=(
-            {
-                "restricted_pos": [vec([_frac_parse(x) for x in row]) for row in d["ch"]["restricted_pos"]],
-                "kill": [vec([_frac_parse(x) for x in row]) for row in d["ch"]["kill"]],
-            }
-            if d["ch"]
-            else None
-        ),
-        mod_trace=d["mod_trace"],
-        parity_gap_gens=tuple(d["parity_gap_gens"]),
-        alias_of=CaseId(d["alias_of"]["tag"], d["alias_of"]["n"]) if d["alias_of"] else None,
-        triality_note=d["triality_note"],
-    )
-
-
 def dump_catalog(records: Iterable[CaseRecord]) -> str:
     payload = {
         "schema": CATALOG_SCHEMA,
@@ -1939,53 +1803,23 @@ def dump_catalog(records: Iterable[CaseRecord]) -> str:
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def load_catalog(text: str) -> list[CaseRecord]:
-    payload = json.loads(text)
-    if payload.get("schema") != CATALOG_SCHEMA:
-        raise ValueError("unsupported catalog schema %r" % payload.get("schema"))
-    return [record_from_payload(d) for d in payload["cases"]]
-
-
-BUNDLED_MAX_N = 6
-
-
-def bundled_path():
-    import pathlib
-
-    return pathlib.Path(__file__).parent / "data" / "catalog.json"
-
-
-def load_default(max_n: int = 2, path=None) -> list[CaseRecord]:
-    """Load records from BRANCHLAB_CATALOG / the bundled file / fresh build."""
-    import os
-    import pathlib
-
-    if path is None:
-        env = os.environ.get("BRANCHLAB_CATALOG")
-        path = pathlib.Path(env) if env else bundled_path()
-    else:
-        path = pathlib.Path(path)
-    if path.exists():
-        records = load_catalog(path.read_text())
-        have = {r.id for r in records}
-        needed = {r.id for r in build_records(max_n)}
-        if needed <= have:
-            order = {cid: i for i, cid in enumerate(sorted(needed, key=lambda c: c.sort_key()))}
-            return sorted(
-                (r for r in records if r.id in needed), key=lambda r: order[r.id]
-            )
+def load_default(max_n: int = 2) -> list[CaseRecord]:
+    """The records for every case instantiated up to ``max_n``."""
     return build_records(max_n)
 
 
 def main(argv=None):
-    """Regenerate the bundled catalog.json (python -m branchlab.catalog)."""
+    """Export the catalog as JSON (python -m branchlab.catalog)."""
     import argparse
 
-    parser = argparse.ArgumentParser(description="rebuild the bundled catalog.json")
-    parser.add_argument("--max-n", type=int, default=BUNDLED_MAX_N)
-    parser.add_argument("--out", default=str(bundled_path()))
+    parser = argparse.ArgumentParser(description="export the case catalog as JSON")
+    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--out", default=None, help="write to this file instead of stdout")
     args = parser.parse_args(argv)
     text = dump_catalog(build_records(args.max_n))
+    if args.out is None:
+        print(text)
+        return
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
     print("wrote %s" % args.out)

@@ -38,8 +38,11 @@ def _emit(args, text_lines, payload) -> None:
     else:
         out = "\n".join(text_lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise SystemExit2("cannot write %s: %s" % (args.out, exc.strerror or exc))
     else:
         print(out)
 
@@ -211,13 +214,20 @@ def cmd_verify(args) -> int:
     return 0 if total_failed == 0 else 1
 
 
+def _parse_numbers(flag: str, text: str, parse) -> tuple:
+    try:
+        return tuple(parse(x) for x in text.split(",")) if text else ()
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2("%s takes comma-separated numbers, got %r" % (flag, text))
+
+
 def cmd_transfer(args) -> int:
     records = _load_cases(args)
     if len(records) != 1:
         raise SystemExit2("transfer needs exactly one case (got %d)" % len(records))
     record = records[0]
-    tau = tuple(int(x) for x in args.tau.split(",")) if args.tau else ()
-    lam = tuple(Fraction(x) for x in args.lam.split(",")) if args.lam else ()
+    tau = _parse_numbers("--tau", args.tau, int)
+    lam = _parse_numbers("--lam", args.lam, Fraction)
     try:
         smap = verify.transfer_map(record, tau)
     except ValueError as exc:
@@ -281,12 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.bound < 0 or args.max_n < 1:
-        parser.exit(2, "bound must be >= 0 and max-n >= 1\n")
+    args = build_parser().parse_args(argv)
     args.cases = [c.strip() for c in args.cases.split(",") if c.strip()] or ["all"]
     try:
+        if args.bound < 0 or args.max_n < 1 or args.degree < 0:
+            raise SystemExit2("bound and degree must be >= 0 and max-n >= 1")
         return args.func(args)
     except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -20,9 +20,8 @@ BOUND = 8
 
 @pytest.fixture(scope="module")
 def records():
-    # the bundled catalog.json is the source of truth; load_default reads it
-    # (or an explicit BRANCHLAB_CATALOG override) and falls back to a fresh
-    # build only if the file lacks the requested instantiations
+    # the same records the CLI checks: load_default builds them from the
+    # case builders in catalog.py
     return catalog.load_default(max_n=MAX_N)
 
 

@@ -1,5 +1,9 @@
-"""Catalog structure: enumeration, the canonical map, ranks, serialization."""
+"""Catalog structure: enumeration, the canonical map, ranks, the JSON export."""
 
+import json
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,9 +13,7 @@ from branchlab.catalog import (
     CaseId,
     alternating_concat,
     build_records,
-    dump_catalog,
     enumerate_disc,
-    load_catalog,
     pi_tau,
     rank_triple,
 )
@@ -166,36 +168,25 @@ def test_tau_space_validation(records):
     assert not r.tau_space.contains((2, 1))  # parity
 
 
-def test_json_round_trip():
-    recs = build_records(2)
-    text = dump_catalog(recs)
-    back = load_catalog(text)
-    assert dump_catalog(back) == text
-    assert [r.id for r in back] == [r.id for r in recs]
-    # behavioural spot-checks on the reloaded records
-    vi = next(r for r in back if r.id.tag == "vi")
-    from branchlab import verify
-
-    assert verify.evaluate_generator(vi, "C_Gt", (2, 0)) == 32
-    assert verify.check_relations(vi, 4).passed
+def test_load_default_is_build_records():
+    for n in (1, 2, 3):
+        assert [r.id for r in catalog.load_default(max_n=n)] == [r.id for r in build_records(n)]
 
 
-def test_bundled_catalog_is_fresh():
-    bundled = catalog.bundled_path().read_text().rstrip("\n")
-    assert bundled == dump_catalog(build_records(catalog.BUNDLED_MAX_N))
+def test_export_is_deterministic():
+    argv = [sys.executable, "-m", "branchlab.catalog", "--max-n", "2"]
+    first, second = (
+        subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2)
+    )
+    assert first == second
+    payload = json.loads(first)
+    assert payload["schema"] == 1
+    ids = [CaseId(c["id"]["tag"], c["id"]["n"]) for c in payload["cases"]]
+    assert ids == [r.id for r in build_records(2)]
 
 
-def test_load_default_env_override(tmp_path, monkeypatch):
-    p = tmp_path / "cat.json"
-    p.write_text(dump_catalog(build_records(1)))
-    monkeypatch.setenv("BRANCHLAB_CATALOG", str(p))
-    recs = catalog.load_default(max_n=1)
-    assert {r.id.tag for r in recs} >= {"i", "vi", "star"}
-    # asking for more than the file holds falls back to a fresh build
-    recs3 = catalog.load_default(max_n=3)
-    assert CaseId("i", 3) in {r.id for r in recs3}
-
-
-def test_schema_guard():
-    with pytest.raises(ValueError):
-        load_catalog('{"schema": 99, "cases": []}')
+def test_no_bundled_data_file():
+    # the builders are the only catalog source; a serialized copy would drift
+    package = pathlib.Path(catalog.__file__).parent
+    assert not (package / "data").exists()
+    assert "package-data" not in (package.parents[1] / "pyproject.toml").read_text()

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from branchlab import cli
 
 
@@ -88,13 +90,24 @@ def test_transfer_examples(capsys):
     assert rc == 2
 
 
-def test_transfer_invalid_tau_exit_2(capsys):
-    rc, _ = run_capture(capsys, ["transfer", "--cases", "vi", "--tau", "-1", "--lam", "3"])
-    assert rc == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transfer", "--cases", "vi", "--tau", "-1", "--lam", "3"],
+        ["transfer", "--cases", "vi", "--tau", "abc", "--lam", "3"],
+        ["transfer", "--cases", "vi", "--tau", "2", "--lam", "1/0"],
+        ["verify", "--cases", "x", "--degree", "-1"],
+        ["verify", "--cases", "x", "--bound", "3", "--out", "/nonexistent/dir/r.json"],
+    ],
+    ids=["tau-outside-disc", "tau-not-a-number", "lam-zero-denominator", "negative-degree", "unwritable-out"],
+)
+def test_transfer_invalid_tau_exit_2(capsys, args):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_transfer_json_payload(capsys, monkeypatch):
-    monkeypatch.setenv("BRANCHLAB_CATALOG", "/nonexistent/path.json")
+def test_transfer_json_payload(capsys):
     rc, out = run_capture(
         capsys,
         ["transfer", "--cases", "x", "--lam", "5/2", "--format", "json"],

@@ -241,13 +241,6 @@ def test_ix_parity_gap(records):
     assert verify.function_in_span(r, ("C_Gt", "C_G"), lambda t: t[1] ** 2, 6, 1)
 
 
-def test_euler_symbols_flagged_normalized(records):
-    for r in records.values():
-        for name, spec in r.symbols.items():
-            if spec.kind == "euler":
-                assert spec.imaginary_unit_normalized, (r.id, name)
-
-
 def test_pi_side_consistency_all(records):
     for r in records.values():
         rep = verify.check_pi_side_consistency(r, 4)
