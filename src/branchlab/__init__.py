@@ -5,10 +5,8 @@ laws, Casimir tables, and transfer maps for spherical triples with overgroups.
 from .catalog import (
     CaseId,
     CaseRecord,
-    DiscElement,
     all_cases,
     alternating_concat,
-    enumerate_disc,
     load_default,
     pi_tau,
     rank_triple,
@@ -25,7 +23,6 @@ __all__ = [
     "CaseId",
     "CaseRecord",
     "CaseReport",
-    "DiscElement",
     "GroupDescriptor",
     "InfinitesimalCharacter",
     "IrrepLabel",
@@ -36,7 +33,6 @@ __all__ = [
     "check_relations",
     "check_transfer",
     "dominant_representative",
-    "enumerate_disc",
     "evaluate_generator",
     "inner_product",
     "load_default",

@@ -77,12 +77,6 @@ class CaseId:
 
 
 @dataclass(frozen=True)
-class DiscElement:
-    case: CaseId
-    params: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Constraint:
     """sum(coeffs · params) + const >= 0, or == 0 mod ``mod`` when mod > 0."""
 
@@ -125,6 +119,8 @@ class ParamSpace:
         Depth-first with bound propagation through the linear constraints, so
         interlacing chains are enumerated without wasted work.
         """
+        if bound < 0:
+            raise ValueError("bound must be >= 0")
         n = len(self.names)
         out: list[tuple[int, ...]] = []
         partial: list[int] = []
@@ -246,9 +242,6 @@ class CaseRecord:
         if not self.theta_valid(params):
             raise ValueError("%s is not in Disc(G/H) for case %s" % (params, self.id))
         return params
-
-    def enumerate_disc(self, bound: int) -> list[DiscElement]:
-        return [DiscElement(self.id, p) for p in self.theta.enumerate(bound)]
 
     def _ints(self, v: Vector) -> tuple[int, ...]:
         assert all(x.denominator == 1 for x in v), v
@@ -1657,12 +1650,6 @@ def alternating_concat(j: Sequence[int], k: Sequence[int]) -> tuple[int, ...]:
         if b is not None:
             out.append(b)
     return tuple(out)
-
-
-def enumerate_disc(record: CaseRecord, bound: int) -> list[DiscElement]:
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    return record.enumerate_disc(bound)
 
 
 def pi_tau(record: CaseRecord, theta: Sequence[int]) -> tuple[IrrepLabel, IrrepLabel]:

@@ -1,8 +1,9 @@
-"""Command-line front end: human-readable tables and deterministic JSON
-reports over the whole catalog.
+"""Command-line front end: parses arguments, loads the cases, and formats
+what ``verify.run_case`` returns as a text table or a deterministic JSON
+report.  Which checks run on a case is decided in ``verify``, not here.
 
-Exit codes: 0 = all checks pass, 1 = at least one mathematical check failed,
-2 = usage or configuration error.
+Exit codes: 0 = no check failed (an inconclusive check is not a failure),
+1 = at least one mathematical check failed, 2 = usage or configuration error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, dgx, hilbert, verify
+from . import catalog, verify
 
 TEXT, JSON = "text", "json"
 
@@ -115,103 +116,26 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _run_case_checks(record, bound: int, degree: int) -> list[dict]:
-    checks = []
-
-    def push(name, report_or_ok, first=None):
-        if isinstance(report_or_ok, verify.CaseReport):
-            entry = {
-                "name": name,
-                "run": report_or_ok.checks_run,
-                "failed": len(report_or_ok.failures),
-            }
-            if report_or_ok.failures:
-                entry["first_failure"] = repr(report_or_ok.failures[0])
-        else:
-            entry = {"name": name, "run": 1, "failed": 0 if report_or_ok else 1}
-            if not report_or_ok and first:
-                entry["first_failure"] = first
-        checks.append(entry)
-
-    push("relations", verify.check_relations(record, bound))
-    push("transfer", verify.check_transfer(record, bound))
-    push("rank-identity", verify.check_rank_identity(record), "rank triple fails")
-    push("degree-counts", verify.check_degree_counts(record), "m+n != rank")
-    push("dimension-conservation", verify.check_dimension_conservation(record, bound))
-    push("strong-multiplicity-freeness", verify.check_strong_multiplicity_freeness(record, bound))
-    ok, _ = verify.independence_certificate(record, record.indep_gens, bound, degree)
-    push("independence", ok, "moment matrix is rank-deficient")
-    push("pi-side-consistency", verify.check_pi_side_consistency(record, bound))
-    if record.hilbert_model is not None:
-        push("generator-degrees", hilbert.check_generator_degrees(record, 12), "v-sequence mismatch")
-    if record.parity_gap_gens:
-        push(
-            "dl-only-subalgebra-index-2",
-            verify.check_ix_parity_gap(record, bound),
-            "parity unexpectedly expressible",
-        )
-    if record.id.tag == "star":
-        gens = dgx.subalgebra_generators()
-        members = [dgx.Z, dgx.X + dgx.Y, dgx.X * dgx.Z + dgx.Y, dgx.X * dgx.Y]
-        push(
-            "dgx-membership",
-            all(dgx.membership(f, gens, 4) is not None for f in members),
-            "a Lemma-membership is missing at bound 4",
-        )
-        push("x-not-in-R", dgx.x_not_in_R_witness().passed, "symmetry witness failed")
-        decomposed = True
-        try:
-            for ex in range(5):
-                for ey in range(5 - ex):
-                    f = dgx.X ** ex * dgx.Y ** ey
-                    dgx.decompose_R_plus_Rx(f, 4)
-        except (ValueError, AssertionError):
-            decomposed = False
-        push("dgx-module-decomposition", decomposed, "R+Rx decomposition failed")
-        allgens = dgx.dgx_generators()
-        pairs = [
-            ("r1", "R_1"),
-            ("r2", "R_2"),
-            ("r3", "R_3"),
-            ("r4", "R_4"),
-            ("q", "C_K"),
-            ("p1", "C_Gt1"),
-            ("p2", "C_Gt2"),
-        ]
-        agree = all(
-            allgens[g].evaluate((t[0] + 3) ** 2, (t[1] + 3) ** 2, (t[2] + 3) ** 2)
-            == verify.evaluate_generator(record, s, t)
-            for t in record.theta.enumerate(min(bound, 6))
-            for g, s in pairs
-        )
-        push("dgx-cross-evaluation", agree, "polynomial model disagrees with the case table")
-    return checks
+def _check_line(case, entry) -> str:
+    if "inconclusive" in entry:
+        verdict = "inconclusive (%s)" % entry["inconclusive"]
+    elif entry["failed"]:
+        verdict = "FAIL (%d run, %d failed)" % (entry["run"], entry["failed"])
+    else:
+        verdict = "pass (%d run)" % entry["run"]
+    return "%-14s %-30s %s" % (case, entry["name"], verdict)
 
 
 def cmd_verify(args) -> int:
-    records = _load_cases(args)
     results = []
-    total_failed = 0
     lines = []
-    for r in records:
-        checks = _run_case_checks(r, args.bound, args.degree)
-        failed = sum(c["failed"] for c in checks)
-        total_failed += failed
+    for r in _load_cases(args):
+        checks = verify.run_case(r, args.bound, args.degree)
         results.append({"case": str(r.id), "bound": args.bound, "checks": checks})
-        for c in checks:
-            lines.append(
-                "%-14s %-30s %s (%d run%s)"
-                % (
-                    str(r.id),
-                    c["name"],
-                    "pass" if c["failed"] == 0 else "FAIL",
-                    c["run"],
-                    "" if c["failed"] == 0 else ", %d failed" % c["failed"],
-                )
-            )
+        lines.extend(_check_line(r.id, c) for c in checks)
     payload = {"schema": 1, "bound": args.bound, "degree": args.degree, "cases": results}
     _emit(args, lines, payload)
-    return 0 if total_failed == 0 else 1
+    return 1 if any(c["failed"] for case in results for c in case["checks"]) else 0
 
 
 def _parse_numbers(flag: str, text: str, parse) -> tuple:

@@ -130,6 +130,20 @@ def _coerce(p) -> Poly:
 
 X, Y, Z = (Poly.var(v) for v in VARS)
 
+# z, x+y, xz+y, xy: the members of R the product-overgroup suite certifies.
+R_MEMBERS = (Z, X + Y, X * Z + Y, X * Y)
+# Generator of the model -> the star record's symbol it must agree with at
+# x = (j+3)^2, y = (j'+3)^2, z = (a+3)^2.
+SYMBOL_PAIRS = (
+    ("r1", "R_1"),
+    ("r2", "R_2"),
+    ("r3", "R_3"),
+    ("r4", "R_4"),
+    ("q", "C_K"),
+    ("p1", "C_Gt1"),
+    ("p2", "C_Gt2"),
+)
+
 
 def dgx_generators() -> dict[str, Poly]:
     """The seven generators of the polynomial model, built in factored form."""

@@ -1,11 +1,15 @@
 """Evaluation-based verification: relation identities, transfer maps,
-independence certificates.  Everything is exact; a failure carries the
-offending parameter tuple and both sides' values.
+independence certificates, and ``run_case``, the one runner that decides
+which checks a case gets and in what order.  Everything is exact; a failure
+carries the offending parameter tuple and both sides' values.
 
-The bound-8 boxes of the rank-7 cases make the inner loops hot, so the batch
-checks compile symbols down to arithmetic on doubled integers (every affine
-map in the catalog is half-integral).  The compiled routes are cross-checked
-against the straightforward reference evaluation in the test suite.
+The bound-8 boxes of the rank-7 cases make the inner loops hot, so the checks
+compile symbols down to arithmetic on doubled integers.  Every affine map in
+the catalog is half-integral, and ``_rows2`` raises on one that is not, so
+there is no second route behind the compiled one.  The only per-check
+alternatives are the exact routes for G2 factors (case x).  The compiled
+evaluation is cross-checked against the straightforward reference evaluation
+in the test suite.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg, weights
+from . import dgx, hilbert, linalg, weights
 from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers
 from .linalg import AffineMap, mat, vec
 from .reps import casimir_eigenvalue
@@ -36,11 +40,6 @@ class CaseReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def record(self, name: str, theta, expected, got, ok: bool):
-        self.checks_run += 1
-        if not ok:
-            self.failures.append((name, theta, expected, got))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +100,11 @@ def evaluate_generator_reference(record: CaseRecord, name: str, theta: Sequence[
 
 
 def _rows2(amap: AffineMap):
-    """[(sparse integer row, offset)] for 2·amap, or None if not half-integral."""
+    """[(sparse integer row, offset)] for 2·amap; ValueError if not half-integral."""
     rows = []
     for row, off in zip(amap.matrix, amap.offset):
         if any((2 * x).denominator != 1 for x in row) or (2 * off).denominator != 1:
-            return None
+            raise ValueError("affine map is not half-integral: %r" % (amap,))
         rows.append(
             (tuple((i, int(2 * x)) for i, x in enumerate(row) if x), int(2 * off))
         )
@@ -152,20 +151,26 @@ def _group_for(record: CaseRecord, label: str):
     return {"pi": record.pi_group, "nu": record.nu_group, "tau": record.tau_group}[label]
 
 
-class _Shared:
-    """Per-theta memoized application of doubled affine maps."""
+def _rows_for(record: CaseRecord, key: str, make):
+    """_rows2(make()), built once per record and kept under ``key``."""
+    maps = _symbol_cache(record)["rows"]
+    rows = maps.get(key)
+    if rows is None:
+        rows = maps[key] = _rows2(make())
+    return rows
 
-    def __init__(self):
-        self.maps: dict[str, list] = {}
 
-    def rows(self, key: str, amap: AffineMap):
-        rows = self.maps.get(key)
-        if rows is None:
-            rows = _rows2(amap)
-            if rows is None:
-                raise ValueError("map %s is not half-integral" % key)
-            self.maps[key] = rows
-        return rows
+def _nu_rho_rows(record: CaseRecord):
+    """Doubled rows of theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
+    return _rows_for(
+        record,
+        "nurho",
+        lambda: AffineMap(
+            record.nu_label_map.matrix,
+            vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
+            source=record.nu_label_map.source_dim,
+        ),
+    )
 
 
 def _getter(key: str, rows2):
@@ -194,14 +199,12 @@ def _int_casimir_blocks(group):
     return blocks
 
 
-def _int_symbol(record: CaseRecord, name: str, shared: _Shared):
-    """(fn(theta, memo) -> int numerator, constant denominator) or None."""
+def _int_symbol(record: CaseRecord, name: str):
+    """(fn(theta, memo) -> int numerator, constant denominator)."""
     spec = record.symbols[name]
     if spec.kind == "casimir":
-        amap = _label_map_for(record, spec.label)
         key = "label:%s" % spec.label
-        rows = shared.rows(key, amap)
-        get = _getter(key, rows)
+        get = _getter(key, _rows_for(record, key, lambda: _label_map_for(record, spec.label)))
         group = _group_for(record, spec.label)
         blocks = _int_casimir_blocks(group)
         if spec.factor is not None:
@@ -234,14 +237,12 @@ def _int_symbol(record: CaseRecord, name: str, shared: _Shared):
         return casimir_fn, den
     if spec.kind == "euler":
         key = "euler:%s" % name
-        rows = shared.rows(key, spec.form)
-        get = _getter(key, rows)
+        get = _getter(key, _rows_for(record, key, lambda: spec.form))
         return (lambda theta, memo: get(theta, memo)[0]), 2
     if spec.kind == "power_ab":
         vmap = record.a_map if spec.vecname == "a" else record.b_map
         key = "vec:%s" % spec.vecname
-        rows = shared.rows(key, vmap)
-        get = _getter(key, rows)
+        get = _getter(key, _rows_for(record, key, lambda: vmap))
         e = spec.scale * spec.k
         num_scale = spec.base ** spec.k
 
@@ -250,14 +251,7 @@ def _int_symbol(record: CaseRecord, name: str, shared: _Shared):
 
         return power_ab_fn, 2 ** e
     if spec.kind == "power_nu":
-        shifted = AffineMap(
-            record.nu_label_map.matrix,
-            vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
-            source=record.nu_label_map.source_dim,
-        )
-        key = "nurho"
-        rows = shared.rows(key, shifted)
-        get = _getter(key, rows)
+        get = _getter("nurho", _nu_rho_rows(record))
         e = spec.scale * spec.k
 
         def power_nu_fn(theta, memo, get=get, e=e):
@@ -267,40 +261,27 @@ def _int_symbol(record: CaseRecord, name: str, shared: _Shared):
     if spec.kind in ("theta_poly", "xyz_poly"):
         den = math.lcm(*(c.denominator for _, c in spec.poly)) if spec.poly else 1
         terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
-        if spec.kind == "theta_poly":
 
-            def theta_poly_fn(theta, memo, terms=terms):
-                total = 0
-                for exps, c in terms:
-                    term = c
-                    for v, e in zip(theta, exps):
-                        if e:
-                            term *= v ** e
-                    total += term
-                return total
-
-            return theta_poly_fn, den
-
-        def xyz_fn(theta, memo, terms=terms):
-            j, jp, a = theta
-            xyz = ((j + 3) ** 2, (jp + 3) ** 2, (a + 3) ** 2)
+        def poly_fn(theta, memo, terms=terms, xyz=spec.kind == "xyz_poly"):
+            if xyz:
+                theta = tuple((v + 3) ** 2 for v in theta)
             total = 0
             for exps, c in terms:
                 term = c
-                for v, e in zip(xyz, exps):
+                for v, e in zip(theta, exps):
                     if e:
                         term *= v ** e
                 total += term
             return total
 
-        return xyz_fn, den
-    return None
+        return poly_fn, den
+    raise ValueError("unknown symbol kind %r" % spec.kind)
 
 
 def _symbol_cache(record: CaseRecord) -> dict:
     cache = record.__dict__.get("_symbol_cache")
     if cache is None:
-        cache = {"shared": _Shared(), "int": {}}
+        cache = {"rows": {}, "int": {}}
         object.__setattr__(record, "_symbol_cache", cache)
     return cache
 
@@ -308,7 +289,7 @@ def _symbol_cache(record: CaseRecord) -> dict:
 def _int_eval(record: CaseRecord, name: str):
     cache = _symbol_cache(record)
     if name not in cache["int"]:
-        cache["int"][name] = _int_symbol(record, name, cache["shared"])
+        cache["int"][name] = _int_symbol(record, name)
     return cache["int"][name]
 
 
@@ -317,10 +298,7 @@ def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> F
     theta = record.require_theta(theta)
     if name not in record.symbols:
         raise KeyError("case %s has no generator %r" % (record.id, name))
-    pair = _int_eval(record, name)
-    if pair is None:
-        return evaluate_generator_reference(record, name, theta)
-    fn, den = pair
+    fn, den = _int_eval(record, name)
     return Fraction(fn(theta, {}), den)
 
 
@@ -426,24 +404,14 @@ def _canonical2(record: CaseRecord, values2: list[int]):
 def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
     """S_tau(lambda(theta) + rho_a) = nu(theta) + rho mod W(g_C), exactly."""
     report = CaseReport(record.id, bound)
-    image_map = _transfer_image_map(record)
-    nurho_map = AffineMap(
-        record.nu_label_map.matrix,
-        vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
-        source=record.nu_label_map.source_dim,
-    )
-    img2 = _rows2(image_map)
-    nr2 = _rows2(nurho_map)
+    img2 = _rows2(_transfer_image_map(record))
+    nr2 = _nu_rho_rows(record)
     count = 0
     failures = []
     for theta in record.theta.enumerate(bound):
         count += 1
-        if img2 is not None and nr2 is not None:
-            lhs = _canonical2(record, _apply2(img2, theta))
-            rhs = _canonical2(record, _apply2(nr2, theta))
-        else:
-            lhs = _canonical_char(record, image_map.apply(theta))
-            rhs = _canonical_char(record, nurho_map.apply(theta))
+        lhs = _canonical2(record, _apply2(img2, theta))
+        rhs = _canonical2(record, _apply2(nr2, theta))
         if lhs != rhs:
             failures.append(("transfer", theta, rhs, lhs))
     report.checks_run = count
@@ -611,20 +579,20 @@ def _dim_fast(infos, lam2) -> int:
 def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     """dim pi = sum of dim theta over the branching, exactly."""
     report = CaseReport(record.id, bound)
-    pi_full = record.pi_label_map
-    pi2 = _rows2(pi_full)
+    pi2 = _rows2(record.pi_label_map)
     nu2 = _rows2(record.nu_label_map)
     pi_infos = _dim_table(record.pi_group)
     nu_infos = _dim_table(record.nu_group)
 
     def pi_dim(pi_params):
-        if pi2 is not None and pi_infos is not None:
+        if pi_infos is not None:
             return _dim_fast(pi_infos, _apply2(pi2, pi_params))
-        t = record.pi_group.weyl
-        return weights.weyl_dimension(t, record.pi_group.rho, pi_full.apply(pi_params))
+        return weights.weyl_dimension(
+            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
+        )
 
     def nu_dim(theta):
-        if nu2 is not None and nu_infos is not None:
+        if nu_infos is not None:
             return _dim_fast(nu_infos, _apply2(nu2, theta))
         return weights.weyl_dimension(
             record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
@@ -654,12 +622,11 @@ def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseRe
     recovers its pi via the canonical map and occurs in its branching."""
     report = CaseReport(record.id, bound)
     nu2 = _rows2(record.nu_label_map)
-    labelkey = (
-        (lambda theta: tuple(_apply2(nu2, theta)))
-        if nu2 is not None
-        else (lambda theta: record.nu_label_map.apply(theta))
-    )
     pi2 = _rows2(record.pi_of_theta)
+
+    def labelkey(theta):
+        return tuple(_apply2(nu2, theta))
+
     seen: dict[tuple, tuple] = {}
     fiber_of: dict[tuple, tuple] = {}
     count = 0
@@ -678,15 +645,12 @@ def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseRe
             seen[key] = pi_params
             fiber_of[theta] = pi_params
     for theta in record.theta.enumerate(bound):
-        if pi2 is not None:
-            doubled = _apply2(pi2, theta)
-            if any(v % 2 for v in doubled):
-                failures.append(("integral-pi", theta, True, False))
-                count += 1
-                continue
-            pi_params = tuple(v // 2 for v in doubled)
-        else:
-            pi_params = record.pi_params_of(theta)
+        doubled = _apply2(pi2, theta)
+        if any(v % 2 for v in doubled):
+            failures.append(("integral-pi", theta, True, False))
+            count += 1
+            continue
+        pi_params = tuple(v // 2 for v in doubled)
         if all(abs(p) <= bound for p in pi_params):
             count += 2
             if fiber_of.get(theta) != pi_params:
@@ -712,10 +676,7 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
     count = 0
     failures = []
     for theta in record.theta.enumerate(bound):
-        if pi2 is not None:
-            pi_params = tuple(v // 2 for v in _apply2(pi2, theta))
-        else:
-            pi_params = record.pi_params_of(theta)
+        pi_params = tuple(v // 2 for v in _apply2(pi2, theta))
         value = cache.get(pi_params)
         if value is None:
             value = casimir_eigenvalue(record.pi_label(pi_params))
@@ -733,3 +694,99 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
     report.checks_run = count
     report.failures = failures
     return report
+
+
+# ---------------------------------------------------------------------------
+# the per-case runner
+
+
+def run_case(record: CaseRecord, bound: int, degree: int) -> list[dict]:
+    """Run every check that applies to ``record``; one report entry per check.
+
+    An entry holds ``name``, ``run`` and ``failed``, plus ``first_failure``
+    when something failed.  A box too small for the independence certificate
+    gives ``inconclusive`` with the reason instead, and counts as no failure.
+    An exception inside a check becomes that check's failure, and the
+    remaining checks still run.
+    """
+    entries = []
+
+    def run(name, check, message=None):
+        # a check returns a CaseReport or a bool; message is what a False carries
+        try:
+            result = check()
+        except InsufficientSampleError as exc:
+            entries.append({"name": name, "run": 0, "failed": 0, "inconclusive": str(exc)})
+            return
+        except Exception as exc:
+            result, message = False, "error: %s: %s" % (type(exc).__name__, exc)
+        if isinstance(result, CaseReport):
+            entry = {"name": name, "run": result.checks_run, "failed": len(result.failures)}
+            if result.failures:
+                entry["first_failure"] = repr(result.failures[0])
+        else:
+            entry = {"name": name, "run": 1, "failed": 0 if result else 1}
+            if not result:
+                entry["first_failure"] = message
+        entries.append(entry)
+
+    run("relations", lambda: check_relations(record, bound))
+    run("transfer", lambda: check_transfer(record, bound))
+    run("rank-identity", lambda: check_rank_identity(record), "rank triple fails")
+    run("degree-counts", lambda: check_degree_counts(record), "m+n != rank")
+    run("dimension-conservation", lambda: check_dimension_conservation(record, bound))
+    run(
+        "strong-multiplicity-freeness", lambda: check_strong_multiplicity_freeness(record, bound)
+    )
+    run(
+        "independence",
+        lambda: independence_certificate(record, record.indep_gens, bound, degree)[0],
+        "moment matrix is rank-deficient",
+    )
+    run("pi-side-consistency", lambda: check_pi_side_consistency(record, bound))
+    if record.hilbert_model is not None:
+        run(
+            "generator-degrees",
+            lambda: hilbert.check_generator_degrees(record, 12),
+            "v-sequence mismatch",
+        )
+    if record.parity_gap_gens:
+        run(
+            "dl-only-subalgebra-index-2",
+            lambda: check_ix_parity_gap(record, bound),
+            "parity unexpectedly expressible",
+        )
+    if record.id.tag == "star":
+        _run_star_suite(run, record, bound)
+    return entries
+
+
+def _run_star_suite(run, record: CaseRecord, bound: int) -> None:
+    """The polynomial-model suite of the product-overgroup case, at degree 4."""
+    gens = dgx.subalgebra_generators()
+    run(
+        "dgx-membership",
+        lambda: all(dgx.membership(f, gens, 4) is not None for f in dgx.R_MEMBERS),
+        "a Lemma-membership is missing at bound 4",
+    )
+    run("x-not-in-R", lambda: dgx.x_not_in_R_witness().passed, "symmetry witness failed")
+
+    def decompositions():
+        # decompose_R_plus_Rx raises when a part escapes R
+        for ex in range(5):
+            for ey in range(5 - ex):
+                dgx.decompose_R_plus_Rx(dgx.X ** ex * dgx.Y ** ey, 4)
+        return True
+
+    run("dgx-module-decomposition", decompositions)
+    table = dgx.dgx_generators()
+    run(
+        "dgx-cross-evaluation",
+        lambda: all(
+            table[g].evaluate((t[0] + 3) ** 2, (t[1] + 3) ** 2, (t[2] + 3) ** 2)
+            == evaluate_generator(record, s, t)
+            for t in record.theta.enumerate(min(bound, 6))
+            for g, s in dgx.SYMBOL_PAIRS
+        ),
+        "polynomial model disagrees with the case table",
+    )

@@ -104,10 +104,7 @@ def test_criterion_6_generator_degrees(records):
 
 def test_criterion_7_polynomial_suite(records):
     gens = dgx.subalgebra_generators()
-    memberships_ok = all(
-        dgx.membership(f, gens, 4) is not None
-        for f in (dgx.Z, dgx.X + dgx.Y, dgx.X * dgx.Z + dgx.Y, dgx.X * dgx.Y)
-    )
+    memberships_ok = all(dgx.membership(f, gens, 4) is not None for f in dgx.R_MEMBERS)
     witness_ok = dgx.x_not_in_R_witness().passed
     decomposition_ok = True
     for ex, ey, ez in itertools.product(range(9), repeat=3):
@@ -124,20 +121,11 @@ def test_criterion_7_polynomial_suite(records):
             break
     star = next(r for r in records if r.id.tag == "star")
     table = dgx.dgx_generators()
-    pairs = [
-        ("r1", "R_1"),
-        ("r2", "R_2"),
-        ("r3", "R_3"),
-        ("r4", "R_4"),
-        ("q", "C_K"),
-        ("p1", "C_Gt1"),
-        ("p2", "C_Gt2"),
-    ]
     cross_ok = all(
         table[g].evaluate((t[0] + 3) ** 2, (t[1] + 3) ** 2, (t[2] + 3) ** 2)
         == verify.evaluate_generator(star, s, t)
         for t in star.theta.enumerate(6)
-        for g, s in pairs
+        for g, s in dgx.SYMBOL_PAIRS
     )
     ok = memberships_ok and witness_ok and decomposition_ok and cross_ok
     assert _line(

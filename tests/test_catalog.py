@@ -13,7 +13,6 @@ from branchlab.catalog import (
     CaseId,
     alternating_concat,
     build_records,
-    enumerate_disc,
     pi_tau,
     rank_triple,
 )
@@ -51,27 +50,29 @@ def test_star_group_names():
     assert star.groups["g"].name == "Spin(8)"
 
 
-def test_enumerate_disc_examples(records):
+def test_enumerate_theta_examples(records):
     r = rec(records, "i", 2)
-    assert [e.params for e in enumerate_disc(r, 1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert r.theta.enumerate(1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     r = rec(records, "vi")
-    assert [e.params for e in enumerate_disc(r, 2)] == [(0, 0), (1, 1), (2, 0), (2, 2)]
+    assert r.theta.enumerate(2) == [(0, 0), (1, 1), (2, 0), (2, 2)]
     r = rec(records, "x")
-    assert [e.params for e in enumerate_disc(r, 3)] == [(0,), (1,), (2,), (3,)]
+    assert r.theta.enumerate(3) == [(0,), (1,), (2,), (3,)]
+    with pytest.raises(ValueError):
+        r.theta.enumerate(-1)
 
 
-def test_enumerate_disc_lex_sorted_and_constrained(records):
+def test_enumerate_theta_lex_sorted_and_constrained(records):
     for r in records.values():
-        elems = [e.params for e in enumerate_disc(r, 4)]
+        elems = r.theta.enumerate(4)
         assert elems == sorted(elems)
         assert len(set(elems)) == len(elems)
         for p in elems:
             assert r.theta.contains(p)
 
 
-def test_enumerate_disc_star_triangle(records):
+def test_enumerate_theta_star_triangle(records):
     r = rec(records, "star")
-    got = {e.params for e in enumerate_disc(r, 2)}
+    got = set(r.theta.enumerate(2))
     expected = {
         (j, jp, a)
         for j in range(3)
@@ -111,10 +112,10 @@ def test_pi_tau_rejects_invalid_theta(records):
 def test_pi_tau_injective_on_box(records):
     for r in records.values():
         seen = set()
-        for e in enumerate_disc(r, 4):
-            pi, tau = pi_tau(r, e.params)
+        for theta in r.theta.enumerate(4):
+            pi, tau = pi_tau(r, theta)
             key = (pi.highest_weight, tau.highest_weight)
-            assert key not in seen, (r.id, e.params)
+            assert key not in seen, (r.id, theta)
             seen.add(key)
 
 
@@ -147,9 +148,7 @@ def test_aliases_delegate(records):
     assert xii.alias_of == xi.id
     assert xii.relations == xi.relations
     assert xii.transfer_matrix == xi.transfer_matrix
-    assert [e.params for e in enumerate_disc(xii, 3)] == [
-        e.params for e in enumerate_disc(xi, 3)
-    ]
+    assert xii.theta.enumerate(3) == xi.theta.enumerate(3)
     xiv = rec(records, "xiv")
     assert xiv.alias_of == CaseId("ii_odd", 3)
     assert xiv.groups["k"].name == "Spin(6)"

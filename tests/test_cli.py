@@ -141,3 +141,16 @@ def test_verify_all_bound_8_exit_zero(capsys):
     rc, out = run_capture(capsys, ["verify", "--cases", "all", "--bound", "8"])
     assert rc == 0
     assert "FAIL" not in out
+
+
+def test_verify_small_box_is_inconclusive_not_failed(capsys):
+    args = ["verify", "--cases", "vi,iii", "--max-n", "1", "--bound", "2"]
+    rc, out = run_capture(capsys, args)
+    assert rc == 0
+    inconclusive = [l.split()[0] for l in out.splitlines() if "inconclusive (" in l]
+    assert inconclusive == ["vi", "iii[n=1]"]
+    assert all(" independence " in l for l in out.splitlines() if "inconclusive" in l)
+    rc, out = run_capture(capsys, args + ["--format", "json"])
+    assert rc == 0
+    entries = [c for case in json.loads(out)["cases"] for c in case["checks"]]
+    assert [c["name"] for c in entries if "inconclusive" in c] == ["independence"] * 2

@@ -384,3 +384,72 @@ def test_frozen_casimir_table_ii_odd(records):
     assert evaluate_generator(r, "C_Gt", theta) == 2 * h2
     assert evaluate_generator(r, "C_G", theta) == h2 + hp1
     assert evaluate_generator(r, "C_K", theta) == 2 * hp1
+
+
+def test_every_map_is_half_integral():
+    # the compiled route is the only route: every symbol compiles and every
+    # map the checks read has a doubled-integer form, with no fallback behind
+    for r in catalog.build_records(6):
+        for name in r.symbols:
+            fn, den = verify._int_eval(r, name)
+            assert isinstance(den, int), (r.id, name)
+        maps = [
+            verify._transfer_image_map(r),
+            r.pi_label_map,
+            r.nu_label_map,
+            r.pi_of_theta,
+            verify._label_map_for(r, "tau"),
+        ]
+        for amap in maps:
+            assert verify._rows2(amap), r.id
+
+
+def test_rows2_rejects_non_half_integral():
+    from branchlab.linalg import AffineMap, mat, vec
+
+    with pytest.raises(ValueError):
+        verify._rows2(AffineMap(mat([[Fraction(1, 3)]]), vec([0]), source=1))
+    assert verify._rows2(AffineMap(mat([[Fraction(1, 2)]]), vec([Fraction(3, 2)]), source=1)) == [
+        (((0, 1),), 3)
+    ]
+
+
+def test_run_case_small_box_is_inconclusive(records):
+    entries = verify.run_case(rec(records, "vi"), 2, 2)
+    independence = next(e for e in entries if e["name"] == "independence")
+    assert independence["run"] == independence["failed"] == 0
+    assert "cannot certify" in independence["inconclusive"]
+    assert all(e["failed"] == 0 for e in entries)
+    # the key appears only on inconclusive entries
+    assert sum("inconclusive" in e for e in entries) == 1
+
+
+def test_run_case_check_error_is_that_checks_failure(records):
+    # a non-dominant pi label makes check_pi_side_consistency raise; the
+    # other checks still run, and those that read the map fail cleanly
+    import dataclasses
+
+    r = rec(records, "i", 1)
+    offset = list(r.pi_label_map.offset)
+    offset[1] += 1
+    broken = dataclasses.replace(
+        r, pi_label_map=dataclasses.replace(r.pi_label_map, offset=tuple(offset))
+    )
+    entries = verify.run_case(broken, 4, 2)
+    assert [e["name"] for e in entries] == [e["name"] for e in verify.run_case(r, 4, 2)]
+    errored = [e for e in entries if e.get("first_failure", "").startswith("error: ")]
+    assert [e["name"] for e in errored] == ["pi-side-consistency"]
+    assert errored[0]["first_failure"].startswith("error: ValueError: ")
+    assert errored[0]["run"] == errored[0]["failed"] == 1
+    assert {e["name"] for e in entries if e["failed"]} == {
+        "relations",
+        "dimension-conservation",
+        "pi-side-consistency",
+    }
+
+
+def test_run_case_never_raises_on_small_boxes():
+    for bound in range(5):
+        for r in catalog.build_records(2):
+            for e in verify.run_case(r, bound, 2):
+                assert not e.get("first_failure", "").startswith("error: "), (bound, r.id, e)
