@@ -6,6 +6,7 @@ R + R·x module decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -80,6 +81,8 @@ class Poly:
         return _coerce(other) - self
 
     def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError("negative exponent %d" % k)
         out = Poly.const(1)
         for _ in range(k):
             out = out * self
@@ -101,10 +104,10 @@ class Poly:
 
     def substitute_z(self, value) -> "Poly":
         value = Fraction(value)
-        out = Poly()
+        out: dict[tuple[int, int, int], Fraction] = {}
         for (a, b, c), coeff in self.terms.items():
-            out = out + Poly({(a, b, 0): coeff * value ** c})
-        return out
+            out[(a, b, 0)] = out.get((a, b, 0), 0) + coeff * value ** c
+        return Poly(out)
 
     def swap_xy(self) -> "Poly":
         return Poly({(b, a, c): coeff for (a, b, c), coeff in self.terms.items()})
@@ -172,131 +175,176 @@ def subalgebra_generators() -> dict[str, Poly]:
     return {k: gens[k] for k in ("q", "r1", "r2", "r3", "r4")}
 
 
-def _generator_products(gens: dict[str, Poly], degree_bound: int):
-    """All products prod g^e (including the empty product) of total degree
-    <= degree_bound, keyed by the exponent dict."""
-    names = sorted(gens)
-    degs = {k: max(gens[k].degree(), 1) for k in names}
-    out = []
+def _int_terms(p: Poly) -> tuple[dict, int]:
+    """p as integer terms over a positive denominator: p = terms / den."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
-    def rec(i: int, exps: dict, poly: Poly, deg: int):
-        if i == len(names):
-            out.append((dict(exps), poly))
-            return
-        name = names[i]
-        e = 0
-        current = poly
-        while deg + e * degs[name] <= degree_bound:
-            exps[name] = e
-            rec(i + 1, exps, current, deg + e * degs[name])
-            e += 1
-            current = current * gens[name]
-            if current.degree() > degree_bound:
-                break
-        exps.pop(name, None)
 
-    rec(0, {}, Poly.const(1), 0)
-    return out
+def _int_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, int, int], int] = {}
+    for (a0, a1, a2), c1 in a.items():
+        for (b0, b1, b2), c2 in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _axpy(acc: dict, factor: int, vec: dict) -> None:
+    """acc += factor * vec, in place; zero entries may remain."""
+    for k, c in vec.items():
+        acc[k] = acc.get(k, 0) + factor * c
 
 
 def _mono_key(mono):
     return (sum(mono), mono)
 
 
-class _Echelon:
-    """Incremental sparse row reduction with combination tracking.
+def _primitive(terms: dict, payload: dict, pivot) -> tuple[dict, dict, int]:
+    """The row (terms, payload, den) with zeros dropped and the common gcd
+    divided out; den = terms[pivot]."""
+    terms = {m: c for m, c in terms.items() if c}
+    payload = {k: c for k, c in payload.items() if c}
+    g = math.gcd(*terms.values(), *payload.values())
+    terms = {m: c // g for m, c in terms.items()}
+    payload = {k: c // g for k, c in payload.items()}
+    return terms, payload, terms[pivot]
 
-    Rows are dicts monomial -> coefficient; each stored row is normalized to
-    have coefficient 1 at its pivot (the graded-lex largest monomial), and the
-    payload records the generator-product combination the row stands for.
+
+class _Echelon:
+    """Reduced row echelon form over the integers, with combination tracking.
+
+    ``rows`` maps each pivot monomial to a row (terms, payload, den) standing
+    for the vector terms/den.  The pivot is the row's graded-lex leading
+    monomial; terms[pivot] = den, and every other pivot column is zero in the
+    row.  payload holds integer coefficients on the generator products with
+    sum(payload · products) = terms, and each row is primitive: the gcd of all
+    its terms and payload entries is 1.  Rows are never mutated, so a copy of
+    ``rows`` is an independent echelon.
     """
 
-    def __init__(self):
-        self.rows: dict[tuple, tuple[dict, dict]] = {}
+    def __init__(self, rows: Optional[dict] = None):
+        self.rows: dict[tuple, tuple[dict, dict, int]] = dict(rows or {})
 
-    @staticmethod
-    def _pivot(vec: dict):
-        return max(vec, key=_mono_key) if vec else None
-
-    def reduce(self, vec: dict, payload: dict) -> tuple[dict, dict]:
-        vec = dict(vec)
-        payload = dict(payload)
-        while vec:
-            pivot = self._pivot(vec)
-            hit = self.rows.get(pivot)
-            if hit is None:
-                break
-            factor = vec[pivot]
-            row, row_payload = hit
-            for m, c in row.items():
-                new = vec.get(m, Fraction(0)) - factor * c
-                if new:
-                    vec[m] = new
-                else:
-                    vec.pop(m, None)
-            for k, c in row_payload.items():
-                new = payload.get(k, Fraction(0)) + factor * c
-                if new:
-                    payload[k] = new
-                else:
-                    payload.pop(k, None)
-        return vec, payload
+    def reduce(self, vec: dict) -> tuple[int, dict, dict]:
+        """(scale, residual, used) with scale·vec = residual + sum(used ·
+        products) and residual zero in every pivot column: one row operation
+        per pivot monomial of vec.  vec lies in the span iff residual is 0."""
+        hits = [(c, self.rows[m]) for m, c in vec.items() if m in self.rows]
+        scale = math.lcm(*(den for _, (_, _, den) in hits))
+        residual = {m: scale * c for m, c in vec.items()}
+        used: dict = {}
+        for c, (terms, payload, den) in hits:
+            factor = c * (scale // den)
+            _axpy(residual, -factor, terms)
+            _axpy(used, factor, payload)
+        return scale, {m: c for m, c in residual.items() if c}, used
 
     def insert(self, vec: dict, payload: dict) -> bool:
-        # Stored-row invariant: row_vec = sum(row_payload · products).
-        residual, delta = self.reduce(vec, {})
+        """Add vec = sum(payload · products) as a row unless it lies in the
+        span already; keep the echelon reduced."""
+        scale, residual, used = self.reduce(vec)
         if not residual:
             return False
-        combined = dict(payload)
-        for k, c in delta.items():
-            new = combined.get(k, Fraction(0)) - c
-            if new:
-                combined[k] = new
-            else:
-                combined.pop(k, None)
-        pivot = self._pivot(residual)
-        inv = 1 / residual[pivot]
-        self.rows[pivot] = (
-            {m: c * inv for m, c in residual.items()},
-            {k: c * inv for k, c in combined.items()},
-        )
+        combined = {k: scale * c for k, c in payload.items()}
+        _axpy(combined, -1, used)
+        pivot = max(residual, key=_mono_key)
+        new_terms, new_payload, new_den = _primitive(residual, combined, pivot)
+        for p, (terms, row_payload, den) in list(self.rows.items()):
+            c = terms.get(pivot)
+            if c:
+                terms = {m: new_den * v for m, v in terms.items()}
+                row_payload = {k: new_den * v for k, v in row_payload.items()}
+                _axpy(terms, -c, new_terms)
+                _axpy(row_payload, -c, new_payload)
+                self.rows[p] = _primitive(terms, row_payload, p)
+        self.rows[pivot] = (new_terms, new_payload, new_den)
         return True
 
 
-def _span_solver(gens_items: tuple, degree_bound: int) -> _Echelon:
-    gens = dict(gens_items)
-    ech = _Echelon()
-    for exps, prod in _generator_products(gens, degree_bound):
-        key = tuple(sorted(exps.items()))
-        ech.insert(dict(prod.terms), {key: Fraction(1)})
-    return ech
+class _Span:
+    """The span of the generator products of one generator set, for every
+    degree bound asked for so far.
+
+    Each product prod g^e is built once, in integers, and filed by its
+    degree, counting a generator of degree 0 as degree 1; the products within
+    degree bound d are the levels 0..d.  The solver for bound d is the solver
+    for bound d-1 with level d inserted.
+    """
+
+    def __init__(self, gens: dict[str, Poly]):
+        self.names = tuple(sorted(gens))
+        self.gens = [(max(gens[k].degree(), 1), *_int_terms(gens[k])) for k in self.names]
+        # Product index -> exponent tuple; levels[w] lists (index, terms, den).
+        self.exps: list[tuple[int, ...]] = [(0,) * len(self.names)]
+        self.levels: list[list[tuple[int, dict, int]]] = [[(0, {(0, 0, 0): 1}, 1)]]
+        # Bound -1 spans nothing; every other solver extends the one below it.
+        self.solvers: dict[int, _Echelon] = {-1: _Echelon()}
+
+    def _level(self, w: int) -> list:
+        while len(self.levels) <= w:
+            top = len(self.levels)
+            level = []
+            for i, (gdeg, gterms, gden) in enumerate(self.gens):
+                if gdeg > top:
+                    continue
+                # Extend only products whose last nonzero exponent is at
+                # generator i or before, so each exponent tuple comes once.
+                for idx, terms, den in self.levels[top - gdeg]:
+                    exps = self.exps[idx]
+                    if any(exps[i + 1:]):
+                        continue
+                    self.exps.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
+                    level.append((len(self.exps) - 1, _int_mul(terms, gterms), den * gden))
+            self.levels.append(level)
+        return self.levels[w]
+
+    def solver(self, degree_bound: int) -> _Echelon:
+        if degree_bound not in self.solvers:
+            below = max(b for b in self.solvers if b < degree_bound)
+            solver = self.solvers[below]
+            for w in range(below + 1, degree_bound + 1):
+                solver = _Echelon(solver.rows)
+                for idx, terms, den in self._level(w):
+                    # terms = den · product, so the payload counts whole products.
+                    solver.insert(terms, {idx: den})
+                self.solvers[w] = solver
+        return self.solvers[degree_bound]
+
+    def combination(self, f: Poly, degree_bound: int) -> Optional[dict]:
+        terms, den = _int_terms(f)
+        scale, residual, used = self.solver(degree_bound).reduce(terms)
+        if residual:
+            return None
+        return {
+            tuple(zip(self.names, self.exps[idx])): Fraction(c, scale * den)
+            for idx, c in used.items()
+            if c
+        }
 
 
+# The one process-lifetime cache of this module: generator set -> _Span.
 _SPAN_CACHE: dict = {}
 
 
-def _cached_span(gens: dict[str, Poly], degree_bound: int) -> _Echelon:
-    key = (tuple(sorted((k, tuple(sorted(p.terms.items()))) for k, p in gens.items())), degree_bound)
-    solver = _SPAN_CACHE.get(key)
-    if solver is None:
-        solver = _span_solver(tuple(gens.items()), degree_bound)
-        _SPAN_CACHE[key] = solver
-    return solver
+def _cached_span(gens: dict[str, Poly]) -> _Span:
+    key = tuple(sorted((k, tuple(sorted(p.terms.items()))) for k, p in gens.items()))
+    span = _SPAN_CACHE.get(key)
+    if span is None:
+        span = _SPAN_CACHE[key] = _Span(gens)
+    return span
 
 
 def membership(f: Poly, gens: dict[str, Poly], degree_bound: int):
     """Expression of f in the subalgebra generated by ``gens`` within total
     degree <= degree_bound, or None.  Exact linear algebra over the monomial
-    basis of generator products."""
+    basis of generator products: a combination maps each product, keyed by
+    every generator name with its exponent, to its nonzero coefficient."""
     if degree_bound < f.degree():
         raise ValueError(
             "degree bound %d below deg f = %d" % (degree_bound, f.degree())
         )
-    solver = _cached_span(gens, degree_bound)
-    residual, payload = solver.reduce(dict(f.terms), {})
-    if residual:
-        return None
-    return {k: c for k, c in payload.items() if c}
+    return _cached_span(gens).combination(f, degree_bound)
 
 
 def combination_value(combination: dict, gens: dict[str, Poly]) -> Poly:
@@ -335,9 +383,8 @@ def x_not_in_R_witness() -> SymmetryWitness:
     return SymmetryWitness(tuple(symmetric), "x", target, ok)
 
 
-def _base_members():
+def _base_members(gens: dict[str, Poly]):
     """z, s = x+y, w = xz+y, m = xy as explicit elements of R (exact identities)."""
-    gens = subalgebra_generators()
     q, r1, r2, r4 = gens["q"], gens["r1"], gens["r2"], gens["r4"]
     one = Poly.const(1)
     z = Fraction(4, 3) * q + Poly.const(9)
@@ -345,6 +392,12 @@ def _base_members():
     w = Fraction(1, 4) * (r2 + 2 * r4 - s * s - (z + one) * (z + one))
     m = r4 + w - z
     return z, s, w, m
+
+
+# R's generators and its members z, x+y, xz+y, xy written through them, built
+# once for decompose_R_plus_Rx.
+_R_GENERATORS = subalgebra_generators()
+_BASE_MEMBERS = _base_members(_R_GENERATORS)
 
 
 def _x_power(k: int, s: Poly, m: Poly) -> tuple[Poly, Poly]:
@@ -373,7 +426,7 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     """
     if f.degree() > degree_bound:
         raise ValueError("degree bound %d below deg f = %d" % (degree_bound, f.degree()))
-    z, s, w, m = _base_members()
+    z, s, _, m = _BASE_MEMBERS
     g_total, h_total = Poly(), Poly()
     for (ex, ey, ez), coeff in f.terms.items():
         common = min(ex, ey)
@@ -388,9 +441,8 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
         h_total = h_total + prefix * h
     if (g_total + h_total * X) != f:
         raise AssertionError("inexact recomposition for %r" % (f,))
-    gens = subalgebra_generators()
     for part, name in ((g_total, "g"), (h_total, "h")):
-        if not part.is_zero() and membership(part, gens, max(part.degree(), 1)) is None:
+        if not part.is_zero() and membership(part, _R_GENERATORS, max(part.degree(), 1)) is None:
             raise ValueError(
                 "%s-part of the decomposition escapes R at degree %d"
                 % (name, part.degree())

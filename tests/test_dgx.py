@@ -1,11 +1,12 @@
 """The C[x,y,z] polynomial model: generators, membership, R + R·x structure."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, verify
+from branchlab import catalog, dgx, linalg, verify
 from branchlab.dgx import (
     Poly,
     X,
@@ -21,6 +22,12 @@ from branchlab.dgx import (
 )
 
 ONE = Poly.const(1)
+# Rational points at which membership combinations are re-evaluated through
+# the generators' values, independently of the Poly arithmetic.
+POINTS = (
+    (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 5)),
+    (Fraction(-3), Fraction(4), Fraction(1, 2)),
+)
 
 
 def test_generator_displays():
@@ -41,14 +48,58 @@ def test_poly_arithmetic():
     assert (X - X).is_zero()
     assert (X + 2 * Z).substitute_z(5) == X + Poly.const(10)
     assert (X ** 2 * Y).swap_xy() == Y ** 2 * X
+    assert (X ** 2 + Z ** 2 + Y * Z).substitute_z(3) == X ** 2 + 3 * Y + Poly.const(9)
+    assert (X * Z - 2 * X).substitute_z(2).is_zero()
+
+
+def test_poly_negative_power_raises():
+    assert X ** 0 == ONE
+    with pytest.raises(ValueError):
+        X ** -1
 
 
 def test_memberships_lemma():
     gens = subalgebra_generators()
-    for f in (Z, X + Y, X * Z + Y, X * Y):
+    for f in (Z, X + Y, X * Z + Y, X * Y, Fraction(2, 3) * X * Y - Fraction(1, 5) * Z):
         comb = membership(f, gens, 4)
         assert comb is not None
         assert combination_value(comb, gens) == f
+
+
+def _products_by_poly(gens, degree_bound):
+    """Every product prod g^e within the degree bound, built with Poly
+    arithmetic, lowest degree first; a generator weighs its degree, at
+    least 1."""
+    names = sorted(gens)
+    weights = [max(gens[n].degree(), 1) for n in names]
+    out = []
+    for exps in itertools.product(range(degree_bound + 1), repeat=len(names)):
+        if sum(e * w for e, w in zip(exps, weights)) <= degree_bound:
+            prod = ONE
+            for n, e in zip(names, exps):
+                prod = prod * gens[n] ** e
+            out.append(prod)
+    return sorted(out, key=Poly.degree)
+
+
+def test_membership_matches_dense_oracle():
+    gens = subalgebra_generators()
+    for d in range(5):
+        products = _products_by_poly(gens, d)
+        # Low degrees first keeps the dense elimination's fractions small.
+        monos = sorted(
+            (e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d), key=sum
+        )
+        assert all(sum(m) <= d for p in products for m in p.terms)
+        matrix = linalg.mat([[p.terms.get(m, 0) for p in products] for m in monos])
+        targets = [Poly({m: 1}) for m in monos] + [f for f in dgx.R_MEMBERS if f.degree() <= d]
+        for f in targets:
+            comb = membership(f, gens, d)
+            rhs = linalg.vec(f.terms.get(m, 0) for m in monos)
+            assert (comb is None) == (linalg.solve(matrix, rhs) is None), (d, f)
+            if comb is not None:
+                assert combination_value(comb, gens) == f, (d, f)
+                assert all([n for n, _ in key] == sorted(gens) for key in comb), comb
 
 
 def test_membership_fails_for_x():
@@ -98,12 +149,30 @@ def test_decompose_examples():
 
 
 def test_decompose_all_monomials_degree_8():
+    # Each nonzero part is certified in R again here, and its combination is
+    # checked at POINTS from the generators' values (combination_value is
+    # too slow at degree 8).
+    gens = subalgebra_generators()
+    values = [{n: p.evaluate(*pt) for n, p in gens.items()} for pt in POINTS]
+    certified = 0
     for ex, ey, ez in itertools.product(range(9), repeat=3):
         if ex + ey + ez > 8:
             continue
         f = X ** ex * Y ** ey * Z ** ez
         g, h = decompose_R_plus_Rx(f, 8)
         assert g + h * X == f, (ex, ey, ez)
+        for part in (g, h):
+            if part.is_zero():
+                continue
+            comb = membership(part, gens, max(part.degree(), 1))
+            assert comb is not None, (ex, ey, ez)
+            for pt, vals in zip(POINTS, values):
+                total = sum(
+                    c * math.prod(vals[n] ** e for n, e in key) for key, c in comb.items()
+                )
+                assert total == part.evaluate(*pt), (ex, ey, ez, pt)
+            certified += 1
+    assert certified == 285
 
 
 def test_decompose_degree_guard():
@@ -127,19 +196,10 @@ def test_fiber_specialization():
 def test_cross_module_star_agreement():
     star = next(r for r in catalog.build_records(1) if r.id.tag == "star")
     gens = dgx_generators()
-    pairs = [
-        ("r1", "R_1"),
-        ("r2", "R_2"),
-        ("r3", "R_3"),
-        ("r4", "R_4"),
-        ("q", "C_K"),
-        ("p1", "C_Gt1"),
-        ("p2", "C_Gt2"),
-    ]
     for theta in star.theta.enumerate(6):
         j, jp, a = theta
         x, y, z = (j + 3) ** 2, (jp + 3) ** 2, (a + 3) ** 2
-        for gname, sym in pairs:
+        for gname, sym in dgx.SYMBOL_PAIRS:
             assert gens[gname].evaluate(x, y, z) == verify.evaluate_generator(
                 star, sym, theta
             ), (theta, gname)
