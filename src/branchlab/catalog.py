@@ -117,13 +117,16 @@ class ParamSpace:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted.
 
         Depth-first with bound propagation through the linear constraints, so
-        interlacing chains are enumerated without wasted work.
+        interlacing chains are enumerated without wasted work.  An inequality
+        is exact once its last non-zero coefficient is placed, so a leaf
+        checks only the congruences and the constant constraints.
         """
         if bound < 0:
             raise ValueError("bound must be >= 0")
         n = len(self.names)
         out: list[tuple[int, ...]] = []
         partial: list[int] = []
+        at_leaf = [c for c in self.constraints if c.mod or not any(c.coeffs)]
 
         def bounds_for(t: int) -> tuple[int, int]:
             lo = 0 if self.domains[t] == "nat" else -bound
@@ -146,7 +149,7 @@ class ParamSpace:
         def rec(t: int):
             if t == n:
                 p = tuple(partial)
-                if all(c.ok(p) for c in self.constraints):
+                if all(c.ok(p) for c in at_leaf):
                     out.append(p)
                 return
             lo, hi = bounds_for(t)
@@ -156,6 +159,7 @@ class ParamSpace:
                 partial.pop()
 
         rec(0)
+        del rec  # the closure refers to itself; without this the box waits for the gc
         return out
 
 

@@ -50,7 +50,11 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def _eliminate(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """Row-reduce in place; return (rank, pivot row indices in original order)."""
+    """Forward elimination in place; return (rank, pivot row indices in original order).
+
+    Only the rows below a pivot are cleared: rank and pivot rows depend on
+    nothing else, and no caller reads the reduced rows.
+    """
     if not rows:
         return 0, []
     ncols = len(rows[0])
@@ -63,17 +67,28 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         order[r], order[pivot] = order[pivot], order[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _clear_column(rows, r, c, range(r + 1, len(rows)))
         pivots.append(order[r])
         r += 1
         if r == len(rows):
             break
     return r, pivots
+
+
+def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
+    """Scale row r to 1 at column c and subtract it from each target row
+    with a non-zero entry there, touching only the pivot row's non-zero columns."""
+    pivot_row = rows[r]
+    inv = 1 / pivot_row[c]
+    support = [(j, x * inv) for j, x in enumerate(pivot_row) if x != 0]
+    for j, y in support:
+        pivot_row[j] = y
+    for i in targets:
+        row = rows[i]
+        f = row[c]
+        if f != 0:
+            for j, y in support:
+                row[j] -= f * y
 
 
 def rank(m: Matrix) -> int:
@@ -104,12 +119,7 @@ def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        _clear_column(aug, r, c, [i for i in range(nrows) if i != r])
         pivot_cols.append(c)
         r += 1
         if r == nrows:

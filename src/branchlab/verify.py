@@ -672,25 +672,31 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
         if s.kind == "casimir" and s.label == "pi"
     ]
     pi2 = _rows2(record.pi_of_theta)
-    cache: dict[tuple, object] = {}
+    # per pi(theta): (expected, target) for each symbol, where the integer
+    # numerator fn(theta) equals target exactly when fn(theta)/den == expected;
+    # target is None when den is not a multiple of expected's denominator
+    cache: dict[tuple, list] = {}
     count = 0
     failures = []
     for theta in record.theta.enumerate(bound):
         pi_params = tuple(v // 2 for v in _apply2(pi2, theta))
-        value = cache.get(pi_params)
-        if value is None:
+        targets = cache.get(pi_params)
+        if targets is None:
             value = casimir_eigenvalue(record.pi_label(pi_params))
-            cache[pi_params] = value
+            targets = cache[pi_params] = []
+            for _, s, (_, den) in casimir_syms:
+                if isinstance(value, tuple):
+                    expected = value[s.factor] if s.factor is not None else sum(value, Fraction(0))
+                else:
+                    expected = value
+                q, r = divmod(den, expected.denominator)
+                targets.append((expected, None if r else expected.numerator * q))
         memo: dict = {}
-        for name, s, (fn, den) in casimir_syms:
+        for (name, _, (fn, den)), (expected, target) in zip(casimir_syms, targets):
             count += 1
-            if isinstance(value, tuple):
-                expected = value[s.factor] if s.factor is not None else sum(value, Fraction(0))
-            else:
-                expected = value
-            got = Fraction(fn(theta, memo), den)
-            if expected != got:
-                failures.append(("pi-side:%s" % name, theta, expected, got))
+            got = fn(theta, memo)
+            if got != target:
+                failures.append(("pi-side:%s" % name, theta, expected, Fraction(got, den)))
     report.checks_run = count
     report.failures = failures
     return report

@@ -8,6 +8,7 @@ length 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -149,6 +150,12 @@ def rho(t: WeylType) -> Vector:
         return tuple(Fraction(0) for _ in range(t.rank))
     if t.family == "Product":
         return sum((rho(f) for f in t.factors), ())
+    return _half_sum(t)
+
+
+# rho depends only on the (frozen, hashable) type: built once per type
+@functools.cache
+def _half_sum(t: WeylType) -> Vector:
     total = [Fraction(0)] * t.ncoords
     for r in positive_roots(t):
         for i, x in enumerate(r):
@@ -208,11 +215,18 @@ def _g2_orbit(v: Vector) -> set[Vector]:
 
 
 def is_dominant(t: WeylType, v: Sequence) -> bool:
+    """<v, a> >= 0 for every simple root a; on coordinates for the lettered types."""
     v = vec(v)
     if t.family == "Trivial":
         return True
     if t.family == "Product":
         return all(is_dominant(f, part) for f, part in _split(t, v))
+    if t.family in LETTERED:
+        if len(v) != t.ncoords:
+            raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
+        if t.family == "D" and t.rank < 2:
+            raise ValueError("D requires rank >= 2")
+        return _dominant_classical(t.family, v)
     return all(pairing(t, v, a) >= 0 for a in simple_roots(t))
 
 
@@ -314,7 +328,10 @@ def weyl_dimension(t: WeylType, rho_vec: Sequence, lam: Sequence) -> int:
     return result
 
 
-def _dominant_classical(fam: str, v: list[int]) -> bool:
+def _dominant_classical(fam: str, v: Sequence) -> bool:
+    """Dominance read off the coordinates: the pairings with the simple roots
+    are v_i - v_(i+1) and, per family, v_n (B, BC), 2·v_n (C) or
+    v_(n-1) + v_n (D)."""
     for i in range(len(v) - 1):
         if v[i] < v[i + 1]:
             return False

@@ -1,5 +1,7 @@
 """Catalog structure: enumeration, the canonical map, ranks, the JSON export."""
 
+import gc
+import itertools
 import json
 import pathlib
 import subprocess
@@ -11,6 +13,8 @@ import pytest
 from branchlab import catalog
 from branchlab.catalog import (
     CaseId,
+    Constraint,
+    ParamSpace,
     alternating_concat,
     build_records,
     pi_tau,
@@ -68,6 +72,48 @@ def test_enumerate_theta_lex_sorted_and_constrained(records):
         assert len(set(elems)) == len(elems)
         for p in elems:
             assert r.theta.contains(p)
+
+
+def _box_filter(space, bound):
+    ranges = [range(0 if d == "nat" else -bound, bound + 1) for d in space.domains]
+    return [p for p in itertools.product(*ranges) if space.contains(p)]
+
+
+def test_enumerate_is_complete():
+    # the whole box filtered by contains, for every theta and pi space of the
+    # max_n=2 catalog (congruences included: iii, v_prime, vi, star)
+    spaces = [s for r in build_records(2) for s in (r.theta, r.pi_space)]
+    assert any(c.mod for s in spaces for c in s.constraints)
+    for space in spaces:
+        assert space.enumerate(3) == _box_filter(space, 3), space
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        # a >= c - 1 is exact once c is placed; b <= 2; a + b + c even
+        (Constraint((1, 0, -1), 1), Constraint((0, -1, 0), 2), Constraint((1, 1, 1), 0, 2)),
+        (Constraint((0, 0, 0), -1),),  # a constant constraint that fails
+        (Constraint((0, 0, 0), 0), Constraint((0, 0, 0), 1, 3)),  # one that holds; 1 mod 3
+        (Constraint((0, 0, 0), 3, 3), Constraint((0, 2, 0), -3)),  # 3 mod 3; b >= 3/2
+    ],
+)
+def test_enumerate_matches_box_filter(constraints):
+    space = ParamSpace(("a", "b", "c"), ("int", "nat", "int"), constraints)
+    assert space.enumerate(3) == _box_filter(space, 3)
+
+
+def test_enumerate_leaves_no_cycle(records):
+    space = rec(records, "iv", 2).theta
+    gc.collect()
+    gc.disable()
+    try:
+        box = space.enumerate(3)
+        assert box
+        del box
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_theta_star_triangle(records):

@@ -1,10 +1,11 @@
 """Exact rational matrices and affine maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from branchlab.linalg import AffineMap, affine, dot, mat, rank, solve, vec
+from branchlab.linalg import AffineMap, affine, dot, mat, rank, rank_with_pivot_rows, solve, vec
 
 
 def test_vec_and_dot():
@@ -31,6 +32,55 @@ def test_solve_consistent_and_inconsistent():
     m = mat([[1, 1, 0]])
     x = solve(m, vec([5]))
     assert sum(a * b for a, b in zip(m[0], x)) == 5
+
+
+def _gauss_jordan(m):
+    """Oracle: full reduction of every row, pivots in the original row order."""
+    rows = [list(row) for row in m]
+    order = list(range(len(rows)))
+    r, pivots = 0, []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        order[r], order[pivot] = order[pivot], order[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(order[r])
+        r += 1
+    return r, pivots
+
+
+def _sparse_matrix(rng, nrows, ncols):
+    return mat(
+        [[rng.choice((0, 0, 0, 1, -2, "1/3")) for _ in range(ncols)] for _ in range(nrows)]
+    )
+
+
+def test_rank_and_pivot_rows_match_full_reduction():
+    rng = random.Random(5)
+    for _ in range(200):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        if rng.random() < 0.3:  # a dependent row
+            m = m + (tuple(a + b for a, b in zip(m[0], m[-1])),)
+        assert rank_with_pivot_rows(m) == _gauss_jordan(m)
+        assert rank(m) == _gauss_jordan(m)[0]
+
+
+def test_solve_on_sparse_systems():
+    rng = random.Random(6)
+    for _ in range(200):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        rhs = vec(rng.randint(-3, 3) for _ in m)
+        x = solve(m, rhs)
+        augmented = tuple(row + (b,) for row, b in zip(m, rhs))
+        consistent = _gauss_jordan(m)[0] == _gauss_jordan(augmented)[0]
+        assert (x is not None) == consistent
+        if x is not None:
+            assert tuple(dot(row, x) for row in m) == rhs
 
 
 def test_affine_map():

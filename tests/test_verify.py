@@ -247,6 +247,24 @@ def test_pi_side_consistency_all(records):
         assert rep.passed, (r.id, rep.failures[:2])
 
 
+@pytest.mark.parametrize("scale", [Fraction(4, 3), Fraction(1, 8), Fraction(3)])
+def test_pi_side_compares_exact_values(records, monkeypatch, scale):
+    # C_Gt of i[n=2] has denominator 4; a claimed Casimir c·scale is a failure
+    # wherever c != 0, also when its denominator (3, 8) does not divide 4
+    r = rec(records, "i", 2)
+    monkeypatch.setattr(verify, "casimir_eigenvalue", lambda label: casimir_eigenvalue(label) * scale)
+    rep = verify.check_pi_side_consistency(r, 3)
+    thetas = r.theta.enumerate(3)
+    assert rep.checks_run == len(thetas)
+    expected = [
+        ("pi-side:C_Gt", theta, got * scale, got)
+        for theta in thetas
+        for got in [evaluate_generator(r, "C_Gt", theta)]
+        if got != 0
+    ]
+    assert expected and rep.failures == expected
+
+
 def test_dimension_conservation_and_strong_mult_freeness(records):
     for r in records.values():
         rep = verify.check_dimension_conservation(r, 5)

@@ -1,5 +1,6 @@
 """Root systems, canonicalization, and the dimension formula."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -75,9 +76,58 @@ def _half_sum(t):
     return tuple(x / 2 for x in total)
 
 
-@pytest.mark.parametrize("t", [B(4), D(4), A(1), A(3), C(3), BC(3), G2])
+@pytest.mark.parametrize(
+    "t", [B(4), D(4), A(1), A(3), A(4), B(1), C(1), C(3), BC(1), BC(3), D(2), D(5), G2]
+)
 def test_rho_is_half_sum(t):
     assert rho(t) == _half_sum(t)
+
+
+def test_root_lists_are_fresh_copies():
+    # rho is built once per type; a caller mutating a returned root list
+    # must reach neither rho nor the next call
+    for t in (B(3), D(4), G2):
+        pos, simple, r = positive_roots(t), simple_roots(t), rho(t)
+        got = positive_roots(t)
+        got.append(F(*([9] * t.ncoords)))
+        got[0] = F(*([0] * t.ncoords))
+        simple_roots(t).clear()
+        assert positive_roots(t) == pos
+        assert simple_roots(t) == simple
+        assert rho(t) == r
+        assert positive_roots(t) is not positive_roots(t)
+
+
+def _half_integer_grid(n):
+    # -1, -1/2, 0, 1/2, 1 in every coordinate: every sign and every tie
+    return itertools.product([Fraction(k, 2) for k in range(-2, 3)], repeat=n)
+
+
+DOMINANCE_TYPES = (
+    [A(n) for n in range(1, 5)]
+    + [B(n) for n in range(1, 5)]
+    + [C(n) for n in range(1, 5)]
+    + [BC(n) for n in range(1, 4)]
+    + [D(n) for n in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("t", DOMINANCE_TYPES, ids=str)
+def test_is_dominant_matches_simple_root_pairings(t):
+    simple = simple_roots(t)
+    seen = set()
+    for v in _half_integer_grid(t.ncoords):
+        expected = all(weights.pairing(t, v, a) >= 0 for a in simple)
+        assert weights.is_dominant(t, v) == expected, v
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_is_dominant_rejects_D1_and_wrong_length():
+    with pytest.raises(ValueError):
+        weights.is_dominant(D(1), F(1))
+    with pytest.raises(ValueError):
+        weights.is_dominant(B(2), F(1, 0, 0))
 
 
 def test_rho_values():
