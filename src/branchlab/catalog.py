@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -276,9 +277,6 @@ class CaseRecord:
             self.pi_label(self.pi_params_of(theta)),
             self.tau_label(self.tau_params_of(theta)),
         )
-
-    def lambda_plus_rhoa(self, theta: Sequence[int]) -> Vector:
-        return self.lam_rhoa_map.apply(theta)
 
     def nu_plus_rho(self, theta: Sequence[int]) -> Vector:
         nu = self.nu_label_map.apply(theta)
@@ -1636,30 +1634,6 @@ def build_records(max_n: int) -> list[CaseRecord]:
     return out
 
 
-def all_cases(max_n: int) -> list[CaseRecord]:
-    return build_records(max_n)
-
-
-def rank_triple(record: CaseRecord) -> tuple[int, int, int]:
-    return record.rank3
-
-
-def alternating_concat(j: Sequence[int], k: Sequence[int]) -> tuple[int, ...]:
-    """t_{m',m''}(j, k) = (j1, k1, j2, k2, ...); len(k) in {len(j), len(j)-1}."""
-    if len(k) not in (len(j), len(j) - 1):
-        raise ValueError("length mismatch: %d vs %d" % (len(j), len(k)))
-    out = []
-    for a, b in itertools.zip_longest(j, k):
-        out.append(a)
-        if b is not None:
-            out.append(b)
-    return tuple(out)
-
-
-def pi_tau(record: CaseRecord, theta: Sequence[int]) -> tuple[IrrepLabel, IrrepLabel]:
-    return record.pi_tau(theta)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 
@@ -1799,22 +1773,33 @@ def load_default(max_n: int = 2) -> list[CaseRecord]:
     return build_records(max_n)
 
 
-def main(argv=None):
-    """Export the catalog as JSON (python -m branchlab.catalog)."""
+def main(argv=None) -> int:
+    """Export the catalog as JSON (python -m branchlab.catalog).
+
+    Exit codes: 0 = exported, 2 = usage error (one ``error:`` line on stderr).
+    """
     import argparse
 
     parser = argparse.ArgumentParser(description="export the case catalog as JSON")
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--out", default=None, help="write to this file instead of stdout")
     args = parser.parse_args(argv)
+    if args.max_n < 1:
+        print("error: max-n must be >= 1", file=sys.stderr)
+        return 2
     text = dump_catalog(build_records(args.max_n))
     if args.out is None:
         print(text)
-        return
-    with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+        return 0
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
+        return 2
     print("wrote %s" % args.out)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

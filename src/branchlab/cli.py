@@ -153,7 +153,7 @@ def cmd_transfer(args) -> int:
     tau = _parse_numbers("--tau", args.tau, int)
     lam = _parse_numbers("--lam", args.lam, Fraction)
     try:
-        smap = verify.transfer_map(record, tau)
+        smap = record.transfer(tau)
     except ValueError as exc:
         raise SystemExit2(str(exc))
     if len(lam) != smap.source_dim:

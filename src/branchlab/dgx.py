@@ -347,17 +347,6 @@ def membership(f: Poly, gens: dict[str, Poly], degree_bound: int):
     return _cached_span(gens).combination(f, degree_bound)
 
 
-def combination_value(combination: dict, gens: dict[str, Poly]) -> Poly:
-    """Reassemble a membership() combination into the polynomial it denotes."""
-    total = Poly()
-    for key, coeff in combination.items():
-        prod = Poly.const(1)
-        for name, e in key:
-            prod = prod * gens[name] ** e
-        total = total + coeff * prod
-    return total
-
-
 @dataclass(frozen=True)
 class SymmetryWitness:
     """Transcript of the z = 1 swap-symmetry argument certifying x not in R."""
@@ -448,9 +437,3 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
                 % (name, part.degree())
             )
     return g_total, h_total
-
-
-def specialize_fiber(a: int) -> dict[str, Poly]:
-    """The q_a specialization: substitute z = (a+3)^2 into the R-generators."""
-    za = Fraction((a + 3) ** 2)
-    return {name: p.substitute_z(za) for name, p in subalgebra_generators().items()}

@@ -28,16 +28,6 @@ def v_sequence(degrees: Sequence[int], N: int) -> int:
     return _v(tuple(degrees), N)
 
 
-def v_sequence_naive(degrees: Sequence[int], N: int) -> int:
-    """Exhaustive-enumeration oracle for v_sequence (small inputs only)."""
-    degrees = tuple(degrees)
-    count = 0
-    for combo in itertools.product(*(range(N // d + 1) for d in degrees)):
-        if sum(a * d for a, d in zip(combo, degrees)) == N:
-            count += 1
-    return count
-
-
 def _interlaced_iv_dim(n: int, N: int) -> int:
     """dim S^N for case (iv): a trace line plus interlaced pairs.
 
@@ -96,21 +86,3 @@ def check_generator_degrees(record, Nmax: int) -> bool:
     return all(
         v_sequence(degrees, N) == graded_invariant_dim(record, N) for N in range(Nmax + 1)
     )
-
-
-def distinguishing_multisets(
-    degrees: Sequence[int], Nmax: int, max_part: int, max_parts: int
-) -> list[tuple[int, ...]]:
-    """All other degree multisets (parts <= max_part, <= max_parts parts) whose
-    v-sequence agrees with ``degrees`` up to Nmax.  Empty list certifies that
-    the sequence pins the multiset down within that search space."""
-    degrees = tuple(sorted(degrees))
-    target = [v_sequence(degrees, N) for N in range(Nmax + 1)]
-    clashes = []
-    for k in range(1, max_parts + 1):
-        for combo in itertools.combinations_with_replacement(range(1, max_part + 1), k):
-            if tuple(sorted(combo)) == degrees:
-                continue
-            if all(v_sequence(combo, N) == target[N] for N in range(Nmax + 1)):
-                clashes.append(combo)
-    return clashes

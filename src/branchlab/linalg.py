@@ -30,11 +30,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vector, b: Vector) -> Fraction:
     if len(a) != len(b):
         raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
@@ -97,11 +92,6 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def rank_with_pivot_rows(m: Matrix) -> tuple[int, list[int]]:
-    rows = [list(row) for row in m]
-    return _eliminate(rows)
-
-
 def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
     """One exact solution x of m·x = rhs, or None if the system is inconsistent.
 
@@ -154,10 +144,6 @@ class AffineMap:
             return len(self.matrix[0])
         return self.source if self.source is not None else 0
 
-    @property
-    def target_dim(self) -> int:
-        return len(self.offset)
-
     def apply(self, v: Sequence) -> Vector:
         w = vec(v)
         if len(w) != self.source_dim:
@@ -168,7 +154,3 @@ class AffineMap:
 
     def __call__(self, v: Sequence) -> Vector:
         return self.apply(v)
-
-
-def affine(matrix: Iterable[Iterable], offset: Iterable) -> AffineMap:
-    return AffineMap(mat(matrix), vec(offset))

@@ -1,13 +1,13 @@
-"""Compact-group descriptors, irrep labels, Casimir scalars, infinitesimal characters."""
+"""Compact-group descriptors, irrep labels with lattice validation, Casimir scalars."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import weights
-from .linalg import AffineMap, Vector, dot, vec
+from .linalg import Vector, vec
 from .weights import WeylType
 
 COMPUTABLE_KINDS = ("U", "SU", "SO", "Spin", "Sp", "G2", "Product")
@@ -156,18 +156,6 @@ class IrrepLabel:
         return weights.weyl_dimension(t, weights.rho(t), self.highest_weight)
 
 
-@dataclass(frozen=True)
-class InfinitesimalCharacter:
-    weyl: WeylType
-    value: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", vec(self.value))
-        canon = weights.dominant_representative(self.weyl, self.value)
-        if canon != self.value:
-            raise ValueError("infinitesimal character %s is not canonical" % (self.value,))
-
-
 def _simple_casimir(group: GroupDescriptor, w: Vector) -> Fraction:
     t = group.weyl
     r = weights.rho(t)
@@ -192,97 +180,3 @@ def casimir_eigenvalue(r: IrrepLabel):
             _simple_casimir(f, r.highest_weight[sl]) for f, sl in g.factor_slices()
         )
     return _simple_casimir(g, r.highest_weight)
-
-
-def infinitesimal_character(r: IrrepLabel) -> InfinitesimalCharacter:
-    t = r.group.weyl
-    shifted = vec(
-        tuple(a + b for a, b in zip(r.highest_weight, weights.rho(t)))
-    )
-    return InfinitesimalCharacter(t, weights.dominant_representative(t, shifted))
-
-
-def rho_shift_T(ambient_rho: Sequence, rho_a: Sequence, embed: AffineMap, nu: Sequence) -> Vector:
-    """The rho_m-shift: nu ↦ embed(nu) + (ambient_rho − embed(rho_a)).
-
-    ``embed`` is the linear inclusion of the restricted dual into the ambient
-    Cartan dual; the output is an ambient infinitesimal-character representative.
-    """
-    ambient_rho = vec(ambient_rho)
-    image = embed.apply(vec(nu))
-    shift = embed.apply(vec(rho_a))
-    if len(ambient_rho) != len(image):
-        raise ValueError("ambient dimension mismatch")
-    return tuple(x + r - s for x, r, s in zip(image, ambient_rho, shift))
-
-
-def dominant_weights(group: GroupDescriptor, bound: int) -> list[Vector]:
-    """Every valid highest weight of the group with |coordinate| <= bound.
-
-    Spin groups contribute both integrality classes; almost products are
-    filtered by the covering parity.  Exponential in the rank; meant for
-    finite cross-checks.
-    """
-    import itertools
-
-    def simple(g: GroupDescriptor) -> list[Vector]:
-        t = g.weyl
-        n = t.ncoords
-        out = []
-        if g.kind == "G2":
-            return [
-                (Fraction(a), Fraction(b))
-                for a in range(bound + 1)
-                for b in range(bound + 1)
-            ]
-        classes = [0]
-        if g.kind == "Spin":
-            classes.append(Fraction(1, 2))
-        for cls in classes:
-            values = [Fraction(v) + cls for v in range(-bound, bound + 1)]
-            values = [v for v in values if abs(v) <= bound]
-            for w in itertools.combinations_with_replacement(sorted(values, reverse=True), n):
-                vv = tuple(w)
-                try:
-                    g.validate_weight(vv)
-                except ValueError:
-                    continue
-                out.append(vv)
-                if t.family == "D" and vv[-1] > 0:
-                    flipped = vv[:-1] + (-vv[-1],)
-                    try:
-                        g.validate_weight(flipped)
-                    except ValueError:
-                        continue
-                    out.append(flipped)
-        return sorted(set(out))
-
-    if group.kind != "Product":
-        return simple(group)
-    parts = [simple(f) for f, _ in group.factor_slices()]
-    out = []
-    for combo in itertools.product(*parts):
-        flat = sum(combo, ())
-        try:
-            group.validate_weight(flat)
-        except ValueError:
-            continue
-        out.append(flat)
-    return sorted(out)
-
-
-def cartan_helgason_admissible(
-    lam: Sequence,
-    restricted_positive: Iterable[Sequence],
-    t_kill: Callable[[Vector], bool],
-) -> bool:
-    """Cartan–Helgason test: lam kills t_C and <lam, a>/<a, a> in N for all a."""
-    lam = vec(lam)
-    if not t_kill(lam):
-        return False
-    for a in restricted_positive:
-        a = vec(a)
-        ratio = dot(lam, a) / dot(a, a)
-        if ratio.denominator != 1 or ratio < 0:
-            return False
-    return True

@@ -337,12 +337,6 @@ def check_relations(record: CaseRecord, bound: int) -> CaseReport:
 # transfer suite
 
 
-def transfer_map(record: CaseRecord, tau_params: Sequence[int]) -> AffineMap:
-    """The affine map S_tau carrying restricted eigenvalue parameters to
-    Z(g_C)-infinitesimal characters, for tau in Disc(K/H)."""
-    return record.transfer(tau_params)
-
-
 def _canonical_char(record: CaseRecord, v) -> tuple:
     v = vec(v)
     if record.mod_trace:

@@ -9,8 +9,6 @@ length 1.
 from __future__ import annotations
 
 import functools
-import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -64,10 +62,6 @@ def C(n):
 
 def D(n):
     return WeylType("D", n)
-
-
-def BC(n):
-    return WeylType("BC", n)
 
 
 G2 = WeylType("G2", 2)
@@ -163,11 +157,6 @@ def _half_sum(t: WeylType) -> Vector:
     return tuple(x / 2 for x in total)
 
 
-def inner_product(v: Sequence, w: Sequence) -> Fraction:
-    """Coordinate dot product (the B(e_i, e_i) = 1 normalization)."""
-    return dot(vec(v), vec(w))
-
-
 def pairing(t: WeylType, v: Sequence, w: Sequence) -> Fraction:
     """Invariant form; plain dot except in the G2 omega-basis (Gram matrix)."""
     v, w = vec(v), vec(w)
@@ -258,13 +247,6 @@ def dominant_representative(t: WeylType, v: Sequence) -> Vector:
     raise ValueError("cannot canonicalize type %s" % t)
 
 
-def weyl_orbit_equal(t: WeylType, v: Sequence, w: Sequence) -> bool:
-    v, w = vec(v), vec(w)
-    if len(v) != len(w):
-        raise ValueError("length mismatch")
-    return dominant_representative(t, v) == dominant_representative(t, w)
-
-
 def _dim_classical(fam: str, a: list[int], b: list[int]) -> tuple[int, int]:
     """Numerator/denominator products over the positive system, doubled coords."""
     n = len(a)
@@ -340,44 +322,3 @@ def _dominant_classical(fam: str, v: Sequence) -> bool:
     if fam == "D" and len(v) >= 2 and v[-2] < abs(v[-1]):
         return False
     return True
-
-
-def reflect(t: WeylType, root: Vector, v: Vector) -> Vector:
-    c = 2 * pairing(t, v, root) / pairing(t, root, root)
-    return vsub(v, vec(tuple(c * x for x in root)))
-
-
-def random_weyl_image(t: WeylType, v: Sequence, rng: random.Random, words: int = 12) -> Vector:
-    """Apply a random word in the simple reflections (per factor for products)."""
-    v = vec(v)
-    if t.family == "Trivial":
-        return v
-    if t.family == "Product":
-        return sum(
-            (random_weyl_image(f, part, rng, words) for f, part in _split(t, v)), ()
-        )
-    simples = simple_roots(t)
-    for _ in range(words):
-        v = reflect(t, rng.choice(simples), v)
-    return v
-
-
-def full_orbit(t: WeylType, v: Sequence) -> set[Vector]:
-    """The whole Weyl orbit (exponential in rank; fine for rank <= 4 and G2)."""
-    v = vec(v)
-    if t.family == "Trivial":
-        return {v}
-    if t.family == "Product":
-        parts = [sorted(full_orbit(f, p)) for f, p in _split(t, v)]
-        return {sum(combo, ()) for combo in itertools.product(*parts)}
-    simples = simple_roots(t)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        w = frontier.pop()
-        for a in simples:
-            img = reflect(t, a, w)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen

@@ -1,4 +1,5 @@
-"""Classical interlacing steps and the case-specific branching enumerators."""
+"""The case-specific branching enumerators, cross-checked against the
+classical SO(N) down SO(N-1) interlacing law."""
 
 import itertools
 from fractions import Fraction
@@ -6,11 +7,50 @@ from fractions import Fraction
 import pytest
 
 from branchlab import catalog, weights
-from branchlab.branching import branch_SO_step, branch_U_step, branch_case
+from branchlab.linalg import vec
 
 
 def F(*args):
     return tuple(Fraction(a) for a in args)
+
+
+def _steps(lo, hi):
+    """Values lo, lo+1, ..., hi (same integrality class as the endpoints)."""
+    if hi < lo:
+        return []
+    count = hi - lo
+    if count.denominator != 1:
+        raise ValueError("interval endpoints %s, %s differ by a non-integer" % (lo, hi))
+    return [lo + i for i in range(int(count) + 1)]
+
+
+def branch_SO_step(N, lam):
+    """SO(N) down SO(N-1) interlacing; multiplicity one each, sorted output.
+
+    Half-integral (spin) weights are allowed; the branched weights stay in the
+    same integrality class.
+    """
+    lam = vec(lam)
+    if N < 4:
+        raise ValueError("need N >= 4")
+    r = N // 2
+    if N % 2 == 1:
+        # B_r down to D_r: lam_1 >= mu_1 >= lam_2 >= ... >= lam_r >= |mu_r|
+        if len(lam) != r:
+            raise ValueError("SO(%d) weight needs %d coordinates" % (N, r))
+        if any(a < b for a, b in zip(lam, lam[1:])) or lam[-1] < 0:
+            raise ValueError("weight %s not dominant for SO(%d)" % (lam, N))
+        ranges = [_steps(lam[i + 1], lam[i]) for i in range(r - 1)]
+        ranges.append(_steps(-lam[r - 1], lam[r - 1]))
+    else:
+        # D_r down to B_{r-1}: lam_1 >= mu_1 >= ... >= mu_{r-1} >= |lam_r|
+        if len(lam) != r:
+            raise ValueError("SO(%d) weight needs %d coordinates" % (N, r))
+        if any(a < b for a, b in zip(lam, lam[1:-1] + (abs(lam[-1]),))):
+            raise ValueError("weight %s not dominant for SO(%d)" % (lam, N))
+        ranges = [_steps(lam[i + 1], lam[i]) for i in range(r - 2)]
+        ranges.append(_steps(abs(lam[r - 1]), lam[r - 2]))
+    return sorted((tuple(mu) for mu in itertools.product(*ranges)), reverse=True)
 
 
 def test_branch_SO_step_examples():
@@ -83,54 +123,19 @@ def test_branch_SO_step_matches_bruteforce_rank5(N, lam):
     assert branch_SO_step(N, F(*lam)) == _brute_SO(N, F(*lam))
 
 
-def _brute_U(N, lam):
-    out = []
-    total = sum(lam)
-    for mu in itertools.product(range(-5, 6), repeat=N - 1):
-        if all(lam[i] >= mu[i] >= lam[i + 1] for i in range(N - 1)):
-            out.append((F(*mu), total - sum(mu)))
-    return sorted(out, reverse=True)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_branch_U_step_matches_bruteforce(N):
-    tested = 0
-    for lam in itertools.product(range(4, -5, -1), repeat=N):
-        if any(a < b for a, b in zip(lam, lam[1:])):
-            continue
-        lam = F(*lam)
-        assert branch_U_step(N, lam) == _brute_U(N, lam)
-        tested += 1
-        if tested > 30:
-            break
-
-
-def test_branch_U_step_examples():
-    assert branch_U_step(2, F(1, 0)) == [((Fraction(1),), Fraction(0)), ((Fraction(0),), Fraction(1))]
-    out = branch_U_step(4, F(1, 1, 0, 0))
-    mus = [mu for mu, _ in out]
-    assert F(1, 1, 0) in mus and F(1, 0, 0) in mus
-    # dimension oracle: dim Lambda^2 C^4 = 6 = 3 + 3
-    t3 = weights.A(2)
-    total = sum(weights.weyl_dimension(t3, weights.rho(t3), mu) for mu, _ in out)
-    assert total == 6
-    zero = F(0, 0, 0)
-    assert branch_U_step(3, zero) == [((Fraction(0), Fraction(0)), Fraction(0))]
-
-
 def _record(tag, n=None, max_n=3):
     return next(r for r in catalog.build_records(max_n) if r.id.tag == tag and r.id.n == n)
 
 
 def test_branch_case_i():
     rec = _record("i", 2)
-    out = branch_case(rec, (3,))
+    out = rec.branch((3,))
     assert [theta for theta, _ in out] == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
 
 def test_branch_case_vi_parity():
     rec = _record("vi")
-    out = branch_case(rec, (4,))
+    out = rec.branch((4,))
     assert [theta for theta, _ in out] == [(4, 0), (4, 2), (4, 4)]
     half = Fraction(1, 2)
     assert out[1][1].highest_weight == (4 * half, 2 * half, 2 * half, 2 * half)
@@ -138,7 +143,7 @@ def test_branch_case_vi_parity():
 
 def test_branch_case_star():
     rec = _record("star")
-    out = branch_case(rec, (1, 1))
+    out = rec.branch((1, 1))
     assert [theta for theta, _ in out] == [(1, 1, 0), (1, 1, 2)]
     labels = [lbl.highest_weight for _, lbl in out]
     h = Fraction(1, 2)
@@ -149,7 +154,7 @@ def test_branch_case_star():
 def test_branch_case_rejects_bad_pi():
     rec = _record("vi")
     with pytest.raises(ValueError):
-        branch_case(rec, (-1,))
+        rec.branch((-1,))
 
 
 def test_case_rules_match_classical_interlacing_ii():
@@ -158,7 +163,7 @@ def test_case_rules_match_classical_interlacing_ii():
     for j in [(2, 1), (3, 0), (4, 4)]:
         pi_label = rec.pi_label_map.apply(j)
         classical = set(branch_SO_step(8, pi_label))
-        from_rule = {lbl.highest_weight for _, lbl in branch_case(rec, j)}
+        from_rule = {lbl.highest_weight for _, lbl in rec.branch(j)}
         assert from_rule <= classical
         # the rule keeps exactly the constituents with a U(3)-fixed vector,
         # which here is everything (Disc(G/H) is all of (N^3)_>=)
@@ -167,7 +172,7 @@ def test_case_rules_match_classical_interlacing_ii():
 
 def test_case_rule_v_matches_quaternionic_split():
     rec = _record("v", 1)
-    out = branch_case(rec, (3,))
+    out = rec.branch((3,))
     assert [theta for theta, _ in out] == [(2, 1), (3, 0)]
     dims = [lbl.dimension() for _, lbl in out]
     t = rec.pi_group.weyl
@@ -178,7 +183,7 @@ def test_case_rule_ix_matches_classical_SO7_step():
     rec = _record("ix")
     for j in range(5):
         classical = set(branch_SO_step(7, F(j, j, j)))
-        from_rule = {lbl.highest_weight for _, lbl in branch_case(rec, (j,))}
+        from_rule = {lbl.highest_weight for _, lbl in rec.branch((j,))}
         assert from_rule == classical
 
 
@@ -186,25 +191,5 @@ def test_case_rule_xi_matches_classical_SO8_step():
     rec = _record("xi")
     for k in range(5):
         classical = set(branch_SO_step(8, F(k, k, k, k)))
-        from_rule = {lbl.highest_weight for _, lbl in branch_case(rec, (k,))}
+        from_rule = {lbl.highest_weight for _, lbl in rec.branch((k,))}
         assert from_rule == classical
-
-
-def test_rule_for_wraps_case_record():
-    from branchlab.branching import rule_for
-
-    rec = _record("vi")
-    rule = rule_for(rec)
-    assert rule.kind == "case_rule:vi"
-    assert rule.source.name == "SO(16)"
-    assert rule.target.name == "Spin(9)"
-    assert [t for t, _ in rule.apply((4,))] == [(4, 0), (4, 2), (4, 4)]
-
-
-def test_classical_rules_as_branching_rule_values():
-    from branchlab.branching import BranchingRule
-
-    rule = BranchingRule(source=5, target=4, kind="SO_interlace")
-    assert set(rule.apply(F(1, 0))) == {F(1, 0), F(0, 0)}
-    rule = BranchingRule(source=2, target=1, kind="U_interlace")
-    assert rule.apply(F(1, 0))[0] == ((Fraction(1),), Fraction(0))

@@ -15,10 +15,7 @@ from branchlab.catalog import (
     CaseId,
     Constraint,
     ParamSpace,
-    alternating_concat,
     build_records,
-    pi_tau,
-    rank_triple,
 )
 
 
@@ -131,53 +128,45 @@ def test_enumerate_theta_star_triangle(records):
 
 def test_pi_tau_examples(records):
     r = rec(records, "i", 2)
-    pi, tau = pi_tau(r, (2, 1))
+    pi, tau = r.pi_tau((2, 1))
     assert pi.highest_weight == (Fraction(3), Fraction(0), Fraction(0))
     assert tau.highest_weight == (Fraction(0), Fraction(0), Fraction(1))
 
     r = rec(records, "vi")
-    pi, tau = pi_tau(r, (4, 2))
+    pi, tau = r.pi_tau((4, 2))
     assert pi.highest_weight == tuple(Fraction(x) for x in (4, 0, 0, 0, 0, 0, 0, 0))
     assert tau.highest_weight == tuple(Fraction(1) for _ in range(4))
 
     r = rec(records, "star")
-    pi, tau = pi_tau(r, (1, 1, 2))
+    pi, tau = r.pi_tau((1, 1, 2))
     assert pi.highest_weight == tuple(Fraction(x) for x in (1, 0, 0, 0, 1, 0, 0, 0))
     assert tau.highest_weight == (Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_pi_tau_rejects_invalid_theta(records):
     with pytest.raises(ValueError):
-        pi_tau(rec(records, "vi"), (1, 2))  # k > j
+        rec(records, "vi").pi_tau((1, 2))  # k > j
     with pytest.raises(ValueError):
-        pi_tau(rec(records, "vi"), (3, 2))  # parity fails
+        rec(records, "vi").pi_tau((3, 2))  # parity fails
     with pytest.raises(ValueError):
-        pi_tau(rec(records, "star"), (1, 1, 1))  # parity fails
+        rec(records, "star").pi_tau((1, 1, 1))  # parity fails
 
 
 def test_pi_tau_injective_on_box(records):
     for r in records.values():
         seen = set()
         for theta in r.theta.enumerate(4):
-            pi, tau = pi_tau(r, theta)
+            pi, tau = r.pi_tau(theta)
             key = (pi.highest_weight, tau.highest_weight)
             assert key not in seen, (r.id, theta)
             seen.add(key)
 
 
-def test_alternating_concat():
-    assert alternating_concat((3, 1), (2, 0)) == (3, 2, 1, 0)
-    assert alternating_concat((5, 0), (2,)) == (5, 2, 0)
-    assert alternating_concat((7,), (4,)) == (7, 4)
-    with pytest.raises(ValueError):
-        alternating_concat((1, 2, 3), (1,))
-
-
 def test_rank_triples(records):
-    assert rank_triple(rec(records, "iv", 2)) == (2, 2, 4)
-    assert rank_triple(rec(records, "xi")) == (1, 0, 1)
-    assert rank_triple(rec(records, "star")) == (2, 1, 3)
-    assert rank_triple(rec(records, "ii_odd", 3)) == (2, 1, 3)
+    assert rec(records, "iv", 2).rank3 == (2, 2, 4)
+    assert rec(records, "xi").rank3 == (1, 0, 1)
+    assert rec(records, "star").rank3 == (2, 1, 3)
+    assert rec(records, "ii_odd", 3).rank3 == (2, 1, 3)
     for r in records.values():
         a, b, c = r.rank3
         assert a + b == c, r.id
@@ -228,6 +217,25 @@ def test_export_is_deterministic():
     assert payload["schema"] == 1
     ids = [CaseId(c["id"]["tag"], c["id"]["n"]) for c in payload["cases"]]
     assert ids == [r.id for r in build_records(2)]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--max-n", "0"], "error: max-n must be >= 1"),
+        (["--max-n", "1", "--out", "{missing}"], "error: cannot write {missing}: "),
+    ],
+    ids=["max-n-0", "unwritable-out"],
+)
+def test_export_usage_errors_exit_2(tmp_path, args, message):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    argv = [sys.executable, "-m", "branchlab.catalog"] + [a.format(missing=missing) for a in args]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(message.format(missing=missing))
+    assert proc.stdout == ""
 
 
 def test_no_bundled_data_file():

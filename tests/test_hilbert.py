@@ -8,11 +8,35 @@ from branchlab import catalog
 from branchlab.hilbert import (
     check_generator_degrees,
     claimed_degrees,
-    distinguishing_multisets,
     graded_invariant_dim,
     v_sequence,
-    v_sequence_naive,
 )
+
+
+def v_sequence_naive(degrees, N):
+    """Exhaustive-enumeration oracle for v_sequence (small inputs only)."""
+    degrees = tuple(degrees)
+    count = 0
+    for combo in itertools.product(*(range(N // d + 1) for d in degrees)):
+        if sum(a * d for a, d in zip(combo, degrees)) == N:
+            count += 1
+    return count
+
+
+def distinguishing_multisets(degrees, Nmax, max_part, max_parts):
+    """All other degree multisets (parts <= max_part, <= max_parts parts) whose
+    v-sequence agrees with ``degrees`` up to Nmax.  Empty list certifies that
+    the sequence pins the multiset down within that search space."""
+    degrees = tuple(sorted(degrees))
+    target = [v_sequence(degrees, N) for N in range(Nmax + 1)]
+    clashes = []
+    for k in range(1, max_parts + 1):
+        for combo in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+            if tuple(sorted(combo)) == degrees:
+                continue
+            if all(v_sequence(combo, N) == target[N] for N in range(Nmax + 1)):
+                clashes.append(combo)
+    return clashes
 
 
 def test_v_sequence_examples():

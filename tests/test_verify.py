@@ -15,7 +15,6 @@ from branchlab.verify import (
     evaluate_generator,
     evaluate_generator_reference,
     independence_certificate,
-    transfer_map,
 )
 
 
@@ -148,27 +147,27 @@ def test_two_route_casimir_consistency_ii_iv(records):
 
 
 def test_transfer_map_examples(records):
-    smap = transfer_map(rec(records, "vi"), (2,))
+    smap = rec(records, "vi").transfer((2,))
     assert smap.apply((11,)) == tuple(Fraction(x, 2) for x in (11, 7, 5, 3))
 
-    smap = transfer_map(rec(records, "i", 2), (1,))
+    smap = rec(records, "i", 2).transfer((1,))
     assert smap.apply((5,)) == (Fraction(3), Fraction(0), Fraction(-2))
 
-    smap = transfer_map(rec(records, "i", 2), (0,))
+    smap = rec(records, "i", 2).transfer((0,))
     assert smap.apply((2,)) == (Fraction(1), Fraction(0), Fraction(-1))
 
-    smap = transfer_map(rec(records, "x"), ())
+    smap = rec(records, "x").transfer(())
     assert smap.apply((Fraction(5, 2),)) == (Fraction(1), Fraction(1))
 
-    smap = transfer_map(rec(records, "xi"), ())
+    smap = rec(records, "xi").transfer(())
     assert smap.apply((9,)) == tuple(Fraction(x, 2) for x in (11, 9, 7))
 
 
 def test_transfer_map_rejects_invalid_tau(records):
     with pytest.raises(ValueError):
-        transfer_map(rec(records, "vi"), (-1,))
+        rec(records, "vi").transfer((-1,))
     with pytest.raises(ValueError):
-        transfer_map(rec(records, "viii"), (1, 2))
+        rec(records, "viii").transfer((1, 2))
 
 
 def test_check_transfer_passes_everywhere(records):
@@ -180,15 +179,15 @@ def test_check_transfer_passes_everywhere(records):
 def test_check_transfer_example_values(records):
     r = rec(records, "i", 2)
     theta = (2, 1)
-    lam = r.lambda_plus_rhoa(theta)
+    lam = r.lam_rhoa_map.apply(theta)
     assert lam == (Fraction(5),)
-    image = transfer_map(r, r.tau_params_of(theta)).apply(lam)
+    image = r.transfer(r.tau_params_of(theta)).apply(lam)
     assert image == (Fraction(3), Fraction(0), Fraction(-2))
     assert image == r.nu_plus_rho(theta)
 
     r = rec(records, "xi")
     theta = (3,)
-    image = transfer_map(r, ()).apply(r.lambda_plus_rhoa(theta))
+    image = r.transfer(()).apply(r.lam_rhoa_map.apply(theta))
     assert image == r.nu_plus_rho(theta) == (Fraction(11, 2), Fraction(9, 2), Fraction(7, 2))
 
 
@@ -300,8 +299,8 @@ def test_tampered_transfer_fails(records):
     assert not report.passed
     # and the compiled integer route agrees with the slow exact route
     name, theta, expected, got = report.failures[0]
-    smap = transfer_map(broken, broken.tau_params_of(theta))
-    image = smap.apply(broken.lambda_plus_rhoa(theta))
+    smap = broken.transfer(broken.tau_params_of(theta))
+    image = smap.apply(broken.lam_rhoa_map.apply(theta))
     assert verify._canonical_char(broken, image) != verify._canonical_char(
         broken, broken.nu_plus_rho(theta)
     )
