@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,7 @@ class Constraint:
     mod: int = 0
 
     def value(self, params: Sequence[int]) -> int:
-        return sum(c * p for c, p in zip(self.coeffs, params)) + self.const
+        return sum(map(operator.mul, self.coeffs, params)) + self.const
 
     def ok(self, params: Sequence[int]) -> bool:
         v = self.value(params)
@@ -112,10 +113,23 @@ class ParamSpace:
         for p, d in zip(params, self.domains):
             if d == "nat" and p < 0:
                 return False
-        return all(c.ok(params) for c in self.constraints)
+        for c in self.constraints:
+            if not c.ok(params):
+                return False
+        return True
 
     def enumerate(self, bound: int) -> list[tuple[int, ...]]:
-        """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted.
+        """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
+        return [p for p, _ in self.walk(bound)]
+
+    def walk(self, bound: int, rows=()):
+        """Yield (params, image) for each tuple of ``enumerate(bound)``, in order.
+
+        ``rows`` is a stacked doubled-integer matrix, [(((index, coefficient),
+        ...), offset)], and ``image`` is the tuple of its rows at params.  The
+        image is carried down the depth: placing x at coordinate t adds
+        x·(column t) to the image of the prefix, so a point costs one update
+        of the non-zero entries of one column.  Each image is a fresh tuple.
 
         Depth-first with bound propagation through the linear constraints, so
         interlacing chains are enumerated without wasted work.  An inequality
@@ -125,43 +139,66 @@ class ParamSpace:
         if bound < 0:
             raise ValueError("bound must be >= 0")
         n = len(self.names)
-        out: list[tuple[int, ...]] = []
-        partial: list[int] = []
         at_leaf = [c for c in self.constraints if c.mod or not any(c.coeffs)]
+        # limits[t]: (a, ((s, c_s) for s < t), const) of each inequality whose
+        # last non-zero coefficient a sits at t
+        limits: list[list] = [[] for _ in range(n)]
+        for c in self.constraints:
+            if c.mod or not any(c.coeffs):
+                continue
+            t = max(i for i, a in enumerate(c.coeffs) if a)
+            prefix = tuple((s, a) for s, a in enumerate(c.coeffs[:t]) if a)
+            limits[t].append((c.coeffs[t], prefix, c.const))
+        # cols[t]: the non-zero entries (row, coefficient) of column t
+        cols: list[list] = [[] for _ in range(n)]
+        for r, (coeffs, _) in enumerate(rows):
+            for i, c in coeffs:
+                cols[i].append((r, c))
+        lows = [0 if d == "nat" else -bound for d in self.domains]
 
-        def bounds_for(t: int) -> tuple[int, int]:
-            lo = 0 if self.domains[t] == "nat" else -bound
-            hi = bound
-            for c in self.constraints:
-                if c.mod or c.coeffs[t] == 0:
+        point = [0] * n
+        tops = [0] * n
+        # images[t]: the image with the first t coordinates placed.  A level is
+        # changed in place only while its own coordinate steps, so a level
+        # whose column is zero can share the list of the level above.
+        images = [[off for _, off in rows]] + [[]] * n
+        t = 0
+        while True:
+            if t < n:
+                # open coordinate t at its lowest value, or backtrack if empty
+                lo, hi = lows[t], bound
+                for a, prefix, const in limits[t]:
+                    rest = const + sum(c * point[s] for s, c in prefix)
+                    if a > 0:
+                        lo = max(lo, -(rest // a))  # x >= ceil(-rest / a)
+                    else:
+                        hi = min(hi, rest // -a)  # x <= floor(rest / -a)
+                if lo <= hi:
+                    point[t], tops[t] = lo, hi
+                    if cols[t]:
+                        image = images[t + 1] = images[t].copy()
+                        if lo:
+                            for r, c in cols[t]:
+                                image[r] += lo * c
+                    else:
+                        images[t + 1] = images[t]
+                    t += 1
                     continue
-                if any(c.coeffs[s] != 0 for s in range(t + 1, n)):
-                    continue
-                rest = sum(c.coeffs[s] * partial[s] for s in range(t)) + c.const
-                a = c.coeffs[t]
-                if a > 0:
-                    # x >= ceil(-rest / a)
-                    lo = max(lo, -(rest // a) if rest % a == 0 else (-rest + a - 1) // a)
-                else:
-                    # x <= floor(rest / -a)
-                    hi = min(hi, rest // (-a))
-            return lo, hi
-
-        def rec(t: int):
-            if t == n:
-                p = tuple(partial)
-                if all(c.ok(p) for c in at_leaf):
-                    out.append(p)
+            else:
+                p = tuple(point)
+                if not at_leaf or all(c.ok(p) for c in at_leaf):
+                    yield p, tuple(images[n])
+            # step to the next value of the deepest coordinate that has one
+            t -= 1
+            while t >= 0 and point[t] == tops[t]:
+                t -= 1
+            if t < 0:
                 return
-            lo, hi = bounds_for(t)
-            for x in range(lo, hi + 1):
-                partial.append(x)
-                rec(t + 1)
-                partial.pop()
-
-        rec(0)
-        del rec  # the closure refers to itself; without this the box waits for the gc
-        return out
+            point[t] += 1
+            image = images[t + 1]
+            for r, c in cols[t]:
+                image[r] += c
+            t += 1
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,23 @@ there is no second route behind the compiled one.  The only per-check
 alternatives are the exact routes for G2 factors (case x).  The compiled
 evaluation is cross-checked against the straightforward reference evaluation
 in the test suite.
+
+The five checks that walk a box run in one pass per case, ``_box_pass``:
+one walk of the pi box for dimension conservation and the fiber half of
+strong multiplicity-freeness, then one walk of the theta box for relations,
+transfer, the theta half of strong multiplicity-freeness and pi-side
+consistency.  Every map the theta walk reads is stacked into one
+doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
+from point to point; compiled symbols read fixed slices of it.  ``run_case``
+calls the pass once, and each ``check_*`` of the five runs it for its one
+check.  ``evaluate_generator`` compiles one symbol against only its own maps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -112,7 +123,12 @@ def _rows2(amap: AffineMap):
 
 
 def _apply2(rows2, params) -> list[int]:
-    return [sum(c * params[i] for i, c in coeffs) + off for coeffs, off in rows2]
+    out = []
+    for coeffs, value in rows2:
+        for i, c in coeffs:
+            value += c * params[i]
+        out.append(value)
+    return out
 
 
 def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
@@ -151,37 +167,41 @@ def _group_for(record: CaseRecord, label: str):
     return {"pi": record.pi_group, "nu": record.nu_group, "tau": record.tau_group}[label]
 
 
-def _rows_for(record: CaseRecord, key: str, make):
-    """_rows2(make()), built once per record and kept under ``key``."""
-    maps = _symbol_cache(record)["rows"]
-    rows = maps.get(key)
-    if rows is None:
-        rows = maps[key] = _rows2(make())
-    return rows
-
-
-def _nu_rho_rows(record: CaseRecord):
-    """Doubled rows of theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
-    return _rows_for(
-        record,
-        "nurho",
-        lambda: AffineMap(
-            record.nu_label_map.matrix,
-            vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
-            source=record.nu_label_map.source_dim,
-        ),
+def _nu_rho_map(record: CaseRecord) -> AffineMap:
+    """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
+    return AffineMap(
+        record.nu_label_map.matrix,
+        vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
+        source=record.nu_label_map.source_dim,
     )
 
 
-def _getter(key: str, rows2):
-    def get(theta, memo):
-        v = memo.get(key)
-        if v is None:
-            v = _apply2(rows2, theta)
-            memo[key] = v
-        return v
+def _theta_map(record: CaseRecord) -> AffineMap:
+    """The identity theta ↦ theta, for symbols written in theta itself."""
+    k = len(record.theta.names)
+    return AffineMap(
+        mat(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))),
+        vec((0,) * k),
+        source=k,
+    )
 
-    return get
+
+class _Stack:
+    """Affine maps of theta stacked into one doubled-integer matrix, each map
+    once: the image of ``rows`` at theta holds every stacked map's values, and
+    ``add(key, make)`` says where the values of the map make() sit in it."""
+
+    def __init__(self):
+        self.rows: list = []
+        self.slices: dict[str, slice] = {}
+
+    def add(self, key: str, make) -> slice:
+        sl = self.slices.get(key)
+        if sl is None:
+            rows = _rows2(make())
+            sl = self.slices[key] = slice(len(self.rows), len(self.rows) + len(rows))
+            self.rows.extend(rows)
+        return sl
 
 
 def _int_casimir_blocks(group):
@@ -199,33 +219,38 @@ def _int_casimir_blocks(group):
     return blocks
 
 
-def _int_symbol(record: CaseRecord, name: str):
-    """(fn(theta, memo) -> int numerator, constant denominator)."""
+def _int_symbol(record: CaseRecord, name: str, stack: _Stack):
+    """(fn(image) -> int numerator, constant denominator) for a symbol that is
+    not a power sum, reading the slice of ``stack``'s image that holds its map."""
     spec = record.symbols[name]
     if spec.kind == "casimir":
-        key = "label:%s" % spec.label
-        get = _getter(key, _rows_for(record, key, lambda: _label_map_for(record, spec.label)))
-        group = _group_for(record, spec.label)
-        blocks = _int_casimir_blocks(group)
+        key = "nu_label_map" if spec.label == "nu" else "label:%s" % spec.label
+        at = stack.add(key, lambda: _label_map_for(record, spec.label)).start
+        blocks = _int_casimir_blocks(_group_for(record, spec.label))
         if spec.factor is not None:
             blocks = [blocks[spec.factor]]
         den = 4 * math.lcm(*(extra for _, _, _, extra in blocks))
+        # per block: its place in the image, 2·rho2, and the block's weight
+        blocks = tuple(
+            (kind, slice(at + sl.start, at + sl.stop), tuple(2 * r for r in rho2), extra)
+            for kind, sl, rho2, extra in blocks
+        )
+        add, mul = operator.add, operator.mul
 
-        def casimir_fn(theta, memo, blocks=tuple(blocks), den=den, get=get):
-            lam2 = get(theta, memo)
+        def casimir_fn(image, blocks=blocks, den=den):
             total = 0
-            for kind, sl, rho2, extra in blocks:
-                a = lam2[sl]
+            for kind, sl, rho4, extra in blocks:
+                a = image[sl]
                 if kind == "orth":
-                    s = sum(x * (x + 2 * r) for x, r in zip(a, rho2))
+                    s = sum(map(mul, a, map(add, a, rho4)))
                     total += s * (den // 4)
                 elif kind == "su":
                     n = extra
-                    s = sum(x * (x + 2 * r) for x, r in zip(a, rho2))
+                    s = sum(map(mul, a, map(add, a, rho4)))
                     t = sum(a)
                     total += (n * s - t * t) * (den // (4 * n))
                 else:  # g2
-                    shifted = [x + 2 * r for x, r in zip(a, rho2)]
+                    shifted = list(map(add, a, rho4))
                     s = sum(
                         a[i] * _G2_GRAM4[i][j] * shifted[j]
                         for i in range(2)
@@ -236,35 +261,17 @@ def _int_symbol(record: CaseRecord, name: str):
 
         return casimir_fn, den
     if spec.kind == "euler":
-        key = "euler:%s" % name
-        get = _getter(key, _rows_for(record, key, lambda: spec.form))
-        return (lambda theta, memo: get(theta, memo)[0]), 2
-    if spec.kind == "power_ab":
-        vmap = record.a_map if spec.vecname == "a" else record.b_map
-        key = "vec:%s" % spec.vecname
-        get = _getter(key, _rows_for(record, key, lambda: vmap))
-        e = spec.scale * spec.k
-        num_scale = spec.base ** spec.k
-
-        def power_ab_fn(theta, memo, get=get, e=e, s=num_scale):
-            return s * sum(v ** e for v in get(theta, memo))
-
-        return power_ab_fn, 2 ** e
-    if spec.kind == "power_nu":
-        get = _getter("nurho", _nu_rho_rows(record))
-        e = spec.scale * spec.k
-
-        def power_nu_fn(theta, memo, get=get, e=e):
-            return sum(v ** e for v in get(theta, memo))
-
-        return power_nu_fn, 2 ** e
+        at = stack.add("euler:%s" % name, lambda: spec.form).start
+        return operator.itemgetter(at), 2
     if spec.kind in ("theta_poly", "xyz_poly"):
+        sl = stack.add("theta", lambda: _theta_map(record))
         den = math.lcm(*(c.denominator for _, c in spec.poly)) if spec.poly else 1
         terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
 
-        def poly_fn(theta, memo, terms=terms, xyz=spec.kind == "xyz_poly"):
+        def poly_fn(image, terms=terms, xyz=spec.kind == "xyz_poly"):
+            theta = [v // 2 for v in image[sl]]  # the image holds 2·theta
             if xyz:
-                theta = tuple((v + 3) ** 2 for v in theta)
+                theta = [(v + 3) ** 2 for v in theta]
             total = 0
             for exps, c in terms:
                 term = c
@@ -278,19 +285,70 @@ def _int_symbol(record: CaseRecord, name: str):
     raise ValueError("unknown symbol kind %r" % spec.kind)
 
 
+def _compile_values(record: CaseRecord, names, stack: _Stack):
+    """(values, slots) for distinct symbol names: values(image) lists their
+    integer numerators read from ``stack``'s image, and slots[name] is (index
+    in that list, constant denominator).  The power sums of one vector share
+    one table of its powers."""
+    singles = []
+    tables: dict[tuple, list] = {}  # vector's place in the image -> power sums
+    for name in names:
+        spec = record.symbols[name]
+        if spec.kind == "power_ab":
+            vmap = record.a_map if spec.vecname == "a" else record.b_map
+            sl = stack.add("vec:%s" % spec.vecname, lambda: vmap)
+            mult = spec.base ** spec.k
+        elif spec.kind == "power_nu":
+            sl = stack.add("nurho", lambda: _nu_rho_map(record))
+            mult = 1
+        else:
+            singles.append((name,) + _int_symbol(record, name, stack))
+            continue
+        tables.setdefault((sl.start, sl.stop), []).append((name, spec.scale * spec.k, mult))
+    slots = {name: (i, den) for i, (name, _, den) in enumerate(singles)}
+    fns = tuple(fn for _, fn, _ in singles)
+    powers = []
+    for (start, stop), sums in tables.items():
+        # sum of v^e = sum of (v^step)^(e/step): one product per multiple of step
+        step = math.gcd(*(e for _, e, _ in sums))
+        for name, e, _ in sums:
+            slots[name] = (len(slots), 2 ** e)
+        picks = tuple((e // step - 1, mult) for _, e, mult in sums)
+        powers.append((slice(start, stop), step, max(e for _, e, _ in sums) // step, picks))
+    mul = operator.mul
+
+    def values(image):
+        out = [fn(image) for fn in fns]
+        for sl, step, top, picks in powers:
+            base = image[sl] if step == 1 else [v ** step for v in image[sl]]
+            power, table = base, [sum(base)]
+            for _ in range(top - 1):
+                power = list(map(mul, power, base))
+                table.append(sum(power))
+            out += [mult * table[i] for i, mult in picks]
+        return out
+
+    return values, slots
+
+
 def _symbol_cache(record: CaseRecord) -> dict:
     cache = record.__dict__.get("_symbol_cache")
     if cache is None:
-        cache = {"rows": {}, "int": {}}
+        cache = {"int": {}}
         object.__setattr__(record, "_symbol_cache", cache)
     return cache
 
 
 def _int_eval(record: CaseRecord, name: str):
-    cache = _symbol_cache(record)
-    if name not in cache["int"]:
-        cache["int"][name] = _int_symbol(record, name)
-    return cache["int"][name]
+    """(fn(theta) -> int numerator, denominator) of one symbol, compiled once
+    per record against a stack of only the maps that symbol reads."""
+    cache = _symbol_cache(record)["int"]
+    if name not in cache:
+        stack = _Stack()
+        values, slots = _compile_values(record, (name,), stack)
+        rows = stack.rows
+        cache[name] = (lambda theta: values(_apply2(rows, theta))[0], slots[name][1])
+    return cache[name]
 
 
 def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> Fraction:
@@ -299,7 +357,7 @@ def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> F
     if name not in record.symbols:
         raise KeyError("case %s has no generator %r" % (record.id, name))
     fn, den = _int_eval(record, name)
-    return Fraction(fn(theta, {}), den)
+    return Fraction(fn(theta), den)
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +366,22 @@ def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> F
 
 def check_relations(record: CaseRecord, bound: int) -> CaseReport:
     """Evaluate every stored relation identity on every enumerated theta."""
-    report = CaseReport(record.id, bound)
+    return _box_check(record, bound, "relations")
+
+
+def _compile_relations(record: CaseRecord, stack: _Stack):
+    """(values, slots, relations): values/slots of every symbol the relations
+    read, and per relation (name, ((integer multiplier, slot index), ...))
+    whose weighted sum of numerators is the relation times a positive integer."""
+    names = list(dict.fromkeys(sym for rel in record.relations for _, sym in rel.terms))
+    values, slots = _compile_values(record, names, stack)
     compiled = []
     for rel in record.relations:
-        pairs = [(coeff, _int_eval(record, sym)) for coeff, sym in rel.terms]
-        L = math.lcm(*(den * coeff.denominator for coeff, (fn, den) in pairs))
-        terms = tuple(
-            (int(coeff * L) // den, fn) for coeff, (fn, den) in pairs
-        )
+        pairs = [(coeff, slots[sym]) for coeff, sym in rel.terms]
+        L = math.lcm(*(den * coeff.denominator for coeff, (_, den) in pairs))
+        terms = tuple((int(coeff * L) // den, i) for coeff, (i, den) in pairs)
         compiled.append((rel.name, terms))
-    failures = []
-    count = 0
-    for theta in record.theta.enumerate(bound):
-        memo: dict = {}
-        for name, terms in compiled:
-            count += 1
-            total = 0
-            for m, fn in terms:
-                total += m * fn(theta, memo)
-            if total:
-                failures.append(("relation:%s" % name, theta, 0, total))
-    report.checks_run = count
-    report.failures = failures
-    return report
+    return values, slots, tuple(compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +448,7 @@ def _canonical2(record: CaseRecord, values2: list[int]):
 
 def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
     """S_tau(lambda(theta) + rho_a) = nu(theta) + rho mod W(g_C), exactly."""
-    report = CaseReport(record.id, bound)
-    img2 = _rows2(_transfer_image_map(record))
-    nr2 = _nu_rho_rows(record)
-    count = 0
-    failures = []
-    for theta in record.theta.enumerate(bound):
-        count += 1
-        lhs = _canonical2(record, _apply2(img2, theta))
-        rhs = _canonical2(record, _apply2(nr2, theta))
-        if lhs != rhs:
-            failures.append(("transfer", theta, rhs, lhs))
-    report.checks_run = count
-    report.failures = failures
-    return report
+    return _box_check(record, bound, "transfer")
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +501,7 @@ def independence_certificate(
     pivots: dict[int, int] = {}
     witness: list[tuple[int, ...]] = []
     for theta in thetas:
-        memo: dict = {}
-        values = [Fraction(fn(theta, memo), den) for fn, den in evals]
+        values = [Fraction(fn(theta), den) for fn, den in evals]
         row = [_prod(values, mono) for mono in monos]
         while True:
             lead = next((c for c in range(ncols) if row[c] != 0), None)
@@ -499,8 +536,7 @@ def function_in_span(
     evals = [_int_eval(record, g) for g in gens]
     rows, rhs = [], []
     for theta in thetas:
-        memo: dict = {}
-        vals = [Fraction(fn(theta, memo), den) for fn, den in evals]
+        vals = [Fraction(fn(theta), den) for fn, den in evals]
         rows.append([_prod(vals, mono) for mono in monos])
         rhs.append(Fraction(values_by_theta(theta)))
     m = linalg.mat(rows)
@@ -561,7 +597,7 @@ def _dim_fast(infos, lam2) -> int:
             continue
         block = lam2[sl]
         if not weights._dominant_classical(fam, block):
-            raise ValueError("non-dominant weight block %s" % (block,))
+            raise ValueError("non-dominant weight block %s" % (list(block),))
         shifted = [x + r for x, r in zip(block, rho2)]
         num, _ = weights._dim_classical(fam, shifted, rho2)
         if num % den:
@@ -572,128 +608,319 @@ def _dim_fast(infos, lam2) -> int:
 
 def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     """dim pi = sum of dim theta over the branching, exactly."""
-    report = CaseReport(record.id, bound)
-    pi2 = _rows2(record.pi_label_map)
-    nu2 = _rows2(record.nu_label_map)
-    pi_infos = _dim_table(record.pi_group)
-    nu_infos = _dim_table(record.nu_group)
-
-    def pi_dim(pi_params):
-        if pi_infos is not None:
-            return _dim_fast(pi_infos, _apply2(pi2, pi_params))
-        return weights.weyl_dimension(
-            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
-        )
-
-    def nu_dim(theta):
-        if nu_infos is not None:
-            return _dim_fast(nu_infos, _apply2(nu2, theta))
-        return weights.weyl_dimension(
-            record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
-        )
-
-    count = 0
-    failures = []
-    for pi_params in record.pi_space.enumerate(bound):
-        count += 1
-        try:
-            expected = pi_dim(pi_params)
-            total = 0
-            for theta in _branch_fibers(record.branch_rule, tuple(pi_params)):
-                total += nu_dim(theta)
-        except (ValueError, AssertionError) as exc:
-            failures.append(("dimension", tuple(pi_params), "computable", repr(exc)))
-            continue
-        if expected != total:
-            failures.append(("dimension", tuple(pi_params), expected, total))
-    report.checks_run = count
-    report.failures = failures
-    return report
+    return _box_check(record, bound, "dimension-conservation")
 
 
 def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseReport:
     """Branches of distinct pi are disjoint and exhaust Disc(G/H); every theta
     recovers its pi via the canonical map and occurs in its branching."""
-    report = CaseReport(record.id, bound)
-    nu2 = _rows2(record.nu_label_map)
-    pi2 = _rows2(record.pi_of_theta)
-
-    def labelkey(theta):
-        return tuple(_apply2(nu2, theta))
-
-    seen: dict[tuple, tuple] = {}
-    fiber_of: dict[tuple, tuple] = {}
-    count = 0
-    failures = []
-    contains = record.theta.contains
-    for pi_params in record.pi_space.enumerate(bound):
-        pi_params = tuple(pi_params)
-        for theta in _branch_fibers(record.branch_rule, pi_params):
-            count += 2
-            if not contains(theta):
-                failures.append(("branch-valid", theta, True, False))
-                continue
-            key = labelkey(theta)
-            if key in seen:
-                failures.append(("disjoint", theta, None, seen[key]))
-            seen[key] = pi_params
-            fiber_of[theta] = pi_params
-    for theta in record.theta.enumerate(bound):
-        doubled = _apply2(pi2, theta)
-        if any(v % 2 for v in doubled):
-            failures.append(("integral-pi", theta, True, False))
-            count += 1
-            continue
-        pi_params = tuple(v // 2 for v in doubled)
-        if all(abs(p) <= bound for p in pi_params):
-            count += 2
-            if fiber_of.get(theta) != pi_params:
-                failures.append(("recovers-pi", theta, pi_params, fiber_of.get(theta)))
-            if labelkey(theta) not in seen:
-                failures.append(("exhausts", theta, True, False))
-    report.checks_run = count
-    report.failures = failures
-    return report
+    return _box_check(record, bound, "strong-multiplicity-freeness")
 
 
 def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
     """evaluate_generator on the P-side Casimir equals casimir_eigenvalue of the
     independently constructed pi(theta) label (per factor for products)."""
-    report = CaseReport(record.id, bound)
-    casimir_syms = [
-        (name, s, _int_eval(record, name))
+    return _box_check(record, bound, "pi-side-consistency")
+
+
+# ---------------------------------------------------------------------------
+# the box pass: one pi walk and one theta walk per case
+
+BOX_CHECKS = (
+    "relations",
+    "transfer",
+    "dimension-conservation",
+    "strong-multiplicity-freeness",
+    "pi-side-consistency",
+)
+
+
+def _box_check(record: CaseRecord, bound: int, name: str) -> CaseReport:
+    """The box pass for the one check ``name``."""
+    return _report(_box_pass(record, bound, (name,))[name])
+
+
+def _report(result) -> CaseReport:
+    """A box-pass result: the check's report, or raise what stopped it."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
+    """{name: CaseReport, or the exception that stopped the check} for the
+    named checks of BOX_CHECKS, each run once over the box.
+
+    Dimension conservation and the fiber half of strong multiplicity-freeness
+    (SMF) share one walk of the pi box, and each fiber's nu label is computed
+    once for both.  Relations, transfer, the theta half of SMF and pi-side
+    consistency then share one walk of the theta box, which carries the image
+    of one stacked matrix of every map they read; each symbol is evaluated
+    once per theta for relations and pi-side alike, and nothing per theta is
+    kept beyond what a check records.  An exception in one check's setup or
+    per-point body stops that check alone.
+    """
+    out: dict = {}
+    stack = _Stack()
+
+    def setup(name, make):
+        if name not in names:
+            return None
+        try:
+            return make()
+        except Exception as exc:
+            out[name] = exc
+            return None
+
+    rel = setup("relations", lambda: _compile_relations(record, stack))
+    transfer = setup(
+        "transfer",
+        lambda: (
+            stack.add("transfer", lambda: _transfer_image_map(record)),
+            stack.add("nurho", lambda: _nu_rho_map(record)),
+        ),
+    )
+    dim = setup("dimension-conservation", lambda: _dimension_plan(record))
+    smf = setup(
+        "strong-multiplicity-freeness",
+        lambda: (
+            stack.add("nu_label_map", lambda: record.nu_label_map),
+            stack.add("pi_of_theta", lambda: record.pi_of_theta),
+        ),
+    )
+    pi_side = setup(
+        "pi-side-consistency", lambda: _pi_side_plan(record, stack, rel[1] if rel else {})
+    )
+
+    # -- the pi walk: dimension conservation and SMF's fibers
+    seen: dict[tuple, tuple] = {}
+    fiber_of: dict[tuple, tuple] = {}
+    dim_report = CaseReport(record.id, bound)
+    smf_report = CaseReport(record.id, bound)
+    if dim is not None or smf is not None:
+        pi_rows, pi_dim, _, nu_dim = dim or ((), None, None, None)
+        nu_key_rows = stack.rows[smf[0]] if smf else None
+        contains = record.theta.contains
+        try:
+            for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
+                try:
+                    fibers = _branch_fibers(record.branch_rule, pi_params)
+                except Exception as exc:
+                    fibers = exc
+                nus: list = []  # nu labels of the fibers, as far as dimension got
+                if dim is not None:
+                    try:
+                        dim_report.checks_run += 1
+                        try:
+                            expected = pi_dim(pi_params, pi_label2)
+                            if isinstance(fibers, Exception):
+                                raise fibers
+                            total = 0
+                            for theta in fibers:
+                                total += nu_dim(theta, nus)
+                        except (ValueError, AssertionError) as exc:
+                            dim_report.failures.append(
+                                ("dimension", pi_params, "computable", repr(exc))
+                            )
+                        else:
+                            if expected != total:
+                                dim_report.failures.append(("dimension", pi_params, expected, total))
+                    except Exception as exc:
+                        out["dimension-conservation"] = exc
+                        dim = None
+                if smf is not None:
+                    try:
+                        if isinstance(fibers, Exception):
+                            raise fibers
+                        for i, theta in enumerate(fibers):
+                            smf_report.checks_run += 2
+                            if not contains(theta):
+                                smf_report.failures.append(("branch-valid", theta, True, False))
+                                continue
+                            key = tuple(nus[i] if i < len(nus) else _apply2(nu_key_rows, theta))
+                            if key in seen:
+                                smf_report.failures.append(("disjoint", theta, None, seen[key]))
+                            seen[key] = pi_params
+                            fiber_of[theta] = pi_params
+                    except Exception as exc:
+                        out["strong-multiplicity-freeness"] = exc
+                        smf = None
+        except Exception as exc:  # the walk itself
+            for name in ("dimension-conservation", "strong-multiplicity-freeness"):
+                if name in names:
+                    out.setdefault(name, exc)
+            dim = smf = None
+    if dim is not None:
+        out["dimension-conservation"] = dim_report
+
+    # -- the theta walk: relations, transfer, SMF's theta half, pi-side
+    rel_report = CaseReport(record.id, bound)
+    transfer_report = CaseReport(record.id, bound)
+    pi_report = CaseReport(record.id, bound)
+    rel_fail, transfer_fail = rel_report.failures, transfer_report.failures
+    smf_fail, pi_fail = smf_report.failures, pi_report.failures
+    rel_count = transfer_count = smf_count = pi_count = 0
+    if rel is not None:
+        rel_values, _, relations = rel
+        rel_per_theta = len(relations)
+    if transfer is not None:
+        image_sl, nu_rho_sl = transfer
+    if smf is not None:
+        nu_sl = smf[0]
+    if pi_side is not None:
+        pi_symbols, own_values, own_at, extra_values, shared_at, _ = pi_side
+        targets_of: dict[tuple, list] = {}
+    pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
+    if any(c is not None for c in (rel, transfer, smf, pi_side)):
+        try:
+            for theta, image in record.theta.walk(bound, stack.rows):
+                if pi_sl is not None:
+                    doubled = image[pi_sl]
+                    pi_params = tuple([v >> 1 for v in doubled])
+                vals = None
+                if rel is not None:
+                    try:
+                        vals = rel_values(image)
+                        for name, terms in relations:
+                            total = 0
+                            for m, i in terms:
+                                total += m * vals[i]
+                            if total:
+                                rel_fail.append(("relation:%s" % name, theta, 0, total))
+                        rel_count += rel_per_theta
+                    except Exception as exc:
+                        out["relations"] = exc
+                        rel = vals = None
+                if transfer is not None:
+                    try:
+                        transfer_count += 1
+                        lhs = _canonical2(record, image[image_sl])
+                        rhs = _canonical2(record, image[nu_rho_sl])
+                        if lhs != rhs:
+                            transfer_fail.append(("transfer", theta, rhs, lhs))
+                    except Exception as exc:
+                        out["transfer"] = exc
+                        transfer = None
+                if smf is not None:
+                    try:
+                        if any([v & 1 for v in doubled]):
+                            smf_fail.append(("integral-pi", theta, True, False))
+                            smf_count += 1
+                        elif max(map(abs, pi_params), default=0) <= bound:
+                            smf_count += 2
+                            if fiber_of.get(theta) != pi_params:
+                                smf_fail.append(
+                                    ("recovers-pi", theta, pi_params, fiber_of.get(theta))
+                                )
+                            if image[nu_sl] not in seen:
+                                smf_fail.append(("exhausts", theta, True, False))
+                    except Exception as exc:
+                        out["strong-multiplicity-freeness"] = exc
+                        smf = None
+                if pi_side is not None:
+                    try:
+                        targets = targets_of.get(pi_params)
+                        if targets is None:
+                            targets = targets_of[pi_params] = _pi_side_targets(
+                                casimir_eigenvalue(record.pi_label(pi_params)), pi_symbols
+                            )
+                        if vals is None:
+                            got, at = own_values(image), own_at
+                        elif extra_values is None:
+                            got, at = vals, shared_at
+                        else:
+                            got, at = vals + extra_values(image), shared_at
+                        for (name, den, _), i, (expected, target) in zip(pi_symbols, at, targets):
+                            pi_count += 1
+                            if got[i] != target:
+                                pi_fail.append(
+                                    ("pi-side:%s" % name, theta, expected, Fraction(got[i], den))
+                                )
+                    except Exception as exc:
+                        out["pi-side-consistency"] = exc
+                        pi_side = None
+        except Exception as exc:  # the walk itself
+            for name in ("relations", "transfer", "strong-multiplicity-freeness", "pi-side-consistency"):
+                if name in names:
+                    out.setdefault(name, exc)
+            rel = transfer = smf = pi_side = None
+    for name, check, report, count in (
+        ("relations", rel, rel_report, rel_count),
+        ("transfer", transfer, transfer_report, transfer_count),
+        ("strong-multiplicity-freeness", smf, smf_report, smf_report.checks_run + smf_count),
+        ("pi-side-consistency", pi_side, pi_report, pi_count),
+    ):
+        if check is not None:
+            report.checks_run = count
+            out[name] = report
+    return out
+
+
+def _dimension_plan(record: CaseRecord):
+    """(doubled rows of the pi label map, pi_dim(pi_params, label2), doubled
+    rows of the nu label map, nu_dim(theta, labels)) for dimension conservation."""
+    pi_rows = _rows2(record.pi_label_map)
+    nu_rows = _rows2(record.nu_label_map)
+    pi_infos = _dim_table(record.pi_group)
+    nu_infos = _dim_table(record.nu_group)
+
+    def pi_dim(pi_params, label2):
+        if pi_infos is not None:
+            return _dim_fast(pi_infos, label2)
+        return weights.weyl_dimension(
+            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
+        )
+
+    def nu_dim(theta, labels):
+        # the fast route appends the doubled nu label it computes to labels
+        if nu_infos is not None:
+            labels.append(_apply2(nu_rows, theta))
+            return _dim_fast(nu_infos, labels[-1])
+        return weights.weyl_dimension(
+            record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
+        )
+
+    return pi_rows, pi_dim, nu_rows, nu_dim
+
+
+def _pi_side_plan(record: CaseRecord, stack: _Stack, shared: dict):
+    """(symbols, own values, own indices, extra values, shared indices, pi
+    slice) for pi-side consistency, with symbols [(name, denominator, factor)].
+
+    While relations run, the theta walk hands over their values, whose slots
+    are ``shared``; then the symbol values are those followed by the extra
+    values (None when there are none), read at the shared indices.  Otherwise
+    they are the own values."""
+    names = [
+        name
         for name, s in sorted(record.symbols.items())
         if s.kind == "casimir" and s.label == "pi"
     ]
-    pi2 = _rows2(record.pi_of_theta)
-    # per pi(theta): (expected, target) for each symbol, where the integer
-    # numerator fn(theta) equals target exactly when fn(theta)/den == expected;
-    # target is None when den is not a multiple of expected's denominator
-    cache: dict[tuple, list] = {}
-    count = 0
-    failures = []
-    for theta in record.theta.enumerate(bound):
-        pi_params = tuple(v // 2 for v in _apply2(pi2, theta))
-        targets = cache.get(pi_params)
-        if targets is None:
-            value = casimir_eigenvalue(record.pi_label(pi_params))
-            targets = cache[pi_params] = []
-            for _, s, (_, den) in casimir_syms:
-                if isinstance(value, tuple):
-                    expected = value[s.factor] if s.factor is not None else sum(value, Fraction(0))
-                else:
-                    expected = value
-                q, r = divmod(den, expected.denominator)
-                targets.append((expected, None if r else expected.numerator * q))
-        memo: dict = {}
-        for (name, _, (fn, den)), (expected, target) in zip(casimir_syms, targets):
-            count += 1
-            got = fn(theta, memo)
-            if got != target:
-                failures.append(("pi-side:%s" % name, theta, expected, Fraction(got, den)))
-    report.checks_run = count
-    report.failures = failures
-    return report
+    own_values, own = _compile_values(record, names, stack)
+    extra_names = [n for n in names if n not in shared]
+    extra_values, extra = _compile_values(record, extra_names, stack)
+    symbols = tuple((name, own[name][1], record.symbols[name].factor) for name in names)
+    own_at = tuple(own[name][0] for name in names)
+    shared_at = tuple(
+        shared[name][0] if name in shared else len(shared) + extra[name][0] for name in names
+    )
+    pi_sl = stack.add("pi_of_theta", lambda: record.pi_of_theta)
+    return symbols, own_values, own_at, extra_values if extra_names else None, shared_at, pi_sl
+
+
+def _pi_side_targets(value, symbols) -> list:
+    """Per symbol (expected, target) for the Casimir value of pi(theta): the
+    integer numerator equals target exactly when numerator/den == expected;
+    target is None when den is not a multiple of expected's denominator."""
+    targets = []
+    for _, den, factor in symbols:
+        if isinstance(value, tuple):
+            expected = value[factor] if factor is not None else sum(value, Fraction(0))
+        else:
+            expected = value
+        q, r = divmod(den, expected.denominator)
+        targets.append((expected, None if r else expected.numerator * q))
+    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -730,20 +957,19 @@ def run_case(record: CaseRecord, bound: int, degree: int) -> list[dict]:
                 entry["first_failure"] = message
         entries.append(entry)
 
-    run("relations", lambda: check_relations(record, bound))
-    run("transfer", lambda: check_transfer(record, bound))
+    box = _box_pass(record, bound)
+    run("relations", lambda: _report(box["relations"]))
+    run("transfer", lambda: _report(box["transfer"]))
     run("rank-identity", lambda: check_rank_identity(record), "rank triple fails")
     run("degree-counts", lambda: check_degree_counts(record), "m+n != rank")
-    run("dimension-conservation", lambda: check_dimension_conservation(record, bound))
-    run(
-        "strong-multiplicity-freeness", lambda: check_strong_multiplicity_freeness(record, bound)
-    )
+    run("dimension-conservation", lambda: _report(box["dimension-conservation"]))
+    run("strong-multiplicity-freeness", lambda: _report(box["strong-multiplicity-freeness"]))
     run(
         "independence",
         lambda: independence_certificate(record, record.indep_gens, bound, degree)[0],
         "moment matrix is rank-deficient",
     )
-    run("pi-side-consistency", lambda: check_pi_side_consistency(record, bound))
+    run("pi-side-consistency", lambda: _report(box["pi-side-consistency"]))
     if record.hilbert_model is not None:
         run(
             "generator-degrees",

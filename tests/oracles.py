@@ -1,11 +1,26 @@
-"""Reference oracles shared by more than one test file.
+"""Reference oracles shared by more than one test file, and the box checks'
+separate per-check loops, which test_verify compares the one box pass against.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
 
+import math
 import random
+from fractions import Fraction
 
+from branchlab import verify, weights
+from branchlab.catalog import CaseRecord, _branch_fibers
 from branchlab.linalg import vec, vsub
+from branchlab.reps import casimir_eigenvalue
+from branchlab.verify import (
+    CaseReport,
+    _apply2,
+    _canonical2,
+    _dim_fast,
+    _dim_table,
+    _rows2,
+    _transfer_image_map,
+)
 from branchlab.weights import _split, pairing, simple_roots
 
 
@@ -27,3 +42,191 @@ def random_weyl_image(t, v, rng: random.Random, words: int = 12):
     for _ in range(words):
         v = reflect(t, rng.choice(simples), v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# The five box checks as separate loops, one walk of the box each, as they
+# stood before verify fused them into one pass; the tests require the same
+# (checks_run, failures) from both.  The loop bodies are unchanged; the two
+# helpers below give them the per-symbol and nu+rho routes they were written
+# against, on top of verify's single-symbol compilation.
+
+
+def _int_eval(record, name):
+    fn, den = verify._int_eval(record, name)
+    return (lambda theta, memo: fn(theta)), den
+
+
+def _nu_rho_rows(record):
+    return _rows2(verify._nu_rho_map(record))
+
+
+def check_relations(record: CaseRecord, bound: int) -> CaseReport:
+    """Evaluate every stored relation identity on every enumerated theta."""
+    report = CaseReport(record.id, bound)
+    compiled = []
+    for rel in record.relations:
+        pairs = [(coeff, _int_eval(record, sym)) for coeff, sym in rel.terms]
+        L = math.lcm(*(den * coeff.denominator for coeff, (fn, den) in pairs))
+        terms = tuple(
+            (int(coeff * L) // den, fn) for coeff, (fn, den) in pairs
+        )
+        compiled.append((rel.name, terms))
+    failures = []
+    count = 0
+    for theta in record.theta.enumerate(bound):
+        memo: dict = {}
+        for name, terms in compiled:
+            count += 1
+            total = 0
+            for m, fn in terms:
+                total += m * fn(theta, memo)
+            if total:
+                failures.append(("relation:%s" % name, theta, 0, total))
+    report.checks_run = count
+    report.failures = failures
+    return report
+
+
+def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
+    """S_tau(lambda(theta) + rho_a) = nu(theta) + rho mod W(g_C), exactly."""
+    report = CaseReport(record.id, bound)
+    img2 = _rows2(_transfer_image_map(record))
+    nr2 = _nu_rho_rows(record)
+    count = 0
+    failures = []
+    for theta in record.theta.enumerate(bound):
+        count += 1
+        lhs = _canonical2(record, _apply2(img2, theta))
+        rhs = _canonical2(record, _apply2(nr2, theta))
+        if lhs != rhs:
+            failures.append(("transfer", theta, rhs, lhs))
+    report.checks_run = count
+    report.failures = failures
+    return report
+
+
+def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
+    """dim pi = sum of dim theta over the branching, exactly."""
+    report = CaseReport(record.id, bound)
+    pi2 = _rows2(record.pi_label_map)
+    nu2 = _rows2(record.nu_label_map)
+    pi_infos = _dim_table(record.pi_group)
+    nu_infos = _dim_table(record.nu_group)
+
+    def pi_dim(pi_params):
+        if pi_infos is not None:
+            return _dim_fast(pi_infos, _apply2(pi2, pi_params))
+        return weights.weyl_dimension(
+            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
+        )
+
+    def nu_dim(theta):
+        if nu_infos is not None:
+            return _dim_fast(nu_infos, _apply2(nu2, theta))
+        return weights.weyl_dimension(
+            record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
+        )
+
+    count = 0
+    failures = []
+    for pi_params in record.pi_space.enumerate(bound):
+        count += 1
+        try:
+            expected = pi_dim(pi_params)
+            total = 0
+            for theta in _branch_fibers(record.branch_rule, tuple(pi_params)):
+                total += nu_dim(theta)
+        except (ValueError, AssertionError) as exc:
+            failures.append(("dimension", tuple(pi_params), "computable", repr(exc)))
+            continue
+        if expected != total:
+            failures.append(("dimension", tuple(pi_params), expected, total))
+    report.checks_run = count
+    report.failures = failures
+    return report
+
+
+def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseReport:
+    """Branches of distinct pi are disjoint and exhaust Disc(G/H); every theta
+    recovers its pi via the canonical map and occurs in its branching."""
+    report = CaseReport(record.id, bound)
+    nu2 = _rows2(record.nu_label_map)
+    pi2 = _rows2(record.pi_of_theta)
+
+    def labelkey(theta):
+        return tuple(_apply2(nu2, theta))
+
+    seen: dict[tuple, tuple] = {}
+    fiber_of: dict[tuple, tuple] = {}
+    count = 0
+    failures = []
+    contains = record.theta.contains
+    for pi_params in record.pi_space.enumerate(bound):
+        pi_params = tuple(pi_params)
+        for theta in _branch_fibers(record.branch_rule, pi_params):
+            count += 2
+            if not contains(theta):
+                failures.append(("branch-valid", theta, True, False))
+                continue
+            key = labelkey(theta)
+            if key in seen:
+                failures.append(("disjoint", theta, None, seen[key]))
+            seen[key] = pi_params
+            fiber_of[theta] = pi_params
+    for theta in record.theta.enumerate(bound):
+        doubled = _apply2(pi2, theta)
+        if any(v % 2 for v in doubled):
+            failures.append(("integral-pi", theta, True, False))
+            count += 1
+            continue
+        pi_params = tuple(v // 2 for v in doubled)
+        if all(abs(p) <= bound for p in pi_params):
+            count += 2
+            if fiber_of.get(theta) != pi_params:
+                failures.append(("recovers-pi", theta, pi_params, fiber_of.get(theta)))
+            if labelkey(theta) not in seen:
+                failures.append(("exhausts", theta, True, False))
+    report.checks_run = count
+    report.failures = failures
+    return report
+
+
+def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
+    """evaluate_generator on the P-side Casimir equals casimir_eigenvalue of the
+    independently constructed pi(theta) label (per factor for products)."""
+    report = CaseReport(record.id, bound)
+    casimir_syms = [
+        (name, s, _int_eval(record, name))
+        for name, s in sorted(record.symbols.items())
+        if s.kind == "casimir" and s.label == "pi"
+    ]
+    pi2 = _rows2(record.pi_of_theta)
+    # per pi(theta): (expected, target) for each symbol, where the integer
+    # numerator fn(theta) equals target exactly when fn(theta)/den == expected;
+    # target is None when den is not a multiple of expected's denominator
+    cache: dict[tuple, list] = {}
+    count = 0
+    failures = []
+    for theta in record.theta.enumerate(bound):
+        pi_params = tuple(v // 2 for v in _apply2(pi2, theta))
+        targets = cache.get(pi_params)
+        if targets is None:
+            value = casimir_eigenvalue(record.pi_label(pi_params))
+            targets = cache[pi_params] = []
+            for _, s, (_, den) in casimir_syms:
+                if isinstance(value, tuple):
+                    expected = value[s.factor] if s.factor is not None else sum(value, Fraction(0))
+                else:
+                    expected = value
+                q, r = divmod(den, expected.denominator)
+                targets.append((expected, None if r else expected.numerator * q))
+        memo: dict = {}
+        for (name, _, (fn, den)), (expected, target) in zip(casimir_syms, targets):
+            count += 1
+            got = fn(theta, memo)
+            if got != target:
+                failures.append(("pi-side:%s" % name, theta, expected, Fraction(got, den)))
+    report.checks_run = count
+    report.failures = failures
+    return report

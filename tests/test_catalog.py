@@ -4,13 +4,14 @@ import gc
 import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog
+from branchlab import catalog, verify
 from branchlab.catalog import (
     CaseId,
     Constraint,
@@ -85,19 +86,65 @@ def test_enumerate_is_complete():
         assert space.enumerate(3) == _box_filter(space, 3), space
 
 
-@pytest.mark.parametrize(
-    "constraints",
-    [
-        # a >= c - 1 is exact once c is placed; b <= 2; a + b + c even
-        (Constraint((1, 0, -1), 1), Constraint((0, -1, 0), 2), Constraint((1, 1, 1), 0, 2)),
-        (Constraint((0, 0, 0), -1),),  # a constant constraint that fails
-        (Constraint((0, 0, 0), 0), Constraint((0, 0, 0), 1, 3)),  # one that holds; 1 mod 3
-        (Constraint((0, 0, 0), 3, 3), Constraint((0, 2, 0), -3)),  # 3 mod 3; b >= 3/2
-    ],
-)
+SYNTHETIC_CONSTRAINTS = [
+    # a >= c - 1 is exact once c is placed; b <= 2; a + b + c even
+    (Constraint((1, 0, -1), 1), Constraint((0, -1, 0), 2), Constraint((1, 1, 1), 0, 2)),
+    (Constraint((0, 0, 0), -1),),  # a constant constraint that fails
+    (Constraint((0, 0, 0), 0), Constraint((0, 0, 0), 1, 3)),  # one that holds; 1 mod 3
+    (Constraint((0, 0, 0), 3, 3), Constraint((0, 2, 0), -3)),  # 3 mod 3; b >= 3/2
+]
+
+
+@pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
 def test_enumerate_matches_box_filter(constraints):
     space = ParamSpace(("a", "b", "c"), ("int", "nat", "int"), constraints)
     assert space.enumerate(3) == _box_filter(space, 3)
+
+
+def _stacked_rows(rng, n, m=6):
+    """m doubled-integer rows over n coordinates, one of them constant; the
+    last coordinate appears in no row, so its column is zero."""
+    rows = []
+    for r in range(m):
+        coeffs = tuple(
+            (i, c) for i in range(n - 1) for c in [rng.randint(-3, 3)] if c and r
+        )
+        rows.append((coeffs, rng.randint(-5, 5)))
+    return rows
+
+
+def _assert_walk_is_enumerate(space, bound, rows):
+    walked = list(space.walk(bound, rows))
+    assert [p for p, _ in walked] == space.enumerate(bound)
+    for p, image in walked:
+        assert image == tuple(verify._apply2(rows, p)), (space, p)
+
+
+def test_walk_carries_the_stacked_image():
+    # every theta space with the rows of every map the box pass stacks for it,
+    # and every pi space with its label map, at bounds 0..4
+    for r in build_records(2):
+        stack = verify._Stack()
+        verify._compile_relations(r, stack)
+        verify._pi_side_plan(r, stack, {})
+        stack.add("transfer", lambda: verify._transfer_image_map(r))
+        stack.add("nurho", lambda: verify._nu_rho_map(r))
+        stack.add("nu_label_map", lambda: r.nu_label_map)
+        pi_rows = verify._rows2(r.pi_label_map)
+        for bound in range(5):
+            _assert_walk_is_enumerate(r.theta, bound, stack.rows)
+            _assert_walk_is_enumerate(r.pi_space, bound, pi_rows)
+
+
+@pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
+@pytest.mark.parametrize("domains", [("int", "nat", "int"), ("nat", "nat", "nat")])
+def test_walk_matches_enumerate_on_synthetic_spaces(constraints, domains):
+    rng = random.Random(7)
+    space = ParamSpace(("a", "b", "c"), domains, constraints)
+    for bound in range(5):
+        assert space.enumerate(bound) == _box_filter(space, bound)
+        _assert_walk_is_enumerate(space, bound, _stacked_rows(rng, 3))
+        _assert_walk_is_enumerate(space, bound, [])
 
 
 def test_enumerate_leaves_no_cycle(records):
@@ -209,10 +256,11 @@ def test_load_default_is_build_records():
 
 def test_export_is_deterministic():
     argv = [sys.executable, "-m", "branchlab.catalog", "--max-n", "2"]
-    first, second = (
-        subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2)
-    )
+    runs = [subprocess.run(argv, capture_output=True, text=True, check=True) for _ in range(2)]
+    first, second = (proc.stdout for proc in runs)
     assert first == second
+    # the module runs once, as __main__, so runpy has nothing to warn about
+    assert [proc.stderr for proc in runs] == ["", ""]
     payload = json.loads(first)
     assert payload["schema"] == 1
     ids = [CaseId(c["id"]["tag"], c["id"]["n"]) for c in payload["cases"]]
@@ -232,9 +280,8 @@ def test_export_usage_errors_exit_2(tmp_path, args, message):
     argv = [sys.executable, "-m", "branchlab.catalog"] + [a.format(missing=missing) for a in args]
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(message.format(missing=missing))
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message.format(missing=missing)), lines
     assert proc.stdout == ""
 
 

@@ -470,3 +470,114 @@ def test_run_case_never_raises_on_small_boxes():
         for r in catalog.build_records(2):
             for e in verify.run_case(r, bound, 2):
                 assert not e.get("first_failure", "").startswith("error: "), (bound, r.id, e)
+
+
+def _outcome(check):
+    """(checks_run, failures) of a box check, or the exception that stopped it."""
+    try:
+        report = check()
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return report.checks_run, report.failures
+
+
+def _tampered_records():
+    import dataclasses
+
+    from branchlab.linalg import mat
+
+    by_id = {str(r.id): r for r in catalog.build_records(2)}
+    vi, star, i1, iv2 = by_id["vi"], by_id["star"], by_id["i[n=1]"], by_id["iv[n=2]"]
+    viii = by_id["viii"]
+    rows = [list(row) for row in vi.nu_label_map.matrix]
+    rows[1][1] += 1
+    offset = list(star.transfer_offset)
+    offset[0] += 1
+    pi_offset = list(i1.pi_label_map.offset)
+    pi_offset[1] += 1
+    rel = iv2.relations[0]
+    terms = ((rel.terms[0][0] + 1, rel.terms[0][1]),) + rel.terms[1:]
+    return [
+        dataclasses.replace(vi, branch_rule=("tail_le",)),
+        dataclasses.replace(
+            vi, nu_label_map=dataclasses.replace(vi.nu_label_map, matrix=mat(rows))
+        ),
+        dataclasses.replace(star, transfer_offset=tuple(offset)),
+        dataclasses.replace(
+            i1, pi_label_map=dataclasses.replace(i1.pi_label_map, offset=tuple(pi_offset))
+        ),
+        dataclasses.replace(
+            iv2, relations=(dataclasses.replace(rel, terms=terms),) + iv2.relations[1:]
+        ),
+        # fibers of two coordinates in a three-coordinate theta space: the nu
+        # label raises IndexError inside dimension conservation
+        dataclasses.replace(viii, branch_rule=("tail_le",)),
+    ]
+
+
+def test_box_pass_matches_separate_loops():
+    # the one pass run_case calls against the five per-check loops it
+    # replaced (tests/oracles.py), failure order included, on the max_n=2
+    # catalog and on tampered records that fail or stop each check
+    import oracles
+
+    loops = {
+        "relations": oracles.check_relations,
+        "transfer": oracles.check_transfer,
+        "dimension-conservation": oracles.check_dimension_conservation,
+        "strong-multiplicity-freeness": oracles.check_strong_multiplicity_freeness,
+        "pi-side-consistency": oracles.check_pi_side_consistency,
+    }
+    assert tuple(loops) == verify.BOX_CHECKS
+    tampered = _tampered_records()
+    seen_failure = seen_error = 0
+    for r in catalog.build_records(2) + tampered:
+        for bound in range(5):
+            box = verify._box_pass(r, bound)
+            for name, loop in loops.items():
+                expected = _outcome(lambda: loop(r, bound))
+                assert _outcome(lambda: verify._report(box[name])) == expected, (r.id, bound, name)
+                if r in tampered:
+                    seen_error += expected[0] == "error"
+                    seen_failure += expected[0] != "error" and bool(expected[1])
+    assert seen_failure and seen_error
+
+
+def test_box_check_error_stops_only_that_check(monkeypatch):
+    # a relation symbol that raises at the k-th theta: relations alone gets
+    # the error entry, and every other box check runs the whole box
+    import dataclasses
+    import itertools
+
+    clean = next(r for r in catalog.build_records(2) if str(r.id) == "i[n=2]")
+    name, k = "C_G", 7
+    assert any(sym == name for rel in clean.relations for _, sym in rel.terms)
+    assert clean.symbols[name].label != "pi" and name not in clean.indep_gens
+    expected = verify.run_case(clean, 4, 2)
+    real = verify._int_symbol
+
+    def planted(record, symbol, stack):
+        fn, den = real(record, symbol, stack)
+        if symbol != name:
+            return fn, den
+        calls = itertools.count(1)
+
+        def fails_once(image):
+            if next(calls) == k:
+                raise RuntimeError("planted at theta %d" % k)
+            return fn(image)
+
+        return fails_once, den
+
+    monkeypatch.setattr(verify, "_int_symbol", planted)
+    entries = verify.run_case(dataclasses.replace(clean), 4, 2)
+    assert entries[0] == {
+        "name": "relations",
+        "run": 1,
+        "failed": 1,
+        "first_failure": "error: RuntimeError: planted at theta 7",
+    }
+    assert entries[1:] == expected[1:]
+    box = {e["name"]: e for e in entries}
+    for other in verify.BOX_CHECKS[1:]:
+        assert box[other]["run"] > 0 and box[other]["failed"] == 0, box[other]
