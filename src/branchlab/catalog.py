@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import weights
 from .linalg import AffineMap, Matrix, Vector, mat, mat_vec, vec
 from .reps import (
     SO,
@@ -33,7 +32,6 @@ from .reps import (
     Named,
     ProductGroup,
 )
-from .weights import WeylType
 
 CATALOG_SCHEMA = 1
 
@@ -251,9 +249,6 @@ class CaseRecord:
     nu_label_map: AffineMap
     tau_label_map: AffineMap
     lam_rhoa_map: AffineMap
-    rho_a: Vector
-    g_weyl: WeylType
-    g_rho: Vector
     symbols: dict
     relations: tuple[Relation, ...]
     transfer_matrix: Matrix
@@ -317,7 +312,7 @@ class CaseRecord:
 
     def nu_plus_rho(self, theta: Sequence[int]) -> Vector:
         nu = self.nu_label_map.apply(theta)
-        return tuple(a + b for a, b in zip(nu, self.g_rho))
+        return tuple(a + b for a, b in zip(nu, self.nu_group.rho))
 
     # -- transfer ----------------------------------------------------------
 
@@ -386,42 +381,28 @@ def _branch_fibers(rule: tuple, pi: tuple[int, ...]) -> list[tuple[int, ...]]:
     if name == "triangle":  # (*): |j-j'| <= a <= j+j', parity
         j, jp = pi
         return [(j, jp, a) for a in range(abs(j - jp), j + jp + 1, 2)]
-    if name == "interlace_ii_odd":  # (ii) odd: theta chain (j1,k1,...,jm)
-        m = rule[1]
-        j = pi
-        ranges = [range(j[i + 1], j[i] + 1) for i in range(m - 1)]
-        out = []
-        for ks in itertools.product(*ranges):
-            chain = []
-            for i in range(m - 1):
-                chain += [j[i], ks[i]]
-            chain.append(j[m - 1])
-            out.append(tuple(chain))
-        return out
+    if name in ("interlace_ii_odd", "interlace_iv"):  # (ii) odd, (iv): (j1,k1,...,jm)
+        return _interlace(pi, closed=False)
     if name == "interlace_ii_even":  # (ii) even: chain (j1,k1,...,jm,km)
-        m = rule[1]
-        j = pi
-        ranges = [range(j[i + 1] if i + 1 < m else 0, j[i] + 1) for i in range(m)]
-        out = []
-        for ks in itertools.product(*ranges):
-            chain = []
-            for i in range(m):
-                chain += [j[i], ks[i]]
-            out.append(tuple(chain))
-        return out
-    if name == "interlace_iv":  # (iv): chain (j1,k1,...,jn,kn,j_{n+1}), integers
-        n = rule[1]
-        j = pi
-        ranges = [range(j[i + 1], j[i] + 1) for i in range(n)]
-        out = []
-        for ks in itertools.product(*ranges):
-            chain = []
-            for i in range(n):
-                chain += [j[i], ks[i]]
-            chain.append(j[n])
-            out.append(tuple(chain))
-        return out
+        return _interlace(pi, closed=True)
     raise ValueError("unknown branch rule %r" % (rule,))
+
+
+def _interlace(j: tuple[int, ...], closed: bool) -> list[tuple[int, ...]]:
+    """The chains (j1,k1,j2,...,jm) with j_(i+1) <= k_i <= j_i; a closed chain
+    ends in one more k_m, with 0 <= k_m <= j_m."""
+    ranges = [range(j[i + 1], j[i] + 1) for i in range(len(j) - 1)]
+    if closed:
+        ranges.append(range(0, j[-1] + 1))
+    out = []
+    for ks in itertools.product(*ranges):
+        chain = []
+        for ji, k in zip(j, ks):
+            chain += [ji, k]
+        if not closed:
+            chain.append(j[-1])
+        out.append(tuple(chain))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +513,6 @@ def _case_i(n: int) -> CaseRecord:
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, n)]),
-        rho_a=vec((n,)),
-        g_weyl=weights.A(n),
-        g_rho=weights.rho(weights.A(n)),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -629,8 +607,6 @@ def _case_ii(n: int) -> CaseRecord:
         a_rows = [({jn[i]: 1}, Fraction(4 * (m - 1 - i) + 1, 2)) for i in range(m)]
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) - 1, 2)) for i in range(m - 1)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 1) for i in range(m)]
-        rho_a = vec(tuple(4 * (m - 1 - i) + 1 for i in range(m)))
-        g_type = weights.B(2 * m - 1)
         target = 2 * m - 1
         rows = []
         for i in range(m):
@@ -655,8 +631,6 @@ def _case_ii(n: int) -> CaseRecord:
         a_rows = [({jn[i]: 1}, Fraction(4 * (m - 1 - i) + 3, 2)) for i in range(m)]
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) + 1, 2)) for i in range(m)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 3) for i in range(m)]
-        rho_a = vec(tuple(4 * (m - 1 - i) + 3 for i in range(m)))
-        g_type = weights.B(2 * m)
         target = 2 * m
         rows = []
         for i in range(m):
@@ -706,9 +680,6 @@ def _case_ii(n: int) -> CaseRecord:
         nu_label_map=_amap(names, [({nm: 1}, 0) for nm in names]),
         tau_label_map=_amap(tuple(kn), tau_rows),
         lam_rhoa_map=_amap(names, lam_rows),
-        rho_a=rho_a,
-        g_weyl=g_type,
-        g_rho=weights.rho(g_type),
         symbols=symbols,
         relations=tuple(relations),
         transfer_matrix=M,
@@ -816,9 +787,6 @@ def _case_iii(n: int) -> CaseRecord:
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
-        rho_a=vec((2 * n + 1,)),
-        g_weyl=weights.C(n + 1),
-        g_rho=weights.rho(weights.C(n + 1)),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -940,9 +908,6 @@ def _case_iv(n: int) -> CaseRecord:
         nu_label_map=_amap(names, [({nm: 1}, 0) for nm in names]),
         tau_label_map=_amap(tau_names, tau_rows),
         lam_rhoa_map=_amap(names, lam_rows),
-        rho_a=vec(tuple(2 * (n - 2 * (i + 1) + 2) for i in range(n + 1))),
-        g_weyl=weights.A(2 * n),
-        g_rho=weights.rho(weights.A(2 * n)),
         symbols=symbols,
         relations=tuple(relations),
         transfer_matrix=M,
@@ -1004,9 +969,6 @@ def _case_v(n: int) -> CaseRecord:
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
-        rho_a=vec((2 * n + 1,)),
-        g_weyl=weights.Product(weights.C(n + 1), weights.C(1)),
-        g_rho=weights.rho(weights.Product(weights.C(n + 1), weights.C(1))),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G1": _casimir("R", "nu", factor=0),
@@ -1067,7 +1029,6 @@ def _case_v_prime(n: int) -> CaseRecord:
         + [({}, {}, n - i) for i in range(1, n)]
         + [({}, {"b": 1}, 0)],
     )
-    g_type = weights.Product(weights.C(n + 1), weights.Trivial(1))
     return CaseRecord(
         id=CaseId("v_prime", n),
         groups={
@@ -1089,9 +1050,6 @@ def _case_v_prime(n: int) -> CaseRecord:
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(tau_names, tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
-        rho_a=vec((2 * n + 1,)),
-        g_weyl=g_type,
-        g_rho=weights.rho(g_type),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G1": _casimir("R", "nu", factor=0),
@@ -1156,9 +1114,6 @@ def _case_vi() -> CaseRecord:
         nu_label_map=_amap(names, [({"j": half}, 0)] + [({"k": half}, 0)] * 3),
         tau_label_map=_amap(("k",), [({"k": half}, 0)] * 4),
         lam_rhoa_map=_amap(names, [({"j": 1}, 7)]),
-        rho_a=vec((7,)),
-        g_weyl=weights.B(4),
-        g_rho=weights.rho(weights.B(4)),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -1190,7 +1145,6 @@ def _case_vii() -> CaseRecord:
         ("k",),
         [({0: half}, {}, 0), ({}, {"k": 1}, half), ({}, {"k": 1}, half)],
     )
-    g_type = weights.Product(weights.B(2), weights.B(1))
     return CaseRecord(
         id=CaseId("vii"),
         groups={
@@ -1212,9 +1166,6 @@ def _case_vii() -> CaseRecord:
         nu_label_map=_amap(names, [({"j": 1}, 0), ({"k": 1}, 0), ({"k": 1}, 0)]),
         tau_label_map=_amap(("k",), [({"k": 1}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 2}, 3)]),
-        rho_a=vec((3,)),
-        g_weyl=g_type,
-        g_rho=weights.rho(g_type),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G1": _casimir("R", "nu", factor=0),
@@ -1261,7 +1212,6 @@ def _case_viii() -> CaseRecord:
         tau_names,
         [({0: 1}, {}, 0), ({}, {"k": 1}, half), ({}, {"a": 1}, 0)],
     )
-    g_type = weights.Product(weights.B(2), weights.Trivial(1))
     return CaseRecord(
         id=CaseId("viii"),
         groups={
@@ -1283,9 +1233,6 @@ def _case_viii() -> CaseRecord:
         nu_label_map=_amap(names, [({"j": 1}, 0), ({"k": 1}, 0), ({"a": 1}, 0)]),
         tau_label_map=_amap(tau_names, [({"k": 1}, 0), ({"k": 1}, 0), ({"a": 1}, 0)]),
         lam_rhoa_map=_amap(names, [({"j": 1}, Fraction(3, 2))]),
-        rho_a=vec((Fraction(3, 2),)),
-        g_weyl=g_type,
-        g_rho=weights.rho(g_type),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G1": _casimir("R", "nu", factor=0),
@@ -1341,9 +1288,6 @@ def _case_ix() -> CaseRecord:
         nu_label_map=_amap(names, [({"j": 1}, 0), ({"j": 1}, 0), ({"k": 1}, 0)]),
         tau_label_map=_amap(("k",), [({"k": 1}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 1}, Fraction(3, 2))]),
-        rho_a=vec((Fraction(3, 2),)),
-        g_weyl=weights.D(3),
-        g_rho=weights.rho(weights.D(3)),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -1392,9 +1336,6 @@ def _case_x() -> CaseRecord:
         nu_label_map=_amap(names, [({}, 0), ({"k": 1}, 0)]),
         tau_label_map=_amap((), [({}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"k": 1}, Fraction(5, 2))]),
-        rho_a=vec((Fraction(5, 2),)),
-        g_weyl=weights.G2,
-        g_rho=weights.rho(weights.G2),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -1440,9 +1381,6 @@ def _case_xi() -> CaseRecord:
         nu_label_map=_amap(names, [({"k": 1}, 0)] * 3),
         tau_label_map=_amap((), [({}, 0)] * 2),
         lam_rhoa_map=_amap(names, [({"k": 2}, 3)]),
-        rho_a=vec((3,)),
-        g_weyl=weights.B(3),
-        g_rho=weights.rho(weights.B(3)),
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
@@ -1539,9 +1477,6 @@ def _case_star() -> CaseRecord:
         ),
         tau_label_map=_amap(("a",), [({"a": half}, 0)] * 3),
         lam_rhoa_map=_amap(names, [({"j": 1}, 3), ({"jp": 1}, 3)]),
-        rho_a=vec((3, 3)),
-        g_weyl=weights.D(4),
-        g_rho=weights.rho(weights.D(4)),
         symbols={
             "C_Gt1": _casimir("P", "pi", factor=0),
             "C_Gt2": _casimir("P", "pi", factor=1),
@@ -1696,13 +1631,6 @@ def _amap_payload(a: AffineMap) -> dict:
     }
 
 
-def _weyl_payload(t: WeylType) -> dict:
-    out = {"family": t.family, "rank": t.rank}
-    if t.factors:
-        out["factors"] = [_weyl_payload(f) for f in t.factors]
-    return out
-
-
 def _group_payload(g: GroupDescriptor) -> dict:
     out = {"kind": g.kind, "n": g.n}
     if g.factors:
@@ -1762,9 +1690,6 @@ def record_payload(r: CaseRecord) -> dict:
         "nu_label_map": _amap_payload(r.nu_label_map),
         "tau_label_map": _amap_payload(r.tau_label_map),
         "lam_rhoa_map": _amap_payload(r.lam_rhoa_map),
-        "rho_a": _vec_payload(r.rho_a),
-        "g_weyl": _weyl_payload(r.g_weyl),
-        "g_rho": _vec_payload(r.g_rho),
         "symbols": {k: _symbol_payload(s) for k, s in sorted(r.symbols.items())},
         "relations": [
             {"name": rel.name, "terms": [[_frac_str(c), s] for c, s in rel.terms]}

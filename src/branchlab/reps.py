@@ -152,8 +152,7 @@ class IrrepLabel:
         return IrrepLabel(f, self.highest_weight[sl])
 
     def dimension(self) -> int:
-        t = self.group.weyl
-        return weights.weyl_dimension(t, weights.rho(t), self.highest_weight)
+        return weights.weyl_dimension(self.group.weyl, self.highest_weight)
 
 
 def _simple_casimir(group: GroupDescriptor, w: Vector) -> Fraction:

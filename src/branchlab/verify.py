@@ -6,10 +6,11 @@ carries the offending parameter tuple and both sides' values.
 The bound-8 boxes of the rank-7 cases make the inner loops hot, so the checks
 compile symbols down to arithmetic on doubled integers.  Every affine map in
 the catalog is half-integral, and ``_rows2`` raises on one that is not, so
-there is no second route behind the compiled one.  The only per-check
-alternatives are the exact routes for G2 factors (case x).  The compiled
-evaluation is cross-checked against the straightforward reference evaluation
-in the test suite.
+there is no second route behind the compiled one.  Weyl-group arithmetic
+(canonical orbit forms, dimensions) is the ``weights`` module's, called on
+the same doubled integers, G2 included.  The compiled evaluation is
+cross-checked against the straightforward reference evaluation in the test
+suite.
 
 The five checks that walk a box run in one pass per case, ``_box_pass``:
 one walk of the pi box for dimension conservation and the fiber half of
@@ -147,9 +148,6 @@ def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
     return AffineMap(mat(rows), vec(offset), source=inner.source_dim)
 
 
-_G2_GRAM4 = ((12, 6), (6, 4))
-
-
 def _label_map_for(record: CaseRecord, label: str) -> AffineMap:
     """The composite theta ↦ highest-weight coordinates for pi/nu/tau."""
     if label == "pi":
@@ -169,11 +167,9 @@ def _group_for(record: CaseRecord, label: str):
 
 def _nu_rho_map(record: CaseRecord) -> AffineMap:
     """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
-    return AffineMap(
-        record.nu_label_map.matrix,
-        vec(tuple(a + b for a, b in zip(record.nu_label_map.offset, record.g_rho))),
-        source=record.nu_label_map.source_dim,
-    )
+    nu = record.nu_label_map
+    offset = vec(tuple(a + b for a, b in zip(nu.offset, record.nu_group.rho)))
+    return AffineMap(nu.matrix, offset, source=nu.source_dim)
 
 
 def _theta_map(record: CaseRecord) -> AffineMap:
@@ -249,14 +245,14 @@ def _int_symbol(record: CaseRecord, name: str, stack: _Stack):
                     s = sum(map(mul, a, map(add, a, rho4)))
                     t = sum(a)
                     total += (n * s - t * t) * (den // (4 * n))
-                else:  # g2
+                else:  # g2: a·(2·Gram)·shifted is 8 times the value
                     shifted = list(map(add, a, rho4))
                     s = sum(
-                        a[i] * _G2_GRAM4[i][j] * shifted[j]
+                        a[i] * weights._G2_GRAM2[i][j] * shifted[j]
                         for i in range(2)
                         for j in range(2)
                     )
-                    total += s * (den // 16)
+                    total += s * (den // 8)
             return total
 
         return casimir_fn, den
@@ -394,7 +390,7 @@ def _canonical_char(record: CaseRecord, v) -> tuple:
         # SU-side infinitesimal characters live modulo the trace direction.
         mean = sum(v) / len(v)
         v = tuple(x - mean for x in v)
-    return weights.dominant_representative(record.g_weyl, v)
+    return weights.dominant_representative(record.nu_group.weyl, v)
 
 
 def _transfer_image_map(record: CaseRecord) -> AffineMap:
@@ -413,37 +409,14 @@ def _transfer_image_map(record: CaseRecord) -> AffineMap:
     )
 
 
-def _canonical2(record: CaseRecord, values2: list[int]):
-    """Canonical W(g_C)-orbit form on doubled-integer coordinates."""
-    if record.mod_trace:
+def _canonical2(weyl, mod_trace: bool, values2: list[int]) -> tuple:
+    """Canonical W(g_C)-orbit form on doubled-integer coordinates; modulo the
+    trace direction it is scaled by the coordinate count to stay integral."""
+    if mod_trace:
         n = len(values2)
         total = sum(values2)
         values2 = [n * v - total for v in values2]
-    out = []
-    pos = 0
-    for f in record.g_weyl.factors or (record.g_weyl,):
-        k = f.ncoords
-        block = values2[pos : pos + k]
-        pos += k
-        fam = f.family
-        if fam == "A":
-            out.extend(sorted(block, reverse=True))
-        elif fam in ("B", "C", "BC"):
-            out.extend(sorted((abs(x) for x in block), reverse=True))
-        elif fam == "D":
-            flips = sum(1 for x in block if x < 0)
-            blk = sorted((abs(x) for x in block), reverse=True)
-            if flips % 2 == 1 and blk[-1] != 0:
-                blk[-1] = -blk[-1]
-            out.extend(blk)
-        elif fam == "Trivial":
-            out.extend(block)
-        else:  # G2: exact slow route (tiny cases only)
-            canon = weights.dominant_representative(
-                f, vec([Fraction(x, 2) for x in block])
-            )
-            out.extend(2 * c for c in canon)
-    return tuple(out)
+    return weights.dominant_representative(weyl, values2)
 
 
 def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
@@ -574,38 +547,6 @@ def check_degree_counts(record: CaseRecord) -> bool:
     return len(record.degrees_p) + len(record.degrees_q) == record.degrees_rank
 
 
-def _dim_table(group):
-    """Per-factor data for fast dimensions, or None if a G2 factor is present."""
-    infos = []
-    for f, sl in group.factor_slices():
-        fam = f.weyl.family
-        if fam == "G2":
-            return None
-        rho2 = [int(2 * x) for x in f.rho]
-        if fam == "Trivial":
-            infos.append((None, sl, rho2, 1))
-            continue
-        _, den = weights._dim_classical(fam, rho2, rho2)
-        infos.append((fam, sl, rho2, den))
-    return infos
-
-
-def _dim_fast(infos, lam2) -> int:
-    total = 1
-    for fam, sl, rho2, den in infos:
-        if fam is None:
-            continue
-        block = lam2[sl]
-        if not weights._dominant_classical(fam, block):
-            raise ValueError("non-dominant weight block %s" % (list(block),))
-        shifted = [x + r for x, r in zip(block, rho2)]
-        num, _ = weights._dim_classical(fam, shifted, rho2)
-        if num % den:
-            raise AssertionError("non-integral dimension")
-        total *= num // den
-    return total
-
-
 def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     """dim pi = sum of dim theta over the branching, exactly."""
     return _box_check(record, bound, "dimension-conservation")
@@ -678,6 +619,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
         lambda: (
             stack.add("transfer", lambda: _transfer_image_map(record)),
             stack.add("nurho", lambda: _nu_rho_map(record)),
+            record.nu_group.weyl,
         ),
     )
     dim = setup("dimension-conservation", lambda: _dimension_plan(record))
@@ -698,7 +640,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     dim_report = CaseReport(record.id, bound)
     smf_report = CaseReport(record.id, bound)
     if dim is not None or smf is not None:
-        pi_rows, pi_dim, _, nu_dim = dim or ((), None, None, None)
+        pi_rows, pi_table, nu_rows, nu_table = dim or ((), None, None, None)
+        dimension = weights._dimension2
         nu_key_rows = stack.rows[smf[0]] if smf else None
         contains = record.theta.contains
         try:
@@ -712,12 +655,13 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                     try:
                         dim_report.checks_run += 1
                         try:
-                            expected = pi_dim(pi_params, pi_label2)
+                            expected = dimension(pi_table, pi_label2)
                             if isinstance(fibers, Exception):
                                 raise fibers
                             total = 0
                             for theta in fibers:
-                                total += nu_dim(theta, nus)
+                                nus.append(_apply2(nu_rows, theta))
+                                total += dimension(nu_table, nus[-1])
                         except (ValueError, AssertionError) as exc:
                             dim_report.failures.append(
                                 ("dimension", pi_params, "computable", repr(exc))
@@ -764,7 +708,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
         rel_values, _, relations = rel
         rel_per_theta = len(relations)
     if transfer is not None:
-        image_sl, nu_rho_sl = transfer
+        image_sl, nu_rho_sl, g_weyl = transfer
+        mod_trace = record.mod_trace
     if smf is not None:
         nu_sl = smf[0]
     if pi_side is not None:
@@ -794,8 +739,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                 if transfer is not None:
                     try:
                         transfer_count += 1
-                        lhs = _canonical2(record, image[image_sl])
-                        rhs = _canonical2(record, image[nu_rho_sl])
+                        lhs = _canonical2(g_weyl, mod_trace, image[image_sl])
+                        rhs = _canonical2(g_weyl, mod_trace, image[nu_rho_sl])
                         if lhs != rhs:
                             transfer_fail.append(("transfer", theta, rhs, lhs))
                     except Exception as exc:
@@ -857,30 +802,14 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
 
 
 def _dimension_plan(record: CaseRecord):
-    """(doubled rows of the pi label map, pi_dim(pi_params, label2), doubled
-    rows of the nu label map, nu_dim(theta, labels)) for dimension conservation."""
-    pi_rows = _rows2(record.pi_label_map)
-    nu_rows = _rows2(record.nu_label_map)
-    pi_infos = _dim_table(record.pi_group)
-    nu_infos = _dim_table(record.nu_group)
-
-    def pi_dim(pi_params, label2):
-        if pi_infos is not None:
-            return _dim_fast(pi_infos, label2)
-        return weights.weyl_dimension(
-            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
-        )
-
-    def nu_dim(theta, labels):
-        # the fast route appends the doubled nu label it computes to labels
-        if nu_infos is not None:
-            labels.append(_apply2(nu_rows, theta))
-            return _dim_fast(nu_infos, labels[-1])
-        return weights.weyl_dimension(
-            record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
-        )
-
-    return pi_rows, pi_dim, nu_rows, nu_dim
+    """(doubled rows of the pi label map, the pi group's dimension table,
+    doubled rows of the nu label map, the nu group's) for dimension conservation."""
+    return (
+        _rows2(record.pi_label_map),
+        weights._dimension_table(record.pi_group.weyl),
+        _rows2(record.nu_label_map),
+        weights._dimension_table(record.nu_group.weyl),
+    )
 
 
 def _pi_side_plan(record: CaseRecord, stack: _Stack, shared: dict):

@@ -89,8 +89,15 @@ _G2_POS = (
     vec((1, 0)),  # 2 alpha1 + 3 alpha2  (= omega1, highest root)
 )
 
-# Gram matrix of (omega1, omega2) with |short root|^2 = 1.
+# Gram matrix of (omega1, omega2) with |short root|^2 = 1, and twice it, which
+# is integral.
 _G2_GRAM = ((Fraction(3), Fraction(3, 2)), (Fraction(3, 2), Fraction(1)))
+_G2_GRAM2 = tuple(tuple(int(2 * x) for x in row) for row in _G2_GRAM)
+# Per positive root a, the integer vector 2·Gram·a: its dot product with a
+# doubled weight 2w is 4·<w, a>.
+_G2_ROOT_ROWS = tuple(
+    tuple(sum(g * int(x) for g, x in zip(row, a)) for row in _G2_GRAM2) for a in _G2_POS
+)
 
 
 def positive_roots(t: WeylType) -> list[Vector]:
@@ -113,29 +120,6 @@ def positive_roots(t: WeylType) -> list[Vector]:
     if fam == "G2":
         return list(_G2_POS)
     raise ValueError("no positive system for type %s" % t)
-
-
-def simple_roots(t: WeylType) -> list[Vector]:
-    fam, n = t.family, t.rank
-    if fam == "A":
-        m = n + 1
-        return [vsub(_unit(m, i), _unit(m, i + 1)) for i in range(n)]
-    if fam in ("B", "C", "D", "BC"):
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        if fam == "B":
-            roots.append(_unit(n, n - 1))
-        elif fam == "C":
-            roots.append(_unit(n, n - 1, 2))
-        elif fam == "BC":
-            roots.append(_unit(n, n - 1))
-        else:  # D
-            if n < 2:
-                raise ValueError("D requires rank >= 2")
-            roots.append(tuple(a + b for a, b in zip(_unit(n, n - 2), _unit(n, n - 1))))
-        return roots
-    if fam == "G2":
-        return [vec((2, -3)), vec((-1, 2))]  # alpha1 (long), alpha2 (short)
-    raise ValueError("no simple system for type %s" % t)
 
 
 def rho(t: WeylType) -> Vector:
@@ -185,135 +169,121 @@ def _split(t: WeylType, v: Vector) -> list[tuple[WeylType, Vector]]:
     return parts
 
 
-def _g2_orbit(v: Vector) -> set[Vector]:
-    def s1(w):
-        return (-w[0], w[1] + 3 * w[0])
-
-    def s2(w):
-        return (w[0] + w[1], -w[1])
-
-    seen = {tuple(v)}
-    frontier = [tuple(v)]
-    while frontier:
-        w = frontier.pop()
-        for img in (s1(w), s2(w)):
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen
-
-
 def is_dominant(t: WeylType, v: Sequence) -> bool:
-    """<v, a> >= 0 for every simple root a; on coordinates for the lettered types."""
-    v = vec(v)
+    """<v, a> >= 0 for every simple root a, read off the coordinates."""
     if t.family == "Trivial":
         return True
     if t.family == "Product":
         return all(is_dominant(f, part) for f, part in _split(t, v))
-    if t.family in LETTERED:
-        if len(v) != t.ncoords:
-            raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
-        if t.family == "D" and t.rank < 2:
-            raise ValueError("D requires rank >= 2")
-        return _dominant_classical(t.family, v)
-    return all(pairing(t, v, a) >= 0 for a in simple_roots(t))
+    if t.family not in LETTERED + ("G2",):
+        raise ValueError("no simple system for type %s" % t)
+    if len(v) != t.ncoords:
+        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
+    if t.family == "D" and t.rank < 2:
+        raise ValueError("D requires rank >= 2")
+    return _dominant(t.family, v)
 
 
-def dominant_representative(t: WeylType, v: Sequence) -> Vector:
-    """The unique dominant element of the Weyl orbit of v."""
-    v = vec(v)
+def dominant_representative(t: WeylType, v: Sequence) -> tuple:
+    """The unique dominant element of the Weyl orbit of v, in v's number type:
+    the Weyl group acts by integer matrices, so doubled integers stay integers."""
     if len(v) != t.ncoords:
         raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
     fam = t.family
     if fam == "Trivial":
-        return v
+        return tuple(v)
     if fam == "Product":
         return sum((dominant_representative(f, part) for f, part in _split(t, v)), ())
     if fam == "A":
         return tuple(sorted(v, reverse=True))
     if fam in ("B", "C", "BC"):
-        return tuple(sorted((abs(x) for x in v), reverse=True))
+        return tuple(sorted(map(abs, v), reverse=True))
     if fam == "D":
         flips = sum(1 for x in v if x < 0)
-        out = sorted((abs(x) for x in v), reverse=True)
+        out = sorted(map(abs, v), reverse=True)
         if flips % 2 == 1 and out[-1] != 0:
             out[-1] = -out[-1]
         return tuple(out)
     if fam == "G2":
-        for w in _g2_orbit(v):
-            if w[0] >= 0 and w[1] >= 0:
-                return vec(w)
-        raise AssertionError("G2 orbit without dominant element")
+        # reflect in a simple root with a negative pairing until there is none
+        a, b = v
+        while a < 0 or b < 0:
+            a, b = (-a, b + 3 * a) if a < 0 else (a + b, -b)
+        return (a, b)
     raise ValueError("cannot canonicalize type %s" % t)
 
 
-def _dim_classical(fam: str, a: list[int], b: list[int]) -> tuple[int, int]:
-    """Numerator/denominator products over the positive system, doubled coords."""
-    n = len(a)
-    num = den = 1
-    for i in range(n):
-        ai, bi = a[i], b[i]
-        for j in range(i + 1, n):
-            num *= ai - a[j]
-            den *= bi - b[j]
-            if fam != "A":
-                num *= ai + a[j]
-                den *= bi + b[j]
-        if fam in ("B", "BC"):
-            num *= ai
-            den *= bi
-        if fam in ("C", "BC"):
-            num *= 2 * ai
-            den *= 2 * bi
-    return num, den
+def weyl_dimension(t: WeylType, lam: Sequence) -> int:
+    """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots,
+    for a dominant half-integral weight lam."""
+    if len(lam) != t.ncoords:
+        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(lam)))
+    lam2 = [2 * Fraction(x) for x in lam]
+    if any(x.denominator != 1 for x in lam2):
+        raise ValueError("weight %s is not half-integral" % (tuple(lam),))
+    return _dimension2(_dimension_table(t), [int(x) for x in lam2])
 
 
-def weyl_dimension(t: WeylType, rho_vec: Sequence, lam: Sequence) -> int:
-    """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots."""
-    rho_vec, lam = vec(rho_vec), vec(lam)
-    if t.family == "Trivial":
-        return 1
-    if t.family == "Product":
-        out = 1
-        pos = 0
-        for f in t.factors:
-            k = f.ncoords
-            out *= weyl_dimension(f, rho_vec[pos : pos + k], lam[pos : pos + k])
-            pos += k
-        return out
-    shifted = tuple(a + b for a, b in zip(lam, rho_vec))
-    if t.family != "G2" and all(x.denominator in (1, 2) for x in shifted + rho_vec):
-        # Integer fast path on doubled coordinates (the common half-integral case).
-        lam2 = [int(2 * x) for x in lam]
-        if not _dominant_classical(t.family, lam2):
-            raise ValueError("weight %s is not dominant for %s" % (lam, t))
-        a = [int(2 * x) for x in shifted]
-        b = [int(2 * x) for x in rho_vec]
-        num, den = _dim_classical(t.family, a, b)
-        if den == 0 or num % den:
+@functools.cache
+def _dimension_table(t: WeylType) -> tuple:
+    """Per non-trivial factor of t: (family, the factor's slice of the
+    coordinates, 2·rho, the formula's denominator) for ``_dimension2``."""
+    table = []
+    pos = 0
+    for f in t.factors or (t,):
+        k = f.ncoords
+        if f.family != "Trivial":
+            rho2 = tuple(int(2 * x) for x in _half_sum(f))
+            table.append((f.family, slice(pos, pos + k), rho2, _root_product(f.family, rho2)))
+        pos += k
+    return tuple(table)
+
+
+def _dimension2(table: tuple, lam2: Sequence[int]) -> int:
+    """The Weyl dimension of the weight with doubled coordinates lam2, from
+    the type's ``_dimension_table``."""
+    out = 1
+    for fam, sl, rho2, den in table:
+        block = lam2[sl]
+        if not _dominant(fam, block):
+            raise ValueError("doubled weight %s is not dominant for %s" % (list(block), fam))
+        num = _root_product(fam, [x + r for x, r in zip(block, rho2)])
+        if num % den:
             raise AssertionError("non-integral Weyl dimension %s/%s" % (num, den))
-        result = num // den
-    else:
-        if not is_dominant(t, lam):
-            raise ValueError("weight %s is not dominant for %s" % (lam, t))
-        num = Fraction(1)
-        den = Fraction(1)
-        for a in positive_roots(t):
-            num *= pairing(t, vec(shifted), a)
-            den *= pairing(t, rho_vec, a)
-        ratio = num / den
-        if ratio.denominator != 1:
-            raise AssertionError("non-integral Weyl dimension %s" % ratio)
-        result = int(ratio)
-    if result <= 0:
-        raise AssertionError("non-positive Weyl dimension %d" % result)
-    return result
+        out *= num // den
+    if out <= 0:
+        raise AssertionError("non-positive Weyl dimension %d" % out)
+    return out
 
 
-def _dominant_classical(fam: str, v: Sequence) -> bool:
+def _root_product(fam: str, a: Sequence[int]) -> int:
+    """The product over the positive roots of their pairings with the doubled
+    weight a, each scaled alike (G2: through twice its Gram matrix)."""
+    out = 1
+    if fam == "G2":
+        for g0, g1 in _G2_ROOT_ROWS:
+            out *= a[0] * g0 + a[1] * g1
+        return out
+    n = len(a)
+    for i in range(n):
+        ai = a[i]
+        for j in range(i + 1, n):
+            out *= ai - a[j]
+            if fam != "A":
+                out *= ai + a[j]
+        if fam in ("B", "BC"):
+            out *= ai
+        if fam in ("C", "BC"):
+            out *= 2 * ai
+    return out
+
+
+def _dominant(fam: str, v: Sequence) -> bool:
     """Dominance read off the coordinates: the pairings with the simple roots
     are v_i - v_(i+1) and, per family, v_n (B, BC), 2·v_n (C) or
-    v_(n-1) + v_n (D)."""
+    v_(n-1) + v_n (D); G2's omega-coordinates are its simple coroot pairings."""
+    if fam == "G2":
+        return v[0] >= 0 and v[1] >= 0
     for i in range(len(v) - 1):
         if v[i] < v[i + 1]:
             return False

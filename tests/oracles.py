@@ -10,18 +10,63 @@ from fractions import Fraction
 
 from branchlab import verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
-from branchlab.linalg import vec, vsub
+from branchlab.linalg import dot, vec, vsub
 from branchlab.reps import casimir_eigenvalue
-from branchlab.verify import (
-    CaseReport,
-    _apply2,
-    _canonical2,
-    _dim_fast,
-    _dim_table,
-    _rows2,
-    _transfer_image_map,
-)
-from branchlab.weights import _split, pairing, simple_roots
+from branchlab.verify import CaseReport, _apply2, _canonical2, _rows2, _transfer_image_map
+from branchlab.weights import _split, _unit, pairing, positive_roots
+
+
+def simple_roots(t):
+    fam, n = t.family, t.rank
+    if fam == "A":
+        m = n + 1
+        return [vsub(_unit(m, i), _unit(m, i + 1)) for i in range(n)]
+    if fam in ("B", "C", "D", "BC"):
+        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
+        if fam == "B":
+            roots.append(_unit(n, n - 1))
+        elif fam == "C":
+            roots.append(_unit(n, n - 1, 2))
+        elif fam == "BC":
+            roots.append(_unit(n, n - 1))
+        else:  # D
+            if n < 2:
+                raise ValueError("D requires rank >= 2")
+            roots.append(tuple(a + b for a, b in zip(_unit(n, n - 2), _unit(n, n - 1))))
+        return roots
+    if fam == "G2":
+        return [vec((2, -3)), vec((-1, 2))]  # alpha1 (long), alpha2 (short)
+    raise ValueError("no simple system for type %s" % t)
+
+
+# The Gram matrix of G2's (omega1, omega2) with |short root|^2 = 1, written
+# out apart from weights', so that a wrong entry there shows.
+G2_GRAM = ((Fraction(3), Fraction(3, 2)), (Fraction(3, 2), Fraction(1)))
+
+
+def form(t, v, w):
+    """The invariant form of a simple type: dot, or G2's Gram matrix."""
+    v, w = vec(v), vec(w)
+    if t.family == "G2":
+        return sum(v[i] * G2_GRAM[i][j] * w[j] for i in range(2) for j in range(2))
+    return dot(v, w)
+
+
+def weyl_dimension(t, lam) -> int:
+    """The Weyl dimension of a simple type as the exact product
+    prod <lam+rho, a> / <rho, a> over the positive roots; ValueError for a
+    weight that is not dominant, AssertionError for a ratio that is not a
+    positive integer."""
+    lam, r = vec(lam), weights.rho(t)
+    if not all(form(t, lam, a) >= 0 for a in simple_roots(t)):
+        raise ValueError("weight %s is not dominant for %s" % (lam, t))
+    shifted = tuple(a + b for a, b in zip(lam, r))
+    ratio = Fraction(1)
+    for a in positive_roots(t):
+        ratio *= form(t, shifted, a) / form(t, r, a)
+    if ratio.denominator != 1 or ratio <= 0:
+        raise AssertionError("Weyl dimension %s is not a positive integer" % ratio)
+    return int(ratio)
 
 
 def reflect(t, root, v):
@@ -93,12 +138,13 @@ def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
     report = CaseReport(record.id, bound)
     img2 = _rows2(_transfer_image_map(record))
     nr2 = _nu_rho_rows(record)
+    weyl = record.nu_group.weyl
     count = 0
     failures = []
     for theta in record.theta.enumerate(bound):
         count += 1
-        lhs = _canonical2(record, _apply2(img2, theta))
-        rhs = _canonical2(record, _apply2(nr2, theta))
+        lhs = _canonical2(weyl, record.mod_trace, _apply2(img2, theta))
+        rhs = _canonical2(weyl, record.mod_trace, _apply2(nr2, theta))
         if lhs != rhs:
             failures.append(("transfer", theta, rhs, lhs))
     report.checks_run = count
@@ -111,22 +157,14 @@ def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     report = CaseReport(record.id, bound)
     pi2 = _rows2(record.pi_label_map)
     nu2 = _rows2(record.nu_label_map)
-    pi_infos = _dim_table(record.pi_group)
-    nu_infos = _dim_table(record.nu_group)
+    pi_table = weights._dimension_table(record.pi_group.weyl)
+    nu_table = weights._dimension_table(record.nu_group.weyl)
 
     def pi_dim(pi_params):
-        if pi_infos is not None:
-            return _dim_fast(pi_infos, _apply2(pi2, pi_params))
-        return weights.weyl_dimension(
-            record.pi_group.weyl, record.pi_group.rho, record.pi_label_map.apply(pi_params)
-        )
+        return weights._dimension2(pi_table, _apply2(pi2, pi_params))
 
     def nu_dim(theta):
-        if nu_infos is not None:
-            return _dim_fast(nu_infos, _apply2(nu2, theta))
-        return weights.weyl_dimension(
-            record.g_weyl, record.g_rho, record.nu_label_map.apply(theta)
-        )
+        return weights._dimension2(nu_table, _apply2(nu2, theta))
 
     count = 0
     failures = []

@@ -175,8 +175,7 @@ def test_case_rule_v_matches_quaternionic_split():
     out = rec.branch((3,))
     assert [theta for theta, _ in out] == [(2, 1), (3, 0)]
     dims = [lbl.dimension() for _, lbl in out]
-    t = rec.pi_group.weyl
-    assert sum(dims) == weights.weyl_dimension(t, rec.pi_group.rho, rec.pi_label_map.apply((3,)))
+    assert sum(dims) == weights.weyl_dimension(rec.pi_group.weyl, rec.pi_label_map.apply((3,)))
 
 
 def test_case_rule_ix_matches_classical_SO7_step():
@@ -193,3 +192,30 @@ def test_case_rule_xi_matches_classical_SO8_step():
         classical = set(branch_SO_step(8, F(k, k, k, k)))
         from_rule = {lbl.highest_weight for _, lbl in rec.branch((k,))}
         assert from_rule == classical
+
+
+def _brute_chains(j, closed):
+    """Every chain (j1,k1,...,jm) with j_(i+1) <= k_i <= j_i, ending in one
+    more k_m with 0 <= k_m <= j_m when closed, in lexicographic order."""
+    lows = list(j[1:]) + [0]
+    out = []
+    for ks in itertools.product(range(j[0] + 1), repeat=len(j) if closed else len(j) - 1):
+        if all(lows[i] <= k <= j[i] for i, k in enumerate(ks)):
+            chain = [x for pair in zip(j, ks) for x in pair]
+            out.append(tuple(chain if closed else chain + [j[-1]]))
+    return out
+
+
+def test_interlace_rules_match_brute_force():
+    # (ii) odd at m and (iv) at n = m - 1 are one rule; (ii) even closes the chain
+    for m in range(1, 5):
+        for j in itertools.product(range(5), repeat=m):
+            if list(j) != sorted(j, reverse=True):
+                continue
+            chains = _brute_chains(j, closed=False)
+            assert catalog._branch_fibers(("interlace_ii_odd", m), j) == chains
+            if m > 1:
+                assert catalog._branch_fibers(("interlace_iv", m - 1), j) == chains
+            assert catalog._branch_fibers(("interlace_ii_even", m), j) == _brute_chains(
+                j, closed=True
+            )

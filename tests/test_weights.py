@@ -22,10 +22,10 @@ from branchlab.weights import (
     dominant_representative,
     positive_roots,
     rho,
-    simple_roots,
     weyl_dimension,
 )
-from oracles import random_weyl_image, reflect
+import oracles
+from oracles import random_weyl_image, reflect, simple_roots
 
 
 def F(*args):
@@ -110,13 +110,11 @@ def test_root_lists_are_fresh_copies():
     # rho is built once per type; a caller mutating a returned root list
     # must reach neither rho nor the next call
     for t in (B(3), D(4), G2):
-        pos, simple, r = positive_roots(t), simple_roots(t), rho(t)
+        pos, r = positive_roots(t), rho(t)
         got = positive_roots(t)
         got.append(F(*([9] * t.ncoords)))
         got[0] = F(*([0] * t.ncoords))
-        simple_roots(t).clear()
         assert positive_roots(t) == pos
-        assert simple_roots(t) == simple
         assert rho(t) == r
         assert positive_roots(t) is not positive_roots(t)
 
@@ -132,6 +130,7 @@ DOMINANCE_TYPES = (
     + [C(n) for n in range(1, 5)]
     + [BC(n) for n in range(1, 4)]
     + [D(n) for n in range(2, 6)]
+    + [G2]
 )
 
 
@@ -249,20 +248,20 @@ def test_product_canonicalization_factorwise():
 
 
 def test_weyl_dimension_examples():
-    assert weyl_dimension(B(2), rho(B(2)), F(1, 0)) == 5
-    assert weyl_dimension(B(2), rho(B(2)), F(2, 0)) == 14
-    assert weyl_dimension(D(4), rho(D(4)), F(1, 0, 0, 0)) == 8
+    assert weyl_dimension(B(2), F(1, 0)) == 5
+    assert weyl_dimension(B(2), F(2, 0)) == 14
+    assert weyl_dimension(D(4), F(1, 0, 0, 0)) == 8
 
 
 def test_weyl_dimension_trivial_weight_is_one():
     for t in TYPES:
         zero = tuple(Fraction(0) for _ in range(t.ncoords))
-        assert weyl_dimension(t, rho(t), zero) == 1
+        assert weyl_dimension(t, zero) == 1
 
 
 def test_weyl_dimension_nondominant_rejected():
     with pytest.raises(ValueError):
-        weyl_dimension(B(2), rho(B(2)), F(0, 1))
+        weyl_dimension(B(2), F(0, 1))
 
 
 def _binom(n, k):
@@ -277,7 +276,7 @@ def test_weyl_dimension_spherical_harmonics_oracle():
         for j in range(7):
             lam = tuple(Fraction(j if i == 0 else 0) for i in range(t.ncoords))
             expected = _binom(j + m - 1, m - 1) - _binom(j + m - 3, m - 1)
-            assert weyl_dimension(t, rho(t), lam) == expected
+            assert weyl_dimension(t, lam) == expected
 
 
 def test_weyl_dimension_complex_harmonics_oracle():
@@ -291,7 +290,7 @@ def test_weyl_dimension_complex_harmonics_oracle():
                 expected = _binom(k + m - 1, k) * _binom(l + m - 1, l) - _binom(
                     k + m - 2, k - 1
                 ) * _binom(l + m - 2, l - 1)
-                assert weyl_dimension(t, rho(t), tuple(map(Fraction, lam))) == expected
+                assert weyl_dimension(t, tuple(map(Fraction, lam))) == expected
 
 
 def test_weyl_dimension_G2_matches_seven_sphere_harmonics():
@@ -299,15 +298,45 @@ def test_weyl_dimension_G2_matches_seven_sphere_harmonics():
     for k in range(8):
         lam = (Fraction(0), Fraction(k))
         expected = _binom(k + 6, 6) - _binom(k + 4, 6)
-        assert weyl_dimension(G2, rho(G2), lam) == expected
+        assert weyl_dimension(G2, lam) == expected
 
 
 def test_weyl_dimension_constant_on_orbits():
     t = B(3)
     lam = F(4, 2, 1)
-    dim = weyl_dimension(t, rho(t), lam)
+    dim = weyl_dimension(t, lam)
     rng = random.Random(5)
     for _ in range(10):
         moved = random_weyl_image(t, lam, rng)
         canon = dominant_representative(t, moved)
-        assert weyl_dimension(t, rho(t), canon) == dim
+        assert weyl_dimension(t, canon) == dim
+
+
+DIMENSION_TYPES = (
+    [A(n) for n in range(1, 5)]
+    + [B(n) for n in range(1, 5)]
+    + [C(n) for n in range(1, 5)]
+    + [BC(n) for n in range(1, 5)]
+    + [D(n) for n in range(2, 6)]
+    + [G2]
+)
+
+
+def _dimension_or_error(fn):
+    try:
+        return fn()
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("t", DIMENSION_TYPES, ids=str)
+def test_weyl_dimension_matches_positive_root_oracle(t):
+    # every weight with coordinates in {0, 1/2, 1, 3/2, 2}: the integer route
+    # gives the exact positive-root product where that is a positive integer,
+    # and raises the same error where it is not or the weight is not dominant
+    seen = set()
+    for v in itertools.product([Fraction(k, 2) for k in range(5)], repeat=t.ncoords):
+        expected = _dimension_or_error(lambda: oracles.weyl_dimension(t, v))
+        assert _dimension_or_error(lambda: weyl_dimension(t, v)) == expected, v
+        seen.add(expected if isinstance(expected, type) else int)
+    assert int in seen
