@@ -290,9 +290,12 @@ class CaseRecord:
     def tau_params_of(self, theta: Sequence[int]) -> tuple[int, ...]:
         return self._ints(self.tau_of_theta.apply(theta))
 
-    def pi_label(self, pi_params: Sequence[int]) -> IrrepLabel:
+    def require_pi(self, pi_params: Sequence[int]) -> None:
         if not self.pi_space.contains(pi_params):
             raise ValueError("%s not in Disc(Gtilde/Htilde) for %s" % (pi_params, self.id))
+
+    def pi_label(self, pi_params: Sequence[int]) -> IrrepLabel:
+        self.require_pi(pi_params)
         return IrrepLabel(self.pi_group, self.pi_label_map.apply(pi_params))
 
     def nu_label(self, theta: Sequence[int]) -> IrrepLabel:
@@ -330,8 +333,7 @@ class CaseRecord:
     # -- branching ---------------------------------------------------------
 
     def branch(self, pi_params: Sequence[int]) -> list[tuple[tuple[int, ...], IrrepLabel]]:
-        if not self.pi_space.contains(pi_params):
-            raise ValueError("%s not in Disc(Gtilde/Htilde) for %s" % (pi_params, self.id))
+        self.require_pi(pi_params)
         pi_params = tuple(int(p) for p in pi_params)
         thetas = _branch_fibers(self.branch_rule, pi_params)
         out = []

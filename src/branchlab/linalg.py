@@ -1,11 +1,13 @@
-"""Exact rational linear algebra: Gaussian elimination, rank, solving, affine maps.
+"""Exact linear algebra: rank, solving, affine maps.
 
-Everything works on tuples of ``fractions.Fraction``; nothing here ever touches
-floating point.
+Vectors and matrices are tuples of ``fractions.Fraction``; the rank runs on
+an integer row echelon (``IntEchelon``) that never divides.  Nothing here
+ever touches floating point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -44,32 +46,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """Forward elimination in place; return (rank, pivot row indices in original order).
-
-    Only the rows below a pivot are cleared: rank and pivot rows depend on
-    nothing else, and no caller reads the reduced rows.
-    """
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    order = list(range(len(rows)))
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        order[r], order[pivot] = order[pivot], order[r]
-        _clear_column(rows, r, c, range(r + 1, len(rows)))
-        pivots.append(order[r])
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
-
-
 def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
     """Scale row r to 1 at column c and subtract it from each target row
     with a non-zero entry there, touching only the pivot row's non-zero columns."""
@@ -86,10 +62,51 @@ def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[
                 row[j] -= f * y
 
 
-def rank(m: Matrix) -> int:
-    rows = [list(row) for row in m]
-    r, _ = _eliminate(rows)
-    return r
+class IntEchelon:
+    """A row echelon form over the integers, grown one row at a time without
+    fractions: a new row is cleared at the leading column of each kept row
+    by x·p − f·y (p the kept row's entry there, f the new row's) and divided
+    by the gcd of its entries.  Each kept row is primitive.  Which rows are
+    kept, and so the rank, is exactly what elimination over the rationals
+    gives, since each integer row is a non-zero multiple of the rational one."""
+
+    def __init__(self):
+        self._rows: dict[int, list[int]] = {}  # leading column -> kept row
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Reduce row by the kept rows; keep it and return True unless it
+        reduces to zero."""
+        row = list(row)
+        lead = 0
+        while True:
+            lead = next((c for c in range(lead, len(row)) if row[c]), None)
+            if lead is None:
+                return False
+            kept = self._rows.get(lead)
+            if kept is None:
+                break
+            g = math.gcd(kept[lead], row[lead])
+            p, f = kept[lead] // g, row[lead] // g
+            row = [x * p - f * y for x, y in zip(row, kept)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+        self._rows[lead] = row
+        return True
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    """The rank over the rationals of rows of integers or Fractions: each row
+    is scaled to integers by the lcm of its denominators."""
+    echelon = IntEchelon()
+    for row in m:
+        den = math.lcm(1, *(x.denominator for x in row))
+        echelon.add([x.numerator * (den // x.denominator) for x in row])
+    return echelon.rank
 
 
 def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:

@@ -1,7 +1,14 @@
-"""Compact-group descriptors, irrep labels with lattice validation, Casimir scalars."""
+"""Compact-group descriptors, irrep labels with lattice validation, Casimir scalars.
+
+Labels are validated and Casimirs computed on doubled integers: a label
+keeps 2·(highest weight), which is integral for every half-integral weight,
+and nothing here does ``Fraction`` arithmetic except to return the Casimir
+value and to print a weight in an error message.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -79,31 +86,44 @@ class GroupDescriptor:
         return out
 
     def validate_weight(self, w: Sequence) -> None:
-        w = vec(w)
-        if len(w) != self.rank:
+        self._validate2(_double(w))
+
+    def _validate2(self, w2: tuple[int, ...]) -> None:
+        """Raise ValueError unless the doubled weight w2 is a highest weight."""
+        if len(w2) != self.rank:
             raise ValueError(
-                "%s expects %d coordinates, got %d" % (self.name, self.rank, len(w))
+                "%s expects %d coordinates, got %d" % (self.name, self.rank, len(w2))
             )
         if self.kind == "Product":
             for f, sl in self.factor_slices():
-                f.validate_weight(w[sl])
-            if self.almost and (sum(w) % 2) != 0:
+                f._validate2(w2[sl])
+            if self.almost and sum(w2) % 4:
                 raise ValueError(
-                    "label %s fails the covering parity of %s" % (w, self.name)
+                    "label %s fails the covering parity of %s" % (_halve(w2), self.name)
                 )
             return
-        if not weights.is_dominant(self.weyl, w):
-            raise ValueError("label %s is not dominant for %s" % (w, self.name))
+        if not weights.is_dominant(self.weyl, w2):
+            raise ValueError("label %s is not dominant for %s" % (_halve(w2), self.name))
+        odd = [x & 1 for x in w2]
         if self.kind == "Spin":
-            frac = {x % 1 for x in w}
-            if not (frac <= {Fraction(0)} or frac <= {Fraction(1, 2)}):
-                raise ValueError("Spin label %s mixes integrality classes" % (w,))
-        elif self.kind == "G2":
-            if any(x.denominator != 1 for x in w):
-                raise ValueError("G2 label %s must be integral" % (w,))
-        else:
-            if any(x.denominator != 1 for x in w):
-                raise ValueError("%s label %s must be integral" % (self.name, w))
+            if any(odd) and not all(odd):
+                raise ValueError("Spin label %s mixes integrality classes" % (_halve(w2),))
+        elif any(odd):
+            if self.kind == "G2":
+                raise ValueError("G2 label %s must be integral" % (_halve(w2),))
+            raise ValueError("%s label %s must be integral" % (self.name, _halve(w2)))
+
+
+def _double(w: Sequence) -> tuple[int, ...]:
+    """2·w as integers; ValueError unless w is half-integral."""
+    w2 = [2 * x for x in vec(w)]
+    if any(x.denominator != 1 for x in w2):
+        raise ValueError("weight %s is not half-integral" % (vec(w),))
+    return tuple(int(x) for x in w2)
+
+
+def _halve(w2: Sequence[int]) -> Vector:
+    return tuple(Fraction(x, 2) for x in w2)
 
 
 def U(n):
@@ -138,33 +158,66 @@ def Named(label: str) -> GroupDescriptor:
     return GroupDescriptor("Named", 0, (), False, label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IrrepLabel:
-    group: GroupDescriptor
-    highest_weight: Vector
+    """An irreducible representation of ``group`` by its highest weight,
+    validated and kept doubled: ``doubled`` is 2·highest_weight in integers."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "highest_weight", vec(self.highest_weight))
-        self.group.validate_weight(self.highest_weight)
+    group: GroupDescriptor
+    doubled: tuple[int, ...]
+
+    def __init__(self, group: GroupDescriptor, highest_weight: Sequence):
+        self._set(group, _double(highest_weight))
+
+    @classmethod
+    def from_doubled(cls, group: GroupDescriptor, doubled: Sequence[int]) -> "IrrepLabel":
+        label = cls.__new__(cls)
+        label._set(group, tuple(doubled))
+        return label
+
+    def _set(self, group: GroupDescriptor, doubled: tuple[int, ...]) -> None:
+        group._validate2(doubled)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "doubled", doubled)
+
+    @property
+    def highest_weight(self) -> Vector:
+        return _halve(self.doubled)
 
     def factor(self, i: int) -> "IrrepLabel":
         f, sl = self.group.factor_slices()[i]
-        return IrrepLabel(f, self.highest_weight[sl])
+        return IrrepLabel.from_doubled(f, self.doubled[sl])
 
     def dimension(self) -> int:
         return weights.weyl_dimension(self.group.weyl, self.highest_weight)
 
 
-def _simple_casimir(group: GroupDescriptor, w: Vector) -> Fraction:
-    t = group.weyl
-    r = weights.rho(t)
-    value = weights.pairing(t, w, w) + 2 * weights.pairing(t, w, r)
-    if group.kind == "SU":
+@functools.cache
+def _casimir_plan(group: GroupDescriptor) -> tuple:
+    """Per factor of group: (its kind, its rank, its slice, 4·rho)."""
+    return tuple(
+        (f.kind, f.rank, sl, tuple(2 * r for r in weights._rho2(f.weyl)))
+        for f, sl in group.factor_slices()
+    )
+
+
+def _casimir2(kind: str, n: int, w2: Sequence[int], rho4: Sequence[int]) -> Fraction:
+    """<lam, lam + 2 rho> of a simple group from lam2 = 2·lam: it is
+    <lam2, lam2 + 4·rho> / 4, less the SU trace term; G2 pairs through twice
+    its Gram matrix, which gives 8 times the value."""
+    shifted = [a + r for a, r in zip(w2, rho4)]
+    if kind == "G2":
+        gram = weights._G2_GRAM2
+        return Fraction(
+            sum(w2[i] * gram[i][j] * shifted[j] for i in range(2) for j in range(2)), 8
+        )
+    value = sum(a * b for a, b in zip(w2, shifted))
+    if kind == "SU":
         # Trace-free normalization: the U(n) coordinates are defined modulo the
         # diagonal direction, which is orthogonal to every root.
-        s = sum(w)
-        value -= s * s / Fraction(group.rank)
-    return value
+        s = sum(w2)
+        return Fraction(n * value - s * s, 4 * n)
+    return Fraction(value, 4)
 
 
 def casimir_eigenvalue(r: IrrepLabel):
@@ -173,9 +226,8 @@ def casimir_eigenvalue(r: IrrepLabel):
     Returns a Fraction for a simple group and a tuple of per-factor values for
     a product or almost-product.
     """
-    g = r.group
-    if g.kind == "Product":
-        return tuple(
-            _simple_casimir(f, r.highest_weight[sl]) for f, sl in g.factor_slices()
-        )
-    return _simple_casimir(g, r.highest_weight)
+    values = tuple(
+        _casimir2(kind, n, r.doubled[sl], rho4)
+        for kind, n, sl, rho4 in _casimir_plan(r.group)
+    )
+    return values if r.group.kind == "Product" else values[0]

@@ -10,7 +10,13 @@ there is no second route behind the compiled one.  Weyl-group arithmetic
 (canonical orbit forms, dimensions) is the ``weights`` module's, called on
 the same doubled integers, G2 included.  The compiled evaluation is
 cross-checked against the straightforward reference evaluation in the test
-suite.
+suite.  The independence certificate and the parity gap reduce moment
+matrices of the symbols' integer numerators in ``linalg``'s integer echelon.
+
+Pi-side consistency compares the compiled P-side Casimirs, which read the
+composite map theta ↦ pi label, with a second route: per distinct pi(theta),
+``pi_space.contains``, the doubled rows of ``pi_label_map`` alone, and
+``casimir_eigenvalue`` of the ``IrrepLabel`` they give, in integers too.
 
 The five checks that walk a box run in one pass per case, ``_box_pass``:
 one walk of the pi box for dimension conservation and the fiber half of
@@ -35,7 +41,7 @@ from typing import Sequence
 from . import dgx, hilbert, linalg, weights
 from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers
 from .linalg import AffineMap, mat, vec
-from .reps import casimir_eigenvalue
+from .reps import IrrepLabel, casimir_eigenvalue
 
 
 class InsufficientSampleError(ValueError):
@@ -439,8 +445,8 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _prod(values, mono) -> Fraction:
-    out = Fraction(1)
+def _prod(values, mono):
+    out = 1
     for v, e in zip(values, mono):
         if e:
             out *= v ** e
@@ -456,6 +462,10 @@ def independence_certificate(
     """True iff no polynomial relation of total degree <= ``degree`` holds among
     the generator evaluations on the enumerated box; the witness is a set of
     parameter tuples giving an invertible maximal minor of the moment matrix.
+
+    The moment matrix is reduced in integers: its rows hold the monomials of
+    the generators' integer numerators, which scales each column by a non-zero
+    constant and so changes neither the rank nor which rows are kept.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -469,29 +479,15 @@ def independence_certificate(
             "box with %d points cannot certify degree %d over %d generators"
             % (len(thetas), degree, len(gens))
         )
-    evals = [_int_eval(record, g) for g in gens]
-    basis: list[list[Fraction]] = []
-    pivots: dict[int, int] = {}
+    fns = [_int_eval(record, g)[0] for g in gens]
+    echelon = linalg.IntEchelon()
     witness: list[tuple[int, ...]] = []
     for theta in thetas:
-        values = [Fraction(fn(theta), den) for fn, den in evals]
-        row = [_prod(values, mono) for mono in monos]
-        while True:
-            lead = next((c for c in range(ncols) if row[c] != 0), None)
-            if lead is None or lead not in pivots:
-                break
-            f = row[lead]
-            brow = basis[pivots[lead]]
-            row = [x - f * y for x, y in zip(row, brow)]
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        row = [x * inv for x in row]
-        pivots[lead] = len(basis)
-        basis.append(row)
-        witness.append(theta)
-        if len(basis) == ncols:
-            return True, witness
+        values = [fn(theta) for fn in fns]
+        if echelon.add([_prod(values, mono) for mono in monos]):
+            witness.append(theta)
+            if echelon.rank == ncols:
+                return True, witness
     return False, witness
 
 
@@ -503,18 +499,18 @@ def function_in_span(
     degree: int,
 ) -> bool:
     """Is the given function of theta a polynomial of total degree <= degree in
-    the generator evaluations on the box?  (Exact rank comparison.)"""
+    the generator evaluations on the box?  (Exact rank comparison, on the
+    monomials of the generators' integer numerators as in
+    ``independence_certificate``.)"""
     thetas = record.theta.enumerate(bound)
     monos = _monomials(len(gens), degree)
-    evals = [_int_eval(record, g) for g in gens]
-    rows, rhs = [], []
+    fns = [_int_eval(record, g)[0] for g in gens]
+    rows, aug = [], []
     for theta in thetas:
-        vals = [Fraction(fn(theta), den) for fn, den in evals]
+        vals = [fn(theta) for fn in fns]
         rows.append([_prod(vals, mono) for mono in monos])
-        rhs.append(Fraction(values_by_theta(theta)))
-    m = linalg.mat(rows)
-    base_rank = linalg.rank(m)
-    aug = linalg.mat([row + [b] for row, b in zip(rows, rhs)])
+        aug.append(rows[-1] + [values_by_theta(theta)])
+    base_rank = linalg.rank(rows)
     return linalg.rank(aug) == base_rank
 
 
@@ -713,7 +709,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     if smf is not None:
         nu_sl = smf[0]
     if pi_side is not None:
-        pi_symbols, own_values, own_at, extra_values, shared_at, _ = pi_side
+        pi_symbols, own_values, own_at, extra_values, shared_at, pi_label_rows = pi_side
+        pi_group = record.pi_group
         targets_of: dict[tuple, list] = {}
     pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
@@ -766,8 +763,12 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                     try:
                         targets = targets_of.get(pi_params)
                         if targets is None:
+                            record.require_pi(pi_params)
+                            label = IrrepLabel.from_doubled(
+                                pi_group, _apply2(pi_label_rows, pi_params)
+                            )
                             targets = targets_of[pi_params] = _pi_side_targets(
-                                casimir_eigenvalue(record.pi_label(pi_params)), pi_symbols
+                                casimir_eigenvalue(label), pi_symbols
                             )
                         if vals is None:
                             got, at = own_values(image), own_at
@@ -814,7 +815,8 @@ def _dimension_plan(record: CaseRecord):
 
 def _pi_side_plan(record: CaseRecord, stack: _Stack, shared: dict):
     """(symbols, own values, own indices, extra values, shared indices, pi
-    slice) for pi-side consistency, with symbols [(name, denominator, factor)].
+    label rows) for pi-side consistency, with symbols [(name, denominator,
+    factor)] and the doubled rows of the pi label map alone.
 
     While relations run, the theta walk hands over their values, whose slots
     are ``shared``; then the symbol values are those followed by the extra
@@ -833,8 +835,9 @@ def _pi_side_plan(record: CaseRecord, stack: _Stack, shared: dict):
     shared_at = tuple(
         shared[name][0] if name in shared else len(shared) + extra[name][0] for name in names
     )
-    pi_sl = stack.add("pi_of_theta", lambda: record.pi_of_theta)
-    return symbols, own_values, own_at, extra_values if extra_names else None, shared_at, pi_sl
+    stack.add("pi_of_theta", lambda: record.pi_of_theta)
+    label_rows = _rows2(record.pi_label_map)
+    return symbols, own_values, own_at, extra_values if extra_names else None, shared_at, label_rows
 
 
 def _pi_side_targets(value, symbols) -> list:

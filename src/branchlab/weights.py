@@ -1,9 +1,10 @@
 """Exact weight-vector arithmetic: root systems, Weyl canonicalization, dimensions.
 
-Weights are tuples of ``Fraction`` in the standard orthonormal coordinates of
-each type, except G2 which uses the two-coordinate fundamental-weight basis
-(a, b) ↦ a·ω1 + b·ω2, with the invariant form normalized so the short root has
-length 1.
+Weights are in the standard orthonormal coordinates of each type, except G2
+which uses the two-coordinate fundamental-weight basis (a, b) ↦ a·ω1 + b·ω2,
+with the invariant form normalized so the short root has length 1.  Roots
+and rho are tuples of ``Fraction``; the checks pass weights doubled, as
+integers, and canonicalization and dominance keep the number type they get.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Vector, dot, vec, vsub
+from .linalg import Vector, vec, vsub
 
 LETTERED = ("A", "B", "C", "D", "BC")
 
@@ -89,10 +90,9 @@ _G2_POS = (
     vec((1, 0)),  # 2 alpha1 + 3 alpha2  (= omega1, highest root)
 )
 
-# Gram matrix of (omega1, omega2) with |short root|^2 = 1, and twice it, which
-# is integral.
-_G2_GRAM = ((Fraction(3), Fraction(3, 2)), (Fraction(3, 2), Fraction(1)))
-_G2_GRAM2 = tuple(tuple(int(2 * x) for x in row) for row in _G2_GRAM)
+# Twice the Gram matrix of (omega1, omega2) with |short root|^2 = 1, which is
+# integral: the Gram matrix is ((3, 3/2), (3/2, 1)).
+_G2_GRAM2 = ((6, 3), (3, 2))
 # Per positive root a, the integer vector 2·Gram·a: its dot product with a
 # doubled weight 2w is 4·<w, a>.
 _G2_ROOT_ROWS = tuple(
@@ -141,22 +141,10 @@ def _half_sum(t: WeylType) -> Vector:
     return tuple(x / 2 for x in total)
 
 
-def pairing(t: WeylType, v: Sequence, w: Sequence) -> Fraction:
-    """Invariant form; plain dot except in the G2 omega-basis (Gram matrix)."""
-    v, w = vec(v), vec(w)
-    if t.family == "G2":
-        return sum(
-            v[i] * _G2_GRAM[i][j] * w[j] for i in range(2) for j in range(2)
-        )
-    if t.family == "Product":
-        out = Fraction(0)
-        pos = 0
-        for f in t.factors:
-            k = f.ncoords
-            out += pairing(f, v[pos : pos + k], w[pos : pos + k])
-            pos += k
-        return out
-    return dot(v, w)
+@functools.cache
+def _rho2(t: WeylType) -> tuple[int, ...]:
+    """2·rho as integers, built once per type."""
+    return tuple(int(2 * x) for x in rho(t))
 
 
 def _split(t: WeylType, v: Vector) -> list[tuple[WeylType, Vector]]:
@@ -233,7 +221,7 @@ def _dimension_table(t: WeylType) -> tuple:
     for f in t.factors or (t,):
         k = f.ncoords
         if f.family != "Trivial":
-            rho2 = tuple(int(2 * x) for x in _half_sum(f))
+            rho2 = _rho2(f)
             table.append((f.family, slice(pos, pos + k), rho2, _root_product(f.family, rho2)))
         pos += k
     return tuple(table)

@@ -1,9 +1,11 @@
-"""Reference oracles shared by more than one test file, and the box checks'
-separate per-check loops, which test_verify compares the one box pass against.
+"""Reference oracles: routes in Fractions that the package's integer code is
+compared against, and the box checks' separate per-check loops, which
+test_verify compares the one box pass against.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +15,7 @@ from branchlab.catalog import CaseRecord, _branch_fibers
 from branchlab.linalg import dot, vec, vsub
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import CaseReport, _apply2, _canonical2, _rows2, _transfer_image_map
-from branchlab.weights import _split, _unit, pairing, positive_roots
+from branchlab.weights import _split, _unit, positive_roots
 
 
 def simple_roots(t):
@@ -44,7 +46,7 @@ def simple_roots(t):
 G2_GRAM = ((Fraction(3), Fraction(3, 2)), (Fraction(3, 2), Fraction(1)))
 
 
-def form(t, v, w):
+def pairing(t, v, w) -> Fraction:
     """The invariant form of a simple type: dot, or G2's Gram matrix."""
     v, w = vec(v), vec(w)
     if t.family == "G2":
@@ -58,35 +60,158 @@ def weyl_dimension(t, lam) -> int:
     weight that is not dominant, AssertionError for a ratio that is not a
     positive integer."""
     lam, r = vec(lam), weights.rho(t)
-    if not all(form(t, lam, a) >= 0 for a in simple_roots(t)):
+    if not all(pairing(t, lam, a) >= 0 for a in simple_roots(t)):
         raise ValueError("weight %s is not dominant for %s" % (lam, t))
     shifted = tuple(a + b for a, b in zip(lam, r))
     ratio = Fraction(1)
     for a in positive_roots(t):
-        ratio *= form(t, shifted, a) / form(t, r, a)
+        ratio *= pairing(t, shifted, a) / pairing(t, r, a)
     if ratio.denominator != 1 or ratio <= 0:
         raise AssertionError("Weyl dimension %s is not a positive integer" % ratio)
     return int(ratio)
 
 
-def reflect(t, root, v):
-    c = 2 * pairing(t, v, root) / pairing(t, root, root)
-    return vsub(v, vec(tuple(c * x for x in root)))
+G2_GRAM2 = tuple(tuple(int(2 * x) for x in row) for row in G2_GRAM)
+
+
+def _pairing2(t, v, w) -> int:
+    """Twice the invariant form of a simple type on integer vectors."""
+    if t.family == "G2":
+        return sum(v[i] * G2_GRAM2[i][j] * w[j] for i in range(2) for j in range(2))
+    return 2 * sum(a * b for a, b in zip(v, w))
+
+
+def reflect(t, root, v2):
+    """The reflection in the integral root of the weight with doubled
+    coordinates v2, on integers: the coroot pairing 2<v2, a>/<a, a> of an
+    integral vector is an integer."""
+    c, r = divmod(2 * _pairing2(t, v2, root), _pairing2(t, root, root))
+    assert r == 0, (t, root, v2)
+    return tuple(x - c * y for x, y in zip(v2, root))
+
+
+@functools.cache
+def simple_roots2(t):
+    """simple_roots(t) as integer tuples."""
+    return [tuple(int(x) for x in a) for a in simple_roots(t)]
 
 
 def random_weyl_image(t, v, rng: random.Random, words: int = 12):
-    """Apply a random word in the simple reflections (per factor for products)."""
-    v = vec(v)
+    """Apply a random word in the simple reflections (per factor for
+    products), on doubled integers."""
+    v2 = tuple(2 * x for x in vec(v))
+    assert all(x.denominator == 1 for x in v2), ("not half-integral", v)
+    image = _random_weyl_image2(t, tuple(map(int, v2)), rng, words)
+    return tuple(Fraction(x, 2) for x in image)
+
+
+def _random_weyl_image2(t, v2, rng, words):
     if t.family == "Trivial":
-        return v
+        return v2
     if t.family == "Product":
         return sum(
-            (random_weyl_image(f, part, rng, words) for f, part in _split(t, v)), ()
+            (_random_weyl_image2(f, part, rng, words) for f, part in _split(t, v2)), ()
         )
-    simples = simple_roots(t)
+    simples = simple_roots2(t)
     for _ in range(words):
-        v = reflect(t, rng.choice(simples), v)
-    return v
+        v2 = reflect(t, rng.choice(simples), v2)
+    return v2
+
+
+# ---------------------------------------------------------------------------
+# Label validation, Casimir values and the independence certificate in
+# Fractions: the reference routes that the integer code of reps and verify
+# is compared against.
+
+
+def validate_weight(group, w) -> None:
+    """Raise ValueError unless w is a highest weight of group."""
+    w = vec(w)
+    if len(w) != group.rank:
+        raise ValueError(
+            "%s expects %d coordinates, got %d" % (group.name, group.rank, len(w))
+        )
+    if group.kind == "Product":
+        for f, sl in group.factor_slices():
+            validate_weight(f, w[sl])
+        if group.almost and (sum(w) % 2) != 0:
+            raise ValueError(
+                "label %s fails the covering parity of %s" % (w, group.name)
+            )
+        return
+    if not weights.is_dominant(group.weyl, w):
+        raise ValueError("label %s is not dominant for %s" % (w, group.name))
+    if group.kind == "Spin":
+        frac = {x % 1 for x in w}
+        if not (frac <= {Fraction(0)} or frac <= {Fraction(1, 2)}):
+            raise ValueError("Spin label %s mixes integrality classes" % (w,))
+    elif group.kind == "G2":
+        if any(x.denominator != 1 for x in w):
+            raise ValueError("G2 label %s must be integral" % (w,))
+    else:
+        if any(x.denominator != 1 for x in w):
+            raise ValueError("%s label %s must be integral" % (group.name, w))
+
+
+def _simple_casimir(group, w) -> Fraction:
+    t = group.weyl
+    r = weights.rho(t)
+    value = pairing(t, w, w) + 2 * pairing(t, w, r)
+    if group.kind == "SU":
+        # Trace-free normalization: the U(n) coordinates are defined modulo the
+        # diagonal direction, which is orthogonal to every root.
+        s = sum(w)
+        value -= s * s / Fraction(group.rank)
+    return value
+
+
+def casimir(group, w):
+    """<lam, lam + 2 rho>: a Fraction for a simple group, per factor for a product."""
+    w = vec(w)
+    if group.kind == "Product":
+        return tuple(_simple_casimir(f, w[sl]) for f, sl in group.factor_slices())
+    return _simple_casimir(group, w)
+
+
+def independence_certificate(record, gens, bound: int, degree: int):
+    """(bool, witness) of verify.independence_certificate, eliminating the
+    moment matrix of the generators' Fraction values over the rationals."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree == 0:
+        return True, []
+    thetas = record.theta.enumerate(bound)
+    monos = verify._monomials(len(gens), degree)
+    ncols = len(monos)
+    if len(thetas) < ncols:
+        raise verify.InsufficientSampleError(
+            "box with %d points cannot certify degree %d over %d generators"
+            % (len(thetas), degree, len(gens))
+        )
+    evals = [verify._int_eval(record, g) for g in gens]
+    basis: list = []
+    pivots: dict = {}
+    witness: list = []
+    for theta in thetas:
+        values = [Fraction(fn(theta), den) for fn, den in evals]
+        row = [math.prod(v ** e for v, e in zip(values, mono)) for mono in monos]
+        while True:
+            lead = next((c for c in range(ncols) if row[c] != 0), None)
+            if lead is None or lead not in pivots:
+                break
+            f = row[lead]
+            brow = basis[pivots[lead]]
+            row = [x - f * y if y else x for x, y in zip(row, brow)]
+        if lead is None:
+            continue
+        inv = 1 / row[lead]
+        row = [x * inv for x in row]
+        pivots[lead] = len(basis)
+        basis.append(row)
+        witness.append(theta)
+        if len(basis) == ncols:
+            return True, witness
+    return False, witness
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab.linalg import AffineMap, _eliminate, dot, mat, rank, solve, vec
+from branchlab.linalg import AffineMap, IntEchelon, dot, mat, rank, solve, vec
 
 
 def test_vec_and_dot():
@@ -66,8 +66,14 @@ def test_rank_and_pivot_rows_match_full_reduction():
         m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         if rng.random() < 0.3:  # a dependent row
             m = m + (tuple(a + b for a, b in zip(m[0], m[-1])),)
-        assert _eliminate([list(row) for row in m]) == _gauss_jordan(m)
         assert rank(m) == _gauss_jordan(m)[0]
+        # the integer echelon keeps exactly the rows that raise the rank of
+        # the rows before them (every entry times 3 is an integer)
+        echelon = IntEchelon()
+        kept = [i for i, row in enumerate(m) if echelon.add([int(3 * x) for x in row])]
+        assert kept == [
+            i for i in range(len(m)) if _gauss_jordan(m[: i + 1])[0] > _gauss_jordan(m[:i])[0]
+        ]
 
 
 def test_solve_on_sparse_systems():

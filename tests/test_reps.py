@@ -10,6 +10,7 @@ from branchlab import catalog, weights
 from branchlab.linalg import dot, vec
 from branchlab.reps import (
     SO,
+    SU,
     Sp,
     Spin,
     U,
@@ -18,6 +19,7 @@ from branchlab.reps import (
     ProductGroup,
     casimir_eigenvalue,
 )
+import oracles
 from oracles import random_weyl_image
 
 
@@ -193,6 +195,61 @@ def test_label_validation():
         # almost product: sum of coordinates must be even
         IrrepLabel(ProductGroup(Sp(1), Sp(1), almost=True), F(1, 0))
     IrrepLabel(ProductGroup(Sp(1), Sp(1), almost=True), F(1, 1))
+    with pytest.raises(ValueError, match="not half-integral"):
+        IrrepLabel(SO(5), (Fraction(1, 3), Fraction(0)))
+
+
+GRID = tuple(Fraction(x, 2) for x in range(-2, 5))  # -1, -1/2, 0, ..., 2
+
+GRID_GROUPS = (
+    U(3),
+    SU(3),
+    SO(5),
+    SO(6),
+    Spin(7),
+    Sp(2),
+    G2Group(),
+    ProductGroup(Spin(5), SU(2)),
+    ProductGroup(Sp(2), U(1), almost=True),
+)
+
+
+def _outcome(route, w):
+    """route(w), or the type and message of the exception it raised."""
+    try:
+        return route(w)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "group", GRID_GROUPS, ids=lambda g: g.name.replace("×", "x").replace("·", ".")
+)
+def test_labels_and_casimirs_match_fraction_oracle(group):
+    """On doubled integers, label validation and the Casimir value agree with
+    the Fraction routes of tests/oracles.py, error messages included."""
+
+    def fraction_route(w):
+        oracles.validate_weight(group, w)
+        return oracles.casimir(group, w)
+
+    errors = values = 0
+    for w in itertools.product(GRID, repeat=group.rank):
+        expected = _outcome(fraction_route, w)
+        got = _outcome(lambda w: casimir_eigenvalue(IrrepLabel(group, w)), w)
+        assert got == expected and type(got) is type(expected), (w, got, expected)
+        doubled = tuple(int(2 * x) for x in w)
+        label = _outcome(lambda w2: IrrepLabel.from_doubled(group, w2), doubled)
+        assert label == _outcome(lambda w: IrrepLabel(group, w), w)
+        assert _outcome(group.validate_weight, w) == (
+            None if isinstance(label, IrrepLabel) else label
+        )
+        if isinstance(label, IrrepLabel):
+            assert label.highest_weight == w
+            values += 1
+        else:
+            errors += 1
+    assert errors and values
 
 
 def test_cartan_helgason_sphere():

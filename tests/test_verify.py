@@ -16,6 +16,7 @@ from branchlab.verify import (
     evaluate_generator_reference,
     independence_certificate,
 )
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,28 @@ def test_independence_certificates(records):
     for r in records.values():
         ok, _ = independence_certificate(r, r.indep_gens, 6, 2)
         assert ok, r.id
+
+
+def test_independence_certificate_matches_fraction_oracle(records):
+    """The integer echelon gives the Fraction elimination's (bool, witness),
+    or the same InsufficientSampleError, on every record at bounds 0..5 and
+    degrees 1..3."""
+
+    def outcome(certificate, r, bound, degree):
+        try:
+            return certificate(r, r.indep_gens, bound, degree)
+        except InsufficientSampleError as exc:
+            return str(exc)
+
+    results = set()
+    for r in records.values():
+        for bound in range(6):
+            for degree in (1, 2, 3):
+                got = outcome(independence_certificate, r, bound, degree)
+                expected = outcome(oracles.independence_certificate, r, bound, degree)
+                assert got == expected, (r.id, bound, degree)
+                results.add(got[0] if isinstance(got, tuple) else "insufficient")
+    assert results == {True, False, "insufficient"}
 
 
 def test_independence_degree_zero_trivial(records):
@@ -517,8 +540,6 @@ def test_box_pass_matches_separate_loops():
     # the one pass run_case calls against the five per-check loops it
     # replaced (tests/oracles.py), failure order included, on the max_n=2
     # catalog and on tampered records that fail or stop each check
-    import oracles
-
     loops = {
         "relations": oracles.check_relations,
         "transfer": oracles.check_transfer,
