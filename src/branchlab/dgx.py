@@ -2,6 +2,10 @@
 product-overgroup case: generators, subalgebra membership by exact linear
 algebra, the symmetry witness for x not lying in R, and the constructive
 R + R·x module decomposition.
+
+Membership reduces the generator products, built once in integers, in
+``linalg.IntEchelon`` with each product's index as its payload, so a member
+comes back with its combination of products.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from .linalg import IntEchelon
 
 VARS = ("x", "y", "z")
 
@@ -190,86 +196,14 @@ def _int_mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _axpy(acc: dict, factor: int, vec: dict) -> None:
-    """acc += factor * vec, in place; zero entries may remain."""
-    for k, c in vec.items():
-        acc[k] = acc.get(k, 0) + factor * c
-
-
-def _mono_key(mono):
-    return (sum(mono), mono)
-
-
-def _primitive(terms: dict, payload: dict, pivot) -> tuple[dict, dict, int]:
-    """The row (terms, payload, den) with zeros dropped and the common gcd
-    divided out; den = terms[pivot]."""
-    terms = {m: c for m, c in terms.items() if c}
-    payload = {k: c for k, c in payload.items() if c}
-    g = math.gcd(*terms.values(), *payload.values())
-    terms = {m: c // g for m, c in terms.items()}
-    payload = {k: c // g for k, c in payload.items()}
-    return terms, payload, terms[pivot]
-
-
-class _Echelon:
-    """Reduced row echelon form over the integers, with combination tracking.
-
-    ``rows`` maps each pivot monomial to a row (terms, payload, den) standing
-    for the vector terms/den.  The pivot is the row's graded-lex leading
-    monomial; terms[pivot] = den, and every other pivot column is zero in the
-    row.  payload holds integer coefficients on the generator products with
-    sum(payload · products) = terms, and each row is primitive: the gcd of all
-    its terms and payload entries is 1.  Rows are never mutated, so a copy of
-    ``rows`` is an independent echelon.
-    """
-
-    def __init__(self, rows: Optional[dict] = None):
-        self.rows: dict[tuple, tuple[dict, dict, int]] = dict(rows or {})
-
-    def reduce(self, vec: dict) -> tuple[int, dict, dict]:
-        """(scale, residual, used) with scale·vec = residual + sum(used ·
-        products) and residual zero in every pivot column: one row operation
-        per pivot monomial of vec.  vec lies in the span iff residual is 0."""
-        hits = [(c, self.rows[m]) for m, c in vec.items() if m in self.rows]
-        scale = math.lcm(*(den for _, (_, _, den) in hits))
-        residual = {m: scale * c for m, c in vec.items()}
-        used: dict = {}
-        for c, (terms, payload, den) in hits:
-            factor = c * (scale // den)
-            _axpy(residual, -factor, terms)
-            _axpy(used, factor, payload)
-        return scale, {m: c for m, c in residual.items() if c}, used
-
-    def insert(self, vec: dict, payload: dict) -> bool:
-        """Add vec = sum(payload · products) as a row unless it lies in the
-        span already; keep the echelon reduced."""
-        scale, residual, used = self.reduce(vec)
-        if not residual:
-            return False
-        combined = {k: scale * c for k, c in payload.items()}
-        _axpy(combined, -1, used)
-        pivot = max(residual, key=_mono_key)
-        new_terms, new_payload, new_den = _primitive(residual, combined, pivot)
-        for p, (terms, row_payload, den) in list(self.rows.items()):
-            c = terms.get(pivot)
-            if c:
-                terms = {m: new_den * v for m, v in terms.items()}
-                row_payload = {k: new_den * v for k, v in row_payload.items()}
-                _axpy(terms, -c, new_terms)
-                _axpy(row_payload, -c, new_payload)
-                self.rows[p] = _primitive(terms, row_payload, p)
-        self.rows[pivot] = (new_terms, new_payload, new_den)
-        return True
-
-
 class _Span:
     """The span of the generator products of one generator set, for every
     degree bound asked for so far.
 
     Each product prod g^e is built once, in integers, and filed by its
     degree, counting a generator of degree 0 as degree 1; the products within
-    degree bound d are the levels 0..d.  The solver for bound d is the solver
-    for bound d-1 with level d inserted.
+    degree bound d are the levels 0..d.  The solver for bound d is a copy of
+    the solver for bound d-1 with level d inserted.
     """
 
     def __init__(self, gens: dict[str, Poly]):
@@ -279,7 +213,7 @@ class _Span:
         self.exps: list[tuple[int, ...]] = [(0,) * len(self.names)]
         self.levels: list[list[tuple[int, dict, int]]] = [[(0, {(0, 0, 0): 1}, 1)]]
         # Bound -1 spans nothing; every other solver extends the one below it.
-        self.solvers: dict[int, _Echelon] = {-1: _Echelon()}
+        self.solvers: dict[int, IntEchelon] = {-1: IntEchelon()}
 
     def _level(self, w: int) -> list:
         while len(self.levels) <= w:
@@ -299,12 +233,12 @@ class _Span:
             self.levels.append(level)
         return self.levels[w]
 
-    def solver(self, degree_bound: int) -> _Echelon:
+    def solver(self, degree_bound: int) -> IntEchelon:
         if degree_bound not in self.solvers:
             below = max(b for b in self.solvers if b < degree_bound)
             solver = self.solvers[below]
             for w in range(below + 1, degree_bound + 1):
-                solver = _Echelon(solver.rows)
+                solver = IntEchelon(solver.rows)
                 for idx, terms, den in self._level(w):
                     # terms = den · product, so the payload counts whole products.
                     solver.insert(terms, {idx: den})
@@ -319,7 +253,6 @@ class _Span:
         return {
             tuple(zip(self.names, self.exps[idx])): Fraction(c, scale * den)
             for idx, c in used.items()
-            if c
         }
 
 

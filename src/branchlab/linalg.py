@@ -1,8 +1,12 @@
-"""Exact linear algebra: rank, solving, affine maps.
+"""Exact linear algebra: vectors, affine maps, and the package's one row
+reducer.
 
-Vectors and matrices are tuples of ``fractions.Fraction``; the rank runs on
-an integer row echelon (``IntEchelon``) that never divides.  Nothing here
-ever touches floating point.
+Vectors and matrices are tuples of ``fractions.Fraction``.  ``IntEchelon``
+is a reduced row echelon over the integers that never divides: it answers
+rank, independence and span membership, with the integer combination that
+expresses a member when asked for one.  It serves the rank, the independence
+certificate and the parity gap in ``verify``, and subalgebra membership in
+``dgx``.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -46,57 +50,86 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
-    """Scale row r to 1 at column c and subtract it from each target row
-    with a non-zero entry there, touching only the pivot row's non-zero columns."""
-    pivot_row = rows[r]
-    inv = 1 / pivot_row[c]
-    support = [(j, x * inv) for j, x in enumerate(pivot_row) if x != 0]
-    for j, y in support:
-        pivot_row[j] = y
-    for i in targets:
-        row = rows[i]
-        f = row[c]
-        if f != 0:
-            for j, y in support:
-                row[j] -= f * y
+def _primitive(terms: dict, payload: dict) -> tuple[dict, dict]:
+    """The row (terms, payload) with the gcd of all its entries divided out."""
+    g = math.gcd(*terms.values(), *payload.values())
+    if g == 1:
+        return terms, payload
+    return {k: x // g for k, x in terms.items()}, {k: x // g for k, x in payload.items()}
+
+
+def _combine(x: int, a: dict, y: int, b: dict) -> dict:
+    """x·a + y·b for non-zero x, y and sparse integer vectors with no zero
+    entries; none in the result either."""
+    out = {k: x * v for k, v in a.items()}
+    for k, v in b.items():
+        v = out.get(k, 0) + y * v
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
 
 
 class IntEchelon:
-    """A row echelon form over the integers, grown one row at a time without
-    fractions: a new row is cleared at the leading column of each kept row
-    by x·p − f·y (p the kept row's entry there, f the new row's) and divided
-    by the gcd of its entries.  Each kept row is primitive.  Which rows are
-    kept, and so the rank, is exactly what elimination over the rationals
-    gives, since each integer row is a non-zero multiple of the rational one."""
+    """A reduced row echelon form over the integers that never divides.
 
-    def __init__(self):
-        self._rows: dict[int, list[int]] = {}  # leading column -> kept row
+    ``rows`` maps each pivot column to a row (terms, payload): terms is a
+    sparse vector {column: int}, zero at every other row's pivot, and its
+    pivot is the largest column of the residual it was kept from.  A vector
+    inserted with a payload {label: int} is that combination of labelled
+    vectors, and a row's payload is the integer combination of labels whose
+    sum is its terms (empty without payloads).  Each row is primitive, its
+    entries having gcd 1, and none is changed in place, so
+    ``IntEchelon(other.rows)`` is an independent copy.  The vectors kept,
+    and so the rank, are exactly those elimination over the rationals keeps.
+    """
+
+    def __init__(self, rows: Optional[dict] = None):
+        self.rows: dict = dict(rows or {})
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> tuple[int, dict, dict]:
+        """(scale, residual, used) with scale·vec = residual + sum(used ·
+        labelled vectors) and residual zero in every pivot column: one row
+        operation per pivot column of vec.  vec lies in the span iff residual
+        is empty."""
+        hits = [(c, p, self.rows[p]) for p, c in vec.items() if p in self.rows]
+        scale = math.lcm(*(terms[p] for _, p, (terms, _) in hits))
+        residual = {k: scale * c for k, c in vec.items()}
+        used: dict = {}
+        for c, p, (terms, payload) in hits:
+            f = c * (scale // terms[p])
+            for k, x in terms.items():
+                residual[k] = residual.get(k, 0) - f * x
+            for k, x in payload.items():
+                used[k] = used.get(k, 0) + f * x
+        return scale, {k: x for k, x in residual.items() if x}, {k: x for k, x in used.items() if x}
+
+    def insert(self, vec: dict, payload: Optional[dict] = None) -> bool:
+        """Keep vec as a row unless it lies in the span already; return
+        whether it was kept.  Only a payload makes the rows track one."""
+        scale, residual, used = self.reduce(vec)
+        if not residual:
+            return False
+        pivot = max(residual)
+        new = _primitive(residual, _combine(scale, payload or {}, -1, used))
+        den = new[0][pivot]
+        for p, (terms, row_payload) in list(self.rows.items()):
+            c = terms.get(pivot)
+            if c:
+                self.rows[p] = _primitive(
+                    _combine(den, terms, -c, new[0]), _combine(den, row_payload, -c, new[1])
+                )
+        self.rows[pivot] = new
+        return True
 
     def add(self, row: Sequence[int]) -> bool:
-        """Reduce row by the kept rows; keep it and return True unless it
-        reduces to zero."""
-        row = list(row)
-        lead = 0
-        while True:
-            lead = next((c for c in range(lead, len(row)) if row[c]), None)
-            if lead is None:
-                return False
-            kept = self._rows.get(lead)
-            if kept is None:
-                break
-            g = math.gcd(kept[lead], row[lead])
-            p, f = kept[lead] // g, row[lead] // g
-            row = [x * p - f * y for x, y in zip(row, kept)]
-            g = math.gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-        self._rows[lead] = row
-        return True
+        """insert of a dense row, keyed by column index."""
+        return self.insert({c: x for c, x in enumerate(row) if x})
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -107,37 +140,6 @@ def rank(m: Sequence[Sequence]) -> int:
         den = math.lcm(1, *(x.denominator for x in row))
         echelon.add([x.numerator * (den // x.denominator) for x in row])
     return echelon.rank
-
-
-def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
-    """One exact solution x of m·x = rhs, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    nrows = len(m)
-    if nrows == 0:
-        return () if all(b == 0 for b in rhs) else None
-    ncols = len(m[0])
-    aug = [list(row) + [b] for row, b in zip(m, rhs)]
-    r = 0
-    pivot_cols: list[int] = []
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        _clear_column(aug, r, c, [i for i in range(nrows) if i != r])
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][ncols]
-    return tuple(x)
 
 
 @dataclass(frozen=True)

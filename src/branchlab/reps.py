@@ -184,10 +184,6 @@ class IrrepLabel:
     def highest_weight(self) -> Vector:
         return _halve(self.doubled)
 
-    def factor(self, i: int) -> "IrrepLabel":
-        f, sl = self.group.factor_slices()[i]
-        return IrrepLabel.from_doubled(f, self.doubled[sl])
-
     def dimension(self) -> int:
         return weights.weyl_dimension(self.group.weyl, self.highest_weight)
 

@@ -453,6 +453,16 @@ def _prod(values, mono):
     return out
 
 
+def _moment_rows(record: CaseRecord, gens: Sequence[str], degree: int, thetas):
+    """Per theta, every monomial of total degree <= degree in the generators'
+    integer numerators, in the order of ``_monomials``."""
+    monos = _monomials(len(gens), degree)
+    fns = [_int_eval(record, g)[0] for g in gens]
+    for theta in thetas:
+        values = [fn(theta) for fn in fns]
+        yield [_prod(values, mono) for mono in monos]
+
+
 def independence_certificate(
     record: CaseRecord,
     gens: Sequence[str],
@@ -472,19 +482,16 @@ def independence_certificate(
     if degree == 0:
         return True, []
     thetas = record.theta.enumerate(bound)
-    monos = _monomials(len(gens), degree)
-    ncols = len(monos)
+    ncols = math.comb(len(gens) + degree, degree)
     if len(thetas) < ncols:
         raise InsufficientSampleError(
             "box with %d points cannot certify degree %d over %d generators"
             % (len(thetas), degree, len(gens))
         )
-    fns = [_int_eval(record, g)[0] for g in gens]
     echelon = linalg.IntEchelon()
     witness: list[tuple[int, ...]] = []
-    for theta in thetas:
-        values = [fn(theta) for fn in fns]
-        if echelon.add([_prod(values, mono) for mono in monos]):
+    for theta, row in zip(thetas, _moment_rows(record, gens, degree, thetas)):
+        if echelon.add(row):
             witness.append(theta)
             if echelon.rank == ncols:
                 return True, witness
@@ -503,13 +510,8 @@ def function_in_span(
     monomials of the generators' integer numerators as in
     ``independence_certificate``.)"""
     thetas = record.theta.enumerate(bound)
-    monos = _monomials(len(gens), degree)
-    fns = [_int_eval(record, g)[0] for g in gens]
-    rows, aug = [], []
-    for theta in thetas:
-        vals = [fn(theta) for fn in fns]
-        rows.append([_prod(vals, mono) for mono in monos])
-        aug.append(rows[-1] + [values_by_theta(theta)])
+    rows = list(_moment_rows(record, gens, degree, thetas))
+    aug = [row + [values_by_theta(theta)] for row, theta in zip(rows, thetas)]
     base_rank = linalg.rank(rows)
     return linalg.rank(aug) == base_rank
 

@@ -1,6 +1,7 @@
 """Reference oracles: routes in Fractions that the package's integer code is
-compared against, and the box checks' separate per-check loops, which
-test_verify compares the one box pass against.
+compared against, among them the dense Gauss–Jordan ``solve`` behind
+test_dgx's membership oracle, and the box checks' separate per-check loops,
+which test_verify compares the one box pass against.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
@@ -9,13 +10,61 @@ import functools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Optional
 
 from branchlab import verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
-from branchlab.linalg import dot, vec, vsub
+from branchlab.linalg import Matrix, Vector, dot, vec, vsub
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import CaseReport, _apply2, _canonical2, _rows2, _transfer_image_map
 from branchlab.weights import _split, _unit, positive_roots
+
+
+def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
+    """Scale row r to 1 at column c and subtract it from each target row
+    with a non-zero entry there, touching only the pivot row's non-zero columns."""
+    pivot_row = rows[r]
+    inv = 1 / pivot_row[c]
+    support = [(j, x * inv) for j, x in enumerate(pivot_row) if x != 0]
+    for j, y in support:
+        pivot_row[j] = y
+    for i in targets:
+        row = rows[i]
+        f = row[c]
+        if f != 0:
+            for j, y in support:
+                row[j] -= f * y
+
+
+def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
+    """One exact solution x of m·x = rhs, or None if the system is inconsistent.
+
+    Free variables are set to zero.
+    """
+    nrows = len(m)
+    if nrows == 0:
+        return () if all(b == 0 for b in rhs) else None
+    ncols = len(m[0])
+    aug = [list(row) + [b] for row, b in zip(m, rhs)]
+    r = 0
+    pivot_cols: list[int] = []
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        _clear_column(aug, r, c, [i for i in range(nrows) if i != r])
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i][ncols]
+    return tuple(x)
 
 
 def simple_roots(t):

@@ -1,11 +1,13 @@
-"""Exact rational matrices and affine maps."""
+"""Exact rational matrices, affine maps and the integer row reducer."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from branchlab.linalg import AffineMap, IntEchelon, dot, mat, rank, solve, vec
+from branchlab.linalg import AffineMap, IntEchelon, dot, mat, rank, vec
+from oracles import solve
 
 
 def test_vec_and_dot():
@@ -74,6 +76,49 @@ def test_rank_and_pivot_rows_match_full_reduction():
         assert kept == [
             i for i in range(len(m)) if _gauss_jordan(m[: i + 1])[0] > _gauss_jordan(m[:i])[0]
         ]
+
+
+def _sparse_vector(rng, ncols):
+    return {c: rng.choice((1, -1, 2, -3, 6)) for c in range(ncols) if rng.random() < 0.45}
+
+
+def _sum_of(coeffs, vectors):
+    out = {}
+    for k, a in coeffs.items():
+        for c, x in vectors[k].items():
+            out[c] = out.get(c, 0) + a * x
+    return {c: x for c, x in out.items() if x}
+
+
+def test_int_echelon_keeps_reduced_primitive_rows_and_combinations():
+    rng = random.Random(7)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        vectors = [_sparse_vector(rng, ncols) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.4:  # a dependent vector
+            vectors.append(_sum_of({0: 2, len(vectors) - 1: -1}, vectors))
+        dense = mat([[v.get(c, 0) for c in range(ncols)] for v in vectors])
+        echelon = IntEchelon()
+        for i, v in enumerate(vectors):
+            rises = _gauss_jordan(dense[: i + 1])[0] > _gauss_jordan(dense[:i])[0]
+            assert echelon.insert(v, {i: 1}) == rises
+        assert echelon.rank == _gauss_jordan(dense)[0]
+        for p, (terms, payload) in echelon.rows.items():
+            assert terms[p]
+            assert math.gcd(*terms.values(), *payload.values()) == 1
+            assert all(p not in other for q, (other, _) in echelon.rows.items() if q != p)
+            assert _sum_of(payload, vectors) == terms
+        # a vector in the span reduces to nothing, with its combination
+        member = _sum_of({i: rng.randint(-3, 3) for i in range(len(vectors))}, vectors)
+        scale, residual, used = echelon.reduce(member)
+        assert residual == {} and scale != 0
+        assert _sum_of(used, vectors) == {c: scale * x for c, x in member.items()}
+        # extending a copy leaves the original as it was
+        before = {p: (dict(terms), dict(payload)) for p, (terms, payload) in echelon.rows.items()}
+        copy = IntEchelon(echelon.rows)
+        for j in range(4):
+            copy.insert(_sparse_vector(rng, ncols + 1), {len(vectors) + j: 1})
+        assert echelon.rank == len(before) and echelon.rows == before
 
 
 def test_solve_on_sparse_systems():

@@ -10,7 +10,6 @@ PACKAGE = ROOT / "src" / "branchlab"
 
 # Public names that may stay although nothing in the package calls them.
 ALLOWED = {
-    "solve": "the tests' dense oracle for dgx.membership",
     # run_case runs the box pass directly; these one-check selections of it are
     # reached from perfbench/tracing.py by attribute name, and from the tests
     "check_dimension_conservation": "a one-check selection of verify's box pass",
