@@ -5,7 +5,13 @@ forms, relation set, transfer-map family, ranks, and generator degrees.
 The ``_case_*`` builders are the single source of the catalog: ``build_records``
 (and ``load_default``, which the CLI calls) instantiates them in memory.
 ``dump_catalog`` exports the records as a versioned JSON document
-(``python -m branchlab.catalog``); nothing reads that document back.
+(``python -m branchlab.catalog``, ``"schema": 2``) that holds every field of
+every dataclass of each record; nothing reads that document back.
+
+The export and the CLI reports share the one output layer at the end of this
+module: ``to_json`` encodes (a rational as its ``fraction_str``, "p" or
+"p/q"; a dataclass as all its fields) and ``write_output`` writes to
+``--out`` or to stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +40,7 @@ from .reps import (
     ProductGroup,
 )
 
-CATALOG_SCHEMA = 1
+CATALOG_SCHEMA = 2
 
 TAG_ORDER = (
     "i",
@@ -56,9 +63,6 @@ TAG_ORDER = (
     "xiv",
     "star",
 )
-
-PARAMETRIZED_TAGS = ("i", "i_prime", "ii_odd", "ii_even", "iii", "iv", "v", "v_prime")
-
 
 @dataclass(frozen=True)
 class CaseId:
@@ -306,13 +310,6 @@ class CaseRecord:
             raise ValueError("%s not in Disc(K/H) for %s" % (tau_params, self.id))
         return IrrepLabel(self.tau_group, self.tau_label_map.apply(tau_params))
 
-    def pi_tau(self, theta: Sequence[int]) -> tuple[IrrepLabel, IrrepLabel]:
-        theta = self.require_theta(theta)
-        return (
-            self.pi_label(self.pi_params_of(theta)),
-            self.tau_label(self.tau_params_of(theta)),
-        )
-
     def nu_plus_rho(self, theta: Sequence[int]) -> Vector:
         nu = self.nu_label_map.apply(theta)
         return tuple(a + b for a, b in zip(nu, self.nu_group.rho))
@@ -329,19 +326,6 @@ class CaseRecord:
             )
         )
         return AffineMap(self.transfer_matrix, offset)
-
-    # -- branching ---------------------------------------------------------
-
-    def branch(self, pi_params: Sequence[int]) -> list[tuple[tuple[int, ...], IrrepLabel]]:
-        self.require_pi(pi_params)
-        pi_params = tuple(int(p) for p in pi_params)
-        thetas = _branch_fibers(self.branch_rule, pi_params)
-        out = []
-        for t in sorted(thetas):
-            if not self.theta_valid(t):
-                raise AssertionError("branch rule produced invalid %s for %s" % (t, self.id))
-            out.append((t, self.nu_label(t)))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1417,9 +1401,6 @@ XYZ_R3 = {
     (0, 0, 0): 1,
 }
 XYZ_R4 = {(1, 1, 0): 1, (1, 0, 1): -1, (0, 1, 0): -1, (0, 0, 1): 1}
-XYZ_Q = {(0, 0, 1): Fraction(3, 4), (0, 0, 0): Fraction(-27, 4)}
-XYZ_P1 = {(1, 0, 0): 1, (0, 0, 0): -9}
-XYZ_P2 = {(0, 1, 0): 1, (0, 0, 0): -9}
 
 
 def _case_star() -> CaseRecord:
@@ -1609,127 +1590,60 @@ def build_records(max_n: int) -> list[CaseRecord]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON output, shared with the CLI reports: one encoder and one writer
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return "%d" % x.numerator if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+def fraction_str(x) -> str:
+    """A rational as "p", or as "p/q" in lowest terms."""
+    return str(Fraction(x))
 
 
-def _vec_payload(v) -> list:
-    return [_frac_str(x) for x in v]
+def _encode(obj):
+    """obj in JSON types: a Fraction as its ``fraction_str``, a dataclass as
+    the dict of all its fields, tuples and lists as lists, dict keys as
+    strings; anything else as it is."""
+    if isinstance(obj, Fraction):
+        return fraction_str(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(x) for x in obj]
+    return obj
 
 
-def _mat_payload(m) -> list:
-    return [_vec_payload(row) for row in m]
+def to_json(payload) -> str:
+    """The deterministic JSON text of payload (keys sorted, indent 1)."""
+    return json.dumps(_encode(payload), indent=1, sort_keys=True)
 
 
-def _amap_payload(a: AffineMap) -> dict:
-    return {
-        "matrix": _mat_payload(a.matrix),
-        "offset": _vec_payload(a.offset),
-        "source": a.source_dim,
-    }
+def write_output(text: str, path: Optional[str]) -> int:
+    """Write text and a newline to the file path, or to stdout when path is
+    None.  Returns 0, or 2 after one ``error: cannot write`` line on stderr.
 
-
-def _group_payload(g: GroupDescriptor) -> dict:
-    out = {"kind": g.kind, "n": g.n}
-    if g.factors:
-        out["factors"] = [_group_payload(f) for f in g.factors]
-    if g.almost:
-        out["almost"] = True
-    if g.label:
-        out["label"] = g.label
-    return out
-
-
-def _space_payload(s: ParamSpace) -> dict:
-    return {
-        "names": list(s.names),
-        "domains": list(s.domains),
-        "constraints": [
-            {"coeffs": list(c.coeffs), "const": c.const, "mod": c.mod} for c in s.constraints
-        ],
-    }
-
-
-def _poly_payload(p) -> list:
-    return [{"exps": list(e), "coeff": _frac_str(c)} for e, c in p]
-
-
-def _symbol_payload(s: SymbolSpec) -> dict:
-    out = {"kind": s.kind, "side": s.side}
-    if s.kind == "casimir":
-        out["label"] = s.label
-        out["factor"] = s.factor
-    elif s.kind == "euler":
-        out["form"] = _amap_payload(s.form)
-    elif s.kind == "power_ab":
-        out.update({"vec": s.vecname, "base": s.base, "scale": s.scale, "k": s.k})
-    elif s.kind == "power_nu":
-        out.update({"scale": s.scale, "k": s.k})
-    elif s.kind in ("theta_poly", "xyz_poly"):
-        out["poly"] = _poly_payload(s.poly)
-    else:
-        raise ValueError(s.kind)
-    return out
-
-
-def record_payload(r: CaseRecord) -> dict:
-    return {
-        "id": {"tag": r.id.tag, "n": r.id.n},
-        "groups": {k: _group_payload(g) for k, g in r.groups.items()},
-        "pi_group": _group_payload(r.pi_group),
-        "nu_group": _group_payload(r.nu_group),
-        "tau_group": _group_payload(r.tau_group),
-        "theta": _space_payload(r.theta),
-        "pi_space": _space_payload(r.pi_space),
-        "tau_space": _space_payload(r.tau_space),
-        "pi_of_theta": _amap_payload(r.pi_of_theta),
-        "tau_of_theta": _amap_payload(r.tau_of_theta),
-        "pi_label_map": _amap_payload(r.pi_label_map),
-        "nu_label_map": _amap_payload(r.nu_label_map),
-        "tau_label_map": _amap_payload(r.tau_label_map),
-        "lam_rhoa_map": _amap_payload(r.lam_rhoa_map),
-        "symbols": {k: _symbol_payload(s) for k, s in sorted(r.symbols.items())},
-        "relations": [
-            {"name": rel.name, "terms": [[_frac_str(c), s] for c, s in rel.terms]}
-            for rel in r.relations
-        ],
-        "transfer_matrix": _mat_payload(r.transfer_matrix),
-        "transfer_tau": _mat_payload(r.transfer_tau),
-        "transfer_offset": _vec_payload(r.transfer_offset),
-        "rank_triple": list(r.rank3),
-        "degrees_p": list(r.degrees_p),
-        "degrees_q": list(r.degrees_q),
-        "degrees_rank": r.degrees_rank,
-        "hilbert_model": r.hilbert_model,
-        "indep_gens": list(r.indep_gens),
-        "branch_rule": list(r.branch_rule),
-        "a_map": _amap_payload(r.a_map) if r.a_map else None,
-        "b_map": _amap_payload(r.b_map) if r.b_map else None,
-        "ch": (
-            {
-                "restricted_pos": _mat_payload(r.ch["restricted_pos"]),
-                "kill": _mat_payload(r.ch["kill"]),
-            }
-            if r.ch
-            else None
-        ),
-        "mod_trace": r.mod_trace,
-        "parity_gap_gens": list(r.parity_gap_gens),
-        "alias_of": {"tag": r.alias_of.tag, "n": r.alias_of.n} if r.alias_of else None,
-        "triality_note": r.triality_note,
-    }
+    A reader that closes stdout early (``| head``) is not an error: stdout is
+    pointed at os.devnull, so that the interpreter's flush at exit does not
+    fail a second time.
+    """
+    if path is None:
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
+        return 2
+    return 0
 
 
 def dump_catalog(records: Iterable[CaseRecord]) -> str:
-    payload = {
-        "schema": CATALOG_SCHEMA,
-        "cases": [record_payload(r) for r in records],
-    }
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return to_json({"schema": CATALOG_SCHEMA, "cases": list(records)})
 
 
 def load_default(max_n: int = 2) -> list[CaseRecord]:
@@ -1751,18 +1665,10 @@ def main(argv=None) -> int:
     if args.max_n < 1:
         print("error: max-n must be >= 1", file=sys.stderr)
         return 2
-    text = dump_catalog(build_records(args.max_n))
-    if args.out is None:
-        print(text)
-        return 0
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        print("error: cannot write %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
-        return 2
-    print("wrote %s" % args.out)
-    return 0
+    status = write_output(dump_catalog(build_records(args.max_n)), args.out)
+    if status or args.out is None:
+        return status
+    return write_output("wrote %s" % args.out, None)
 
 
 if __name__ == "__main__":

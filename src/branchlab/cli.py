@@ -1,15 +1,17 @@
 """Command-line front end: parses arguments, loads the cases, and formats
 what ``verify.run_case`` returns as a text table or a deterministic JSON
 report.  Which checks run on a case is decided in ``verify``, not here.
+The JSON encoding and the writing go through ``catalog.to_json`` and
+``catalog.write_output``, which the catalog export uses too.
 
 Exit codes: 0 = no check failed (an inconclusive check is not a failure),
 1 = at least one mathematical check failed, 2 = usage or configuration error.
+A reader that closes stdout early (``| head``) changes none of these.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -18,34 +20,13 @@ from . import catalog, verify
 TEXT, JSON = "text", "json"
 
 
-def _frac(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return _frac(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    return obj
-
-
-def _emit(args, text_lines, payload) -> None:
+def _emit(args, text_lines, payload) -> int:
+    """Write the report; returns 0, or 2 when ``--out`` cannot be written."""
     if args.format == JSON:
-        out = json.dumps(_jsonable(payload), indent=1, sort_keys=True)
+        text = catalog.to_json(payload)
     else:
-        out = "\n".join(text_lines)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            raise SystemExit2("cannot write %s: %s" % (args.out, exc.strerror or exc))
-    else:
-        print(out)
+        text = "\n".join(text_lines)
+    return catalog.write_output(text, args.out or None)
 
 
 def _load_cases(args):
@@ -112,8 +93,7 @@ def cmd_list(args) -> int:
             for r in records
         ],
     }
-    _emit(args, lines, payload)
-    return 0
+    return _emit(args, lines, payload)
 
 
 def _check_line(case, entry) -> str:
@@ -134,8 +114,8 @@ def cmd_verify(args) -> int:
         results.append({"case": str(r.id), "bound": args.bound, "checks": checks})
         lines.extend(_check_line(r.id, c) for c in checks)
     payload = {"schema": 1, "bound": args.bound, "degree": args.degree, "cases": results}
-    _emit(args, lines, payload)
-    return 1 if any(c["failed"] for case in results for c in case["checks"]) else 0
+    failed = any(c["failed"] for case in results for c in case["checks"])
+    return _emit(args, lines, payload) or int(failed)
 
 
 def _parse_numbers(flag: str, text: str, parse) -> tuple:
@@ -162,25 +142,23 @@ def cmd_transfer(args) -> int:
         )
     image = smap.apply(lam)
     canon = verify._canonical_char(record, image)
+    frac = catalog.fraction_str
+    shown = {
+        "matrix": [[frac(x) for x in row] for row in smap.matrix],
+        "offset": [frac(x) for x in smap.offset],
+        "lambda": [frac(x) for x in lam],
+        "image": [frac(x) for x in image],
+        "canonical": [frac(x) for x in canon],
+    }
     lines = [
         "case %s, tau=%s" % (record.id, list(tau)),
-        "matrix: %s" % [[_frac(x) for x in row] for row in smap.matrix],
-        "offset: %s" % [_frac(x) for x in smap.offset],
-        "S_tau(%s) = %s" % ([_frac(x) for x in lam], [_frac(x) for x in image]),
-        "canonical (mod W(g_C)): %s" % [_frac(x) for x in canon],
+        "matrix: %s" % shown["matrix"],
+        "offset: %s" % shown["offset"],
+        "S_tau(%s) = %s" % (shown["lambda"], shown["image"]),
+        "canonical (mod W(g_C)): %s" % shown["canonical"],
     ]
-    payload = {
-        "schema": 1,
-        "case": str(record.id),
-        "tau": list(tau),
-        "matrix": [[_frac(x) for x in row] for row in smap.matrix],
-        "offset": [_frac(x) for x in smap.offset],
-        "lambda": [_frac(x) for x in lam],
-        "image": [_frac(x) for x in image],
-        "canonical": [_frac(x) for x in canon],
-    }
-    _emit(args, lines, payload)
-    return 0
+    payload = {"schema": 1, "case": str(record.id), "tau": list(tau), **shown}
+    return _emit(args, lines, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

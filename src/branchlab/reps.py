@@ -17,9 +17,6 @@ from . import weights
 from .linalg import Vector, vec
 from .weights import WeylType
 
-COMPUTABLE_KINDS = ("U", "SU", "SO", "Spin", "Sp", "G2", "Product")
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """A compact group with enough data to compute on its weight lattice.
@@ -84,9 +81,6 @@ class GroupDescriptor:
             out.append((f, slice(pos, pos + f.rank)))
             pos += f.rank
         return out
-
-    def validate_weight(self, w: Sequence) -> None:
-        self._validate2(_double(w))
 
     def _validate2(self, w2: tuple[int, ...]) -> None:
         """Raise ValueError unless the doubled weight w2 is a highest weight."""

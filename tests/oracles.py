@@ -1,7 +1,9 @@
 """Reference oracles: routes in Fractions that the package's integer code is
 compared against, among them the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, and the box checks' separate per-check loops,
-which test_verify compares the one box pass against.
+which test_verify compares the one box pass against.  It also holds two
+record queries that only the tests ask: ``pi_tau`` (the labels of the
+canonical map at one theta) and ``branch`` (the branching of one pi).
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
@@ -442,3 +444,30 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
     report.checks_run = count
     report.failures = failures
     return report
+
+
+# ---------------------------------------------------------------------------
+# Record queries that only the tests ask: the labels of the canonical map at
+# one theta, and the branching of one pi by the record's rule.
+
+
+def pi_tau(record: CaseRecord, theta) -> tuple:
+    """(pi(theta), tau(theta)) as irrep labels; ValueError off Disc(G/H)."""
+    theta = record.require_theta(theta)
+    return (
+        record.pi_label(record.pi_params_of(theta)),
+        record.tau_label(record.tau_params_of(theta)),
+    )
+
+
+def branch(record: CaseRecord, pi_params) -> list:
+    """[(theta, nu(theta))] over the branching of pi, theta sorted; ValueError
+    off Disc(Gtilde/Htilde)."""
+    record.require_pi(pi_params)
+    pi_params = tuple(int(p) for p in pi_params)
+    out = []
+    for t in sorted(_branch_fibers(record.branch_rule, pi_params)):
+        if not record.theta_valid(t):
+            raise AssertionError("branch rule produced invalid %s for %s" % (t, record.id))
+        out.append((t, record.nu_label(t)))
+    return out

@@ -1,5 +1,6 @@
 """Catalog structure: enumeration, the canonical map, ranks, the JSON export."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -14,10 +15,16 @@ import pytest
 from branchlab import catalog, verify
 from branchlab.catalog import (
     CaseId,
+    CaseRecord,
     Constraint,
     ParamSpace,
+    Relation,
+    SymbolSpec,
     build_records,
 )
+from branchlab.linalg import AffineMap
+from branchlab.reps import GroupDescriptor
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -175,35 +182,35 @@ def test_enumerate_theta_star_triangle(records):
 
 def test_pi_tau_examples(records):
     r = rec(records, "i", 2)
-    pi, tau = r.pi_tau((2, 1))
+    pi, tau = oracles.pi_tau(r, (2, 1))
     assert pi.highest_weight == (Fraction(3), Fraction(0), Fraction(0))
     assert tau.highest_weight == (Fraction(0), Fraction(0), Fraction(1))
 
     r = rec(records, "vi")
-    pi, tau = r.pi_tau((4, 2))
+    pi, tau = oracles.pi_tau(r, (4, 2))
     assert pi.highest_weight == tuple(Fraction(x) for x in (4, 0, 0, 0, 0, 0, 0, 0))
     assert tau.highest_weight == tuple(Fraction(1) for _ in range(4))
 
     r = rec(records, "star")
-    pi, tau = r.pi_tau((1, 1, 2))
+    pi, tau = oracles.pi_tau(r, (1, 1, 2))
     assert pi.highest_weight == tuple(Fraction(x) for x in (1, 0, 0, 0, 1, 0, 0, 0))
     assert tau.highest_weight == (Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_pi_tau_rejects_invalid_theta(records):
     with pytest.raises(ValueError):
-        rec(records, "vi").pi_tau((1, 2))  # k > j
+        oracles.pi_tau(rec(records, "vi"), (1, 2))  # k > j
     with pytest.raises(ValueError):
-        rec(records, "vi").pi_tau((3, 2))  # parity fails
+        oracles.pi_tau(rec(records, "vi"), (3, 2))  # parity fails
     with pytest.raises(ValueError):
-        rec(records, "star").pi_tau((1, 1, 1))  # parity fails
+        oracles.pi_tau(rec(records, "star"), (1, 1, 1))  # parity fails
 
 
 def test_pi_tau_injective_on_box(records):
     for r in records.values():
         seen = set()
         for theta in r.theta.enumerate(4):
-            pi, tau = r.pi_tau(theta)
+            pi, tau = oracles.pi_tau(r, theta)
             key = (pi.highest_weight, tau.highest_weight)
             assert key not in seen, (r.id, theta)
             seen.add(key)
@@ -262,9 +269,58 @@ def test_export_is_deterministic():
     # the module runs once, as __main__, so runpy has nothing to warn about
     assert [proc.stderr for proc in runs] == ["", ""]
     payload = json.loads(first)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     ids = [CaseId(c["id"]["tag"], c["id"]["n"]) for c in payload["cases"]]
     assert ids == [r.id for r in build_records(2)]
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_export_has_every_dataclass_field():
+    """The export is the records' dataclasses, field for field, with each
+    rational as its "p/q" string."""
+    records = build_records(2)
+    cases = json.loads(catalog.dump_catalog(records))["cases"]
+    assert len(cases) == len(records)
+
+    def group(g):
+        assert set(g) == _field_names(GroupDescriptor), g
+        for f in g["factors"]:
+            group(f)
+
+    def amap(m):
+        assert set(m) == _field_names(AffineMap), m
+
+    for r, case in zip(records, cases):
+        assert set(case) == _field_names(CaseRecord)
+        assert set(case["id"]) == _field_names(CaseId)
+        for g in case["groups"].values():
+            group(g)
+        for key in ("pi_group", "nu_group", "tau_group"):
+            group(case[key])
+        for key in ("theta", "pi_space", "tau_space"):
+            assert set(case[key]) == _field_names(ParamSpace)
+            for c in case[key]["constraints"]:
+                assert set(c) == _field_names(Constraint)
+        for key in ("pi_of_theta", "tau_of_theta", "pi_label_map", "nu_label_map",
+                    "tau_label_map", "lam_rhoa_map", "a_map", "b_map"):
+            if case[key] is not None:
+                amap(case[key])
+        assert set(case["symbols"]) == set(r.symbols)
+        for s in case["symbols"].values():
+            assert set(s) == _field_names(SymbolSpec)
+            if s["form"] is not None:
+                amap(s["form"])
+        for rel in case["relations"]:
+            assert set(rel) == _field_names(Relation)
+        assert case["lam_rhoa_map"]["offset"] == [
+            str(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+            for x in r.lam_rhoa_map.offset
+        ]
+    x = next(c for c in cases if c["id"] == {"tag": "x", "n": None})
+    assert x["lam_rhoa_map"]["offset"] == ["5/2"]
 
 
 @pytest.mark.parametrize(

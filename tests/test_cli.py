@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, deterministic JSON."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -154,3 +156,51 @@ def test_verify_small_box_is_inconclusive_not_failed(capsys):
     assert rc == 0
     entries = [c for case in json.loads(out)["cases"] for c in case["checks"]]
     assert [c["name"] for c in entries if "inconclusive" in c] == ["independence"] * 2
+
+
+@pytest.mark.parametrize(
+    "args,sha256",
+    [
+        (
+            ["list", "--max-n", "3", "--format", "json"],
+            "2b1f7c1325f8742386e7a215ada123eb92c09181179cf3f5ca09c0a64c87afd3",
+        ),
+        (
+            ["transfer", "--cases", "vi", "--tau", "2", "--lam", "11", "--format", "json"],
+            "3753ad53d52f68d498bf664640d1a9a3165a2baa63898826fac8c9aa4e0eb9ac",
+        ),
+        (
+            ["transfer", "--cases", "i_prime", "--max-n", "2", "--tau", "1", "--lam", "1/3",
+             "--format", "json"],
+            "0f0cbdb4a4bf9d09f8a47604a6bf1f91655f795969c6d3f2d1b4438cef94394b",
+        ),
+    ],
+    ids=["list", "transfer-vi", "transfer-i_prime"],
+)
+def test_report_digests_are_pinned(capsys, args, sha256):
+    """A change to one of these reports updates its pin and says why."""
+    rc, out = run_capture(capsys, args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "module,args",
+    [
+        ("branchlab.cli", ["list", "--max-n", "6", "--format", "json"]),
+        ("branchlab.catalog", ["--max-n", "2"]),
+    ],
+    ids=["list", "export"],
+)
+def test_closed_stdout_is_not_an_error(module, args):
+    """A reader that has gone before the report is written (``| head``)
+    leaves the exit code as it was and stderr empty."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", module] + args, stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

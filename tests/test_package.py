@@ -29,29 +29,48 @@ def _name_lines(path):
     return lines
 
 
+def _span(node):
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+    return first, node.end_lineno
+
+
 def _public_definitions():
+    """(path, name, lines) of each public module-level def, class and
+    assigned name, and of each public method or property of a public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield path, node.name, (first, node.end_lineno)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                            yield path, name.id, _span(node)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield path, node.name, _span(node)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield path, "%s.%s" % (node.name, method.name), _span(method)
 
 
 def test_every_public_definition_has_a_caller():
-    """Each public module-level def or class of the package is named, outside
+    """Each public module-level def, class or assigned name of the package,
+    and each public method or property of a public class, is named outside
     its own definition, in the package or the benchmark; the allowlist names
     exactly the exceptions."""
     callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     names = {p: _name_lines(p) for p in callers}
     uncalled = {}
-    for path, name, (first, last) in _public_definitions():
+    for path, qualname, (first, last) in _public_definitions():
+        name = qualname.rpartition(".")[2]
         if not any(
             p != path or not first <= line <= last
             for p in callers
             for line in names[p].get(name, ())
         ):
-            uncalled[name] = path.name
+            uncalled[qualname] = path.name
     assert set(uncalled) == set(ALLOWED), uncalled

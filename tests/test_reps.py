@@ -54,14 +54,14 @@ def dominant_weights(group, bound):
             for w in itertools.combinations_with_replacement(sorted(values, reverse=True), n):
                 vv = tuple(w)
                 try:
-                    g.validate_weight(vv)
+                    IrrepLabel(g, vv)
                 except ValueError:
                     continue
                 out.append(vv)
                 if t.family == "D" and vv[-1] > 0:
                     flipped = vv[:-1] + (-vv[-1],)
                     try:
-                        g.validate_weight(flipped)
+                        IrrepLabel(g, flipped)
                     except ValueError:
                         continue
                     out.append(flipped)
@@ -74,7 +74,7 @@ def dominant_weights(group, bound):
     for combo in itertools.product(*parts):
         flat = sum(combo, ())
         try:
-            group.validate_weight(flat)
+            IrrepLabel(group, flat)
         except ValueError:
             continue
         out.append(flat)
@@ -241,9 +241,6 @@ def test_labels_and_casimirs_match_fraction_oracle(group):
         doubled = tuple(int(2 * x) for x in w)
         label = _outcome(lambda w2: IrrepLabel.from_doubled(group, w2), doubled)
         assert label == _outcome(lambda w: IrrepLabel(group, w), w)
-        assert _outcome(group.validate_weight, w) == (
-            None if isinstance(label, IrrepLabel) else label
-        )
         if isinstance(label, IrrepLabel):
             assert label.highest_weight == w
             values += 1
