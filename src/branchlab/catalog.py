@@ -17,9 +17,9 @@ module: ``to_json`` encodes (a rational as its ``fraction_str``, "p" or
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -88,12 +88,16 @@ class Constraint:
     const: int = 0
     mod: int = 0
 
-    def value(self, params: Sequence[int]) -> int:
-        return sum(map(operator.mul, self.coeffs, params)) + self.const
 
-    def ok(self, params: Sequence[int]) -> bool:
-        v = self.value(params)
-        return v % self.mod == 0 if self.mod else v >= 0
+def _satisfies(rows, params) -> bool:
+    """Do params satisfy every row (((index, coefficient), ...), const, mod):
+    the sum plus const >= 0, or == 0 mod ``mod`` when mod > 0?"""
+    for coeffs, value, mod in rows:
+        for i, a in coeffs:
+            value += a * params[i]
+        if value % mod if mod else value < 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -106,19 +110,25 @@ class ParamSpace:
         if len(self.names) != len(self.domains):
             raise ValueError("names/domains mismatch")
 
+    @functools.cached_property
+    def _membership(self) -> tuple:
+        """The rows of ``_satisfies`` that define the space: p_i >= 0 per nat
+        coordinate, then one per constraint.  Compiled once per space; a space
+        is frozen, and ``dataclasses.replace`` makes a new one."""
+        nat = tuple((((i, 1),), 0, 0) for i, d in enumerate(self.domains) if d == "nat")
+        return nat + tuple(
+            (tuple((i, a) for i, a in enumerate(c.coeffs) if a), c.const, c.mod)
+            for c in self.constraints
+        )
+
     def contains(self, params: Sequence[int]) -> bool:
         if len(params) != len(self.names):
             return False
-        if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
-            return False
-        params = [int(p) for p in params]
-        for p, d in zip(params, self.domains):
-            if d == "nat" and p < 0:
+        if not all(type(p) is int for p in params):
+            if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
                 return False
-        for c in self.constraints:
-            if not c.ok(params):
-                return False
-        return True
+            params = [int(p) for p in params]
+        return _satisfies(self._membership, params)
 
     def enumerate(self, bound: int) -> list[tuple[int, ...]]:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
@@ -141,7 +151,7 @@ class ParamSpace:
         if bound < 0:
             raise ValueError("bound must be >= 0")
         n = len(self.names)
-        at_leaf = [c for c in self.constraints if c.mod or not any(c.coeffs)]
+        at_leaf = [row for row in self._membership if row[2] or not row[0]]
         # limits[t]: (a, ((s, c_s) for s < t), const) of each inequality whose
         # last non-zero coefficient a sits at t
         limits: list[list] = [[] for _ in range(n)]
@@ -188,7 +198,7 @@ class ParamSpace:
                     continue
             else:
                 p = tuple(point)
-                if not at_leaf or all(c.ok(p) for c in at_leaf):
+                if _satisfies(at_leaf, p):
                     yield p, tuple(images[n])
             # step to the next value of the deepest coordinate that has one
             t -= 1
@@ -1618,6 +1628,10 @@ def to_json(payload) -> str:
     return json.dumps(_encode(payload), indent=1, sort_keys=True)
 
 
+# An empty --out names no file: a usage error in the CLI and the export alike.
+EMPTY_OUT = "--out needs a file name"
+
+
 def write_output(text: str, path: Optional[str]) -> int:
     """Write text and a newline to the file path, or to stdout when path is
     None.  Returns 0, or 2 after one ``error: cannot write`` line on stderr.
@@ -1662,8 +1676,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--out", default=None, help="write to this file instead of stdout")
     args = parser.parse_args(argv)
-    if args.max_n < 1:
-        print("error: max-n must be >= 1", file=sys.stderr)
+    error = "max-n must be >= 1" if args.max_n < 1 else EMPTY_OUT if args.out == "" else None
+    if error:
+        print("error: %s" % error, file=sys.stderr)
         return 2
     status = write_output(dump_catalog(build_records(args.max_n)), args.out)
     if status or args.out is None:

@@ -26,7 +26,7 @@ def _emit(args, text_lines, payload) -> int:
         text = catalog.to_json(payload)
     else:
         text = "\n".join(text_lines)
-    return catalog.write_output(text, args.out or None)
+    return catalog.write_output(text, args.out)
 
 
 def _load_cases(args):
@@ -198,6 +198,8 @@ def main(argv=None) -> int:
     try:
         if args.bound < 0 or args.max_n < 1 or args.degree < 0:
             raise SystemExit2("bound and degree must be >= 0 and max-n >= 1")
+        if args.out == "":
+            raise SystemExit2(catalog.EMPTY_OUT)
         return args.func(args)
     except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)

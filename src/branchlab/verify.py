@@ -27,6 +27,16 @@ doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
 from point to point; compiled symbols read fixed slices of it.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  ``evaluate_generator`` compiles one symbol against only its own maps.
+
+Per theta, the compiled symbols do little arithmetic.  The power sums of one
+vector share a ``_Powers`` memo from an entry's value to its weighted powers,
+so each distinct value is raised once and a theta only adds memo tuples.  A
+Casimir's affine terms (sum(4·rho·a), and the SU trace sum(a)) are rows of
+the stack combined from its label map's rows, so the walk carries them and
+only the quadratic form is left per theta; they are never read off the
+nu+rho power sums, which would make the relations between the two hold by
+construction.  ``ParamSpace.contains`` checks constraints compiled once per
+space into sparse rows, which its walk shares.
 """
 
 from __future__ import annotations
@@ -191,7 +201,8 @@ def _theta_map(record: CaseRecord) -> AffineMap:
 class _Stack:
     """Affine maps of theta stacked into one doubled-integer matrix, each map
     once: the image of ``rows`` at theta holds every stacked map's values, and
-    ``add(key, make)`` says where the values of the map make() sit in it."""
+    ``add(key, make)`` says where the values of the map make() sit in it.
+    ``combine`` appends integer combinations of rows already stacked."""
 
     def __init__(self):
         self.rows: list = []
@@ -205,60 +216,84 @@ class _Stack:
             self.rows.extend(rows)
         return sl
 
+    def combine(self, key: str, sl: slice, weights) -> int:
+        """Index of the row sum(weights[i] · row sl.start + i), stacked once."""
+        at = self.slices.get(key)
+        if at is None:
+            coeffs: dict[int, int] = {}
+            offset = 0
+            for w, (row, off) in zip(weights, self.rows[sl]):
+                offset += w * off
+                for i, c in row:
+                    coeffs[i] = coeffs.get(i, 0) + w * c
+            row = tuple((i, c) for i, c in sorted(coeffs.items()) if c)
+            at = self.slices[key] = slice(len(self.rows), len(self.rows) + 1)
+            self.rows.append((row, offset))
+        return at.start
+
 
 def _int_casimir_blocks(group):
-    """[(kind, slice, rho2, extra)] with value numerator over denominator 4·extra."""
+    """[(kind, slice, extra, weights)] per factor of group, with a the
+    factor's doubled label and w·a the affine term of each weight row w:
+    "orth": 4·value = a·a + w·a, with w = 4·rho;
+    "su": 4·extra·value = extra·(a·a + w·a) − (t·a)², with w = 4·rho and t
+    all ones (extra is the rank);
+    "g2": 8·value = a·G·a + w·a, with G twice the Gram matrix and w = G·4·rho.
+    """
     blocks = []
     for f, sl in group.factor_slices():
-        fam = f.weyl.family
-        rho2 = [int(2 * x) for x in f.rho]
-        if fam == "G2":
-            blocks.append(("g2", sl, rho2, 4))
+        rho4 = [2 * r for r in weights._rho2(f.weyl)]
+        if f.weyl.family == "G2":
+            gram_rho = [sum(map(operator.mul, row, rho4)) for row in weights._G2_GRAM2]
+            blocks.append(("g2", sl, 4, (gram_rho,)))
         elif f.kind == "SU":
-            blocks.append(("su", sl, rho2, f.rank))
+            blocks.append(("su", sl, f.rank, (rho4, [1] * f.rank)))
         else:
-            blocks.append(("orth", sl, rho2, 1))
+            blocks.append(("orth", sl, 1, (rho4,)))
     return blocks
 
 
 def _int_symbol(record: CaseRecord, name: str, stack: _Stack):
     """(fn(image) -> int numerator, constant denominator) for a symbol that is
-    not a power sum, reading the slice of ``stack``'s image that holds its map."""
+    not a power sum, reading the slice of ``stack``'s image that holds its map.
+
+    A Casimir stacks the affine terms of its blocks as rows combined from its
+    label map's rows, so the walk carries them and fn adds only the quadratic
+    forms.  They are never read off the nu+rho power sums: the relations
+    between those and the Casimirs would then hold by construction."""
     spec = record.symbols[name]
     if spec.kind == "casimir":
         key = "nu_label_map" if spec.label == "nu" else "label:%s" % spec.label
         at = stack.add(key, lambda: _label_map_for(record, spec.label)).start
-        blocks = _int_casimir_blocks(_group_for(record, spec.label))
+        blocks = list(enumerate(_int_casimir_blocks(_group_for(record, spec.label))))
         if spec.factor is not None:
             blocks = [blocks[spec.factor]]
-        den = 4 * math.lcm(*(extra for _, _, _, extra in blocks))
-        # per block: its place in the image, 2·rho2, and the block's weight
-        blocks = tuple(
-            (kind, slice(at + sl.start, at + sl.stop), tuple(2 * r for r in rho2), extra)
-            for kind, sl, rho2, extra in blocks
-        )
-        add, mul = operator.add, operator.mul
+        den = 4 * math.lcm(*(extra for _, (_, _, extra, _) in blocks))
+        # per block: its place in the image, the image indices of its affine
+        # terms, extra, and the factor that puts it over den
+        compiled = []
+        for f, (kind, sl, extra, lin) in blocks:
+            sl = slice(at + sl.start, at + sl.stop)
+            rows = tuple(
+                stack.combine("%s:casimir%d.%d" % (key, f, j), sl, w) for j, w in enumerate(lin)
+            )
+            compiled.append((kind, sl, rows, extra, den // (8 if kind == "g2" else 4 * extra)))
+        compiled = tuple(compiled)
+        mul = operator.mul
+        gram = weights._G2_GRAM2
 
-        def casimir_fn(image, blocks=blocks, den=den):
+        def casimir_fn(image, blocks=compiled):
             total = 0
-            for kind, sl, rho4, extra in blocks:
+            for kind, sl, rows, n, scale in blocks:
                 a = image[sl]
                 if kind == "orth":
-                    s = sum(map(mul, a, map(add, a, rho4)))
-                    total += s * (den // 4)
+                    total += (sum(map(mul, a, a)) + image[rows[0]]) * scale
                 elif kind == "su":
-                    n = extra
-                    s = sum(map(mul, a, map(add, a, rho4)))
-                    t = sum(a)
-                    total += (n * s - t * t) * (den // (4 * n))
-                else:  # g2: a·(2·Gram)·shifted is 8 times the value
-                    shifted = list(map(add, a, rho4))
-                    s = sum(
-                        a[i] * weights._G2_GRAM2[i][j] * shifted[j]
-                        for i in range(2)
-                        for j in range(2)
-                    )
-                    total += s * (den // 8)
+                    t = image[rows[1]]
+                    total += (n * (sum(map(mul, a, a)) + image[rows[0]]) - t * t) * scale
+                else:  # g2
+                    s = sum(a[i] * gram[i][j] * a[j] for i in range(2) for j in range(2))
+                    total += (s + image[rows[0]]) * scale
             return total
 
         return casimir_fn, den
@@ -287,11 +322,24 @@ def _int_symbol(record: CaseRecord, name: str, stack: _Stack):
     raise ValueError("unknown symbol kind %r" % spec.kind)
 
 
+class _Powers(dict):
+    """Entry value v -> (mult·v^e for each (e, mult) of ``terms``), each tuple
+    computed on first use and kept for the life of the compiled values."""
+
+    def __init__(self, terms):
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, v):
+        out = self[v] = tuple(mult * v ** e for e, mult in self.terms)
+        return out
+
+
 def _compile_values(record: CaseRecord, names, stack: _Stack):
     """(values, slots) for distinct symbol names: values(image) lists their
     integer numerators read from ``stack``'s image, and slots[name] is (index
     in that list, constant denominator).  The power sums of one vector share
-    one table of its powers."""
+    one ``_Powers`` memo, whose tuples values() sums entry by entry."""
     singles = []
     tables: dict[tuple, list] = {}  # vector's place in the image -> power sums
     for name in names:
@@ -311,23 +359,16 @@ def _compile_values(record: CaseRecord, names, stack: _Stack):
     fns = tuple(fn for _, fn, _ in singles)
     powers = []
     for (start, stop), sums in tables.items():
-        # sum of v^e = sum of (v^step)^(e/step): one product per multiple of step
-        step = math.gcd(*(e for _, e, _ in sums))
         for name, e, _ in sums:
             slots[name] = (len(slots), 2 ** e)
-        picks = tuple((e // step - 1, mult) for _, e, mult in sums)
-        powers.append((slice(start, stop), step, max(e for _, e, _ in sums) // step, picks))
-    mul = operator.mul
+        memo = _Powers(tuple((e, mult) for _, e, mult in sums))
+        # the zero tuple keeps zip's output one sum per name for an empty vector
+        powers.append((slice(start, stop), memo.__getitem__, (0,) * len(sums)))
 
     def values(image):
         out = [fn(image) for fn in fns]
-        for sl, step, top, picks in powers:
-            base = image[sl] if step == 1 else [v ** step for v in image[sl]]
-            power, table = base, [sum(base)]
-            for _ in range(top - 1):
-                power = list(map(mul, power, base))
-                table.append(sum(power))
-            out += [mult * table[i] for i, mult in picks]
+        for sl, memo, zero in powers:
+            out += map(sum, zip(zero, *map(memo, image[sl])))
         return out
 
     return values, slots

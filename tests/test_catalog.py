@@ -108,6 +108,57 @@ def test_enumerate_matches_box_filter(constraints):
     assert space.enumerate(3) == _box_filter(space, 3)
 
 
+def _contains_by_constraints(space, params):
+    """Membership as defined: the right length, integral entries, nat
+    coordinates >= 0, and every constraint: sum(coeffs · params) + const
+    >= 0, or == 0 mod ``mod`` when mod > 0."""
+    if len(params) != len(space.names):
+        return False
+    if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
+        return False
+    params = [int(p) for p in params]
+    if any(p < 0 for p, d in zip(params, space.domains) if d == "nat"):
+        return False
+    for c in space.constraints:
+        v = sum(a * p for a, p in zip(c.coeffs, params)) + c.const
+        if (v % c.mod != 0) if c.mod else v < 0:
+            return False
+    return True
+
+
+def test_compiled_contains_matches_constraints():
+    # the compiled sparse rows against the constraint-by-constraint
+    # definition, on random integer tuples and on non-int entries
+    rng = random.Random(12)
+    spaces = [s for r in build_records(3) for s in (r.theta, r.pi_space, r.tau_space)]
+    spaces += [
+        ParamSpace(("a", "b", "c"), domains, constraints)
+        for constraints in SYNTHETIC_CONSTRAINTS
+        for domains in (("int", "nat", "int"), ("nat", "nat", "nat"))
+    ]
+    seen = set()
+    for space in spaces:
+        n = len(space.names)
+        inputs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(200)]
+        inputs += [(), (0,) * (n + 1), (1,) * (n - 1)]
+        for p in inputs[:20]:
+            for odd in (Fraction(4, 2), 2.0, True, Fraction(1, 2)):
+                for i in range(n):
+                    inputs.append(p[:i] + (odd,) + p[i + 1:])
+        for p in inputs:
+            expected = _contains_by_constraints(space, p)
+            assert space.contains(p) is expected, (space, p)
+            assert space.contains(list(p)) is expected, (space, p)
+            seen.add(expected)
+    assert seen == {True, False}
+    # the answers for non-int entries stay what they were
+    nat = ParamSpace(("a",), ("nat",))
+    assert [nat.contains((x,)) for x in (Fraction(4, 2), 2.0, True, Fraction(1, 2))] == [
+        True, True, True, False,
+    ]
+    assert not nat.contains((1, 2)) and not nat.contains(())
+
+
 def _stacked_rows(rng, n, m=6):
     """m doubled-integer rows over n coordinates, one of them constant; the
     last coordinate appears in no row, so its column is zero."""
@@ -328,8 +379,9 @@ def test_export_has_every_dataclass_field():
     [
         (["--max-n", "0"], "error: max-n must be >= 1"),
         (["--max-n", "1", "--out", "{missing}"], "error: cannot write {missing}: "),
+        (["--max-n", "1", "--out", ""], "error: --out needs a file name"),
     ],
-    ids=["max-n-0", "unwritable-out"],
+    ids=["max-n-0", "unwritable-out", "empty-out"],
 )
 def test_export_usage_errors_exit_2(tmp_path, args, message):
     missing = str(tmp_path / "no-such-dir" / "x.json")

@@ -129,6 +129,18 @@ def test_out_file(tmp_path, capsys):
     assert payload["cases"][0]["case"] == "x"
 
 
+@pytest.mark.parametrize("command", ["list", "verify", "transfer"])
+def test_empty_out_is_usage_error(capsys, command):
+    # an empty --out names no file: one error line, exit 2 and nothing on
+    # stdout (the catalog export does the same)
+    args = [command, "--cases", "vi", "--bound", "2", "--out", ""]
+    rc = cli.main(args + (["--tau", "2", "--lam", "11"] if command == "transfer" else []))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: --out needs a file name"]
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "branchlab.cli", "list", "--cases", "star"],

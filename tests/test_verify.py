@@ -58,6 +58,52 @@ def test_compiled_matches_reference(records):
                 ), (r.id, name, theta)
 
 
+def _fresh_values(record):
+    """values(image), slots and the walk's (theta, image) pairs at bound 3 of
+    every symbol of record, compiled afresh: no power has been seen yet."""
+    stack = verify._Stack()
+    values, slots = verify._compile_values(record, sorted(record.symbols), stack)
+    return values, slots, list(record.theta.walk(3, stack.rows))
+
+
+def test_compiled_values_do_not_depend_on_image_order(records):
+    # the compiled values keep memos across calls; fed in walk order, in
+    # reverse, or alternating between two records' closures, each image
+    # must still give the reference values (ii_odd[n=1] has an empty b)
+    assert len(records[("ii_odd", 1)].b_map.matrix) == 0
+    ordered = sorted(records.values(), key=lambda r: r.id.sort_key())
+    expected = {
+        r.id: {
+            theta: {name: evaluate_generator_reference(r, name, theta) for name in r.symbols}
+            for theta in r.theta.enumerate(3)
+        }
+        for r in ordered
+    }
+
+    def feed(record, values, slots, point):
+        theta, image = point
+        got = values(image)
+        for name, (i, den) in slots.items():
+            assert Fraction(got[i], den) == expected[record.id][theta][name], (
+                record.id, name, theta,
+            )
+
+    for r in ordered:
+        values, slots, points = _fresh_values(r)
+        assert set(slots) == set(r.symbols)
+        for point in points:
+            feed(r, values, slots, point)
+        values, slots, points = _fresh_values(r)
+        for point in reversed(points):
+            feed(r, values, slots, point)
+    for r, s in zip(ordered, ordered[1:] + ordered[:1]):
+        left, right = (r,) + _fresh_values(r), (s,) + _fresh_values(s)
+        for i in range(max(len(left[3]), len(right[3]))):
+            for record, values, slots, points in (left, right):
+                if i < len(points):
+                    feed(record, values, slots, points[i])
+
+
 def test_casimir_scalar_tables(records):
     # frozen values from the per-case proof tables
     i2 = rec(records, "i", 2)
