@@ -37,8 +37,9 @@ def _load_cases(args):
     for r in records:
         index[r.id.tag].append(r)
     chosen = []
-    for tag in args.cases:
-        tag = tag.replace("'", "_prime").replace("*", "star")
+    # a repeated tag selects its cases once, in the order of first mention
+    tags = dict.fromkeys(tag.replace("'", "_prime").replace("*", "star") for tag in args.cases)
+    for tag in tags:
         if tag not in index:
             if tag in catalog.TAG_ORDER:
                 raise SystemExit2(

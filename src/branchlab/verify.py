@@ -27,6 +27,9 @@ doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
 from point to point; compiled symbols read fixed slices of it.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  ``evaluate_generator`` compiles one symbol against only its own maps.
+The box is streamed: strong multiplicity-freeness compares two counts
+instead of keeping a map per theta, and the independence certificate stops
+its walk at full rank, so memory does not grow with the box.
 
 Per theta, the compiled symbols do little arithmetic.  The power sums of one
 vector share a ``_Powers`` memo from an entry's value to its weighted powers,
@@ -495,13 +498,13 @@ def _prod(values, mono):
 
 
 def _moment_rows(record: CaseRecord, gens: Sequence[str], degree: int, thetas):
-    """Per theta, every monomial of total degree <= degree in the generators'
-    integer numerators, in the order of ``_monomials``."""
+    """Per theta, (theta, its row): every monomial of total degree <= degree
+    in the generators' integer numerators, in the order of ``_monomials``."""
     monos = _monomials(len(gens), degree)
     fns = [_int_eval(record, g)[0] for g in gens]
     for theta in thetas:
         values = [fn(theta) for fn in fns]
-        yield [_prod(values, mono) for mono in monos]
+        yield theta, [_prod(values, mono) for mono in monos]
 
 
 def independence_certificate(
@@ -516,22 +519,25 @@ def independence_certificate(
 
     The moment matrix is reduced in integers: its rows hold the monomials of
     the generators' integer numerators, which scales each column by a non-zero
-    constant and so changes neither the rank nor which rows are kept.
+    constant and so changes neither the rank nor which rows are kept.  The box
+    is streamed: it is counted only up to the number of columns, and the walk
+    stops at full rank.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return True, []
-    thetas = record.theta.enumerate(bound)
     ncols = math.comb(len(gens) + degree, degree)
-    if len(thetas) < ncols:
+    count = sum(1 for _ in itertools.islice(record.theta.walk(bound), ncols))
+    if count < ncols:
         raise InsufficientSampleError(
             "box with %d points cannot certify degree %d over %d generators"
-            % (len(thetas), degree, len(gens))
+            % (count, degree, len(gens))
         )
+    thetas = (theta for theta, _ in record.theta.walk(bound))
     echelon = linalg.IntEchelon()
     witness: list[tuple[int, ...]] = []
-    for theta, row in zip(thetas, _moment_rows(record, gens, degree, thetas)):
+    for theta, row in _moment_rows(record, gens, degree, thetas):
         if echelon.add(row):
             witness.append(theta)
             if echelon.rank == ncols:
@@ -550,9 +556,9 @@ def function_in_span(
     the generator evaluations on the box?  (Exact rank comparison, on the
     monomials of the generators' integer numerators as in
     ``independence_certificate``.)"""
-    thetas = record.theta.enumerate(bound)
-    rows = list(_moment_rows(record, gens, degree, thetas))
-    aug = [row + [values_by_theta(theta)] for row, theta in zip(rows, thetas)]
+    pairs = list(_moment_rows(record, gens, degree, record.theta.enumerate(bound)))
+    rows = [row for _, row in pairs]
+    aug = [row + [values_by_theta(theta)] for theta, row in pairs]
     base_rank = linalg.rank(rows)
     return linalg.rank(aug) == base_rank
 
@@ -632,13 +638,39 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     named checks of BOX_CHECKS, each run once over the box.
 
     Dimension conservation and the fiber half of strong multiplicity-freeness
-    (SMF) share one walk of the pi box, and each fiber's nu label is computed
-    once for both.  Relations, transfer, the theta half of SMF and pi-side
-    consistency then share one walk of the theta box, which carries the image
-    of one stacked matrix of every map they read; each symbol is evaluated
-    once per theta for relations and pi-side alike, and nothing per theta is
-    kept beyond what a check records.  An exception in one check's setup or
-    per-point body stops that check alone.
+    (SMF) share one walk of the pi box: per fiber theta, one ``_apply2`` of
+    the nu label rows stacked on the pi_of_theta rows serves both.
+    Relations, transfer, the theta half of SMF and pi-side consistency then
+    share one walk of the theta box, which carries the image of one stacked
+    matrix of every map they read; each symbol is evaluated once per theta
+    for relations and pi-side alike.  The box is streamed: what is kept is
+    one pi's fiber set, pi-side's targets per distinct pi(theta), and the
+    ``_Powers`` memos of the compiled symbols.  An exception in one check's
+    setup or per-point body stops that check alone.
+
+    SMF, that the branches of distinct pi are disjoint and exhaust
+    Disc(G/H), is checked without a map per theta:
+
+    - the setup certifies that nu_label_map has rank k = len(theta), so that
+      distinct theta have distinct nu labels (else ``nu-injective``, which
+      adds nothing to ``run``);
+    - per fiber theta of each pi (run += 2): theta in Disc(G/H)
+      (``branch-valid``), not repeated in this pi's fibers (``disjoint``),
+      and 2·pi(theta) = 2·pi (``recovers-pi``); otherwise, if theta lies in
+      the theta box, it adds one to ``covered``;
+    - per theta of the theta box: pi(theta) is integral (``integral-pi``,
+      run += 1); if pi(theta) lies in the pi box, run += 2 and it adds one
+      to ``expected``;
+    - if covered < expected, a second walk of the theta box reports
+      ``exhausts`` for each such theta missing from the fibers of pi(theta),
+      or whose pi(theta) is not in pi_space.
+
+    Why one count suffices: the fiber theta that pass are valid, distinct
+    within a pi, and lie over their own pi, so fibers of distinct pi are
+    disjoint and the covered theta are a subset of the theta counted in
+    expected.  Equal counts mean equal sets: every theta of the box whose
+    pi(theta) lies in the pi box occurs in the branching of pi(theta), and
+    in no other.  Injectivity of nu turns distinct theta into distinct nu.
     """
     out: dict = {}
     stack = _Stack()
@@ -662,26 +694,25 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
         ),
     )
     dim = setup("dimension-conservation", lambda: _dimension_plan(record))
-    smf = setup(
-        "strong-multiplicity-freeness",
-        lambda: (
-            stack.add("nu_label_map", lambda: record.nu_label_map),
-            stack.add("pi_of_theta", lambda: record.pi_of_theta),
-        ),
-    )
+    smf = setup("strong-multiplicity-freeness", lambda: _smf_plan(record, stack))
     pi_side = setup(
         "pi-side-consistency", lambda: _pi_side_plan(record, stack, rel[1] if rel else {})
     )
 
     # -- the pi walk: dimension conservation and SMF's fibers
-    seen: dict[tuple, tuple] = {}
-    fiber_of: dict[tuple, tuple] = {}
     dim_report = CaseReport(record.id, bound)
     smf_report = CaseReport(record.id, bound)
+    dim_fail, smf_fail = dim_report.failures, smf_report.failures
+    covered = expected = 0
+    if smf is not None:
+        pi_theta_rows, injective = smf
+        if injective is not None:
+            smf_fail.append(injective)
     if dim is not None or smf is not None:
-        pi_rows, pi_table, nu_rows, nu_table = dim or ((), None, None, None)
+        pi_rows, pi_table, nu_rows, nu_table = dim or ((), None, [], None)
+        nnu = len(nu_rows)
+        fiber_rows = nu_rows + (pi_theta_rows if smf is not None else [])
         dimension = weights._dimension2
-        nu_key_rows = stack.rows[smf[0]] if smf else None
         contains = record.theta.contains
         try:
             for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
@@ -689,45 +720,63 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                     fibers = _branch_fibers(record.branch_rule, pi_params)
                 except Exception as exc:
                     fibers = exc
-                nus: list = []  # nu labels of the fibers, as far as dimension got
+                adding = False  # dimension sums this pi's fibers
                 if dim is not None:
+                    dim_report.checks_run += 1
                     try:
-                        dim_report.checks_run += 1
-                        try:
-                            expected = dimension(pi_table, pi_label2)
-                            if isinstance(fibers, Exception):
-                                raise fibers
-                            total = 0
-                            for theta in fibers:
-                                nus.append(_apply2(nu_rows, theta))
-                                total += dimension(nu_table, nus[-1])
-                        except (ValueError, AssertionError) as exc:
-                            dim_report.failures.append(
-                                ("dimension", pi_params, "computable", repr(exc))
-                            )
-                        else:
-                            if expected != total:
-                                dim_report.failures.append(("dimension", pi_params, expected, total))
+                        want = dimension(pi_table, pi_label2)
+                        if isinstance(fibers, Exception):
+                            raise fibers
+                        adding, total = True, 0
+                    except (ValueError, AssertionError) as exc:
+                        dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
                     except Exception as exc:
                         out["dimension-conservation"] = exc
                         dim = None
                 if smf is not None:
-                    try:
-                        if isinstance(fibers, Exception):
-                            raise fibers
-                        for i, theta in enumerate(fibers):
+                    if isinstance(fibers, Exception):
+                        out["strong-multiplicity-freeness"] = fibers
+                        smf = None
+                    else:
+                        pi2 = [2 * p for p in pi_params]
+                        mine: set = set()
+                if not (adding or smf is not None):
+                    continue
+                for theta in fibers:
+                    image = None
+                    if adding:
+                        try:
+                            image = _apply2(fiber_rows, theta)
+                            total += dimension(nu_table, image[:nnu])
+                        except (ValueError, AssertionError) as exc:
+                            dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
+                            adding = False
+                        except Exception as exc:
+                            out["dimension-conservation"] = exc
+                            dim, adding = None, False
+                    if smf is not None:
+                        try:
                             smf_report.checks_run += 2
                             if not contains(theta):
-                                smf_report.failures.append(("branch-valid", theta, True, False))
-                                continue
-                            key = tuple(nus[i] if i < len(nus) else _apply2(nu_key_rows, theta))
-                            if key in seen:
-                                smf_report.failures.append(("disjoint", theta, None, seen[key]))
-                            seen[key] = pi_params
-                            fiber_of[theta] = pi_params
-                    except Exception as exc:
-                        out["strong-multiplicity-freeness"] = exc
-                        smf = None
+                                smf_fail.append(("branch-valid", theta, True, False))
+                            elif theta in mine:
+                                smf_fail.append(("disjoint", theta, None, pi_params))
+                            else:
+                                mine.add(theta)
+                                if image is None:
+                                    image = _apply2(fiber_rows, theta)
+                                doubled = image[nnu:]
+                                if doubled != pi2:
+                                    smf_fail.append(
+                                        ("recovers-pi", theta, _halve(doubled), pi_params)
+                                    )
+                                elif max(map(abs, theta), default=0) <= bound:
+                                    covered += 1
+                        except Exception as exc:
+                            out["strong-multiplicity-freeness"] = exc
+                            smf = None
+                if adding and want != total:
+                    dim_fail.append(("dimension", pi_params, want, total))
         except Exception as exc:  # the walk itself
             for name in ("dimension-conservation", "strong-multiplicity-freeness"):
                 if name in names:
@@ -741,7 +790,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     transfer_report = CaseReport(record.id, bound)
     pi_report = CaseReport(record.id, bound)
     rel_fail, transfer_fail = rel_report.failures, transfer_report.failures
-    smf_fail, pi_fail = smf_report.failures, pi_report.failures
+    pi_fail = pi_report.failures
     rel_count = transfer_count = smf_count = pi_count = 0
     if rel is not None:
         rel_values, _, relations = rel
@@ -749,8 +798,6 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     if transfer is not None:
         image_sl, nu_rho_sl, g_weyl = transfer
         mod_trace = record.mod_trace
-    if smf is not None:
-        nu_sl = smf[0]
     if pi_side is not None:
         pi_symbols, own_values, own_at, extra_values, shared_at, pi_label_rows = pi_side
         pi_group = record.pi_group
@@ -787,21 +834,12 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                         out["transfer"] = exc
                         transfer = None
                 if smf is not None:
-                    try:
-                        if any([v & 1 for v in doubled]):
-                            smf_fail.append(("integral-pi", theta, True, False))
-                            smf_count += 1
-                        elif max(map(abs, pi_params), default=0) <= bound:
-                            smf_count += 2
-                            if fiber_of.get(theta) != pi_params:
-                                smf_fail.append(
-                                    ("recovers-pi", theta, pi_params, fiber_of.get(theta))
-                                )
-                            if image[nu_sl] not in seen:
-                                smf_fail.append(("exhausts", theta, True, False))
-                    except Exception as exc:
-                        out["strong-multiplicity-freeness"] = exc
-                        smf = None
+                    if any([v & 1 for v in doubled]):
+                        smf_fail.append(("integral-pi", theta, True, False))
+                        smf_count += 1
+                    elif max(map(abs, pi_params), default=0) <= bound:
+                        smf_count += 2
+                        expected += 1
                 if pi_side is not None:
                     try:
                         targets = targets_of.get(pi_params)
@@ -819,11 +857,11 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                             got, at = vals, shared_at
                         else:
                             got, at = vals + extra_values(image), shared_at
-                        for (name, den, _), i, (expected, target) in zip(pi_symbols, at, targets):
+                        for (name, den, _), i, (want, target) in zip(pi_symbols, at, targets):
                             pi_count += 1
                             if got[i] != target:
                                 pi_fail.append(
-                                    ("pi-side:%s" % name, theta, expected, Fraction(got[i], den))
+                                    ("pi-side:%s" % name, theta, want, Fraction(got[i], den))
                                 )
                     except Exception as exc:
                         out["pi-side-consistency"] = exc
@@ -833,6 +871,26 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                 if name in names:
                     out.setdefault(name, exc)
             rel = transfer = smf = pi_side = None
+
+    # -- SMF's count: search the theta box only when a covered theta is missing
+    if smf is not None and covered < expected:
+        try:
+            last, fibers = None, ()
+            for theta, doubled in record.theta.walk(bound, pi_theta_rows):
+                if any([v & 1 for v in doubled]):
+                    continue
+                pi_params = tuple([v >> 1 for v in doubled])
+                if max(map(abs, pi_params), default=0) > bound:
+                    continue
+                if pi_params != last:
+                    last, fibers = pi_params, ()
+                    if record.pi_space.contains(pi_params):
+                        fibers = set(_branch_fibers(record.branch_rule, pi_params))
+                if theta not in fibers:
+                    smf_fail.append(("exhausts", theta, True, False))
+        except Exception as exc:
+            out["strong-multiplicity-freeness"] = exc
+            smf = None
     for name, check, report, count in (
         ("relations", rel, rel_report, rel_count),
         ("transfer", transfer, transfer_report, transfer_count),
@@ -843,6 +901,22 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
             report.checks_run = count
             out[name] = report
     return out
+
+
+def _halve(doubled) -> tuple:
+    """The coordinates whose doubles are ``doubled``: ints, or Fractions
+    where a double is odd."""
+    return tuple(Fraction(v, 2) if v & 1 else v >> 1 for v in doubled)
+
+
+def _smf_plan(record: CaseRecord, stack: _Stack):
+    """(doubled rows of pi_of_theta, stacked for the theta walk, and the
+    setup failure or None) for strong multiplicity-freeness.  The failure is
+    ("nu-injective", None, k, rank) when nu_label_map's rank is not k."""
+    rows = stack.rows[stack.add("pi_of_theta", lambda: record.pi_of_theta)]
+    k = len(record.theta.names)
+    rank = linalg.rank(record.nu_label_map.matrix)
+    return rows, None if rank == k else ("nu-injective", None, k, rank)
 
 
 def _dimension_plan(record: CaseRecord):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from branchlab import verify, weights
+from branchlab import linalg, verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
 from branchlab.linalg import Matrix, Vector, dot, vec, vsub
 from branchlab.reps import casimir_eigenvalue
@@ -268,9 +268,12 @@ def independence_certificate(record, gens, bound: int, degree: int):
 # ---------------------------------------------------------------------------
 # The five box checks as separate loops, one walk of the box each, as they
 # stood before verify fused them into one pass; the tests require the same
-# (checks_run, failures) from both.  The loop bodies are unchanged; the two
-# helpers below give them the per-symbol and nu+rho routes they were written
-# against, on top of verify's single-symbol compilation.
+# (checks_run, failures) from both.  The loop bodies are unchanged but for
+# strong multiplicity-freeness, which is written as the plain loop of the
+# counting definition verify now uses; its earlier route, with a map per
+# theta, stays as ``check_strong_multiplicity_freeness_by_maps``.  The two
+# helpers below give the loops the per-symbol and nu+rho routes they were
+# written against, on top of verify's single-symbol compilation.
 
 
 def _int_eval(record, name):
@@ -362,8 +365,62 @@ def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
 
 
 def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseReport:
-    """Branches of distinct pi are disjoint and exhaust Disc(G/H); every theta
-    recovers its pi via the canonical map and occurs in its branching."""
+    """Strong multiplicity-freeness as ``verify._box_pass`` defines it, one
+    plain loop per item: nu is injective, each fiber theta is valid, not
+    repeated in its pi's fibers and lies over its pi; pi(theta) is integral;
+    and the fiber theta in the box number as many as the theta of the box
+    whose pi(theta) lies in the pi box, else a search reports the missing."""
+    report = CaseReport(record.id, bound)
+    failures = report.failures
+    k = len(record.theta.names)
+    rank = linalg.rank(record.nu_label_map.matrix)
+    if rank != k:
+        failures.append(("nu-injective", None, k, rank))
+    pi2 = _rows2(record.pi_of_theta)
+    count = covered = 0
+    for pi_params in record.pi_space.enumerate(bound):
+        fibers = _branch_fibers(record.branch_rule, pi_params)
+        for i, theta in enumerate(fibers):
+            count += 2
+            if not record.theta.contains(theta):
+                failures.append(("branch-valid", theta, True, False))
+            elif theta in fibers[:i]:
+                failures.append(("disjoint", theta, None, pi_params))
+            else:
+                doubled = _apply2(pi2, theta)
+                if doubled != [2 * p for p in pi_params]:
+                    halves = tuple(Fraction(v, 2) if v % 2 else v // 2 for v in doubled)
+                    failures.append(("recovers-pi", theta, halves, pi_params))
+                elif all(abs(t) <= bound for t in theta):
+                    covered += 1
+    expected = 0
+    for theta in record.theta.enumerate(bound):
+        doubled = _apply2(pi2, theta)
+        if any(v % 2 for v in doubled):
+            failures.append(("integral-pi", theta, True, False))
+            count += 1
+        elif all(abs(v // 2) <= bound for v in doubled):
+            count += 2
+            expected += 1
+    if covered < expected:
+        for theta in record.theta.enumerate(bound):
+            doubled = _apply2(pi2, theta)
+            pi_params = tuple(v // 2 for v in doubled)
+            if any(v % 2 for v in doubled) or any(abs(p) > bound for p in pi_params):
+                continue
+            if not record.pi_space.contains(pi_params) or theta not in _branch_fibers(
+                record.branch_rule, pi_params
+            ):
+                failures.append(("exhausts", theta, True, False))
+    report.checks_run = count
+    return report
+
+
+def check_strong_multiplicity_freeness_by_maps(record: CaseRecord, bound: int) -> CaseReport:
+    """The reference route of strong multiplicity-freeness, with a map per
+    theta: branches of distinct pi are disjoint (by nu label) and exhaust
+    Disc(G/H); every theta recovers its pi via the canonical map and occurs
+    in its branching."""
     report = CaseReport(record.id, bound)
     nu2 = _rows2(record.nu_label_map)
     pi2 = _rows2(record.pi_of_theta)

@@ -51,6 +51,19 @@ def test_unknown_case_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_repeated_case_tags_select_once(capsys):
+    # a repeated tag, also under another spelling, selects its cases once,
+    # in the order of first mention
+    rc, out = run_capture(capsys, ["list", "--max-n", "2", "--cases", "iv,vi,iv,i',i_prime"])
+    assert rc == 0
+    ids = [line.split()[0] for line in out.splitlines()]
+    assert ids == ["iv[n=1]", "iv[n=2]", "vi", "i_prime[n=2]"]
+    rc, out = run_capture(
+        capsys, ["verify", "--max-n", "2", "--bound", "2", "--cases", "x,x", "--format", "json"]
+    )
+    assert [c["case"] for c in json.loads(out)["cases"]] == ["x"]
+
+
 def test_verify_small_cases_pass(capsys):
     rc, out = run_capture(capsys, ["verify", "--cases", "x,xi,ix", "--bound", "6"])
     assert rc == 0

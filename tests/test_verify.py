@@ -532,6 +532,24 @@ def test_run_case_check_error_is_that_checks_failure(records):
     }
 
 
+def test_run_case_memory_does_not_grow_with_the_box(records):
+    # nothing is kept per theta: after a warm-up call has compiled what is
+    # cached per record, the traced peak of a 19,448-theta case stays under
+    # 1 MB (a map per theta took over 6 MB)
+    import tracemalloc
+
+    r = rec(records, "iv", 3)
+    verify.run_case(r, 5, 2)
+    tracemalloc.start()
+    try:
+        entries = verify.run_case(r, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(e["failed"] == 0 for e in entries)
+    assert peak < 1 << 20, peak
+
+
 def test_run_case_never_raises_on_small_boxes():
     for bound in range(5):
         for r in catalog.build_records(2):
@@ -555,7 +573,7 @@ def _tampered_records():
 
     by_id = {str(r.id): r for r in catalog.build_records(2)}
     vi, star, i1, iv2 = by_id["vi"], by_id["star"], by_id["i[n=1]"], by_id["iv[n=2]"]
-    viii = by_id["viii"]
+    vii, viii = by_id["vii"], by_id["viii"]
     rows = [list(row) for row in vi.nu_label_map.matrix]
     rows[1][1] += 1
     offset = list(star.transfer_offset)
@@ -564,6 +582,8 @@ def _tampered_records():
     pi_offset[1] += 1
     rel = iv2.relations[0]
     terms = ((rel.terms[0][0] + 1, rel.terms[0][1]),) + rel.terms[1:]
+    pi_of_theta = vi.pi_of_theta
+    zeroed = [[0 if j == 1 else x for j, x in enumerate(row)] for row in vii.nu_label_map.matrix]
     return [
         dataclasses.replace(vi, branch_rule=("tail_le",)),
         dataclasses.replace(
@@ -579,6 +599,19 @@ def _tampered_records():
         # fibers of two coordinates in a three-coordinate theta space: the nu
         # label raises IndexError inside dimension conservation
         dataclasses.replace(viii, branch_rule=("tail_le",)),
+        # aimed at strong multiplicity-freeness: pi(theta) one too high, a
+        # branch rule that drops every other theta, and a nu label that
+        # forgets k
+        dataclasses.replace(
+            vi,
+            pi_of_theta=dataclasses.replace(
+                pi_of_theta, offset=(pi_of_theta.offset[0] + 1,) + pi_of_theta.offset[1:]
+            ),
+        ),
+        dataclasses.replace(vii, branch_rule=("parity_tail",)),
+        dataclasses.replace(
+            vii, nu_label_map=dataclasses.replace(vii.nu_label_map, matrix=mat(zeroed))
+        ),
     ]
 
 
@@ -606,6 +639,51 @@ def test_box_pass_matches_separate_loops():
                     seen_error += expected[0] == "error"
                     seen_failure += expected[0] != "error" and bool(expected[1])
     assert seen_failure and seen_error
+
+
+def test_smf_count_fails_wherever_the_maps_fail():
+    # the streamed check against the route with a map per theta: equal on
+    # the catalog, and a failure wherever the reference fails
+    clean = catalog.build_records(2)
+    tampered = _tampered_records()
+    for r in clean:
+        for bound in range(5):
+            got = _outcome(lambda: verify.check_strong_multiplicity_freeness(r, bound))
+            ref = _outcome(
+                lambda: oracles.check_strong_multiplicity_freeness_by_maps(r, bound)
+            )
+            assert got == ref and got[1] == [], (r.id, bound)
+    caught = set()
+    for i, r in enumerate(tampered):
+        for bound in range(5):
+            got = _outcome(lambda: verify.check_strong_multiplicity_freeness(r, bound))
+            ref = _outcome(
+                lambda: oracles.check_strong_multiplicity_freeness_by_maps(r, bound)
+            )
+            if ref[0] == "error" or ref[1]:
+                assert got[0] == "error" or got[1], (r.id, bound, ref)
+                caught.add(i)
+            if got[0] != "error":
+                caught.update((i, name) for name, *_ in got[1])
+    # the three records aimed at this check fail it, each by its own item
+    assert {(6, "recovers-pi"), (7, "exhausts"), (8, "nu-injective")} <= caught
+    assert {6, 7, 8} <= caught
+
+
+def test_smf_repeated_fiber_is_not_counted_twice(monkeypatch):
+    # a rule that lists one theta twice and drops another leaves the counts
+    # equal if a repeat is counted; the repeat must fail, and the dropped
+    # theta then shows in the count
+    vii = next(r for r in catalog.build_records(2) if str(r.id) == "vii")
+    real = verify._branch_fibers
+
+    def repeats(rule, pi):
+        fibers = real(rule, pi)
+        return fibers[:-1] + fibers[:1] if len(fibers) > 1 else fibers
+
+    monkeypatch.setattr(verify, "_branch_fibers", repeats)
+    report = verify.check_strong_multiplicity_freeness(vii, 3)
+    assert {name for name, *_ in report.failures} == {"disjoint", "exhausts"}
 
 
 def test_box_check_error_stops_only_that_check(monkeypatch):
