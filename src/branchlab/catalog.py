@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -134,7 +135,7 @@ class ParamSpace:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
         return [p for p, _ in self.walk(bound)]
 
-    def walk(self, bound: int, rows=()):
+    def walk(self, bound: int, rows=(), sums=()):
         """Yield (params, image) for each tuple of ``enumerate(bound)``, in order.
 
         ``rows`` is a stacked doubled-integer matrix, [(((index, coefficient),
@@ -142,6 +143,13 @@ class ParamSpace:
         image is carried down the depth: placing x at coordinate t adds
         x·(column t) to the image of the prefix, so a point costs one update
         of the non-zero entries of one column.  Each image is a fresh tuple.
+
+        ``sums`` is a list of terms (row index, fn), each fn mapping the row's
+        value to a tuple of K ints; the image then ends with the K entries of
+        the sum of fn(row's value) over the terms.  The sums are carried down
+        the depth too: a term is added where its row's last non-zero column is
+        placed (at the root for a row with no column), so a point pays only
+        for the rows it makes final.
 
         Depth-first with bound propagation through the linear constraints, so
         interlacing chains are enumerated without wasted work.  An inequality
@@ -167,6 +175,10 @@ class ParamSpace:
             for i, c in coeffs:
                 cols[i].append((r, c))
         lows = [0 if d == "nat" else -bound for d in self.domains]
+        # final[d]: the terms whose row is final once d coordinates are placed
+        final: list[list] = [[] for _ in range(n + 1)]
+        for r, fn in sums:
+            final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, fn))
 
         point = [0] * n
         tops = [0] * n
@@ -174,6 +186,13 @@ class ParamSpace:
         # changed in place only while its own coordinate steps, so a level
         # whose column is zero can share the list of the level above.
         images = [[off for _, off in rows]] + [[]] * n
+        # totals[t]: the sums of the terms final at depth <= t, None above the
+        # first term, and () throughout when there are no terms
+        add = operator.add
+        total = None if sums else ()
+        for r, fn in final[0]:
+            total = fn(rows[r][1]) if total is None else tuple(map(add, total, fn(rows[r][1])))
+        totals = [total] * (n + 1)
         t = 0
         while True:
             if t < n:
@@ -185,31 +204,35 @@ class ParamSpace:
                         lo = max(lo, -(rest // a))  # x >= ceil(-rest / a)
                     else:
                         hi = min(hi, rest // -a)  # x <= floor(rest / -a)
-                if lo <= hi:
-                    point[t], tops[t] = lo, hi
-                    if cols[t]:
-                        image = images[t + 1] = images[t].copy()
-                        if lo:
-                            for r, c in cols[t]:
-                                image[r] += lo * c
-                    else:
-                        images[t + 1] = images[t]
-                    t += 1
-                    continue
+            if t < n and lo <= hi:
+                point[t], tops[t] = lo, hi
+                if cols[t]:
+                    image = images[t + 1] = images[t].copy()
+                    if lo:
+                        for r, c in cols[t]:
+                            image[r] += lo * c
+                else:
+                    images[t + 1] = images[t]
             else:
-                p = tuple(point)
-                if _satisfies(at_leaf, p):
-                    yield p, tuple(images[n])
-            # step to the next value of the deepest coordinate that has one
-            t -= 1
-            while t >= 0 and point[t] == tops[t]:
+                if t == n:
+                    p = tuple(point)
+                    if _satisfies(at_leaf, p):
+                        yield p, tuple(images[n]) + totals[n]
+                # step to the next value of the deepest coordinate that has one
                 t -= 1
-            if t < 0:
-                return
-            point[t] += 1
-            image = images[t + 1]
-            for r, c in cols[t]:
-                image[r] += c
+                while t >= 0 and point[t] == tops[t]:
+                    t -= 1
+                if t < 0:
+                    return
+                point[t] += 1
+                image = images[t + 1]
+                for r, c in cols[t]:
+                    image[r] += c
+            # coordinate t is placed: add the terms it makes final
+            total = totals[t]
+            for r, fn in final[t + 1]:
+                total = fn(image[r]) if total is None else tuple(map(add, total, fn(image[r])))
+            totals[t + 1] = total
             t += 1
 
 

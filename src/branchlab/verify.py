@@ -24,22 +24,28 @@ strong multiplicity-freeness, then one walk of the theta box for relations,
 transfer, the theta half of strong multiplicity-freeness and pi-side
 consistency.  Every map the theta walk reads is stacked into one
 doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
-from point to point; compiled symbols read fixed slices of it.  ``run_case``
+from point to point; the checks read fixed slices of it.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  ``evaluate_generator`` compiles one symbol against only its own maps.
 The box is streamed: strong multiplicity-freeness compares two counts
 instead of keeping a map per theta, and the independence certificate stops
 its walk at full rank, so memory does not grow with the box.
 
-Per theta, the compiled symbols do little arithmetic.  The power sums of one
-vector share a ``_Powers`` memo from an entry's value to its weighted powers,
-so each distinct value is raised once and a theta only adds memo tuples.  A
-Casimir's affine terms (sum(4·rho·a), and the SU trace sum(a)) are rows of
-the stack combined from its label map's rows, so the walk carries them and
-only the quadratic form is left per theta; they are never read off the
-nu+rho power sums, which would make the relations between the two hold by
-construction.  ``ParamSpace.contains`` checks constraints compiled once per
-space into sparse rows, which its walk shares.
+Every symbol but an xyz_poly or a theta_poly in several coordinates is
+compiled once into separable form (``_separable``): one integer polynomial
+per row of a stack, whose sum over the rows is the symbol's numerator.
+Casimirs are squares of label rows plus affine rows combined from them (G2's
+cross term through the row a0 + a1), power sums are powers of the vector's
+rows, Euler forms are one row.  A Casimir never reads the nu+rho power sums'
+rows, which would make the relations between the two hold by construction.
+For the box pass, each relation's weighted sum of numerators, and each
+P-side Casimir, is folded (``_fold``) into one polynomial per coordinate, a
+constant, and the squares of rows with several columns; ``ParamSpace.walk``
+then carries these K totals down the depth, adding a memo's tuple for each
+row it makes final (``_RowSums``, keyed by the row's value), and the checks
+read them off the end of the image.  A relation's total at theta is the same
+integer as the sum of its terms' numerators.  ``ParamSpace.contains`` checks
+constraints compiled once per space into sparse rows, which its walk shares.
 """
 
 from __future__ import annotations
@@ -209,7 +215,7 @@ class _Stack:
 
     def __init__(self):
         self.rows: list = []
-        self.slices: dict[str, slice] = {}
+        self.slices: dict = {}
 
     def add(self, key: str, make) -> slice:
         sl = self.slices.get(key)
@@ -219,162 +225,156 @@ class _Stack:
             self.rows.extend(rows)
         return sl
 
-    def combine(self, key: str, sl: slice, weights) -> int:
-        """Index of the row sum(weights[i] · row sl.start + i), stacked once."""
-        at = self.slices.get(key)
+    def row(self, row) -> int:
+        """Index of ``row``, (((index, coefficient), ...), offset), stacked once."""
+        at = self.slices.get(row)
         if at is None:
-            coeffs: dict[int, int] = {}
-            offset = 0
-            for w, (row, off) in zip(weights, self.rows[sl]):
-                offset += w * off
-                for i, c in row:
-                    coeffs[i] = coeffs.get(i, 0) + w * c
-            row = tuple((i, c) for i, c in sorted(coeffs.items()) if c)
-            at = self.slices[key] = slice(len(self.rows), len(self.rows) + 1)
-            self.rows.append((row, offset))
+            at = self.slices[row] = slice(len(self.rows), len(self.rows) + 1)
+            self.rows.append(row)
         return at.start
+
+    def combine(self, sl: slice, weights) -> int:
+        """Index of the row sum(weights[i] · row sl.start + i), stacked once; a
+        unit vector's row is that row itself."""
+        weights = tuple(weights)
+        if weights.count(1) == 1 and weights.count(0) == len(weights) - 1:
+            return sl.start + weights.index(1)
+        coeffs: dict[int, int] = {}
+        offset = 0
+        for w, (row, off) in zip(weights, self.rows[sl]):
+            offset += w * off
+            for i, c in row:
+                coeffs[i] = coeffs.get(i, 0) + w * c
+        return self.row((tuple((i, c) for i, c in sorted(coeffs.items()) if c), offset))
 
 
 def _int_casimir_blocks(group):
-    """[(kind, slice, extra, weights)] per factor of group, with a the
-    factor's doubled label and w·a the affine term of each weight row w:
-    "orth": 4·value = a·a + w·a, with w = 4·rho;
-    "su": 4·extra·value = extra·(a·a + w·a) − (t·a)², with w = 4·rho and t
-    all ones (extra is the rank);
-    "g2": 8·value = a·G·a + w·a, with G twice the Gram matrix and w = G·4·rho.
-    """
+    """[(slice, extra, unit, terms)] per factor of group, with a the factor's
+    doubled label: unit·value = sum(c·(w·a)^e for (w, e, c) in terms), and a
+    symbol over several blocks has denominator 4·lcm(extra):
+    orth (unit 4): a·a + 4·rho·a;
+    SU (unit 4·extra, extra the rank): extra·(a·a + 4·rho·a) − (sum a)²;
+    G2 (unit 8, extra 4): a·G·a + (G·4·rho)·a, with G twice the Gram matrix,
+    whose square part is (G00 − G01)·a0² + G01·(a0 + a1)² + (G11 − G01)·a1².
+    Each w·a is a row of the stack, so each term is a power of one row."""
     blocks = []
     for f, sl in group.factor_slices():
         rho4 = [2 * r for r in weights._rho2(f.weyl)]
+        axes = [tuple(int(i == j) for j in range(f.rank)) for i in range(f.rank)]
         if f.weyl.family == "G2":
+            (g00, g01), (_, g11) = weights._G2_GRAM2
             gram_rho = [sum(map(operator.mul, row, rho4)) for row in weights._G2_GRAM2]
-            blocks.append(("g2", sl, 4, (gram_rho,)))
+            terms = [
+                (axes[0], 2, g00 - g01),
+                ((1, 1), 2, g01),
+                (axes[1], 2, g11 - g01),
+                (gram_rho, 1, 1),
+            ]
+            blocks.append((sl, 4, 8, terms))
         elif f.kind == "SU":
-            blocks.append(("su", sl, f.rank, (rho4, [1] * f.rank)))
+            n = f.rank
+            terms = [(u, 2, n) for u in axes] + [(rho4, 1, n), ((1,) * n, 2, -1)]
+            blocks.append((sl, n, 4 * n, terms))
         else:
-            blocks.append(("orth", sl, 1, (rho4,)))
+            blocks.append((sl, 1, 4, [(u, 2, 1) for u in axes] + [(rho4, 1, 1)]))
     return blocks
 
 
-def _int_symbol(record: CaseRecord, name: str, stack: _Stack):
-    """(fn(image) -> int numerator, constant denominator) for a symbol that is
-    not a power sum, reading the slice of ``stack``'s image that holds its map.
+def _univariate(poly) -> bool:
+    """Does every monomial of the theta_poly ``poly`` read at most one coordinate?"""
+    return all(sum(1 for e in exps if e) <= 1 for exps, _ in poly)
 
-    A Casimir stacks the affine terms of its blocks as rows combined from its
-    label map's rows, so the walk carries them and fn adds only the quadratic
-    forms.  They are never read off the nu+rho power sums: the relations
-    between those and the Casimirs would then hold by construction."""
+
+def _separable(record: CaseRecord, name: str, stack: _Stack):
+    """(terms, den) for a symbol whose integer numerator is a sum of integer
+    polynomials, each in one row of ``stack``'s image: terms is ((row,
+    ((exponent, coefficient), ...)), ...), one polynomial per row, and the
+    symbol's value at theta is the sum of poly(image[row]) over terms, over
+    den.  ValueError, naming the symbol, for an xyz_poly or a theta_poly with
+    a monomial in two coordinates.
+
+    A Casimir reads the rows of its label map and rows combined from them
+    (``_int_casimir_blocks``), never the nu+rho power sums' rows: the
+    relations between those and the Casimirs would then hold by
+    construction."""
     spec = record.symbols[name]
+    polys: dict[int, dict[int, int]] = {}
+
+    def add(row, e, c):
+        poly = polys.setdefault(row, {})
+        poly[e] = poly.get(e, 0) + c
+
     if spec.kind == "casimir":
         key = "nu_label_map" if spec.label == "nu" else "label:%s" % spec.label
         at = stack.add(key, lambda: _label_map_for(record, spec.label)).start
-        blocks = list(enumerate(_int_casimir_blocks(_group_for(record, spec.label))))
+        blocks = _int_casimir_blocks(_group_for(record, spec.label))
         if spec.factor is not None:
             blocks = [blocks[spec.factor]]
-        den = 4 * math.lcm(*(extra for _, (_, _, extra, _) in blocks))
-        # per block: its place in the image, the image indices of its affine
-        # terms, extra, and the factor that puts it over den
-        compiled = []
-        for f, (kind, sl, extra, lin) in blocks:
+        den = 4 * math.lcm(*(extra for _, extra, _, _ in blocks))
+        for sl, _, unit, terms in blocks:
             sl = slice(at + sl.start, at + sl.stop)
-            rows = tuple(
-                stack.combine("%s:casimir%d.%d" % (key, f, j), sl, w) for j, w in enumerate(lin)
-            )
-            compiled.append((kind, sl, rows, extra, den // (8 if kind == "g2" else 4 * extra)))
-        compiled = tuple(compiled)
-        mul = operator.mul
-        gram = weights._G2_GRAM2
-
-        def casimir_fn(image, blocks=compiled):
-            total = 0
-            for kind, sl, rows, n, scale in blocks:
-                a = image[sl]
-                if kind == "orth":
-                    total += (sum(map(mul, a, a)) + image[rows[0]]) * scale
-                elif kind == "su":
-                    t = image[rows[1]]
-                    total += (n * (sum(map(mul, a, a)) + image[rows[0]]) - t * t) * scale
-                else:  # g2
-                    s = sum(a[i] * gram[i][j] * a[j] for i in range(2) for j in range(2))
-                    total += (s + image[rows[0]]) * scale
-            return total
-
-        return casimir_fn, den
-    if spec.kind == "euler":
-        at = stack.add("euler:%s" % name, lambda: spec.form).start
-        return operator.itemgetter(at), 2
-    if spec.kind in ("theta_poly", "xyz_poly"):
-        sl = stack.add("theta", lambda: _theta_map(record))
-        den = math.lcm(*(c.denominator for _, c in spec.poly)) if spec.poly else 1
-        terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
-
-        def poly_fn(image, terms=terms, xyz=spec.kind == "xyz_poly"):
-            theta = [v // 2 for v in image[sl]]  # the image holds 2·theta
-            if xyz:
-                theta = [(v + 3) ** 2 for v in theta]
-            total = 0
-            for exps, c in terms:
-                term = c
-                for v, e in zip(theta, exps):
-                    if e:
-                        term *= v ** e
-                total += term
-            return total
-
-        return poly_fn, den
-    raise ValueError("unknown symbol kind %r" % spec.kind)
-
-
-class _Powers(dict):
-    """Entry value v -> (mult·v^e for each (e, mult) of ``terms``), each tuple
-    computed on first use and kept for the life of the compiled values."""
-
-    def __init__(self, terms):
-        super().__init__()
-        self.terms = terms
-
-    def __missing__(self, v):
-        out = self[v] = tuple(mult * v ** e for e, mult in self.terms)
-        return out
-
-
-def _compile_values(record: CaseRecord, names, stack: _Stack):
-    """(values, slots) for distinct symbol names: values(image) lists their
-    integer numerators read from ``stack``'s image, and slots[name] is (index
-    in that list, constant denominator).  The power sums of one vector share
-    one ``_Powers`` memo, whose tuples values() sums entry by entry."""
-    singles = []
-    tables: dict[tuple, list] = {}  # vector's place in the image -> power sums
-    for name in names:
-        spec = record.symbols[name]
+            for w, e, c in terms:
+                add(stack.combine(sl, w), e, c * (den // unit))
+    elif spec.kind in ("power_ab", "power_nu"):
+        # the image holds 2·v, and base^k·v^e = base^k·(2·v)^e / 2^e
         if spec.kind == "power_ab":
             vmap = record.a_map if spec.vecname == "a" else record.b_map
             sl = stack.add("vec:%s" % spec.vecname, lambda: vmap)
-            mult = spec.base ** spec.k
-        elif spec.kind == "power_nu":
-            sl = stack.add("nurho", lambda: _nu_rho_map(record))
-            mult = 1
         else:
-            singles.append((name,) + _int_symbol(record, name, stack))
-            continue
-        tables.setdefault((sl.start, sl.stop), []).append((name, spec.scale * spec.k, mult))
-    slots = {name: (i, den) for i, (name, _, den) in enumerate(singles)}
-    fns = tuple(fn for _, fn, _ in singles)
-    powers = []
-    for (start, stop), sums in tables.items():
-        for name, e, _ in sums:
-            slots[name] = (len(slots), 2 ** e)
-        memo = _Powers(tuple((e, mult) for _, e, mult in sums))
-        # the zero tuple keeps zip's output one sum per name for an empty vector
-        powers.append((slice(start, stop), memo.__getitem__, (0,) * len(sums)))
+            sl = stack.add("nurho", lambda: _nu_rho_map(record))
+        e = spec.scale * spec.k
+        den = 2 ** e
+        for row in range(sl.start, sl.stop):
+            add(row, e, spec.base ** spec.k if spec.kind == "power_ab" else 1)
+    elif spec.kind == "euler":
+        add(stack.add("euler:%s" % name, lambda: spec.form).start, 1, 1)
+        den = 2
+    elif spec.kind == "theta_poly" and _univariate(spec.poly):
+        # the image holds 2·theta: c·theta_i^e = c·2^(top−e)·(2·theta_i)^e / 2^top;
+        # a constant sits on a row with no column, whose value is 0
+        sl = stack.add("theta", lambda: _theta_map(record))
+        top = max((sum(exps) for exps, _ in spec.poly), default=0)
+        q = math.lcm(*(c.denominator for _, c in spec.poly))
+        den = q * 2 ** top
+        for exps, c in spec.poly:
+            e = sum(exps)
+            row = sl.start + next(i for i, x in enumerate(exps) if x) if e else stack.row(((), 0))
+            add(row, e, int(c * q) * 2 ** (top - e))
+    elif spec.kind in ("theta_poly", "xyz_poly"):
+        raise ValueError(
+            "symbol %s is a %s that is not a sum of polynomials in one coordinate each"
+            % (name, spec.kind)
+        )
+    else:
+        raise ValueError("unknown symbol kind %r" % spec.kind)
+    terms = (
+        (row, tuple((e, c) for e, c in sorted(poly.items()) if c))
+        for row, poly in sorted(polys.items())
+    )
+    return tuple((row, poly) for row, poly in terms if poly), den
 
-    def values(image):
-        out = [fn(image) for fn in fns]
-        for sl, memo, zero in powers:
-            out += map(sum, zip(zero, *map(memo, image[sl])))
-        return out
 
-    return values, slots
+def _poly_fn(record: CaseRecord, spec: SymbolSpec, stack: _Stack):
+    """(fn(image) -> int numerator, constant denominator) for an xyz_poly or a
+    theta_poly in several coordinates, which ``_separable`` does not take."""
+    sl = stack.add("theta", lambda: _theta_map(record))
+    den = math.lcm(*(c.denominator for _, c in spec.poly))
+    terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
+
+    def poly_fn(image, terms=terms, xyz=spec.kind == "xyz_poly"):
+        theta = [v // 2 for v in image[sl]]  # the image holds 2·theta
+        if xyz:
+            theta = [(v + 3) ** 2 for v in theta]
+        total = 0
+        for exps, c in terms:
+            term = c
+            for v, e in zip(theta, exps):
+                if e:
+                    term *= v ** e
+            total += term
+        return total
+
+    return poly_fn, den
 
 
 def _symbol_cache(record: CaseRecord) -> dict:
@@ -391,9 +391,18 @@ def _int_eval(record: CaseRecord, name: str):
     cache = _symbol_cache(record)["int"]
     if name not in cache:
         stack = _Stack()
-        values, slots = _compile_values(record, (name,), stack)
+        spec = record.symbols[name]
+        if spec.kind == "xyz_poly" or spec.kind == "theta_poly" and not _univariate(spec.poly):
+            fn, den = _poly_fn(record, spec, stack)
+        else:
+            terms, den = _separable(record, name, stack)
+            flat = tuple((row, e, c) for row, poly in terms for e, c in poly)
+
+            def fn(image, flat=flat):
+                return sum([c * image[row] ** e for row, e, c in flat])
+
         rows = stack.rows
-        cache[name] = (lambda theta: values(_apply2(rows, theta))[0], slots[name][1])
+        cache[name] = (lambda theta: fn(_apply2(rows, theta)), den)
     return cache[name]
 
 
@@ -406,6 +415,80 @@ def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> F
     return Fraction(fn(theta), den)
 
 
+def _fold(parts, rows) -> dict:
+    """{row: {exponent: coefficient}}: the sum of m·terms over ``parts``,
+    ((integer multiplier m, separable terms over ``rows``), ...), as one
+    polynomial per row, each row given by its content.
+
+    A polynomial in a row with one column is a polynomial in that coordinate;
+    one of degree <= 1 in any row is a sum of multiples of coordinates and a
+    constant.  Those are folded onto the rows (((i, 1),), 0) of the
+    coordinates theta_i and the row ((), 0) of the constants, so only the
+    square of a row with several columns stays on that row."""
+    out: dict = {}
+
+    def add(row, poly):
+        acc = out.setdefault(row, {})
+        for e, c in poly.items():
+            acc[e] = acc.get(e, 0) + c
+
+    for m, terms in parts:
+        for r, poly in terms:
+            coeffs, off = rows[r]
+            if len(coeffs) == 1:
+                # sum(p·(a·t + off)^e) as a polynomial in t
+                ((i, a),) = coeffs
+                in_t: dict = {}
+                for e, p in poly:
+                    for j in range(e + 1):
+                        c = m * p * math.comb(e, j) * a ** j * off ** (e - j)
+                        in_t[j] = in_t.get(j, 0) + c
+                add((((i, 1),), 0), in_t)
+            elif coeffs and max(e for e, _ in poly) > 1:
+                add(rows[r], {e: m * p for e, p in poly})
+            else:  # p0 + p1·(sum(a_i·t_i) + off), or a row with no column
+                linear = m * dict(poly).get(1, 0)
+                for i, a in coeffs:
+                    add((((i, 1),), 0), {1: linear * a})
+                add(((), 0), {0: m * sum(p * off ** e for e, p in poly)})
+    return out
+
+
+class _RowSums(dict):
+    """Row value x -> per slot, that slot's polynomial in the row at x: the
+    tuple the walk adds for the row.  Computed on first use, so its size is
+    bounded by the values the row takes, not by the box."""
+
+    def __init__(self, polys):
+        super().__init__()
+        self.polys = polys
+
+    def __missing__(self, x):
+        out = self[x] = tuple([sum([c * x ** e for e, c in poly]) for poly in self.polys])
+        return out
+
+
+def _walk_sums(slots, stack: _Stack) -> list:
+    """The sums for ``ParamSpace.walk`` that carry the totals of ``slots``,
+    [(name, ``_fold`` of its parts)], as K = len(slots) entries appended to
+    the image: one ``_RowSums`` per row the slots read, stacked on ``stack``.
+    The constant row is always there, so the image ends with K entries even
+    when every polynomial is zero; a walk step adds about one tuple per
+    coordinate it places."""
+    if not slots:
+        return []
+    per_row: dict = {((), 0): [{} for _ in slots]}
+    for k, (_, folded) in enumerate(slots):
+        for row, poly in folded.items():
+            per_row.setdefault(row, [{} for _ in slots])[k] = poly
+    sums = []
+    for row, accs in per_row.items():
+        polys = tuple(tuple((e, c) for e, c in sorted(a.items()) if c) for a in accs)
+        if any(polys) or not row[0]:
+            sums.append((stack.row(row), _RowSums(polys).__getitem__))
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # relation suite
 
@@ -415,19 +498,23 @@ def check_relations(record: CaseRecord, bound: int) -> CaseReport:
     return _box_check(record, bound, "relations")
 
 
-def _compile_relations(record: CaseRecord, stack: _Stack):
-    """(values, slots, relations): values/slots of every symbol the relations
-    read, and per relation (name, ((integer multiplier, slot index), ...))
-    whose weighted sum of numerators is the relation times a positive integer."""
-    names = list(dict.fromkeys(sym for rel in record.relations for _, sym in rel.terms))
-    values, slots = _compile_values(record, names, stack)
-    compiled = []
+def _compile_relations(record: CaseRecord):
+    """Per relation (name, ``_fold`` of its terms): the weighted sum of its
+    symbols' numerators, which is the relation times a positive integer.  A
+    symbol that ``_separable`` does not take is a ValueError."""
+    stack = _Stack()
+    compiled: dict[str, tuple] = {}
+    out = []
     for rel in record.relations:
-        pairs = [(coeff, slots[sym]) for coeff, sym in rel.terms]
-        L = math.lcm(*(den * coeff.denominator for coeff, (_, den) in pairs))
-        terms = tuple((int(coeff * L) // den, i) for coeff, (i, den) in pairs)
-        compiled.append((rel.name, terms))
-    return values, slots, tuple(compiled)
+        pairs = []
+        for coeff, sym in rel.terms:
+            if sym not in compiled:
+                compiled[sym] = _separable(record, sym, stack)
+            pairs.append((coeff,) + compiled[sym])
+        L = math.lcm(*(den * coeff.denominator for coeff, _, den in pairs))
+        parts = tuple((int(coeff * L) // den, terms) for coeff, terms, den in pairs)
+        out.append((rel.name, _fold(parts, stack.rows)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +729,15 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     the nu label rows stacked on the pi_of_theta rows serves both.
     Relations, transfer, the theta half of SMF and pi-side consistency then
     share one walk of the theta box, which carries the image of one stacked
-    matrix of every map they read; each symbol is evaluated once per theta
-    for relations and pi-side alike.  The box is streamed: what is kept is
-    one pi's fiber set, pi-side's targets per distinct pi(theta), and the
-    ``_Powers`` memos of the compiled symbols.  An exception in one check's
-    setup or per-point body stops that check alone.
+    matrix of every map they read, followed by the relation totals and the
+    P-side Casimir numerators (``_walk_sums``).  The box is streamed: what is
+    kept is one pi's fiber set, pi-side's targets per distinct pi(theta),
+    and the ``_RowSums`` memos, one per row the sums read, keyed by the
+    row's value.  The targets grow with the pi box (one per distinct
+    pi(theta)); the memos grow with the range of a row's values only.  An
+    exception in one check's setup or per-point body stops that check alone;
+    one raised while the walk carries the sums stops the four checks of the
+    theta walk.
 
     SMF, that the branches of distinct pi are disjoint and exhaust
     Disc(G/H), is checked without a map per theta:
@@ -684,7 +775,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
             out[name] = exc
             return None
 
-    rel = setup("relations", lambda: _compile_relations(record, stack))
+    rel = setup("relations", lambda: _compile_relations(record))
     transfer = setup(
         "transfer",
         lambda: (
@@ -695,9 +786,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     )
     dim = setup("dimension-conservation", lambda: _dimension_plan(record))
     smf = setup("strong-multiplicity-freeness", lambda: _smf_plan(record, stack))
-    pi_side = setup(
-        "pi-side-consistency", lambda: _pi_side_plan(record, stack, rel[1] if rel else {})
-    )
+    pi_side = setup("pi-side-consistency", lambda: _pi_side_plan(record, stack))
 
     # -- the pi walk: dimension conservation and SMF's fibers
     dim_report = CaseReport(record.id, bound)
@@ -791,41 +880,34 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     pi_report = CaseReport(record.id, bound)
     rel_fail, transfer_fail = rel_report.failures, transfer_report.failures
     pi_fail = pi_report.failures
-    rel_count = transfer_count = smf_count = pi_count = 0
-    if rel is not None:
-        rel_values, _, relations = rel
-        rel_per_theta = len(relations)
+    points = smf_count = 0
+    # the walk carries the relation totals, then the P-side numerators
+    rel_slots = rel if rel is not None else ()
+    pi_symbols, pi_slots, pi_label_rows = pi_side if pi_side is not None else ((), (), None)
+    sums = _walk_sums(rel_slots + pi_slots, stack)
+    rel_sl = slice(len(stack.rows), len(stack.rows) + len(rel_slots))
     if transfer is not None:
         image_sl, nu_rho_sl, g_weyl = transfer
         mod_trace = record.mod_trace
     if pi_side is not None:
-        pi_symbols, own_values, own_at, extra_values, shared_at, pi_label_rows = pi_side
         pi_group = record.pi_group
         targets_of: dict[tuple, list] = {}
     pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
         try:
-            for theta, image in record.theta.walk(bound, stack.rows):
+            for theta, image in record.theta.walk(bound, stack.rows, sums):
+                points += 1
                 if pi_sl is not None:
                     doubled = image[pi_sl]
                     pi_params = tuple([v >> 1 for v in doubled])
-                vals = None
                 if rel is not None:
-                    try:
-                        vals = rel_values(image)
-                        for name, terms in relations:
-                            total = 0
-                            for m, i in terms:
-                                total += m * vals[i]
+                    totals = image[rel_sl]
+                    if any(totals):
+                        for (name, _), total in zip(rel_slots, totals):
                             if total:
                                 rel_fail.append(("relation:%s" % name, theta, 0, total))
-                        rel_count += rel_per_theta
-                    except Exception as exc:
-                        out["relations"] = exc
-                        rel = vals = None
                 if transfer is not None:
                     try:
-                        transfer_count += 1
                         lhs = _canonical2(g_weyl, mod_trace, image[image_sl])
                         rhs = _canonical2(g_weyl, mod_trace, image[nu_rho_sl])
                         if lhs != rhs:
@@ -851,17 +933,11 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                             targets = targets_of[pi_params] = _pi_side_targets(
                                 casimir_eigenvalue(label), pi_symbols
                             )
-                        if vals is None:
-                            got, at = own_values(image), own_at
-                        elif extra_values is None:
-                            got, at = vals, shared_at
-                        else:
-                            got, at = vals + extra_values(image), shared_at
-                        for (name, den, _), i, (want, target) in zip(pi_symbols, at, targets):
-                            pi_count += 1
-                            if got[i] != target:
+                        got = image[rel_sl.stop :]
+                        for (name, den, _), num, (want, target) in zip(pi_symbols, got, targets):
+                            if num != target:
                                 pi_fail.append(
-                                    ("pi-side:%s" % name, theta, want, Fraction(got[i], den))
+                                    ("pi-side:%s" % name, theta, want, Fraction(num, den))
                                 )
                     except Exception as exc:
                         out["pi-side-consistency"] = exc
@@ -892,10 +968,10 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
             out["strong-multiplicity-freeness"] = exc
             smf = None
     for name, check, report, count in (
-        ("relations", rel, rel_report, rel_count),
-        ("transfer", transfer, transfer_report, transfer_count),
+        ("relations", rel, rel_report, len(rel_slots) * points),
+        ("transfer", transfer, transfer_report, points),
         ("strong-multiplicity-freeness", smf, smf_report, smf_report.checks_run + smf_count),
-        ("pi-side-consistency", pi_side, pi_report, pi_count),
+        ("pi-side-consistency", pi_side, pi_report, len(pi_symbols) * points),
     ):
         if check is not None:
             report.checks_run = count
@@ -930,31 +1006,20 @@ def _dimension_plan(record: CaseRecord):
     )
 
 
-def _pi_side_plan(record: CaseRecord, stack: _Stack, shared: dict):
-    """(symbols, own values, own indices, extra values, shared indices, pi
-    label rows) for pi-side consistency, with symbols [(name, denominator,
-    factor)] and the doubled rows of the pi label map alone.
-
-    While relations run, the theta walk hands over their values, whose slots
-    are ``shared``; then the symbol values are those followed by the extra
-    values (None when there are none), read at the shared indices.  Otherwise
-    they are the own values."""
-    names = [
-        name
-        for name, s in sorted(record.symbols.items())
-        if s.kind == "casimir" and s.label == "pi"
-    ]
-    own_values, own = _compile_values(record, names, stack)
-    extra_names = [n for n in names if n not in shared]
-    extra_values, extra = _compile_values(record, extra_names, stack)
-    symbols = tuple((name, own[name][1], record.symbols[name].factor) for name in names)
-    own_at = tuple(own[name][0] for name in names)
-    shared_at = tuple(
-        shared[name][0] if name in shared else len(shared) + extra[name][0] for name in names
-    )
+def _pi_side_plan(record: CaseRecord, stack: _Stack):
+    """(symbols, slots, pi label rows) for pi-side consistency: symbols
+    [(name, denominator, factor)] of the P-side Casimirs, slots (name,
+    ``_fold`` of its numerator) for ``_walk_sums``, and the doubled rows of
+    the pi label map alone.  pi_of_theta goes on ``stack``."""
+    own = _Stack()
+    symbols, slots = [], []
+    for name, s in sorted(record.symbols.items()):
+        if s.kind == "casimir" and s.label == "pi":
+            terms, den = _separable(record, name, own)
+            symbols.append((name, den, s.factor))
+            slots.append((name, _fold(((1, terms),), own.rows)))
     stack.add("pi_of_theta", lambda: record.pi_of_theta)
-    label_rows = _rows2(record.pi_label_map)
-    return symbols, own_values, own_at, extra_values if extra_names else None, shared_at, label_rows
+    return tuple(symbols), tuple(slots), _rows2(record.pi_label_map)
 
 
 def _pi_side_targets(value, symbols) -> list:

@@ -10,6 +10,9 @@ integers, and canonicalization and dominance keep the number type they get.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -244,25 +247,36 @@ def _dimension2(table: tuple, lam2: Sequence[int]) -> int:
     return out
 
 
+@functools.cache
+def _pair_getters(n: int) -> tuple:
+    """Two functions from n coordinates to the tuples of the first and of the
+    second coordinates of the pairs i < j, in the same order."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    if len(pairs) < 2:  # itemgetter returns a tuple only for two indices or more
+        return (
+            lambda a: tuple(a[i] for i, _ in pairs),
+            lambda a: tuple(a[j] for _, j in pairs),
+        )
+    return (
+        operator.itemgetter(*(i for i, _ in pairs)),
+        operator.itemgetter(*(j for _, j in pairs)),
+    )
+
+
 def _root_product(fam: str, a: Sequence[int]) -> int:
     """The product over the positive roots of their pairings with the doubled
     weight a, each scaled alike (G2: through twice its Gram matrix)."""
-    out = 1
     if fam == "G2":
-        for g0, g1 in _G2_ROOT_ROWS:
-            out *= a[0] * g0 + a[1] * g1
-        return out
-    n = len(a)
-    for i in range(n):
-        ai = a[i]
-        for j in range(i + 1, n):
-            out *= ai - a[j]
-            if fam != "A":
-                out *= ai + a[j]
-        if fam in ("B", "BC"):
-            out *= ai
-        if fam in ("C", "BC"):
-            out *= 2 * ai
+        return math.prod(a[0] * g0 + a[1] * g1 for g0, g1 in _G2_ROOT_ROWS)
+    first, second = _pair_getters(len(a))
+    x, y = first(a), second(a)
+    out = math.prod(map(operator.sub, x, y))
+    if fam != "A":
+        out *= math.prod(map(operator.add, x, y))
+    if fam in ("B", "BC"):
+        out *= math.prod(a)
+    if fam in ("C", "BC"):
+        out *= 2 ** len(a) * math.prod(a)
     return out
 
 

@@ -11,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab import catalog, verify
 from branchlab.catalog import (
@@ -183,8 +185,8 @@ def test_walk_carries_the_stacked_image():
     # and every pi space with its label map, at bounds 0..4
     for r in build_records(2):
         stack = verify._Stack()
-        verify._compile_relations(r, stack)
-        verify._pi_side_plan(r, stack, {})
+        slots = verify._compile_relations(r) + verify._pi_side_plan(r, stack)[1]
+        verify._walk_sums(slots, stack)
         stack.add("transfer", lambda: verify._transfer_image_map(r))
         stack.add("nurho", lambda: verify._nu_rho_map(r))
         stack.add("nu_label_map", lambda: r.nu_label_map)
@@ -203,6 +205,55 @@ def test_walk_matches_enumerate_on_synthetic_spaces(constraints, domains):
         assert space.enumerate(bound) == _box_filter(space, bound)
         _assert_walk_is_enumerate(space, bound, _stacked_rows(rng, 3))
         _assert_walk_is_enumerate(space, bound, [])
+
+
+@st.composite
+def _walk_with_sums(draw):
+    """(space, bound, rows, sums): a small nat/int space with random
+    inequalities and congruences, rows with zero columns and constant rows
+    among them, and sum terms whose fns are quadratics per entry."""
+    n = draw(st.integers(0, 4))
+    ints = st.integers(-2, 2)
+    domains = tuple(draw(st.lists(st.sampled_from(["nat", "int"]), min_size=n, max_size=n)))
+    constraints = draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                st.tuples(*[ints] * n),
+                st.integers(-3, 3),
+                st.sampled_from([0, 0, 2, 3]),
+            ),
+            max_size=3,
+        )
+    )
+    space = ParamSpace(tuple("abcd"[:n]), domains, tuple(constraints))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows.append((tuple((i, c) for i, c in enumerate(coeffs) if c), draw(st.integers(-5, 5))))
+    width = draw(st.integers(1, 3))
+    sums = []
+    if rows:
+        for _ in range(draw(st.integers(0, 5))):
+            cs = draw(st.lists(st.tuples(ints, ints, ints), min_size=width, max_size=width))
+            fn = lambda x, cs=tuple(cs): tuple(a + b * x + c * x * x for a, b, c in cs)
+            sums.append((draw(st.integers(0, len(rows) - 1)), fn))
+    return space, draw(st.integers(0, 3)), rows, sums
+
+
+@given(_walk_with_sums())
+@settings(max_examples=150, deadline=None)
+def test_walk_carries_sums_of_row_values(case):
+    # at every point the K entries after the rows are the sum of fn(value of
+    # row r) over the terms, and the points and rows are walk's without sums
+    space, bound, rows, sums = case
+    plain = list(space.walk(bound, rows))
+    walked = list(space.walk(bound, rows, sums))
+    assert [p for p, _ in walked] == [p for p, _ in plain]
+    for (p, image), (_, bare) in zip(walked, plain):
+        assert image[: len(rows)] == bare, p
+        direct = tuple(map(sum, zip(*[fn(bare[r]) for r, fn in sums])))
+        assert image[len(rows) :] == direct, (p, image)
 
 
 def test_enumerate_leaves_no_cycle(records):

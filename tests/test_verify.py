@@ -58,18 +58,28 @@ def test_compiled_matches_reference(records):
                 ), (r.id, name, theta)
 
 
-def _fresh_values(record):
-    """values(image), slots and the walk's (theta, image) pairs at bound 3 of
-    every symbol of record, compiled afresh: no power has been seen yet."""
-    stack = verify._Stack()
-    values, slots = verify._compile_values(record, sorted(record.symbols), stack)
-    return values, slots, list(record.theta.walk(3, stack.rows))
+def _fresh_sums(record):
+    """(names, dens, sums, points) for every symbol of record that
+    ``verify._separable`` takes, one slot each, compiled afresh so that no
+    memo has seen a value yet: the walk's sum terms on a new stack, and the
+    walk's (theta, image) pairs at bound 3 on that stack."""
+    own, stack = verify._Stack(), verify._Stack()
+    names, dens, slots = [], [], []
+    for name in sorted(record.symbols):
+        if record.symbols[name].kind == "xyz_poly":
+            continue
+        terms, den = verify._separable(record, name, own)
+        names.append(name)
+        dens.append(den)
+        slots.append((name, verify._fold(((1, terms),), own.rows)))
+    sums = verify._walk_sums(slots, stack)
+    return names, dens, sums, list(record.theta.walk(3, stack.rows))
 
 
 def test_compiled_values_do_not_depend_on_image_order(records):
-    # the compiled values keep memos across calls; fed in walk order, in
-    # reverse, or alternating between two records' closures, each image
-    # must still give the reference values (ii_odd[n=1] has an empty b)
+    # the walk's sums keep memos across calls; fed in walk order, in reverse,
+    # or alternating between two records' memos, each image must still give
+    # the reference values (ii_odd[n=1] has an empty b)
     assert len(records[("ii_odd", 1)].b_map.matrix) == 0
     ordered = sorted(records.values(), key=lambda r: r.id.sort_key())
     expected = {
@@ -80,28 +90,32 @@ def test_compiled_values_do_not_depend_on_image_order(records):
         for r in ordered
     }
 
-    def feed(record, values, slots, point):
+    def feed(record, names, dens, sums, point):
         theta, image = point
-        got = values(image)
-        for name, (i, den) in slots.items():
-            assert Fraction(got[i], den) == expected[record.id][theta][name], (
+        totals = [0] * len(names)
+        for row, fn in sums:
+            totals = [a + b for a, b in zip(totals, fn(image[row]))]
+        for name, den, total in zip(names, dens, totals):
+            assert Fraction(total, den) == expected[record.id][theta][name], (
                 record.id, name, theta,
             )
 
     for r in ordered:
-        values, slots, points = _fresh_values(r)
-        assert set(slots) == set(r.symbols)
+        names, dens, sums, points = _fresh_sums(r)
+        assert set(r.symbols) - set(names) <= {
+            name for name, s in r.symbols.items() if s.kind == "xyz_poly"
+        }
         for point in points:
-            feed(r, values, slots, point)
-        values, slots, points = _fresh_values(r)
+            feed(r, names, dens, sums, point)
+        names, dens, sums, points = _fresh_sums(r)
         for point in reversed(points):
-            feed(r, values, slots, point)
+            feed(r, names, dens, sums, point)
     for r, s in zip(ordered, ordered[1:] + ordered[:1]):
-        left, right = (r,) + _fresh_values(r), (s,) + _fresh_values(s)
-        for i in range(max(len(left[3]), len(right[3]))):
-            for record, values, slots, points in (left, right):
+        left, right = (r,) + _fresh_sums(r), (s,) + _fresh_sums(s)
+        for i in range(max(len(left[4]), len(right[4]))):
+            for record, names, dens, sums, points in (left, right):
                 if i < len(points):
-                    feed(record, values, slots, points[i])
+                    feed(record, names, dens, sums, points[i])
 
 
 def test_casimir_scalar_tables(records):
@@ -534,15 +548,17 @@ def test_run_case_check_error_is_that_checks_failure(records):
 
 def test_run_case_memory_does_not_grow_with_the_box(records):
     # nothing is kept per theta: after a warm-up call has compiled what is
-    # cached per record, the traced peak of a 19,448-theta case stays under
-    # 1 MB (a map per theta took over 6 MB)
+    # cached per record, the traced peak of a 6,435-theta case stays under
+    # 1 MB (about 0.16 MB; a map from theta to pi(theta) takes 1.5 MB, and
+    # memoising the walk's sums per prefix of theta 1.2 MB)
     import tracemalloc
 
     r = rec(records, "iv", 3)
-    verify.run_case(r, 5, 2)
+    assert len(r.theta.enumerate(4)) == 6435
+    verify.run_case(r, 4, 2)
     tracemalloc.start()
     try:
-        entries = verify.run_case(r, 5, 2)
+        entries = verify.run_case(r, 4, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -687,40 +703,62 @@ def test_smf_repeated_fiber_is_not_counted_twice(monkeypatch):
 
 
 def test_box_check_error_stops_only_that_check(monkeypatch):
-    # a relation symbol that raises at the k-th theta: relations alone gets
-    # the error entry, and every other box check runs the whole box
+    # a transfer comparison that raises at its k-th call: transfer alone gets
+    # the error entry, and every other box check runs the whole box.  (The
+    # relation totals are carried by the walk, so relations has no per-theta
+    # code of its own left to fail.)
     import dataclasses
     import itertools
 
     clean = next(r for r in catalog.build_records(2) if str(r.id) == "i[n=2]")
-    name, k = "C_G", 7
-    assert any(sym == name for rel in clean.relations for _, sym in rel.terms)
-    assert clean.symbols[name].label != "pi" and name not in clean.indep_gens
+    k = 7
     expected = verify.run_case(clean, 4, 2)
-    real = verify._int_symbol
+    real = verify._canonical2
+    calls = itertools.count(1)
 
-    def planted(record, symbol, stack):
-        fn, den = real(record, symbol, stack)
-        if symbol != name:
-            return fn, den
-        calls = itertools.count(1)
+    def fails_once(*args):
+        if next(calls) == k:
+            raise RuntimeError("planted at call %d" % k)
+        return real(*args)
 
-        def fails_once(image):
-            if next(calls) == k:
-                raise RuntimeError("planted at theta %d" % k)
-            return fn(image)
-
-        return fails_once, den
-
-    monkeypatch.setattr(verify, "_int_symbol", planted)
+    monkeypatch.setattr(verify, "_canonical2", fails_once)
     entries = verify.run_case(dataclasses.replace(clean), 4, 2)
-    assert entries[0] == {
-        "name": "relations",
+    assert entries[1] == {
+        "name": "transfer",
         "run": 1,
         "failed": 1,
-        "first_failure": "error: RuntimeError: planted at theta 7",
+        "first_failure": "error: RuntimeError: planted at call 7",
     }
-    assert entries[1:] == expected[1:]
+    assert entries[:1] + entries[2:] == expected[:1] + expected[2:]
     box = {e["name"]: e for e in entries}
-    for other in verify.BOX_CHECKS[1:]:
-        assert box[other]["run"] > 0 and box[other]["failed"] == 0, box[other]
+    for other in verify.BOX_CHECKS:
+        if other != "transfer":
+            assert box[other]["run"] > 0 and box[other]["failed"] == 0, box[other]
+
+
+def _ix_with_mixed_c_k():
+    """ix whose C_K, which its relation reads, is the theta_poly j·k: a
+    monomial in two coordinates, which the relation sums cannot carry."""
+    import dataclasses
+
+    from branchlab.catalog import SymbolSpec
+
+    ix = next(r for r in catalog.build_records(1) if r.id.tag == "ix")
+    mixed = SymbolSpec("theta_poly", side="Q", poly=(((1, 1), Fraction(1)),))
+    return dataclasses.replace(ix, symbols={**ix.symbols, "C_K": mixed})
+
+
+def test_relation_on_a_symbol_in_two_coordinates_is_a_setup_error(monkeypatch, capsys):
+    tampered = _ix_with_mixed_c_k()
+    assert evaluate_generator(tampered, "C_K", (3, -2)) == -6  # poly_fn still evaluates it
+    entries = verify.run_case(tampered, 6, 2)
+    relations = entries[0]
+    assert relations["name"] == "relations" and relations["failed"] == 1
+    assert relations["first_failure"].startswith("error: ValueError: ")
+    assert "C_K" in relations["first_failure"]
+    assert [e["name"] for e in entries if e["failed"]] == ["relations"]
+    from branchlab import cli
+
+    monkeypatch.setattr(catalog, "load_default", lambda max_n=2: [tampered])
+    assert cli.main(["verify", "--cases", "ix", "--bound", "6"]) == 1
+    assert "relations" in capsys.readouterr().out
