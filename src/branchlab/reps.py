@@ -174,13 +174,6 @@ class IrrepLabel:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "doubled", doubled)
 
-    @property
-    def highest_weight(self) -> Vector:
-        return _halve(self.doubled)
-
-    def dimension(self) -> int:
-        return weights.weyl_dimension(self.group.weyl, self.highest_weight)
-
 
 @functools.cache
 def _casimir_plan(group: GroupDescriptor) -> tuple:

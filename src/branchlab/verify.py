@@ -26,26 +26,29 @@ consistency.  Every map the theta walk reads is stacked into one
 doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
 from point to point; the checks read fixed slices of it.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
-check.  ``evaluate_generator`` compiles one symbol against only its own maps.
-The box is streamed: strong multiplicity-freeness compares two counts
-instead of keeping a map per theta, and the independence certificate stops
-its walk at full rank, so memory does not grow with the box.
+check.  The box is streamed: strong multiplicity-freeness compares two
+counts instead of keeping a map per theta, and the independence certificate
+and the parity gap stop their walks once decided, so memory does not grow
+with the box.
 
 Every symbol but an xyz_poly or a theta_poly in several coordinates is
-compiled once into separable form (``_separable``): one integer polynomial
-per row of a stack, whose sum over the rows is the symbol's numerator.
-Casimirs are squares of label rows plus affine rows combined from them (G2's
-cross term through the row a0 + a1), power sums are powers of the vector's
-rows, Euler forms are one row.  A Casimir never reads the nu+rho power sums'
-rows, which would make the relations between the two hold by construction.
-For the box pass, each relation's weighted sum of numerators, and each
-P-side Casimir, is folded (``_fold``) into one polynomial per coordinate, a
-constant, and the squares of rows with several columns; ``ParamSpace.walk``
-then carries these K totals down the depth, adding a memo's tuple for each
-row it makes final (``_RowSums``, keyed by the row's value), and the checks
-read them off the end of the image.  A relation's total at theta is the same
-integer as the sum of its terms' numerators.  ``ParamSpace.contains`` checks
-constraints compiled once per space into sparse rows, which its walk shares.
+compiled once per record (``_separable``) into one form, cached beside the
+doubled rows of the record's maps (``_symbol_cache``): a polynomial per row,
+keyed by the row's content, whose sum at theta is the symbol's integer
+numerator.  Casimirs are squares of label rows plus affine rows combined from
+them (G2's cross term through the row a0 + a1), power sums are powers of the
+vector's rows, Euler forms are one row; only the powers of rows with several
+columns keep their own row, the rest going onto the coordinate rows theta_i
+and the constant row.  A Casimir never reads the nu+rho power sums' rows,
+which would make the relations between the two hold by construction.  Every
+reader takes this one form: ``_int_eval`` evaluates it at a theta (for
+``evaluate_generator``, the independence certificate and the parity gap); a
+relation merges its terms' forms (``_fold``), pi-side reads the P-side
+Casimirs' forms as they are, and ``ParamSpace.walk`` carries these K totals,
+adding a memo's tuple for each row it makes final (``_RowSums``).
+``_poly_fn`` evaluates the other symbols, the one evaluator beside the
+compiled form.  ``ParamSpace.contains`` checks constraints compiled once per
+space into sparse rows, which its walk shares.
 """
 
 from __future__ import annotations
@@ -173,23 +176,6 @@ def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
     return AffineMap(mat(rows), vec(offset), source=inner.source_dim)
 
 
-def _label_map_for(record: CaseRecord, label: str) -> AffineMap:
-    """The composite theta ↦ highest-weight coordinates for pi/nu/tau."""
-    if label == "pi":
-        return _compose_affine(
-            record.pi_label_map.matrix, record.pi_label_map.offset, record.pi_of_theta
-        )
-    if label == "nu":
-        return record.nu_label_map
-    return _compose_affine(
-        record.tau_label_map.matrix, record.tau_label_map.offset, record.tau_of_theta
-    )
-
-
-def _group_for(record: CaseRecord, label: str):
-    return {"pi": record.pi_group, "nu": record.nu_group, "tau": record.tau_group}[label]
-
-
 def _nu_rho_map(record: CaseRecord) -> AffineMap:
     """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
     nu = record.nu_label_map
@@ -197,30 +183,75 @@ def _nu_rho_map(record: CaseRecord) -> AffineMap:
     return AffineMap(nu.matrix, offset, source=nu.source_dim)
 
 
-def _theta_map(record: CaseRecord) -> AffineMap:
-    """The identity theta ↦ theta, for symbols written in theta itself."""
-    k = len(record.theta.names)
-    return AffineMap(
-        mat(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))),
-        vec((0,) * k),
-        source=k,
-    )
+# The maps the checks read, by the key under which ``_map_rows`` keeps their
+# doubled rows: the composite theta ↦ highest-weight coordinates of pi, nu
+# and tau (a Casimir's label), the vectors a and b of the power sums, nu+rho,
+# the transfer image, pi(theta), and the pi label map of the pi parameters.
+_MAPS = {
+    "pi": lambda r: _compose_affine(
+        r.pi_label_map.matrix, r.pi_label_map.offset, r.pi_of_theta
+    ),
+    "nu": lambda r: r.nu_label_map,
+    "tau": lambda r: _compose_affine(
+        r.tau_label_map.matrix, r.tau_label_map.offset, r.tau_of_theta
+    ),
+    "a": lambda r: r.a_map,
+    "b": lambda r: r.b_map,
+    "nurho": _nu_rho_map,
+    "transfer": lambda r: _transfer_image_map(r),
+    "pi_of_theta": lambda r: r.pi_of_theta,
+    "pi_label_map": lambda r: r.pi_label_map,
+}
+
+
+def _symbol_cache(record: CaseRecord) -> dict:
+    """The record's compiled data, kept for its life and not grown by a box:
+    {"rows": doubled rows by map (``_map_rows``), "forms": {symbol: (form,
+    den) of ``_separable``}, "polys": {symbol: ``_poly_fn`` of the others}}."""
+    cache = record.__dict__.get("_symbol_cache")
+    if cache is None:
+        cache = {"rows": {}, "forms": {}, "polys": {}}
+        object.__setattr__(record, "_symbol_cache", cache)
+    return cache
+
+
+def _map_rows(record: CaseRecord, key) -> list:
+    """The doubled rows (``_rows2``) of the record's map ``_MAPS[key]``, or
+    of ``key`` itself when it is an AffineMap.  They are kept per record
+    under the key and under the map, so equal maps are converted once."""
+    rows = _symbol_cache(record)["rows"]
+    if key not in rows:
+        amap = _MAPS[key](record) if isinstance(key, str) else key
+        if amap not in rows:
+            rows[amap] = _rows2(amap)
+        rows[key] = rows[amap]
+    return rows[key]
+
+
+def _compiled(record: CaseRecord, name: str):
+    """(form, den) of ``_separable`` for the named symbol, compiled once per
+    record; the walk, ``_int_eval`` and every plan read this one object."""
+    forms = _symbol_cache(record)["forms"]
+    if name not in forms:
+        forms[name] = _separable(record, name)
+    return forms[name]
 
 
 class _Stack:
     """Affine maps of theta stacked into one doubled-integer matrix, each map
     once: the image of ``rows`` at theta holds every stacked map's values, and
-    ``add(key, make)`` says where the values of the map make() sit in it.
-    ``combine`` appends integer combinations of rows already stacked."""
+    ``add(key)`` says where the values of the record's map ``_MAPS[key]``
+    sit in it."""
 
-    def __init__(self):
+    def __init__(self, record: CaseRecord):
+        self.record = record
         self.rows: list = []
         self.slices: dict = {}
 
-    def add(self, key: str, make) -> slice:
+    def add(self, key: str) -> slice:
         sl = self.slices.get(key)
         if sl is None:
-            rows = _rows2(make())
+            rows = _map_rows(self.record, key)
             sl = self.slices[key] = slice(len(self.rows), len(self.rows) + len(rows))
             self.rows.extend(rows)
         return sl
@@ -233,20 +264,6 @@ class _Stack:
             self.rows.append(row)
         return at.start
 
-    def combine(self, sl: slice, weights) -> int:
-        """Index of the row sum(weights[i] · row sl.start + i), stacked once; a
-        unit vector's row is that row itself."""
-        weights = tuple(weights)
-        if weights.count(1) == 1 and weights.count(0) == len(weights) - 1:
-            return sl.start + weights.index(1)
-        coeffs: dict[int, int] = {}
-        offset = 0
-        for w, (row, off) in zip(weights, self.rows[sl]):
-            offset += w * off
-            for i, c in row:
-                coeffs[i] = coeffs.get(i, 0) + w * c
-        return self.row((tuple((i, c) for i, c in sorted(coeffs.items()) if c), offset))
-
 
 def _int_casimir_blocks(group):
     """[(slice, extra, unit, terms)] per factor of group, with a the factor's
@@ -256,7 +273,8 @@ def _int_casimir_blocks(group):
     SU (unit 4·extra, extra the rank): extra·(a·a + 4·rho·a) − (sum a)²;
     G2 (unit 8, extra 4): a·G·a + (G·4·rho)·a, with G twice the Gram matrix,
     whose square part is (G00 − G01)·a0² + G01·(a0 + a1)² + (G11 − G01)·a1².
-    Each w·a is a row of the stack, so each term is a power of one row."""
+    Each w·a is one row combined from the label's rows, so each term is a
+    power of one row."""
     blocks = []
     for f, sl in group.factor_slices():
         rho4 = [2 * r for r in weights._rho2(f.weyl)]
@@ -285,61 +303,84 @@ def _univariate(poly) -> bool:
     return all(sum(1 for e in exps if e) <= 1 for exps, _ in poly)
 
 
-def _separable(record: CaseRecord, name: str, stack: _Stack):
-    """(terms, den) for a symbol whose integer numerator is a sum of integer
-    polynomials, each in one row of ``stack``'s image: terms is ((row,
-    ((exponent, coefficient), ...)), ...), one polynomial per row, and the
-    symbol's value at theta is the sum of poly(image[row]) over terms, over
-    den.  ValueError, naming the symbol, for an xyz_poly or a theta_poly with
-    a monomial in two coordinates.
+_CONSTANT = ((), 0)  # the row with no column, whose value is 0
+
+
+def _separable(record: CaseRecord, name: str):
+    """(form, den) for a symbol whose integer numerator is a polynomial in
+    theta: form is {row: {exponent: coefficient}}, each row (((index,
+    coefficient), ...), offset) given by its content, and the numerator at
+    theta is the sum over the rows of the row's polynomial at the row's
+    value.  A term c·x^e in the value x of a row is filed where the walk
+    carries it most cheaply: a power of a row with one column, a·theta_i +
+    off, is expanded onto the coordinate row of theta_i; the affine part of
+    any row goes onto the coordinate rows and the constant row ((), 0); only
+    a power e >= 2 of a row with several columns stays on that row.
+    ValueError, naming the symbol, for an xyz_poly or a theta_poly with a
+    monomial in two coordinates.
 
     A Casimir reads the rows of its label map and rows combined from them
     (``_int_casimir_blocks``), never the nu+rho power sums' rows: the
     relations between those and the Casimirs would then hold by
     construction."""
     spec = record.symbols[name]
-    polys: dict[int, dict[int, int]] = {}
+    form: dict = {}
 
-    def add(row, e, c):
-        poly = polys.setdefault(row, {})
+    def put(row, e, c):
+        poly = form.setdefault(row if e else _CONSTANT, {})
         poly[e] = poly.get(e, 0) + c
 
+    def add(row, e, c):
+        # c·x^e, x the value of row
+        coeffs, off = row
+        if len(coeffs) == 1:  # (a·theta_i + off)^e as a polynomial in theta_i
+            ((i, a),) = coeffs
+            for j in range(e + 1):
+                put((((i, 1),), 0), j, c * math.comb(e, j) * a ** j * off ** (e - j))
+        elif coeffs and e > 1:
+            put(row, e, c)
+        else:  # c·(sum(a_i·theta_i) + off)^e with e <= 1, or a row with no column
+            if e == 1:
+                for i, a in coeffs:
+                    put((((i, 1),), 0), 1, c * a)
+            put(_CONSTANT, 0, c * off ** e)
+
     if spec.kind == "casimir":
-        key = "nu_label_map" if spec.label == "nu" else "label:%s" % spec.label
-        at = stack.add(key, lambda: _label_map_for(record, spec.label)).start
-        blocks = _int_casimir_blocks(_group_for(record, spec.label))
+        rows = _map_rows(record, spec.label)
+        blocks = _int_casimir_blocks(getattr(record, spec.label + "_group"))
         if spec.factor is not None:
             blocks = [blocks[spec.factor]]
         den = 4 * math.lcm(*(extra for _, extra, _, _ in blocks))
         for sl, _, unit, terms in blocks:
-            sl = slice(at + sl.start, at + sl.stop)
             for w, e, c in terms:
-                add(stack.combine(sl, w), e, c * (den // unit))
+                # the row sum(w_i · label row i) of the factor
+                coeffs: dict[int, int] = {}
+                offset = 0
+                for wi, (row, off) in zip(w, rows[sl]):
+                    offset += wi * off
+                    for i, x in row:
+                        coeffs[i] = coeffs.get(i, 0) + wi * x
+                combined = tuple((i, x) for i, x in sorted(coeffs.items()) if x)
+                add((combined, offset), e, c * (den // unit))
     elif spec.kind in ("power_ab", "power_nu"):
-        # the image holds 2·v, and base^k·v^e = base^k·(2·v)^e / 2^e
-        if spec.kind == "power_ab":
-            vmap = record.a_map if spec.vecname == "a" else record.b_map
-            sl = stack.add("vec:%s" % spec.vecname, lambda: vmap)
-        else:
-            sl = stack.add("nurho", lambda: _nu_rho_map(record))
+        # the rows hold 2·v, and base^k·v^e = base^k·(2·v)^e / 2^e
+        key = spec.vecname if spec.kind == "power_ab" else "nurho"
         e = spec.scale * spec.k
         den = 2 ** e
-        for row in range(sl.start, sl.stop):
+        for row in _map_rows(record, key):
             add(row, e, spec.base ** spec.k if spec.kind == "power_ab" else 1)
     elif spec.kind == "euler":
-        add(stack.add("euler:%s" % name, lambda: spec.form).start, 1, 1)
+        add(_map_rows(record, spec.form)[0], 1, 1)
         den = 2
     elif spec.kind == "theta_poly" and _univariate(spec.poly):
-        # the image holds 2·theta: c·theta_i^e = c·2^(top−e)·(2·theta_i)^e / 2^top;
-        # a constant sits on a row with no column, whose value is 0
-        sl = stack.add("theta", lambda: _theta_map(record))
+        # over q·2^top, the denominator of degree top in doubled coordinates
+        # that every other kind has: c·theta_i^e = c·q·2^top·theta_i^e / den
         top = max((sum(exps) for exps, _ in spec.poly), default=0)
         q = math.lcm(*(c.denominator for _, c in spec.poly))
         den = q * 2 ** top
         for exps, c in spec.poly:
-            e = sum(exps)
-            row = sl.start + next(i for i, x in enumerate(exps) if x) if e else stack.row(((), 0))
-            add(row, e, int(c * q) * 2 ** (top - e))
+            i = next((i for i, x in enumerate(exps) if x), 0)
+            put((((i, 1),), 0), sum(exps), int(c * q) * 2 ** top)
     elif spec.kind in ("theta_poly", "xyz_poly"):
         raise ValueError(
             "symbol %s is a %s that is not a sum of polynomials in one coordinate each"
@@ -347,63 +388,49 @@ def _separable(record: CaseRecord, name: str, stack: _Stack):
         )
     else:
         raise ValueError("unknown symbol kind %r" % spec.kind)
-    terms = (
-        (row, tuple((e, c) for e, c in sorted(poly.items()) if c))
-        for row, poly in sorted(polys.items())
-    )
-    return tuple((row, poly) for row, poly in terms if poly), den
+    polys = ((row, {e: c for e, c in sorted(poly.items()) if c}) for row, poly in form.items())
+    return {row: poly for row, poly in polys if poly}, den
 
 
-def _poly_fn(record: CaseRecord, spec: SymbolSpec, stack: _Stack):
-    """(fn(image) -> int numerator, constant denominator) for an xyz_poly or a
-    theta_poly in several coordinates, which ``_separable`` does not take."""
-    sl = stack.add("theta", lambda: _theta_map(record))
+def _form_value(form: dict, theta) -> int:
+    """A compiled form's integer numerator at theta."""
+    total = 0
+    for (coeffs, x), poly in form.items():
+        for i, c in coeffs:
+            x += c * theta[i]
+        for e, c in poly.items():
+            total += c * x ** e
+    return total
+
+
+def _poly_fn(spec: SymbolSpec):
+    """(fn(theta) -> int numerator, constant denominator) for an xyz_poly or a
+    theta_poly in several coordinates, which ``_separable`` does not take:
+    the one evaluator beside the compiled form."""
     den = math.lcm(*(c.denominator for _, c in spec.poly))
     terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
+    xyz = spec.kind == "xyz_poly"
 
-    def poly_fn(image, terms=terms, xyz=spec.kind == "xyz_poly"):
-        theta = [v // 2 for v in image[sl]]  # the image holds 2·theta
+    def poly_fn(theta):
         if xyz:
             theta = [(v + 3) ** 2 for v in theta]
-        total = 0
-        for exps, c in terms:
-            term = c
-            for v, e in zip(theta, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        return sum(c * _prod(theta, exps) for exps, c in terms)
 
     return poly_fn, den
 
 
-def _symbol_cache(record: CaseRecord) -> dict:
-    cache = record.__dict__.get("_symbol_cache")
-    if cache is None:
-        cache = {"int": {}}
-        object.__setattr__(record, "_symbol_cache", cache)
-    return cache
-
-
 def _int_eval(record: CaseRecord, name: str):
-    """(fn(theta) -> int numerator, denominator) of one symbol, compiled once
-    per record against a stack of only the maps that symbol reads."""
-    cache = _symbol_cache(record)["int"]
-    if name not in cache:
-        stack = _Stack()
-        spec = record.symbols[name]
-        if spec.kind == "xyz_poly" or spec.kind == "theta_poly" and not _univariate(spec.poly):
-            fn, den = _poly_fn(record, spec, stack)
-        else:
-            terms, den = _separable(record, name, stack)
-            flat = tuple((row, e, c) for row, poly in terms for e, c in poly)
-
-            def fn(image, flat=flat):
-                return sum([c * image[row] ** e for row, e, c in flat])
-
-        rows = stack.rows
-        cache[name] = (lambda theta: fn(_apply2(rows, theta)), den)
-    return cache[name]
+    """(fn(theta) -> int numerator, denominator) of one symbol: its compiled
+    form (``_compiled``) at theta, or ``_poly_fn`` for a symbol that
+    ``_separable`` does not take."""
+    spec = record.symbols[name]
+    if spec.kind == "xyz_poly" or spec.kind == "theta_poly" and not _univariate(spec.poly):
+        polys = _symbol_cache(record)["polys"]
+        if name not in polys:
+            polys[name] = _poly_fn(spec)
+        return polys[name]
+    form, den = _compiled(record, name)
+    return (lambda theta: _form_value(form, theta)), den
 
 
 def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> Fraction:
@@ -415,42 +442,15 @@ def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> F
     return Fraction(fn(theta), den)
 
 
-def _fold(parts, rows) -> dict:
-    """{row: {exponent: coefficient}}: the sum of m·terms over ``parts``,
-    ((integer multiplier m, separable terms over ``rows``), ...), as one
-    polynomial per row, each row given by its content.
-
-    A polynomial in a row with one column is a polynomial in that coordinate;
-    one of degree <= 1 in any row is a sum of multiples of coordinates and a
-    constant.  Those are folded onto the rows (((i, 1),), 0) of the
-    coordinates theta_i and the row ((), 0) of the constants, so only the
-    square of a row with several columns stays on that row."""
+def _fold(parts) -> dict:
+    """The sum of m·form over ``parts``, ((integer multiplier m, compiled
+    form), ...), as one form."""
     out: dict = {}
-
-    def add(row, poly):
-        acc = out.setdefault(row, {})
-        for e, c in poly.items():
-            acc[e] = acc.get(e, 0) + c
-
-    for m, terms in parts:
-        for r, poly in terms:
-            coeffs, off = rows[r]
-            if len(coeffs) == 1:
-                # sum(p·(a·t + off)^e) as a polynomial in t
-                ((i, a),) = coeffs
-                in_t: dict = {}
-                for e, p in poly:
-                    for j in range(e + 1):
-                        c = m * p * math.comb(e, j) * a ** j * off ** (e - j)
-                        in_t[j] = in_t.get(j, 0) + c
-                add((((i, 1),), 0), in_t)
-            elif coeffs and max(e for e, _ in poly) > 1:
-                add(rows[r], {e: m * p for e, p in poly})
-            else:  # p0 + p1·(sum(a_i·t_i) + off), or a row with no column
-                linear = m * dict(poly).get(1, 0)
-                for i, a in coeffs:
-                    add((((i, 1),), 0), {1: linear * a})
-                add(((), 0), {0: m * sum(p * off ** e for e, p in poly)})
+    for m, form in parts:
+        for row, poly in form.items():
+            acc = out.setdefault(row, {})
+            for e, c in poly.items():
+                acc[e] = acc.get(e, 0) + m * c
     return out
 
 
@@ -470,16 +470,16 @@ class _RowSums(dict):
 
 def _walk_sums(slots, stack: _Stack) -> list:
     """The sums for ``ParamSpace.walk`` that carry the totals of ``slots``,
-    [(name, ``_fold`` of its parts)], as K = len(slots) entries appended to
-    the image: one ``_RowSums`` per row the slots read, stacked on ``stack``.
+    [(name, compiled form)], as K = len(slots) entries appended to the
+    image: one ``_RowSums`` per row the slots read, stacked on ``stack``.
     The constant row is always there, so the image ends with K entries even
     when every polynomial is zero; a walk step adds about one tuple per
     coordinate it places."""
     if not slots:
         return []
-    per_row: dict = {((), 0): [{} for _ in slots]}
-    for k, (_, folded) in enumerate(slots):
-        for row, poly in folded.items():
+    per_row: dict = {_CONSTANT: [{} for _ in slots]}
+    for k, (_, form) in enumerate(slots):
+        for row, poly in form.items():
             per_row.setdefault(row, [{} for _ in slots])[k] = poly
     sums = []
     for row, accs in per_row.items():
@@ -499,21 +499,16 @@ def check_relations(record: CaseRecord, bound: int) -> CaseReport:
 
 
 def _compile_relations(record: CaseRecord):
-    """Per relation (name, ``_fold`` of its terms): the weighted sum of its
-    symbols' numerators, which is the relation times a positive integer.  A
-    symbol that ``_separable`` does not take is a ValueError."""
-    stack = _Stack()
-    compiled: dict[str, tuple] = {}
+    """Per relation (name, ``_fold`` of its terms' compiled forms): the
+    weighted sum of its symbols' numerators, which is the relation times a
+    positive integer.  A symbol that ``_separable`` does not take is a
+    ValueError."""
     out = []
     for rel in record.relations:
-        pairs = []
-        for coeff, sym in rel.terms:
-            if sym not in compiled:
-                compiled[sym] = _separable(record, sym, stack)
-            pairs.append((coeff,) + compiled[sym])
+        pairs = [(coeff,) + _compiled(record, sym) for coeff, sym in rel.terms]
         L = math.lcm(*(den * coeff.denominator for coeff, _, den in pairs))
-        parts = tuple((int(coeff * L) // den, terms) for coeff, terms, den in pairs)
-        out.append((rel.name, _fold(parts, stack.rows)))
+        parts = ((int(coeff * L) // den, form) for coeff, form, den in pairs)
+        out.append((rel.name, _fold(parts)))
     return tuple(out)
 
 
@@ -640,14 +635,19 @@ def function_in_span(
     degree: int,
 ) -> bool:
     """Is the given function of theta a polynomial of total degree <= degree in
-    the generator evaluations on the box?  (Exact rank comparison, on the
-    monomials of the generators' integer numerators as in
-    ``independence_certificate``.)"""
-    pairs = list(_moment_rows(record, gens, degree, record.theta.enumerate(bound)))
-    rows = [row for _, row in pairs]
-    aug = [row + [values_by_theta(theta)] for theta, row in pairs]
-    base_rank = linalg.rank(rows)
-    return linalg.rank(aug) == base_rank
+    the generator evaluations on the box?  Exact, on the monomials of the
+    generators' integer numerators as in ``independence_certificate``: the
+    box streams into one echelon of the rows [value] + moment row, whose
+    pivot is the largest column of a residual, so a pivot in column 0 is a
+    combination of points on which every monomial vanishes and the value
+    does not: the value is outside the span, and the walk stops."""
+    echelon = linalg.IntEchelon()
+    thetas = (theta for theta, _ in record.theta.walk(bound))
+    for theta, row in _moment_rows(record, gens, degree, thetas):
+        echelon.add([values_by_theta(theta)] + row)
+        if 0 in echelon.rows:
+            return False
+    return True
 
 
 def check_ix_parity_gap(record: CaseRecord, bound: int, degree: int = 4) -> bool:
@@ -730,11 +730,14 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     Relations, transfer, the theta half of SMF and pi-side consistency then
     share one walk of the theta box, which carries the image of one stacked
     matrix of every map they read, followed by the relation totals and the
-    P-side Casimir numerators (``_walk_sums``).  The box is streamed: what is
-    kept is one pi's fiber set, pi-side's targets per distinct pi(theta),
-    and the ``_RowSums`` memos, one per row the sums read, keyed by the
-    row's value.  The targets grow with the pi box (one per distinct
-    pi(theta)); the memos grow with the range of a row's values only.  An
+    P-side Casimir numerators (``_walk_sums``).  The box is streamed.  The
+    pass reads the record's compiled forms and doubled rows, which are
+    compiled once per record (``_symbol_cache``) and do not grow with the
+    box.  What the pass itself keeps: one pi's fiber set, pi-side's targets
+    per distinct pi(theta), and the ``_RowSums`` memos, made fresh per pass,
+    one per row the sums read and keyed by the row's value.  The targets
+    grow with the pi box (one per distinct pi(theta)); the memos grow with
+    the range of a row's values only.  An
     exception in one check's setup or per-point body stops that check alone;
     one raised while the walk carries the sums stops the four checks of the
     theta walk.
@@ -764,7 +767,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     in no other.  Injectivity of nu turns distinct theta into distinct nu.
     """
     out: dict = {}
-    stack = _Stack()
+    stack = _Stack(record)
 
     def setup(name, make):
         if name not in names:
@@ -778,11 +781,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     rel = setup("relations", lambda: _compile_relations(record))
     transfer = setup(
         "transfer",
-        lambda: (
-            stack.add("transfer", lambda: _transfer_image_map(record)),
-            stack.add("nurho", lambda: _nu_rho_map(record)),
-            record.nu_group.weyl,
-        ),
+        lambda: (stack.add("transfer"), stack.add("nurho"), record.nu_group.weyl),
     )
     dim = setup("dimension-conservation", lambda: _dimension_plan(record))
     smf = setup("strong-multiplicity-freeness", lambda: _smf_plan(record, stack))
@@ -989,7 +988,7 @@ def _smf_plan(record: CaseRecord, stack: _Stack):
     """(doubled rows of pi_of_theta, stacked for the theta walk, and the
     setup failure or None) for strong multiplicity-freeness.  The failure is
     ("nu-injective", None, k, rank) when nu_label_map's rank is not k."""
-    rows = stack.rows[stack.add("pi_of_theta", lambda: record.pi_of_theta)]
+    rows = stack.rows[stack.add("pi_of_theta")]
     k = len(record.theta.names)
     rank = linalg.rank(record.nu_label_map.matrix)
     return rows, None if rank == k else ("nu-injective", None, k, rank)
@@ -999,9 +998,9 @@ def _dimension_plan(record: CaseRecord):
     """(doubled rows of the pi label map, the pi group's dimension table,
     doubled rows of the nu label map, the nu group's) for dimension conservation."""
     return (
-        _rows2(record.pi_label_map),
+        _map_rows(record, "pi_label_map"),
         weights._dimension_table(record.pi_group.weyl),
-        _rows2(record.nu_label_map),
+        _map_rows(record, "nu"),
         weights._dimension_table(record.nu_group.weyl),
     )
 
@@ -1009,17 +1008,16 @@ def _dimension_plan(record: CaseRecord):
 def _pi_side_plan(record: CaseRecord, stack: _Stack):
     """(symbols, slots, pi label rows) for pi-side consistency: symbols
     [(name, denominator, factor)] of the P-side Casimirs, slots (name,
-    ``_fold`` of its numerator) for ``_walk_sums``, and the doubled rows of
-    the pi label map alone.  pi_of_theta goes on ``stack``."""
-    own = _Stack()
+    compiled form of its numerator) for ``_walk_sums``, and the doubled rows
+    of the pi label map alone.  pi_of_theta goes on ``stack``."""
     symbols, slots = [], []
     for name, s in sorted(record.symbols.items()):
         if s.kind == "casimir" and s.label == "pi":
-            terms, den = _separable(record, name, own)
+            form, den = _compiled(record, name)
             symbols.append((name, den, s.factor))
-            slots.append((name, _fold(((1, terms),), own.rows)))
-    stack.add("pi_of_theta", lambda: record.pi_of_theta)
-    return tuple(symbols), tuple(slots), _rows2(record.pi_label_map)
+            slots.append((name, form))
+    stack.add("pi_of_theta")
+    return tuple(symbols), tuple(slots), _map_rows(record, "pi_label_map")
 
 
 def _pi_side_targets(value, symbols) -> list:

@@ -3,7 +3,8 @@ compared against, among them the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, and the box checks' separate per-check loops,
 which test_verify compares the one box pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
-canonical map at one theta) and ``branch`` (the branching of one pi).
+canonical map at one theta) and ``branch`` (the branching of one pi), and
+``highest_weight``, which reads an irrep label's weight back.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
@@ -273,7 +274,8 @@ def independence_certificate(record, gens, bound: int, degree: int):
 # counting definition verify now uses; its earlier route, with a map per
 # theta, stays as ``check_strong_multiplicity_freeness_by_maps``.  The two
 # helpers below give the loops the per-symbol and nu+rho routes they were
-# written against, on top of verify's single-symbol compilation.
+# written against: a symbol is its compiled form evaluated at theta, the one
+# object the box pass carries down its walk.
 
 
 def _int_eval(record, name):
@@ -506,6 +508,11 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
 # ---------------------------------------------------------------------------
 # Record queries that only the tests ask: the labels of the canonical map at
 # one theta, and the branching of one pi by the record's rule.
+
+
+def highest_weight(label) -> tuple:
+    """The highest weight of an irrep label, its doubled coordinates halved."""
+    return tuple(Fraction(x, 2) for x in label.doubled)
 
 
 def pi_tau(record: CaseRecord, theta) -> tuple:

@@ -19,14 +19,20 @@ ALLOWED = {
 
 
 def _name_lines(path):
-    """The lines on which each Python name occurs in the file; names inside
-    strings and comments do not count."""
-    lines = collections.defaultdict(list)
+    """(names, attributes): the lines on which each Python name occurs in
+    the file, and those on which it is accessed as an attribute, after a
+    ``.`` token; names inside strings and comments do not count."""
+    names, attributes = collections.defaultdict(list), collections.defaultdict(list)
+    previous = None
     with open(path, encoding="utf-8") as fh:
         for tok in tokenize.generate_tokens(fh.readline):
             if tok.type == tokenize.NAME:
-                lines[tok.string].append(tok.start[0])
-    return lines
+                names[tok.string].append(tok.start[0])
+                if previous is not None and previous.string == ".":
+                    attributes[tok.string].append(tok.start[0])
+            if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                previous = tok
+    return names, attributes
 
 
 def _span(node):
@@ -57,20 +63,20 @@ def _public_definitions():
 
 
 def test_every_public_definition_has_a_caller():
-    """Each public module-level def, class or assigned name of the package,
-    and each public method or property of a public class, is named outside
-    its own definition, in the package or the benchmark; the allowlist names
-    exactly the exceptions."""
+    """Each public module-level def, class or assigned name of the package is
+    named outside its own definition, and each public method or property of
+    a public class is accessed there as an attribute, in the package or the
+    benchmark; the allowlist names exactly the exceptions."""
     callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     names = {p: _name_lines(p) for p in callers}
     uncalled = {}
     for path, qualname, (first, last) in _public_definitions():
-        name = qualname.rpartition(".")[2]
+        owner, _, name = qualname.rpartition(".")
         if not any(
             p != path or not first <= line <= last
             for p in callers
-            for line in names[p].get(name, ())
+            for line in names[p][1 if owner else 0].get(name, ())
         ):
             uncalled[qualname] = path.name
     assert set(uncalled) == set(ALLOWED), uncalled
