@@ -25,7 +25,6 @@ _EXPORTS = {
     "dominant_representative": "weights",
     "evaluate_generator": "verify",
     "load_default": "catalog",
-    "positive_roots": "weights",
     "rho": "weights",
     "weyl_dimension": "weights",
 }

@@ -308,14 +308,11 @@ class CaseRecord:
 
     # -- basic queries -----------------------------------------------------
 
-    def theta_valid(self, params: Sequence[int]) -> bool:
-        return self.theta.contains(params)
-
     def require_theta(self, params: Sequence[int]) -> tuple[int, ...]:
-        params = tuple(int(p) for p in params)
-        if not self.theta_valid(params):
+        params = tuple(params)
+        if not self.theta.contains(params):
             raise ValueError("%s is not in Disc(G/H) for case %s" % (params, self.id))
-        return params
+        return tuple(int(p) for p in params)
 
     def _ints(self, v: Vector) -> tuple[int, ...]:
         assert all(x.denominator == 1 for x in v), v

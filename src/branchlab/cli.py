@@ -12,6 +12,7 @@ A reader that closes stdout early (``| head``) changes none of these.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -142,7 +143,12 @@ def cmd_transfer(args) -> int:
             "lambda needs %d coordinates, got %d" % (smap.source_dim, len(lam))
         )
     image = smap.apply(lam)
-    canon = verify._canonical_char(record, image)
+    # canonicalized on the integers image·scale by ``verify._canonical2``,
+    # which also multiplies by the coordinate count modulo the trace
+    scale = math.lcm(*(x.denominator for x in image))
+    ints = [int(x * scale) for x in image]
+    canon2 = verify._canonical2(record.nu_group.weyl, record.mod_trace, ints)
+    canon = [Fraction(x, scale * (len(ints) if record.mod_trace else 1)) for x in canon2]
     frac = catalog.fraction_str
     shown = {
         "matrix": [[frac(x) for x in row] for row in smap.matrix],

@@ -30,12 +30,6 @@ def vadd(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def dot(a: Vector, b: Vector) -> Fraction:
     if len(a) != len(b):
         raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))

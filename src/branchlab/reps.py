@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import weights
-from .linalg import Vector, vec
+from .linalg import Vector
 from .weights import WeylType
 
 @dataclass(frozen=True)
@@ -108,14 +108,6 @@ class GroupDescriptor:
             raise ValueError("%s label %s must be integral" % (self.name, _halve(w2)))
 
 
-def _double(w: Sequence) -> tuple[int, ...]:
-    """2·w as integers; ValueError unless w is half-integral."""
-    w2 = [2 * x for x in vec(w)]
-    if any(x.denominator != 1 for x in w2):
-        raise ValueError("weight %s is not half-integral" % (vec(w),))
-    return tuple(int(x) for x in w2)
-
-
 def _halve(w2: Sequence[int]) -> Vector:
     return tuple(Fraction(x, 2) for x in w2)
 
@@ -161,7 +153,7 @@ class IrrepLabel:
     doubled: tuple[int, ...]
 
     def __init__(self, group: GroupDescriptor, highest_weight: Sequence):
-        self._set(group, _double(highest_weight))
+        self._set(group, weights._double(highest_weight))
 
     @classmethod
     def from_doubled(cls, group: GroupDescriptor, doubled: Sequence[int]) -> "IrrepLabel":

@@ -31,13 +31,14 @@ counts instead of keeping a map per theta, and the independence certificate
 and the parity gap stop their walks once decided, so memory does not grow
 with the box.
 
-Every symbol but an xyz_poly or a theta_poly in several coordinates is
-compiled once per record (``_separable``) into one form, cached beside the
-doubled rows of the record's maps (``_symbol_cache``): a polynomial per row,
-keyed by the row's content, whose sum at theta is the symbol's integer
-numerator.  Casimirs are squares of label rows plus affine rows combined from
-them (G2's cross term through the row a0 + a1), power sums are powers of the
-vector's rows, Euler forms are one row; only the powers of rows with several
+Every symbol but an xyz_poly is compiled once per record (``_separable``)
+into one form, cached beside the doubled rows of the record's maps
+(``_symbol_cache``): a polynomial per row, keyed by the row's content, whose
+sum at theta is the symbol's integer numerator.  Casimirs are squares of
+label rows plus affine rows combined from them (G2's cross term through the
+row a0 + a1), power sums are powers of the vector's rows, Euler forms are
+one row, and a theta_poly is powers of the coordinates theta_i (a monomial
+in two coordinates is a ValueError); only the powers of rows with several
 columns keep their own row, the rest going onto the coordinate rows theta_i
 and the constant row.  A Casimir never reads the nu+rho power sums' rows,
 which would make the relations between the two hold by construction.  Every
@@ -46,8 +47,8 @@ reader takes this one form: ``_int_eval`` evaluates it at a theta (for
 relation merges its terms' forms (``_fold``), pi-side reads the P-side
 Casimirs' forms as they are, and ``ParamSpace.walk`` carries these K totals,
 adding a memo's tuple for each row it makes final (``_RowSums``).
-``_poly_fn`` evaluates the other symbols, the one evaluator beside the
-compiled form.  ``ParamSpace.contains`` checks constraints compiled once per
+``_poly_fn`` evaluates the xyz_polys, the one evaluator beside the compiled
+form.  ``ParamSpace.contains`` checks constraints compiled once per
 space into sparse rows, which its walk shares.
 """
 
@@ -298,11 +299,6 @@ def _int_casimir_blocks(group):
     return blocks
 
 
-def _univariate(poly) -> bool:
-    """Does every monomial of the theta_poly ``poly`` read at most one coordinate?"""
-    return all(sum(1 for e in exps if e) <= 1 for exps, _ in poly)
-
-
 _CONSTANT = ((), 0)  # the row with no column, whose value is 0
 
 
@@ -316,8 +312,8 @@ def _separable(record: CaseRecord, name: str):
     off, is expanded onto the coordinate row of theta_i; the affine part of
     any row goes onto the coordinate rows and the constant row ((), 0); only
     a power e >= 2 of a row with several columns stays on that row.
-    ValueError, naming the symbol, for an xyz_poly or a theta_poly with a
-    monomial in two coordinates.
+    ValueError, naming the symbol, for any other symbol: an xyz_poly, or a
+    theta_poly with a monomial in two coordinates, which no record has.
 
     A Casimir reads the rows of its label map and rows combined from them
     (``_int_casimir_blocks``), never the nu+rho power sums' rows: the
@@ -372,7 +368,7 @@ def _separable(record: CaseRecord, name: str):
     elif spec.kind == "euler":
         add(_map_rows(record, spec.form)[0], 1, 1)
         den = 2
-    elif spec.kind == "theta_poly" and _univariate(spec.poly):
+    elif spec.kind == "theta_poly" and all(sum(map(bool, e)) <= 1 for e, _ in spec.poly):
         # over q·2^top, the denominator of degree top in doubled coordinates
         # that every other kind has: c·theta_i^e = c·q·2^top·theta_i^e / den
         top = max((sum(exps) for exps, _ in spec.poly), default=0)
@@ -381,13 +377,11 @@ def _separable(record: CaseRecord, name: str):
         for exps, c in spec.poly:
             i = next((i for i, x in enumerate(exps) if x), 0)
             put((((i, 1),), 0), sum(exps), int(c * q) * 2 ** top)
-    elif spec.kind in ("theta_poly", "xyz_poly"):
+    else:
         raise ValueError(
             "symbol %s is a %s that is not a sum of polynomials in one coordinate each"
             % (name, spec.kind)
         )
-    else:
-        raise ValueError("unknown symbol kind %r" % spec.kind)
     polys = ((row, {e: c for e, c in sorted(poly.items()) if c}) for row, poly in form.items())
     return {row: poly for row, poly in polys if poly}, den
 
@@ -404,30 +398,26 @@ def _form_value(form: dict, theta) -> int:
 
 
 def _poly_fn(spec: SymbolSpec):
-    """(fn(theta) -> int numerator, constant denominator) for an xyz_poly or a
-    theta_poly in several coordinates, which ``_separable`` does not take:
-    the one evaluator beside the compiled form."""
+    """(fn(theta) -> int numerator, constant denominator) for an xyz_poly,
+    which ``_separable`` does not take: the one evaluator beside the
+    compiled form."""
     den = math.lcm(*(c.denominator for _, c in spec.poly))
     terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
-    xyz = spec.kind == "xyz_poly"
 
     def poly_fn(theta):
-        if xyz:
-            theta = [(v + 3) ** 2 for v in theta]
-        return sum(c * _prod(theta, exps) for exps, c in terms)
+        xyz = [(v + 3) ** 2 for v in theta]
+        return sum(c * _prod(xyz, exps) for exps, c in terms)
 
     return poly_fn, den
 
 
 def _int_eval(record: CaseRecord, name: str):
     """(fn(theta) -> int numerator, denominator) of one symbol: its compiled
-    form (``_compiled``) at theta, or ``_poly_fn`` for a symbol that
-    ``_separable`` does not take."""
-    spec = record.symbols[name]
-    if spec.kind == "xyz_poly" or spec.kind == "theta_poly" and not _univariate(spec.poly):
+    form (``_compiled``) at theta, or ``_poly_fn`` for an xyz_poly."""
+    if record.symbols[name].kind == "xyz_poly":
         polys = _symbol_cache(record)["polys"]
         if name not in polys:
-            polys[name] = _poly_fn(spec)
+            polys[name] = _poly_fn(record.symbols[name])
         return polys[name]
     form, den = _compiled(record, name)
     return (lambda theta: _form_value(form, theta)), den
@@ -516,15 +506,6 @@ def _compile_relations(record: CaseRecord):
 # transfer suite
 
 
-def _canonical_char(record: CaseRecord, v) -> tuple:
-    v = vec(v)
-    if record.mod_trace:
-        # SU-side infinitesimal characters live modulo the trace direction.
-        mean = sum(v) / len(v)
-        v = tuple(x - mean for x in v)
-    return weights.dominant_representative(record.nu_group.weyl, v)
-
-
 def _transfer_image_map(record: CaseRecord) -> AffineMap:
     """theta ↦ S_{tau(theta)}(lambda(theta) + rho_a), as one affine map."""
     a = _compose_affine(record.transfer_matrix, record.transfer_offset, record.lam_rhoa_map)
@@ -602,28 +583,28 @@ def independence_certificate(
     The moment matrix is reduced in integers: its rows hold the monomials of
     the generators' integer numerators, which scales each column by a non-zero
     constant and so changes neither the rank nor which rows are kept.  The box
-    is streamed: it is counted only up to the number of columns, and the walk
-    stops at full rank.
+    is streamed in one walk, counted as it goes, which stops at full rank; a
+    box of fewer points than columns is an InsufficientSampleError.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return True, []
     ncols = math.comb(len(gens) + degree, degree)
-    count = sum(1 for _ in itertools.islice(record.theta.walk(bound), ncols))
+    thetas = (theta for theta, _ in record.theta.walk(bound))
+    echelon = linalg.IntEchelon()
+    witness: list[tuple[int, ...]] = []
+    count = 0
+    for count, (theta, row) in enumerate(_moment_rows(record, gens, degree, thetas), 1):
+        if echelon.add(row):
+            witness.append(theta)
+            if echelon.rank == ncols:
+                return True, witness
     if count < ncols:
         raise InsufficientSampleError(
             "box with %d points cannot certify degree %d over %d generators"
             % (count, degree, len(gens))
         )
-    thetas = (theta for theta, _ in record.theta.walk(bound))
-    echelon = linalg.IntEchelon()
-    witness: list[tuple[int, ...]] = []
-    for theta, row in _moment_rows(record, gens, degree, thetas):
-        if echelon.add(row):
-            witness.append(theta)
-            if echelon.rank == ncols:
-                return True, witness
     return False, witness
 
 

@@ -1,10 +1,12 @@
-"""Exact weight-vector arithmetic: root systems, Weyl canonicalization, dimensions.
+"""Exact weight-vector arithmetic: rho, Weyl canonicalization, dimensions.
 
 Weights are in the standard orthonormal coordinates of each type, except G2
 which uses the two-coordinate fundamental-weight basis (a, b) ↦ a·ω1 + b·ω2,
-with the invariant form normalized so the short root has length 1.  Roots
-and rho are tuples of ``Fraction``; the checks pass weights doubled, as
-integers, and canonicalization and dominance keep the number type they get.
+with the invariant form normalized so the short root has length 1.  No root
+is listed: 2·rho has a closed form per family (``_rho2``), and the dimension
+formula writes the positive roots' pairings in closed form
+(``_root_product``).  The checks pass weights doubled, as integers, and
+canonicalization and dominance keep the number type they get.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Vector, vec, vsub
+from .linalg import Vector, vec
 
 LETTERED = ("A", "B", "C", "D", "BC")
 
@@ -79,75 +81,46 @@ def Product(*factors: WeylType) -> WeylType:
     return WeylType("Product", 0, tuple(factors))
 
 
-def _unit(n: int, i: int, c=1) -> Vector:
-    return tuple(Fraction(c if j == i else 0) for j in range(n))
-
-
-# Positive roots of G2 in omega-coordinates; first three short, last three long.
-_G2_POS = (
-    vec((-1, 2)),  # alpha2
-    vec((1, -1)),  # alpha1 + alpha2
-    vec((0, 1)),  # alpha1 + 2 alpha2  (= omega2, highest short root)
-    vec((2, -3)),  # alpha1
-    vec((-1, 3)),  # alpha1 + 3 alpha2
-    vec((1, 0)),  # 2 alpha1 + 3 alpha2  (= omega1, highest root)
-)
-
 # Twice the Gram matrix of (omega1, omega2) with |short root|^2 = 1, which is
 # integral: the Gram matrix is ((3, 3/2), (3/2, 1)).
 _G2_GRAM2 = ((6, 3), (3, 2))
-# Per positive root a, the integer vector 2·Gram·a: its dot product with a
-# doubled weight 2w is 4·<w, a>.
-_G2_ROOT_ROWS = tuple(
-    tuple(sum(g * int(x) for g, x in zip(row, a)) for row in _G2_GRAM2) for a in _G2_POS
-)
-
-
-def positive_roots(t: WeylType) -> list[Vector]:
-    """The standard positive system for a lettered type or G2."""
-    fam, n = t.family, t.rank
-    if fam == "A":
-        m = n + 1
-        return [vsub(_unit(m, i), _unit(m, j)) for i in range(m) for j in range(i + 1, m)]
-    if fam in ("B", "C", "D", "BC"):
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                roots.append(vsub(_unit(n, i), _unit(n, j)))
-                roots.append(tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j))))
-        if fam in ("B", "BC"):
-            roots.extend(_unit(n, i) for i in range(n))
-        if fam in ("C", "BC"):
-            roots.extend(_unit(n, i, 2) for i in range(n))
-        return roots
-    if fam == "G2":
-        return list(_G2_POS)
-    raise ValueError("no positive system for type %s" % t)
+# Per positive root a of G2, the integer vector 2·Gram·a: its dot product with
+# a doubled weight 2w is 4·<w, a>.  The roots, in omega-coordinates, are
+# alpha2, alpha1 + alpha2, alpha1 + 2 alpha2 (short), then alpha1,
+# alpha1 + 3 alpha2, 2 alpha1 + 3 alpha2 (long).
+_G2_ROOT_ROWS = ((0, 1), (3, 1), (3, 2), (3, 0), (3, 3), (6, 3))
 
 
 def rho(t: WeylType) -> Vector:
     """Half the sum of the positive roots (zero vector for Trivial; per factor)."""
-    if t.family == "Trivial":
-        return tuple(Fraction(0) for _ in range(t.rank))
-    if t.family == "Product":
-        return sum((rho(f) for f in t.factors), ())
-    return _half_sum(t)
-
-
-# rho depends only on the (frozen, hashable) type: built once per type
-@functools.cache
-def _half_sum(t: WeylType) -> Vector:
-    total = [Fraction(0)] * t.ncoords
-    for r in positive_roots(t):
-        for i, x in enumerate(r):
-            total[i] += x
-    return tuple(x / 2 for x in total)
+    return tuple(Fraction(x, 2) for x in _rho2(t))
 
 
 @functools.cache
 def _rho2(t: WeylType) -> tuple[int, ...]:
-    """2·rho as integers, built once per type."""
-    return tuple(int(2 * x) for x in rho(t))
+    """2·rho as integers, from its closed form per family (Bourbaki, Lie
+    Groups, Ch. VI, Plates I-IX), built once per type."""
+    fam, n = t.family, t.rank
+    if fam == "Product":
+        return sum((_rho2(f) for f in t.factors), ())
+    if fam == "Trivial":
+        return (0,) * n
+    if fam == "A":
+        return tuple(n - 2 * i for i in range(n + 1))
+    if fam == "G2":
+        return (2, 2)  # rho = omega1 + omega2
+    if fam in LETTERED:  # B, C, D, BC: 2·rho_i = 2(n - i) + c
+        c = {"B": -1, "C": 0, "D": -2, "BC": 1}[fam]
+        return tuple(2 * (n - i) + c for i in range(n))
+    raise ValueError("no positive system for type %s" % t)
+
+
+def _double(w: Sequence) -> tuple[int, ...]:
+    """2·w as integers; ValueError unless w is half-integral."""
+    w2 = [2 * x for x in vec(w)]
+    if any(x.denominator != 1 for x in w2):
+        raise ValueError("weight %s is not half-integral" % (vec(w),))
+    return tuple(int(x) for x in w2)
 
 
 def _split(t: WeylType, v: Vector) -> list[tuple[WeylType, Vector]]:
@@ -209,10 +182,7 @@ def weyl_dimension(t: WeylType, lam: Sequence) -> int:
     for a dominant half-integral weight lam."""
     if len(lam) != t.ncoords:
         raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(lam)))
-    lam2 = [2 * Fraction(x) for x in lam]
-    if any(x.denominator != 1 for x in lam2):
-        raise ValueError("weight %s is not half-integral" % (tuple(lam),))
-    return _dimension2(_dimension_table(t), [int(x) for x in lam2])
+    return _dimension2(_dimension_table(t), _double(lam))
 
 
 @functools.cache

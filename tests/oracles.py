@@ -1,5 +1,7 @@
 """Reference oracles: routes in Fractions that the package's integer code is
-compared against, among them the dense Gauss–Jordan ``solve`` behind
+compared against, among them the listed positive roots whose half-sum is
+rho (``positive_roots``, ``half_sum``), the canonical orbit form of a
+transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, and the box checks' separate per-check loops,
 which test_verify compares the one box pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
@@ -17,10 +19,10 @@ from typing import Iterable, Optional
 
 from branchlab import linalg, verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
-from branchlab.linalg import Matrix, Vector, dot, vec, vsub
+from branchlab.linalg import Matrix, Vector, dot, vec
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import CaseReport, _apply2, _canonical2, _rows2, _transfer_image_map
-from branchlab.weights import _split, _unit, positive_roots
+from branchlab.weights import _split
 
 
 def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
@@ -70,6 +72,65 @@ def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
     return tuple(x)
 
 
+def vsub(a: Vector, b: Vector) -> Vector:
+    assert len(a) == len(b), (a, b)
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _unit(n: int, i: int, c=1) -> Vector:
+    return tuple(Fraction(c if j == i else 0) for j in range(n))
+
+
+def positive_roots(t) -> list[Vector]:
+    """The standard positive system for a lettered type or G2, listed root by
+    root: the reference that ``weights._rho2`` and ``weights._root_product``
+    write in closed form."""
+    fam, n = t.family, t.rank
+    if fam == "A":
+        m = n + 1
+        return [vsub(_unit(m, i), _unit(m, j)) for i in range(m) for j in range(i + 1, m)]
+    if fam in ("B", "C", "D", "BC"):
+        roots = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                roots.append(vsub(_unit(n, i), _unit(n, j)))
+                roots.append(tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j))))
+        if fam in ("B", "BC"):
+            roots.extend(_unit(n, i) for i in range(n))
+        if fam in ("C", "BC"):
+            roots.extend(_unit(n, i, 2) for i in range(n))
+        return roots
+    if fam == "G2":
+        # omega-coordinates; first three short, last three long
+        return [vec(a) for a in ((-1, 2), (1, -1), (0, 1), (2, -3), (-1, 3), (1, 0))]
+    raise ValueError("no positive system for type %s" % t)
+
+
+@functools.cache
+def half_sum(t) -> Vector:
+    """Half the sum of ``positive_roots(t)``, per factor of a product; zero
+    for Trivial."""
+    if t.family == "Trivial":
+        return (Fraction(0),) * t.rank
+    if t.family == "Product":
+        return sum((half_sum(f) for f in t.factors), ())
+    total = [Fraction(0)] * t.ncoords
+    for r in positive_roots(t):
+        total = [a + b for a, b in zip(total, r)]
+    return tuple(x / 2 for x in total)
+
+
+def canonical_char(record: CaseRecord, v) -> tuple:
+    """The canonical W(g_C)-orbit form of v in Fractions: modulo the trace
+    direction for a mod-trace record, then the dominant representative."""
+    v = vec(v)
+    if record.mod_trace:
+        # SU-side infinitesimal characters live modulo the trace direction.
+        mean = sum(v) / len(v)
+        v = tuple(x - mean for x in v)
+    return weights.dominant_representative(record.nu_group.weyl, v)
+
+
 def simple_roots(t):
     fam, n = t.family, t.rank
     if fam == "A":
@@ -111,7 +172,7 @@ def weyl_dimension(t, lam) -> int:
     prod <lam+rho, a> / <rho, a> over the positive roots; ValueError for a
     weight that is not dominant, AssertionError for a ratio that is not a
     positive integer."""
-    lam, r = vec(lam), weights.rho(t)
+    lam, r = vec(lam), half_sum(t)
     if not all(pairing(t, lam, a) >= 0 for a in simple_roots(t)):
         raise ValueError("weight %s is not dominant for %s" % (lam, t))
     shifted = tuple(a + b for a, b in zip(lam, r))
@@ -207,7 +268,7 @@ def validate_weight(group, w) -> None:
 
 def _simple_casimir(group, w) -> Fraction:
     t = group.weyl
-    r = weights.rho(t)
+    r = half_sum(t)
     value = pairing(t, w, w) + 2 * pairing(t, w, r)
     if group.kind == "SU":
         # Trace-free normalization: the U(n) coordinates are defined modulo the
@@ -531,7 +592,7 @@ def branch(record: CaseRecord, pi_params) -> list:
     pi_params = tuple(int(p) for p in pi_params)
     out = []
     for t in sorted(_branch_fibers(record.branch_rule, pi_params)):
-        if not record.theta_valid(t):
+        if not record.theta.contains(t):
             raise AssertionError("branch rule produced invalid %s for %s" % (t, record.id))
         out.append((t, record.nu_label(t)))
     return out

@@ -1,4 +1,4 @@
-"""The package holds no code that only the tests reach."""
+"""The package holds no code, public or private, that only the tests reach."""
 
 import ast
 import collections
@@ -8,7 +8,7 @@ import tokenize
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "branchlab"
 
-# Public names that may stay although nothing in the package calls them.
+# Names that may stay although nothing in the package calls them.
 ALLOWED = {
     # run_case runs the box pass directly; these one-check selections of it are
     # reached from perfbench/tracing.py by attribute name, and from the tests
@@ -40,9 +40,14 @@ def _span(node):
     return first, node.end_lineno
 
 
-def _public_definitions():
-    """(path, name, lines) of each public module-level def, class and
-    assigned name, and of each public method or property of a public class."""
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(path, name, lines) of each module-level def, class and assigned name,
+    and of each method or property of a class, public or private; dunders,
+    which Python calls itself, are left out."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -51,27 +56,28 @@ def _public_definitions():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        if isinstance(name, ast.Name) and not _dunder(name.id):
                             yield path, name.id, _span(node)
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _dunder(node.name):
                 continue
             yield path, node.name, _span(node)
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    if isinstance(method, ast.FunctionDef) and not _dunder(method.name):
                         yield path, "%s.%s" % (node.name, method.name), _span(method)
 
 
-def test_every_public_definition_has_a_caller():
-    """Each public module-level def, class or assigned name of the package is
-    named outside its own definition, and each public method or property of
-    a public class is accessed there as an attribute, in the package or the
-    benchmark; the allowlist names exactly the exceptions."""
+def test_every_definition_has_a_caller():
+    """Each module-level def, class or assigned name of the package, public
+    or private, is named outside its own definition, and each method or
+    property of a class is accessed there as an attribute, in the package or
+    the benchmark; the allowlist names exactly the exceptions.  A definition
+    that only the tests reach belongs in the tests."""
     callers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     names = {p: _name_lines(p) for p in callers}
     uncalled = {}
-    for path, qualname, (first, last) in _public_definitions():
+    for path, qualname, (first, last) in _definitions():
         owner, _, name = qualname.rpartition(".")
         if not any(
             p != path or not first <= line <= last

@@ -48,6 +48,14 @@ def test_evaluate_generator_invalid_theta(records):
         evaluate_generator(rec(records, "vi"), "C_Gt", (1, 2))
 
 
+@pytest.mark.parametrize("theta", [(2.5, 0), (Fraction(5, 2), 0)], ids=str)
+def test_evaluators_reject_a_non_integral_theta(records, theta):
+    # checked before it is made integral, not truncated to (2, 0)
+    for evaluate in (evaluate_generator, evaluate_generator_reference):
+        with pytest.raises(ValueError, match="not in Disc"):
+            evaluate(rec(records, "vi"), "C_Gt", theta)
+
+
 def test_compiled_matches_reference(records):
     rng = random.Random(11)
     for r in records.values():
@@ -386,7 +394,7 @@ def test_tampered_transfer_fails(records):
     name, theta, expected, got = report.failures[0]
     smap = broken.transfer(broken.tau_params_of(theta))
     image = smap.apply(broken.lam_rhoa_map.apply(theta))
-    assert verify._canonical_char(broken, image) != verify._canonical_char(
+    assert oracles.canonical_char(broken, image) != oracles.canonical_char(
         broken, broken.nu_plus_rho(theta)
     )
 
@@ -466,7 +474,7 @@ def test_canonical2_matches_weights_canonicalization(records):
             values2 = [rng.randint(-19, 19) for _ in range(n)]
             got = verify._canonical2(weyl, r.mod_trace, values2)
             assert all(type(x) is int for x in got), (r.id, got)
-            reference = verify._canonical_char(
+            reference = oracles.canonical_char(
                 r, vec([Fraction(v, 2) for v in values2])
             )
             assert tuple(Fraction(x, 2) for x in got) == tuple(
@@ -786,7 +794,8 @@ def _ix_with_mixed_c_k():
 
 def test_relation_on_a_symbol_in_two_coordinates_is_a_setup_error(monkeypatch, capsys):
     tampered = _ix_with_mixed_c_k()
-    assert evaluate_generator(tampered, "C_K", (3, -2)) == -6  # poly_fn still evaluates it
+    with pytest.raises(ValueError, match="C_K"):
+        evaluate_generator(tampered, "C_K", (3, -2))  # no route evaluates it
     entries = verify.run_case(tampered, 6, 2)
     relations = entries[0]
     assert relations["name"] == "relations" and relations["failed"] == 1

@@ -1,4 +1,5 @@
-"""Root systems, canonicalization, and the dimension formula."""
+"""rho, canonicalization, and the dimension formula, against the root lists
+and orbit walks of the oracles."""
 
 import itertools
 import random
@@ -20,12 +21,11 @@ from branchlab.weights import (
     Trivial,
     WeylType,
     dominant_representative,
-    positive_roots,
     rho,
     weyl_dimension,
 )
 import oracles
-from oracles import random_weyl_image, reflect, simple_roots
+from oracles import half_sum, positive_roots, random_weyl_image, reflect, simple_roots
 
 
 def F(*args):
@@ -94,31 +94,56 @@ def test_positive_roots_rejects_trivial_and_product():
         positive_roots(Product(B(2), B(1)))
 
 
-def _half_sum(t):
-    total = [Fraction(0)] * t.ncoords
-    for r in positive_roots(t):
-        total = [a + b for a, b in zip(total, r)]
-    return tuple(x / 2 for x in total)
-
-
 @pytest.mark.parametrize(
     "t", [B(4), D(4), A(1), A(3), A(4), B(1), C(1), C(3), BC(1), BC(3), D(2), D(5), G2]
 )
 def test_rho_is_half_sum(t):
-    assert rho(t) == _half_sum(t)
+    assert rho(t) == half_sum(t)
 
 
-def test_root_lists_are_fresh_copies():
-    # rho is built once per type; a caller mutating a returned root list
-    # must reach neither rho nor the next call
-    for t in (B(3), D(4), G2):
-        pos, r = positive_roots(t), rho(t)
-        got = positive_roots(t)
-        got.append(F(*([9] * t.ncoords)))
-        got[0] = F(*([0] * t.ncoords))
-        assert positive_roots(t) == pos
-        assert rho(t) == r
-        assert positive_roots(t) is not positive_roots(t)
+def _record_types():
+    """Every Weyl type of a group of build_records(6), and its factors."""
+    from branchlab import catalog
+
+    todo = [
+        g.weyl
+        for r in catalog.build_records(6)
+        for g in (r.pi_group, r.nu_group, r.tau_group)
+    ]
+    seen = set()
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen.add(t)
+            todo.extend(t.factors)
+    return seen
+
+
+CLOSED_FORM_TYPES = (
+    [WeylType(fam, n) for fam in ("A", "B", "C", "BC") for n in range(1, 9)]
+    + [D(n) for n in range(2, 9)]
+    + [G2]
+)
+
+
+def test_closed_form_rho_is_the_half_sum_of_the_positive_roots():
+    # rho by formula against the listed roots: the types the catalog reaches
+    # (products and Trivial included) and every lettered family up to rank 8
+    record_types = _record_types()
+    assert any(t.family == "Product" for t in record_types)
+    for t in record_types | set(CLOSED_FORM_TYPES):
+        expected = half_sum(t)
+        assert rho(t) == expected, t
+        assert weights._rho2(t) == tuple(int(2 * x) for x in expected), t
+        assert all(type(x) is int for x in weights._rho2(t)), t
+
+
+def test_G2_root_rows_are_twice_the_gram_matrix_times_the_roots():
+    expected = tuple(
+        tuple(int(sum(2 * g * x for g, x in zip(row, a))) for row in oracles.G2_GRAM)
+        for a in positive_roots(G2)
+    )
+    assert weights._G2_ROOT_ROWS == expected
 
 
 def _half_integer_grid(n):
