@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -199,8 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list) -> list:
+    """argv with each ``--tau V`` or ``--lam V`` whose V starts with "-" and a
+    digit, "." or "/" joined into ``--tau=V``: argparse takes a separate
+    "-7/2" or "-1,2" for an option, and the "=" form for a value."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in ("--tau", "--lam") and re.match(r"-[\d./]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signed_values(argv))
     args.cases = [c.strip() for c in args.cases.split(",") if c.strip()] or ["all"]
     try:
         if args.bound < 0 or args.max_n < 1 or args.degree < 0:

@@ -3,9 +3,11 @@ product-overgroup case: generators, subalgebra membership by exact linear
 algebra, the symmetry witness for x not lying in R, and the constructive
 R + R·x module decomposition.
 
-Membership reduces the generator products, built once in integers, in
-``linalg.IntEchelon`` with each product's index as its payload, so a member
-comes back with its combination of products.
+The generator products are built once, in integers, and reduced in two
+chains of ``linalg.IntEchelon``s.  ``in_subalgebra`` decides membership on
+rows that carry nothing else; ``membership`` reduces in rows that carry each
+product's index as payload, so a member comes back with its combination of
+products.  The checks only decide, so they never build a payload row.
 """
 
 from __future__ import annotations
@@ -202,8 +204,11 @@ class _Span:
 
     Each product prod g^e is built once, in integers, and filed by its
     degree, counting a generator of degree 0 as degree 1; the products within
-    degree bound d are the levels 0..d.  The solver for bound d is a copy of
-    the solver for bound d-1 with level d inserted.
+    degree bound d are the levels 0..d.  Two chains map each bound d to an
+    echelon of the levels 0..d: ``spans`` keeps bare rows, which decide
+    membership, and ``solvers`` keeps rows carrying the combination of
+    products each equals, which only ``combination`` builds.  The echelon
+    for bound d is a copy of the one for bound d-1 with level d inserted.
     """
 
     def __init__(self, gens: dict[str, Poly]):
@@ -212,7 +217,8 @@ class _Span:
         # Product index -> exponent tuple; levels[w] lists (index, terms, den).
         self.exps: list[tuple[int, ...]] = [(0,) * len(self.names)]
         self.levels: list[list[tuple[int, dict, int]]] = [[(0, {(0, 0, 0): 1}, 1)]]
-        # Bound -1 spans nothing; every other solver extends the one below it.
+        # Bound -1 spans nothing; every other echelon extends the one below it.
+        self.spans: dict[int, IntEchelon] = {-1: IntEchelon()}
         self.solvers: dict[int, IntEchelon] = {-1: IntEchelon()}
 
     def _level(self, w: int) -> list:
@@ -233,21 +239,25 @@ class _Span:
             self.levels.append(level)
         return self.levels[w]
 
-    def solver(self, degree_bound: int) -> IntEchelon:
-        if degree_bound not in self.solvers:
-            below = max(b for b in self.solvers if b < degree_bound)
-            solver = self.solvers[below]
+    def _echelon(self, chain: dict, degree_bound: int, payloads: bool) -> IntEchelon:
+        if degree_bound not in chain:
+            below = max(b for b in chain if b < degree_bound)
+            echelon = chain[below]
             for w in range(below + 1, degree_bound + 1):
-                solver = IntEchelon(solver.rows)
+                echelon = IntEchelon(echelon.rows)
                 for idx, terms, den in self._level(w):
                     # terms = den · product, so the payload counts whole products.
-                    solver.insert(terms, {idx: den})
-                self.solvers[w] = solver
-        return self.solvers[degree_bound]
+                    echelon.insert(terms, {idx: den} if payloads else None)
+                chain[w] = echelon
+        return chain[degree_bound]
+
+    def contains(self, f: Poly, degree_bound: int) -> bool:
+        _, residual, _ = self._echelon(self.spans, degree_bound, False).reduce(_int_terms(f)[0])
+        return not residual
 
     def combination(self, f: Poly, degree_bound: int) -> Optional[dict]:
         terms, den = _int_terms(f)
-        scale, residual, used = self.solver(degree_bound).reduce(terms)
+        scale, residual, used = self._echelon(self.solvers, degree_bound, True).reduce(terms)
         if residual:
             return None
         return {
@@ -268,16 +278,28 @@ def _cached_span(gens: dict[str, Poly]) -> _Span:
     return span
 
 
+def _check_bound(f: Poly, degree_bound: int) -> None:
+    if degree_bound < f.degree():
+        raise ValueError(
+            "degree bound %d below deg f = %d" % (degree_bound, f.degree())
+        )
+
+
 def membership(f: Poly, gens: dict[str, Poly], degree_bound: int):
     """Expression of f in the subalgebra generated by ``gens`` within total
     degree <= degree_bound, or None.  Exact linear algebra over the monomial
     basis of generator products: a combination maps each product, keyed by
     every generator name with its exponent, to its nonzero coefficient."""
-    if degree_bound < f.degree():
-        raise ValueError(
-            "degree bound %d below deg f = %d" % (degree_bound, f.degree())
-        )
+    _check_bound(f, degree_bound)
     return _cached_span(gens).combination(f, degree_bound)
+
+
+def in_subalgebra(f: Poly, gens: dict[str, Poly], degree_bound: int) -> bool:
+    """Whether f lies in the subalgebra generated by ``gens`` within total
+    degree <= degree_bound: ``membership(...) is not None``, decided by one
+    reduction against rows that carry no combination."""
+    _check_bound(f, degree_bound)
+    return _cached_span(gens).contains(f, degree_bound)
 
 
 @dataclass(frozen=True)
@@ -340,14 +362,13 @@ def _y_power(k: int, s: Poly, m: Poly) -> tuple[Poly, Poly]:
 
 def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     """f = g + h·x with g and h in R; the identity is exact and both parts are
-    certified in R by the membership solver.
+    certified in R by ``in_subalgebra``.
 
     Constructive: z, x+y, xz+y, xy lie in R, and x^n, y^n lie in R + R·x by
     the recursion x^2 = -xy + (x+y)·x; a monomial x^l y^m z^n strips z and xy
     factors and reduces to a pure power.  Raises if f exceeds the bound.
     """
-    if f.degree() > degree_bound:
-        raise ValueError("degree bound %d below deg f = %d" % (degree_bound, f.degree()))
+    _check_bound(f, degree_bound)
     z, s, _, m = _BASE_MEMBERS
     g_total, h_total = Poly(), Poly()
     for (ex, ey, ez), coeff in f.terms.items():
@@ -364,7 +385,7 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     if (g_total + h_total * X) != f:
         raise AssertionError("inexact recomposition for %r" % (f,))
     for part, name in ((g_total, "g"), (h_total, "h")):
-        if not part.is_zero() and membership(part, _R_GENERATORS, max(part.degree(), 1)) is None:
+        if not part.is_zero() and not in_subalgebra(part, _R_GENERATORS, max(part.degree(), 1)):
             raise ValueError(
                 "%s-part of the decomposition escapes R at degree %d"
                 % (name, part.degree())

@@ -6,7 +6,8 @@ is a reduced row echelon over the integers that never divides: it answers
 rank, independence and span membership, with the integer combination that
 expresses a member when asked for one.  It serves the rank, the independence
 certificate and the parity gap in ``verify``, and subalgebra membership in
-``dgx``.  Nothing here ever touches floating point.
+``dgx``, where only ``dgx.membership`` asks for combinations.  Nothing here
+ever touches floating point.
 """
 
 from __future__ import annotations

@@ -122,6 +122,22 @@ def test_transfer_invalid_tau_exit_2(capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "case, tau, lam, want_rc",
+    [("vi", "2", "-7/2", 0), ("star", "0", "-1,2", 0), ("vi", "-1", "3", 2), ("vi", "-1,2", "-.5", 2)],
+)
+def test_transfer_takes_negative_values_as_separate_arguments(capsys, case, tau, lam, want_rc):
+    outcomes = []
+    for values in (["--tau", tau, "--lam", lam], ["--tau=" + tau, "--lam=" + lam]):
+        rc = cli.main(["transfer", "--cases", case] + values)
+        captured = capsys.readouterr()
+        outcomes.append((rc, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    rc, _, err = outcomes[0]
+    assert rc == want_rc
+    assert ("not in Disc(K/H)" in err) == (want_rc == 2), err
+
+
 def test_transfer_json_payload(capsys):
     rc, out = run_capture(
         capsys,

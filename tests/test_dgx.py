@@ -14,6 +14,7 @@ from branchlab.dgx import (
     Z,
     decompose_R_plus_Rx,
     dgx_generators,
+    in_subalgebra,
     membership,
     subalgebra_generators,
     x_not_in_R_witness,
@@ -114,10 +115,35 @@ def test_membership_matches_dense_oracle():
         for f in targets:
             comb = membership(f, gens, d)
             rhs = linalg.vec(f.terms.get(m, 0) for m in monos)
-            assert (comb is None) == (oracles.solve(matrix, rhs) is None), (d, f)
+            solvable = oracles.solve(matrix, rhs) is not None
+            assert (comb is not None) == solvable, (d, f)
+            assert in_subalgebra(f, gens, d) == solvable, (d, f)
             if comb is not None:
                 assert combination_value(comb, gens) == f, (d, f)
                 assert all([n for n, _ in key] == sorted(gens) for key in comb), comb
+
+
+def test_in_subalgebra_agrees_with_membership():
+    gens = subalgebra_generators()
+    for d in range(1, 9):
+        monos = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
+        for f in [Poly({m: 1}) for m in monos] + [X]:
+            assert in_subalgebra(f, gens, d) == (membership(f, gens, d) is not None), (d, f)
+
+
+def test_checks_build_no_payload_rows(monkeypatch):
+    # Deciding membership must not build the echelons whose rows carry
+    # combinations; membership builds them only up to the bound it is given.
+    monkeypatch.setattr(dgx, "_SPAN_CACHE", {})
+    gens = subalgebra_generators()
+    decompose_R_plus_Rx(X ** 8, 8)
+    star = next(r for r in catalog.build_records(1) if r.id.tag == "star")
+    assert all(not e["failed"] for e in verify.run_case(star, 4, 2))
+    (span,) = dgx._SPAN_CACHE.values()
+    assert set(span.solvers) == {-1}
+    assert max(span.spans) == 8
+    assert membership(Z, gens, 4) is not None
+    assert set(span.solvers) == set(range(-1, 5))
 
 
 def test_membership_fails_for_x():
@@ -130,6 +156,8 @@ def test_membership_degree_bound_guard():
     gens = subalgebra_generators()
     with pytest.raises(ValueError):
         membership(X ** 5, gens, 4)
+    with pytest.raises(ValueError):
+        in_subalgebra(X ** 5, gens, 4)
 
 
 def test_membership_proof_identity_4xz_plus_y():
