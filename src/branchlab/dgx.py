@@ -3,11 +3,16 @@ product-overgroup case: generators, subalgebra membership by exact linear
 algebra, the symmetry witness for x not lying in R, and the constructive
 R + R·x module decomposition.
 
-The generator products are built once, in integers, and reduced in two
-chains of ``linalg.IntEchelon``s.  ``in_subalgebra`` decides membership on
+A ``Poly`` is integer numerators over one positive denominator in lowest
+terms, so its arithmetic, its evaluation at integer points and the echelon
+rows built from it all run in integers; ``Poly.terms`` is the exact-rational
+view.  The generator products are built once and reduced in two chains of
+``linalg.IntEchelon``s.  ``in_subalgebra`` decides membership on
 rows that carry nothing else; ``membership`` reduces in rows that carry each
 product's index as payload, so a member comes back with its combination of
 products.  The checks only decide, so they never build a payload row.
+``decompose_R_plus_Rx`` takes the powers it recombines from memos grown to
+the largest exponent asked for.
 """
 
 from __future__ import annotations
@@ -23,21 +28,50 @@ VARS = ("x", "y", "z")
 
 
 class Poly:
-    """Sparse exact-rational polynomial in x, y, z (no zero terms stored)."""
+    """Sparse exact-rational polynomial in x, y, z: integer numerators over
+    one positive denominator, p = num / den, in lowest terms (den and the
+    numerators have gcd 1, the zero polynomial is {} / 1) and with no zero
+    numerator stored.  So equal polynomials have equal (num, den), and every
+    product runs in integers through ``_int_mul``.  ``terms`` is the
+    exact-rational view {(a, b, c): Fraction}, a fresh dict on every read.
+    """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: Optional[dict] = None):
-        self.terms: dict[tuple[int, int, int], Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tuple(exps)] = coeff
+        fractions = {}
+        for exps, coeff in (terms or {}).items():
+            if not (
+                isinstance(exps, tuple)
+                and len(exps) == 3
+                and all(type(k) is int and k >= 0 for k in exps)
+            ):
+                raise ValueError("exponent key %r is not three non-negative ints" % (exps,))
+            coeff = Fraction(coeff)
+            if coeff:
+                fractions[exps] = coeff
+        # Each coefficient is in lowest terms, so the numerators over the lcm
+        # of the denominators share no factor with it.
+        self.den = math.lcm(1, *(c.denominator for c in fractions.values()))
+        self.num = {e: c.numerator * (self.den // c.denominator) for e, c in fractions.items()}
+
+    @classmethod
+    def _lowest(cls, num: dict, den: int) -> "Poly":
+        """num / den with den > 0 and no zero in num, put in lowest terms;
+        num is kept, not copied, when it is already in lowest terms."""
+        p = object.__new__(cls)
+        g = math.gcd(den, *num.values()) if den != 1 else 1
+        p.num = {e: c // g for e, c in num.items()} if g != 1 else num
+        p.den = den // g
+        return p
+
+    @property
+    def terms(self) -> dict:
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
@@ -47,40 +81,33 @@ class Poly:
         return cls({tuple(exps): 1})
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            new = out.get(e, Fraction(0)) + c
+        den = math.lcm(self.den, other.den)
+        out = {e: c * (den // self.den) for e, c in self.num.items()}
+        scale = den // other.den
+        for e, c in other.num.items():
+            new = out.get(e, 0) + c * scale
             if new:
                 out[e] = new
             else:
-                out.pop(e, None)
-        return Poly(out)
+                del out[e]
+        return Poly._lowest(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._lowest({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                new = out.get(e, Fraction(0)) + c1 * c2
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
-        return Poly(out)
+        return Poly._lowest(_int_mul(self.num, other.num), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -91,40 +118,40 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative exponent %d" % k)
-        out = Poly.const(1)
+        out = ONE
         for _ in range(k):
             out = out * self
         return out
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def evaluate(self, x, y, z) -> Fraction:
-        vals = (Fraction(x), Fraction(y), Fraction(z))
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+        if type(x) is int and type(y) is int and type(z) is int:
+            total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
+            return Fraction(total, self.den)
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        total = sum((c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items()), Fraction(0))
+        return total / self.den
 
     def substitute_z(self, value) -> "Poly":
+        # z^c = p^c / q^c: scale every term to the denominator q^top.
         value = Fraction(value)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a, b, c), coeff in self.terms.items():
-            out[(a, b, 0)] = out.get((a, b, 0), 0) + coeff * value ** c
-        return Poly(out)
+        p, q = value.numerator, value.denominator
+        top = max((e[2] for e in self.num), default=0)
+        out: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), coeff in self.num.items():
+            out[(a, b, 0)] = out.get((a, b, 0), 0) + coeff * p ** c * q ** (top - c)
+        return Poly._lowest({e: c for e, c in out.items() if c}, self.den * q ** top)
 
     def swap_xy(self) -> "Poly":
-        return Poly({(b, a, c): coeff for (a, b, c), coeff in self.terms.items()})
+        return Poly._lowest({(b, a, c): k for (a, b, c), k in self.num.items()}, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items(), reverse=True):
@@ -136,9 +163,24 @@ class Poly:
 
 
 def _coerce(p) -> Poly:
-    return p if isinstance(p, Poly) else Poly.const(p)
+    if isinstance(p, Poly):
+        return p
+    if type(p) is int:
+        return Poly._lowest({(0, 0, 0): p} if p else {}, 1)
+    return Poly.const(p)
 
 
+def _int_mul(a: dict, b: dict) -> dict:
+    """The product of two integer term dicts, with no zero term."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (a0, a1, a2), c1 in a.items():
+        for (b0, b1, b2), c2 in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+ONE, ZERO = Poly.const(1), Poly()
 X, Y, Z = (Poly.var(v) for v in VARS)
 
 # z, x+y, xz+y, xy: the members of R the product-overgroup suite certifies.
@@ -158,10 +200,9 @@ SYMBOL_PAIRS = (
 
 def dgx_generators() -> dict[str, Poly]:
     """The seven generators of the polynomial model, built in factored form."""
-    one = Poly.const(1)
     return {
-        "r1": X + Y + Z + one,
-        "r2": X ** 2 + 6 * Z * X + Z ** 2 + Y ** 2 + 6 * Y + one,
+        "r1": X + Y + Z + ONE,
+        "r2": X ** 2 + 6 * Z * X + Z ** 2 + Y ** 2 + 6 * Y + ONE,
         "r3": X ** 3
         + 15 * Z * X ** 2
         + 15 * Z ** 2 * X
@@ -169,8 +210,8 @@ def dgx_generators() -> dict[str, Poly]:
         + Y ** 3
         + 15 * Y ** 2
         + 15 * Y
-        + one,
-        "r4": (X - one) * (Y - Z),
+        + ONE,
+        "r4": (X - ONE) * (Y - Z),
         "q": Fraction(3, 4) * (Z - Poly.const(9)),
         "p1": X - Poly.const(9),
         "p2": Y - Poly.const(9),
@@ -181,21 +222,6 @@ def subalgebra_generators() -> dict[str, Poly]:
     """The generators of R = <dr(Z(k_C)), dl(Z(g_C))>: q and r1..r4."""
     gens = dgx_generators()
     return {k: gens[k] for k in ("q", "r1", "r2", "r3", "r4")}
-
-
-def _int_terms(p: Poly) -> tuple[dict, int]:
-    """p as integer terms over a positive denominator: p = terms / den."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-
-def _int_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int, int], int] = {}
-    for (a0, a1, a2), c1 in a.items():
-        for (b0, b1, b2), c2 in b.items():
-            e = (a0 + b0, a1 + b1, a2 + b2)
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 class _Span:
@@ -213,7 +239,7 @@ class _Span:
 
     def __init__(self, gens: dict[str, Poly]):
         self.names = tuple(sorted(gens))
-        self.gens = [(max(gens[k].degree(), 1), *_int_terms(gens[k])) for k in self.names]
+        self.gens = [(max(p.degree(), 1), p.num, p.den) for p in (gens[k] for k in self.names)]
         # Product index -> exponent tuple; levels[w] lists (index, terms, den).
         self.exps: list[tuple[int, ...]] = [(0,) * len(self.names)]
         self.levels: list[list[tuple[int, dict, int]]] = [[(0, {(0, 0, 0): 1}, 1)]]
@@ -252,26 +278,26 @@ class _Span:
         return chain[degree_bound]
 
     def contains(self, f: Poly, degree_bound: int) -> bool:
-        _, residual, _ = self._echelon(self.spans, degree_bound, False).reduce(_int_terms(f)[0])
+        _, residual, _ = self._echelon(self.spans, degree_bound, False).reduce(f.num)
         return not residual
 
     def combination(self, f: Poly, degree_bound: int) -> Optional[dict]:
-        terms, den = _int_terms(f)
-        scale, residual, used = self._echelon(self.solvers, degree_bound, True).reduce(terms)
+        scale, residual, used = self._echelon(self.solvers, degree_bound, True).reduce(f.num)
         if residual:
             return None
         return {
-            tuple(zip(self.names, self.exps[idx])): Fraction(c, scale * den)
+            tuple(zip(self.names, self.exps[idx])): Fraction(c, scale * f.den)
             for idx, c in used.items()
         }
 
 
-# The one process-lifetime cache of this module: generator set -> _Span.
+# Process-lifetime cache: generator set -> _Span (decompose_R_plus_Rx's power
+# memos below are the module's others).
 _SPAN_CACHE: dict = {}
 
 
 def _cached_span(gens: dict[str, Poly]) -> _Span:
-    key = tuple(sorted((k, tuple(sorted(p.terms.items()))) for k, p in gens.items()))
+    key = tuple(sorted((k, p.den, tuple(sorted(p.num.items()))) for k, p in gens.items()))
     span = _SPAN_CACHE.get(key)
     if span is None:
         span = _SPAN_CACHE[key] = _Span(gens)
@@ -330,10 +356,9 @@ def x_not_in_R_witness() -> SymmetryWitness:
 def _base_members(gens: dict[str, Poly]):
     """z, s = x+y, w = xz+y, m = xy as explicit elements of R (exact identities)."""
     q, r1, r2, r4 = gens["q"], gens["r1"], gens["r2"], gens["r4"]
-    one = Poly.const(1)
     z = Fraction(4, 3) * q + Poly.const(9)
-    s = r1 - z - one
-    w = Fraction(1, 4) * (r2 + 2 * r4 - s * s - (z + one) * (z + one))
+    s = r1 - z - ONE
+    w = Fraction(1, 4) * (r2 + 2 * r4 - s * s - (z + ONE) * (z + ONE))
     m = r4 + w - z
     return z, s, w, m
 
@@ -344,20 +369,34 @@ _R_GENERATORS = subalgebra_generators()
 _BASE_MEMBERS = _base_members(_R_GENERATORS)
 
 
-def _x_power(k: int, s: Poly, m: Poly) -> tuple[Poly, Poly]:
-    """x^k = g + h·x with g, h in R, via x^2 = -xy + (x+y)·x."""
-    g, h = Poly.const(1), Poly()
-    for _ in range(k):
-        g, h = -(m * h), g + s * h
-    return g, h
+# Per-exponent memos of decompose_R_plus_Rx, grown to the largest exponent it
+# is asked for: z^e and (xy)^c, and x^k and y^k as pairs (g, h) with g, h in R
+# and the power equal to g + h·x.
+_Z_POWERS = [ONE]
+_XY_POWERS = [ONE]
+_X_POWERS = [(ONE, ZERO)]
+_Y_POWERS = [(ONE, ZERO)]
 
 
-def _y_power(k: int, s: Poly, m: Poly) -> tuple[Poly, Poly]:
-    """y^k = g + h·x, via y = (x+y) - x."""
-    g, h = Poly.const(1), Poly()
-    for _ in range(k):
-        g, h = s * g + m * h, -g
-    return g, h
+def _power(memo: list, k: int, step):
+    """memo[k], after extending memo by step(memo[-1]) up to index k."""
+    while len(memo) <= k:
+        memo.append(step(memo[-1]))
+    return memo[k]
+
+
+def _next_x_power(gh: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """x^(k+1) from x^k = g + h·x, via x^2 = -xy + (x+y)·x."""
+    g, h = gh
+    _, s, _, m = _BASE_MEMBERS
+    return -(m * h), g + s * h
+
+
+def _next_y_power(gh: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """y^(k+1) from y^k = g + h·x, via y = (x+y) - x."""
+    g, h = gh
+    _, s, _, m = _BASE_MEMBERS
+    return s * g + m * h, -g
 
 
 def decompose_R_plus_Rx(f: Poly, degree_bound: int):
@@ -369,19 +408,20 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     factors and reduces to a pure power.  Raises if f exceeds the bound.
     """
     _check_bound(f, degree_bound)
-    z, s, _, m = _BASE_MEMBERS
-    g_total, h_total = Poly(), Poly()
-    for (ex, ey, ez), coeff in f.terms.items():
+    z, _, _, m = _BASE_MEMBERS
+    g_total, h_total = ZERO, ZERO
+    for (ex, ey, ez), coeff in f.num.items():
         common = min(ex, ey)
-        prefix = coeff * (z ** ez) * (m ** common)
-        if ex - common:
-            g, h = _x_power(ex - common, s, m)
-        elif ey - common:
-            g, h = _y_power(ey - common, s, m)
+        prefix = coeff * _power(_Z_POWERS, ez, z.__mul__) * _power(_XY_POWERS, common, m.__mul__)
+        if ex > common:
+            g, h = _power(_X_POWERS, ex - common, _next_x_power)
         else:
-            g, h = Poly.const(1), Poly()
+            g, h = _power(_Y_POWERS, ey - common, _next_y_power)
         g_total = g_total + prefix * g
         h_total = h_total + prefix * h
+    # The loop summed f's numerators; divide once by f's denominator.
+    g_total = Poly._lowest(g_total.num, g_total.den * f.den)
+    h_total = Poly._lowest(h_total.num, h_total.den * f.den)
     if (g_total + h_total * X) != f:
         raise AssertionError("inexact recomposition for %r" % (f,))
     for part, name in ((g_total, "g"), (h_total, "h")):

@@ -2,7 +2,9 @@
 compared against, among them the listed positive roots whose half-sum is
 rho (``positive_roots``, ``half_sum``), the canonical orbit form of a
 transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
-test_dgx's membership oracle, and the box checks' separate per-check loops,
+test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
+``dgx.Poly`` on a dict of Fraction coefficients), and the box checks'
+separate per-check loops,
 which test_verify compares the one box pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
 canonical map at one theta) and ``branch`` (the branching of one pi), and
@@ -70,6 +72,92 @@ def solve(m: Matrix, rhs: Vector) -> Optional[Vector]:
     for i, c in enumerate(pivot_cols):
         x[c] = aug[i][ncols]
     return tuple(x)
+
+
+class FractionPoly:
+    """Sparse polynomial in x, y, z as a dict {(a, b, c): Fraction} with no
+    zero coefficient: the reference ``dgx.Poly``'s integer form is checked
+    against, operation by operation."""
+
+    VARS = ("x", "y", "z")
+
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms: dict = {}
+        for exps, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff:
+                self.terms[tuple(exps)] = coeff
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other) -> "FractionPoly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            new = out.get(e, Fraction(0)) + c
+            if new:
+                out[e] = new
+            else:
+                out.pop(e, None)
+        return FractionPoly(out)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "FractionPoly":
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return FractionPoly(out)
+
+    def __pow__(self, k: int) -> "FractionPoly":
+        out = FractionPoly({(0, 0, 0): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def evaluate(self, x, y, z) -> Fraction:
+        vals = (Fraction(x), Fraction(y), Fraction(z))
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            term = c
+            for v, k in zip(vals, e):
+                if k:
+                    term *= v ** k
+            total += term
+        return total
+
+    def substitute_z(self, value) -> "FractionPoly":
+        value = Fraction(value)
+        out: dict = {}
+        for (a, b, c), coeff in self.terms.items():
+            out[(a, b, 0)] = out.get((a, b, 0), 0) + coeff * value ** c
+        return FractionPoly(out)
+
+    def swap_xy(self) -> "FractionPoly":
+        return FractionPoly({(b, a, c): coeff for (a, b, c), coeff in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e, c in sorted(self.terms.items(), reverse=True):
+            mono = "".join(
+                "%s%s" % (v, "^%d" % k if k > 1 else "") for v, k in zip(self.VARS, e) if k
+            )
+            bits.append("%s%s" % (c, ("*" + mono) if mono else ""))
+        return " + ".join(bits)
 
 
 def vsub(a: Vector, b: Vector) -> Vector:

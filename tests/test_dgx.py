@@ -1,10 +1,14 @@
 """The C[x,y,z] polynomial model: generators, membership, R + R·x structure."""
 
+import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab import catalog, dgx, linalg, verify
 from branchlab.dgx import (
@@ -69,6 +73,75 @@ def test_poly_arithmetic():
     assert (X ** 2 * Y).swap_xy() == Y ** 2 * X
     assert (X ** 2 + Z ** 2 + Y * Z).substitute_z(3) == X ** 2 + 3 * Y + Poly.const(9)
     assert (X * Z - 2 * X).substitute_z(2).is_zero()
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (1, 2), (0, 0, 0, 0), (1.0, 0, 0), "xyz", 5])
+def test_poly_rejects_bad_exponent_keys(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        Poly({key: 1})
+
+
+def _well_formed(p):
+    """p = num / den in lowest terms, with no zero numerator stored."""
+    return p.den > 0 and all(p.num.values()) and math.gcd(p.den, *p.num.values()) == 1
+
+
+def test_poly_denominators_cancel():
+    half = Fraction(1, 2)
+    assert half * X + half * X == X and (half * X + half * X).den == 1
+    assert Poly.const(Fraction(2, 3)) * Poly.const(Fraction(3, 2)) == ONE
+    p = Fraction(5, 6) * X * Y - Fraction(7, 4) * Z
+    for zero in (p - p, p + (-1) * p, p * Poly()):
+        assert zero == Poly() and zero.is_zero() and (zero.num, zero.den) == ({}, 1)
+    assert (Fraction(3, 4) * (Z - Poly.const(9))).evaluate(1, 1, 13) == 3
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=5)
+_POINT = st.tuples(*[st.integers(-4, 4)] * 3)
+
+
+@given(_TERMS, _TERMS, _POINT, st.tuples(*[_COEFFS] * 3), _COEFFS, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_poly_matches_fraction_oracle(t1, t2, ipoint, fpoint, value, k):
+    p, q = Poly(t1), Poly(t2)
+    o, r = oracles.FractionPoly(t1), oracles.FractionPoly(t2)
+    c = oracles.FractionPoly({(0, 0, 0): value})
+    pairs = [
+        (p, o),
+        (p + q, o + r),
+        (p - q, o - r),
+        (p - q + q, o),
+        (p - p, o - o),
+        (p * q, o * r),
+        (p ** k, o ** k),
+        (-p, -o),
+        (value * p + 3, c * o + oracles.FractionPoly({(0, 0, 0): 3})),
+        (2 - q, oracles.FractionPoly({(0, 0, 0): 2}) - r),
+        (p.substitute_z(value), o.substitute_z(value)),
+        (p.substitute_z(ipoint[2]), o.substitute_z(ipoint[2])),
+        (p.swap_xy(), o.swap_xy()),
+    ]
+    for got, want in pairs:
+        assert _well_formed(got), (got.num, got.den)
+        assert got.terms == want.terms
+        assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items()))
+        assert repr(got) == repr(want)
+        assert hash(got) == hash(want)
+        assert got.degree() == want.degree()
+        assert got.is_zero() == (not want.terms)
+        for point in (ipoint, fpoint):
+            value_at = got.evaluate(*point)
+            assert type(value_at) is Fraction and value_at == want.evaluate(*point)
+    assert (p == q) == (o == r)
+    assert p == Poly(o.terms) and hash(p) == hash(Poly(o.terms))
+
+
+def test_poly_terms_is_a_fresh_view():
+    p = Fraction(1, 3) * X + Z
+    p.terms[(0, 0, 0)] = Fraction(5)
+    p.terms.clear()
+    assert p.terms == {(1, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(1)}
 
 
 def test_poly_negative_power_raises():
@@ -219,6 +292,41 @@ def test_decompose_all_monomials_degree_8():
                 assert total == part.evaluate(*pt), (ex, ey, ez, pt)
             certified += 1
     assert certified == 285
+
+
+def _degree_8_monomials():
+    """x^a y^b z^c with a + b + c <= 8, in the benchmark's order (165)."""
+    return [(a, b, c) for a in range(9) for b in range(9 - a) for c in range(9 - a - b)]
+
+
+def test_decompose_digest_degree_8():
+    # The digest the benchmark's poly-model workload pins for its report.
+    digest = hashlib.sha256()
+    for a, b, c in _degree_8_monomials():
+        for part in decompose_R_plus_Rx(X ** a * Y ** b * Z ** c, 8):
+            digest.update(repr(sorted(part.terms.items())).encode())
+    assert digest.hexdigest() == "1a26b97afe79b0019b5acfc9bff9809752afc3ca17dd3588d82a1804110c6146"
+
+
+def test_decompose_power_memos(monkeypatch):
+    # Fresh memos; a returned part is then mutated through its numerators as
+    # well as its terms view, which shows any dict it shares with a memo.
+    for name in ("_Z_POWERS", "_XY_POWERS"):
+        monkeypatch.setattr(dgx, name, [ONE])
+    for name in ("_X_POWERS", "_Y_POWERS"):
+        monkeypatch.setattr(dgx, name, [(ONE, Poly())])
+    for f in (X ** 6, Y ** 3, X ** 5 * Z, Y ** 4 * X, Fraction(2, 3) * X ** 3 - Y * Z):
+        g, h = decompose_R_plus_Rx(f, 6)
+        expected = repr(g), repr(h)
+        for part in (g, h):
+            part.terms.clear()
+            part.num[(0, 0, 0)] = 12345
+        g, h = decompose_R_plus_Rx(f, 6)
+        assert (repr(g), repr(h)) == expected
+    for a, b, c in _degree_8_monomials():
+        decompose_R_plus_Rx(X ** a * Y ** b * Z ** c, 8)
+    memos = (dgx._Z_POWERS, dgx._XY_POWERS, dgx._X_POWERS, dgx._Y_POWERS)
+    assert [len(m) for m in memos] == [9, 5, 9, 9]
 
 
 def test_decompose_degree_guard():
