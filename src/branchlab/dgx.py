@@ -118,7 +118,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative exponent %d" % k)
-        out = ONE
+        out = Poly.const(1)
         for _ in range(k):
             out = out * self
         return out
@@ -127,12 +127,10 @@ class Poly:
         return max((sum(e) for e in self.num), default=0)
 
     def evaluate(self, x, y, z) -> Fraction:
-        if type(x) is int and type(y) is int and type(z) is int:
-            total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
-            return Fraction(total, self.den)
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        total = sum((c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items()), Fraction(0))
-        return total / self.den
+        # Integer coordinates keep the sum in integers; it is divided once.
+        x, y, z = (v if type(v) is int else Fraction(v) for v in (x, y, z))
+        total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
+        return Fraction(total, self.den)
 
     def substitute_z(self, value) -> "Poly":
         # z^c = p^c / q^c: scale every term to the denominator q^top.
@@ -163,11 +161,7 @@ class Poly:
 
 
 def _coerce(p) -> Poly:
-    if isinstance(p, Poly):
-        return p
-    if type(p) is int:
-        return Poly._lowest({(0, 0, 0): p} if p else {}, 1)
-    return Poly.const(p)
+    return p if isinstance(p, Poly) else Poly.const(p)
 
 
 def _int_mul(a: dict, b: dict) -> dict:
@@ -409,7 +403,7 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     """
     _check_bound(f, degree_bound)
     z, _, _, m = _BASE_MEMBERS
-    g_total, h_total = ZERO, ZERO
+    g_total, h_total = Poly(), Poly()
     for (ex, ey, ez), coeff in f.num.items():
         common = min(ex, ey)
         prefix = coeff * _power(_Z_POWERS, ez, z.__mul__) * _power(_XY_POWERS, common, m.__mul__)

@@ -146,6 +146,9 @@ def test_poly_terms_is_a_fresh_view():
 
 def test_poly_negative_power_raises():
     assert X ** 0 == ONE
+    # p ** 0 is a new polynomial, not the module's shared one.
+    (X ** 0).num[(0, 0, 0)] = 7
+    assert dgx.ONE == ONE and X ** 0 == ONE
     with pytest.raises(ValueError):
         X ** -1
 
@@ -315,7 +318,7 @@ def test_decompose_power_memos(monkeypatch):
         monkeypatch.setattr(dgx, name, [ONE])
     for name in ("_X_POWERS", "_Y_POWERS"):
         monkeypatch.setattr(dgx, name, [(ONE, Poly())])
-    for f in (X ** 6, Y ** 3, X ** 5 * Z, Y ** 4 * X, Fraction(2, 3) * X ** 3 - Y * Z):
+    for f in (Poly(), ONE, X ** 6, Y ** 3, X ** 5 * Z, Y ** 4 * X, Fraction(2, 3) * X ** 3 - Y * Z):
         g, h = decompose_R_plus_Rx(f, 6)
         expected = repr(g), repr(h)
         for part in (g, h):
