@@ -246,7 +246,6 @@ class SymbolSpec:
         by the imaginary unit), an affine integer form in the parameters.
     kind "power_ab": base^k · sum of v_i^(scale·k) over the stored a/b vector.
     kind "power_nu": sum of (nu(theta)+rho)_i^(scale·k) — the Z(g_C) route.
-    kind "theta_poly": explicit polynomial in the theta parameters.
     kind "xyz_poly": polynomial in x=(j+3)^2, y=(j'+3)^2, z=(a+3)^2 (§7 case).
     """
 
@@ -1307,8 +1306,9 @@ def _case_ix() -> CaseRecord:
         symbols={
             "C_Gt": _casimir("P", "pi"),
             "C_G": _casimir("R", "nu"),
-            # The paper's normalization for this case: C_K acts on det^k by k^2.
-            "C_K": SymbolSpec("theta_poly", side="Q", poly=_poly({(0, 2): 1})),
+            # The paper's normalization for this case: C_K acts on det^k by
+            # k^2, the power sum of b = (k).
+            "C_K": SymbolSpec("power_ab", side="Q", vecname="b", base=1, scale=2, k=1),
             "E_K": _euler("Q", names, {"k": 1}),
         },
         relations=(_rel("casimir", (2, "C_Gt"), (-3, "C_G"), (3, "C_K")),),
@@ -1324,6 +1324,7 @@ def _case_ix() -> CaseRecord:
         branch_rule=("charge_pm",),
         ch=None,  # SO(7)/G2 is not symmetric
         parity_gap_gens=("C_Gt", "C_G"),
+        b_map=_amap(names, [({"k": 1}, 0)]),
     )
 
 

@@ -110,6 +110,8 @@ def _check_line(case, entry) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.bound < 0 or args.degree < 0:
+        raise SystemExit2("bound and degree must be >= 0")
     results = []
     lines = []
     for r in _load_cases(args):
@@ -178,9 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--cases", default="all", help="comma-separated case tags, or 'all'")
-        p.add_argument("--bound", type=int, default=8)
         p.add_argument("--max-n", type=int, default=2, dest="max_n")
-        p.add_argument("--degree", type=int, default=2)
         p.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
         p.add_argument("--out", default=None)
 
@@ -190,6 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every stored check")
     common(p_verify)
+    p_verify.add_argument("--bound", type=int, default=8)
+    p_verify.add_argument("--degree", type=int, default=2)
     p_verify.set_defaults(func=cmd_verify)
 
     p_transfer = sub.add_parser("transfer", help="print one transfer map and an image")
@@ -218,8 +220,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_signed_values(argv))
     args.cases = [c.strip() for c in args.cases.split(",") if c.strip()] or ["all"]
     try:
-        if args.bound < 0 or args.max_n < 1 or args.degree < 0:
-            raise SystemExit2("bound and degree must be >= 0 and max-n >= 1")
+        if args.max_n < 1:
+            raise SystemExit2("max-n must be >= 1")
         if args.out == "":
             raise SystemExit2(catalog.EMPTY_OUT)
         return args.func(args)

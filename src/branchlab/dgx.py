@@ -11,8 +11,8 @@ view.  The generator products are built once and reduced in two chains of
 rows that carry nothing else; ``membership`` reduces in rows that carry each
 product's index as payload, so a member comes back with its combination of
 products.  The checks only decide, so they never build a payload row.
-``decompose_R_plus_Rx`` takes the powers it recombines from memos grown to
-the largest exponent asked for.
+``decompose_R_plus_Rx`` takes the powers of x and y it recombines from memos
+grown to the largest exponent asked for.
 """
 
 from __future__ import annotations
@@ -126,11 +126,14 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.num), default=0)
 
+    def num_at(self, x, y, z):
+        """den · p(x, y, z): an int at integer coordinates."""
+        return sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
+
     def evaluate(self, x, y, z) -> Fraction:
         # Integer coordinates keep the sum in integers; it is divided once.
         x, y, z = (v if type(v) is int else Fraction(v) for v in (x, y, z))
-        total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
-        return Fraction(total, self.den)
+        return Fraction(self.num_at(x, y, z), self.den)
 
     def substitute_z(self, value) -> "Poly":
         # z^c = p^c / q^c: scale every term to the denominator q^top.
@@ -180,7 +183,7 @@ X, Y, Z = (Poly.var(v) for v in VARS)
 # z, x+y, xz+y, xy: the members of R the product-overgroup suite certifies.
 R_MEMBERS = (Z, X + Y, X * Z + Y, X * Y)
 # Generator of the model -> the star record's symbol it must agree with at
-# x = (j+3)^2, y = (j'+3)^2, z = (a+3)^2.
+# (x, y, z) = ``xyz_of(theta)``.
 SYMBOL_PAIRS = (
     ("r1", "R_1"),
     ("r2", "R_2"),
@@ -190,6 +193,12 @@ SYMBOL_PAIRS = (
     ("p1", "C_Gt1"),
     ("p2", "C_Gt2"),
 )
+
+
+def xyz_of(theta) -> tuple[int, int, int]:
+    """(x, y, z) = ((j+3)^2, (j'+3)^2, (a+3)^2) at the star's theta = (j, j', a)."""
+    j, jp, a = theta
+    return (j + 3) ** 2, (jp + 3) ** 2, (a + 3) ** 2
 
 
 def dgx_generators() -> dict[str, Poly]:
@@ -364,10 +373,8 @@ _BASE_MEMBERS = _base_members(_R_GENERATORS)
 
 
 # Per-exponent memos of decompose_R_plus_Rx, grown to the largest exponent it
-# is asked for: z^e and (xy)^c, and x^k and y^k as pairs (g, h) with g, h in R
-# and the power equal to g + h·x.
-_Z_POWERS = [ONE]
-_XY_POWERS = [ONE]
+# is asked for: x^k and y^k as pairs (g, h) with g, h in R and the power equal
+# to g + h·x.
 _X_POWERS = [(ONE, ZERO)]
 _Y_POWERS = [(ONE, ZERO)]
 
@@ -402,11 +409,11 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     factors and reduces to a pure power.  Raises if f exceeds the bound.
     """
     _check_bound(f, degree_bound)
-    z, _, _, m = _BASE_MEMBERS
     g_total, h_total = Poly(), Poly()
     for (ex, ey, ez), coeff in f.num.items():
         common = min(ex, ey)
-        prefix = coeff * _power(_Z_POWERS, ez, z.__mul__) * _power(_XY_POWERS, common, m.__mul__)
+        # coeff · z^ez · (xy)^common, a product of members of R
+        prefix = Poly._lowest({(common, common, ez): coeff}, 1)
         if ex > common:
             g, h = _power(_X_POWERS, ex - common, _next_x_power)
         else:

@@ -165,6 +165,3 @@ class AffineMap:
                 "affine map expects dimension %d, got %d" % (self.source_dim, len(w))
             )
         return vadd(mat_vec(self.matrix, w), self.offset)
-
-    def __call__(self, v: Sequence) -> Vector:
-        return self.apply(v)

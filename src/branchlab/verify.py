@@ -36,20 +36,19 @@ into one form, cached beside the doubled rows of the record's maps
 (``_symbol_cache``): a polynomial per row, keyed by the row's content, whose
 sum at theta is the symbol's integer numerator.  Casimirs are squares of
 label rows plus affine rows combined from them (G2's cross term through the
-row a0 + a1), power sums are powers of the vector's rows, Euler forms are
-one row, and a theta_poly is powers of the coordinates theta_i (a monomial
-in two coordinates is a ValueError); only the powers of rows with several
-columns keep their own row, the rest going onto the coordinate rows theta_i
-and the constant row.  A Casimir never reads the nu+rho power sums' rows,
-which would make the relations between the two hold by construction.  Every
-reader takes this one form: ``_int_eval`` evaluates it at a theta (for
-``evaluate_generator``, the independence certificate and the parity gap); a
-relation merges its terms' forms (``_fold``), pi-side reads the P-side
-Casimirs' forms as they are, and ``ParamSpace.walk`` carries these K totals,
-adding a memo's tuple for each row it makes final (``_RowSums``).
-``_poly_fn`` evaluates the xyz_polys, the one evaluator beside the compiled
-form.  ``ParamSpace.contains`` checks constraints compiled once per
-space into sparse rows, which its walk shares.
+row a0 + a1), power sums are powers of the vector's rows, and Euler forms
+are one row; only the powers of rows with several columns keep their own
+row, the rest going onto the coordinate rows theta_i and the constant row.
+A Casimir never reads the nu+rho power sums' rows, which would make the
+relations between the two hold by construction.  Every reader takes this
+one form: ``_int_eval`` evaluates it at a theta (for ``evaluate_generator``,
+the independence certificate and the parity gap); a relation merges its
+terms' forms (``_fold``), pi-side reads the P-side Casimirs' forms as they
+are, and ``ParamSpace.walk`` carries these K totals, adding a memo's tuple
+for each row it makes final (``_RowSums``).  An xyz_poly, which only the
+star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated at
+``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints compiled
+once per space into sparse rows, which its walk shares.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class CaseReport:
     bound: int
     checks_run: int = 0
     failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +122,6 @@ def evaluate_generator_reference(record: CaseRecord, name: str, theta: Sequence[
     if spec.kind == "power_nu":
         values = record.nu_plus_rho(theta)
         return sum((v ** (spec.scale * spec.k) for v in values), Fraction(0))
-    if spec.kind == "theta_poly":
-        return _poly_eval(spec.poly, vec(theta))
     if spec.kind == "xyz_poly":
         j, jp, a = theta
         xyz = (Fraction((j + 3) ** 2), Fraction((jp + 3) ** 2), Fraction((a + 3) ** 2))
@@ -208,7 +201,7 @@ _MAPS = {
 def _symbol_cache(record: CaseRecord) -> dict:
     """The record's compiled data, kept for its life and not grown by a box:
     {"rows": doubled rows by map (``_map_rows``), "forms": {symbol: (form,
-    den) of ``_separable``}, "polys": {symbol: ``_poly_fn`` of the others}}."""
+    den) of ``_separable``}, "polys": {xyz_poly symbol: its ``dgx.Poly``}}."""
     cache = record.__dict__.get("_symbol_cache")
     if cache is None:
         cache = {"rows": {}, "forms": {}, "polys": {}}
@@ -312,8 +305,7 @@ def _separable(record: CaseRecord, name: str):
     off, is expanded onto the coordinate row of theta_i; the affine part of
     any row goes onto the coordinate rows and the constant row ((), 0); only
     a power e >= 2 of a row with several columns stays on that row.
-    ValueError, naming the symbol, for any other symbol: an xyz_poly, or a
-    theta_poly with a monomial in two coordinates, which no record has.
+    ValueError, naming the symbol, for any other kind, such as an xyz_poly.
 
     A Casimir reads the rows of its label map and rows combined from them
     (``_int_casimir_blocks``), never the nu+rho power sums' rows: the
@@ -368,20 +360,8 @@ def _separable(record: CaseRecord, name: str):
     elif spec.kind == "euler":
         add(_map_rows(record, spec.form)[0], 1, 1)
         den = 2
-    elif spec.kind == "theta_poly" and all(sum(map(bool, e)) <= 1 for e, _ in spec.poly):
-        # over q·2^top, the denominator of degree top in doubled coordinates
-        # that every other kind has: c·theta_i^e = c·q·2^top·theta_i^e / den
-        top = max((sum(exps) for exps, _ in spec.poly), default=0)
-        q = math.lcm(*(c.denominator for _, c in spec.poly))
-        den = q * 2 ** top
-        for exps, c in spec.poly:
-            i = next((i for i, x in enumerate(exps) if x), 0)
-            put((((i, 1),), 0), sum(exps), int(c * q) * 2 ** top)
     else:
-        raise ValueError(
-            "symbol %s is a %s that is not a sum of polynomials in one coordinate each"
-            % (name, spec.kind)
-        )
+        raise ValueError("symbol %s is a %s, which has no compiled form" % (name, spec.kind))
     polys = ((row, {e: c for e, c in sorted(poly.items()) if c}) for row, poly in form.items())
     return {row: poly for row, poly in polys if poly}, den
 
@@ -397,28 +377,17 @@ def _form_value(form: dict, theta) -> int:
     return total
 
 
-def _poly_fn(spec: SymbolSpec):
-    """(fn(theta) -> int numerator, constant denominator) for an xyz_poly,
-    which ``_separable`` does not take: the one evaluator beside the
-    compiled form."""
-    den = math.lcm(*(c.denominator for _, c in spec.poly))
-    terms = tuple((exps, int(c * den)) for exps, c in spec.poly)
-
-    def poly_fn(theta):
-        xyz = [(v + 3) ** 2 for v in theta]
-        return sum(c * _prod(xyz, exps) for exps, c in terms)
-
-    return poly_fn, den
-
-
 def _int_eval(record: CaseRecord, name: str):
     """(fn(theta) -> int numerator, denominator) of one symbol: its compiled
-    form (``_compiled``) at theta, or ``_poly_fn`` for an xyz_poly."""
-    if record.symbols[name].kind == "xyz_poly":
+    form (``_compiled``) at theta, or for an xyz_poly its ``dgx.Poly``,
+    built once per record, at ``dgx.xyz_of(theta)``."""
+    spec = record.symbols[name]
+    if spec.kind == "xyz_poly":
         polys = _symbol_cache(record)["polys"]
         if name not in polys:
-            polys[name] = _poly_fn(record.symbols[name])
-        return polys[name]
+            polys[name] = dgx.Poly(dict(spec.poly))
+        poly = polys[name]
+        return (lambda theta: poly.num_at(*dgx.xyz_of(theta))), poly.den
     form, den = _compiled(record, name)
     return (lambda theta: _form_value(form, theta)), den
 
@@ -632,19 +601,52 @@ def function_in_span(
 
 
 def check_ix_parity_gap(record: CaseRecord, bound: int, degree: int = 4) -> bool:
-    """Case (ix) exception witness: the parity of the U(3)-charge is not a
-    polynomial (degree <= 4) in the two Casimir evaluations, so the pair
+    """Case (ix) exception witness: the parity of the U(3)-charge theta[1] is
+    not a polynomial (degree <= 4) in the two Casimir evaluations, so the pair
     {C_Gtilde, C_G} generates an index-two subalgebra of the evaluation image.
+
+    True when the parity falls outside the span on the box.  Otherwise the
+    box decides only if it refutes every such polynomial: one of degree <=
+    ``degree`` in quadratic Casimirs has theta-degree <= 2·degree, so it
+    matches the alternating parity on no 2·degree + 2 consecutive points of
+    a theta[1] line (its next difference would vanish).  With such a segment
+    in the box the result is False; without one, InsufficientSampleError.
     """
     if not record.parity_gap_gens:
         raise ValueError("case %s stores no parity-gap generators" % record.id)
-    return not function_in_span(
+    if not function_in_span(
         record,
         record.parity_gap_gens,
         lambda theta: theta[1] % 2,
         bound,
         degree,
-    )
+    ):
+        return True
+    need = 2 * degree + 2
+    run = _longest_run((theta for theta, _ in record.theta.walk(bound)), 1)
+    if run < need:
+        raise InsufficientSampleError(
+            "longest theta[1] run of the box has %d points; refuting degree %d needs %d"
+            % (run, degree, need)
+        )
+    return False
+
+
+def _longest_run(thetas, axis: int) -> int:
+    """The most points of ``thetas`` on one line along coordinate ``axis``
+    at consecutive values of that coordinate."""
+    lines: dict[tuple, set] = {}
+    for theta in thetas:
+        lines.setdefault(theta[:axis] + theta[axis + 1 :], set()).add(theta[axis])
+    best = 0
+    for values in lines.values():
+        for v in values:
+            if v - 1 not in values:
+                n = 1
+                while v + n in values:
+                    n += 1
+                best = max(best, n)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -1102,8 +1104,7 @@ def _run_star_suite(run, record: CaseRecord, bound: int) -> None:
     run(
         "dgx-cross-evaluation",
         lambda: all(
-            table[g].evaluate((t[0] + 3) ** 2, (t[1] + 3) ** 2, (t[2] + 3) ** 2)
-            == evaluate_generator(record, s, t)
+            table[g].evaluate(*dgx.xyz_of(t)) == evaluate_generator(record, s, t)
             for t in record.theta.enumerate(min(bound, 6))
             for g, s in dgx.SYMBOL_PAIRS
         ),

@@ -21,12 +21,12 @@ from typing import Sequence
 
 from .linalg import Vector, vec
 
-LETTERED = ("A", "B", "C", "D", "BC")
+LETTERED = ("A", "B", "C", "D")
 
 
 @dataclass(frozen=True)
 class WeylType:
-    family: str  # "A","B","C","D","BC","G2","Trivial","Product"
+    family: str  # "A","B","C","D","G2","Trivial","Product"
     rank: int = 1
     factors: tuple["WeylType", ...] = field(default_factory=tuple)
 
@@ -40,7 +40,7 @@ class WeylType:
     def ncoords(self) -> int:
         if self.family == "A":
             return self.rank + 1
-        if self.family in ("B", "C", "D", "BC", "Trivial"):
+        if self.family in ("B", "C", "D", "Trivial"):
             return self.rank
         if self.family == "G2":
             return 2
@@ -109,8 +109,8 @@ def _rho2(t: WeylType) -> tuple[int, ...]:
         return tuple(n - 2 * i for i in range(n + 1))
     if fam == "G2":
         return (2, 2)  # rho = omega1 + omega2
-    if fam in LETTERED:  # B, C, D, BC: 2·rho_i = 2(n - i) + c
-        c = {"B": -1, "C": 0, "D": -2, "BC": 1}[fam]
+    if fam in LETTERED:  # B, C, D: 2·rho_i = 2(n - i) + c
+        c = {"B": -1, "C": 0, "D": -2}[fam]
         return tuple(2 * (n - i) + c for i in range(n))
     raise ValueError("no positive system for type %s" % t)
 
@@ -160,7 +160,7 @@ def dominant_representative(t: WeylType, v: Sequence) -> tuple:
         return sum((dominant_representative(f, part) for f, part in _split(t, v)), ())
     if fam == "A":
         return tuple(sorted(v, reverse=True))
-    if fam in ("B", "C", "BC"):
+    if fam in ("B", "C"):
         return tuple(sorted(map(abs, v), reverse=True))
     if fam == "D":
         flips = sum(1 for x in v if x < 0)
@@ -243,23 +243,23 @@ def _root_product(fam: str, a: Sequence[int]) -> int:
     out = math.prod(map(operator.sub, x, y))
     if fam != "A":
         out *= math.prod(map(operator.add, x, y))
-    if fam in ("B", "BC"):
+    if fam == "B":
         out *= math.prod(a)
-    if fam in ("C", "BC"):
+    if fam == "C":
         out *= 2 ** len(a) * math.prod(a)
     return out
 
 
 def _dominant(fam: str, v: Sequence) -> bool:
     """Dominance read off the coordinates: the pairings with the simple roots
-    are v_i - v_(i+1) and, per family, v_n (B, BC), 2·v_n (C) or
+    are v_i - v_(i+1) and, per family, v_n (B), 2·v_n (C) or
     v_(n-1) + v_n (D); G2's omega-coordinates are its simple coroot pairings."""
     if fam == "G2":
         return v[0] >= 0 and v[1] >= 0
     for i in range(len(v) - 1):
         if v[i] < v[i + 1]:
             return False
-    if fam in ("B", "C", "BC") and v and v[-1] < 0:
+    if fam in ("B", "C") and v and v[-1] < 0:
         return False
     if fam == "D" and len(v) >= 2 and v[-2] < abs(v[-1]):
         return False

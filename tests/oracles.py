@@ -177,15 +177,15 @@ def positive_roots(t) -> list[Vector]:
     if fam == "A":
         m = n + 1
         return [vsub(_unit(m, i), _unit(m, j)) for i in range(m) for j in range(i + 1, m)]
-    if fam in ("B", "C", "D", "BC"):
+    if fam in ("B", "C", "D"):
         roots = []
         for i in range(n):
             for j in range(i + 1, n):
                 roots.append(vsub(_unit(n, i), _unit(n, j)))
                 roots.append(tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j))))
-        if fam in ("B", "BC"):
+        if fam == "B":
             roots.extend(_unit(n, i) for i in range(n))
-        if fam in ("C", "BC"):
+        if fam == "C":
             roots.extend(_unit(n, i, 2) for i in range(n))
         return roots
     if fam == "G2":
@@ -224,14 +224,12 @@ def simple_roots(t):
     if fam == "A":
         m = n + 1
         return [vsub(_unit(m, i), _unit(m, i + 1)) for i in range(n)]
-    if fam in ("B", "C", "D", "BC"):
+    if fam in ("B", "C", "D"):
         roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
         if fam == "B":
             roots.append(_unit(n, n - 1))
         elif fam == "C":
             roots.append(_unit(n, n - 1, 2))
-        elif fam == "BC":
-            roots.append(_unit(n, n - 1))
         else:  # D
             if n < 2:
                 raise ValueError("D requires rank >= 2")

@@ -162,8 +162,9 @@ def test_out_file(tmp_path, capsys):
 def test_empty_out_is_usage_error(capsys, command):
     # an empty --out names no file: one error line, exit 2 and nothing on
     # stdout (the catalog export does the same)
-    args = [command, "--cases", "vi", "--bound", "2", "--out", ""]
-    rc = cli.main(args + (["--tau", "2", "--lam", "11"] if command == "transfer" else []))
+    args = [command, "--cases", "vi", "--out", ""]
+    extra = {"verify": ["--bound", "2"], "transfer": ["--tau", "2", "--lam", "11"]}
+    rc = cli.main(args + extra.get(command, []))
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()

@@ -314,8 +314,6 @@ def test_decompose_digest_degree_8():
 def test_decompose_power_memos(monkeypatch):
     # Fresh memos; a returned part is then mutated through its numerators as
     # well as its terms view, which shows any dict it shares with a memo.
-    for name in ("_Z_POWERS", "_XY_POWERS"):
-        monkeypatch.setattr(dgx, name, [ONE])
     for name in ("_X_POWERS", "_Y_POWERS"):
         monkeypatch.setattr(dgx, name, [(ONE, Poly())])
     for f in (Poly(), ONE, X ** 6, Y ** 3, X ** 5 * Z, Y ** 4 * X, Fraction(2, 3) * X ** 3 - Y * Z):
@@ -328,8 +326,8 @@ def test_decompose_power_memos(monkeypatch):
         assert (repr(g), repr(h)) == expected
     for a, b, c in _degree_8_monomials():
         decompose_R_plus_Rx(X ** a * Y ** b * Z ** c, 8)
-    memos = (dgx._Z_POWERS, dgx._XY_POWERS, dgx._X_POWERS, dgx._Y_POWERS)
-    assert [len(m) for m in memos] == [9, 5, 9, 9]
+    memos = (dgx._X_POWERS, dgx._Y_POWERS)
+    assert [len(m) for m in memos] == [9, 9]
 
 
 def test_decompose_degree_guard():

@@ -176,13 +176,13 @@ def test_casimir_scalar_tables(records):
 def test_check_relations_passes_everywhere(records):
     for r in records.values():
         report = check_relations(r, 5)
-        assert report.passed, (r.id, report.failures[:3])
+        assert not report.failures, (r.id, report.failures[:3])
         assert report.checks_run == len(r.relations) * len(r.theta.enumerate(5))
 
 
 def test_check_relations_example_case_i(records):
     report = check_relations(rec(records, "i", 2), 4)
-    assert report.passed and report.checks_run == 25
+    assert not report.failures and report.checks_run == 25
 
 
 def test_relation_star_spot_value(records):
@@ -244,7 +244,7 @@ def test_transfer_map_rejects_invalid_tau(records):
 def test_check_transfer_passes_everywhere(records):
     for r in records.values():
         report = check_transfer(r, 5)
-        assert report.passed, (r.id, report.failures[:3])
+        assert not report.failures, (r.id, report.failures[:3])
 
 
 def test_check_transfer_example_values(records):
@@ -333,10 +333,39 @@ def test_ix_parity_gap(records):
     assert verify.function_in_span(r, ("C_Gt", "C_G"), lambda t: t[1] ** 2, 6, 1)
 
 
+def test_ix_parity_gap_is_inconclusive_until_the_box_can_refute(capsys):
+    # ix's longest theta[1] run at bound b is 2b + 1 points; refuting degree
+    # 4 in quadratic Casimirs takes 10, so bounds 0..4 cannot decide
+    from branchlab import cli
+
+    ix = next(r for r in catalog.build_records(2) if r.id.tag == "ix")
+    for bound in range(9):
+        runs = verify._longest_run((t for t, _ in ix.theta.walk(bound)), 1)
+        assert runs == 2 * bound + 1, bound
+        entries = verify.run_case(ix, bound, 2)
+        (entry,) = [e for e in entries if e["name"] == "dl-only-subalgebra-index-2"]
+        if bound <= 4:
+            assert entry["failed"] == 0 and "needs 10" in entry["inconclusive"], entry
+        else:
+            assert entry == {"name": "dl-only-subalgebra-index-2", "run": 1, "failed": 0}
+        assert cli.main(["verify", "--cases", "ix", "--bound", str(bound)]) == 0, bound
+        assert "index-2" in capsys.readouterr().out
+
+
+def test_ix_parity_gap_fails_when_a_refuting_segment_fits(monkeypatch, records):
+    # a span routine that claims the parity fits is refuted on bound 5's
+    # 11-point line: FAIL, not inconclusive
+    r = rec(records, "ix")
+    monkeypatch.setattr(verify, "function_in_span", lambda *args: True)
+    assert check_ix_parity_gap(r, 5) is False
+    with pytest.raises(InsufficientSampleError):
+        check_ix_parity_gap(r, 4)
+
+
 def test_pi_side_consistency_all(records):
     for r in records.values():
         rep = verify.check_pi_side_consistency(r, 4)
-        assert rep.passed, (r.id, rep.failures[:2])
+        assert not rep.failures, (r.id, rep.failures[:2])
 
 
 @pytest.mark.parametrize("scale", [Fraction(4, 3), Fraction(1, 8), Fraction(3)])
@@ -360,9 +389,9 @@ def test_pi_side_compares_exact_values(records, monkeypatch, scale):
 def test_dimension_conservation_and_strong_mult_freeness(records):
     for r in records.values():
         rep = verify.check_dimension_conservation(r, 5)
-        assert rep.passed, (r.id, rep.failures[:2])
+        assert not rep.failures, (r.id, rep.failures[:2])
         rep = verify.check_strong_multiplicity_freeness(r, 5)
-        assert rep.passed, (r.id, rep.failures[:2])
+        assert not rep.failures, (r.id, rep.failures[:2])
 
 
 def test_case_report_failure_shape(records):
@@ -375,7 +404,7 @@ def test_case_report_failure_shape(records):
         relations=(catalog.Relation("broken", ((Fraction(1), "C_Gt"),)),),
     )
     report = check_relations(broken, 2)
-    assert not report.passed
+    assert report.failures
     name, theta, expected, got = report.failures[0]
     assert name == "relation:broken" and expected == 0 and got != 0
 
@@ -389,7 +418,7 @@ def test_tampered_transfer_fails(records):
     off[0] += 1
     broken = dataclasses.replace(r, transfer_offset=tuple(off))
     report = check_transfer(broken, 3)
-    assert not report.passed
+    assert report.failures
     # and the compiled integer route agrees with the slow exact route
     name, theta, expected, got = report.failures[0]
     smap = broken.transfer(broken.tau_params_of(theta))
@@ -414,9 +443,9 @@ def test_tampered_nu_label_breaks_relations(records):
         nu_label_map=dataclasses.replace(r.nu_label_map, matrix=mat(rows)),
     )
     report = check_relations(broken, 4)
-    assert not report.passed
+    assert report.failures
     report = check_transfer(broken, 4)
-    assert not report.passed
+    assert report.failures
 
 
 def test_tampered_branch_rule_detected(records):
@@ -426,10 +455,10 @@ def test_tampered_branch_rule_detected(records):
     # dropping the parity constraint makes the fibers produce invalid labels
     broken = dataclasses.replace(r, branch_rule=("tail_le",))
     report = verify.check_strong_multiplicity_freeness(broken, 4)
-    assert not report.passed
+    assert report.failures
     assert any(name == "branch-valid" for name, *_ in report.failures)
     report = verify.check_dimension_conservation(broken, 4)
-    assert not report.passed
+    assert report.failures
 
 
 def test_frozen_casimir_tables_v_and_ii_even(records):
@@ -780,9 +809,10 @@ def test_box_check_error_stops_only_that_check(monkeypatch):
             assert box[other]["run"] > 0 and box[other]["failed"] == 0, box[other]
 
 
-def _ix_with_mixed_c_k():
-    """ix whose C_K, which its relation reads, is the theta_poly j·k: a
-    monomial in two coordinates, which the relation sums cannot carry."""
+def _ix_with_uncompiled_c_k():
+    """ix whose C_K, which its relation reads, is a "theta_poly" j·k: a
+    symbol kind that neither the compiled form nor the reference route
+    takes."""
     import dataclasses
 
     from branchlab.catalog import SymbolSpec
@@ -792,8 +822,8 @@ def _ix_with_mixed_c_k():
     return dataclasses.replace(ix, symbols={**ix.symbols, "C_K": mixed})
 
 
-def test_relation_on_a_symbol_in_two_coordinates_is_a_setup_error(monkeypatch, capsys):
-    tampered = _ix_with_mixed_c_k()
+def test_relation_on_a_kind_the_compiled_form_refuses_is_a_setup_error(monkeypatch, capsys):
+    tampered = _ix_with_uncompiled_c_k()
     with pytest.raises(ValueError, match="C_K"):
         evaluate_generator(tampered, "C_K", (3, -2))  # no route evaluates it
     entries = verify.run_case(tampered, 6, 2)

@@ -32,10 +32,6 @@ def F(*args):
     return tuple(Fraction(a) for a in args)
 
 
-def BC(n):
-    return WeylType("BC", n)
-
-
 def full_orbit(t, v):
     """The whole Weyl orbit (exponential in rank; fine for rank <= 4 and G2),
     walked on doubled integers."""
@@ -83,7 +79,6 @@ def test_positive_roots_D4_brute_force():
 def test_positive_roots_counts():
     assert len(positive_roots(B(3))) == 9
     assert len(positive_roots(C(3))) == 9
-    assert len(positive_roots(BC(2))) == 6
     assert len(positive_roots(G2)) == 6
 
 
@@ -95,7 +90,7 @@ def test_positive_roots_rejects_trivial_and_product():
 
 
 @pytest.mark.parametrize(
-    "t", [B(4), D(4), A(1), A(3), A(4), B(1), C(1), C(3), BC(1), BC(3), D(2), D(5), G2]
+    "t", [B(4), D(4), A(1), A(3), A(4), B(1), C(1), C(3), B(2), C(2), D(2), D(5), G2]
 )
 def test_rho_is_half_sum(t):
     assert rho(t) == half_sum(t)
@@ -120,7 +115,7 @@ def _record_types():
 
 
 CLOSED_FORM_TYPES = (
-    [WeylType(fam, n) for fam in ("A", "B", "C", "BC") for n in range(1, 9)]
+    [WeylType(fam, n) for fam in ("A", "B", "C") for n in range(1, 9)]
     + [D(n) for n in range(2, 9)]
     + [G2]
 )
@@ -155,7 +150,6 @@ DOMINANCE_TYPES = (
     [A(n) for n in range(1, 5)]
     + [B(n) for n in range(1, 5)]
     + [C(n) for n in range(1, 5)]
-    + [BC(n) for n in range(1, 4)]
     + [D(n) for n in range(2, 6)]
     + [G2]
 )
@@ -224,7 +218,7 @@ def test_inner_product_examples():
         dot(F(1, 0), F(1, 0, 0))
 
 
-TYPES = [A(2), A(3), B(2), B(3), B(4), C(3), C(4), D(3), D(4), BC(3), G2]
+TYPES = [A(2), A(3), B(2), B(3), B(4), C(3), C(4), D(3), D(4), C(2), G2]
 
 
 @pytest.mark.parametrize("t", TYPES)
@@ -343,7 +337,6 @@ DIMENSION_TYPES = (
     [A(n) for n in range(1, 5)]
     + [B(n) for n in range(1, 5)]
     + [C(n) for n in range(1, 5)]
-    + [BC(n) for n in range(1, 5)]
     + [D(n) for n in range(2, 6)]
     + [G2]
 )
