@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import AffineMap, Matrix, Vector, mat, mat_vec, vec
+from .linalg import AffineMap, Matrix, Vector, int_affine_source, mat, mat_vec, vec
 from .reps import (
     SO,
     SU,
@@ -90,15 +90,22 @@ class Constraint:
     mod: int = 0
 
 
-def _satisfies(rows, params) -> bool:
-    """Do params satisfy every row (((index, coefficient), ...), const, mod):
-    the sum plus const >= 0, or == 0 mod ``mod`` when mod > 0?"""
-    for coeffs, value, mod in rows:
-        for i, a in coeffs:
-            value += a * params[i]
-        if value % mod if mod else value < 0:
-            return False
-    return True
+@functools.cache
+def _membership_kernel(rows: tuple, n: int):
+    """params ↦ are params n ints that satisfy every row (((index,
+    coefficient), ...), const, mod): the sum plus const >= 0, or == 0 mod
+    ``mod`` when mod > 0?  One expression, compiled once per row tuple; a
+    row with no column is decided here."""
+    conds = ["len(p) == %d" % n]
+    for coeffs, const, mod in rows:
+        if not coeffs:
+            if const % mod if mod else const < 0:
+                conds.append("False")
+        elif mod:
+            conds.append("%s %% %d == 0" % (int_affine_source("p", coeffs, const), mod))
+        else:
+            conds.append("%s >= 0" % int_affine_source("p", coeffs, const))
+    return eval("lambda p: " + " and ".join(conds), globals())
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,10 @@ class ParamSpace:
 
     @functools.cached_property
     def _membership(self) -> tuple:
-        """The rows of ``_satisfies`` that define the space: p_i >= 0 per nat
-        coordinate, then one per constraint.  Compiled once per space; a space
-        is frozen, and ``dataclasses.replace`` makes a new one."""
+        """The rows of ``_membership_kernel`` that define the space: p_i >= 0
+        per nat coordinate, then one per constraint.  Compiled once per
+        space; a space is frozen, and ``dataclasses.replace`` makes a new
+        one."""
         nat = tuple((((i, 1),), 0, 0) for i, d in enumerate(self.domains) if d == "nat")
         return nat + tuple(
             (tuple((i, a) for i, a in enumerate(c.coeffs) if a), c.const, c.mod)
@@ -129,7 +137,13 @@ class ParamSpace:
             if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
                 return False
             params = [int(p) for p in params]
-        return _satisfies(self._membership, params)
+        return self.contains_ints(params)
+
+    @functools.cached_property
+    def contains_ints(self):
+        """``contains`` for a sequence of ints: the ``_membership_kernel`` of
+        the space's rows, which the box pass calls on each fiber theta."""
+        return _membership_kernel(self._membership, len(self.names))
 
     def enumerate(self, bound: int) -> list[tuple[int, ...]]:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
@@ -159,7 +173,9 @@ class ParamSpace:
         if bound < 0:
             raise ValueError("bound must be >= 0")
         n = len(self.names)
-        at_leaf = [row for row in self._membership if row[2] or not row[0]]
+        at_leaf = _membership_kernel(
+            tuple(row for row in self._membership if row[2] or not row[0]), n
+        )
         # limits[t]: (a, ((s, c_s) for s < t), const) of each inequality whose
         # last non-zero coefficient a sits at t
         limits: list[list] = [[] for _ in range(n)]
@@ -216,7 +232,7 @@ class ParamSpace:
             else:
                 if t == n:
                     p = tuple(point)
-                    if _satisfies(at_leaf, p):
+                    if at_leaf(p):
                         yield p, tuple(images[n]) + totals[n]
                 # step to the next value of the deepest coordinate that has one
                 t -= 1

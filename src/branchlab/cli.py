@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import catalog, verify
+from . import catalog, verify, weights
 
 TEXT, JSON = "text", "json"
 
@@ -146,11 +146,12 @@ def cmd_transfer(args) -> int:
             "lambda needs %d coordinates, got %d" % (smap.source_dim, len(lam))
         )
     image = smap.apply(lam)
-    # canonicalized on the integers image·scale by ``verify._canonical2``,
-    # which also multiplies by the coordinate count modulo the trace
+    # canonicalized on the integers image·scale by the transfer check's
+    # ``weights._canonical_kernel``, which also multiplies by the coordinate
+    # count modulo the trace
     scale = math.lcm(*(x.denominator for x in image))
     ints = [int(x * scale) for x in image]
-    canon2 = verify._canonical2(record.nu_group.weyl, record.mod_trace, ints)
+    canon2 = weights._canonical_kernel(record.nu_group.weyl, record.mod_trace)(ints)
     canon = [Fraction(x, scale * (len(ints) if record.mod_trace else 1)) for x in canon2]
     frac = catalog.fraction_str
     shown = {
@@ -218,8 +219,10 @@ def _attach_signed_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_signed_values(argv))
-    args.cases = [c.strip() for c in args.cases.split(",") if c.strip()] or ["all"]
+    args.cases = [c.strip() for c in args.cases.split(",") if c.strip()]
     try:
+        if not args.cases:
+            raise SystemExit2("--cases names no case; give case tags or 'all'")
         if args.max_n < 1:
             raise SystemExit2("max-n must be >= 1")
         if args.out == "":

@@ -13,6 +13,7 @@ ever touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -125,6 +126,26 @@ class IntEchelon:
     def add(self, row: Sequence[int]) -> bool:
         """insert of a dense row, keyed by column index."""
         return self.insert({c: x for c, x in enumerate(row) if x})
+
+
+def int_affine_source(var: str, coeffs: Iterable[tuple[int, int]], const: int) -> str:
+    """Python source, in parentheses, of const + sum(c·var[i]) over the
+    sparse (i, c) pairs: the one writer of the expressions that the compiled
+    per-point kernels of ``weights``, ``catalog`` and ``verify`` are built
+    from.  Every number passes ``operator.index``, so the source holds
+    integers only; ``var`` is the kernel's own parameter name."""
+    out = ""
+    for i, c in coeffs:
+        i, c = operator.index(i), operator.index(c)
+        if c:
+            term = "%s[%d]" % (var, i) if abs(c) == 1 else "%d * %s[%d]" % (abs(c), var, i)
+            out += (" - " if c < 0 else " + ") + term if out else ("-" if c < 0 else "") + term
+    const = operator.index(const)
+    if not out:
+        return "(%d)" % const
+    if const:
+        out += " %s %d" % ("-" if const < 0 else "+", abs(const))
+    return "(%s)" % out
 
 
 def rank(m: Sequence[Sequence]) -> int:

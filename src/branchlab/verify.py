@@ -8,7 +8,12 @@ compile symbols down to arithmetic on doubled integers.  Every affine map in
 the catalog is half-integral, and ``_rows2`` raises on one that is not, so
 there is no second route behind the compiled one.  Weyl-group arithmetic
 (canonical orbit forms, dimensions) is the ``weights`` module's, called on
-the same doubled integers, G2 included.  The compiled evaluation is
+the same doubled integers, G2 included.  The work that is fixed per record
+and repeated per point is compiled once into straight-line Python: the
+doubled image of a row list (``_affine_kernel``), a type's Weyl dimension
+and canonical form (``weights._dimension_kernel``,
+``weights._canonical_kernel``) and a space's membership
+(``ParamSpace.contains_ints``).  The compiled evaluation is
 cross-checked against the straightforward reference evaluation in the test
 suite.  The independence certificate and the parity gap reduce moment
 matrices of the symbols' integer numerators in ``linalg``'s integer echelon.
@@ -48,11 +53,12 @@ are, and ``ParamSpace.walk`` carries these K totals, adding a memo's tuple
 for each row it makes final (``_RowSums``).  An xyz_poly, which only the
 star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated at
 ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints compiled
-once per space into sparse rows, which its walk shares.
+once per space into one expression, and its walk's leaf check is another.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -145,13 +151,16 @@ def _rows2(amap: AffineMap):
     return rows
 
 
-def _apply2(rows2, params) -> list[int]:
-    out = []
-    for coeffs, value in rows2:
-        for i, c in coeffs:
-            value += c * params[i]
-        out.append(value)
-    return out
+@functools.cache
+def _affine_kernel(rows2: tuple):
+    """params ↦ the list of the values at params of the doubled rows
+    (((index, coefficient), ...), offset), written out as one list
+    expression and compiled once per row tuple."""
+    return eval(
+        "lambda p: [%s]"
+        % ", ".join(linalg.int_affine_source("p", coeffs, off) for coeffs, off in rows2),
+        globals(),
+    )
 
 
 def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
@@ -491,16 +500,6 @@ def _transfer_image_map(record: CaseRecord) -> AffineMap:
     )
 
 
-def _canonical2(weyl, mod_trace: bool, values2: list[int]) -> tuple:
-    """Canonical W(g_C)-orbit form on doubled-integer coordinates; modulo the
-    trace direction it is scaled by the coordinate count to stay integral."""
-    if mod_trace:
-        n = len(values2)
-        total = sum(values2)
-        values2 = [n * v - total for v in values2]
-    return weights.dominant_representative(weyl, values2)
-
-
 def check_transfer(record: CaseRecord, bound: int) -> CaseReport:
     """S_tau(lambda(theta) + rho_a) = nu(theta) + rho mod W(g_C), exactly."""
     return _box_check(record, bound, "transfer")
@@ -708,22 +707,26 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     named checks of BOX_CHECKS, each run once over the box.
 
     Dimension conservation and the fiber half of strong multiplicity-freeness
-    (SMF) share one walk of the pi box: per fiber theta, one ``_apply2`` of
-    the nu label rows stacked on the pi_of_theta rows serves both.
-    Relations, transfer, the theta half of SMF and pi-side consistency then
-    share one walk of the theta box, which carries the image of one stacked
-    matrix of every map they read, followed by the relation totals and the
-    P-side Casimir numerators (``_walk_sums``).  The box is streamed.  The
-    pass reads the record's compiled forms and doubled rows, which are
-    compiled once per record (``_symbol_cache``) and do not grow with the
-    box.  What the pass itself keeps: one pi's fiber set, pi-side's targets
-    per distinct pi(theta), and the ``_RowSums`` memos, made fresh per pass,
-    one per row the sums read and keyed by the row's value.  The targets
-    grow with the pi box (one per distinct pi(theta)); the memos grow with
-    the range of a row's values only.  An
-    exception in one check's setup or per-point body stops that check alone;
-    one raised while the walk carries the sums stops the four checks of the
-    theta walk.
+    (SMF) share one walk of the pi box: per fiber theta, one
+    ``_affine_kernel`` of the nu label rows stacked on the pi_of_theta rows
+    serves both, the nu part going to the nu group's
+    ``weights._dimension_kernel`` and theta itself to the theta space's
+    ``contains_ints``.  Relations, transfer, the theta half of SMF and
+    pi-side consistency then share one walk of the theta box, which carries
+    the image of one stacked matrix of every map they read, followed by the
+    relation totals and the P-side Casimir numerators (``_walk_sums``);
+    transfer compares two ``weights._canonical_kernel`` forms of fixed
+    slices of it.  The box is streamed.  The pass reads the record's
+    compiled forms and doubled rows, which are compiled once per record
+    (``_symbol_cache``), and kernels compiled once per Weyl type or row
+    tuple; none grows with the box.  What the pass itself keeps: one pi's
+    fiber set, pi-side's targets per distinct pi(theta), and the
+    ``_RowSums`` memos, made fresh per pass, one per row the sums read and
+    keyed by the row's value.  The targets grow with the pi box (one per
+    distinct pi(theta)); the memos grow with the range of a row's values
+    only.  An exception in one check's setup or per-point body stops that
+    check alone; one raised while the walk carries the sums stops the four
+    checks of the theta walk.
 
     SMF, that the branches of distinct pi are disjoint and exhaust
     Disc(G/H), is checked without a map per theta:
@@ -764,7 +767,11 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     rel = setup("relations", lambda: _compile_relations(record))
     transfer = setup(
         "transfer",
-        lambda: (stack.add("transfer"), stack.add("nurho"), record.nu_group.weyl),
+        lambda: (
+            stack.add("transfer"),
+            stack.add("nurho"),
+            weights._canonical_kernel(record.nu_group.weyl, record.mod_trace),
+        ),
     )
     dim = setup("dimension-conservation", lambda: _dimension_plan(record))
     smf = setup("strong-multiplicity-freeness", lambda: _smf_plan(record, stack))
@@ -780,11 +787,10 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
         if injective is not None:
             smf_fail.append(injective)
     if dim is not None or smf is not None:
-        pi_rows, pi_table, nu_rows, nu_table = dim or ((), None, [], None)
+        pi_rows, pi_dimension, nu_rows, nu_dimension = dim or ((), None, (), None)
         nnu = len(nu_rows)
-        fiber_rows = nu_rows + (pi_theta_rows if smf is not None else [])
-        dimension = weights._dimension2
-        contains = record.theta.contains
+        fiber_image = _affine_kernel(nu_rows + (pi_theta_rows if smf is not None else ()))
+        contains = record.theta.contains_ints
         try:
             for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
                 try:
@@ -795,7 +801,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                 if dim is not None:
                     dim_report.checks_run += 1
                     try:
-                        want = dimension(pi_table, pi_label2)
+                        want = pi_dimension(pi_label2)
                         if isinstance(fibers, Exception):
                             raise fibers
                         adding, total = True, 0
@@ -817,8 +823,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                     image = None
                     if adding:
                         try:
-                            image = _apply2(fiber_rows, theta)
-                            total += dimension(nu_table, image[:nnu])
+                            image = fiber_image(theta)
+                            total += nu_dimension(image[:nnu])
                         except (ValueError, AssertionError) as exc:
                             dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
                             adding = False
@@ -835,7 +841,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                             else:
                                 mine.add(theta)
                                 if image is None:
-                                    image = _apply2(fiber_rows, theta)
+                                    image = fiber_image(theta)
                                 doubled = image[nnu:]
                                 if doubled != pi2:
                                     smf_fail.append(
@@ -865,12 +871,11 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     points = smf_count = 0
     # the walk carries the relation totals, then the P-side numerators
     rel_slots = rel if rel is not None else ()
-    pi_symbols, pi_slots, pi_label_rows = pi_side if pi_side is not None else ((), (), None)
+    pi_symbols, pi_slots, pi_label = pi_side if pi_side is not None else ((), (), None)
     sums = _walk_sums(rel_slots + pi_slots, stack)
     rel_sl = slice(len(stack.rows), len(stack.rows) + len(rel_slots))
     if transfer is not None:
-        image_sl, nu_rho_sl, g_weyl = transfer
-        mod_trace = record.mod_trace
+        image_sl, nu_rho_sl, canonical = transfer
     if pi_side is not None:
         pi_group = record.pi_group
         targets_of: dict[tuple, list] = {}
@@ -890,8 +895,8 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                                 rel_fail.append(("relation:%s" % name, theta, 0, total))
                 if transfer is not None:
                     try:
-                        lhs = _canonical2(g_weyl, mod_trace, image[image_sl])
-                        rhs = _canonical2(g_weyl, mod_trace, image[nu_rho_sl])
+                        lhs = canonical(image[image_sl])
+                        rhs = canonical(image[nu_rho_sl])
                         if lhs != rhs:
                             transfer_fail.append(("transfer", theta, rhs, lhs))
                     except Exception as exc:
@@ -909,9 +914,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
                         targets = targets_of.get(pi_params)
                         if targets is None:
                             record.require_pi(pi_params)
-                            label = IrrepLabel.from_doubled(
-                                pi_group, _apply2(pi_label_rows, pi_params)
-                            )
+                            label = IrrepLabel.from_doubled(pi_group, pi_label(pi_params))
                             targets = targets_of[pi_params] = _pi_side_targets(
                                 casimir_eigenvalue(label), pi_symbols
                             )
@@ -968,31 +971,33 @@ def _halve(doubled) -> tuple:
 
 
 def _smf_plan(record: CaseRecord, stack: _Stack):
-    """(doubled rows of pi_of_theta, stacked for the theta walk, and the
-    setup failure or None) for strong multiplicity-freeness.  The failure is
-    ("nu-injective", None, k, rank) when nu_label_map's rank is not k."""
-    rows = stack.rows[stack.add("pi_of_theta")]
+    """(doubled rows of pi_of_theta, as a tuple, stacked for the theta walk,
+    and the setup failure or None) for strong multiplicity-freeness.  The
+    failure is ("nu-injective", None, k, rank) when nu_label_map's rank is
+    not k."""
+    rows = tuple(stack.rows[stack.add("pi_of_theta")])
     k = len(record.theta.names)
     rank = linalg.rank(record.nu_label_map.matrix)
     return rows, None if rank == k else ("nu-injective", None, k, rank)
 
 
 def _dimension_plan(record: CaseRecord):
-    """(doubled rows of the pi label map, the pi group's dimension table,
-    doubled rows of the nu label map, the nu group's) for dimension conservation."""
+    """(doubled rows of the pi label map, the pi group's dimension kernel,
+    doubled rows of the nu label map as a tuple, the nu group's dimension
+    kernel) for dimension conservation."""
     return (
         _map_rows(record, "pi_label_map"),
-        weights._dimension_table(record.pi_group.weyl),
-        _map_rows(record, "nu"),
-        weights._dimension_table(record.nu_group.weyl),
+        weights._dimension_kernel(record.pi_group.weyl),
+        tuple(_map_rows(record, "nu")),
+        weights._dimension_kernel(record.nu_group.weyl),
     )
 
 
 def _pi_side_plan(record: CaseRecord, stack: _Stack):
-    """(symbols, slots, pi label rows) for pi-side consistency: symbols
-    [(name, denominator, factor)] of the P-side Casimirs, slots (name,
-    compiled form of its numerator) for ``_walk_sums``, and the doubled rows
-    of the pi label map alone.  pi_of_theta goes on ``stack``."""
+    """(symbols, slots, pi label) for pi-side consistency: symbols [(name,
+    denominator, factor)] of the P-side Casimirs, slots (name, compiled form
+    of its numerator) for ``_walk_sums``, and the ``_affine_kernel`` of the
+    doubled rows of the pi label map alone.  pi_of_theta goes on ``stack``."""
     symbols, slots = [], []
     for name, s in sorted(record.symbols.items()):
         if s.kind == "casimir" and s.label == "pi":
@@ -1000,7 +1005,7 @@ def _pi_side_plan(record: CaseRecord, stack: _Stack):
             symbols.append((name, den, s.factor))
             slots.append((name, form))
     stack.add("pi_of_theta")
-    return tuple(symbols), tuple(slots), _map_rows(record, "pi_label_map")
+    return tuple(symbols), tuple(slots), _affine_kernel(tuple(_map_rows(record, "pi_label_map")))
 
 
 def _pi_side_targets(value, symbols) -> list:

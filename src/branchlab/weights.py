@@ -4,22 +4,28 @@ Weights are in the standard orthonormal coordinates of each type, except G2
 which uses the two-coordinate fundamental-weight basis (a, b) ↦ a·ω1 + b·ω2,
 with the invariant form normalized so the short root has length 1.  No root
 is listed: 2·rho has a closed form per family (``_rho2``), and the dimension
-formula writes the positive roots' pairings in closed form
-(``_root_product``).  The checks pass weights doubled, as integers, and
-canonicalization and dominance keep the number type they get.
+formula generates the positive roots' pairings per family (``_root_rows``).
+The checks pass weights doubled, as integers, and canonicalization and
+dominance keep the number type they get.
+
+The box checks ask for a dimension and a canonical form at every point of a
+box, for one type, so each is compiled once per type into one Python
+expression (``_dimension_kernel``, ``_canonical_kernel``), which
+``weyl_dimension`` and the transfer check call.  The source is written from
+integers and the fixed family letters only, and is evaluated as a lambda
+against one module-level globals dict, ``_KERNEL_GLOBALS``, so a kernel
+makes no reference cycle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Vector, vec
+from .linalg import Vector, int_affine_source, vec
 
 LETTERED = ("A", "B", "C", "D")
 
@@ -133,6 +139,10 @@ def _split(t: WeylType, v: Vector) -> list[tuple[WeylType, Vector]]:
     return parts
 
 
+def _wrong_length(n: int, v) -> None:
+    raise ValueError("expected %d coordinates, got %d" % (n, len(v)))
+
+
 def is_dominant(t: WeylType, v: Sequence) -> bool:
     """<v, a> >= 0 for every simple root a, read off the coordinates."""
     if t.family == "Trivial":
@@ -142,7 +152,7 @@ def is_dominant(t: WeylType, v: Sequence) -> bool:
     if t.family not in LETTERED + ("G2",):
         raise ValueError("no simple system for type %s" % t)
     if len(v) != t.ncoords:
-        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
+        _wrong_length(t.ncoords, v)
     if t.family == "D" and t.rank < 2:
         raise ValueError("D requires rank >= 2")
     return _dominant(t.family, v)
@@ -152,7 +162,7 @@ def dominant_representative(t: WeylType, v: Sequence) -> tuple:
     """The unique dominant element of the Weyl orbit of v, in v's number type:
     the Weyl group acts by integer matrices, so doubled integers stay integers."""
     if len(v) != t.ncoords:
-        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
+        _wrong_length(t.ncoords, v)
     fam = t.family
     if fam == "Trivial":
         return tuple(v)
@@ -163,91 +173,172 @@ def dominant_representative(t: WeylType, v: Sequence) -> tuple:
     if fam in ("B", "C"):
         return tuple(sorted(map(abs, v), reverse=True))
     if fam == "D":
-        flips = sum(1 for x in v if x < 0)
-        out = sorted(map(abs, v), reverse=True)
-        if flips % 2 == 1 and out[-1] != 0:
-            out[-1] = -out[-1]
-        return tuple(out)
+        return _dominant_D(v)
     if fam == "G2":
-        # reflect in a simple root with a negative pairing until there is none
-        a, b = v
-        while a < 0 or b < 0:
-            a, b = (-a, b + 3 * a) if a < 0 else (a + b, -b)
-        return (a, b)
+        return _dominant_G2(v)
     raise ValueError("cannot canonicalize type %s" % t)
+
+
+def _dominant_D(v) -> tuple:
+    """The dominant representative for D: sign changes come in pairs."""
+    flips = sum(1 for x in v if x < 0)
+    out = sorted(map(abs, v), reverse=True)
+    if flips % 2 == 1 and out[-1] != 0:
+        out[-1] = -out[-1]
+    return tuple(out)
+
+
+def _dominant_G2(v) -> tuple:
+    """The dominant representative for G2: reflect in a simple root with a
+    negative pairing until there is none."""
+    a, b = v
+    while a < 0 or b < 0:
+        a, b = (-a, b + 3 * a) if a < 0 else (a + b, -b)
+    return (a, b)
+
+
+# Per family, the source of dominant_representative on a slice, as in its branches.
+_CANONICAL_SOURCE = {
+    "Trivial": "tuple(%s)",
+    "A": "tuple(sorted(%s, reverse=True))",
+    "B": "tuple(sorted(map(abs, %s), reverse=True))",
+    "C": "tuple(sorted(map(abs, %s), reverse=True))",
+    "D": "_dominant_D(%s)",
+    "G2": "_dominant_G2(%s)",
+}
+
+
+@functools.cache
+def _canonical_kernel(t: WeylType, mod_trace: bool):
+    """``dominant_representative(t, ·)`` as one expression compiled once per
+    type, for transfer's doubled integers: a sort for type A, one slice per
+    factor of a product, and G2's reflection loop.  With mod_trace it is
+    taken of n·v − sum(v), the trace direction removed and scaled by the
+    coordinate count n to stay integral."""
+    n = t.ncoords
+    factors = t.factors or (t,)
+    parts = []
+    pos = 0
+    for f in factors:
+        if f.family not in _CANONICAL_SOURCE:
+            raise ValueError("cannot canonicalize type %s" % f)
+        k = f.ncoords
+        part = "v" if len(factors) == 1 else "v[%d:%d]" % (pos, pos + k)
+        parts.append(_CANONICAL_SOURCE[f.family] % part)
+        pos += k
+    kernel = eval(
+        "lambda v: _wrong_length(%d, v) if len(v) != %d else %s" % (n, n, " + ".join(parts)),
+        _KERNEL_GLOBALS,
+    )
+    if mod_trace:
+        kernel = eval(
+            "lambda v, _k=_k: _k([%d * x - s for s in (sum(v),) for x in v])" % n,
+            _KERNEL_GLOBALS,
+            {"_k": kernel},
+        )
+    return kernel
 
 
 def weyl_dimension(t: WeylType, lam: Sequence) -> int:
     """Weyl dimension formula: prod <lam+rho, a> / <rho, a> over positive roots,
     for a dominant half-integral weight lam."""
     if len(lam) != t.ncoords:
-        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(lam)))
-    return _dimension2(_dimension_table(t), _double(lam))
+        _wrong_length(t.ncoords, lam)
+    return _dimension_kernel(t)(_double(lam))
+
+
+def _root_rows(fam: str, n: int) -> tuple:
+    """Per positive root of the family on n coordinates, the sparse integer
+    row ((index, coefficient), ...) whose product with a doubled weight 2w
+    is the root's pairing with w, each scaled alike: e_i - e_j for i < j,
+    then e_i + e_j (B, C, D), then e_i (B) or 2·e_i (C); G2's rows are
+    ``_G2_ROOT_ROWS``."""
+    if fam == "G2":
+        return tuple(((0, g0), (1, g1)) for g0, g1 in _G2_ROOT_ROWS)
+    if fam not in LETTERED:
+        raise ValueError("no positive system for family %s" % fam)
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [((i, 1), (j, -1)) for i, j in pairs]
+    if fam != "A":
+        rows += [((i, 1), (j, 1)) for i, j in pairs]
+    if fam in ("B", "C"):
+        rows += [((i, 1 if fam == "B" else 2),) for i in range(n)]
+    return tuple(rows)
 
 
 @functools.cache
-def _dimension_table(t: WeylType) -> tuple:
-    """Per non-trivial factor of t: (family, the factor's slice of the
-    coordinates, 2·rho, the formula's denominator) for ``_dimension2``."""
-    table = []
+def _dimension_kernel(t: WeylType):
+    """The Weyl dimension from doubled coordinates lam2, as one expression
+    compiled once per type.  Per non-trivial factor, in order: the dominance
+    test (ValueError), the product of the positive roots' pairings with
+    lam2 + 2·rho, 2·rho folded into each row's constant, and its quotient by
+    the same product at 2·rho (AssertionError if that does not divide); then
+    the product of the quotients (AssertionError unless positive).  A wrong
+    number of coordinates is a ValueError."""
+    n = t.ncoords
+    branches, dims = [], []
     pos = 0
-    for f in t.factors or (t,):
-        k = f.ncoords
+    for k, f in enumerate(t.factors or (t,)):
+        m = f.ncoords
         if f.family != "Trivial":
             rho2 = _rho2(f)
-            table.append((f.family, slice(pos, pos + k), rho2, _root_product(f.family, rho2)))
-        pos += k
-    return tuple(table)
-
-
-def _dimension2(table: tuple, lam2: Sequence[int]) -> int:
-    """The Weyl dimension of the weight with doubled coordinates lam2, from
-    the type's ``_dimension_table``."""
-    out = 1
-    for fam, sl, rho2, den in table:
-        block = lam2[sl]
-        if not _dominant(fam, block):
-            raise ValueError("doubled weight %s is not dominant for %s" % (list(block), fam))
-        num = _root_product(fam, [x + r for x, r in zip(block, rho2)])
-        if num % den:
-            raise AssertionError("non-integral Weyl dimension %s/%s" % (num, den))
-        out *= num // den
-    if out <= 0:
-        raise AssertionError("non-positive Weyl dimension %d" % out)
-    return out
-
-
-@functools.cache
-def _pair_getters(n: int) -> tuple:
-    """Two functions from n coordinates to the tuples of the first and of the
-    second coordinates of the pairs i < j, in the same order."""
-    pairs = tuple(itertools.combinations(range(n), 2))
-    if len(pairs) < 2:  # itemgetter returns a tuple only for two indices or more
-        return (
-            lambda a: tuple(a[i] for i, _ in pairs),
-            lambda a: tuple(a[j] for _, j in pairs),
-        )
-    return (
-        operator.itemgetter(*(i for i, _ in pairs)),
-        operator.itemgetter(*(j for _, j in pairs)),
+            den, pairings = 1, []
+            for row in _root_rows(f.family, m):
+                const = sum(x * rho2[i] for i, x in row)
+                den *= const
+                pairings.append(int_affine_source("a", ((pos + i, x) for i, x in row), const))
+            branches.append(
+                "_not_dominant(a[%d:%d], %r) if not (%s) else"
+                % (pos, pos + m, f.family, _dominance_source(f.family, pos, m))
+            )
+            branches.append(
+                "_non_integral(d%d, %d) if (d%d := %s) %% %d else"
+                % (k, den, k, " * ".join(pairings) or "1", den)
+            )
+            dims.append("d%d // %d" % (k, den))
+        pos += m
+    total = "(d if (d := %s) > 0 else _non_positive(d))" % (" * ".join(dims) or "1")
+    return eval(
+        "lambda a: _wrong_length(%d, a) if len(a) != %d else %s %s"
+        % (n, n, " ".join(branches), total),
+        _KERNEL_GLOBALS,
     )
 
 
-def _root_product(fam: str, a: Sequence[int]) -> int:
-    """The product over the positive roots of their pairings with the doubled
-    weight a, each scaled alike (G2: through twice its Gram matrix)."""
+def _dominance_source(fam: str, pos: int, m: int) -> str:
+    """The source of ``_dominant`` on the m coordinates a[pos:pos + m]."""
+    x = ["a[%d]" % (pos + i) for i in range(m)]
     if fam == "G2":
-        return math.prod(a[0] * g0 + a[1] * g1 for g0, g1 in _G2_ROOT_ROWS)
-    first, second = _pair_getters(len(a))
-    x, y = first(a), second(a)
-    out = math.prod(map(operator.sub, x, y))
-    if fam != "A":
-        out *= math.prod(map(operator.add, x, y))
-    if fam == "B":
-        out *= math.prod(a)
-    if fam == "C":
-        out *= 2 ** len(a) * math.prod(a)
-    return out
+        return "%s >= 0 and %s >= 0" % tuple(x)
+    chain = x + (["0"] if fam in ("B", "C") else [])
+    conds = [" >= ".join(chain)] if len(chain) > 1 else []
+    if fam == "D" and m >= 2:
+        conds.append("%s + %s >= 0" % (x[-2], x[-1]))
+    return " and ".join(conds) or "True"
+
+
+def _not_dominant(block, fam: str):
+    raise ValueError("doubled weight %s is not dominant for %s" % (list(block), fam))
+
+
+def _non_integral(num: int, den: int):
+    raise AssertionError("non-integral Weyl dimension %s/%s" % (num, den))
+
+
+def _non_positive(dim: int):
+    raise AssertionError("non-positive Weyl dimension %d" % dim)
+
+
+# The names the compiled kernels read besides the builtins: the globals
+# every kernel is evaluated against.
+_KERNEL_GLOBALS = {
+    "_wrong_length": _wrong_length,
+    "_dominant_D": _dominant_D,
+    "_dominant_G2": _dominant_G2,
+    "_not_dominant": _not_dominant,
+    "_non_integral": _non_integral,
+    "_non_positive": _non_positive,
+}
 
 
 def _dominant(fam: str, v: Sequence) -> bool:

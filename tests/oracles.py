@@ -3,9 +3,11 @@ compared against, among them the listed positive roots whose half-sum is
 rho (``positive_roots``, ``half_sum``), the canonical orbit form of a
 transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
-``dgx.Poly`` on a dict of Fraction coefficients), and the box checks'
-separate per-check loops,
-which test_verify compares the one box pass against.  It also holds two
+``dgx.Poly`` on a dict of Fraction coefficients), the generic per-point
+loops that the package's compiled kernels replaced (``_apply2``,
+``_satisfies``, ``_canonical2``, ``dimension2``), and the box checks'
+separate per-check loops, which test_verify compares the one box pass
+against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
 canonical map at one theta) and ``branch`` (the branching of one pi), and
 ``highest_weight``, which reads an irrep label's weight back.
@@ -14,7 +16,9 @@ Nothing in branchlab calls these; they exist only to cross-check it.
 """
 
 import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -23,8 +27,8 @@ from branchlab import linalg, verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
 from branchlab.linalg import Matrix, Vector, dot, vec
 from branchlab.reps import casimir_eigenvalue
-from branchlab.verify import CaseReport, _apply2, _canonical2, _rows2, _transfer_image_map
-from branchlab.weights import _split
+from branchlab.verify import CaseReport, _rows2, _transfer_image_map
+from branchlab.weights import _dominant, _rho2, _split
 
 
 def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
@@ -171,7 +175,7 @@ def _unit(n: int, i: int, c=1) -> Vector:
 
 def positive_roots(t) -> list[Vector]:
     """The standard positive system for a lettered type or G2, listed root by
-    root: the reference that ``weights._rho2`` and ``weights._root_product``
+    root: the reference that ``weights._rho2`` and ``weights._root_rows``
     write in closed form."""
     fam, n = t.family, t.rank
     if fam == "A":
@@ -206,6 +210,120 @@ def half_sum(t) -> Vector:
     for r in positive_roots(t):
         total = [a + b for a, b in zip(total, r)]
     return tuple(x / 2 for x in total)
+
+
+# ---------------------------------------------------------------------------
+# The generic per-point loops that the package's compiled kernels replaced:
+# the doubled image of a row list, a space's membership rows, the canonical
+# form of a transfer image and the Weyl dimension from a per-type table.
+# The kernels are compared against them.
+
+
+def _apply2(rows2, params) -> list[int]:
+    """The values at params of the doubled rows (((index, coefficient),
+    ...), offset): ``verify._affine_kernel``'s reference."""
+    out = []
+    for coeffs, value in rows2:
+        for i, c in coeffs:
+            value += c * params[i]
+        out.append(value)
+    return out
+
+
+def _satisfies(rows, params) -> bool:
+    """Do params satisfy every row (((index, coefficient), ...), const, mod):
+    the sum plus const >= 0, or == 0 mod ``mod`` when mod > 0?  The
+    reference of ``catalog._membership_kernel``, for params of its length."""
+    for coeffs, value, mod in rows:
+        for i, a in coeffs:
+            value += a * params[i]
+        if value % mod if mod else value < 0:
+            return False
+    return True
+
+
+def _canonical2(weyl, mod_trace: bool, values2: list[int]) -> tuple:
+    """Canonical W(g_C)-orbit form on doubled-integer coordinates; modulo the
+    trace direction it is scaled by the coordinate count to stay integral:
+    ``weights._canonical_kernel``'s reference."""
+    if mod_trace:
+        n = len(values2)
+        total = sum(values2)
+        values2 = [n * v - total for v in values2]
+    return weights.dominant_representative(weyl, values2)
+
+
+@functools.cache
+def _dimension_table(t) -> tuple:
+    """Per non-trivial factor of t: (family, the factor's slice of the
+    coordinates, 2·rho, the formula's denominator) for ``_dimension2``."""
+    table = []
+    pos = 0
+    for f in t.factors or (t,):
+        k = f.ncoords
+        if f.family != "Trivial":
+            rho2 = _rho2(f)
+            table.append((f.family, slice(pos, pos + k), rho2, _root_product(f.family, rho2)))
+        pos += k
+    return tuple(table)
+
+
+def _dimension2(table: tuple, lam2) -> int:
+    """The Weyl dimension of the weight with doubled coordinates lam2, from
+    the type's ``_dimension_table``."""
+    out = 1
+    for fam, sl, rho2, den in table:
+        block = lam2[sl]
+        if not _dominant(fam, block):
+            raise ValueError("doubled weight %s is not dominant for %s" % (list(block), fam))
+        num = _root_product(fam, [x + r for x, r in zip(block, rho2)])
+        if num % den:
+            raise AssertionError("non-integral Weyl dimension %s/%s" % (num, den))
+        out *= num // den
+    if out <= 0:
+        raise AssertionError("non-positive Weyl dimension %d" % out)
+    return out
+
+
+def dimension2(t, lam2) -> int:
+    """``weights._dimension_kernel(t)``'s reference: the coordinate count
+    that ``weights.weyl_dimension`` checks, then ``_dimension2``."""
+    if len(lam2) != t.ncoords:
+        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(lam2)))
+    return _dimension2(_dimension_table(t), lam2)
+
+
+@functools.cache
+def _pair_getters(n: int) -> tuple:
+    """Two functions from n coordinates to the tuples of the first and of the
+    second coordinates of the pairs i < j, in the same order."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    if len(pairs) < 2:  # itemgetter returns a tuple only for two indices or more
+        return (
+            lambda a: tuple(a[i] for i, _ in pairs),
+            lambda a: tuple(a[j] for _, j in pairs),
+        )
+    return (
+        operator.itemgetter(*(i for i, _ in pairs)),
+        operator.itemgetter(*(j for _, j in pairs)),
+    )
+
+
+def _root_product(fam: str, a) -> int:
+    """The product over the positive roots of their pairings with the doubled
+    weight a, each scaled alike (G2: through twice its Gram matrix)."""
+    if fam == "G2":
+        return math.prod(a[0] * g0 + a[1] * g1 for g0, g1 in weights._G2_ROOT_ROWS)
+    first, second = _pair_getters(len(a))
+    x, y = first(a), second(a)
+    out = math.prod(map(operator.sub, x, y))
+    if fam != "A":
+        out *= math.prod(map(operator.add, x, y))
+    if fam == "B":
+        out *= math.prod(a)
+    if fam == "C":
+        out *= 2 ** len(a) * math.prod(a)
+    return out
 
 
 def canonical_char(record: CaseRecord, v) -> tuple:
@@ -485,14 +603,12 @@ def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     report = CaseReport(record.id, bound)
     pi2 = _rows2(record.pi_label_map)
     nu2 = _rows2(record.nu_label_map)
-    pi_table = weights._dimension_table(record.pi_group.weyl)
-    nu_table = weights._dimension_table(record.nu_group.weyl)
 
     def pi_dim(pi_params):
-        return weights._dimension2(pi_table, _apply2(pi2, pi_params))
+        return dimension2(record.pi_group.weyl, _apply2(pi2, pi_params))
 
     def nu_dim(theta):
-        return weights._dimension2(nu_table, _apply2(nu2, theta))
+        return dimension2(record.nu_group.weyl, _apply2(nu2, theta))
 
     count = 0
     failures = []

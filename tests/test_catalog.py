@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab import catalog, verify
+from branchlab import catalog, verify, weights
 from branchlab.catalog import (
     CaseId,
     CaseRecord,
@@ -177,7 +177,7 @@ def _assert_walk_is_enumerate(space, bound, rows):
     walked = list(space.walk(bound, rows))
     assert [p for p, _ in walked] == space.enumerate(bound)
     for p, image in walked:
-        assert image == tuple(verify._apply2(rows, p)), (space, p)
+        assert image == tuple(oracles._apply2(rows, p)), (space, p)
 
 
 def test_walk_carries_the_stacked_image():
@@ -263,6 +263,54 @@ def test_enumerate_leaves_no_cycle(records):
         box = space.enumerate(3)
         assert box
         del box
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_membership_kernel_matches_the_row_loop():
+    # a space's compiled membership against the row loop it replaced, on
+    # random int tuples, and False for a tuple of the wrong length
+    rng = random.Random(5)
+    spaces = [s for r in build_records(3) for s in (r.theta, r.pi_space, r.tau_space)]
+    spaces += [
+        ParamSpace(("a", "b", "c"), domains, constraints)
+        for constraints in SYNTHETIC_CONSTRAINTS
+        for domains in (("int", "nat", "int"), ("nat", "nat", "nat"))
+    ]
+    seen = set()
+    for space in spaces:
+        n = len(space.names)
+        for _ in range(100):
+            p = tuple(rng.randint(-6, 6) for _ in range(n))
+            expected = oracles._satisfies(space._membership, p)
+            assert space.contains_ints(p) is expected, (space, p)
+            seen.add(expected)
+        assert space.contains_ints((0,) * (n + 1)) is False
+    assert seen == {True, False}
+
+
+def test_kernels_leave_no_cycle():
+    # compiling the kernels of a fresh Weyl type, row tuple and space, and
+    # dropping them, leaves nothing for the cycle collector: each is a
+    # lambda evaluated against a module-level globals dict.  The builders
+    # are called past their caches, so that the kernels are freed here.
+    t = weights.Product(weights.B(23), weights.Trivial(2), weights.G2)
+    rows = ((((0, 3), (2, -1)), 987651), ((), -7), (((1, 2),), 0))
+    gc.collect()
+    gc.disable()
+    try:
+        dimension = weights._dimension_kernel.__wrapped__(t)
+        canonical = weights._canonical_kernel.__wrapped__(t, True)
+        image = verify._affine_kernel.__wrapped__(rows)
+        member = catalog._membership_kernel.__wrapped__(((((0, 1), (1, -1)), 5, 7),), 2)
+        assert dimension((0,) * 27) == 1
+        assert canonical([0] * 27) == (0,) * 27
+        assert image((1, 2, 3)) == [987651, -7, 4]
+        assert member((0, 5)) and not member((0, 0))
+        space = ParamSpace(("a", "b"), ("nat", "int"), (Constraint((1, -1), 987650, 7),))
+        assert space.contains((0, 987650)) and not space.contains((0, 0))
+        del dimension, canonical, image, member, space
         assert gc.collect() == 0
     finally:
         gc.enable()

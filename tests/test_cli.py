@@ -51,6 +51,18 @@ def test_unknown_case_is_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["list", "verify", "transfer"])
+@pytest.mark.parametrize("cases", ["", ",,", " , "])
+def test_empty_case_list_is_usage_error(capsys, command, cases):
+    # a --cases that names no tag selects nothing, not every case: one error
+    # line, exit 2 and nothing on stdout
+    extra = {"verify": ["--bound", "2"], "transfer": ["--tau", "2", "--lam", "11"]}
+    rc = cli.main([command, "--cases", cases] + extra.get(command, []))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: --cases names no case; give case tags or 'all'"]
+
+
 def test_repeated_case_tags_select_once(capsys):
     # a repeated tag, also under another spelling, selects its cases once,
     # in the order of first mention

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, verify
+from branchlab import catalog, verify, weights
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import (
     InsufficientSampleError,
@@ -501,7 +501,7 @@ def test_canonical2_matches_weights_canonicalization(records):
         scale = n if r.mod_trace else 1
         for _ in range(25):
             values2 = [rng.randint(-19, 19) for _ in range(n)]
-            got = verify._canonical2(weyl, r.mod_trace, values2)
+            got = weights._canonical_kernel(weyl, r.mod_trace)(values2)
             assert all(type(x) is int for x in got), (r.id, got)
             reference = oracles.canonical_char(
                 r, vec([Fraction(v, 2) for v in values2])
@@ -730,6 +730,57 @@ def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
     assert len(conversions) > 100 and max(conversions.values()) == 1
 
 
+def test_affine_kernel_matches_apply2_on_every_stacked_map():
+    # the compiled image of each map the box pass stacks against the row
+    # loop it replaced, on random integer points given as tuples and as
+    # lists, and the same IndexError on a point one coordinate short
+    rng = random.Random(31)
+    seen = 0
+    for r in catalog.build_records(3):
+        keys = [k for k in verify._MAPS if k not in ("a", "b") or getattr(r, k + "_map")]
+        keys += [s.form for s in r.symbols.values() if s.kind == "euler"]
+        for key in keys:
+            rows = verify._map_rows(r, key)
+            kernel = verify._affine_kernel(tuple(rows))
+            n = (verify._MAPS[key](r) if isinstance(key, str) else key).source_dim
+            for _ in range(12):
+                p = tuple(rng.randint(-9, 9) for _ in range(n))
+                assert kernel(p) == kernel(list(p)) == oracles._apply2(rows, p), (r.id, key, p)
+                seen += 1
+            short = (0,) * (n - 1) if n else ()
+            assert _raised(lambda: kernel(short)) == _raised(lambda: oracles._apply2(rows, short))
+    assert seen > 1000
+
+
+def _raised(fn):
+    """fn()'s value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_second_run_case_builds_no_kernel():
+    # each kernel is compiled once per Weyl type or row tuple and kept for
+    # the process: a second run_case over the same records compiles none
+    builders = (
+        weights._dimension_kernel,
+        weights._canonical_kernel,
+        verify._affine_kernel,
+        catalog._membership_kernel,
+    )
+    records = catalog.build_records(3)
+    for r in records:
+        verify.run_case(r, 3, 2)
+    before = [b.cache_info() for b in builders]
+    for r in records:
+        verify.run_case(r, 3, 2)
+    after = [b.cache_info() for b in builders]
+    assert [i.misses for i in after] == [i.misses for i in before]
+    assert all(i.currsize for i in after)
+    assert all(a.hits > b.hits for a, b in zip(after[:3], before[:3]))
+
+
 def test_smf_count_fails_wherever_the_maps_fail():
     # the streamed check against the route with a map per theta: equal on
     # the catalog, and a failure wherever the reference fails
@@ -786,15 +837,20 @@ def test_box_check_error_stops_only_that_check(monkeypatch):
     clean = next(r for r in catalog.build_records(2) if str(r.id) == "i[n=2]")
     k = 7
     expected = verify.run_case(clean, 4, 2)
-    real = verify._canonical2
+    real = weights._canonical_kernel
     calls = itertools.count(1)
 
-    def fails_once(*args):
-        if next(calls) == k:
-            raise RuntimeError("planted at call %d" % k)
-        return real(*args)
+    def fails_once(weyl, mod_trace):
+        canonical = real(weyl, mod_trace)
 
-    monkeypatch.setattr(verify, "_canonical2", fails_once)
+        def kernel(values2):
+            if next(calls) == k:
+                raise RuntimeError("planted at call %d" % k)
+            return canonical(values2)
+
+        return kernel
+
+    monkeypatch.setattr(weights, "_canonical_kernel", fails_once)
     entries = verify.run_case(dataclasses.replace(clean), 4, 2)
     assert entries[1] == {
         "name": "transfer",

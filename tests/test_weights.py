@@ -360,3 +360,107 @@ def test_weyl_dimension_matches_positive_root_oracle(t):
         assert _dimension_or_error(lambda: weyl_dimension(t, v)) == expected, v
         seen.add(expected if isinstance(expected, type) else int)
     assert int in seen
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the ValueError or
+    AssertionError it raised: reports print the message."""
+    try:
+        return fn()
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_dimension(t, lam):
+    """The Weyl dimension by the positive-root product in Fractions, factor
+    by factor for a product."""
+    if t.family == "Trivial":
+        return 1
+    if t.family == "Product":
+        out = 1
+        for f, part in weights._split(t, lam):
+            out *= _fraction_dimension(f, part)
+        return out
+    return oracles.weyl_dimension(t, lam)
+
+
+def _doubled_labels(t, rng):
+    """Doubled labels of t: random vectors (mostly not dominant, odd entries
+    among them), their dominant forms, the doubles of integral dominant
+    weights, and vectors one coordinate too short and too long."""
+    n = t.ncoords
+    labels = []
+    for _ in range(12):
+        v2 = tuple(rng.randint(-7, 7) for _ in range(n))
+        dominant = dominant_representative(t, v2)
+        labels += [v2, dominant, tuple(2 * x for x in dominant)]
+    return labels + [(0,) * (n - 1), (1,) * (n + 1)]
+
+
+def test_dimension_kernel_matches_the_integer_and_fraction_oracles():
+    # the compiled dimension of every type of
+    # test_closed_form_rho_is_the_half_sum_of_the_positive_roots (every nu
+    # and pi group of build_records(6) among them) against the per-table
+    # loop it replaced and the Fraction product over the listed roots: equal
+    # values on dominant labels, and on the others the same exception, type
+    # and message, as the loop; the Fraction route, which is slow, is asked
+    # for the first 8 labels of the right length per type, and raises the
+    # same type
+    rng = random.Random(2026)
+    seen = set()
+    for t in sorted(_record_types() | set(CLOSED_FORM_TYPES), key=str):
+        kernel = weights._dimension_kernel(t)
+        fraction_checks = 8
+        for lam2 in _doubled_labels(t, rng):
+            got = _outcome(lambda: kernel(lam2))
+            assert got == _outcome(lambda: oracles.dimension2(t, lam2)), (t, lam2)
+            assert got == _outcome(lambda: kernel(list(lam2))), (t, lam2)
+            if isinstance(got, tuple):
+                seen.add(got[1].split(" ")[0])
+            if len(lam2) != t.ncoords or not fraction_checks:
+                continue
+            fraction_checks -= 1
+            lam = tuple(Fraction(x, 2) for x in lam2)
+            expected = _outcome(lambda: _fraction_dimension(t, lam))
+            if isinstance(got, int):
+                assert expected == got == weyl_dimension(t, lam), (t, lam2)
+                seen.add(int)
+            else:
+                assert isinstance(expected, tuple) and expected[0] is got[0], (t, lam2, got)
+    assert seen == {int, "doubled", "non-integral", "expected"}, seen
+
+
+CANONICAL_TYPES = (
+    [A(1), A(4), B(1), B(3), C(2), C(4), D(2), D(3), D(5), G2, Trivial(2)]
+    + [Product(B(2), Trivial(1), A(1)), Product(C(3), C(1)), Product(D(4), G2, A(2))]
+)
+
+
+@pytest.mark.parametrize("t", CANONICAL_TYPES, ids=str)
+@pytest.mark.parametrize("mod_trace", [False, True])
+def test_canonical_kernel_matches_dominant_representative(t, mod_trace):
+    # the compiled canonical form on random doubled vectors against the
+    # generic route (dominant_representative, after the trace is removed)
+    # and the Fraction route of the transfer check's oracle
+    from types import SimpleNamespace
+
+    rng = random.Random("%s/%s" % (t, mod_trace))
+    kernel = weights._canonical_kernel(t, mod_trace)
+    n = t.ncoords
+    record = SimpleNamespace(mod_trace=mod_trace, nu_group=SimpleNamespace(weyl=t))
+    scale = 2 * n if mod_trace else 2
+    for _ in range(80):
+        v2 = [rng.randint(-9, 9) for _ in range(n)]
+        got = kernel(v2)
+        assert all(type(x) is int for x in got), got
+        assert got == kernel(tuple(v2)) == oracles._canonical2(t, mod_trace, v2), v2
+        if not mod_trace:
+            assert got == dominant_representative(t, v2), v2
+        reference = oracles.canonical_char(record, [Fraction(x, 2) for x in v2])
+        assert tuple(Fraction(x, scale) for x in got) == reference, v2
+    for wrong in ([0] * (n - 1), [1] * (n + 1)):
+        expected = _outcome(lambda: oracles._canonical2(t, mod_trace, wrong))
+        assert _outcome(lambda: kernel(wrong)) == expected == (
+            ValueError,
+            "expected %d coordinates, got %d" % (n, len(wrong)),
+        )
