@@ -34,7 +34,10 @@ calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  The box is streamed: strong multiplicity-freeness compares two
 counts instead of keeping a map per theta, and the independence certificate
 and the parity gap stop their walks once decided, so memory does not grow
-with the box.
+with the box.  One rule isolates the box checks' errors: the pass carries
+no per-check handler, and when it raises, each check runs alone; a check
+that raises alone gets its own exception, and if none does, every check
+gets the pass's, so an error never becomes a clean report.
 
 Every symbol but an xyz_poly is compiled once per record (``_separable``)
 into one form, cached beside the doubled rows of the record's maps
@@ -550,29 +553,30 @@ def independence_certificate(
 
     The moment matrix is reduced in integers: its rows hold the monomials of
     the generators' integer numerators, which scales each column by a non-zero
-    constant and so changes neither the rank nor which rows are kept.  The box
-    is streamed in one walk, counted as it goes, which stops at full rank; a
-    box of fewer points than columns is an InsufficientSampleError.
+    constant and so changes neither the rank nor which rows are kept.  A box
+    of fewer points than columns is an InsufficientSampleError, found by
+    walking at most that many points before any row is reduced; otherwise
+    the box is streamed in one walk, which stops at full rank.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return True, []
     ncols = math.comb(len(gens) + degree, degree)
-    thetas = (theta for theta, _ in record.theta.walk(bound))
-    echelon = linalg.IntEchelon()
-    witness: list[tuple[int, ...]] = []
-    count = 0
-    for count, (theta, row) in enumerate(_moment_rows(record, gens, degree, thetas), 1):
-        if echelon.add(row):
-            witness.append(theta)
-            if echelon.rank == ncols:
-                return True, witness
+    count = sum(1 for _ in itertools.islice(record.theta.walk(bound), ncols))
     if count < ncols:
         raise InsufficientSampleError(
             "box with %d points cannot certify degree %d over %d generators"
             % (count, degree, len(gens))
         )
+    thetas = (theta for theta, _ in record.theta.walk(bound))
+    echelon = linalg.IntEchelon()
+    witness: list[tuple[int, ...]] = []
+    for theta, row in _moment_rows(record, gens, degree, thetas):
+        if echelon.add(row):
+            witness.append(theta)
+            if echelon.rank == ncols:
+                return True, witness
     return False, witness
 
 
@@ -706,12 +710,21 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     """{name: CaseReport, or the exception that stopped the check} for the
     named checks of BOX_CHECKS, each run once over the box.
 
+    One rule isolates errors.  The pass (``_one_pass``) lets whatever a
+    setup or a per-point body raises propagate; only dimension conservation
+    turns a ValueError or AssertionError of a dimension or a branching into
+    its ``computable`` failure entries.  If the pass raises, each named
+    check runs alone: a check that raises alone gets its own exception, and
+    if none does, every named check gets the pass's exception, so an error
+    never becomes a clean report.
+
     Dimension conservation and the fiber half of strong multiplicity-freeness
     (SMF) share one walk of the pi box: per fiber theta, one
     ``_affine_kernel`` of the nu label rows stacked on the pi_of_theta rows
     serves both, the nu part going to the nu group's
     ``weights._dimension_kernel`` and theta itself to the theta space's
-    ``contains_ints``.  Relations, transfer, the theta half of SMF and
+    ``contains_ints``.  The walk branches a pi only when a check reads its
+    fibers.  Relations, transfer, the theta half of SMF and
     pi-side consistency then share one walk of the theta box, which carries
     the image of one stacked matrix of every map they read, followed by the
     relation totals and the P-side Casimir numerators (``_walk_sums``);
@@ -724,9 +737,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     ``_RowSums`` memos, made fresh per pass, one per row the sums read and
     keyed by the row's value.  The targets grow with the pi box (one per
     distinct pi(theta)); the memos grow with the range of a row's values
-    only.  An exception in one check's setup or per-point body stops that
-    check alone; one raised while the walk carries the sums stops the four
-    checks of the theta walk.
+    only.
 
     SMF, that the branches of distinct pi are disjoint and exhaust
     Disc(G/H), is checked without a map per theta:
@@ -752,36 +763,40 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     pi(theta) lies in the pi box occurs in the branching of pi(theta), and
     in no other.  Injectivity of nu turns distinct theta into distinct nu.
     """
-    out: dict = {}
+    try:
+        return _one_pass(record, bound, names)
+    except Exception as exc:
+        if len(names) == 1:
+            return {names[0]: exc}
+        alone = {name: _box_pass(record, bound, (name,))[name] for name in names}
+        if any(isinstance(result, Exception) for result in alone.values()):
+            return alone
+        return dict.fromkeys(names, exc)
+
+
+def _one_pass(record: CaseRecord, bound: int, names) -> dict:
+    """``_box_pass`` without its error rule: {name: CaseReport} for the
+    named checks.  Whatever a setup or a per-point body raises propagates,
+    but for dimension conservation's ``computable`` failure entries."""
+    failures = {name: [] for name in BOX_CHECKS}
+    rel_fail, transfer_fail, dim_fail, smf_fail, pi_fail = failures.values()
     stack = _Stack(record)
-
-    def setup(name, make):
-        if name not in names:
-            return None
-        try:
-            return make()
-        except Exception as exc:
-            out[name] = exc
-            return None
-
-    rel = setup("relations", lambda: _compile_relations(record))
-    transfer = setup(
-        "transfer",
-        lambda: (
+    rel = _compile_relations(record) if "relations" in names else None
+    transfer = (
+        (
             stack.add("transfer"),
             stack.add("nurho"),
             weights._canonical_kernel(record.nu_group.weyl, record.mod_trace),
-        ),
+        )
+        if "transfer" in names
+        else None
     )
-    dim = setup("dimension-conservation", lambda: _dimension_plan(record))
-    smf = setup("strong-multiplicity-freeness", lambda: _smf_plan(record, stack))
-    pi_side = setup("pi-side-consistency", lambda: _pi_side_plan(record, stack))
+    dim = _dimension_plan(record) if "dimension-conservation" in names else None
+    smf = _smf_plan(record, stack) if "strong-multiplicity-freeness" in names else None
+    pi_side = _pi_side_plan(record, stack) if "pi-side-consistency" in names else None
 
     # -- the pi walk: dimension conservation and SMF's fibers
-    dim_report = CaseReport(record.id, bound)
-    smf_report = CaseReport(record.id, bound)
-    dim_fail, smf_fail = dim_report.failures, smf_report.failures
-    covered = expected = 0
+    dim_runs = smf_runs = covered = expected = 0
     if smf is not None:
         pi_theta_rows, injective = smf
         if injective is not None:
@@ -791,177 +806,120 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
         nnu = len(nu_rows)
         fiber_image = _affine_kernel(nu_rows + (pi_theta_rows if smf is not None else ()))
         contains = record.theta.contains_ints
-        try:
-            for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
+        for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
+            # SMF reads every pi's fibers; dimension only those of a pi whose
+            # own dimension it computes
+            fibers = _branch_fibers(record.branch_rule, pi_params) if smf is not None else None
+            adding = False  # dimension sums this pi's fibers
+            if dim is not None:
+                dim_runs += 1
                 try:
-                    fibers = _branch_fibers(record.branch_rule, pi_params)
-                except Exception as exc:
-                    fibers = exc
-                adding = False  # dimension sums this pi's fibers
-                if dim is not None:
-                    dim_report.checks_run += 1
+                    want = pi_dimension(pi_label2)
+                    if fibers is None:
+                        fibers = _branch_fibers(record.branch_rule, pi_params)
+                    adding, total = True, 0
+                except (ValueError, AssertionError) as exc:
+                    dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
+            if smf is not None:
+                pi2 = [2 * p for p in pi_params]
+                mine: set = set()
+            elif not adding:
+                continue
+            for theta in fibers:
+                image = None
+                if adding:
                     try:
-                        want = pi_dimension(pi_label2)
-                        if isinstance(fibers, Exception):
-                            raise fibers
-                        adding, total = True, 0
+                        image = fiber_image(theta)
+                        total += nu_dimension(image[:nnu])
                     except (ValueError, AssertionError) as exc:
                         dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
-                    except Exception as exc:
-                        out["dimension-conservation"] = exc
-                        dim = None
+                        adding = False
                 if smf is not None:
-                    if isinstance(fibers, Exception):
-                        out["strong-multiplicity-freeness"] = fibers
-                        smf = None
+                    smf_runs += 2
+                    if not contains(theta):
+                        smf_fail.append(("branch-valid", theta, True, False))
+                    elif theta in mine:
+                        smf_fail.append(("disjoint", theta, None, pi_params))
                     else:
-                        pi2 = [2 * p for p in pi_params]
-                        mine: set = set()
-                if not (adding or smf is not None):
-                    continue
-                for theta in fibers:
-                    image = None
-                    if adding:
-                        try:
+                        mine.add(theta)
+                        if image is None:
                             image = fiber_image(theta)
-                            total += nu_dimension(image[:nnu])
-                        except (ValueError, AssertionError) as exc:
-                            dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
-                            adding = False
-                        except Exception as exc:
-                            out["dimension-conservation"] = exc
-                            dim, adding = None, False
-                    if smf is not None:
-                        try:
-                            smf_report.checks_run += 2
-                            if not contains(theta):
-                                smf_fail.append(("branch-valid", theta, True, False))
-                            elif theta in mine:
-                                smf_fail.append(("disjoint", theta, None, pi_params))
-                            else:
-                                mine.add(theta)
-                                if image is None:
-                                    image = fiber_image(theta)
-                                doubled = image[nnu:]
-                                if doubled != pi2:
-                                    smf_fail.append(
-                                        ("recovers-pi", theta, _halve(doubled), pi_params)
-                                    )
-                                elif max(map(abs, theta), default=0) <= bound:
-                                    covered += 1
-                        except Exception as exc:
-                            out["strong-multiplicity-freeness"] = exc
-                            smf = None
-                if adding and want != total:
-                    dim_fail.append(("dimension", pi_params, want, total))
-        except Exception as exc:  # the walk itself
-            for name in ("dimension-conservation", "strong-multiplicity-freeness"):
-                if name in names:
-                    out.setdefault(name, exc)
-            dim = smf = None
-    if dim is not None:
-        out["dimension-conservation"] = dim_report
+                        doubled = image[nnu:]
+                        if doubled != pi2:
+                            smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
+                        elif max(map(abs, theta), default=0) <= bound:
+                            covered += 1
+            if adding and want != total:
+                dim_fail.append(("dimension", pi_params, want, total))
 
     # -- the theta walk: relations, transfer, SMF's theta half, pi-side
-    rel_report = CaseReport(record.id, bound)
-    transfer_report = CaseReport(record.id, bound)
-    pi_report = CaseReport(record.id, bound)
-    rel_fail, transfer_fail = rel_report.failures, transfer_report.failures
-    pi_fail = pi_report.failures
-    points = smf_count = 0
+    points = 0
     # the walk carries the relation totals, then the P-side numerators
     rel_slots = rel if rel is not None else ()
     pi_symbols, pi_slots, pi_label = pi_side if pi_side is not None else ((), (), None)
     sums = _walk_sums(rel_slots + pi_slots, stack)
     rel_sl = slice(len(stack.rows), len(stack.rows) + len(rel_slots))
+    pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
     if transfer is not None:
         image_sl, nu_rho_sl, canonical = transfer
     if pi_side is not None:
         pi_group = record.pi_group
         targets_of: dict[tuple, list] = {}
-    pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
-        try:
-            for theta, image in record.theta.walk(bound, stack.rows, sums):
-                points += 1
-                if pi_sl is not None:
-                    doubled = image[pi_sl]
-                    pi_params = tuple([v >> 1 for v in doubled])
-                if rel is not None:
-                    totals = image[rel_sl]
-                    if any(totals):
-                        for (name, _), total in zip(rel_slots, totals):
-                            if total:
-                                rel_fail.append(("relation:%s" % name, theta, 0, total))
-                if transfer is not None:
-                    try:
-                        lhs = canonical(image[image_sl])
-                        rhs = canonical(image[nu_rho_sl])
-                        if lhs != rhs:
-                            transfer_fail.append(("transfer", theta, rhs, lhs))
-                    except Exception as exc:
-                        out["transfer"] = exc
-                        transfer = None
-                if smf is not None:
-                    if any([v & 1 for v in doubled]):
-                        smf_fail.append(("integral-pi", theta, True, False))
-                        smf_count += 1
-                    elif max(map(abs, pi_params), default=0) <= bound:
-                        smf_count += 2
-                        expected += 1
-                if pi_side is not None:
-                    try:
-                        targets = targets_of.get(pi_params)
-                        if targets is None:
-                            record.require_pi(pi_params)
-                            label = IrrepLabel.from_doubled(pi_group, pi_label(pi_params))
-                            targets = targets_of[pi_params] = _pi_side_targets(
-                                casimir_eigenvalue(label), pi_symbols
-                            )
-                        got = image[rel_sl.stop :]
-                        for (name, den, _), num, (want, target) in zip(pi_symbols, got, targets):
-                            if num != target:
-                                pi_fail.append(
-                                    ("pi-side:%s" % name, theta, want, Fraction(num, den))
-                                )
-                    except Exception as exc:
-                        out["pi-side-consistency"] = exc
-                        pi_side = None
-        except Exception as exc:  # the walk itself
-            for name in ("relations", "transfer", "strong-multiplicity-freeness", "pi-side-consistency"):
-                if name in names:
-                    out.setdefault(name, exc)
-            rel = transfer = smf = pi_side = None
+        for theta, image in record.theta.walk(bound, stack.rows, sums):
+            points += 1
+            if pi_sl is not None:
+                doubled = image[pi_sl]
+                pi_params = tuple([v >> 1 for v in doubled])
+            if rel is not None:
+                totals = image[rel_sl]
+                if any(totals):
+                    for (name, _), total in zip(rel_slots, totals):
+                        if total:
+                            rel_fail.append(("relation:%s" % name, theta, 0, total))
+            if transfer is not None:
+                lhs = canonical(image[image_sl])
+                rhs = canonical(image[nu_rho_sl])
+                if lhs != rhs:
+                    transfer_fail.append(("transfer", theta, rhs, lhs))
+            if smf is not None:
+                if any([v & 1 for v in doubled]):
+                    smf_fail.append(("integral-pi", theta, True, False))
+                    smf_runs += 1
+                elif max(map(abs, pi_params), default=0) <= bound:
+                    smf_runs += 2
+                    expected += 1
+            if pi_side is not None:
+                targets = targets_of.get(pi_params)
+                if targets is None:
+                    record.require_pi(pi_params)
+                    label = IrrepLabel.from_doubled(pi_group, pi_label(pi_params))
+                    targets = targets_of[pi_params] = _pi_side_targets(
+                        casimir_eigenvalue(label), pi_symbols
+                    )
+                got = image[rel_sl.stop :]
+                for (name, den, _), num, (want, target) in zip(pi_symbols, got, targets):
+                    if num != target:
+                        pi_fail.append(("pi-side:%s" % name, theta, want, Fraction(num, den)))
 
     # -- SMF's count: search the theta box only when a covered theta is missing
     if smf is not None and covered < expected:
-        try:
-            last, fibers = None, ()
-            for theta, doubled in record.theta.walk(bound, pi_theta_rows):
-                if any([v & 1 for v in doubled]):
-                    continue
-                pi_params = tuple([v >> 1 for v in doubled])
-                if max(map(abs, pi_params), default=0) > bound:
-                    continue
-                if pi_params != last:
-                    last, fibers = pi_params, ()
-                    if record.pi_space.contains(pi_params):
-                        fibers = set(_branch_fibers(record.branch_rule, pi_params))
-                if theta not in fibers:
-                    smf_fail.append(("exhausts", theta, True, False))
-        except Exception as exc:
-            out["strong-multiplicity-freeness"] = exc
-            smf = None
-    for name, check, report, count in (
-        ("relations", rel, rel_report, len(rel_slots) * points),
-        ("transfer", transfer, transfer_report, points),
-        ("strong-multiplicity-freeness", smf, smf_report, smf_report.checks_run + smf_count),
-        ("pi-side-consistency", pi_side, pi_report, len(pi_symbols) * points),
-    ):
-        if check is not None:
-            report.checks_run = count
-            out[name] = report
-    return out
+        last, fibers = None, ()
+        for theta, doubled in record.theta.walk(bound, pi_theta_rows):
+            if any([v & 1 for v in doubled]):
+                continue
+            pi_params = tuple([v >> 1 for v in doubled])
+            if max(map(abs, pi_params), default=0) > bound:
+                continue
+            if pi_params != last:
+                last, fibers = pi_params, ()
+                if record.pi_space.contains(pi_params):
+                    fibers = set(_branch_fibers(record.branch_rule, pi_params))
+            if theta not in fibers:
+                smf_fail.append(("exhausts", theta, True, False))
+    runs = (len(rel_slots) * points, points, dim_runs, smf_runs, len(pi_symbols) * points)
+    runs = dict(zip(BOX_CHECKS, runs))
+    return {name: CaseReport(record.id, bound, runs[name], failures[name]) for name in names}
 
 
 def _halve(doubled) -> tuple:

@@ -9,12 +9,13 @@ The checks pass weights doubled, as integers, and canonicalization and
 dominance keep the number type they get.
 
 The box checks ask for a dimension and a canonical form at every point of a
-box, for one type, so each is compiled once per type into one Python
-expression (``_dimension_kernel``, ``_canonical_kernel``), which
-``weyl_dimension`` and the transfer check call.  The source is written from
-integers and the fixed family letters only, and is evaluated as a lambda
-against one module-level globals dict, ``_KERNEL_GLOBALS``, so a kernel
-makes no reference cycle.
+box, for one type, so each Weyl-group test is compiled once per type into
+one Python expression (``_dominance_kernel``, ``_canonical_kernel``,
+``_dimension_kernel``), and that kernel is its only route: ``is_dominant``,
+``dominant_representative`` and ``weyl_dimension`` call it, as the box pass
+does.  The source is written from integers and the fixed family letters
+only, and is evaluated as a lambda against one module-level globals dict,
+``_KERNEL_GLOBALS``, so a kernel makes no reference cycle.
 """
 
 from __future__ import annotations
@@ -129,54 +130,20 @@ def _double(w: Sequence) -> tuple[int, ...]:
     return tuple(int(x) for x in w2)
 
 
-def _split(t: WeylType, v: Vector) -> list[tuple[WeylType, Vector]]:
-    parts = []
-    pos = 0
-    for f in t.factors:
-        k = f.ncoords
-        parts.append((f, v[pos : pos + k]))
-        pos += k
-    return parts
-
-
 def _wrong_length(n: int, v) -> None:
     raise ValueError("expected %d coordinates, got %d" % (n, len(v)))
 
 
 def is_dominant(t: WeylType, v: Sequence) -> bool:
-    """<v, a> >= 0 for every simple root a, read off the coordinates."""
-    if t.family == "Trivial":
-        return True
-    if t.family == "Product":
-        return all(is_dominant(f, part) for f, part in _split(t, v))
-    if t.family not in LETTERED + ("G2",):
-        raise ValueError("no simple system for type %s" % t)
-    if len(v) != t.ncoords:
-        _wrong_length(t.ncoords, v)
-    if t.family == "D" and t.rank < 2:
-        raise ValueError("D requires rank >= 2")
-    return _dominant(t.family, v)
+    """<v, a> >= 0 for every simple root a, read off the coordinates
+    (``_dominance_kernel``); always True for Trivial."""
+    return t.family == "Trivial" or _dominance_kernel(t)(v)
 
 
 def dominant_representative(t: WeylType, v: Sequence) -> tuple:
     """The unique dominant element of the Weyl orbit of v, in v's number type:
     the Weyl group acts by integer matrices, so doubled integers stay integers."""
-    if len(v) != t.ncoords:
-        _wrong_length(t.ncoords, v)
-    fam = t.family
-    if fam == "Trivial":
-        return tuple(v)
-    if fam == "Product":
-        return sum((dominant_representative(f, part) for f, part in _split(t, v)), ())
-    if fam == "A":
-        return tuple(sorted(v, reverse=True))
-    if fam in ("B", "C"):
-        return tuple(sorted(map(abs, v), reverse=True))
-    if fam == "D":
-        return _dominant_D(v)
-    if fam == "G2":
-        return _dominant_G2(v)
-    raise ValueError("cannot canonicalize type %s" % t)
+    return _canonical_kernel(t, False)(v)
 
 
 def _dominant_D(v) -> tuple:
@@ -197,7 +164,7 @@ def _dominant_G2(v) -> tuple:
     return (a, b)
 
 
-# Per family, the source of dominant_representative on a slice, as in its branches.
+# Per family, the source of the dominant representative of a slice.
 _CANONICAL_SOURCE = {
     "Trivial": "tuple(%s)",
     "A": "tuple(sorted(%s, reverse=True))",
@@ -210,9 +177,9 @@ _CANONICAL_SOURCE = {
 
 @functools.cache
 def _canonical_kernel(t: WeylType, mod_trace: bool):
-    """``dominant_representative(t, ·)`` as one expression compiled once per
-    type, for transfer's doubled integers: a sort for type A, one slice per
-    factor of a product, and G2's reflection loop.  With mod_trace it is
+    """The dominant representative of a weight of t as one expression
+    compiled once per type: a sort for type A, one slice per factor of a
+    product, and G2's reflection loop.  With mod_trace it is
     taken of n·v − sum(v), the trace direction removed and scaled by the
     coordinate count n to stay integral."""
     n = t.ncoords
@@ -305,8 +272,35 @@ def _dimension_kernel(t: WeylType):
     )
 
 
+@functools.cache
+def _dominance_kernel(t: WeylType):
+    """Dominance of a weight of t as one expression compiled once per type:
+    ``_dominance_source`` of each non-trivial factor.  A type with no simple
+    system, a D factor of rank < 2 and a wrong number of coordinates are a
+    ValueError."""
+    n = t.ncoords
+    conds = []
+    pos = 0
+    for f in t.factors or (t,):
+        if f.family not in LETTERED + ("G2", "Trivial"):
+            raise ValueError("no simple system for type %s" % f)
+        if f.family == "D" and f.rank < 2:
+            raise ValueError("D requires rank >= 2")
+        if f.family != "Trivial":
+            conds.append("(%s)" % _dominance_source(f.family, pos, f.ncoords))
+        pos += f.ncoords
+    return eval(
+        "lambda a: _wrong_length(%d, a) if len(a) != %d else %s"
+        % (n, n, " and ".join(conds) or "True"),
+        _KERNEL_GLOBALS,
+    )
+
+
 def _dominance_source(fam: str, pos: int, m: int) -> str:
-    """The source of ``_dominant`` on the m coordinates a[pos:pos + m]."""
+    """The source of the dominance test on the m coordinates a[pos:pos + m]:
+    the pairings with the simple roots are a_i - a_(i+1) and, per family,
+    a_n (B), 2·a_n (C) or a_(n-1) + a_n (D); G2's omega-coordinates are its
+    simple coroot pairings."""
     x = ["a[%d]" % (pos + i) for i in range(m)]
     if fam == "G2":
         return "%s >= 0 and %s >= 0" % tuple(x)
@@ -339,19 +333,3 @@ _KERNEL_GLOBALS = {
     "_non_integral": _non_integral,
     "_non_positive": _non_positive,
 }
-
-
-def _dominant(fam: str, v: Sequence) -> bool:
-    """Dominance read off the coordinates: the pairings with the simple roots
-    are v_i - v_(i+1) and, per family, v_n (B), 2·v_n (C) or
-    v_(n-1) + v_n (D); G2's omega-coordinates are its simple coroot pairings."""
-    if fam == "G2":
-        return v[0] >= 0 and v[1] >= 0
-    for i in range(len(v) - 1):
-        if v[i] < v[i + 1]:
-            return False
-    if fam in ("B", "C") and v and v[-1] < 0:
-        return False
-    if fam == "D" and len(v) >= 2 and v[-2] < abs(v[-1]):
-        return False
-    return True

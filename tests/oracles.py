@@ -5,7 +5,8 @@ transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
 ``dgx.Poly`` on a dict of Fraction coefficients), the generic per-point
 loops that the package's compiled kernels replaced (``_apply2``,
-``_satisfies``, ``_canonical2``, ``dimension2``), and the box checks'
+``_satisfies``, ``_canonical2`` with ``dominant_representative``,
+``_dominant``, ``dimension2``), and the box checks'
 separate per-check loops, which test_verify compares the one box pass
 against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
@@ -28,7 +29,7 @@ from branchlab.catalog import CaseRecord, _branch_fibers
 from branchlab.linalg import Matrix, Vector, dot, vec
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import CaseReport, _rows2, _transfer_image_map
-from branchlab.weights import _dominant, _rho2, _split
+from branchlab.weights import _dominant_D, _dominant_G2, _rho2
 
 
 def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[int]) -> None:
@@ -250,7 +251,56 @@ def _canonical2(weyl, mod_trace: bool, values2: list[int]) -> tuple:
         n = len(values2)
         total = sum(values2)
         values2 = [n * v - total for v in values2]
-    return weights.dominant_representative(weyl, values2)
+    return dominant_representative(weyl, values2)
+
+
+def _split(t, v) -> list:
+    """[(factor, its slice of v)] over the factors of a product type t."""
+    parts = []
+    pos = 0
+    for f in t.factors:
+        k = f.ncoords
+        parts.append((f, v[pos : pos + k]))
+        pos += k
+    return parts
+
+
+def dominant_representative(t, v) -> tuple:
+    """The dominant element of the Weyl orbit of v, branch by branch and
+    factor by factor: ``weights._canonical_kernel``'s reference."""
+    if len(v) != t.ncoords:
+        raise ValueError("expected %d coordinates, got %d" % (t.ncoords, len(v)))
+    fam = t.family
+    if fam == "Trivial":
+        return tuple(v)
+    if fam == "Product":
+        return sum((dominant_representative(f, part) for f, part in _split(t, v)), ())
+    if fam == "A":
+        return tuple(sorted(v, reverse=True))
+    if fam in ("B", "C"):
+        return tuple(sorted(map(abs, v), reverse=True))
+    if fam == "D":
+        return _dominant_D(v)
+    if fam == "G2":
+        return _dominant_G2(v)
+    raise ValueError("cannot canonicalize type %s" % t)
+
+
+def _dominant(fam: str, v) -> bool:
+    """Dominance read off the coordinates, the reference of
+    ``weights._dominance_kernel``: the pairings with the simple roots are
+    v_i - v_(i+1) and, per family, v_n (B), 2·v_n (C) or v_(n-1) + v_n (D);
+    G2's omega-coordinates are its simple coroot pairings."""
+    if fam == "G2":
+        return v[0] >= 0 and v[1] >= 0
+    for i in range(len(v) - 1):
+        if v[i] < v[i + 1]:
+            return False
+    if fam in ("B", "C") and v and v[-1] < 0:
+        return False
+    if fam == "D" and len(v) >= 2 and v[-2] < abs(v[-1]):
+        return False
+    return True
 
 
 @functools.cache
@@ -334,7 +384,7 @@ def canonical_char(record: CaseRecord, v) -> tuple:
         # SU-side infinitesimal characters live modulo the trace direction.
         mean = sum(v) / len(v)
         v = tuple(x - mean for x in v)
-    return weights.dominant_representative(record.nu_group.weyl, v)
+    return dominant_representative(record.nu_group.weyl, v)
 
 
 def simple_roots(t):

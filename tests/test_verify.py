@@ -827,10 +827,11 @@ def test_smf_repeated_fiber_is_not_counted_twice(monkeypatch):
 
 
 def test_box_check_error_stops_only_that_check(monkeypatch):
-    # a transfer comparison that raises at its k-th call: transfer alone gets
-    # the error entry, and every other box check runs the whole box.  (The
-    # relation totals are carried by the walk, so relations has no per-theta
-    # code of its own left to fail.)
+    # each transfer kernel raises at its own k-th call, in the pass and when
+    # transfer runs alone: transfer alone gets the error entry, and every
+    # other box check runs the whole box.  (The relation totals are carried
+    # by the walk, so relations has no per-theta code of its own left to
+    # fail.)
     import dataclasses
     import itertools
 
@@ -838,10 +839,10 @@ def test_box_check_error_stops_only_that_check(monkeypatch):
     k = 7
     expected = verify.run_case(clean, 4, 2)
     real = weights._canonical_kernel
-    calls = itertools.count(1)
 
     def fails_once(weyl, mod_trace):
         canonical = real(weyl, mod_trace)
+        calls = itertools.count(1)
 
         def kernel(values2):
             if next(calls) == k:
@@ -863,6 +864,81 @@ def test_box_check_error_stops_only_that_check(monkeypatch):
     for other in verify.BOX_CHECKS:
         if other != "transfer":
             assert box[other]["run"] > 0 and box[other]["failed"] == 0, box[other]
+
+
+def _box_entries(entries):
+    """The entries of a run_case report that the box pass gives, by name."""
+    return {e["name"]: e for e in entries if e["name"] in verify.BOX_CHECKS}
+
+
+def test_error_raised_only_by_checks_together_goes_to_every_box_check(monkeypatch):
+    # the walk's sums fail only when they carry relation totals and P-side
+    # numerators at once: each check runs clean alone, so none can be told
+    # apart from the fault, and every box check gets the pass's error
+    clean = next(r for r in catalog.build_records(2) if str(r.id) == "i[n=2]")
+    expected = verify.run_case(clean, 4, 2)
+    relation_names = {rel.name for rel in clean.relations}
+    p_side = {n for n, s in clean.symbols.items() if s.kind == "casimir" and s.label == "pi"}
+    assert relation_names and p_side and not relation_names & p_side
+    real = verify._walk_sums
+
+    def fails_together(slots, stack):
+        carried = {name for name, _ in slots}
+        if carried & relation_names and carried & p_side:
+            raise RuntimeError("relation and P-side sums together")
+        return real(slots, stack)
+
+    monkeypatch.setattr(verify, "_walk_sums", fails_together)
+    entries = verify.run_case(clean, 4, 2)
+    assert [e["name"] for e in entries] == [e["name"] for e in expected]
+    error = {
+        "run": 1,
+        "failed": 1,
+        "first_failure": "error: RuntimeError: relation and P-side sums together",
+    }
+    assert _box_entries(entries) == {
+        name: {"name": name, **error} for name in verify.BOX_CHECKS
+    }
+    others = [e for e in entries if e["name"] not in verify.BOX_CHECKS]
+    assert others == [e for e in expected if e["name"] not in verify.BOX_CHECKS]
+
+
+def test_fault_that_fires_once_reaches_every_box_check(monkeypatch):
+    # the first branching of the process raises, and the checks re-run alone
+    # raise nothing: no box check may come back with a clean report
+    clean = next(r for r in catalog.build_records(2) if str(r.id) == "vi")
+    real = verify._branch_fibers
+    fired = []
+
+    def fails_once(rule, pi):
+        if not fired:
+            fired.append(pi)
+            raise RuntimeError("planted once")
+        return real(rule, pi)
+
+    monkeypatch.setattr(verify, "_branch_fibers", fails_once)
+    box = verify._box_pass(clean, 3)
+    assert len(fired) == 1
+    assert list(box) == list(verify.BOX_CHECKS)
+    assert all(isinstance(result, RuntimeError) for result in box.values()), box
+    fired.clear()
+    entries = _box_entries(verify.run_case(clean, 3, 2))
+    assert all(
+        e["first_failure"] == "error: RuntimeError: planted once" for e in entries.values()
+    ), entries
+
+
+def test_check_transfer_raises_the_planted_error(monkeypatch, records):
+    planted = RuntimeError("planted in transfer")
+
+    def kernel(values2):
+        raise planted
+
+    monkeypatch.setattr(weights, "_canonical_kernel", lambda weyl, mod_trace: kernel)
+    with pytest.raises(RuntimeError) as raised:
+        check_transfer(rec(records, "i", 2), 3)
+    assert raised.value is planted
+    assert check_relations(rec(records, "i", 2), 3).failures == []
 
 
 def _ix_with_uncompiled_c_k():

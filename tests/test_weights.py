@@ -39,7 +39,7 @@ def full_orbit(t, v):
     if t.family == "Trivial":
         return {v}
     if t.family == "Product":
-        parts = [sorted(full_orbit(f, p)) for f, p in weights._split(t, v)]
+        parts = [sorted(full_orbit(f, p)) for f, p in oracles._split(t, v)]
         return {sum(combo, ()) for combo in itertools.product(*parts)}
     simples = oracles.simple_roots2(t)
     v2 = tuple(int(2 * x) for x in v)
@@ -378,7 +378,7 @@ def _fraction_dimension(t, lam):
         return 1
     if t.family == "Product":
         out = 1
-        for f, part in weights._split(t, lam):
+        for f, part in oracles._split(t, lam):
             out *= _fraction_dimension(f, part)
         return out
     return oracles.weyl_dimension(t, lam)
@@ -464,3 +464,27 @@ def test_canonical_kernel_matches_dominant_representative(t, mod_trace):
             ValueError,
             "expected %d coordinates, got %d" % (n, len(wrong)),
         )
+
+
+@pytest.mark.parametrize("t", CANONICAL_TYPES, ids=str)
+def test_dominance_kernel_matches_the_interpreted_test(t):
+    # is_dominant's compiled route against the per-factor loop it replaced,
+    # on random doubled vectors and on their dominant forms, products
+    # included; a wrong length is a ValueError except for Trivial
+    rng = random.Random("dominance/%s" % t)
+    factors = t.factors or (t,)
+    n = t.ncoords
+    seen = set()
+    for _ in range(60):
+        v2 = [rng.randint(-9, 9) for _ in range(n)]
+        for v in (v2, dominant_representative(t, v2)):
+            parts = oracles._split(t, v) if t.factors else [(t, v)]
+            expected = all(
+                f.family == "Trivial" or oracles._dominant(f.family, part) for f, part in parts
+            )
+            assert weights.is_dominant(t, v) is expected, v
+            seen.add(expected)
+    assert seen == ({True} if all(f.family == "Trivial" for f in factors) else {True, False})
+    if t.family != "Trivial":
+        with pytest.raises(ValueError, match="expected %d coordinates" % n):
+            weights.is_dominant(t, [0] * (n + 1))
