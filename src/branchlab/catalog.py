@@ -90,21 +90,29 @@ class Constraint:
     mod: int = 0
 
 
-@functools.cache
-def _membership_kernel(rows: tuple, n: int):
-    """params ↦ are params n ints that satisfy every row (((index,
-    coefficient), ...), const, mod): the sum plus const >= 0, or == 0 mod
-    ``mod`` when mod > 0?  One expression, compiled once per row tuple; a
-    row with no column is decided here."""
-    conds = ["len(p) == %d" % n]
+def membership_source(rows, var: str) -> list:
+    """The source of each condition of the rows (((index, coefficient),
+    ...), const, mod): the sum plus const >= 0, or == 0 mod ``mod`` when mod
+    > 0, with coordinate i written ``var % i`` (``int_affine_source``).  A
+    row with no column is decided here: "False" when it fails, nothing when
+    it holds."""
+    conds = []
     for coeffs, const, mod in rows:
         if not coeffs:
             if const % mod if mod else const < 0:
                 conds.append("False")
         elif mod:
-            conds.append("%s %% %d == 0" % (int_affine_source("p", coeffs, const), mod))
+            conds.append("%s %% %d == 0" % (int_affine_source(var, coeffs, const), mod))
         else:
-            conds.append("%s >= 0" % int_affine_source("p", coeffs, const))
+            conds.append("%s >= 0" % int_affine_source(var, coeffs, const))
+    return conds
+
+
+@functools.cache
+def _membership_kernel(rows: tuple, n: int):
+    """params ↦ are params n ints that satisfy every row of
+    ``membership_source``?  One expression, compiled once per row tuple."""
+    conds = ["len(p) == %d" % n] + membership_source(rows, "p[%d]")
     return eval("lambda p: " + " and ".join(conds), globals())
 
 
@@ -149,6 +157,41 @@ class ParamSpace:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
         return [p for p, _ in self.walk(bound)]
 
+    @functools.cached_property
+    def leaf_rows(self) -> tuple:
+        """The rows of ``_membership`` that a walk checks at each leaf: the
+        congruences and the rows with no column.  Every other row is an
+        inequality, which ``walk_tables``' limits make exact."""
+        return tuple(row for row in self._membership if row[2] or not row[0])
+
+    def walk_tables(self, bound: int, rows=(), sums=()) -> tuple:
+        """(limits, final) of a walk of the box of ``bound`` over ``rows``
+        carrying ``sums`` (see ``walk``): the one statement of the box's
+        bounds, read by ``walk`` and by ``verify``'s compiled theta kernels.
+
+        limits[t] holds (a, ((s, c_s) for s < t), const) for each inequality
+        whose last non-zero coefficient a sits at coordinate t: once the
+        coordinates before t are placed, rest = const + sum(c_s·p_s) bounds
+        p_t below by ceil(-rest / a) when a > 0, above by floor(rest / -a)
+        otherwise, within 0 (nat) or -bound, and bound.  final[d] holds the
+        terms (row index, fn) of ``sums`` whose row is final once d
+        coordinates are placed: its last non-zero column is d - 1, or d = 0
+        for a row with no column.  A negative bound is a ValueError."""
+        if bound < 0:
+            raise ValueError("bound must be >= 0")
+        n = len(self.names)
+        limits: list[list] = [[] for _ in range(n)]
+        for c in self.constraints:
+            if c.mod or not any(c.coeffs):
+                continue
+            t = max(i for i, a in enumerate(c.coeffs) if a)
+            prefix = tuple((s, a) for s, a in enumerate(c.coeffs[:t]) if a)
+            limits[t].append((c.coeffs[t], prefix, c.const))
+        final: list[list] = [[] for _ in range(n + 1)]
+        for r, fn in sums:
+            final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, fn))
+        return limits, final
+
     def walk(self, bound: int, rows=(), sums=()):
         """Yield (params, image) for each tuple of ``enumerate(bound)``, in order.
 
@@ -165,36 +208,24 @@ class ParamSpace:
         placed (at the root for a row with no column), so a point pays only
         for the rows it makes final.
 
-        Depth-first with bound propagation through the linear constraints, so
-        interlacing chains are enumerated without wasted work.  An inequality
-        is exact once its last non-zero coefficient is placed, so a leaf
-        checks only the congruences and the constant constraints.
+        Depth-first with bound propagation through the linear constraints
+        (``walk_tables``, which ``verify``'s compiled theta kernels read
+        too), so interlacing chains are enumerated without wasted work.  An
+        inequality is exact once its last non-zero coefficient is placed, so
+        a leaf checks only ``leaf_rows``.  The walk stays interpreted: its
+        callers (``enumerate``, the independence certificate, the parity
+        gap, the box pass's pi walk and its SMF search) would spend about as
+        long compiling a kernel as walking.
         """
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
+        limits, final = self.walk_tables(bound, rows, sums)
         n = len(self.names)
-        at_leaf = _membership_kernel(
-            tuple(row for row in self._membership if row[2] or not row[0]), n
-        )
-        # limits[t]: (a, ((s, c_s) for s < t), const) of each inequality whose
-        # last non-zero coefficient a sits at t
-        limits: list[list] = [[] for _ in range(n)]
-        for c in self.constraints:
-            if c.mod or not any(c.coeffs):
-                continue
-            t = max(i for i, a in enumerate(c.coeffs) if a)
-            prefix = tuple((s, a) for s, a in enumerate(c.coeffs[:t]) if a)
-            limits[t].append((c.coeffs[t], prefix, c.const))
+        at_leaf = _membership_kernel(self.leaf_rows, n)
         # cols[t]: the non-zero entries (row, coefficient) of column t
         cols: list[list] = [[] for _ in range(n)]
         for r, (coeffs, _) in enumerate(rows):
             for i, c in coeffs:
                 cols[i].append((r, c))
         lows = [0 if d == "nat" else -bound for d in self.domains]
-        # final[d]: the terms whose row is final once d coordinates are placed
-        final: list[list] = [[] for _ in range(n + 1)]
-        for r, fn in sums:
-            final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, fn))
 
         point = [0] * n
         tops = [0] * n

@@ -33,23 +33,27 @@ def _interlaced_iv_dim(n: int, N: int) -> int:
 
     Counts (c, a_1, b_1, ..., a_n, b_n) with c in N, a_1 >= b_1 >= a_2 >= ...
     >= b_n >= 0 and c + 2*sum(a) - sum(b) = N, by direct recursion over the
-    chain (independent of the v_sequence dynamic programming).  Each pair
-    contributes 2a - b in [a, 2a], so a <= remaining target prunes exactly.
+    chain (independent of the v_sequence dynamic programming).
     """
+    return sum(_interlaced_tail(n, N, N - c) for c in range(N + 1))
 
-    @lru_cache(maxsize=None)
-    def tail(pairs_left: int, upper: int, target: int) -> int:
-        if target < 0:
-            return 0
-        if pairs_left == 0:
-            return 1 if target == 0 else 0
-        total = 0
-        for a in range(0, min(upper, target) + 1):
-            for b in range(0, a + 1):
-                total += tail(pairs_left - 1, b, target - (2 * a - b))
-        return total
 
-    return sum(tail(n, N, N - c) for c in range(N + 1))
+@lru_cache(maxsize=None)
+def _interlaced_tail(pairs_left: int, upper: int, target: int) -> int:
+    """The chains of ``pairs_left`` pairs upper >= a_1 >= b_1 >= a_2 >= ...
+    >= b >= 0 with sum(2a - b) = target.  Each pair contributes 2a - b in
+    [a, 2a], so a <= remaining target prunes exactly.  At module level, the
+    cache serves every n and N and makes no reference cycle, as a cached
+    closure that calls itself does."""
+    if target < 0:
+        return 0
+    if pairs_left == 0:
+        return 1 if target == 0 else 0
+    total = 0
+    for a in range(0, min(upper, target) + 1):
+        for b in range(0, a + 1):
+            total += _interlaced_tail(pairs_left - 1, b, target - (2 * a - b))
+    return total
 
 
 def graded_invariant_dim(record, N: int) -> int:

@@ -129,16 +129,17 @@ class IntEchelon:
 
 
 def int_affine_source(var: str, coeffs: Iterable[tuple[int, int]], const: int) -> str:
-    """Python source, in parentheses, of const + sum(c·var[i]) over the
-    sparse (i, c) pairs: the one writer of the expressions that the compiled
-    per-point kernels of ``weights``, ``catalog`` and ``verify`` are built
-    from.  Every number passes ``operator.index``, so the source holds
-    integers only; ``var`` is the kernel's own parameter name."""
+    """Python source, in parentheses, of const + sum(c·x_i) over the sparse
+    (i, c) pairs, where ``var % i`` is the source of x_i, such as "p[%d]" for
+    an item of the kernel's parameter p or "v%d" for a local: the one writer
+    of the expressions that the compiled per-point kernels of ``weights``,
+    ``catalog`` and ``verify`` are built from.  Every number passes
+    ``operator.index``, so the source holds integers only."""
     out = ""
     for i, c in coeffs:
         i, c = operator.index(i), operator.index(c)
         if c:
-            term = "%s[%d]" % (var, i) if abs(c) == 1 else "%d * %s[%d]" % (abs(c), var, i)
+            term = var % i if abs(c) == 1 else "%d * %s" % (abs(c), var % i)
             out += (" - " if c < 0 else " + ") + term if out else ("-" if c < 0 else "") + term
     const = operator.index(const)
     if not out:

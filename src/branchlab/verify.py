@@ -28,13 +28,17 @@ one walk of the pi box for dimension conservation and the fiber half of
 strong multiplicity-freeness, then one walk of the theta box for relations,
 transfer, the theta half of strong multiplicity-freeness and pi-side
 consistency.  Every map the theta walk reads is stacked into one
-doubled-integer matrix (``_Stack``), whose image ``ParamSpace.walk`` carries
-from point to point; the checks read fixed slices of it.  ``run_case``
+doubled-integer matrix (``_Stack``).  The theta walk is a kernel compiled
+per case (``_theta_source``, ``_theta_kernel``): one ``for`` per
+coordinate, the stacked rows and the carried sums in locals, and the four
+checks inline at the leaf; past 16 coordinates the loop nest is a chain of
+functions, since CPython compiles at most 20 nested blocks.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  The box is streamed: strong multiplicity-freeness compares two
-counts instead of keeping a map per theta, and the independence certificate
-and the parity gap stop their walks once decided, so memory does not grow
-with the box.  One rule isolates the box checks' errors: the pass carries
+counts instead of keeping a map per theta, pi-side keeps integer targets
+per distinct pi(theta), and the independence certificate and the parity
+gap stop their walks once decided, so memory does not grow with the box.
+One rule isolates the box checks' errors: the pass carries
 no per-check handler, and when it raises, each check runs alone; a check
 that raises alone gets its own exception, and if none does, every check
 gets the pass's, so an error never becomes a clean report.
@@ -52,8 +56,9 @@ relations between the two hold by construction.  Every reader takes this
 one form: ``_int_eval`` evaluates it at a theta (for ``evaluate_generator``,
 the independence certificate and the parity gap); a relation merges its
 terms' forms (``_fold``), pi-side reads the P-side Casimirs' forms as they
-are, and ``ParamSpace.walk`` carries these K totals, adding a memo's tuple
-for each row it makes final (``_RowSums``).  An xyz_poly, which only the
+are, and the theta kernel carries these K totals as ``ParamSpace.walk``
+carries its sums, adding from a row's memo (``_RowSums``) where the row is
+final.  An xyz_poly, which only the
 star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated at
 ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints compiled
 once per space into one expression, and its walk's leaf check is another.
@@ -70,7 +75,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import dgx, hilbert, linalg, weights
-from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers
+from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers, membership_source
 from .linalg import AffineMap, mat, vec
 from .reps import IrrepLabel, casimir_eigenvalue
 
@@ -161,7 +166,7 @@ def _affine_kernel(rows2: tuple):
     expression and compiled once per row tuple."""
     return eval(
         "lambda p: [%s]"
-        % ", ".join(linalg.int_affine_source("p", coeffs, off) for coeffs, off in rows2),
+        % ", ".join(linalg.int_affine_source("p[%d]", coeffs, off) for coeffs, off in rows2),
         globals(),
     )
 
@@ -428,7 +433,9 @@ def _fold(parts) -> dict:
 class _RowSums(dict):
     """Row value x -> per slot, that slot's polynomial in the row at x: the
     tuple the walk adds for the row.  Computed on first use, so its size is
-    bounded by the values the row takes, not by the box."""
+    bounded by the values the row takes, not by the box.  ``polys`` holds
+    the polynomials, ((exponent, coefficient), ...) per slot, so a slot
+    whose polynomial is empty always gets 0."""
 
     def __init__(self, polys):
         super().__init__()
@@ -440,12 +447,12 @@ class _RowSums(dict):
 
 
 def _walk_sums(slots, stack: _Stack) -> list:
-    """The sums for ``ParamSpace.walk`` that carry the totals of ``slots``,
-    [(name, compiled form)], as K = len(slots) entries appended to the
-    image: one ``_RowSums`` per row the slots read, stacked on ``stack``.
-    The constant row is always there, so the image ends with K entries even
-    when every polynomial is zero; a walk step adds about one tuple per
-    coordinate it places."""
+    """The sums that carry the totals of ``slots``, [(name, compiled form)],
+    down a theta walk as K = len(slots) entries after the image: one term
+    (row index, ``_RowSums``) per row the slots read, stacked on ``stack``.
+    The constant row is always there, so the K totals exist even when every
+    polynomial is zero; a walk step adds about one tuple per coordinate it
+    places."""
     if not slots:
         return []
     per_row: dict = {_CONSTANT: [{} for _ in slots]}
@@ -456,7 +463,7 @@ def _walk_sums(slots, stack: _Stack) -> list:
     for row, accs in per_row.items():
         polys = tuple(tuple((e, c) for e, c in sorted(a.items()) if c) for a in accs)
         if any(polys) or not row[0]:
-            sums.append((stack.row(row), _RowSums(polys).__getitem__))
+            sums.append((stack.row(row), _RowSums(polys)))
     return sums
 
 
@@ -725,19 +732,23 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     ``weights._dimension_kernel`` and theta itself to the theta space's
     ``contains_ints``.  The walk branches a pi only when a check reads its
     fibers.  Relations, transfer, the theta half of SMF and
-    pi-side consistency then share one walk of the theta box, which carries
-    the image of one stacked matrix of every map they read, followed by the
-    relation totals and the P-side Casimir numerators (``_walk_sums``);
-    transfer compares two ``weights._canonical_kernel`` forms of fixed
-    slices of it.  The box is streamed.  The pass reads the record's
-    compiled forms and doubled rows, which are compiled once per record
-    (``_symbol_cache``), and kernels compiled once per Weyl type or row
-    tuple; none grows with the box.  What the pass itself keeps: one pi's
-    fiber set, pi-side's targets per distinct pi(theta), and the
-    ``_RowSums`` memos, made fresh per pass, one per row the sums read and
-    keyed by the row's value.  The targets grow with the pi box (one per
-    distinct pi(theta)); the memos grow with the range of a row's values
-    only.
+    pi-side consistency then share one walk of the theta box, a kernel
+    written for the case and the checks named (``_theta_source``), so every
+    subset of the four, the error rule's one-check re-runs included, takes
+    this one path.  It carries the rows of one stacked matrix of every map
+    they read, the relation totals and the P-side Casimir numerators
+    (``_walk_sums``) in locals, as a chain of functions past 16
+    coordinates (``iv[n=10]`` has 21); transfer compares two
+    ``weights._canonical_kernel`` forms of fixed rows of it.  The box is
+    streamed.  The pass reads the record's compiled forms and doubled
+    rows, which are compiled once per record (``_symbol_cache``), and
+    kernels compiled once per Weyl type, row tuple or source; none grows
+    with the box.  What the pass itself keeps: one pi's fiber set,
+    pi-side's integer targets per distinct pi(theta) (``None`` where none
+    exists; the expected value is recomputed only for a failure entry),
+    and the ``_RowSums`` memos, made fresh per pass, one per row the sums
+    read and keyed by the row's value.  The targets grow with the pi box;
+    the memos grow with the range of a row's values only.
 
     SMF, that the branches of distinct pi are disjoint and exhaust
     Disc(G/H), is checked without a map per theta:
@@ -776,7 +787,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
 
 def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     """``_box_pass`` without its error rule: {name: CaseReport} for the
-    named checks.  Whatever a setup or a per-point body raises propagates,
+    named checks.  Whatever a setup, a walk or a kernel raises propagates,
     but for dimension conservation's ``computable`` failure entries."""
     failures = {name: [] for name in BOX_CHECKS}
     rel_fail, transfer_fail, dim_fail, smf_fail, pi_fail = failures.values()
@@ -796,7 +807,7 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     pi_side = _pi_side_plan(record, stack) if "pi-side-consistency" in names else None
 
     # -- the pi walk: dimension conservation and SMF's fibers
-    dim_runs = smf_runs = covered = expected = 0
+    dim_runs = smf_runs = covered = 0
     if smf is not None:
         pi_theta_rows, injective = smf
         if injective is not None:
@@ -854,53 +865,57 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
 
     # -- the theta walk: relations, transfer, SMF's theta half, pi-side
     points = 0
-    # the walk carries the relation totals, then the P-side numerators
+    # the kernel carries the relation totals, then the P-side numerators
     rel_slots = rel if rel is not None else ()
     pi_symbols, pi_slots, pi_label = pi_side if pi_side is not None else ((), (), None)
     sums = _walk_sums(rel_slots + pi_slots, stack)
-    rel_sl = slice(len(stack.rows), len(stack.rows) + len(rel_slots))
     pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
-    if transfer is not None:
-        image_sl, nu_rho_sl, canonical = transfer
+    canonical = transfer[2] if transfer is not None else None
+    get_targets = new_targets = pi_mismatch = None
     if pi_side is not None:
         pi_group = record.pi_group
-        targets_of: dict[tuple, list] = {}
+        targets_of: dict[tuple, tuple] = {}
+        get_targets = targets_of.get
+
+        def casimir(pi_params):
+            return casimir_eigenvalue(IrrepLabel.from_doubled(pi_group, pi_label(pi_params)))
+
+        def new_targets(pi_params):
+            # only the integer targets are kept, one tuple per distinct pi
+            record.require_pi(pi_params)
+            targets = _pi_side_targets(casimir(pi_params), pi_symbols)
+            targets_of[pi_params] = out = tuple([target for _, target in targets])
+            return out
+
+        def pi_mismatch(theta, pi_params, nums):
+            targets = _pi_side_targets(casimir(pi_params), pi_symbols)
+            for (name, den, _), num, (want, target) in zip(pi_symbols, nums, targets):
+                if num != target:
+                    pi_fail.append(("pi-side:%s" % name, theta, want, Fraction(num, den)))
+
+    odd = expected = 0
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
-        for theta, image in record.theta.walk(bound, stack.rows, sums):
-            points += 1
-            if pi_sl is not None:
-                doubled = image[pi_sl]
-                pi_params = tuple([v >> 1 for v in doubled])
-            if rel is not None:
-                totals = image[rel_sl]
-                if any(totals):
-                    for (name, _), total in zip(rel_slots, totals):
-                        if total:
-                            rel_fail.append(("relation:%s" % name, theta, 0, total))
-            if transfer is not None:
-                lhs = canonical(image[image_sl])
-                rhs = canonical(image[nu_rho_sl])
-                if lhs != rhs:
-                    transfer_fail.append(("transfer", theta, rhs, lhs))
-            if smf is not None:
-                if any([v & 1 for v in doubled]):
-                    smf_fail.append(("integral-pi", theta, True, False))
-                    smf_runs += 1
-                elif max(map(abs, pi_params), default=0) <= bound:
-                    smf_runs += 2
-                    expected += 1
-            if pi_side is not None:
-                targets = targets_of.get(pi_params)
-                if targets is None:
-                    record.require_pi(pi_params)
-                    label = IrrepLabel.from_doubled(pi_group, pi_label(pi_params))
-                    targets = targets_of[pi_params] = _pi_side_targets(
-                        casimir_eigenvalue(label), pi_symbols
-                    )
-                got = image[rel_sl.stop :]
-                for (name, den, _), num, (want, target) in zip(pi_symbols, got, targets):
-                    if num != target:
-                        pi_fail.append(("pi-side:%s" % name, theta, want, Fraction(num, den)))
+        leaf = functools.partial(
+            _leaf_lines,
+            rel_names=[name for name, _ in rel_slots],
+            transfer=transfer[:2] if transfer is not None else None,
+            pi_sl=pi_sl,
+            smf=smf is not None,
+            pi_side=pi_side is not None,
+        )
+        kernel = _theta_kernel(_theta_source(record.theta, bound, stack.rows, sums, leaf))
+        points, expected, odd = kernel(
+            bound,
+            tuple(memo for _, memo in sums),
+            canonical,
+            rel_fail.append,
+            transfer_fail.append,
+            smf_fail.append,
+            pi_mismatch,
+            get_targets,
+            new_targets,
+        )
+    smf_runs += odd + 2 * expected
 
     # -- SMF's count: search the theta box only when a covered theta is missing
     if smf is not None and covered < expected:
@@ -920,6 +935,198 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     runs = (len(rel_slots) * points, points, dim_runs, smf_runs, len(pi_symbols) * points)
     runs = dict(zip(BOX_CHECKS, runs))
     return {name: CaseReport(record.id, bound, runs[name], failures[name]) for name in names}
+
+
+# Coordinates per generated function of a theta kernel: CPython compiles at
+# most 20 statically nested blocks, so a deeper loop nest is split into a
+# chain of functions, each called from the innermost loop of the one before.
+_CHUNK = 16
+# The parameters every function of a theta kernel starts with.
+_KERNEL_ARGS = (
+    "bound, memos, canonical, rel_fail, transfer_fail, smf_fail, pi_fail, get_targets, new_targets"
+)
+
+
+def _tuple_source(items) -> str:
+    return "(%s,)" % ", ".join(items) if items else "()"
+
+
+def _theta_source(space, bound: int, rows, sums, leaf) -> str:
+    """The source of a theta kernel, ``_c0(<_KERNEL_ARGS>)``, which runs
+    the lines ``leaf`` writes at each point of ``space.walk(bound, rows,
+    sums)``, in the walk's order, and returns (points, e, o), e and o being
+    what those lines count.  The bound is an argument, so the source holds
+    for every bound.
+
+    One ``for`` per coordinate, over the bounds of ``space.walk_tables``,
+    with locals v0, v1, ... for the coordinates and fresh locals after them.
+    Each distinct row's value is carried down the depth, updated where each
+    of its columns is placed.  Each sum term (row index, ``_RowSums``), its
+    memo passed as memos[j], is added where its row is final, into the slots
+    whose polynomial is not empty only, so the K totals are final where
+    their last term is.  After every ``_CHUNK`` coordinates the loop body
+    calls the next function of the chain with each local still live, and
+    adds up the counts it returns.  ``leaf(value, totals, theta)`` writes
+    the leaf's lines from the sources of the value of the stacked row of
+    each index, of the K totals ("0" for a total no term reaches) and of
+    theta."""
+    memos = [memo for _, memo in sums]
+    limits, final = space.walk_tables(bound, rows, [(r, j) for j, (r, _) in enumerate(sums)])
+    n = len(space.names)
+    fresh = itertools.count(n)
+    # per distinct row: the index of the local holding its value, or None
+    # and its offset while none of its columns is placed
+    current = {row: (None, row[1]) for row in rows}
+    cols: list[list] = [[] for _ in range(n)]
+    for row in current:
+        for i, c in row[0]:
+            cols[i].append((row, c))
+    totals: list = [None] * (len(memos[0].polys) if memos else 0)
+
+    def value(row) -> str:
+        at, off = current[row]
+        return "%d" % off if at is None else "v%d" % at
+
+    def place(d, pad) -> list:
+        # the lines once d coordinates are placed: the rows with a column at
+        # d - 1, then the sum terms final at d
+        out = []
+        for row, c in cols[d - 1] if d else ():
+            at, off = current[row]
+            if at is None and off == 0 and c == 1:
+                current[row] = (d - 1, 0)  # the coordinate itself
+                continue
+            terms = ((d - 1, c),) if at is None else ((at, 1), (d - 1, c))
+            current[row] = (next(fresh), 0)
+            out.append("v%d = %s" % (current[row][0], linalg.int_affine_source("v%d", terms, off)))
+        for r, j in final[d]:
+            got = "m%d[%s]" % (j, value(rows[r]))
+            slots = [k for k, poly in enumerate(memos[j].polys) if poly]
+            if len(slots) > 1:
+                q = "v%d" % next(fresh)
+                out.append("%s = %s" % (q, got))
+                got = q
+            for k in slots:
+                new = "v%d" % next(fresh)
+                out.append("%s = %s%s[%d]" % (new, totals[k] + " + " if totals[k] else "", got, k))
+                totals[k] = new
+        return [pad + line for line in out]
+
+    def head(k) -> tuple:
+        # the first lines of the function for the coordinates from k, and
+        # the locals it takes from the function before
+        live = sorted(set(range(k)) | {at for at, _ in current.values() if at is not None})
+        live = ["v%d" % i for i in live] + [t for t in totals if t]
+        params = ", ".join([_KERNEL_ARGS] + live)
+        if k + _CHUNK < n:
+            params += ", _next=_c%d" % (k // _CHUNK + 1)
+        lines = ["def _c%d(%s):" % (k // _CHUNK, params), "    n = e = o = 0", "    b2 = 2 * bound"]
+        if memos:
+            lines.append("    %s, = memos" % ", ".join("m%d" % j for j in range(len(memos))))
+        return lines, live
+
+    functions = []
+    out, _ = head(0)
+    pad = "    "
+    out += place(0, pad)
+    for t in range(n):
+        if t and t % _CHUNK == 0:
+            lines, live = head(t)
+            out.append(pad + "_n, _e, _o = _next(%s)" % ", ".join([_KERNEL_ARGS] + live))
+            out += [pad + "n += _n", pad + "e += _e", pad + "o += _o", "    return n, e, o"]
+            functions.append(out)
+            out, pad = lines, "    "
+        lo = ["0" if space.domains[t] == "nat" else "-bound"]
+        hi = ["bound"]
+        for a, prefix, const in limits[t]:
+            rest = linalg.int_affine_source("v%d", prefix, const)
+            if a > 0:
+                lo.append("-" + rest if a == 1 else "-(%s // %d)" % (rest, a))
+            else:
+                hi.append(rest if a == -1 else "%s // %d" % (rest, -a))
+        lo = lo[0] if len(lo) == 1 else "max(%s)" % ", ".join(lo)
+        hi = hi[0] if len(hi) == 1 else "min(%s)" % ", ".join(hi)
+        out.append(pad + "for v%d in range(%s, %s + 1):" % (t, lo, hi))
+        pad += "    "
+        out += place(t + 1, pad)
+    conds = membership_source(space.leaf_rows, "v%d")
+    if conds:
+        out.append(pad + "if %s:" % " and ".join(conds))
+        pad += "    "
+    theta = _tuple_source(["v%d" % t for t in range(n)])
+    lines = leaf(lambda r: value(rows[r]), [t or "0" for t in totals], theta)
+    out += [pad + line for line in ["n += 1"] + lines] + ["    return n, e, o"]
+    functions.append(out)
+    return "".join(line + "\n" for f in reversed(functions) for line in f)
+
+
+@functools.cache
+def _theta_kernel(source: str):
+    """The function ``_c0`` that ``_theta_source``'s ``source`` defines,
+    compiled once per source.  Each function of the chain holds the next as
+    a default argument and the module's globals as its own, so the kernel
+    makes no reference cycle."""
+    functions: dict = {}
+    exec(source, globals(), functions)
+    return functions["_c0"]
+
+
+def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) -> list:
+    """The leaf of a box pass's theta kernel, as ``_theta_source`` asks for
+    it: the four theta-walk checks, each only when it runs, in this order.
+
+    - relations (``rel_names``, the first totals): a total that is not 0 is
+      a failure; a total that no term reaches has no test;
+    - transfer (``transfer``, the slices of the transfer image and of
+      nu+rho): their ``canonical`` forms must be equal;
+    - SMF's theta half (``smf``): pi(theta) is integral when the bitwise or
+      of its doubles d_i (``pi_sl``) is even, else o counts it; an integral
+      one in the pi box, -2·bound <= d_i <= 2·bound, e counts;
+    - pi-side (``pi_side``, the totals after the relations'): the targets
+      of the pi parameters d_i >> 1, from ``get_targets`` or else
+      ``new_targets``, against the carried P-side numerators; ``pi_fail``
+      gets theta, the pi parameters and the numerators of a mismatch."""
+
+    def values(sl):
+        return [value(r) for r in range(sl.start, sl.stop)] if sl is not None else []
+
+    lines = []
+    for name, total in zip(rel_names, totals):
+        if total != "0":
+            lines += ["if %s:" % total, "    rel_fail((%r, %s, 0, %s))" % ("relation:" + name, theta, total)]
+    if transfer is not None:
+        image, nu_rho = map(values, transfer)
+        lines += [
+            "_l = canonical(%s)" % _tuple_source(image),
+            "_r = canonical(%s)" % _tuple_source(nu_rho),
+            "if _l != _r:",
+            "    transfer_fail(('transfer', %s, _r, _l))" % theta,
+        ]
+    doubled = values(pi_sl)
+    if smf and doubled:
+        lines += [
+            "if (%s) & 1:" % " | ".join(doubled),
+            "    smf_fail(('integral-pi', %s, True, False))" % theta,
+            "    o += 1",
+            "elif %s:" % " and ".join("-b2 <= %s <= b2" % d for d in doubled),
+            "    e += 1",
+        ]
+    elif smf:
+        lines.append("e += 1")
+    nums = totals[len(rel_names) :]
+    if pi_side:
+        lines += [
+            "_k = %s" % _tuple_source(["%s >> 1" % d for d in doubled]),
+            "_g = get_targets(_k)",
+            "if _g is None:",
+            "    _g = new_targets(_k)",
+        ]
+    if pi_side and nums:
+        lines += [
+            "if %s:" % " or ".join("%s != _g[%d]" % (num, k) for k, num in enumerate(nums)),
+            "    pi_fail(%s, _k, %s)" % (theta, _tuple_source(nums)),
+        ]
+    return lines
 
 
 def _halve(doubled) -> tuple:

@@ -253,7 +253,7 @@ def _dimension_kernel(t: WeylType):
             for row in _root_rows(f.family, m):
                 const = sum(x * rho2[i] for i, x in row)
                 den *= const
-                pairings.append(int_affine_source("a", ((pos + i, x) for i, x in row), const))
+                pairings.append(int_affine_source("a[%d]", ((pos + i, x) for i, x in row), const))
             branches.append(
                 "_not_dominant(a[%d:%d], %r) if not (%s) else"
                 % (pos, pos + m, f.family, _dominance_source(f.family, pos, m))

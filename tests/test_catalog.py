@@ -256,13 +256,17 @@ def test_walk_carries_sums_of_row_values(case):
 
 
 def test_enumerate_leaves_no_cycle(records):
-    space = rec(records, "iv", 2).theta
+    # nor does a run_case, whose theta kernel takes the pass's callables as
+    # arguments
+    r = rec(records, "iv", 2)
     gc.collect()
     gc.disable()
     try:
-        box = space.enumerate(3)
+        box = r.theta.enumerate(3)
         assert box
         del box
+        assert gc.collect() == 0
+        assert all(e["failed"] == 0 for e in verify.run_case(r, 3, 2))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -310,7 +314,12 @@ def test_kernels_leave_no_cycle():
         assert member((0, 5)) and not member((0, 0))
         space = ParamSpace(("a", "b"), ("nat", "int"), (Constraint((1, -1), 987650, 7),))
         assert space.contains((0, 987650)) and not space.contains((0, 0))
-        del dimension, canonical, image, member, space
+        # a theta kernel long enough to be a chain of two functions
+        chain = ParamSpace(tuple("x%d" % i for i in range(17)), ("nat",) * 17)
+        source = verify._theta_source(chain, 1, [], [], lambda value, totals, theta: [])
+        theta = verify._theta_kernel.__wrapped__(source)
+        assert "_c1" in source and theta(1, (), *[None] * 7) == (2 ** 17, 0, 0)
+        del dimension, canonical, image, member, space, theta
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -193,6 +193,23 @@ def test_console_script_entry_point():
     assert "Spin(8)" in proc.stdout
 
 
+def test_python_m_branchlab_runs_the_cli():
+    # the package runs the command line that ``python -m branchlab.cli``
+    # runs: the same bytes and exit code, and a usage error exits 2
+    def run(module, args):
+        proc = subprocess.run([sys.executable, "-m", module] + args, capture_output=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    args = ["verify", "--cases", "vi", "--bound", "2", "--format", "json"]
+    rc, out, err = run("branchlab", args)
+    assert (rc, err) == (0, b"") and json.loads(out)["cases"][0]["case"] == "vi"
+    assert run("branchlab.cli", args) == (rc, out, err)
+    for bad in (["verify", "--bound", "x"], []):
+        rc, out, err = run("branchlab", bad)
+        assert rc == 2 and err.startswith(b"usage: branchlab"), err
+        assert run("branchlab.cli", bad) == (rc, out, err)
+
+
 def test_verify_all_bound_8_exit_zero(capsys):
     rc, out = run_capture(capsys, ["verify", "--cases", "all", "--bound", "8"])
     assert rc == 0

@@ -103,8 +103,8 @@ def test_compiled_values_do_not_depend_on_image_order(records):
     def feed(record, names, dens, sums, point):
         theta, image = point
         totals = [0] * len(names)
-        for row, fn in sums:
-            totals = [a + b for a, b in zip(totals, fn(image[row]))]
+        for row, memo in sums:
+            totals = [a + b for a, b in zip(totals, memo[image[row]])]
         for name, den, total in zip(names, dens, totals):
             assert Fraction(total, den) == expected[record.id][theta][name], (
                 record.id, name, theta,
@@ -668,7 +668,9 @@ def _tampered_records():
 def test_box_pass_matches_separate_loops():
     # the one pass run_case calls against the five per-check loops it
     # replaced (tests/oracles.py), failure order included, on the max_n=2
-    # catalog and on tampered records that fail or stop each check
+    # catalog and on tampered records that fail or stop each check, and at
+    # bound 1 on every record the catalog builds: iv[n=10] has 21 theta
+    # coordinates, past the nesting CPython compiles in one function
     loops = {
         "relations": oracles.check_relations,
         "transfer": oracles.check_transfer,
@@ -678,17 +680,58 @@ def test_box_pass_matches_separate_loops():
     }
     assert tuple(loops) == verify.BOX_CHECKS
     tampered = _tampered_records()
+    every = catalog.build_records(10)
+    assert max(len(r.theta.names) for r in every) == 21 > verify._CHUNK
+    cases = [(r, bound) for r in catalog.build_records(2) + tampered for bound in range(5)]
     seen_failure = seen_error = 0
-    for r in catalog.build_records(2) + tampered:
-        for bound in range(5):
-            box = verify._box_pass(r, bound)
-            for name, loop in loops.items():
-                expected = _outcome(lambda: loop(r, bound))
-                assert _outcome(lambda: verify._report(box[name])) == expected, (r.id, bound, name)
-                if r in tampered:
-                    seen_error += expected[0] == "error"
-                    seen_failure += expected[0] != "error" and bool(expected[1])
+    for r, bound in cases + [(r, 1) for r in every]:
+        box = verify._box_pass(r, bound)
+        for name, loop in loops.items():
+            expected = _outcome(lambda: loop(r, bound))
+            assert _outcome(lambda: verify._report(box[name])) == expected, (r.id, bound, name)
+            if r in tampered:
+                seen_error += expected[0] == "error"
+                seen_failure += expected[0] != "error" and bool(expected[1])
     assert seen_failure and seen_error
+
+
+def test_chunked_kernel_visits_the_walk_in_order():
+    # a 25-coordinate chain x0 >= x1 >= ... >= x24 with a congruence, whose
+    # one relation, on an Euler form with a term on every coordinate, fails
+    # at every point: the failures are the walk's points, in its order, with
+    # the relation's value at each, although the kernel is a chain of
+    # functions whose sums and leaf test cross the split
+    import dataclasses
+
+    from branchlab.catalog import Constraint, ParamSpace, Relation, SymbolSpec
+    from branchlab.linalg import AffineMap, mat, vec
+
+    n = 25
+    assert n > 20 > verify._CHUNK
+    chain = tuple(
+        Constraint(tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n)))
+        for i in range(n - 1)
+    )
+    parity = Constraint((1,) + (0,) * (n - 2) + (1,), 0, 2)
+    space = ParamSpace(tuple("x%d" % i for i in range(n)), ("int",) * n, chain + (parity,))
+    form = AffineMap(mat([[i % 3 - 1 or 2 for i in range(n)]]), vec([Fraction(1, 2)]), source=n)
+    synthetic = dataclasses.replace(
+        next(r for r in catalog.build_records(1) if str(r.id) == "vi"),
+        id=catalog.CaseId("iv", n),
+        theta=space,
+        symbols={"e": SymbolSpec("euler", form=form)},
+        relations=(Relation("tampered", ((Fraction(1), "e"),)),),
+    )
+    stack = verify._Stack(synthetic)
+    sums = verify._walk_sums(verify._compile_relations(synthetic), stack)
+    for bound in (1, 2):
+        walked = list(space.walk(bound, stack.rows, [(r, m.__getitem__) for r, m in sums]))
+        assert [total for _, (*_, total) in walked] == [
+            2 * evaluate_generator(synthetic, "e", p) for p, _ in walked
+        ]
+        report = verify.check_relations(synthetic, bound)
+        assert report.checks_run == len(walked) > 100
+        assert report.failures == [("relation:tampered", p, 0, image[-1]) for p, image in walked]
 
 
 def test_tampered_reports_are_pinned():
@@ -761,13 +804,15 @@ def _raised(fn):
 
 
 def test_second_run_case_builds_no_kernel():
-    # each kernel is compiled once per Weyl type or row tuple and kept for
-    # the process: a second run_case over the same records compiles none
+    # each kernel is compiled once per Weyl type, row tuple or source and
+    # kept for the process: a second run_case over the same records
+    # compiles none
     builders = (
         weights._dimension_kernel,
         weights._canonical_kernel,
         verify._affine_kernel,
         catalog._membership_kernel,
+        verify._theta_kernel,
     )
     records = catalog.build_records(3)
     for r in records:
