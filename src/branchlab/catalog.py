@@ -452,19 +452,15 @@ def _branch_fibers(rule: tuple, pi: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _interlace(j: tuple[int, ...], closed: bool) -> list[tuple[int, ...]]:
     """The chains (j1,k1,j2,...,jm) with j_(i+1) <= k_i <= j_i; a closed chain
-    ends in one more k_m, with 0 <= k_m <= j_m."""
-    ranges = [range(j[i + 1], j[i] + 1) for i in range(len(j) - 1)]
+    ends in one more k_m, with 0 <= k_m <= j_m.  The j_i are singleton
+    factors of one product, which yields each chain whole."""
+    factors = []
+    for hi, lo in zip(j, j[1:]):
+        factors += [(hi,), range(lo, hi + 1)]
+    factors.append((j[-1],))
     if closed:
-        ranges.append(range(0, j[-1] + 1))
-    out = []
-    for ks in itertools.product(*ranges):
-        chain = []
-        for ji, k in zip(j, ks):
-            chain += [ji, k]
-        if not closed:
-            chain.append(j[-1])
-        out.append(tuple(chain))
-    return out
+        factors.append(range(0, j[-1] + 1))
+    return list(itertools.product(*factors))
 
 
 # ---------------------------------------------------------------------------

@@ -726,11 +726,14 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     never becomes a clean report.
 
     Dimension conservation and the fiber half of strong multiplicity-freeness
-    (SMF) share one walk of the pi box: per fiber theta, one
-    ``_affine_kernel`` of the nu label rows stacked on the pi_of_theta rows
-    serves both, the nu part going to the nu group's
-    ``weights._dimension_kernel`` and theta itself to the theta space's
-    ``contains_ints``.  The walk branches a pi only when a check reads its
+    (SMF) share one walk of the pi box, and each takes a pi's fiber list
+    whole, so a fiber theta runs no interpreted code beyond SMF's tests:
+    dimension sums the nu group's ``weights._dimension_kernel`` over the
+    ``_affine_kernel`` of the nu label rows in one ``map``, SMF tests each
+    theta with the theta space's ``contains_ints`` and its own
+    ``_affine_kernel`` of the pi_of_theta rows, and one box test of the
+    whole list spares the test per theta when every fiber lies in the box.
+    The walk branches a pi only when a check reads its
     fibers.  Relations, transfer, the theta half of SMF and
     pi-side consistency then share one walk of the theta box, a kernel
     written for the case and the checks named (``_theta_source``), so every
@@ -814,54 +817,45 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
             smf_fail.append(injective)
     if dim is not None or smf is not None:
         pi_rows, pi_dimension, nu_rows, nu_dimension = dim or ((), None, (), None)
-        nnu = len(nu_rows)
-        fiber_image = _affine_kernel(nu_rows + (pi_theta_rows if smf is not None else ()))
+        nu_image = _affine_kernel(nu_rows)
+        pi_image = _affine_kernel(pi_theta_rows) if smf is not None else None
         contains = record.theta.contains_ints
         for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
             # SMF reads every pi's fibers; dimension only those of a pi whose
             # own dimension it computes
             fibers = _branch_fibers(record.branch_rule, pi_params) if smf is not None else None
-            adding = False  # dimension sums this pi's fibers
             if dim is not None:
                 dim_runs += 1
                 try:
                     want = pi_dimension(pi_label2)
                     if fibers is None:
                         fibers = _branch_fibers(record.branch_rule, pi_params)
-                    adding, total = True, 0
+                    total = sum(map(nu_dimension, map(nu_image, fibers)))
                 except (ValueError, AssertionError) as exc:
                     dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
-            if smf is not None:
-                pi2 = [2 * p for p in pi_params]
-                mine: set = set()
-            elif not adding:
+                else:
+                    if want != total:
+                        dim_fail.append(("dimension", pi_params, want, total))
+            if smf is None:
                 continue
+            pi2 = [2 * p for p in pi_params]
+            # one box test for the whole fiber list; a fiber theta can lie
+            # outside the box of its pi (star's a reaches j + j')
+            inbox = max(map(abs, itertools.chain.from_iterable(fibers)), default=0) <= bound
+            mine: set = set()
+            smf_runs += 2 * len(fibers)
             for theta in fibers:
-                image = None
-                if adding:
-                    try:
-                        image = fiber_image(theta)
-                        total += nu_dimension(image[:nnu])
-                    except (ValueError, AssertionError) as exc:
-                        dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
-                        adding = False
-                if smf is not None:
-                    smf_runs += 2
-                    if not contains(theta):
-                        smf_fail.append(("branch-valid", theta, True, False))
-                    elif theta in mine:
-                        smf_fail.append(("disjoint", theta, None, pi_params))
-                    else:
-                        mine.add(theta)
-                        if image is None:
-                            image = fiber_image(theta)
-                        doubled = image[nnu:]
-                        if doubled != pi2:
-                            smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
-                        elif max(map(abs, theta), default=0) <= bound:
-                            covered += 1
-            if adding and want != total:
-                dim_fail.append(("dimension", pi_params, want, total))
+                if not contains(theta):
+                    smf_fail.append(("branch-valid", theta, True, False))
+                elif theta in mine:
+                    smf_fail.append(("disjoint", theta, None, pi_params))
+                else:
+                    mine.add(theta)
+                    doubled = pi_image(theta)
+                    if doubled != pi2:
+                        smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
+                    elif inbox or max(map(abs, theta), default=0) <= bound:
+                        covered += 1
 
     # -- the theta walk: relations, transfer, SMF's theta half, pi-side
     points = 0
@@ -903,7 +897,8 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
             smf=smf is not None,
             pi_side=pi_side is not None,
         )
-        kernel = _theta_kernel(_theta_source(record.theta, bound, stack.rows, sums, leaf))
+        source = _theta_source(record.theta, bound, stack.rows, sums, leaf)
+        kernel = _theta_kernel(source, str(record.id))
         points, expected, odd = kernel(
             bound,
             tuple(memo for _, memo in sums),
@@ -1061,13 +1056,14 @@ def _theta_source(space, bound: int, rows, sums, leaf) -> str:
 
 
 @functools.cache
-def _theta_kernel(source: str):
+def _theta_kernel(source: str, case: str):
     """The function ``_c0`` that ``_theta_source``'s ``source`` defines,
-    compiled once per source.  Each function of the chain holds the next as
-    a default argument and the module's globals as its own, so the kernel
-    makes no reference cycle."""
+    compiled once per source and case under the file name ``<theta kernel
+    CASE>``, so that a profile lists each case's kernel on its own.  Each
+    function of the chain holds the next as a default argument and the
+    module's globals as its own, so the kernel makes no reference cycle."""
     functions: dict = {}
-    exec(source, globals(), functions)
+    exec(compile(source, "<theta kernel %s>" % case, "exec"), globals(), functions)
     return functions["_c0"]
 
 

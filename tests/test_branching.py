@@ -208,12 +208,13 @@ def _brute_chains(j, closed):
 
 
 def test_interlace_rules_match_brute_force():
-    # (ii) odd at m and (iv) at n = m - 1 are one rule; (ii) even closes the chain
+    # (ii) odd at m and (iv) at n = m - 1 are one rule; (ii) even closes the
+    # chain; a j that is not dominant has no chain by either route
     for m in range(1, 5):
         for j in itertools.product(range(5), repeat=m):
-            if list(j) != sorted(j, reverse=True):
-                continue
             chains = _brute_chains(j, closed=False)
+            if list(j) != sorted(j, reverse=True):
+                assert chains == _brute_chains(j, closed=True) == []
             assert catalog._branch_fibers(("interlace_ii_odd", m), j) == chains
             if m > 1:
                 assert catalog._branch_fibers(("interlace_iv", m - 1), j) == chains

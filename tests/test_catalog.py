@@ -317,7 +317,7 @@ def test_kernels_leave_no_cycle():
         # a theta kernel long enough to be a chain of two functions
         chain = ParamSpace(tuple("x%d" % i for i in range(17)), ("nat",) * 17)
         source = verify._theta_source(chain, 1, [], [], lambda value, totals, theta: [])
-        theta = verify._theta_kernel.__wrapped__(source)
+        theta = verify._theta_kernel.__wrapped__(source, "chain")
         assert "_c1" in source and theta(1, (), *[None] * 7) == (2 ** 17, 0, 0)
         del dimension, canonical, image, member, space, theta
         assert gc.collect() == 0

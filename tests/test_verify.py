@@ -662,6 +662,9 @@ def _tampered_records():
         dataclasses.replace(
             vii, nu_label_map=dataclasses.replace(vii.nu_label_map, matrix=mat(zeroed))
         ),
+        # fibers of three coordinates in a two-coordinate theta space: the nu
+        # label reads their prefix, and no fiber is a valid theta
+        dataclasses.replace(vii, branch_rule=("tail_le_charge",)),
     ]
 
 
@@ -683,6 +686,14 @@ def test_box_pass_matches_separate_loops():
     every = catalog.build_records(10)
     assert max(len(r.theta.names) for r in every) == 21 > verify._CHUNK
     cases = [(r, bound) for r in catalog.build_records(2) + tampered for bound in range(5)]
+    # a pi of the box with a valid fiber theta outside it (star's a reaches
+    # j + j'), so SMF's per-theta box test behind the fiber list's runs
+    assert any(
+        max(map(abs, theta)) > bound and r.theta.contains(theta)
+        for r, bound in cases
+        for pi in r.pi_space.enumerate(bound)
+        for theta in catalog._branch_fibers(r.branch_rule, pi)
+    )
     seen_failure = seen_error = 0
     for r, bound in cases + [(r, 1) for r in every]:
         box = verify._box_pass(r, bound)
@@ -739,7 +750,7 @@ def test_tampered_reports_are_pinned():
     # denominators, which the loops above read too; the digest sees them
     out = catalog.to_json([[str(r.id), verify.run_case(r, 4, 2)] for r in _tampered_records()])
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c11b50fd8a35ffe961c490946bd7fdcc667f66d4e218487a7f95b3787557c59d"
+        "e0da391d8bef49081b273572a3df7f783e1c60518615324406367a6b5e16e73f"
     )
 
 
@@ -826,6 +837,27 @@ def test_second_run_case_builds_no_kernel():
     assert all(a.hits > b.hits for a, b in zip(after[:3], before[:3]))
 
 
+def test_theta_kernel_is_filed_under_its_case(monkeypatch):
+    # a profile lists each case's kernel on its own: every function of the
+    # chain that iv[n=10]'s box pass runs is compiled under its case's name
+    kernels = []
+    build = verify._theta_kernel
+
+    def kept(source, case):
+        kernels.append(build(source, case))
+        return kernels[-1]
+
+    monkeypatch.setattr(verify, "_theta_kernel", kept)
+    r = next(r for r in catalog.build_records(10) if str(r.id) == "iv[n=10]")
+    verify._box_pass(r, 1)
+    (fn,) = kernels
+    files = []
+    while fn is not None:  # each function holds the next as its last default
+        files.append(fn.__code__.co_filename)
+        fn = fn.__defaults__[-1] if fn.__defaults__ else None
+    assert files == ["<theta kernel iv[n=10]>"] * 2
+
+
 def test_smf_count_fails_wherever_the_maps_fail():
     # the streamed check against the route with a map per theta: equal on
     # the catalog, and a failure wherever the reference fails
@@ -869,6 +901,20 @@ def test_smf_repeated_fiber_is_not_counted_twice(monkeypatch):
     monkeypatch.setattr(verify, "_branch_fibers", repeats)
     report = verify.check_strong_multiplicity_freeness(vii, 3)
     assert {name for name, *_ in report.failures} == {"disjoint", "exhausts"}
+
+
+def test_smf_counts_only_fiber_theta_in_the_box(monkeypatch):
+    # star's fibers leave the box (a reaches j + j'): were those counted, a
+    # rule that drops one theta of the box would still fill the count
+    star = next(r for r in catalog.build_records(2) if str(r.id) == "star")
+    real = verify._branch_fibers
+
+    def drops(rule, pi):
+        return [theta for theta in real(rule, pi) if theta != (1, 1, 0)]
+
+    monkeypatch.setattr(verify, "_branch_fibers", drops)
+    report = verify.check_strong_multiplicity_freeness(star, 2)
+    assert report.failures == [("exhausts", (1, 1, 0), True, False)]
 
 
 def test_box_check_error_stops_only_that_check(monkeypatch):
