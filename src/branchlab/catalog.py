@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -155,91 +154,53 @@ class ParamSpace:
 
     def enumerate(self, bound: int) -> list[tuple[int, ...]]:
         """All tuples with |coordinate| <= bound (nat: 0..bound), lex sorted."""
-        return [p for p, _ in self.walk(bound)]
+        return list(self.walk(bound))
 
     @functools.cached_property
     def leaf_rows(self) -> tuple:
         """The rows of ``_membership`` that a walk checks at each leaf: the
         congruences and the rows with no column.  Every other row is an
-        inequality, which ``walk_tables``' limits make exact."""
+        inequality, which ``limits`` make exact."""
         return tuple(row for row in self._membership if row[2] or not row[0])
 
-    def walk_tables(self, bound: int, rows=(), sums=()) -> tuple:
-        """(limits, final) of a walk of the box of ``bound`` over ``rows``
-        carrying ``sums`` (see ``walk``): the one statement of the box's
-        bounds, read by ``walk`` and by ``verify``'s compiled theta kernels.
-
-        limits[t] holds (a, ((s, c_s) for s < t), const) for each inequality
-        whose last non-zero coefficient a sits at coordinate t: once the
-        coordinates before t are placed, rest = const + sum(c_s·p_s) bounds
-        p_t below by ceil(-rest / a) when a > 0, above by floor(rest / -a)
-        otherwise, within 0 (nat) or -bound, and bound.  final[d] holds the
-        terms (row index, fn) of ``sums`` whose row is final once d
-        coordinates are placed: its last non-zero column is d - 1, or d = 0
-        for a row with no column.  A negative bound is a ValueError."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        n = len(self.names)
-        limits: list[list] = [[] for _ in range(n)]
+    @functools.cached_property
+    def limits(self) -> tuple:
+        """The one statement of the box's bounds, read by ``walk`` and by
+        ``verify``'s compiled theta kernels.  limits[t] holds (a, ((s, c_s)
+        for s < t), const) for each inequality whose last non-zero
+        coefficient a sits at coordinate t: once the coordinates before t are
+        placed, rest = const + sum(c_s·p_s) bounds p_t below by ceil(-rest /
+        a) when a > 0, above by floor(rest / -a) otherwise, within 0 (nat) or
+        -bound, and bound."""
+        limits: list[list] = [[] for _ in self.names]
         for c in self.constraints:
             if c.mod or not any(c.coeffs):
                 continue
             t = max(i for i, a in enumerate(c.coeffs) if a)
             prefix = tuple((s, a) for s, a in enumerate(c.coeffs[:t]) if a)
             limits[t].append((c.coeffs[t], prefix, c.const))
-        final: list[list] = [[] for _ in range(n + 1)]
-        for r, fn in sums:
-            final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, fn))
-        return limits, final
+        return tuple(map(tuple, limits))
 
-    def walk(self, bound: int, rows=(), sums=()):
-        """Yield (params, image) for each tuple of ``enumerate(bound)``, in order.
-
-        ``rows`` is a stacked doubled-integer matrix, [(((index, coefficient),
-        ...), offset)], and ``image`` is the tuple of its rows at params.  The
-        image is carried down the depth: placing x at coordinate t adds
-        x·(column t) to the image of the prefix, so a point costs one update
-        of the non-zero entries of one column.  Each image is a fresh tuple.
-
-        ``sums`` is a list of terms (row index, fn), each fn mapping the row's
-        value to a tuple of K ints; the image then ends with the K entries of
-        the sum of fn(row's value) over the terms.  The sums are carried down
-        the depth too: a term is added where its row's last non-zero column is
-        placed (at the root for a row with no column), so a point pays only
-        for the rows it makes final.
+    def walk(self, bound: int):
+        """Yield each tuple of ``enumerate(bound)``, in order; a negative
+        bound is a ValueError.
 
         Depth-first with bound propagation through the linear constraints
-        (``walk_tables``, which ``verify``'s compiled theta kernels read
-        too), so interlacing chains are enumerated without wasted work.  An
-        inequality is exact once its last non-zero coefficient is placed, so
-        a leaf checks only ``leaf_rows``.  The walk stays interpreted: its
-        callers (``enumerate``, the independence certificate, the parity
-        gap, the box pass's pi walk and its SMF search) would spend about as
-        long compiling a kernel as walking.
+        (``limits``), so interlacing chains are enumerated without wasted
+        work.  An inequality is exact once its last non-zero coefficient is
+        placed, so a leaf checks only ``leaf_rows``.  The walk stays
+        interpreted: its callers (``enumerate``, the independence
+        certificate, the parity gap, the box pass's pi walk and its SMF
+        search) would spend about as long compiling a kernel as walking.
         """
-        limits, final = self.walk_tables(bound, rows, sums)
+        if bound < 0:
+            raise ValueError("bound must be >= 0")
         n = len(self.names)
+        limits = self.limits
         at_leaf = _membership_kernel(self.leaf_rows, n)
-        # cols[t]: the non-zero entries (row, coefficient) of column t
-        cols: list[list] = [[] for _ in range(n)]
-        for r, (coeffs, _) in enumerate(rows):
-            for i, c in coeffs:
-                cols[i].append((r, c))
         lows = [0 if d == "nat" else -bound for d in self.domains]
-
         point = [0] * n
         tops = [0] * n
-        # images[t]: the image with the first t coordinates placed.  A level is
-        # changed in place only while its own coordinate steps, so a level
-        # whose column is zero can share the list of the level above.
-        images = [[off for _, off in rows]] + [[]] * n
-        # totals[t]: the sums of the terms final at depth <= t, None above the
-        # first term, and () throughout when there are no terms
-        add = operator.add
-        total = None if sums else ()
-        for r, fn in final[0]:
-            total = fn(rows[r][1]) if total is None else tuple(map(add, total, fn(rows[r][1])))
-        totals = [total] * (n + 1)
         t = 0
         while True:
             if t < n:
@@ -251,35 +212,21 @@ class ParamSpace:
                         lo = max(lo, -(rest // a))  # x >= ceil(-rest / a)
                     else:
                         hi = min(hi, rest // -a)  # x <= floor(rest / -a)
-            if t < n and lo <= hi:
-                point[t], tops[t] = lo, hi
-                if cols[t]:
-                    image = images[t + 1] = images[t].copy()
-                    if lo:
-                        for r, c in cols[t]:
-                            image[r] += lo * c
-                else:
-                    images[t + 1] = images[t]
+                if lo <= hi:
+                    point[t], tops[t] = lo, hi
+                    t += 1
+                    continue
             else:
-                if t == n:
-                    p = tuple(point)
-                    if at_leaf(p):
-                        yield p, tuple(images[n]) + totals[n]
-                # step to the next value of the deepest coordinate that has one
+                p = tuple(point)
+                if at_leaf(p):
+                    yield p
+            # step to the next value of the deepest coordinate that has one
+            t -= 1
+            while t >= 0 and point[t] == tops[t]:
                 t -= 1
-                while t >= 0 and point[t] == tops[t]:
-                    t -= 1
-                if t < 0:
-                    return
-                point[t] += 1
-                image = images[t + 1]
-                for r, c in cols[t]:
-                    image[r] += c
-            # coordinate t is placed: add the terms it makes final
-            total = totals[t]
-            for r, fn in final[t + 1]:
-                total = fn(image[r]) if total is None else tuple(map(add, total, fn(image[r])))
-            totals[t + 1] = total
+            if t < 0:
+                return
+            point[t] += 1
             t += 1
 
 
@@ -493,8 +440,8 @@ def _casimir(side, label, factor=None):
     return SymbolSpec("casimir", side=side, label=label, factor=factor)
 
 
-def _euler(side, names, terms, const=0):
-    return SymbolSpec("euler", side=side, form=_amap(names, [(terms, const)]))
+def _euler(side, names, terms):
+    return SymbolSpec("euler", side=side, form=_amap(names, [(terms, 0)]))
 
 
 def _rel(name, *terms) -> Relation:

@@ -136,8 +136,8 @@ def G2Group():
     return GroupDescriptor("G2", 2)
 
 
-def ProductGroup(*factors: GroupDescriptor, almost: bool = False, label: str = "") -> GroupDescriptor:
-    return GroupDescriptor("Product", 0, tuple(factors), almost, label)
+def ProductGroup(*factors: GroupDescriptor, almost: bool = False) -> GroupDescriptor:
+    return GroupDescriptor("Product", 0, tuple(factors), almost)
 
 
 def Named(label: str) -> GroupDescriptor:

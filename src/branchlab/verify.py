@@ -56,12 +56,15 @@ relations between the two hold by construction.  Every reader takes this
 one form: ``_int_eval`` evaluates it at a theta (for ``evaluate_generator``,
 the independence certificate and the parity gap); a relation merges its
 terms' forms (``_fold``), pi-side reads the P-side Casimirs' forms as they
-are, and the theta kernel carries these K totals as ``ParamSpace.walk``
-carries its sums, adding from a row's memo (``_RowSums``) where the row is
-final.  An xyz_poly, which only the
-star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated at
-``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints compiled
-once per space into one expression, and its walk's leaf check is another.
+are, and the theta kernel carries these K totals down its loop nest,
+adding from a row's memo (``_RowSums``) where the row is final.  That
+kernel is the one place that carries stacked rows and sums; every other
+walk of a box (``ParamSpace.walk``) yields bare points, and a caller that
+needs an image computes it with an ``_affine_kernel``.  An xyz_poly, which
+only the star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated
+at ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints
+compiled once per space into one expression, and its walk's leaf check is
+another.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def _map_rows(record: CaseRecord, key) -> list:
 
 def _compiled(record: CaseRecord, name: str):
     """(form, den) of ``_separable`` for the named symbol, compiled once per
-    record; the walk, ``_int_eval`` and every plan read this one object."""
+    record; the theta kernel, ``_int_eval`` and every plan read this one object."""
     forms = _symbol_cache(record)["forms"]
     if name not in forms:
         forms[name] = _separable(record, name)
@@ -432,10 +435,10 @@ def _fold(parts) -> dict:
 
 class _RowSums(dict):
     """Row value x -> per slot, that slot's polynomial in the row at x: the
-    tuple the walk adds for the row.  Computed on first use, so its size is
-    bounded by the values the row takes, not by the box.  ``polys`` holds
-    the polynomials, ((exponent, coefficient), ...) per slot, so a slot
-    whose polynomial is empty always gets 0."""
+    tuple the theta kernel adds for the row.  Computed on first use, so its
+    size is bounded by the values the row takes, not by the box.  ``polys``
+    holds the polynomials, ((exponent, coefficient), ...) per slot, so a
+    slot whose polynomial is empty always gets 0."""
 
     def __init__(self, polys):
         super().__init__()
@@ -447,12 +450,12 @@ class _RowSums(dict):
 
 
 def _walk_sums(slots, stack: _Stack) -> list:
-    """The sums that carry the totals of ``slots``, [(name, compiled form)],
-    down a theta walk as K = len(slots) entries after the image: one term
-    (row index, ``_RowSums``) per row the slots read, stacked on ``stack``.
-    The constant row is always there, so the K totals exist even when every
-    polynomial is zero; a walk step adds about one tuple per coordinate it
-    places."""
+    """The sum terms that carry the K = len(slots) totals of ``slots``,
+    [(name, compiled form)], down a theta kernel (``_theta_source``): one
+    term (row index, ``_RowSums``) per row the slots read, stacked on
+    ``stack``.  The constant row is always there, so the K totals exist
+    even when every polynomial is zero; a kernel step adds about one tuple
+    per coordinate it places."""
     if not slots:
         return []
     per_row: dict = {_CONSTANT: [{} for _ in slots]}
@@ -576,10 +579,9 @@ def independence_certificate(
             "box with %d points cannot certify degree %d over %d generators"
             % (count, degree, len(gens))
         )
-    thetas = (theta for theta, _ in record.theta.walk(bound))
     echelon = linalg.IntEchelon()
     witness: list[tuple[int, ...]] = []
-    for theta, row in _moment_rows(record, gens, degree, thetas):
+    for theta, row in _moment_rows(record, gens, degree, record.theta.walk(bound)):
         if echelon.add(row):
             witness.append(theta)
             if echelon.rank == ncols:
@@ -602,8 +604,7 @@ def function_in_span(
     combination of points on which every monomial vanishes and the value
     does not: the value is outside the span, and the walk stops."""
     echelon = linalg.IntEchelon()
-    thetas = (theta for theta, _ in record.theta.walk(bound))
-    for theta, row in _moment_rows(record, gens, degree, thetas):
+    for theta, row in _moment_rows(record, gens, degree, record.theta.walk(bound)):
         echelon.add([values_by_theta(theta)] + row)
         if 0 in echelon.rows:
             return False
@@ -633,7 +634,7 @@ def check_ix_parity_gap(record: CaseRecord, bound: int, degree: int = 4) -> bool
     ):
         return True
     need = 2 * degree + 2
-    run = _longest_run((theta for theta, _ in record.theta.walk(bound)), 1)
+    run = _longest_run(record.theta.walk(bound), 1)
     if run < need:
         raise InsufficientSampleError(
             "longest theta[1] run of the box has %d points; refuting degree %d needs %d"
@@ -816,18 +817,17 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
         if injective is not None:
             smf_fail.append(injective)
     if dim is not None or smf is not None:
-        pi_rows, pi_dimension, nu_rows, nu_dimension = dim or ((), None, (), None)
-        nu_image = _affine_kernel(nu_rows)
+        pi_label2, pi_dimension, nu_image, nu_dimension = dim or (None,) * 4
         pi_image = _affine_kernel(pi_theta_rows) if smf is not None else None
         contains = record.theta.contains_ints
-        for pi_params, pi_label2 in record.pi_space.walk(bound, pi_rows):
+        for pi_params in record.pi_space.walk(bound):
             # SMF reads every pi's fibers; dimension only those of a pi whose
             # own dimension it computes
             fibers = _branch_fibers(record.branch_rule, pi_params) if smf is not None else None
             if dim is not None:
                 dim_runs += 1
                 try:
-                    want = pi_dimension(pi_label2)
+                    want = pi_dimension(pi_label2(pi_params))
                     if fibers is None:
                         fibers = _branch_fibers(record.branch_rule, pi_params)
                     total = sum(map(nu_dimension, map(nu_image, fibers)))
@@ -915,7 +915,8 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     # -- SMF's count: search the theta box only when a covered theta is missing
     if smf is not None and covered < expected:
         last, fibers = None, ()
-        for theta, doubled in record.theta.walk(bound, pi_theta_rows):
+        for theta in record.theta.walk(bound):
+            doubled = pi_image(theta)
             if any([v & 1 for v in doubled]):
                 continue
             pi_params = tuple([v >> 1 for v in doubled])
@@ -948,16 +949,21 @@ def _tuple_source(items) -> str:
 
 def _theta_source(space, bound: int, rows, sums, leaf) -> str:
     """The source of a theta kernel, ``_c0(<_KERNEL_ARGS>)``, which runs
-    the lines ``leaf`` writes at each point of ``space.walk(bound, rows,
-    sums)``, in the walk's order, and returns (points, e, o), e and o being
-    what those lines count.  The bound is an argument, so the source holds
-    for every bound.
+    the lines ``leaf`` writes at each point of ``space.walk(bound)``, in
+    the walk's order, and returns (points, e, o), e and o being what those
+    lines count.  The bound is an argument, so the source holds for every
+    bound; a negative one is a ValueError, as for the walk.  This kernel is
+    the one place that carries a stacked image and sums down a walk.
 
-    One ``for`` per coordinate, over the bounds of ``space.walk_tables``,
-    with locals v0, v1, ... for the coordinates and fresh locals after them.
-    Each distinct row's value is carried down the depth, updated where each
-    of its columns is placed.  Each sum term (row index, ``_RowSums``), its
-    memo passed as memos[j], is added where its row is final, into the slots
+    One ``for`` per coordinate, over the bounds of ``space.limits``, with
+    locals v0, v1, ... for the coordinates and fresh locals after them.
+    Each distinct row of ``rows``, the stacked doubled-integer matrix
+    [(((index, coefficient), ...), offset)], has its value carried down the
+    depth, updated where each of its columns is placed.  Each sum term (row
+    index, ``_RowSums``), its memo passed as memos[j], is added where its
+    row is final, so a point pays only for the rows it makes final: at
+    depth d, final[d] holds the terms whose row's last non-zero column is
+    d - 1 (d = 0 for a row with no column).  A term adds into the slots
     whose polynomial is not empty only, so the K totals are final where
     their last term is.  After every ``_CHUNK`` coordinates the loop body
     calls the next function of the chain with each local still live, and
@@ -965,9 +971,14 @@ def _theta_source(space, bound: int, rows, sums, leaf) -> str:
     the leaf's lines from the sources of the value of the stacked row of
     each index, of the K totals ("0" for a total no term reaches) and of
     theta."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     memos = [memo for _, memo in sums]
-    limits, final = space.walk_tables(bound, rows, [(r, j) for j, (r, _) in enumerate(sums)])
     n = len(space.names)
+    limits = space.limits
+    final: list[list] = [[] for _ in range(n + 1)]
+    for j, (r, _) in enumerate(sums):
+        final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, j))
     fresh = itertools.count(n)
     # per distinct row: the index of the local holding its value, or None
     # and its offset while none of its columns is placed
@@ -1143,13 +1154,14 @@ def _smf_plan(record: CaseRecord, stack: _Stack):
 
 
 def _dimension_plan(record: CaseRecord):
-    """(doubled rows of the pi label map, the pi group's dimension kernel,
-    doubled rows of the nu label map as a tuple, the nu group's dimension
-    kernel) for dimension conservation."""
+    """(the ``_affine_kernel`` of the doubled rows of the pi label map, the
+    pi group's dimension kernel, the ``_affine_kernel`` of the doubled rows
+    of the nu label map, the nu group's dimension kernel) for dimension
+    conservation."""
     return (
-        _map_rows(record, "pi_label_map"),
+        _affine_kernel(tuple(_map_rows(record, "pi_label_map"))),
         weights._dimension_kernel(record.pi_group.weyl),
-        tuple(_map_rows(record, "nu")),
+        _affine_kernel(tuple(_map_rows(record, "nu"))),
         weights._dimension_kernel(record.nu_group.weyl),
     )
 

@@ -106,8 +106,10 @@ SYNTHETIC_CONSTRAINTS = [
 
 @pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
 def test_enumerate_matches_box_filter(constraints):
-    space = ParamSpace(("a", "b", "c"), ("int", "nat", "int"), constraints)
-    assert space.enumerate(3) == _box_filter(space, 3)
+    for domains in (("int", "nat", "int"), ("nat", "nat", "nat")):
+        space = ParamSpace(("a", "b", "c"), domains, constraints)
+        for bound in range(5):
+            assert space.enumerate(bound) == _box_filter(space, bound), (domains, bound)
 
 
 def _contains_by_constraints(space, params):
@@ -161,56 +163,12 @@ def test_compiled_contains_matches_constraints():
     assert not nat.contains((1, 2)) and not nat.contains(())
 
 
-def _stacked_rows(rng, n, m=6):
-    """m doubled-integer rows over n coordinates, one of them constant; the
-    last coordinate appears in no row, so its column is zero."""
-    rows = []
-    for r in range(m):
-        coeffs = tuple(
-            (i, c) for i in range(n - 1) for c in [rng.randint(-3, 3)] if c and r
-        )
-        rows.append((coeffs, rng.randint(-5, 5)))
-    return rows
-
-
-def _assert_walk_is_enumerate(space, bound, rows):
-    walked = list(space.walk(bound, rows))
-    assert [p for p, _ in walked] == space.enumerate(bound)
-    for p, image in walked:
-        assert image == tuple(oracles._apply2(rows, p)), (space, p)
-
-
-def test_walk_carries_the_stacked_image():
-    # every theta space with the rows of every map the box pass stacks for it,
-    # and every pi space with its label map, at bounds 0..4
-    for r in build_records(2):
-        stack = verify._Stack(r)
-        slots = verify._compile_relations(r) + verify._pi_side_plan(r, stack)[1]
-        verify._walk_sums(slots, stack)
-        for key in ("transfer", "nurho", "nu"):
-            stack.add(key)
-        pi_rows = verify._map_rows(r, "pi_label_map")
-        for bound in range(5):
-            _assert_walk_is_enumerate(r.theta, bound, stack.rows)
-            _assert_walk_is_enumerate(r.pi_space, bound, pi_rows)
-
-
-@pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
-@pytest.mark.parametrize("domains", [("int", "nat", "int"), ("nat", "nat", "nat")])
-def test_walk_matches_enumerate_on_synthetic_spaces(constraints, domains):
-    rng = random.Random(7)
-    space = ParamSpace(("a", "b", "c"), domains, constraints)
-    for bound in range(5):
-        assert space.enumerate(bound) == _box_filter(space, bound)
-        _assert_walk_is_enumerate(space, bound, _stacked_rows(rng, 3))
-        _assert_walk_is_enumerate(space, bound, [])
-
-
 @st.composite
 def _walk_with_sums(draw):
     """(space, bound, rows, sums): a small nat/int space with random
     inequalities and congruences, rows with zero columns and constant rows
-    among them, and sum terms whose fns are quadratics per entry."""
+    among them, and sum terms (row index, ``verify._RowSums``) whose K
+    polynomials are quadratics in the row's value, some of them empty."""
     n = draw(st.integers(0, 4))
     ints = st.integers(-2, 2)
     domains = tuple(draw(st.lists(st.sampled_from(["nat", "int"]), min_size=n, max_size=n)))
@@ -235,24 +193,34 @@ def _walk_with_sums(draw):
     if rows:
         for _ in range(draw(st.integers(0, 5))):
             cs = draw(st.lists(st.tuples(ints, ints, ints), min_size=width, max_size=width))
-            fn = lambda x, cs=tuple(cs): tuple(a + b * x + c * x * x for a, b, c in cs)
-            sums.append((draw(st.integers(0, len(rows) - 1)), fn))
+            polys = tuple(tuple((e, c) for e, c in enumerate(abc) if c) for abc in cs)
+            sums.append((draw(st.integers(0, len(rows) - 1)), verify._RowSums(polys)))
     return space, draw(st.integers(0, 3)), rows, sums
 
 
 @given(_walk_with_sums())
 @settings(max_examples=150, deadline=None)
 def test_walk_carries_sums_of_row_values(case):
-    # at every point the K entries after the rows are the sum of fn(value of
-    # row r) over the terms, and the points and rows are walk's without sums
+    # a theta kernel whose leaf records (theta, row values, totals): the
+    # points are enumerate's, in order, each row's value is the row at theta,
+    # and the K totals are the sums of the terms' memos at their rows' values
     space, bound, rows, sums = case
-    plain = list(space.walk(bound, rows))
-    walked = list(space.walk(bound, rows, sums))
-    assert [p for p, _ in walked] == [p for p, _ in plain]
-    for (p, image), (_, bare) in zip(walked, plain):
-        assert image[: len(rows)] == bare, p
-        direct = tuple(map(sum, zip(*[fn(bare[r]) for r, fn in sums])))
-        assert image[len(rows) :] == direct, (p, image)
+    src = verify._tuple_source
+
+    def leaf(value, totals, theta):
+        values = src([value(r) for r in range(len(rows))])
+        return ["rel_fail((%s, %s, %s))" % (theta, values, src(totals))]
+
+    source = verify._theta_source(space, bound, rows, sums, leaf)
+    kernel = verify._theta_kernel.__wrapped__(source, "random")
+    seen = []
+    memos = tuple(memo for _, memo in sums)
+    assert kernel(bound, memos, None, seen.append, *[None] * 5)[0] == len(seen)
+    assert [p for p, _, _ in seen] == space.enumerate(bound)
+    for p, values, totals in seen:
+        assert list(values) == oracles._apply2(rows, p), p
+        direct = [sum(terms) for terms in zip(*[memo[values[r]] for r, memo in sums])]
+        assert list(totals) == direct, (p, totals)
 
 
 def test_enumerate_leaves_no_cycle(records):

@@ -124,9 +124,10 @@ def test_transfer_examples(capsys):
         ["transfer", "--cases", "vi", "--tau", "abc", "--lam", "3"],
         ["transfer", "--cases", "vi", "--tau", "2", "--lam", "1/0"],
         ["verify", "--cases", "x", "--degree", "-1"],
+        ["verify", "--cases", "x", "--bound", "-1"],
         ["verify", "--cases", "x", "--bound", "3", "--out", "/nonexistent/dir/r.json"],
     ],
-    ids=["tau-outside-disc", "tau-not-a-number", "lam-zero-denominator", "negative-degree", "unwritable-out"],
+    ids=["tau-outside-disc", "tau-not-a-number", "lam-zero-denominator", "negative-degree", "negative-bound", "unwritable-out"],
 )
 def test_transfer_invalid_tau_exit_2(capsys, args):
     assert run_cli(args) == 2

@@ -1,4 +1,6 @@
-"""The package holds no code, public or private, that only the tests reach."""
+"""The package holds no code, public or private, that only the tests reach:
+no definition without a caller, and no optional parameter that no call
+passes."""
 
 import ast
 import collections
@@ -15,6 +17,12 @@ ALLOWED = {
     "check_dimension_conservation": "a one-check selection of verify's box pass",
     "check_strong_multiplicity_freeness": "a one-check selection of verify's box pass",
     "check_pi_side_consistency": "a one-check selection of verify's box pass",
+}
+
+# Optional parameters, (callable, parameter), that may stay although no call
+# in the package or the benchmark passes them.
+ALLOWED_OPTIONAL = {
+    ("check_ix_parity_gap", "degree"): "test_acceptance.py names the degree it certifies",
 }
 
 
@@ -86,3 +94,105 @@ def test_every_definition_has_a_caller():
         ):
             uncalled[qualname] = path.name
     assert set(uncalled) == set(ALLOWED), uncalled
+
+
+def _is_dataclass(node):
+    """Is the class decorated with ``dataclass``, bare or called?"""
+    for d in node.decorator_list:
+        func = d.func if isinstance(d, ast.Call) else d
+        if "dataclass" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            return True
+    return False
+
+
+def _signature_defaults(args, skip):
+    """(parameter, position) of each defaulted parameter of an ast
+    ``arguments``, position counted after the first ``skip`` positional
+    parameters; None for a keyword-only one."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[first:], first):
+        yield a.arg, i - skip
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield a.arg, None
+
+
+def _optional_parameters():
+    """(path, callable, parameter, position, field) of each defaulted
+    parameter of a package function or method (position counted after self
+    or cls), and of each class's constructor under the class's name: its
+    __init__, or its dataclass fields (field True)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the class of each method
+        owner = {
+            id(m): c.name
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef)
+            for m in c.body
+            if isinstance(m, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [
+                    f
+                    for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                ]
+                for i, f in enumerate(fields):
+                    if f.value is not None:
+                        yield path, node.name, f.target.id, i, True
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name == "__init__":
+                called = owner[id(node)]
+            elif _dunder(node.name):
+                continue
+            else:
+                called = node.name
+            for name, position in _signature_defaults(node.args, int(id(node) in owner)):
+                yield path, called, name, position, False
+
+
+def _calls():
+    """callable name -> [(positional arguments, keyword names, whether an
+    argument is unpacked)] over every call in the package and the benchmark,
+    a call matched by the name it calls, bare or as an attribute.  The
+    keywords of ``dataclasses.replace`` calls, which pass dataclass fields,
+    are filed under "dataclasses.replace" with no positional argument."""
+    calls = collections.defaultdict(list)
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            keywords = {k.arg for k in node.keywords}
+            if isinstance(func, ast.Attribute) and ast.unparse(func) == "dataclasses.replace":
+                calls["dataclasses.replace"].append((0, keywords, unpacked))
+            else:
+                calls[name].append((len(node.args), keywords, unpacked))
+    return calls
+
+
+def test_every_optional_parameter_is_passed():
+    """Each defaulted parameter of a package function, method or constructor
+    is passed, by keyword or by position, by some call in the package or the
+    benchmark; the allowlist names exactly the exceptions.  A default that
+    every caller takes is a constant, and one that only the tests change
+    belongs in the tests."""
+    calls = _calls()
+    unpassed = {}
+    for path, owner, name, position, field in _optional_parameters():
+        routes = calls[owner] + (calls["dataclasses.replace"] if field else [])
+        if not any(
+            unpacked or name in keywords or (position is not None and npos > position)
+            for npos, keywords, unpacked in routes
+        ):
+            unpassed[(owner, name)] = path.name
+    assert set(unpassed) == set(ALLOWED_OPTIONAL), unpassed

@@ -72,7 +72,8 @@ def _fresh_sums(record):
     """(names, dens, sums, points) for every symbol of record that
     ``verify._separable`` takes, one slot each: the record's compiled forms,
     carried by new memos that have seen no value yet, on a new stack, and
-    the walk's (theta, image) pairs at bound 3 on that stack."""
+    the (theta, image) pairs of the box of bound 3, image being the stacked
+    rows at theta."""
     stack = verify._Stack(record)
     names, dens, slots = [], [], []
     for name in sorted(record.symbols):
@@ -83,11 +84,12 @@ def _fresh_sums(record):
         dens.append(den)
         slots.append((name, form))
     sums = verify._walk_sums(slots, stack)
-    return names, dens, sums, list(record.theta.walk(3, stack.rows))
+    thetas = record.theta.enumerate(3)
+    return names, dens, sums, [(theta, oracles._apply2(stack.rows, theta)) for theta in thetas]
 
 
 def test_compiled_values_do_not_depend_on_image_order(records):
-    # the walk's sums keep memos across calls; fed in walk order, in reverse,
+    # the kernel's sums keep memos across calls; fed in walk order, in reverse,
     # or alternating between two records' memos, each image must still give
     # the reference values (ii_odd[n=1] has an empty b)
     assert len(records[("ii_odd", 1)].b_map.matrix) == 0
@@ -340,7 +342,7 @@ def test_ix_parity_gap_is_inconclusive_until_the_box_can_refute(capsys):
 
     ix = next(r for r in catalog.build_records(2) if r.id.tag == "ix")
     for bound in range(9):
-        runs = verify._longest_run((t for t, _ in ix.theta.walk(bound)), 1)
+        runs = verify._longest_run(ix.theta.walk(bound), 1)
         assert runs == 2 * bound + 1, bound
         entries = verify.run_case(ix, bound, 2)
         (entry,) = [e for e in entries if e["name"] == "dl-only-subalgebra-index-2"]
@@ -736,13 +738,15 @@ def test_chunked_kernel_visits_the_walk_in_order():
     stack = verify._Stack(synthetic)
     sums = verify._walk_sums(verify._compile_relations(synthetic), stack)
     for bound in (1, 2):
-        walked = list(space.walk(bound, stack.rows, [(r, m.__getitem__) for r, m in sums]))
-        assert [total for _, (*_, total) in walked] == [
-            2 * evaluate_generator(synthetic, "e", p) for p, _ in walked
-        ]
+        walked = []
+        for p in space.walk(bound):
+            image = oracles._apply2(stack.rows, p)
+            (total,) = map(sum, zip(*[memo[image[r]] for r, memo in sums]))
+            assert total == 2 * evaluate_generator(synthetic, "e", p), p
+            walked.append(("relation:tampered", p, 0, total))
         report = verify.check_relations(synthetic, bound)
         assert report.checks_run == len(walked) > 100
-        assert report.failures == [("relation:tampered", p, 0, image[-1]) for p, image in walked]
+        assert report.failures == walked
 
 
 def test_tampered_reports_are_pinned():
@@ -915,6 +919,39 @@ def test_smf_counts_only_fiber_theta_in_the_box(monkeypatch):
     monkeypatch.setattr(verify, "_branch_fibers", drops)
     report = verify.check_strong_multiplicity_freeness(star, 2)
     assert report.failures == [("exhausts", (1, 1, 0), True, False)]
+
+
+def test_smf_search_never_walks_the_catalogs_theta_box(monkeypatch, records):
+    # every covered theta is counted, so on the catalog covered reaches
+    # expected and the search for a missing theta never walks the theta box;
+    # a count that drops a theta (star's fibers leave the box) would run the
+    # search on every pass and report nothing
+    walked = []
+    real = catalog.ParamSpace.walk
+
+    def counting(space, bound):
+        walked.append(space)
+        return real(space, bound)
+
+    monkeypatch.setattr(catalog.ParamSpace, "walk", counting)
+    for r in records.values():
+        for bound in range(6 if r.id.tag == "iv" else 9):
+            walked.clear()
+            got = verify._box_pass(r, bound, ("strong-multiplicity-freeness",))
+            assert got["strong-multiplicity-freeness"].failures == [], (r.id, bound)
+            assert any(space is r.pi_space for space in walked), (r.id, bound)
+            assert not any(space is r.theta for space in walked), (r.id, bound)
+
+
+def test_negative_bound_is_a_value_error(records):
+    # alone and together, each box check gets the walk's error, not a report
+    for r in (rec(records, "vi"), rec(records, "star"), rec(records, "iv", 2)):
+        for names in [(name,) for name in verify.BOX_CHECKS] + [verify.BOX_CHECKS]:
+            got = verify._box_pass(r, -1, names)
+            assert list(got) == list(names)
+            for name, result in got.items():
+                assert type(result) is ValueError, (r.id, name, result)
+                assert str(result) == "bound must be >= 0"
 
 
 def test_box_check_error_stops_only_that_check(monkeypatch):
