@@ -106,10 +106,8 @@ SYNTHETIC_CONSTRAINTS = [
 
 @pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
 def test_enumerate_matches_box_filter(constraints):
-    for domains in (("int", "nat", "int"), ("nat", "nat", "nat")):
-        space = ParamSpace(("a", "b", "c"), domains, constraints)
-        for bound in range(5):
-            assert space.enumerate(bound) == _box_filter(space, bound), (domains, bound)
+    space = ParamSpace(("a", "b", "c"), ("int", "nat", "int"), constraints)
+    assert space.enumerate(3) == _box_filter(space, 3)
 
 
 def _contains_by_constraints(space, params):
@@ -161,6 +159,19 @@ def test_compiled_contains_matches_constraints():
         True, True, True, False,
     ]
     assert not nat.contains((1, 2)) and not nat.contains(())
+
+
+@pytest.mark.parametrize("constraints", SYNTHETIC_CONSTRAINTS)
+@pytest.mark.parametrize("domains", [("int", "nat", "int"), ("nat", "nat", "nat")])
+def test_walk_matches_enumerate_on_synthetic_spaces(constraints, domains):
+    # walk yields the box filter's points in lex order at every bound 0..4;
+    # a negative bound is a ValueError before anything is yielded
+    space = ParamSpace(("a", "b", "c"), domains, constraints)
+    for bound in range(5):
+        assert list(space.walk(bound)) == _box_filter(space, bound), bound
+        assert space.enumerate(bound) == _box_filter(space, bound), bound
+    with pytest.raises(ValueError):
+        next(space.walk(-1))
 
 
 @st.composite
