@@ -6,12 +6,14 @@ carries the offending parameter tuple and both sides' values.
 The bound-8 boxes of the rank-7 cases make the inner loops hot, so the checks
 compile symbols down to arithmetic on doubled integers.  Every affine map in
 the catalog is half-integral, and ``_rows2`` raises on one that is not, so
-there is no second route behind the compiled one.  Weyl-group arithmetic
-(canonical orbit forms, dimensions) is the ``weights`` module's, called on
-the same doubled integers, G2 included.  The work that is fixed per record
-and repeated per point is compiled once into straight-line Python: the
-doubled image of a row list (``_affine_kernel``), a type's Weyl dimension
-and canonical form (``weights._dimension_kernel``,
+there is no second route behind the compiled one.  The maps' rows are built
+from the entries' numerators and denominators, composites composed in
+integers and halved once, with no ``Fraction`` arithmetic (``_MAPS``).
+Weyl-group arithmetic (canonical orbit forms, dimensions) is the ``weights``
+module's, called on the same doubled integers, G2 included.  The work that
+is fixed per record and repeated per point is compiled once into
+straight-line Python: the doubled image of a row list (``_affine_kernel``),
+a type's Weyl dimension and canonical form (``weights._dimension_kernel``,
 ``weights._canonical_kernel``) and a space's membership
 (``ParamSpace.contains_ints``).  The compiled evaluation is
 cross-checked against the straightforward reference evaluation in the test
@@ -79,7 +81,7 @@ from typing import Sequence
 
 from . import dgx, hilbert, linalg, weights
 from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers, membership_source
-from .linalg import AffineMap, mat, vec
+from .linalg import AffineMap
 from .reps import IrrepLabel, casimir_eigenvalue
 
 
@@ -150,16 +152,35 @@ def evaluate_generator_reference(record: CaseRecord, name: str, theta: Sequence[
 # compiled evaluation on doubled integers
 
 
+def _scaled(amap: AffineMap):
+    """(s, rows): s·amap as sparse integer rows (((index, coefficient), ...),
+    offset), s the lcm of its entries' denominators, read from each entry's
+    numerator and denominator."""
+    s = math.lcm(*(x.denominator for row in amap.matrix + (amap.offset,) for x in row))
+
+    def num(x):
+        return x.numerator * (s // x.denominator)
+
+    return s, [
+        (tuple((i, num(x)) for i, x in enumerate(row) if x), num(off))
+        for row, off in zip(amap.matrix, amap.offset)
+    ]
+
+
+def _doubled(s, rows, message):
+    """The doubled rows 2/s·rows of a map given as s·map, in rows with no
+    zero coefficient; ValueError(message()) if the map is not half-integral."""
+    out = []
+    for coeffs, off in rows:
+        if (2 * off) % s or any((2 * x) % s for _, x in coeffs):
+            raise ValueError(message())
+        out.append((tuple((i, 2 * x // s) for i, x in coeffs), 2 * off // s))
+    return out
+
+
 def _rows2(amap: AffineMap):
     """[(sparse integer row, offset)] for 2·amap; ValueError if not half-integral."""
-    rows = []
-    for row, off in zip(amap.matrix, amap.offset):
-        if any((2 * x).denominator != 1 for x in row) or (2 * off).denominator != 1:
-            raise ValueError("affine map is not half-integral: %r" % (amap,))
-        rows.append(
-            (tuple((i, int(2 * x)) for i, x in enumerate(row) if x), int(2 * off))
-        )
-    return rows
+    return _doubled(*_scaled(amap), lambda: "affine map is not half-integral: %r" % (amap,))
 
 
 @functools.cache
@@ -174,47 +195,51 @@ def _affine_kernel(rows2: tuple):
     )
 
 
-def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
+def _composite_rows(record: CaseRecord, key: str, *parts):
+    """The doubled rows of the record's map ``key``, the sum of outer ∘ inner
+    over ``parts``, (outer, inner) AffineMaps: composed on ``_scaled`` rows
+    at the scale lcm(s_outer·s_inner) and halved once; ValueError, naming
+    the case and the key, if the sum is not half-integral."""
+    parts = [(_scaled(outer), _scaled(inner)) for outer, inner in parts]
+    scale = math.lcm(*(so * si for (so, _), (si, _) in parts))
     rows = []
-    for row in outer_matrix:
-        rows.append(
-            tuple(
-                sum(row[k] * inner.matrix[k][j] for k in range(len(row)))
-                for j in range(inner.source_dim)
-            )
-        )
-    offset = tuple(
-        o + sum(row[k] * inner.offset[k] for k in range(len(row)))
-        for row, o in zip(outer_matrix, outer_offset)
-    )
-    return AffineMap(mat(rows), vec(offset), source=inner.source_dim)
+    for i in range(len(parts[0][0][1])):
+        acc, total = {}, 0
+        for (so, outer), (si, inner) in parts:
+            m = scale // (so * si)
+            coeffs, off = outer[i]
+            total += m * si * off
+            for k, a in coeffs:
+                row, inner_off = inner[k]
+                total += m * a * inner_off
+                for j, b in row:
+                    acc[j] = acc.get(j, 0) + m * a * b
+        rows.append((tuple(sorted((j, x) for j, x in acc.items() if x)), total))
+    return _doubled(scale, rows, lambda: "case %s: map %s is not half-integral" % (record.id, key))
 
 
-def _nu_rho_map(record: CaseRecord) -> AffineMap:
-    """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
-    nu = record.nu_label_map
-    offset = vec(tuple(a + b for a, b in zip(nu.offset, record.nu_group.rho)))
-    return AffineMap(nu.matrix, offset, source=nu.source_dim)
-
-
-# The maps the checks read, by the key under which ``_map_rows`` keeps their
-# doubled rows: the composite theta ↦ highest-weight coordinates of pi, nu
-# and tau (a Casimir's label), the vectors a and b of the power sums, nu+rho,
-# the transfer image, pi(theta), and the pi label map of the pi parameters.
+# Builders of the doubled rows of the maps the checks read, in integers from
+# the record's stored maps, by the key ``_map_rows`` keeps them under: theta ↦
+# highest-weight coordinates of pi, nu and tau (a Casimir's label), a and b of
+# the power sums, nu+rho, the transfer image, pi(theta), the pi label map.
 _MAPS = {
-    "pi": lambda r: _compose_affine(
-        r.pi_label_map.matrix, r.pi_label_map.offset, r.pi_of_theta
+    "pi": lambda r: _composite_rows(r, "pi", (r.pi_label_map, r.pi_of_theta)),
+    "nu": lambda r: _rows2(r.nu_label_map),
+    "tau": lambda r: _composite_rows(r, "tau", (r.tau_label_map, r.tau_of_theta)),
+    "a": lambda r: _rows2(r.a_map),
+    "b": lambda r: _rows2(r.b_map),
+    "nurho": lambda r: [
+        (coeffs, off + rho)
+        for (coeffs, off), rho in zip(_map_rows(r, "nu"), weights._rho2(r.nu_group.weyl))
+    ],
+    "transfer": lambda r: _composite_rows(
+        r,
+        "transfer",
+        (AffineMap(r.transfer_matrix, r.transfer_offset), r.lam_rhoa_map),
+        (AffineMap(r.transfer_tau, (0,) * len(r.transfer_offset)), r.tau_of_theta),
     ),
-    "nu": lambda r: r.nu_label_map,
-    "tau": lambda r: _compose_affine(
-        r.tau_label_map.matrix, r.tau_label_map.offset, r.tau_of_theta
-    ),
-    "a": lambda r: r.a_map,
-    "b": lambda r: r.b_map,
-    "nurho": _nu_rho_map,
-    "transfer": lambda r: _transfer_image_map(r),
-    "pi_of_theta": lambda r: r.pi_of_theta,
-    "pi_label_map": lambda r: r.pi_label_map,
+    "pi_of_theta": lambda r: _rows2(r.pi_of_theta),
+    "pi_label_map": lambda r: _rows2(r.pi_label_map),
 }
 
 
@@ -230,15 +255,12 @@ def _symbol_cache(record: CaseRecord) -> dict:
 
 
 def _map_rows(record: CaseRecord, key) -> list:
-    """The doubled rows (``_rows2``) of the record's map ``_MAPS[key]``, or
-    of ``key`` itself when it is an AffineMap.  They are kept per record
-    under the key and under the map, so equal maps are converted once."""
+    """The doubled rows of the record's map ``_MAPS[key]``, or ``_rows2`` of
+    ``key`` itself when it is an AffineMap (an Euler form), kept per record
+    under the key."""
     rows = _symbol_cache(record)["rows"]
     if key not in rows:
-        amap = _MAPS[key](record) if isinstance(key, str) else key
-        if amap not in rows:
-            rows[amap] = _rows2(amap)
-        rows[key] = rows[amap]
+        rows[key] = _MAPS[key](record) if isinstance(key, str) else _rows2(key)
     return rows[key]
 
 
@@ -495,22 +517,6 @@ def _compile_relations(record: CaseRecord):
 
 # ---------------------------------------------------------------------------
 # transfer suite
-
-
-def _transfer_image_map(record: CaseRecord) -> AffineMap:
-    """theta ↦ S_{tau(theta)}(lambda(theta) + rho_a), as one affine map."""
-    a = _compose_affine(record.transfer_matrix, record.transfer_offset, record.lam_rhoa_map)
-    b = _compose_affine(
-        record.transfer_tau,
-        vec([0] * len(record.transfer_offset)),
-        record.tau_of_theta,
-    )
-    rows = mat(
-        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.matrix, b.matrix))
-    )
-    return AffineMap(
-        rows, vec(tuple(x + y for x, y in zip(a.offset, b.offset))), source=a.source_dim
-    )
 
 
 def check_transfer(record: CaseRecord, bound: int) -> CaseReport:

@@ -6,9 +6,10 @@ test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
 ``dgx.Poly`` on a dict of Fraction coefficients), the generic per-point
 loops that the package's compiled kernels replaced (``_apply2``,
 ``_satisfies``, ``_canonical2`` with ``dominant_representative``,
-``_dominant``, ``dimension2``), and the box checks'
-separate per-check loops, which test_verify compares the one box pass
-against.  It also holds two
+``_dominant``, ``dimension2``), the composite maps in Fractions
+(``fraction_maps``) that verify now composes in integers, and the box
+checks' separate per-check loops, which test_verify compares the one box
+pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
 canonical map at one theta) and ``branch`` (the branching of one pi), and
 ``highest_weight``, which reads an irrep label's weight back.
@@ -26,9 +27,9 @@ from typing import Iterable, Optional
 
 from branchlab import linalg, verify, weights
 from branchlab.catalog import CaseRecord, _branch_fibers
-from branchlab.linalg import Matrix, Vector, dot, vec
+from branchlab.linalg import AffineMap, Matrix, Vector, dot, mat, vec
 from branchlab.reps import casimir_eigenvalue
-from branchlab.verify import CaseReport, _rows2, _transfer_image_map
+from branchlab.verify import CaseReport, _rows2
 from branchlab.weights import _dominant_D, _dominant_G2, _rho2
 
 
@@ -582,6 +583,73 @@ def independence_certificate(record, gens, bound: int, degree: int):
 
 
 # ---------------------------------------------------------------------------
+# The composite maps in Fractions, as verify built them before it composed
+# their doubled rows in integers: ``fraction_maps`` gives each map that
+# ``verify._MAPS`` keys, and the box-check loops below read the transfer
+# image and nu+rho from here, apart from verify's integer route.
+
+
+def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
+    rows = []
+    for row in outer_matrix:
+        rows.append(
+            tuple(
+                sum(row[k] * inner.matrix[k][j] for k in range(len(row)))
+                for j in range(inner.source_dim)
+            )
+        )
+    offset = tuple(
+        o + sum(row[k] * inner.offset[k] for k in range(len(row)))
+        for row, o in zip(outer_matrix, outer_offset)
+    )
+    return AffineMap(mat(rows), vec(offset), source=inner.source_dim)
+
+
+def _nu_rho_map(record: CaseRecord) -> AffineMap:
+    """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
+    nu = record.nu_label_map
+    offset = vec(tuple(a + b for a, b in zip(nu.offset, record.nu_group.rho)))
+    return AffineMap(nu.matrix, offset, source=nu.source_dim)
+
+
+def _transfer_image_map(record: CaseRecord) -> AffineMap:
+    """theta ↦ S_{tau(theta)}(lambda(theta) + rho_a), as one affine map."""
+    a = _compose_affine(record.transfer_matrix, record.transfer_offset, record.lam_rhoa_map)
+    b = _compose_affine(
+        record.transfer_tau,
+        vec([0] * len(record.transfer_offset)),
+        record.tau_of_theta,
+    )
+    rows = mat(
+        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.matrix, b.matrix))
+    )
+    return AffineMap(
+        rows, vec(tuple(x + y for x, y in zip(a.offset, b.offset))), source=a.source_dim
+    )
+
+
+def fraction_maps(record: CaseRecord) -> dict:
+    """{key of ``verify._MAPS``: the record's map in Fractions}, without a
+    and b where the record has none."""
+    maps = {
+        "pi": _compose_affine(
+            record.pi_label_map.matrix, record.pi_label_map.offset, record.pi_of_theta
+        ),
+        "nu": record.nu_label_map,
+        "tau": _compose_affine(
+            record.tau_label_map.matrix, record.tau_label_map.offset, record.tau_of_theta
+        ),
+        "a": record.a_map,
+        "b": record.b_map,
+        "nurho": _nu_rho_map(record),
+        "transfer": _transfer_image_map(record),
+        "pi_of_theta": record.pi_of_theta,
+        "pi_label_map": record.pi_label_map,
+    }
+    return {key: amap for key, amap in maps.items() if amap is not None}
+
+
+# ---------------------------------------------------------------------------
 # The five box checks as separate loops, one walk of the box each, as they
 # stood before verify fused them into one pass; the tests require the same
 # (checks_run, failures) from both.  The loop bodies are unchanged but for
@@ -599,7 +667,7 @@ def _int_eval(record, name):
 
 
 def _nu_rho_rows(record):
-    return _rows2(verify._nu_rho_map(record))
+    return _rows2(_nu_rho_map(record))
 
 
 def check_relations(record: CaseRecord, bound: int) -> CaseReport:

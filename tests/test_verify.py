@@ -525,6 +525,18 @@ def test_frozen_casimir_table_ii_odd(records):
     assert evaluate_generator(r, "C_K", theta) == 2 * hp1
 
 
+def _source_dim(r, key):
+    """The dimension of the space the map reads: pi_label_map reads the pi
+    parameters, every other map and each Euler form theta."""
+    return len((r.pi_space if key == "pi_label_map" else r.theta).names)
+
+
+def _map_keys(r):
+    # a and b exist where power sums read them
+    keys = [k for k in verify._MAPS if k not in ("a", "b") or getattr(r, k + "_map")]
+    return keys + [s.form for s in r.symbols.values() if s.kind == "euler"]
+
+
 def test_every_map_is_half_integral():
     # the compiled route is the only route: every symbol compiles and every
     # map the checks read has a doubled-integer form, with no fallback behind
@@ -532,20 +544,122 @@ def test_every_map_is_half_integral():
         for name in r.symbols:
             fn, den = verify._int_eval(r, name)
             assert isinstance(den, int), (r.id, name)
-        for key, make in verify._MAPS.items():
-            # a and b exist where power sums read them; b is empty in ii_odd[n=1]
-            if make(r) is not None:
-                assert verify._map_rows(r, key) or key == "b", (r.id, key)
+        for key in _map_keys(r):
+            rows = verify._map_rows(r, key)
+            # b is empty in ii_odd[n=1]
+            assert rows or key == "b", (r.id, key)
+            n = _source_dim(r, key)
+            assert all(i < n for coeffs, _ in rows for i, _ in coeffs), (r.id, key)
 
 
 def test_rows2_rejects_non_half_integral():
     from branchlab.linalg import AffineMap, mat, vec
 
-    with pytest.raises(ValueError):
-        verify._rows2(AffineMap(mat([[Fraction(1, 3)]]), vec([0]), source=1))
+    for amap in (
+        AffineMap(mat([[Fraction(1, 3)]]), vec([0]), source=1),
+        AffineMap(mat([[Fraction(1, 4)]]), vec([0]), source=1),
+        AffineMap(mat([[1]]), vec([Fraction(1, 4)]), source=1),
+    ):
+        with pytest.raises(ValueError, match="affine map is not half-integral"):
+            verify._rows2(amap)
     assert verify._rows2(AffineMap(mat([[Fraction(1, 2)]]), vec([Fraction(3, 2)]), source=1)) == [
         (((0, 1),), 3)
     ]
+    assert verify._rows2(AffineMap(mat([[0, -2]]), vec([-1]), source=2)) == [(((1, -4),), -2)]
+
+
+def test_doubled_rows_match_fraction_composition():
+    # the integer route against the Fraction composition it replaced, on
+    # every map key and every Euler form of all 80 records
+    seen = 0
+    for r in catalog.build_records(10):
+        maps = oracles.fraction_maps(r)
+        maps.update((s.form, s.form) for s in r.symbols.values() if s.kind == "euler")
+        assert set(maps) == set(_map_keys(r)), r.id
+        for key, amap in maps.items():
+            assert verify._map_rows(r, key) == verify._rows2(amap), (r.id, key)
+            seen += 1
+    assert seen > 600
+
+
+def test_map_rows_do_no_fraction_arithmetic(monkeypatch):
+    # the rows are read from each entry's numerator and denominator: with
+    # Fraction's arithmetic made to raise, every key of fresh records builds
+    records = catalog.build_records(3)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the map build")
+
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    built = 0
+    for r in records:
+        for key in _map_keys(r):
+            verify._map_rows(r, key)
+            built += 1
+    assert built > 200
+
+
+def test_transfer_accepts_quarter_integral_parts(records):
+    # the two parts of the transfer image, (transfer_matrix, transfer_offset)
+    # ∘ lam_rhoa_map and transfer_tau ∘ tau_of_theta, are composed and added
+    # before the one halving: a quarter added to the first column of each
+    # makes both parts quarter-integral, and their sum stays half-integral
+    import dataclasses
+
+    r = rec(records, "v", 2)
+    quarter = Fraction(1, 4)
+
+    def bumped(matrix):
+        rows = [list(row) for row in matrix]
+        rows[0][0] += quarter
+        return tuple(map(tuple, rows))
+
+    r = dataclasses.replace(
+        r, transfer_matrix=bumped(r.transfer_matrix), transfer_tau=bumped(r.transfer_tau)
+    )
+    lam = oracles._compose_affine(r.transfer_matrix, r.transfer_offset, r.lam_rhoa_map)
+    tau = oracles._compose_affine(r.transfer_tau, (0,) * len(r.transfer_offset), r.tau_of_theta)
+    for part in (lam, tau):
+        assert any(x.denominator == 4 for x in part.matrix[0] + part.offset[:1]), part
+    rows = verify._map_rows(r, "transfer")
+    assert rows == verify._rows2(oracles._transfer_image_map(r))
+    assert rows != verify._map_rows(rec(records, "v", 2), "transfer")
+
+
+def test_quarter_integral_composite_is_an_error_entry(records):
+    # a quarter in pi_label_map makes the composite theta ↦ pi label
+    # quarter-integral: each check that reads it reports a ValueError that
+    # names the case and the map, the checks that read the pi label map
+    # itself report _rows2's error, and the rest still run clean
+    import dataclasses
+
+    from branchlab.linalg import AffineMap
+
+    r = rec(records, "vi")
+    rows = [list(row) for row in r.pi_label_map.matrix]
+    rows[0][0] += Fraction(1, 4)
+    bad = dataclasses.replace(
+        r, pi_label_map=AffineMap(tuple(map(tuple, rows)), r.pi_label_map.offset)
+    )
+    entries = {e["name"]: e for e in verify.run_case(bad, 3, 2)}
+    composite = "error: ValueError: case vi: map pi is not half-integral"
+    for name in ("relations", "independence", "pi-side-consistency"):
+        assert entries[name]["first_failure"] == composite, entries[name]
+    dimension = entries["dimension-conservation"]["first_failure"]
+    assert dimension.startswith("error: ValueError: affine map is not half-integral: AffineMap(")
+    assert not any("Traceback" in e.get("first_failure", "") for e in entries.values())
+    clean = {name for name, e in entries.items() if not e["failed"]}
+    assert clean == {
+        "transfer",
+        "rank-identity",
+        "degree-counts",
+        "strong-multiplicity-freeness",
+        "generator-degrees",
+    }
+    assert all(entries[name]["run"] > 1 for name in ("transfer", "strong-multiplicity-freeness"))
 
 
 def test_run_case_small_box_is_inconclusive(records):
@@ -761,22 +875,38 @@ def test_tampered_reports_are_pinned():
 def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
     # over two run_case calls per record and evaluate_generator on every
     # symbol, each (record, symbol) goes through _separable at most once and
-    # each (record, map) through _rows2 at most once: the box pass, the
-    # independence certificate and the point evaluator share one compile
+    # each (record, map) is converted at most once: a key of _MAPS by its
+    # builder, an Euler form by _rows2 outside any builder.  The box pass,
+    # the independence certificate and the point evaluator share one compile
     compiles, conversions = collections.Counter(), collections.Counter()
     separable, rows2 = verify._separable, verify._rows2
     current = None
+    building = []
 
     def counted_separable(record, name):
         compiles[record.id, name] += 1
         return separable(record, name)
 
     def counted_rows2(amap):
-        conversions[current, amap] += 1
+        if not building:
+            conversions[current, amap] += 1
         return rows2(amap)
+
+    def counted_builder(key, build):
+        def counted(record):
+            conversions[current, key] += 1
+            building.append(key)
+            try:
+                return build(record)
+            finally:
+                building.pop()
+
+        return counted
 
     monkeypatch.setattr(verify, "_separable", counted_separable)
     monkeypatch.setattr(verify, "_rows2", counted_rows2)
+    for key, build in list(verify._MAPS.items()):
+        monkeypatch.setitem(verify._MAPS, key, counted_builder(key, build))
     for r in catalog.build_records(3):
         current = r.id
         for _ in range(2):
@@ -785,7 +915,9 @@ def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
         for name in r.symbols:
             evaluate_generator(r, name, theta)
     assert len(compiles) > 100 and max(compiles.values()) == 1, compiles.most_common(3)
-    assert len(conversions) > 100 and max(conversions.values()) == 1
+    assert len(conversions) > 100 and max(conversions.values()) == 1, conversions.most_common(3)
+    # every composite went through its builder
+    assert all((r, "transfer") in conversions for r, _ in compiles)
 
 
 def test_affine_kernel_matches_apply2_on_every_stacked_map():
@@ -795,12 +927,10 @@ def test_affine_kernel_matches_apply2_on_every_stacked_map():
     rng = random.Random(31)
     seen = 0
     for r in catalog.build_records(3):
-        keys = [k for k in verify._MAPS if k not in ("a", "b") or getattr(r, k + "_map")]
-        keys += [s.form for s in r.symbols.values() if s.kind == "euler"]
-        for key in keys:
+        for key in _map_keys(r):
             rows = verify._map_rows(r, key)
             kernel = verify._affine_kernel(tuple(rows))
-            n = (verify._MAPS[key](r) if isinstance(key, str) else key).source_dim
+            n = _source_dim(r, key)
             for _ in range(12):
                 p = tuple(rng.randint(-9, 9) for _ in range(n))
                 assert kernel(p) == kernel(list(p)) == oracles._apply2(rows, p), (r.id, key, p)
