@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import os
 import sys
@@ -186,48 +185,55 @@ class ParamSpace:
         bound is a ValueError.
 
         Depth-first with bound propagation through the linear constraints
-        (``limits``), so interlacing chains are enumerated without wasted
-        work.  An inequality is exact once its last non-zero coefficient is
-        placed, so a leaf checks only ``leaf_rows``.  The walk stays
-        interpreted: its callers (``enumerate``, the independence
-        certificate, the parity gap, the box pass's pi walk and its SMF
-        search) would spend about as long compiling a kernel as walking.
+        (``limits``, ``_limit_walk``), so interlacing chains are enumerated
+        without wasted work.  The walk stays interpreted: its callers
+        (``enumerate``, the independence certificate, the parity gap and the
+        box pass's SMF search) would spend about as long compiling a kernel
+        as walking.
         """
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        n = len(self.names)
-        limits = self.limits
-        at_leaf = _membership_kernel(self.leaf_rows, n)
         lows = [0 if d == "nat" else -bound for d in self.domains]
-        point = [0] * n
-        tops = [0] * n
-        t = 0
-        while True:
-            if t < n:
-                # open coordinate t at its lowest value, or backtrack if empty
-                lo, hi = lows[t], bound
-                for a, prefix, const in limits[t]:
-                    rest = const + sum(c * point[s] for s, c in prefix)
-                    if a > 0:
-                        lo = max(lo, -(rest // a))  # x >= ceil(-rest / a)
-                    else:
-                        hi = min(hi, rest // -a)  # x <= floor(rest / -a)
-                if lo <= hi:
-                    point[t], tops[t] = lo, hi
-                    t += 1
-                    continue
-            else:
-                p = tuple(point)
-                if at_leaf(p):
-                    yield p
-            # step to the next value of the deepest coordinate that has one
+        return _limit_walk(lows, [bound] * len(lows), self.limits, self.leaf_rows)
+
+
+def _limit_walk(lows, highs, limits, leaf_rows):
+    """Yield, in lex order, each integer point p with lows[t] <= p_t <=
+    highs[t] (either may be infinite), within the ``ParamSpace.limits``
+    ``limits`` and satisfying ``leaf_rows``.  An inequality is exact once
+    its last non-zero coefficient is placed, so a leaf checks only the rows
+    of ``leaf_rows``."""
+    n = len(lows)
+    at_leaf = _membership_kernel(leaf_rows, n)
+    point = [0] * n
+    tops = [0] * n
+    t = 0
+    while True:
+        if t < n:
+            # open coordinate t at its lowest value, or backtrack if empty
+            lo, hi = lows[t], highs[t]
+            for a, prefix, const in limits[t]:
+                rest = const + sum(c * point[s] for s, c in prefix)
+                if a > 0:
+                    lo = max(lo, -(rest // a))  # x >= ceil(-rest / a)
+                else:
+                    hi = min(hi, rest // -a)  # x <= floor(rest / -a)
+            if lo <= hi:
+                point[t], tops[t] = lo, hi
+                t += 1
+                continue
+        else:
+            p = tuple(point)
+            if at_leaf(p):
+                yield p
+        # step to the next value of the deepest coordinate that has one
+        t -= 1
+        while t >= 0 and point[t] == tops[t]:
             t -= 1
-            while t >= 0 and point[t] == tops[t]:
-                t -= 1
-            if t < 0:
-                return
-            point[t] += 1
-            t += 1
+        if t < 0:
+            return
+        point[t] += 1
+        t += 1
 
 
 @dataclass(frozen=True)
@@ -349,65 +355,6 @@ class CaseRecord:
             )
         )
         return AffineMap(self.transfer_matrix, offset)
-
-
-# ---------------------------------------------------------------------------
-# branch-rule enumerators (closed forms from the lemmas)
-
-
-def _branch_fibers(rule: tuple, pi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    name = rule[0]
-    if name == "charge_split":  # (i), (i)': H^j -> {(k, j-k)}
-        (j,) = pi
-        return [(k, j - k) for k in range(j + 1)]
-    if name == "quaternion_split":  # (iii): H^{j,j} -> {(k, 2j-k) : j<=k<=2j}
-        (j,) = pi
-        return [(k, 2 * j - k) for k in range(j, 2 * j + 1)]
-    if name == "sphere_sp1":  # (v): H^j -> {(k, j-k) : j/2 <= k <= j}
-        (j,) = pi
-        return [(k, j - k) for k in range((j + 1) // 2, j + 1)]
-    if name == "sphere_sp1_u1":  # (v)'
-        (j,) = pi
-        out = []
-        for k in range((j + 1) // 2, j + 1):
-            m = 2 * k - j
-            out.extend((k, j - k, b) for b in range(-m, m + 1, 2))
-        return out
-    if name == "parity_tail":  # (vi): k = j, j-2, ..., >= 0
-        (j,) = pi
-        return [(j, k) for k in range(j % 2, j + 1, 2)]
-    if name == "tail_le":  # (vii): 0 <= k <= j
-        (j,) = pi
-        return [(j, k) for k in range(j + 1)]
-    if name == "tail_le_charge":  # (viii)
-        (j,) = pi
-        return [(j, k, a) for k in range(j + 1) for a in range(-k, k + 1)]
-    if name == "charge_pm":  # (ix): |k| <= j
-        (j,) = pi
-        return [(j, k) for k in range(-j, j + 1)]
-    if name == "identity":  # (x), (xi)
-        return [pi]
-    if name == "triangle":  # (*): |j-j'| <= a <= j+j', parity
-        j, jp = pi
-        return [(j, jp, a) for a in range(abs(j - jp), j + jp + 1, 2)]
-    if name in ("interlace_ii_odd", "interlace_iv"):  # (ii) odd, (iv): (j1,k1,...,jm)
-        return _interlace(pi, closed=False)
-    if name == "interlace_ii_even":  # (ii) even: chain (j1,k1,...,jm,km)
-        return _interlace(pi, closed=True)
-    raise ValueError("unknown branch rule %r" % (rule,))
-
-
-def _interlace(j: tuple[int, ...], closed: bool) -> list[tuple[int, ...]]:
-    """The chains (j1,k1,j2,...,jm) with j_(i+1) <= k_i <= j_i; a closed chain
-    ends in one more k_m, with 0 <= k_m <= j_m.  The j_i are singleton
-    factors of one product, which yields each chain whole."""
-    factors = []
-    for hi, lo in zip(j, j[1:]):
-        factors += [(hi,), range(lo, hi + 1)]
-    factors.append((j[-1],))
-    if closed:
-        factors.append(range(0, j[-1] + 1))
-    return list(itertools.product(*factors))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,11 @@ class GroupDescriptor:
             return "G2(-14)"
         return "%s(%d)" % (self.kind, self.n)
 
-    @property
+    @functools.cached_property
     def weyl(self) -> WeylType:
+        """The Weyl type, built once per descriptor, as are
+        ``factor_slices`` and ``casimir_plan``: a label's validation and
+        Casimir read them per label."""
         k = self.kind
         if k in ("U", "SU"):
             return weights.A(self.n - 1) if self.n >= 2 else weights.Trivial(1)
@@ -72,15 +75,26 @@ class GroupDescriptor:
     def rho(self) -> Vector:
         return weights.rho(self.weyl)
 
-    def factor_slices(self) -> list[tuple["GroupDescriptor", slice]]:
+    @functools.cached_property
+    def factor_slices(self) -> tuple[tuple["GroupDescriptor", slice], ...]:
+        """(factor, its slice of the coordinates) per factor; the group
+        itself when it is not a product."""
         if self.kind != "Product":
-            return [(self, slice(0, self.rank))]
+            return ((self, slice(0, self.rank)),)
         out = []
         pos = 0
         for f in self.factors:
             out.append((f, slice(pos, pos + f.rank)))
             pos += f.rank
-        return out
+        return tuple(out)
+
+    @functools.cached_property
+    def casimir_plan(self) -> tuple:
+        """Per factor: (its kind, its rank, its slice, 4·rho)."""
+        return tuple(
+            (f.kind, f.rank, sl, tuple(2 * r for r in weights._rho2(f.weyl)))
+            for f, sl in self.factor_slices
+        )
 
     def _validate2(self, w2: tuple[int, ...]) -> None:
         """Raise ValueError unless the doubled weight w2 is a highest weight."""
@@ -89,7 +103,7 @@ class GroupDescriptor:
                 "%s expects %d coordinates, got %d" % (self.name, self.rank, len(w2))
             )
         if self.kind == "Product":
-            for f, sl in self.factor_slices():
+            for f, sl in self.factor_slices:
                 f._validate2(w2[sl])
             if self.almost and sum(w2) % 4:
                 raise ValueError(
@@ -167,15 +181,6 @@ class IrrepLabel:
         object.__setattr__(self, "doubled", doubled)
 
 
-@functools.cache
-def _casimir_plan(group: GroupDescriptor) -> tuple:
-    """Per factor of group: (its kind, its rank, its slice, 4·rho)."""
-    return tuple(
-        (f.kind, f.rank, sl, tuple(2 * r for r in weights._rho2(f.weyl)))
-        for f, sl in group.factor_slices()
-    )
-
-
 def _casimir2(kind: str, n: int, w2: Sequence[int], rho4: Sequence[int]) -> Fraction:
     """<lam, lam + 2 rho> of a simple group from lam2 = 2·lam: it is
     <lam2, lam2 + 4·rho> / 4, less the SU trace term; G2 pairs through twice
@@ -203,6 +208,6 @@ def casimir_eigenvalue(r: IrrepLabel):
     """
     values = tuple(
         _casimir2(kind, n, r.doubled[sl], rho4)
-        for kind, n, sl, rho4 in _casimir_plan(r.group)
+        for kind, n, sl, rho4 in r.group.casimir_plan
     )
     return values if r.group.kind == "Product" else values[0]

@@ -5,8 +5,9 @@ carries the offending parameter tuple and both sides' values.
 
 The bound-8 boxes of the rank-7 cases make the inner loops hot, so the checks
 compile symbols down to arithmetic on doubled integers.  Every affine map in
-the catalog is half-integral, and ``_rows2`` raises on one that is not, so
-there is no second route behind the compiled one.  The maps' rows are built
+the catalog is half-integral, and ``_stored_rows`` raises, naming the case
+and the map, on one that is not, so there is no second route behind the
+compiled one.  The maps' rows are built
 from the entries' numerators and denominators, composites composed in
 integers and halved once, with no ``Fraction`` arithmetic (``_MAPS``).
 Weyl-group arithmetic (canonical orbit forms, dimensions) is the ``weights``
@@ -26,15 +27,18 @@ composite map theta ↦ pi label, with a second route: per distinct pi(theta),
 ``casimir_eigenvalue`` of the ``IrrepLabel`` they give, in integers too.
 
 The five checks that walk a box run in one pass per case, ``_box_pass``:
-one walk of the pi box for dimension conservation and the fiber half of
-strong multiplicity-freeness, then one walk of the theta box for relations,
-transfer, the theta half of strong multiplicity-freeness and pi-side
-consistency.  Every map the theta walk reads is stacked into one
-doubled-integer matrix (``_Stack``).  The theta walk is a kernel compiled
-per case (``_theta_source``, ``_theta_kernel``): one ``for`` per
-coordinate, the stacked rows and the carried sums in locals, and the four
-checks inline at the leaf; past 16 coordinates the loop nest is a chain of
-functions, since CPython compiles at most 20 nested blocks.  ``run_case``
+one walk of the pi box and of each pi's fiber for dimension conservation
+and the fiber half of strong multiplicity-freeness, then one walk of the
+theta box for relations, transfer, the theta half of strong
+multiplicity-freeness and pi-side consistency.  Each walk is a kernel
+compiled per case by the one loop-nest writer, ``nest.source``: the pi
+kernel (``_pi_source``) runs the pi box's loops and then the loops of the
+free coordinates of the rule's ``fibers.FiberPolytope``, with nu's Weyl
+product carried down the nest; the theta kernel (``_theta_source``) carries
+the rows of one stacked doubled-integer matrix of every map the theta walk
+reads (``_Stack``) and the sums, with the four checks inline at the leaf.
+Past 16 coordinates a loop nest is a chain of functions, since CPython
+compiles at most 20 nested blocks.  ``run_case``
 calls the pass once, and each ``check_*`` of the five runs it for its one
 check.  The box is streamed: strong multiplicity-freeness compares two
 counts instead of keeping a map per theta, pi-side keeps integer targets
@@ -59,10 +63,10 @@ one form: ``_int_eval`` evaluates it at a theta (for ``evaluate_generator``,
 the independence certificate and the parity gap); a relation merges its
 terms' forms (``_fold``), pi-side reads the P-side Casimirs' forms as they
 are, and the theta kernel carries these K totals down its loop nest,
-adding from a row's memo (``_RowSums``) where the row is final.  That
-kernel is the one place that carries stacked rows and sums; every other
-walk of a box (``ParamSpace.walk``) yields bare points, and a caller that
-needs an image computes it with an ``_affine_kernel``.  An xyz_poly, which
+adding from a row's memo (``_RowSums``) where the row is final.  The
+kernels are the one place that carries rows, sums and products down a
+walk; every other walk of a box (``ParamSpace.walk``) yields bare points,
+and a caller that needs an image computes it with an ``_affine_kernel``.  An xyz_poly, which
 only the star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated
 at ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints
 compiled once per space into one expression, and its walk's leaf check is
@@ -75,12 +79,14 @@ import functools
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import dgx, hilbert, linalg, weights
-from .catalog import CaseId, CaseRecord, SymbolSpec, _branch_fibers, membership_source
+from . import dgx, hilbert, linalg, nest, weights
+from .catalog import CaseId, CaseRecord, SymbolSpec, membership_source
+from .fibers import _branch_fibers, fiber_polytope
 from .linalg import AffineMap
 from .reps import IrrepLabel, casimir_eigenvalue
 
@@ -178,9 +184,19 @@ def _doubled(s, rows, message):
     return out
 
 
-def _rows2(amap: AffineMap):
-    """[(sparse integer row, offset)] for 2·amap; ValueError if not half-integral."""
-    return _doubled(*_scaled(amap), lambda: "affine map is not half-integral: %r" % (amap,))
+def _stored_rows(record: CaseRecord, key, amap: AffineMap):
+    """[(sparse integer row, offset)] for 2·amap, the record's stored map
+    ``key`` (an Euler form is its own key); ValueError, naming the case and
+    the map, if it is not half-integral."""
+
+    def message():
+        name = key
+        if not isinstance(key, str):
+            euler = sorted(n for n, s in record.symbols.items() if s.kind == "euler" and s.form == key)
+            name = "Euler form of %s" % ", ".join(euler)
+        return "case %s: map %s is not half-integral" % (record.id, name)
+
+    return _doubled(*_scaled(amap), message)
 
 
 @functools.cache
@@ -221,13 +237,15 @@ def _composite_rows(record: CaseRecord, key: str, *parts):
 # Builders of the doubled rows of the maps the checks read, in integers from
 # the record's stored maps, by the key ``_map_rows`` keeps them under: theta ↦
 # highest-weight coordinates of pi, nu and tau (a Casimir's label), a and b of
-# the power sums, nu+rho, the transfer image, pi(theta), the pi label map.
+# the power sums, nu+rho, the transfer image, pi(theta), the pi label map.  A
+# stored map goes through ``_stored_rows``, a composite through
+# ``_composite_rows``.
 _MAPS = {
     "pi": lambda r: _composite_rows(r, "pi", (r.pi_label_map, r.pi_of_theta)),
-    "nu": lambda r: _rows2(r.nu_label_map),
+    "nu": lambda r: _stored_rows(r, "nu", r.nu_label_map),
     "tau": lambda r: _composite_rows(r, "tau", (r.tau_label_map, r.tau_of_theta)),
-    "a": lambda r: _rows2(r.a_map),
-    "b": lambda r: _rows2(r.b_map),
+    "a": lambda r: _stored_rows(r, "a", r.a_map),
+    "b": lambda r: _stored_rows(r, "b", r.b_map),
     "nurho": lambda r: [
         (coeffs, off + rho)
         for (coeffs, off), rho in zip(_map_rows(r, "nu"), weights._rho2(r.nu_group.weyl))
@@ -238,8 +256,8 @@ _MAPS = {
         (AffineMap(r.transfer_matrix, r.transfer_offset), r.lam_rhoa_map),
         (AffineMap(r.transfer_tau, (0,) * len(r.transfer_offset)), r.tau_of_theta),
     ),
-    "pi_of_theta": lambda r: _rows2(r.pi_of_theta),
-    "pi_label_map": lambda r: _rows2(r.pi_label_map),
+    "pi_of_theta": lambda r: _stored_rows(r, "pi_of_theta", r.pi_of_theta),
+    "pi_label_map": lambda r: _stored_rows(r, "pi_label_map", r.pi_label_map),
 }
 
 
@@ -255,12 +273,12 @@ def _symbol_cache(record: CaseRecord) -> dict:
 
 
 def _map_rows(record: CaseRecord, key) -> list:
-    """The doubled rows of the record's map ``_MAPS[key]``, or ``_rows2`` of
-    ``key`` itself when it is an AffineMap (an Euler form), kept per record
-    under the key."""
+    """The doubled rows of the record's map ``_MAPS[key]``, or of ``key``
+    itself when it is an AffineMap (an Euler form), kept per record under
+    the key."""
     rows = _symbol_cache(record)["rows"]
     if key not in rows:
-        rows[key] = _MAPS[key](record) if isinstance(key, str) else _rows2(key)
+        rows[key] = _MAPS[key](record) if isinstance(key, str) else _stored_rows(record, key, key)
     return rows[key]
 
 
@@ -312,7 +330,7 @@ def _int_casimir_blocks(group):
     Each w·a is one row combined from the label's rows, so each term is a
     power of one row."""
     blocks = []
-    for f, sl in group.factor_slices():
+    for f, sl in group.factor_slices:
         rho4 = [2 * r for r in weights._rho2(f.weyl)]
         axes = [tuple(int(i == j) for j in range(f.rank)) for i in range(f.rank)]
         if f.weyl.family == "G2":
@@ -595,6 +613,42 @@ def independence_certificate(
     return False, witness
 
 
+def check_independence(record: CaseRecord, bound: int, degree: int) -> bool:
+    """The independence certificate of the record's ``indep_gens`` on the
+    box.  When the box's moment matrix comes out rank-deficient, the
+    Jacobian of the generators' compiled forms at one integer point, drawn
+    from 3..10**6 with the case id as seed, tells a box too small from a
+    dependence: of full rank, the generators are algebraically independent
+    (the Jacobian criterion), so no relation can hold and the result is an
+    InsufficientSampleError that names the point; otherwise, or when a
+    generator has no compiled form, the False stands."""
+    if independence_certificate(record, record.indep_gens, bound, degree)[0]:
+        return True
+    rng = random.Random(str(record.id))
+    point = tuple(rng.randint(3, 10**6) for _ in record.theta.names)
+    try:
+        forms = [_compiled(record, name)[0] for name in record.indep_gens]
+    except ValueError:
+        return False
+    if linalg.rank([_gradient(form, point) for form in forms]) < len(forms):
+        return False
+    raise InsufficientSampleError(
+        "box too small: the moment matrix is rank-deficient, but the Jacobian of %s "
+        "at theta = %s has full rank" % (", ".join(record.indep_gens), point)
+    )
+
+
+def _gradient(form, point) -> list:
+    """The gradient of a compiled form's numerator at the point."""
+    grad = [0] * len(point)
+    for (coeffs, off), poly in form.items():
+        x = off + sum(c * point[i] for i, c in coeffs)
+        slope = sum(e * c * x ** (e - 1) for e, c in poly.items() if e)
+        for i, c in coeffs:
+            grad[i] += c * slope
+    return grad
+
+
 def function_in_span(
     record: CaseRecord,
     gens: Sequence[str],
@@ -726,22 +780,26 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
 
     One rule isolates errors.  The pass (``_one_pass``) lets whatever a
     setup or a per-point body raises propagate; only dimension conservation
-    turns a ValueError or AssertionError of a dimension or a branching into
-    its ``computable`` failure entries.  If the pass raises, each named
+    turns a ValueError or AssertionError of a dimension into its
+    ``computable`` failure entries.  If the pass raises, each named
     check runs alone: a check that raises alone gets its own exception, and
     if none does, every named check gets the pass's exception, so an error
     never becomes a clean report.
 
     Dimension conservation and the fiber half of strong multiplicity-freeness
-    (SMF) share one walk of the pi box, and each takes a pi's fiber list
-    whole, so a fiber theta runs no interpreted code beyond SMF's tests:
-    dimension sums the nu group's ``weights._dimension_kernel`` over the
-    ``_affine_kernel`` of the nu label rows in one ``map``, SMF tests each
-    theta with the theta space's ``contains_ints`` and its own
-    ``_affine_kernel`` of the pi_of_theta rows, and one box test of the
-    whole list spares the test per theta when every fiber lies in the box.
-    The walk branches a pi only when a check reads its
-    fibers.  Relations, transfer, the theta half of SMF and
+    (SMF) share one walk of the pi box and of each pi's fiber, the pi kernel
+    written for the case and the checks named (``_pi_source``,
+    ``_pi_walk``).  Its loops run over the pi box, then over the lattice
+    points of the rule's fiber polytope (``fibers.fiber_polytope``), so the
+    leaf runs once per fiber theta and a fiber is never listed.  Per theta
+    it multiplies in only the Weyl-product pairings of nu(theta) that its
+    innermost coordinate makes final (six of iv[n=3]'s 21), the others being
+    carried from the loops outside, and it tests dominance, integrality and
+    positivity of the nu dimension; SMF's per-theta tests are folds carried
+    the same way, and its set per pi catches a repeated theta.  A theta
+    that fails a dimension test takes the slow path, which rebuilds the
+    exception through ``weights._dimension_kernel``, so a ``computable``
+    entry reads as before.  Relations, transfer, the theta half of SMF and
     pi-side consistency then share one walk of the theta box, a kernel
     written for the case and the checks named (``_theta_source``), so every
     subset of the four, the error rule's one-check re-runs included, takes
@@ -753,7 +811,7 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     streamed.  The pass reads the record's compiled forms and doubled
     rows, which are compiled once per record (``_symbol_cache``), and
     kernels compiled once per Weyl type, row tuple or source; none grows
-    with the box.  What the pass itself keeps: one pi's fiber set,
+    with the box.  What the pass itself keeps: one pi's set of fiber theta,
     pi-side's integer targets per distinct pi(theta) (``None`` where none
     exists; the expected value is recomputed only for a failure entry),
     and the ``_RowSums`` memos, made fresh per pass, one per row the sums
@@ -812,7 +870,7 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
         if "transfer" in names
         else None
     )
-    dim = _dimension_plan(record) if "dimension-conservation" in names else None
+    dim = "dimension-conservation" in names
     smf = _smf_plan(record, stack) if "strong-multiplicity-freeness" in names else None
     pi_side = _pi_side_plan(record, stack) if "pi-side-consistency" in names else None
 
@@ -822,46 +880,10 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
         pi_theta_rows, injective = smf
         if injective is not None:
             smf_fail.append(injective)
-    if dim is not None or smf is not None:
-        pi_label2, pi_dimension, nu_image, nu_dimension = dim or (None,) * 4
-        pi_image = _affine_kernel(pi_theta_rows) if smf is not None else None
-        contains = record.theta.contains_ints
-        for pi_params in record.pi_space.walk(bound):
-            # SMF reads every pi's fibers; dimension only those of a pi whose
-            # own dimension it computes
-            fibers = _branch_fibers(record.branch_rule, pi_params) if smf is not None else None
-            if dim is not None:
-                dim_runs += 1
-                try:
-                    want = pi_dimension(pi_label2(pi_params))
-                    if fibers is None:
-                        fibers = _branch_fibers(record.branch_rule, pi_params)
-                    total = sum(map(nu_dimension, map(nu_image, fibers)))
-                except (ValueError, AssertionError) as exc:
-                    dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
-                else:
-                    if want != total:
-                        dim_fail.append(("dimension", pi_params, want, total))
-            if smf is None:
-                continue
-            pi2 = [2 * p for p in pi_params]
-            # one box test for the whole fiber list; a fiber theta can lie
-            # outside the box of its pi (star's a reaches j + j')
-            inbox = max(map(abs, itertools.chain.from_iterable(fibers)), default=0) <= bound
-            mine: set = set()
-            smf_runs += 2 * len(fibers)
-            for theta in fibers:
-                if not contains(theta):
-                    smf_fail.append(("branch-valid", theta, True, False))
-                elif theta in mine:
-                    smf_fail.append(("disjoint", theta, None, pi_params))
-                else:
-                    mine.add(theta)
-                    doubled = pi_image(theta)
-                    if doubled != pi2:
-                        smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
-                    elif inbox or max(map(abs, theta), default=0) <= bound:
-                        covered += 1
+    if dim or smf is not None:
+        dim_runs, dims, smf_runs, fibers, covered = _pi_walk(record, bound, dim, smf is not None)
+        dim_fail += dims
+        smf_fail += fibers
 
     # -- the theta walk: relations, transfer, SMF's theta half, pi-side
     points = 0
@@ -904,7 +926,7 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
             pi_side=pi_side is not None,
         )
         source = _theta_source(record.theta, bound, stack.rows, sums, leaf)
-        kernel = _theta_kernel(source, str(record.id))
+        kernel = nest.kernel(source, "theta kernel %s" % record.id)
         points, expected, odd = kernel(
             bound,
             tuple(memo for _, memo in sums),
@@ -920,6 +942,7 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
 
     # -- SMF's count: search the theta box only when a covered theta is missing
     if smf is not None and covered < expected:
+        pi_image = _affine_kernel(pi_theta_rows)
         last, fibers = None, ()
         for theta in record.theta.walk(bound):
             doubled = pi_image(theta)
@@ -939,18 +962,10 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     return {name: CaseReport(record.id, bound, runs[name], failures[name]) for name in names}
 
 
-# Coordinates per generated function of a theta kernel: CPython compiles at
-# most 20 statically nested blocks, so a deeper loop nest is split into a
-# chain of functions, each called from the innermost loop of the one before.
-_CHUNK = 16
 # The parameters every function of a theta kernel starts with.
 _KERNEL_ARGS = (
     "bound, memos, canonical, rel_fail, transfer_fail, smf_fail, pi_fail, get_targets, new_targets"
 )
-
-
-def _tuple_source(items) -> str:
-    return "(%s,)" % ", ".join(items) if items else "()"
 
 
 def _theta_source(space, bound: int, rows, sums, leaf) -> str:
@@ -958,130 +973,240 @@ def _theta_source(space, bound: int, rows, sums, leaf) -> str:
     the lines ``leaf`` writes at each point of ``space.walk(bound)``, in
     the walk's order, and returns (points, e, o), e and o being what those
     lines count.  The bound is an argument, so the source holds for every
-    bound; a negative one is a ValueError, as for the walk.  This kernel is
-    the one place that carries a stacked image and sums down a walk.
+    bound; a negative one is a ValueError, as for the walk.
 
-    One ``for`` per coordinate, over the bounds of ``space.limits``, with
-    locals v0, v1, ... for the coordinates and fresh locals after them.
-    Each distinct row of ``rows``, the stacked doubled-integer matrix
-    [(((index, coefficient), ...), offset)], has its value carried down the
-    depth, updated where each of its columns is placed.  Each sum term (row
-    index, ``_RowSums``), its memo passed as memos[j], is added where its
-    row is final, so a point pays only for the rows it makes final: at
-    depth d, final[d] holds the terms whose row's last non-zero column is
-    d - 1 (d = 0 for a row with no column).  A term adds into the slots
-    whose polynomial is not empty only, so the K totals are final where
-    their last term is.  After every ``_CHUNK`` coordinates the loop body
-    calls the next function of the chain with each local still live, and
-    adds up the counts it returns.  ``leaf(value, totals, theta)`` writes
-    the leaf's lines from the sources of the value of the stacked row of
-    each index, of the K totals ("0" for a total no term reaches) and of
-    theta."""
+    One ``for`` per coordinate of ``space`` (``nest.source``), within the
+    box and ``space.limits``, and the leaf rows tested at the leaf.  The
+    stacked rows and the sum terms are ``nest.source``'s ``rows`` and
+    ``sums``.  ``leaf(value, totals, theta)`` writes the leaf's lines from
+    the sources of the value of the stacked row of each index, of the K
+    totals ("0" for a total no term reaches) and of theta."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    memos = [memo for _, memo in sums]
     n = len(space.names)
-    limits = space.limits
-    final: list[list] = [[] for _ in range(n + 1)]
-    for j, (r, _) in enumerate(sums):
-        final[max((i + 1 for i, c in rows[r][0] if c), default=0)].append((r, j))
-    fresh = itertools.count(n)
-    # per distinct row: the index of the local holding its value, or None
-    # and its offset while none of its columns is placed
-    current = {row: (None, row[1]) for row in rows}
-    cols: list[list] = [[] for _ in range(n)]
-    for row in current:
-        for i, c in row[0]:
-            cols[i].append((row, c))
-    totals: list = [None] * (len(memos[0].polys) if memos else 0)
+    coords = [
+        ("0" if domain == "nat" else "-bound", "bound", limits)
+        for domain, limits in zip(space.domains, space.limits)
+    ]
+    conds = [[] for _ in range(n)] + [membership_source(space.leaf_rows, "v%d")]
+    theta = nest.tuple_source(["v%d" % t for t in range(n)])
 
-    def value(row) -> str:
-        at, off = current[row]
-        return "%d" % off if at is None else "v%d" % at
+    def at(d, value, totals, folds):
+        # the leaf's box test reads b2, twice the bound
+        before = ["b2 = 2 * bound"] if d == 0 else []
+        if d == n:
+            before += ["n += 1"] + leaf(value, totals, theta)
+        return before, [], ["b2"] if d == 0 else []
 
-    def place(d, pad) -> list:
-        # the lines once d coordinates are placed: the rows with a column at
-        # d - 1, then the sum terms final at d
-        out = []
-        for row, c in cols[d - 1] if d else ():
-            at, off = current[row]
-            if at is None and off == 0 and c == 1:
-                current[row] = (d - 1, 0)  # the coordinate itself
-                continue
-            terms = ((d - 1, c),) if at is None else ((at, 1), (d - 1, c))
-            current[row] = (next(fresh), 0)
-            out.append("v%d = %s" % (current[row][0], linalg.int_affine_source("v%d", terms, off)))
-        for r, j in final[d]:
-            got = "m%d[%s]" % (j, value(rows[r]))
-            slots = [k for k, poly in enumerate(memos[j].polys) if poly]
-            if len(slots) > 1:
-                q = "v%d" % next(fresh)
-                out.append("%s = %s" % (q, got))
-                got = q
-            for k in slots:
-                new = "v%d" % next(fresh)
-                out.append("%s = %s%s[%d]" % (new, totals[k] + " + " if totals[k] else "", got, k))
-                totals[k] = new
-        return [pad + line for line in out]
+    return nest.source(coords, conds, _KERNEL_ARGS, ("n", "e", "o"), rows, sums, (), at)
 
-    def head(k) -> tuple:
-        # the first lines of the function for the coordinates from k, and
-        # the locals it takes from the function before
-        live = sorted(set(range(k)) | {at for at, _ in current.values() if at is not None})
-        live = ["v%d" % i for i in live] + [t for t in totals if t]
-        params = ", ".join([_KERNEL_ARGS] + live)
-        if k + _CHUNK < n:
-            params += ", _next=_c%d" % (k // _CHUNK + 1)
-        lines = ["def _c%d(%s):" % (k // _CHUNK, params), "    n = e = o = 0", "    b2 = 2 * bound"]
-        if memos:
-            lines.append("    %s, = memos" % ", ".join("m%d" % j for j in range(len(memos))))
-        return lines, live
 
-    functions = []
-    out, _ = head(0)
-    pad = "    "
-    out += place(0, pad)
-    for t in range(n):
-        if t and t % _CHUNK == 0:
-            lines, live = head(t)
-            out.append(pad + "_n, _e, _o = _next(%s)" % ", ".join([_KERNEL_ARGS] + live))
-            out += [pad + "n += _n", pad + "e += _e", pad + "o += _o", "    return n, e, o"]
-            functions.append(out)
-            out, pad = lines, "    "
-        lo = ["0" if space.domains[t] == "nat" else "-bound"]
-        hi = ["bound"]
-        for a, prefix, const in limits[t]:
-            rest = linalg.int_affine_source("v%d", prefix, const)
-            if a > 0:
-                lo.append("-" + rest if a == 1 else "-(%s // %d)" % (rest, a))
+# The parameters of a pi kernel.
+_PI_ARGS = "bound, pi_want, nu_slow, fiber_fail, dim_fail"
+
+
+def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
+    """The source of the pi kernel of the record, ``_c0(<_PI_ARGS>)``,
+    which returns (pi, fiber theta, covered): the pi box's loops, within the
+    box and ``pi_space.limits``, then the loops of the free coordinates of
+    ``fibers``, the record's ``FiberPolytope``, within its limits only, so
+    the leaf runs once per fiber theta, in the order of ``walk``.
+
+    Per pi of the box, for dimension conservation (``dim``): the dimension
+    of pi from ``pi_want`` (None when it is not computable) and the sum of
+    the nu dimensions of its fiber, compared after the fiber's loops.  The
+    nu dimension of a theta is the Weyl dimension formula on nu(theta),
+    written out: nu's doubled rows composed with the theta rows are rows in
+    the loop coordinates, and so is each positive root's pairing with
+    nu(theta) + rho.  Each factor's product of pairings is a fold, so a
+    pairing is multiplied in where it is final, and dominance is a fold of
+    the simple roots' pairings; the leaf tests dominance, the divisibility
+    of each factor's product and the positivity of the dimension, as
+    ``weights._dimension_kernel`` does.  A theta that fails a test, or a
+    fiber whose theta rows cannot feed nu's rows, takes ``nu_slow``, which
+    rebuilds the exact exception through that kernel.
+
+    Per fiber theta, for SMF (``smf``), in this order: theta lies in the
+    theta space (``branch-valid``), a fold of its rows composed with the
+    theta rows; theta is not in the pi's set of theta so far
+    (``disjoint``); pi(theta), pi_of_theta's doubled rows composed with the
+    theta rows, is pi (``recovers-pi``); and theta in the box adds one to
+    covered."""
+    npi = len(record.pi_space.names)
+    space = fibers.space
+    n = len(space.names)
+    theta_rows = fibers.theta
+
+    coords = [
+        ("0" if domain == "nat" else "-bound", "bound", limits)
+        for domain, limits in zip(record.pi_space.domains, record.pi_space.limits)
+    ] + [(None, None, limits) for limits in space.limits[npi:]]
+    conds: list[list] = [[] for _ in range(n + 1)]
+    conds[npi] += membership_source(record.pi_space.leaf_rows, "v%d")
+    for row in space.leaf_rows:
+        conds[nest.depth(row)] += membership_source([row], "v%d")
+    rows = list(theta_rows)
+    folds: list = []
+
+    def fold(op, terms) -> int:
+        folds.append((op, terms))
+        return len(folds) - 1
+
+    if dim:
+        # nu(theta)'s Weyl dimension, as weights._dimension_kernel writes it
+        # on the doubled label: per factor the product of the positive
+        # roots' pairings with nu + rho and its value at nu = 0, and the
+        # simple roots' pairings for dominance.  The kernel cannot use it
+        # when the nu rows do not fit the type or read a coordinate theta
+        # lacks; the slow path then reports what the weights kernel raises.
+        nu_rows = _map_rows(record, "nu")
+        weyl = record.nu_group.weyl
+        blocks, pos = [], 0
+        for f in weyl.factors or (weyl,):
+            if f.family != "Trivial":
+                blocks.append((pos, f, weights._rho2(f), weights._root_rows(f.family, f.ncoords)))
+            pos += f.ncoords
+        width = len(theta_rows)
+        fast = len(nu_rows) == weyl.ncoords and all(i < width for c, _ in nu_rows for i, _ in c)
+        dims, dominance = [], []
+        for pos, f, rho2, roots in blocks if fast else ():
+            nu = nest.compose(nu_rows[pos : pos + f.ncoords], theta_rows)
+            consts = [sum(x * rho2[i] for i, x in root) for root in roots]
+            den = 1
+            pairings = []
+            for row, const in zip(nest.compose(list(zip(roots, consts)), nu), consts):
+                # the pairing and its value at nu = 0 divided by a common
+                # factor, which leaves their quotient as it is
+                row, g = nest.reduced(row, const)
+                den *= const // g
+                pairings.append((row, "%s"))
+            dims.append((fold("*", pairings), den))
+            simple = weights._dominance_rows(f.family, f.ncoords)
+            dominance += nest.compose([(row, 0) for row in simple], nu)
+        dominant = fold("and", [(nest.reduced(row)[0], "%s >= 0") for row in dominance])
+    if smf:
+        if len(theta_rows) == len(record.theta.names):
+            member = record.theta._membership
+            composed = nest.compose([(c, off) for c, off, _ in member], theta_rows)
+            valid = fold(
+                "and",
+                [
+                    (row, "%%s %%%% %d == 0" % mod) if mod else (nest.reduced(row)[0], "%s >= 0")
+                    for row, (_, _, mod) in zip(composed, member)
+                ],
+            )
+            doubled = nest.compose(_map_rows(record, "pi_of_theta"), theta_rows)
+            recovers = None
+            if len(doubled) == npi:  # pi(theta) - 2·pi, row by row
+                diffs = []
+                for i, (coeffs, off) in enumerate(doubled):
+                    acc = dict(coeffs)
+                    acc[i] = acc.get(i, 0) - 2
+                    diffs.append((tuple(sorted((j, x) for j, x in acc.items() if x)), off))
+                recovers = fold("and", [(nest.reduced(row)[0], "%s == 0") for row in diffs])
+            inbox = fold("and", [(row, "-bound <= %s <= bound") for row in theta_rows])
+        else:  # a theta of the wrong length is never in the theta space
+            valid = None
+
+    pi = nest.tuple_source(["v%d" % t for t in range(npi)])
+
+    def at(d, value, totals, folded):
+        before, after, names = [], [], []
+        if d == npi:
+            before.append("_p = %s" % pi)
+            names.append("_p")
+            if dim:
+                before += ["r += 1", "_w = pi_want(_p)", "_t = 0"]
+                after += ["if _w is not None and _w != _t:", "    dim_fail(('dimension', _p, _w, _t))"]
+                names += ["_w", "_t"]
+            if smf:
+                before.append("_m = set()")
+                names.append("_m")
+        if d < n:
+            return before, after, names
+        theta_src = nest.tuple_source([value(r) for r in range(len(theta_rows))])
+        if dim:
+            slow = ["(_d := nu_slow(_p, %s)) is None:" % theta_src, "    _w = None", "else:", "    _t += _d"]
+            if fast:
+                # weights._dimension_kernel's tests, in its order
+                tests = [folded[dominant]]
+                tests += ["%s %% %d == 0" % (folded[p], den) for p, den in dims if den != 1]
+                quotient = " * ".join(
+                    folded[p] if den == 1 else "(%s // %d)" % (folded[p], den) for p, den in dims
+                )
+                tests.append("(_d := %s) > 0" % (quotient or "1"))
+                slow = ["if %s:" % " and ".join(tests), "    _t += _d", "elif " + slow[0]] + slow[1:]
             else:
-                hi.append(rest if a == -1 else "%s // %d" % (rest, -a))
-        lo = lo[0] if len(lo) == 1 else "max(%s)" % ", ".join(lo)
-        hi = hi[0] if len(hi) == 1 else "min(%s)" % ", ".join(hi)
-        out.append(pad + "for v%d in range(%s, %s + 1):" % (t, lo, hi))
-        pad += "    "
-        out += place(t + 1, pad)
-    conds = membership_source(space.leaf_rows, "v%d")
-    if conds:
-        out.append(pad + "if %s:" % " and ".join(conds))
-        pad += "    "
-    theta = _tuple_source(["v%d" % t for t in range(n)])
-    lines = leaf(lambda r: value(rows[r]), [t or "0" for t in totals], theta)
-    out += [pad + line for line in ["n += 1"] + lines] + ["    return n, e, o"]
-    functions.append(out)
-    return "".join(line + "\n" for f in reversed(functions) for line in f)
+                slow[0] = "if " + slow[0]
+            before += ["if _w is not None:"] + ["    " + line for line in slow]
+        if smf:
+            ok = "False"
+            if valid is not None and recovers is not None:
+                ok = "%s and %s and _h not in _m" % (folded[valid], folded[recovers])
+            before += [
+                "_h = %s" % theta_src,
+                "s += 1",
+                "if %s:" % ok,
+                "    _m.add(_h)",
+                "    if %s:" % (folded[inbox] if valid is not None else "False"),
+                "        c += 1",
+                "else:",
+                "    fiber_fail(_p, _h, _m, %s)" % (folded[valid] if valid is not None else "False"),
+            ]
+        return before, after, names
+
+    return nest.source(coords, conds, _PI_ARGS, ("r", "s", "c"), rows, (), folds, at)
 
 
-@functools.cache
-def _theta_kernel(source: str, case: str):
-    """The function ``_c0`` that ``_theta_source``'s ``source`` defines,
-    compiled once per source and case under the file name ``<theta kernel
-    CASE>``, so that a profile lists each case's kernel on its own.  Each
-    function of the chain holds the next as a default argument and the
-    module's globals as its own, so the kernel makes no reference cycle."""
-    functions: dict = {}
-    exec(compile(source, "<theta kernel %s>" % case, "exec"), globals(), functions)
-    return functions["_c0"]
+def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
+    """(dimension runs, dimension failures, SMF runs, SMF failures,
+    covered) of the walk of the pi box and of each pi's fiber, for
+    dimension conservation (``dim``) and the fiber half of strong
+    multiplicity-freeness (``smf``): the record's pi kernel
+    (``_pi_source``), compiled once per source.  A dimension that is not
+    computable, of pi or of a fiber theta, is a ``computable`` failure
+    entry holding the repr of the ValueError or AssertionError of the
+    weights kernel, and ends the sum of that pi."""
+    dim_fail: list = []
+    smf_fail: list = []
+
+    def dimension(pi_params, group, label2):
+        # the weights kernel's dimension of the group's doubled label, or
+        # None and a computable entry for pi_params
+        try:
+            return weights._dimension_kernel(group.weyl)(label2)
+        except (ValueError, AssertionError) as exc:
+            dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
+
+    if dim:
+        pi_label2 = _affine_kernel(tuple(_map_rows(record, "pi_label_map")))
+        weights._dimension_kernel(record.pi_group.weyl)
+
+    def pi_want(pi_params):
+        return dimension(pi_params, record.pi_group, pi_label2(pi_params))
+
+    def nu_slow(pi_params, theta):
+        # the slow path, which alone builds nu's kernels
+        nu2 = _affine_kernel(tuple(_map_rows(record, "nu")))(theta)
+        return dimension(pi_params, record.nu_group, nu2)
+
+    def fiber_fail(pi_params, theta, mine, valid):
+        # the first SMF test a fiber theta fails, in the kernel's order
+        if not valid:
+            smf_fail.append(("branch-valid", theta, True, False))
+        elif theta in mine:
+            smf_fail.append(("disjoint", theta, None, pi_params))
+        else:
+            mine.add(theta)
+            doubled = _affine_kernel(tuple(_map_rows(record, "pi_of_theta")))(theta)
+            smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
+
+    fibers = fiber_polytope(record.branch_rule, len(record.pi_space.names))
+    kernel = nest.kernel(_pi_source(record, fibers, dim, smf), "pi kernel %s" % record.id)
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    runs, count, covered = kernel(bound, pi_want, nu_slow, fiber_fail, dim_fail.append)
+    return runs, dim_fail, 2 * count, smf_fail, covered
 
 
 def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) -> list:
@@ -1110,8 +1235,8 @@ def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) 
     if transfer is not None:
         image, nu_rho = map(values, transfer)
         lines += [
-            "_l = canonical(%s)" % _tuple_source(image),
-            "_r = canonical(%s)" % _tuple_source(nu_rho),
+            "_l = canonical(%s)" % nest.tuple_source(image),
+            "_r = canonical(%s)" % nest.tuple_source(nu_rho),
             "if _l != _r:",
             "    transfer_fail(('transfer', %s, _r, _l))" % theta,
         ]
@@ -1129,7 +1254,7 @@ def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) 
     nums = totals[len(rel_names) :]
     if pi_side:
         lines += [
-            "_k = %s" % _tuple_source(["%s >> 1" % d for d in doubled]),
+            "_k = %s" % nest.tuple_source(["%s >> 1" % d for d in doubled]),
             "_g = get_targets(_k)",
             "if _g is None:",
             "    _g = new_targets(_k)",
@@ -1137,7 +1262,7 @@ def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) 
     if pi_side and nums:
         lines += [
             "if %s:" % " or ".join("%s != _g[%d]" % (num, k) for k, num in enumerate(nums)),
-            "    pi_fail(%s, _k, %s)" % (theta, _tuple_source(nums)),
+            "    pi_fail(%s, _k, %s)" % (theta, nest.tuple_source(nums)),
         ]
     return lines
 
@@ -1157,19 +1282,6 @@ def _smf_plan(record: CaseRecord, stack: _Stack):
     k = len(record.theta.names)
     rank = linalg.rank(record.nu_label_map.matrix)
     return rows, None if rank == k else ("nu-injective", None, k, rank)
-
-
-def _dimension_plan(record: CaseRecord):
-    """(the ``_affine_kernel`` of the doubled rows of the pi label map, the
-    pi group's dimension kernel, the ``_affine_kernel`` of the doubled rows
-    of the nu label map, the nu group's dimension kernel) for dimension
-    conservation."""
-    return (
-        _affine_kernel(tuple(_map_rows(record, "pi_label_map"))),
-        weights._dimension_kernel(record.pi_group.weyl),
-        _affine_kernel(tuple(_map_rows(record, "nu"))),
-        weights._dimension_kernel(record.nu_group.weyl),
-    )
 
 
 def _pi_side_plan(record: CaseRecord, stack: _Stack):
@@ -1245,7 +1357,7 @@ def run_case(record: CaseRecord, bound: int, degree: int) -> list[dict]:
     run("strong-multiplicity-freeness", lambda: _report(box["strong-multiplicity-freeness"]))
     run(
         "independence",
-        lambda: independence_certificate(record, record.indep_gens, bound, degree)[0],
+        lambda: check_independence(record, bound, degree),
         "moment matrix is rank-deficient",
     )
     run("pi-side-consistency", lambda: _report(box["pi-side-consistency"]))

@@ -296,18 +296,28 @@ def _dominance_kernel(t: WeylType):
     )
 
 
-def _dominance_source(fam: str, pos: int, m: int) -> str:
-    """The source of the dominance test on the m coordinates a[pos:pos + m]:
-    the pairings with the simple roots are a_i - a_(i+1) and, per family,
-    a_n (B), 2·a_n (C) or a_(n-1) + a_n (D); G2's omega-coordinates are its
-    simple coroot pairings."""
-    x = ["a[%d]" % (pos + i) for i in range(m)]
+def _dominance_rows(fam: str, m: int) -> tuple:
+    """Per simple root of the family on m coordinates, the sparse integer
+    row ((index, coefficient), ...) whose product with a weight is >= 0 on
+    a dominant weight: a_i - a_(i+1), then a_n (B), 2·a_n (C) or a_(n-1) +
+    a_n (D); G2's omega-coordinates are its simple coroot pairings."""
     if fam == "G2":
-        return "%s >= 0 and %s >= 0" % tuple(x)
-    chain = x + (["0"] if fam in ("B", "C") else [])
-    conds = [" >= ".join(chain)] if len(chain) > 1 else []
+        return (((0, 1),), ((1, 1),))
+    rows = [((i, 1), (i + 1, -1)) for i in range(m - 1)]
+    if fam in ("B", "C"):
+        rows.append(((m - 1, 1 if fam == "B" else 2),))
     if fam == "D" and m >= 2:
-        conds.append("%s + %s >= 0" % (x[-2], x[-1]))
+        rows.append(((m - 2, 1), (m - 1, 1)))
+    return tuple(rows)
+
+
+def _dominance_source(fam: str, pos: int, m: int) -> str:
+    """The source of the dominance test on the m coordinates a[pos:pos + m],
+    one condition per row of ``_dominance_rows``."""
+    conds = [
+        "%s >= 0" % int_affine_source("a[%d]", ((pos + i, c) for i, c in row), 0)
+        for row in _dominance_rows(fam, m)
+    ]
     return " and ".join(conds) or "True"
 
 

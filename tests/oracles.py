@@ -26,10 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from branchlab import linalg, verify, weights
-from branchlab.catalog import CaseRecord, _branch_fibers
+from branchlab.catalog import CaseRecord
 from branchlab.linalg import AffineMap, Matrix, Vector, dot, mat, vec
 from branchlab.reps import casimir_eigenvalue
-from branchlab.verify import CaseReport, _rows2
+from branchlab.verify import CaseReport
 from branchlab.weights import _dominant_D, _dominant_G2, _rho2
 
 
@@ -500,7 +500,7 @@ def validate_weight(group, w) -> None:
             "%s expects %d coordinates, got %d" % (group.name, group.rank, len(w))
         )
     if group.kind == "Product":
-        for f, sl in group.factor_slices():
+        for f, sl in group.factor_slices:
             validate_weight(f, w[sl])
         if group.almost and (sum(w) % 2) != 0:
             raise ValueError(
@@ -537,7 +537,7 @@ def casimir(group, w):
     """<lam, lam + 2 rho>: a Fraction for a simple group, per factor for a product."""
     w = vec(w)
     if group.kind == "Product":
-        return tuple(_simple_casimir(f, w[sl]) for f, sl in group.factor_slices())
+        return tuple(_simple_casimir(f, w[sl]) for f, sl in group.factor_slices)
     return _simple_casimir(group, w)
 
 
@@ -735,7 +735,7 @@ def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
         try:
             expected = pi_dim(pi_params)
             total = 0
-            for theta in _branch_fibers(record.branch_rule, tuple(pi_params)):
+            for theta in branch_fibers(record.branch_rule, tuple(pi_params)):
                 total += nu_dim(theta)
         except (ValueError, AssertionError) as exc:
             failures.append(("dimension", tuple(pi_params), "computable", repr(exc)))
@@ -747,12 +747,18 @@ def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
     return report
 
 
-def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseReport:
+def check_strong_multiplicity_freeness(
+    record: CaseRecord, bound: int, fibers_of=None
+) -> CaseReport:
     """Strong multiplicity-freeness as ``verify._box_pass`` defines it, one
     plain loop per item: nu is injective, each fiber theta is valid, not
     repeated in its pi's fibers and lies over its pi; pi(theta) is integral;
     and the fiber theta in the box number as many as the theta of the box
-    whose pi(theta) lies in the pi box, else a search reports the missing."""
+    whose pi(theta) lies in the pi box, else a search reports the missing.
+    The fiber of pi is ``fibers_of(pi)``, by default the closed form of the
+    record's rule."""
+    if fibers_of is None:
+        fibers_of = functools.partial(branch_fibers, record.branch_rule)
     report = CaseReport(record.id, bound)
     failures = report.failures
     k = len(record.theta.names)
@@ -762,7 +768,7 @@ def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseRe
     pi2 = _rows2(record.pi_of_theta)
     count = covered = 0
     for pi_params in record.pi_space.enumerate(bound):
-        fibers = _branch_fibers(record.branch_rule, pi_params)
+        fibers = fibers_of(pi_params)
         for i, theta in enumerate(fibers):
             count += 2
             if not record.theta.contains(theta):
@@ -791,9 +797,7 @@ def check_strong_multiplicity_freeness(record: CaseRecord, bound: int) -> CaseRe
             pi_params = tuple(v // 2 for v in doubled)
             if any(v % 2 for v in doubled) or any(abs(p) > bound for p in pi_params):
                 continue
-            if not record.pi_space.contains(pi_params) or theta not in _branch_fibers(
-                record.branch_rule, pi_params
-            ):
+            if not record.pi_space.contains(pi_params) or theta not in fibers_of(pi_params):
                 failures.append(("exhausts", theta, True, False))
     report.checks_run = count
     return report
@@ -818,7 +822,7 @@ def check_strong_multiplicity_freeness_by_maps(record: CaseRecord, bound: int) -
     contains = record.theta.contains
     for pi_params in record.pi_space.enumerate(bound):
         pi_params = tuple(pi_params)
-        for theta in _branch_fibers(record.branch_rule, pi_params):
+        for theta in branch_fibers(record.branch_rule, pi_params):
             count += 2
             if not contains(theta):
                 failures.append(("branch-valid", theta, True, False))
@@ -887,6 +891,126 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
 
 
 # ---------------------------------------------------------------------------
+# The branch rules' closed forms and the pi walk they fed, which the fiber
+# polytopes and the compiled pi kernel replaced.
+
+
+def _rows2(amap: AffineMap):
+    """[(sparse integer row, offset)] for 2·amap, through the package's own
+    reading of the entries; ValueError if not half-integral."""
+    return verify._doubled(
+        *verify._scaled(amap), lambda: "affine map is not half-integral: %r" % (amap,)
+    )
+
+
+def branch_fibers(rule: tuple, pi: tuple) -> list:
+    """The fiber of pi under the rule, by the closed forms of the lemmas."""
+    name = rule[0]
+    if name == "charge_split":  # (i), (i)': H^j -> {(k, j-k)}
+        (j,) = pi
+        return [(k, j - k) for k in range(j + 1)]
+    if name == "quaternion_split":  # (iii): H^{j,j} -> {(k, 2j-k) : j<=k<=2j}
+        (j,) = pi
+        return [(k, 2 * j - k) for k in range(j, 2 * j + 1)]
+    if name == "sphere_sp1":  # (v): H^j -> {(k, j-k) : j/2 <= k <= j}
+        (j,) = pi
+        return [(k, j - k) for k in range((j + 1) // 2, j + 1)]
+    if name == "sphere_sp1_u1":  # (v)'
+        (j,) = pi
+        out = []
+        for k in range((j + 1) // 2, j + 1):
+            m = 2 * k - j
+            out.extend((k, j - k, b) for b in range(-m, m + 1, 2))
+        return out
+    if name == "parity_tail":  # (vi): k = j, j-2, ..., >= 0
+        (j,) = pi
+        return [(j, k) for k in range(j % 2, j + 1, 2)]
+    if name == "tail_le":  # (vii): 0 <= k <= j
+        (j,) = pi
+        return [(j, k) for k in range(j + 1)]
+    if name == "tail_le_charge":  # (viii)
+        (j,) = pi
+        return [(j, k, a) for k in range(j + 1) for a in range(-k, k + 1)]
+    if name == "charge_pm":  # (ix): |k| <= j
+        (j,) = pi
+        return [(j, k) for k in range(-j, j + 1)]
+    if name == "identity":  # (x), (xi)
+        return [tuple(pi)]
+    if name == "triangle":  # (*): |j-j'| <= a <= j+j', parity
+        j, jp = pi
+        return [(j, jp, a) for a in range(abs(j - jp), j + jp + 1, 2)]
+    if name in ("interlace_ii_odd", "interlace_iv"):  # (ii) odd, (iv): (j1,k1,...,jm)
+        return _interlace(pi, closed=False)
+    if name == "interlace_ii_even":  # (ii) even: chain (j1,k1,...,jm,km)
+        return _interlace(pi, closed=True)
+    raise ValueError("unknown branch rule %r" % (rule,))
+
+
+def _interlace(j: tuple, closed: bool) -> list:
+    """The chains (j1,k1,j2,...,jm) with j_(i+1) <= k_i <= j_i; a closed chain
+    ends in one more k_m, with 0 <= k_m <= j_m.  The j_i are singleton
+    factors of one product, which yields each chain whole."""
+    factors = []
+    for hi, lo in zip(j, j[1:]):
+        factors += [(hi,), range(lo, hi + 1)]
+    factors.append((j[-1],))
+    if closed:
+        factors.append(range(0, j[-1] + 1))
+    return list(itertools.product(*factors))
+
+
+def pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool, fibers_of=None) -> tuple:
+    """``verify._pi_walk`` as the interpreted walk it replaced: per pi of
+    the pi box, its fiber list (``fibers_of(pi)``, by default the closed
+    form of the record's rule), the dimensions through the weights kernels,
+    and SMF's per-theta tests with the theta space's membership."""
+    if fibers_of is None:
+        fibers_of = functools.partial(branch_fibers, record.branch_rule)
+    dim_fail, smf_fail = [], []
+    dim_runs = smf_runs = covered = 0
+    if dim:
+        pi_label2 = verify._affine_kernel(tuple(verify._map_rows(record, "pi_label_map")))
+        pi_dimension = weights._dimension_kernel(record.pi_group.weyl)
+        nu_image = verify._affine_kernel(tuple(verify._map_rows(record, "nu")))
+        nu_dimension = weights._dimension_kernel(record.nu_group.weyl)
+    if smf:
+        pi_image = verify._affine_kernel(tuple(verify._map_rows(record, "pi_of_theta")))
+    contains = record.theta.contains_ints
+    for pi_params in record.pi_space.walk(bound):
+        fibers = fibers_of(pi_params) if smf else None
+        if dim:
+            dim_runs += 1
+            try:
+                want = pi_dimension(pi_label2(pi_params))
+                if fibers is None:
+                    fibers = fibers_of(pi_params)
+                total = sum(map(nu_dimension, map(nu_image, fibers)))
+            except (ValueError, AssertionError) as exc:
+                dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
+            else:
+                if want != total:
+                    dim_fail.append(("dimension", pi_params, want, total))
+        if not smf:
+            continue
+        pi2 = [2 * p for p in pi_params]
+        mine: set = set()
+        smf_runs += 2 * len(fibers)
+        for theta in fibers:
+            if not contains(theta):
+                smf_fail.append(("branch-valid", theta, True, False))
+            elif theta in mine:
+                smf_fail.append(("disjoint", theta, None, pi_params))
+            else:
+                mine.add(theta)
+                doubled = pi_image(theta)
+                if doubled != pi2:
+                    smf_fail.append(("recovers-pi", theta, verify._halve(doubled), pi_params))
+                elif max(map(abs, theta), default=0) <= bound:
+                    covered += 1
+    return dim_runs, dim_fail, smf_runs, smf_fail, covered
+
+
+# ---------------------------------------------------------------------------
 # Record queries that only the tests ask: the labels of the canonical map at
 # one theta, and the branching of one pi by the record's rule.
 
@@ -911,7 +1035,7 @@ def branch(record: CaseRecord, pi_params) -> list:
     record.require_pi(pi_params)
     pi_params = tuple(int(p) for p in pi_params)
     out = []
-    for t in sorted(_branch_fibers(record.branch_rule, pi_params)):
+    for t in sorted(branch_fibers(record.branch_rule, pi_params)):
         if not record.theta.contains(t):
             raise AssertionError("branch rule produced invalid %s for %s" % (t, record.id))
         out.append((t, record.nu_label(t)))

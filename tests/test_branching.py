@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, weights
+from branchlab import catalog, fibers, weights
 from branchlab.linalg import vec
 import oracles
 
@@ -215,9 +215,56 @@ def test_interlace_rules_match_brute_force():
             chains = _brute_chains(j, closed=False)
             if list(j) != sorted(j, reverse=True):
                 assert chains == _brute_chains(j, closed=True) == []
-            assert catalog._branch_fibers(("interlace_ii_odd", m), j) == chains
+            assert fibers._branch_fibers(("interlace_ii_odd", m), j) == chains
             if m > 1:
-                assert catalog._branch_fibers(("interlace_iv", m - 1), j) == chains
-            assert catalog._branch_fibers(("interlace_ii_even", m), j) == _brute_chains(
+                assert fibers._branch_fibers(("interlace_iv", m - 1), j) == chains
+            assert fibers._branch_fibers(("interlace_ii_even", m), j) == _brute_chains(
                 j, closed=True
             )
+
+
+def test_fiber_walks_match_the_closed_forms():
+    # the walk of each rule's fiber polytope against the lemmas' closed
+    # forms, theta by theta in order: every rule of build_records(6) over
+    # every pi of its box at bounds 0..8, the boxes nesting, except that a
+    # rule stops at the first bound whose pi box passes 2,000 points (iv at
+    # n >= 3, whose fibers then run to millions of theta); and the
+    # synthetic chains above, dominant or not
+    seen = {}
+    for r in catalog.build_records(6):
+        key = (r.branch_rule, len(r.pi_space.names))
+        if key in seen:
+            continue
+        for bound in range(9):
+            pis = r.pi_space.enumerate(bound)
+            if len(pis) > 2000:
+                break
+            seen[key] = bound
+        for pi in r.pi_space.enumerate(seen[key]):
+            assert fibers._branch_fibers(r.branch_rule, pi) == oracles.branch_fibers(
+                r.branch_rule, pi
+            ), (r.id, pi)
+    names = {rule[0] for rule, _ in seen}
+    assert len(names) == 13 and min(seen.values()) >= 3
+    assert sum(bound == 8 for bound in seen.values()) >= len(seen) - 4
+    for m in range(1, 5):
+        for j in itertools.product(range(5), repeat=m):
+            rules = [("interlace_ii_odd", m), ("interlace_ii_even", m)]
+            rules += [("interlace_iv", m - 1)] if m > 1 else []
+            for rule in rules:
+                assert fibers._branch_fibers(rule, j) == oracles.branch_fibers(rule, j), (rule, j)
+
+
+def test_fiber_polytope_rejects_what_it_cannot_walk():
+    # an unknown rule, a pi of the wrong length and an unbounded free
+    # coordinate are ValueErrors, before any walk
+    import dataclasses
+
+    with pytest.raises(ValueError, match="unknown branch rule"):
+        fibers.fiber_polytope(("no_such_rule",), 1)
+    with pytest.raises(ValueError, match="takes 2 pi coordinates, not 1"):
+        fibers.fiber_polytope(("triangle",), 1)
+    real = fibers.fiber_polytope(("tail_le",), 1)
+    lower_only = dataclasses.replace(real.space, constraints=real.space.constraints[:1])
+    with pytest.raises(ValueError, match="unbounded"):
+        dataclasses.replace(real, space=lower_only)

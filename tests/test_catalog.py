@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab import catalog, verify, weights
+from branchlab import catalog, nest, verify, weights
 from branchlab.catalog import (
     CaseId,
     CaseRecord,
@@ -216,14 +216,14 @@ def test_walk_carries_sums_of_row_values(case):
     # points are enumerate's, in order, each row's value is the row at theta,
     # and the K totals are the sums of the terms' memos at their rows' values
     space, bound, rows, sums = case
-    src = verify._tuple_source
+    src = nest.tuple_source
 
     def leaf(value, totals, theta):
         values = src([value(r) for r in range(len(rows))])
         return ["rel_fail((%s, %s, %s))" % (theta, values, src(totals))]
 
     source = verify._theta_source(space, bound, rows, sums, leaf)
-    kernel = verify._theta_kernel.__wrapped__(source, "random")
+    kernel = nest.kernel.__wrapped__(source, "theta kernel random")
     seen = []
     memos = tuple(memo for _, memo in sums)
     assert kernel(bound, memos, None, seen.append, *[None] * 5)[0] == len(seen)
@@ -296,7 +296,7 @@ def test_kernels_leave_no_cycle():
         # a theta kernel long enough to be a chain of two functions
         chain = ParamSpace(tuple("x%d" % i for i in range(17)), ("nat",) * 17)
         source = verify._theta_source(chain, 1, [], [], lambda value, totals, theta: [])
-        theta = verify._theta_kernel.__wrapped__(source, "chain")
+        theta = nest.kernel.__wrapped__(source, "theta kernel chain")
         assert "_c1" in source and theta(1, (), *[None] * 7) == (2 ** 17, 0, 0)
         del dimension, canonical, image, member, space, theta
         assert gc.collect() == 0

@@ -69,7 +69,7 @@ def dominant_weights(group, bound):
 
     if group.kind != "Product":
         return simple(group)
-    parts = [simple(f) for f, _ in group.factor_slices()]
+    parts = [simple(f) for f, _ in group.factor_slices]
     out = []
     for combo in itertools.product(*parts):
         flat = sum(combo, ())
@@ -305,3 +305,16 @@ def test_cartan_helgason_matches_disc_enumerators(tag, n):
         if all(abs(x) <= bound for x in lam):
             from_lemma.add(lam)
     assert admissible == from_lemma
+
+
+def test_descriptor_builds_its_weyl_data_once():
+    # a label's validation and Casimir read the Weyl type, the factor slices
+    # and the Casimir plan of its group: each is built once per descriptor
+    from branchlab.reps import IrrepLabel, ProductGroup, SO, U
+
+    g = ProductGroup(SO(5), U(3))
+    assert g.weyl is g.weyl and g.factor_slices is g.factor_slices
+    assert g.casimir_plan is g.casimir_plan
+    assert [sl for _, sl in g.factor_slices] == [slice(0, 2), slice(2, 5)]
+    label = IrrepLabel.from_doubled(g, (4, 2, 2, 0, -2))
+    assert casimir_eigenvalue(label) == casimir_eigenvalue(IrrepLabel.from_doubled(g, label.doubled))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, verify, weights
+from branchlab import catalog, fibers, nest, verify, weights
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import (
     InsufficientSampleError,
@@ -561,11 +561,11 @@ def test_rows2_rejects_non_half_integral():
         AffineMap(mat([[1]]), vec([Fraction(1, 4)]), source=1),
     ):
         with pytest.raises(ValueError, match="affine map is not half-integral"):
-            verify._rows2(amap)
-    assert verify._rows2(AffineMap(mat([[Fraction(1, 2)]]), vec([Fraction(3, 2)]), source=1)) == [
+            oracles._rows2(amap)
+    assert oracles._rows2(AffineMap(mat([[Fraction(1, 2)]]), vec([Fraction(3, 2)]), source=1)) == [
         (((0, 1),), 3)
     ]
-    assert verify._rows2(AffineMap(mat([[0, -2]]), vec([-1]), source=2)) == [(((1, -4),), -2)]
+    assert oracles._rows2(AffineMap(mat([[0, -2]]), vec([-1]), source=2)) == [(((1, -4),), -2)]
 
 
 def test_doubled_rows_match_fraction_composition():
@@ -577,7 +577,7 @@ def test_doubled_rows_match_fraction_composition():
         maps.update((s.form, s.form) for s in r.symbols.values() if s.kind == "euler")
         assert set(maps) == set(_map_keys(r)), r.id
         for key, amap in maps.items():
-            assert verify._map_rows(r, key) == verify._rows2(amap), (r.id, key)
+            assert verify._map_rows(r, key) == oracles._rows2(amap), (r.id, key)
             seen += 1
     assert seen > 600
 
@@ -625,7 +625,7 @@ def test_transfer_accepts_quarter_integral_parts(records):
     for part in (lam, tau):
         assert any(x.denominator == 4 for x in part.matrix[0] + part.offset[:1]), part
     rows = verify._map_rows(r, "transfer")
-    assert rows == verify._rows2(oracles._transfer_image_map(r))
+    assert rows == oracles._rows2(oracles._transfer_image_map(r))
     assert rows != verify._map_rows(rec(records, "v", 2), "transfer")
 
 
@@ -633,7 +633,7 @@ def test_quarter_integral_composite_is_an_error_entry(records):
     # a quarter in pi_label_map makes the composite theta ↦ pi label
     # quarter-integral: each check that reads it reports a ValueError that
     # names the case and the map, the checks that read the pi label map
-    # itself report _rows2's error, and the rest still run clean
+    # itself report that map's own error, and the rest still run clean
     import dataclasses
 
     from branchlab.linalg import AffineMap
@@ -649,7 +649,7 @@ def test_quarter_integral_composite_is_an_error_entry(records):
     for name in ("relations", "independence", "pi-side-consistency"):
         assert entries[name]["first_failure"] == composite, entries[name]
     dimension = entries["dimension-conservation"]["first_failure"]
-    assert dimension.startswith("error: ValueError: affine map is not half-integral: AffineMap(")
+    assert dimension == "error: ValueError: case vi: map pi_label_map is not half-integral"
     assert not any("Traceback" in e.get("first_failure", "") for e in entries.values())
     clean = {name for name, e in entries.items() if not e["failed"]}
     assert clean == {
@@ -660,6 +660,34 @@ def test_quarter_integral_composite_is_an_error_entry(records):
         "generator-degrees",
     }
     assert all(entries[name]["run"] > 1 for name in ("transfer", "strong-multiplicity-freeness"))
+
+
+def test_stored_map_error_names_the_case_and_the_map(records):
+    # a quarter in a stored map, nu_label_map or an Euler form, is an error
+    # entry that names the case and the map, as a composite's is, and not
+    # the map's repr
+    import dataclasses
+
+    r = rec(records, "vi")
+    rows = [list(row) for row in r.nu_label_map.matrix]
+    rows[0][0] += Fraction(1, 4)
+    bad = dataclasses.replace(
+        r, nu_label_map=dataclasses.replace(r.nu_label_map, matrix=tuple(map(tuple, rows)))
+    )
+    entries = {e["name"]: e for e in verify.run_case(bad, 3, 2)}
+    message = "error: ValueError: case vi: map nu is not half-integral"
+    for name in ("relations", "transfer", "dimension-conservation"):
+        assert entries[name]["first_failure"] == message, entries[name]
+    assert not any("AffineMap(" in e.get("first_failure", "") for e in entries.values())
+    ix = rec(records, "ix")
+    name, spec = next((n, s) for n, s in sorted(ix.symbols.items()) if s.kind == "euler")
+    form = dataclasses.replace(spec.form, offset=(spec.form.offset[0] + Fraction(1, 4),))
+    bad = dataclasses.replace(
+        ix, symbols={**ix.symbols, name: dataclasses.replace(spec, form=form)}
+    )
+    with pytest.raises(ValueError) as raised:
+        evaluate_generator(bad, name, ix.theta.enumerate(1)[0])
+    assert str(raised.value) == "case ix: map Euler form of %s is not half-integral" % name
 
 
 def test_run_case_small_box_is_inconclusive(records):
@@ -717,10 +745,50 @@ def test_run_case_memory_does_not_grow_with_the_box(records):
 
 
 def test_run_case_never_raises_on_small_boxes():
-    for bound in range(5):
+    # on a correct catalog no check raises and none fails, whatever the
+    # bound: a box too small for a certificate is inconclusive
+    for bound in range(9):
         for r in catalog.build_records(2):
             for e in verify.run_case(r, bound, 2):
                 assert not e.get("first_failure", "").startswith("error: "), (bound, r.id, e)
+                assert e["failed"] == 0, (bound, r.id, e)
+
+
+def test_rank_deficient_box_with_a_full_rank_jacobian_is_inconclusive(records):
+    # iii[n=1] at bound 3: the box's moment matrix is rank-deficient, but
+    # the Jacobian of the generators' compiled forms has full rank at the
+    # point seeded by the case id, so the generators are independent and the
+    # box was too small
+    r = rec(records, "iii", 1)
+    assert verify.independence_certificate(r, r.indep_gens, 3, 2)[0] is False
+    with pytest.raises(InsufficientSampleError) as raised:
+        verify.check_independence(r, 3, 2)
+    reason = str(raised.value)
+    assert reason.startswith("box too small: ") and "has full rank" in reason
+    point = tuple(int(x) for x in reason.split("theta = (")[1].split(")")[0].split(", "))
+    assert len(point) == len(r.theta.names) and all(3 <= x <= 10**6 for x in point)
+    entry = next(e for e in verify.run_case(r, 3, 2) if e["name"] == "independence")
+    assert entry == {"name": "independence", "run": 0, "failed": 0, "inconclusive": reason}
+    assert verify.check_independence(r, 8, 2) is True
+
+
+def test_dependent_or_uncompiled_generators_keep_the_fail(records):
+    # the Jacobian decides only for generators it can read: a generator
+    # listed twice has a rank-deficient Jacobian, and an xyz_poly has no
+    # compiled form, so the box's FAIL stands in both
+    import dataclasses
+
+    r = rec(records, "iii", 1)
+    twice = dataclasses.replace(r, indep_gens=(r.indep_gens[0],) * 2)
+    star = rec(records, "star")
+    uncompiled = dataclasses.replace(star, indep_gens=("R_1", "R_1"))
+    with pytest.raises(ValueError, match="no compiled form"):
+        verify._compiled(star, "R_1")
+    for bad, bound in ((twice, 3), (uncompiled, 2)):
+        assert verify.check_independence(bad, bound, 2) is False
+        entry = next(e for e in verify.run_case(bad, bound, 2) if e["name"] == "independence")
+        assert entry["failed"] == 1
+        assert entry["first_failure"] == "moment matrix is rank-deficient"
 
 
 def _outcome(check):
@@ -800,7 +868,7 @@ def test_box_pass_matches_separate_loops():
     assert tuple(loops) == verify.BOX_CHECKS
     tampered = _tampered_records()
     every = catalog.build_records(10)
-    assert max(len(r.theta.names) for r in every) == 21 > verify._CHUNK
+    assert max(len(r.theta.names) for r in every) == 21 > nest.CHUNK
     cases = [(r, bound) for r in catalog.build_records(2) + tampered for bound in range(5)]
     # a pi of the box with a valid fiber theta outside it (star's a reaches
     # j + j'), so SMF's per-theta box test behind the fiber list's runs
@@ -808,7 +876,7 @@ def test_box_pass_matches_separate_loops():
         max(map(abs, theta)) > bound and r.theta.contains(theta)
         for r, bound in cases
         for pi in r.pi_space.enumerate(bound)
-        for theta in catalog._branch_fibers(r.branch_rule, pi)
+        for theta in fibers._branch_fibers(r.branch_rule, pi)
     )
     seen_failure = seen_error = 0
     for r, bound in cases + [(r, 1) for r in every]:
@@ -834,7 +902,7 @@ def test_chunked_kernel_visits_the_walk_in_order():
     from branchlab.linalg import AffineMap, mat, vec
 
     n = 25
-    assert n > 20 > verify._CHUNK
+    assert n > 20 > nest.CHUNK
     chain = tuple(
         Constraint(tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n)))
         for i in range(n - 1)
@@ -876,10 +944,11 @@ def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
     # over two run_case calls per record and evaluate_generator on every
     # symbol, each (record, symbol) goes through _separable at most once and
     # each (record, map) is converted at most once: a key of _MAPS by its
-    # builder, an Euler form by _rows2 outside any builder.  The box pass,
-    # the independence certificate and the point evaluator share one compile
+    # builder, an Euler form by _stored_rows outside any builder.  The box
+    # pass, the independence certificate and the point evaluator share one
+    # compile
     compiles, conversions = collections.Counter(), collections.Counter()
-    separable, rows2 = verify._separable, verify._rows2
+    separable, stored = verify._separable, verify._stored_rows
     current = None
     building = []
 
@@ -887,10 +956,10 @@ def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
         compiles[record.id, name] += 1
         return separable(record, name)
 
-    def counted_rows2(amap):
+    def counted_stored(record, key, amap):
         if not building:
-            conversions[current, amap] += 1
-        return rows2(amap)
+            conversions[current, key] += 1
+        return stored(record, key, amap)
 
     def counted_builder(key, build):
         def counted(record):
@@ -904,7 +973,7 @@ def test_each_symbol_and_map_is_compiled_once_per_record(monkeypatch):
         return counted
 
     monkeypatch.setattr(verify, "_separable", counted_separable)
-    monkeypatch.setattr(verify, "_rows2", counted_rows2)
+    monkeypatch.setattr(verify, "_stored_rows", counted_stored)
     for key, build in list(verify._MAPS.items()):
         monkeypatch.setitem(verify._MAPS, key, counted_builder(key, build))
     for r in catalog.build_records(3):
@@ -957,7 +1026,7 @@ def test_second_run_case_builds_no_kernel():
         weights._canonical_kernel,
         verify._affine_kernel,
         catalog._membership_kernel,
-        verify._theta_kernel,
+        nest.kernel,
     )
     records = catalog.build_records(3)
     for r in records:
@@ -972,24 +1041,27 @@ def test_second_run_case_builds_no_kernel():
 
 
 def test_theta_kernel_is_filed_under_its_case(monkeypatch):
-    # a profile lists each case's kernel on its own: every function of the
-    # chain that iv[n=10]'s box pass runs is compiled under its case's name
+    # a profile lists each case's kernels on their own: every function of
+    # the chains that iv[n=10]'s box pass runs, its theta kernel's and its
+    # pi kernel's, is compiled under its case's name
     kernels = []
-    build = verify._theta_kernel
+    build = nest.kernel
 
-    def kept(source, case):
-        kernels.append(build(source, case))
+    def kept(source, name):
+        kernels.append(build(source, name))
         return kernels[-1]
 
-    monkeypatch.setattr(verify, "_theta_kernel", kept)
+    monkeypatch.setattr(nest, "kernel", kept)
     r = next(r for r in catalog.build_records(10) if str(r.id) == "iv[n=10]")
     verify._box_pass(r, 1)
-    (fn,) = kernels
-    files = []
-    while fn is not None:  # each function holds the next as its last default
-        files.append(fn.__code__.co_filename)
-        fn = fn.__defaults__[-1] if fn.__defaults__ else None
-    assert files == ["<theta kernel iv[n=10]>"] * 2
+    chains = []
+    for fn in kernels:
+        files = []
+        while fn is not None:  # each function holds the next as its last default
+            files.append(fn.__code__.co_filename)
+            fn = fn.__defaults__[-1] if fn.__defaults__ else None
+        chains.append(files)
+    assert sorted(chains) == [["<pi kernel iv[n=10]>"] * 2, ["<theta kernel iv[n=10]>"] * 2]
 
 
 def test_smf_count_fails_wherever_the_maps_fail():
@@ -1021,34 +1093,128 @@ def test_smf_count_fails_wherever_the_maps_fail():
     assert {6, 7, 8} <= caught
 
 
+def _use_fibers(monkeypatch, description):
+    """Make ``description`` the fiber description of every branch rule, for
+    the pi kernel and for the SMF search alike."""
+    monkeypatch.setattr(verify, "fiber_polytope", lambda rule, npi: description)
+    monkeypatch.setattr(fibers, "fiber_polytope", lambda rule, npi: description)
+
+
+def _smf_against_reference(record, bound, description):
+    """(report, reference report) of strong multiplicity-freeness with the
+    fiber description in use: the reference walks the same fibers."""
+    report = verify.check_strong_multiplicity_freeness(record, bound)
+    reference = oracles.check_strong_multiplicity_freeness(
+        record, bound, fibers_of=lambda pi: list(description.walk(pi))
+    )
+    return (report.checks_run, report.failures), (reference.checks_run, reference.failures)
+
+
 def test_smf_repeated_fiber_is_not_counted_twice(monkeypatch):
-    # a rule that lists one theta twice and drops another leaves the counts
-    # equal if a repeat is counted; the repeat must fail, and the dropped
-    # theta then shows in the count
+    # a theta row that drops k lists (j, 0) j + 1 times and drops every
+    # other theta, which leaves the counts equal if a repeat is counted; the
+    # repeats must fail, and the dropped theta then show in the count
+    import dataclasses
+
     vii = next(r for r in catalog.build_records(2) if str(r.id) == "vii")
-    real = verify._branch_fibers
-
-    def repeats(rule, pi):
-        fibers = real(rule, pi)
-        return fibers[:-1] + fibers[:1] if len(fibers) > 1 else fibers
-
-    monkeypatch.setattr(verify, "_branch_fibers", repeats)
-    report = verify.check_strong_multiplicity_freeness(vii, 3)
-    assert {name for name, *_ in report.failures} == {"disjoint", "exhausts"}
+    real = fibers.fiber_polytope(vii.branch_rule, 1)
+    repeats = dataclasses.replace(real, theta=real.theta[:1] + (((), 0),))
+    _use_fibers(monkeypatch, repeats)
+    got, expected = _smf_against_reference(vii, 3, repeats)
+    assert got == expected
+    assert {name for name, *_ in got[1]} == {"disjoint", "exhausts"}
 
 
 def test_smf_counts_only_fiber_theta_in_the_box(monkeypatch):
     # star's fibers leave the box (a reaches j + j'): were those counted, a
-    # rule that drops one theta of the box would still fill the count
+    # limit that drops one theta of the box, a + j + j' >= 1, would still
+    # fill the count
+    import dataclasses
+
+    from branchlab.catalog import Constraint
+
     star = next(r for r in catalog.build_records(2) if str(r.id) == "star")
-    real = verify._branch_fibers
+    real = fibers.fiber_polytope(star.branch_rule, 2)
+    cut = real.space.constraints + (Constraint((1, 1, 1), -1),)
+    drops = dataclasses.replace(real, space=dataclasses.replace(real.space, constraints=cut))
+    _use_fibers(monkeypatch, drops)
+    got, expected = _smf_against_reference(star, 2, drops)
+    assert got == expected
+    assert got[1] == [("exhausts", (0, 0, 0), True, False)]
 
-    def drops(rule, pi):
-        return [theta for theta in real(rule, pi) if theta != (1, 1, 0)]
 
-    monkeypatch.setattr(verify, "_branch_fibers", drops)
-    report = verify.check_strong_multiplicity_freeness(star, 2)
-    assert report.failures == [("exhausts", (1, 1, 0), True, False)]
+def _pi_walk_cases():
+    """(clean, tampered): the records of build_records(3), and (record,
+    fiber description or None for the rule's own) pairs that fail the pi
+    walk's tests: +1 bumps of nu_label_map, pi_of_theta and pi_label_map, a
+    nu that is not dominant, a theta row that repeats theta, and a limit
+    that drops a theta of the box."""
+    import dataclasses
+
+    from branchlab.linalg import mat
+
+    records = catalog.build_records(3)
+    by_id = {str(r.id): r for r in records}
+    vi, vii, star, i1, iv2 = (by_id[k] for k in ("vi", "vii", "star", "i[n=1]", "iv[n=2]"))
+
+    def bumped(amap, rows=None):
+        if rows is None:
+            return dataclasses.replace(amap, offset=(amap.offset[0] + 1,) + amap.offset[1:])
+        return dataclasses.replace(amap, matrix=mat(rows))
+
+    nu = [list(row) for row in iv2.nu_label_map.matrix]
+    nu[0][0] += 1
+    flipped = [[-x for x in row] if i == 0 else list(row) for i, row in enumerate(vi.nu_label_map.matrix)]
+    repeats = fibers.fiber_polytope(vii.branch_rule, 1)
+    repeats = dataclasses.replace(repeats, theta=repeats.theta[:1] + (((), 0),))
+    drops = fibers.fiber_polytope(star.branch_rule, 2)
+    cut = drops.space.constraints + (catalog.Constraint((1, 1, 1), -1),)
+    drops = dataclasses.replace(drops, space=dataclasses.replace(drops.space, constraints=cut))
+    return records, [
+        (dataclasses.replace(iv2, nu_label_map=bumped(iv2.nu_label_map, nu)), None),
+        (dataclasses.replace(vii, pi_of_theta=bumped(vii.pi_of_theta)), None),
+        (dataclasses.replace(i1, pi_label_map=bumped(i1.pi_label_map)), None),
+        (dataclasses.replace(vi, nu_label_map=bumped(vi.nu_label_map, flipped)), None),
+        (vii, repeats),
+        (star, drops),
+    ]
+
+
+def test_pi_kernel_matches_the_reference_walk(monkeypatch):
+    # the compiled pi kernel against the interpreted pi walk it replaced
+    # (tests/oracles.py), dimension and SMF alone and together: the runs,
+    # the failure lists in order and the covered count, on every record of
+    # build_records(3) at bounds 0..6 and on records that fail each test
+    clean, tampered = _pi_walk_cases()
+    kinds = set()
+    for r, description, is_clean in [(r, None, True) for r in clean] + [
+        (r, description, False) for r, description in tampered
+    ]:
+        fibers_of = None
+        with monkeypatch.context() as patch:
+            if description is not None:
+                patch.setattr(verify, "fiber_polytope", lambda rule, npi: description)
+                fibers_of = lambda pi: list(description.walk(pi))  # noqa: E731
+            for bound in range(7):
+                for dim, smf in ((True, True), (True, False), (False, True)):
+                    got = _outcome_of(lambda: verify._pi_walk(r, bound, dim, smf))
+                    expected = _outcome_of(
+                        lambda: oracles.pi_walk(r, bound, dim, smf, fibers_of)
+                    )
+                    assert got == expected, (r.id, bound, dim, smf)
+                    if is_clean:
+                        assert got[1] == got[3] == [], (r.id, bound)
+                    else:
+                        kinds.update(e[2] if e[2] == "computable" else e[0] for e in got[1] + got[3])
+    assert {"dimension", "computable", "recovers-pi", "disjoint"} <= kinds, kinds
+
+
+def _outcome_of(fn):
+    """fn()'s value, or ("error", type name, message) of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
 
 
 def test_smf_search_never_walks_the_catalogs_theta_box(monkeypatch, records):
@@ -1069,8 +1235,21 @@ def test_smf_search_never_walks_the_catalogs_theta_box(monkeypatch, records):
             walked.clear()
             got = verify._box_pass(r, bound, ("strong-multiplicity-freeness",))
             assert got["strong-multiplicity-freeness"].failures == [], (r.id, bound)
-            assert any(space is r.pi_space for space in walked), (r.id, bound)
             assert not any(space is r.theta for space in walked), (r.id, bound)
+    # the pi kernel walks the pi box itself; a fiber description that drops
+    # a theta of the box shows that the search's walk is seen
+    import dataclasses
+
+    star = rec(records, "star")
+    real = fibers.fiber_polytope(star.branch_rule, 2)
+    cut = real.space.constraints + (catalog.Constraint((1, 1, 1), -1),)
+    _use_fibers(
+        monkeypatch,
+        dataclasses.replace(real, space=dataclasses.replace(real.space, constraints=cut)),
+    )
+    walked.clear()
+    verify._box_pass(star, 2, ("strong-multiplicity-freeness",))
+    assert any(space is star.theta for space in walked)
 
 
 def test_negative_bound_is_a_value_error(records):
@@ -1165,16 +1344,16 @@ def test_fault_that_fires_once_reaches_every_box_check(monkeypatch):
     # the first branching of the process raises, and the checks re-run alone
     # raise nothing: no box check may come back with a clean report
     clean = next(r for r in catalog.build_records(2) if str(r.id) == "vi")
-    real = verify._branch_fibers
+    real = verify.fiber_polytope
     fired = []
 
-    def fails_once(rule, pi):
+    def fails_once(rule, npi):
         if not fired:
-            fired.append(pi)
+            fired.append(rule)
             raise RuntimeError("planted once")
-        return real(rule, pi)
+        return real(rule, npi)
 
-    monkeypatch.setattr(verify, "_branch_fibers", fails_once)
+    monkeypatch.setattr(verify, "fiber_polytope", fails_once)
     box = verify._box_pass(clean, 3)
     assert len(fired) == 1
     assert list(box) == list(verify.BOX_CHECKS)
