@@ -120,14 +120,18 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
                 new = "v%d" % next(fresh)
                 out.append("%s = %s%s[%d]" % (new, totals[k] + " + " if totals[k] else "", got, k))
                 totals[k] = new
+        written: dict = {}  # a fold's expression at d, and its local
         for f, (op, _) in enumerate(folds):
             parts = [term for g, term in fold_final[d] if g == f]
             if not parts:
                 continue
             if carried[f]:
                 parts.insert(0, carried[f])
-            carried[f] = "v%d" % next(fresh)
-            out.append("%s = %s" % (carried[f], (" %s " % op).join(parts)))
+            expr = (" %s " % op).join(parts)
+            if expr not in written:
+                written[expr] = "v%d" % next(fresh)
+                out.append("%s = %s" % (written[expr], expr))
+            carried[f] = written[expr]
         return out
 
     def head(k) -> tuple:

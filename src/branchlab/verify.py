@@ -1052,6 +1052,11 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
         folds.append((op, terms))
         return len(folds) - 1
 
+    def varies(row, holds) -> bool:
+        # a row with no column is decided here: it drops out of its fold
+        # when its test holds, or its factor is 1, at every point
+        return bool(row[0]) or not holds(row[1])
+
     if dim:
         # nu(theta)'s Weyl dimension, as weights._dimension_kernel writes it
         # on the doubled label: per factor the product of the positive
@@ -1078,35 +1083,43 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
                 # the pairing and its value at nu = 0 divided by a common
                 # factor, which leaves their quotient as it is
                 row, g = nest.reduced(row, const)
-                den *= const // g
-                pairings.append((row, "%s"))
+                if varies(row, lambda v: v == 1) or const != g:
+                    den *= const // g
+                    pairings.append((row, "%s"))
             dims.append((fold("*", pairings), den))
             simple = weights._dominance_rows(f.family, f.ncoords)
             dominance += nest.compose([(row, 0) for row in simple], nu)
-        dominant = fold("and", [(nest.reduced(row)[0], "%s >= 0") for row in dominance])
-    if smf:
-        if len(theta_rows) == len(record.theta.names):
-            member = record.theta._membership
-            composed = nest.compose([(c, off) for c, off, _ in member], theta_rows)
-            valid = fold(
+        dominant = fold(
+            "and",
+            [(nest.reduced(row)[0], "%s >= 0") for row in dominance if varies(row, lambda v: v >= 0)],
+        )
+    # SMF's folds; None for a test that fails at every theta: a theta of the
+    # wrong length is never in the theta space, and a pi(theta) of the wrong
+    # length never recovers pi
+    valid = recovers = inbox = None
+    if smf and len(theta_rows) == len(record.theta.names):
+        member = record.theta._membership
+        composed = nest.compose([(c, off) for c, off, _ in member], theta_rows)
+        valid = fold(
+            "and",
+            [
+                (row, "%%s %%%% %d == 0" % mod) if mod else (nest.reduced(row)[0], "%s >= 0")
+                for row, (_, _, mod) in zip(composed, member)
+                if varies(row, lambda v: v % mod == 0 if mod else v >= 0)
+            ],
+        )
+        doubled = nest.compose(_map_rows(record, "pi_of_theta"), theta_rows)
+        if len(doubled) == npi:  # pi(theta) - 2·pi, row by row
+            diffs = []
+            for i, (coeffs, off) in enumerate(doubled):
+                acc = dict(coeffs)
+                acc[i] = acc.get(i, 0) - 2
+                diffs.append((tuple(sorted((j, x) for j, x in acc.items() if x)), off))
+            recovers = fold(
                 "and",
-                [
-                    (row, "%%s %%%% %d == 0" % mod) if mod else (nest.reduced(row)[0], "%s >= 0")
-                    for row, (_, _, mod) in zip(composed, member)
-                ],
+                [(nest.reduced(row)[0], "%s == 0") for row in diffs if varies(row, lambda v: v == 0)],
             )
-            doubled = nest.compose(_map_rows(record, "pi_of_theta"), theta_rows)
-            recovers = None
-            if len(doubled) == npi:  # pi(theta) - 2·pi, row by row
-                diffs = []
-                for i, (coeffs, off) in enumerate(doubled):
-                    acc = dict(coeffs)
-                    acc[i] = acc.get(i, 0) - 2
-                    diffs.append((tuple(sorted((j, x) for j, x in acc.items() if x)), off))
-                recovers = fold("and", [(nest.reduced(row)[0], "%s == 0") for row in diffs])
-            inbox = fold("and", [(row, "-bound <= %s <= bound") for row in theta_rows])
-        else:  # a theta of the wrong length is never in the theta space
-            valid = None
+        inbox = fold("and", [(row, "-bound <= %s <= bound") for row in theta_rows])
 
     pi = nest.tuple_source(["v%d" % t for t in range(npi)])
 
@@ -1140,18 +1153,19 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
                 slow[0] = "if " + slow[0]
             before += ["if _w is not None:"] + ["    " + line for line in slow]
         if smf:
-            ok = "False"
-            if valid is not None and recovers is not None:
-                ok = "%s and %s and _h not in _m" % (folded[valid], folded[recovers])
+
+            def test(f):
+                return "False" if f is None else folded[f]
+
             before += [
                 "_h = %s" % theta_src,
                 "s += 1",
-                "if %s:" % ok,
+                "if %s and %s and _h not in _m:" % (test(valid), test(recovers)),
                 "    _m.add(_h)",
-                "    if %s:" % (folded[inbox] if valid is not None else "False"),
+                "    if %s:" % test(inbox),
                 "        c += 1",
                 "else:",
-                "    fiber_fail(_p, _h, _m, %s)" % (folded[valid] if valid is not None else "False"),
+                "    fiber_fail(_p, _h, _m, %s)" % test(valid),
             ]
         return before, after, names
 
