@@ -7,7 +7,7 @@ coordinates before it, a parity rule adds a congruence, and theta is one
 integer affine row per coordinate in (pi, free).  ``walk`` lists a fiber in
 the order of the lemmas' closed forms, which the tests keep as the
 reference; ``verify`` compiles the same description into each case's pi
-kernel, and the exact fiber sums of the roadmap can read it too.
+kernel, and an exact summation over a fiber can read it too.
 """
 
 from __future__ import annotations

@@ -1193,6 +1193,8 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
             dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
 
     if dim:
+        # built here, so that a pi label map or a Weyl type the kernels
+        # cannot take is a setup error of the pass
         pi_label2 = _affine_kernel(tuple(_map_rows(record, "pi_label_map")))
         weights._dimension_kernel(record.pi_group.weyl)
 
@@ -1217,7 +1219,7 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
 
     fibers = fiber_polytope(record.branch_rule, len(record.pi_space.names))
     kernel = nest.kernel(_pi_source(record, fibers, dim, smf), "pi kernel %s" % record.id)
-    if bound < 0:
+    if bound < 0:  # the walk's error, as ParamSpace.walk raises it
         raise ValueError("bound must be >= 0")
     runs, count, covered = kernel(bound, pi_want, nu_slow, fiber_fail, dim_fail.append)
     return runs, dim_fail, 2 * count, smf_fail, covered
