@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import nest
 from .linalg import AffineMap, Matrix, Vector, int_affine_source, mat, mat_vec, vec
 from .reps import (
     SO,
@@ -109,9 +110,11 @@ def membership_source(rows, var: str) -> list:
 @functools.cache
 def _membership_kernel(rows: tuple, n: int):
     """params ↦ are params n ints that satisfy every row of
-    ``membership_source``?  One expression, compiled once per row tuple."""
+    ``membership_source``?  One expression, compiled once per row tuple
+    under ``<membership kernel DIGEST>``."""
     conds = ["len(p) == %d" % n] + membership_source(rows, "p[%d]")
-    return eval("lambda p: " + " and ".join(conds), globals())
+    text = nest.returning("p", " and ".join(conds))
+    return nest.kernel(text, "membership kernel " + nest.digest(text))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import nest
 from .catalog import Constraint, ParamSpace, _limit_walk
-from .linalg import int_affine_source
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,13 @@ class FiberPolytope:
             if {a > 0 for a, _, _ in limits[t]} != {True, False}:
                 raise ValueError("free coordinate %s is unbounded" % self.space.names[t])
 
-    @functools.cached_property
-    def _theta_of(self):
-        """point ↦ theta, one expression compiled once per description."""
-        rows = "".join(int_affine_source("p[%d]", c, k) + ", " for c, k in self.theta)
-        return eval("lambda p: (%s)" % rows, {})
-
     def walk(self, pi: Sequence[int]):
         """Yield the fiber of pi, theta by theta."""
         free = len(self.space.names) - self.npi
         lows = list(pi) + [-math.inf] * free
         highs = list(pi) + [math.inf] * free
         points = _limit_walk(lows, highs, self.space.limits, self.space.leaf_rows)
-        return map(self._theta_of, points)
+        return map(nest.affine_kernel(self.theta), points)
 
 
 def _affine(names: Sequence[str], text: str) -> tuple:

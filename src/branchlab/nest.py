@@ -5,9 +5,11 @@ the bounds of its limits, the values of stacked integer rows and of sums and
 folds carried down the depth, and the lines a caller writes at each depth;
 ``kernel`` compiles it once per source under a name a profile shows.
 ``verify`` writes two kernels per case with it: the theta kernel, and the pi
-kernel over the pi box and each pi's fiber polytope.  The helpers on integer
-rows (((index, coefficient), ...), offset) compose and reduce the rows a
-kernel reads.
+kernel over the pi box and each pi's fiber polytope; the per-point kernels
+of ``weights``, ``catalog`` and ``affine_kernel`` are ``def _c0`` sources
+that ``kernel``, the package's one compiler, compiles too.  The helpers on
+integer rows (((index, coefficient), ...), offset) compose and reduce the
+rows a kernel reads.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import itertools
 import math
 import types
+import zlib
 
 from .linalg import int_affine_source
 
@@ -202,26 +205,38 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
     return "".join(line + "\n" for f in functions for line in f)
 
 
-# The first kernel compiled from each source text.
+def returning(arg: str, expr: str, lines=()) -> str:
+    """The source of a one-function kernel ``_c0(arg)`` that runs ``lines``
+    and returns ``expr``."""
+    body = ["    " + line for line in (*lines, "return " + expr)]
+    return "".join(line + "\n" for line in ["def _c0(%s):" % arg] + body)
+
+
+# The globals dict of each ``names``, and the first kernel compiled from
+# each (source text, names).
+_GLOBALS: dict = {}
 _FIRST: dict = {}
 
 
 @functools.cache
-def kernel(text: str, name: str):
-    """The function ``_c0`` that the ``source`` ``text`` defines, under the
+def kernel(text: str, name: str, names: tuple = ()):
+    """The function ``_c0`` that the source ``text`` defines, under the
     file name ``<NAME>``, such as ``<theta kernel iv[n=3]>``, so that a
-    profile lists each case's kernels on their own.  A text is compiled
+    profile lists each kernel on its own: the package's one compiler.  A
+    kernel reads the builtins and the functions of ``names``, each under its
+    ``__name__``, from one globals dict per ``names``.  A text is compiled
     once: another name for it, such as an alias case's, gets a copy of the
-    first kernel's functions under its own file name.  Each function of the
-    chain holds the next as a default argument and the module's globals as
-    its own, so the kernel makes no reference cycle."""
+    first kernel's functions under its own file name.  Each function of a
+    chain holds the next as a default argument, so the kernel makes no
+    reference cycle."""
     filename = "<%s>" % name
-    first = _FIRST.get(text)
+    first = _FIRST.get((text, names))
     if first is not None:
         return _renamed(first, filename)
+    namespace = _GLOBALS.setdefault(names, {f.__name__: f for f in names})  # exec adds the builtins
     functions: dict = {}
-    exec(compile(text, filename, "exec"), globals(), functions)
-    first = _FIRST[text] = functions["_c0"]
+    exec(compile(text, filename, "exec"), namespace, functions)
+    first = _FIRST[text, names] = functions["_c0"]
     return first
 
 
@@ -233,6 +248,21 @@ def _renamed(fn, filename: str):
         defaults = (_renamed(defaults[0], filename),)
     code = fn.__code__.replace(co_filename=filename)
     return types.FunctionType(code, fn.__globals__, fn.__name__, defaults)
+
+
+def digest(text: str) -> str:
+    """A short digest of a source text: the key under which a kernel shared
+    by content, such as one per row tuple, is named."""
+    return "%08x" % zlib.crc32(text.encode())
+
+
+@functools.cache
+def affine_kernel(rows: tuple):
+    """params ↦ the tuple of the values at params of the integer rows
+    (((index, coefficient), ...), offset), compiled once per row tuple
+    under ``<affine kernel DIGEST>``."""
+    text = returning("p", tuple_source([int_affine_source("p[%d]", *row) for row in rows]))
+    return kernel(text, "affine kernel " + digest(text))
 
 
 def reduced(row, g: int = 0):

@@ -13,13 +13,13 @@ integers and halved once, with no ``Fraction`` arithmetic (``_MAPS``).
 Weyl-group arithmetic (canonical orbit forms, dimensions) is the ``weights``
 module's, called on the same doubled integers, G2 included.  The work that
 is fixed per record and repeated per point is compiled once into
-straight-line Python: the doubled image of a row list (``_affine_kernel``),
-a type's Weyl dimension and canonical form (``weights._dimension_kernel``,
-``weights._canonical_kernel``) and a space's membership
-(``ParamSpace.contains_ints``).  The compiled evaluation is
-cross-checked against the straightforward reference evaluation in the test
-suite.  The independence certificate and the parity gap reduce moment
-matrices of the symbols' integer numerators in ``linalg``'s integer echelon.
+straight-line Python by the one compiler, ``nest.kernel``: the doubled
+image of a row list (``nest.affine_kernel``), a type's Weyl dimension and
+canonical form (``weights._dimension_kernel``, ``weights._canonical_kernel``)
+and a space's membership (``ParamSpace.contains_ints``), cross-checked
+against the straightforward reference evaluation in the test suite.  The
+independence certificate and the parity gap reduce moment matrices of the
+symbols' integer numerators in ``linalg``'s integer echelon.
 
 Pi-side consistency compares the compiled P-side Casimirs, which read the
 composite map theta ↦ pi label, with a second route: per distinct pi(theta),
@@ -66,9 +66,9 @@ are, and the theta kernel carries these K totals down its loop nest,
 adding from a row's memo (``_RowSums``) where the row is final.  The
 kernels are the one place that carries rows, sums and products down a
 walk; every other walk of a box (``ParamSpace.walk``) yields bare points,
-and a caller that needs an image computes it with an ``_affine_kernel``.  An xyz_poly, which
-only the star record's cross-evaluation reads, is a ``dgx.Poly`` evaluated
-at ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints
+and a caller that needs an image computes it with ``nest.affine_kernel``.
+An xyz_poly, which only the star record's cross-evaluation reads, is a
+``dgx.Poly`` evaluated at ``dgx.xyz_of(theta)``.  ``ParamSpace.contains`` checks constraints
 compiled once per space into one expression, and its walk's leaf check is
 another.
 """
@@ -197,18 +197,6 @@ def _stored_rows(record: CaseRecord, key, amap: AffineMap):
         return "case %s: map %s is not half-integral" % (record.id, name)
 
     return _doubled(*_scaled(amap), message)
-
-
-@functools.cache
-def _affine_kernel(rows2: tuple):
-    """params ↦ the list of the values at params of the doubled rows
-    (((index, coefficient), ...), offset), written out as one list
-    expression and compiled once per row tuple."""
-    return eval(
-        "lambda p: [%s]"
-        % ", ".join(linalg.int_affine_source("p[%d]", coeffs, off) for coeffs, off in rows2),
-        globals(),
-    )
 
 
 def _composite_rows(record: CaseRecord, key: str, *parts):
@@ -942,7 +930,7 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
 
     # -- SMF's count: search the theta box only when a covered theta is missing
     if smf is not None and covered < expected:
-        pi_image = _affine_kernel(pi_theta_rows)
+        pi_image = nest.affine_kernel(pi_theta_rows)
         last, fibers = None, ()
         for theta in record.theta.walk(bound):
             doubled = pi_image(theta)
@@ -1195,7 +1183,7 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
     if dim:
         # built here, so that a pi label map or a Weyl type the kernels
         # cannot take is a setup error of the pass
-        pi_label2 = _affine_kernel(tuple(_map_rows(record, "pi_label_map")))
+        pi_label2 = nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))
         weights._dimension_kernel(record.pi_group.weyl)
 
     def pi_want(pi_params):
@@ -1203,7 +1191,7 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
 
     def nu_slow(pi_params, theta):
         # the slow path, which alone builds nu's kernels
-        nu2 = _affine_kernel(tuple(_map_rows(record, "nu")))(theta)
+        nu2 = nest.affine_kernel(tuple(_map_rows(record, "nu")))(theta)
         return dimension(pi_params, record.nu_group, nu2)
 
     def fiber_fail(pi_params, theta, mine, valid):
@@ -1214,7 +1202,7 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
             smf_fail.append(("disjoint", theta, None, pi_params))
         else:
             mine.add(theta)
-            doubled = _affine_kernel(tuple(_map_rows(record, "pi_of_theta")))(theta)
+            doubled = nest.affine_kernel(tuple(_map_rows(record, "pi_of_theta")))(theta)
             smf_fail.append(("recovers-pi", theta, _halve(doubled), pi_params))
 
     fibers = fiber_polytope(record.branch_rule, len(record.pi_space.names))
@@ -1303,7 +1291,7 @@ def _smf_plan(record: CaseRecord, stack: _Stack):
 def _pi_side_plan(record: CaseRecord, stack: _Stack):
     """(symbols, slots, pi label) for pi-side consistency: symbols [(name,
     denominator, factor)] of the P-side Casimirs, slots (name, compiled form
-    of its numerator) for ``_walk_sums``, and the ``_affine_kernel`` of the
+    of its numerator) for ``_walk_sums``, and the ``nest.affine_kernel`` of the
     doubled rows of the pi label map alone.  pi_of_theta goes on ``stack``."""
     symbols, slots = [], []
     for name, s in sorted(record.symbols.items()):
@@ -1312,7 +1300,7 @@ def _pi_side_plan(record: CaseRecord, stack: _Stack):
             symbols.append((name, den, s.factor))
             slots.append((name, form))
     stack.add("pi_of_theta")
-    return tuple(symbols), tuple(slots), _affine_kernel(tuple(_map_rows(record, "pi_label_map")))
+    return tuple(symbols), tuple(slots), nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))
 
 
 def _pi_side_targets(value, symbols) -> list:

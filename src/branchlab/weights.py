@@ -14,8 +14,10 @@ one Python expression (``_dominance_kernel``, ``_canonical_kernel``,
 ``_dimension_kernel``), and that kernel is its only route: ``is_dominant``,
 ``dominant_representative`` and ``weyl_dimension`` call it, as the box pass
 does.  The source is written from integers and the fixed family letters
-only, and is evaluated as a lambda against one module-level globals dict,
-``_KERNEL_GLOBALS``, so a kernel makes no reference cycle.
+only, as a ``def _c0`` that ``nest.kernel`` compiles under the kernel's
+kind and type, such as ``<canonical kernel A(6) mod_trace>``; it reads the
+builtins and this module's six helpers (``_HELPERS``) only, so a kernel
+makes no reference cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import nest
 from .linalg import Vector, int_affine_source, vec
 
 LETTERED = ("A", "B", "C", "D")
@@ -179,8 +182,8 @@ _CANONICAL_SOURCE = {
 def _canonical_kernel(t: WeylType, mod_trace: bool):
     """The dominant representative of a weight of t as one expression
     compiled once per type: a sort for type A, one slice per factor of a
-    product, and G2's reflection loop.  With mod_trace it is
-    taken of n·v − sum(v), the trace direction removed and scaled by the
+    product, and G2's reflection loop.  With mod_trace the same function
+    first takes n·v − sum(v), the trace direction removed and scaled by the
     coordinate count n to stay integral."""
     n = t.ncoords
     factors = t.factors or (t,)
@@ -193,17 +196,10 @@ def _canonical_kernel(t: WeylType, mod_trace: bool):
         part = "v" if len(factors) == 1 else "v[%d:%d]" % (pos, pos + k)
         parts.append(_CANONICAL_SOURCE[f.family] % part)
         pos += k
-    kernel = eval(
-        "lambda v: _wrong_length(%d, v) if len(v) != %d else %s" % (n, n, " + ".join(parts)),
-        _KERNEL_GLOBALS,
-    )
-    if mod_trace:
-        kernel = eval(
-            "lambda v, _k=_k: _k([%d * x - s for s in (sum(v),) for x in v])" % n,
-            _KERNEL_GLOBALS,
-            {"_k": kernel},
-        )
-    return kernel
+    trace = ("s = sum(v)", "v = [%d * x - s for x in v]" % n) if mod_trace else ()
+    expr = "_wrong_length(%d, v) if len(v) != %d else %s" % (n, n, " + ".join(parts))
+    name = "canonical kernel %s%s" % (t, " mod_trace" if mod_trace else "")
+    return nest.kernel(nest.returning("v", expr, trace), name, _HELPERS)
 
 
 def weyl_dimension(t: WeylType, lam: Sequence) -> int:
@@ -265,11 +261,8 @@ def _dimension_kernel(t: WeylType):
             dims.append("d%d // %d" % (k, den))
         pos += m
     total = "(d if (d := %s) > 0 else _non_positive(d))" % (" * ".join(dims) or "1")
-    return eval(
-        "lambda a: _wrong_length(%d, a) if len(a) != %d else %s %s"
-        % (n, n, " ".join(branches), total),
-        _KERNEL_GLOBALS,
-    )
+    expr = "_wrong_length(%d, a) if len(a) != %d else %s %s" % (n, n, " ".join(branches), total)
+    return nest.kernel(nest.returning("a", expr), "dimension kernel %s" % t, _HELPERS)
 
 
 @functools.cache
@@ -289,11 +282,8 @@ def _dominance_kernel(t: WeylType):
         if f.family != "Trivial":
             conds.append("(%s)" % _dominance_source(f.family, pos, f.ncoords))
         pos += f.ncoords
-    return eval(
-        "lambda a: _wrong_length(%d, a) if len(a) != %d else %s"
-        % (n, n, " and ".join(conds) or "True"),
-        _KERNEL_GLOBALS,
-    )
+    expr = "_wrong_length(%d, a) if len(a) != %d else %s" % (n, n, " and ".join(conds) or "True")
+    return nest.kernel(nest.returning("a", expr), "dominance kernel %s" % t, _HELPERS)
 
 
 def _dominance_rows(fam: str, m: int) -> tuple:
@@ -333,13 +323,5 @@ def _non_positive(dim: int):
     raise AssertionError("non-positive Weyl dimension %d" % dim)
 
 
-# The names the compiled kernels read besides the builtins: the globals
-# every kernel is evaluated against.
-_KERNEL_GLOBALS = {
-    "_wrong_length": _wrong_length,
-    "_dominant_D": _dominant_D,
-    "_dominant_G2": _dominant_G2,
-    "_not_dominant": _not_dominant,
-    "_non_integral": _non_integral,
-    "_non_positive": _non_positive,
-}
+# The functions the compiled kernels read besides the builtins.
+_HELPERS = (_wrong_length, _dominant_D, _dominant_G2, _not_dominant, _non_integral, _non_positive)

@@ -223,7 +223,7 @@ def half_sum(t) -> Vector:
 
 def _apply2(rows2, params) -> list[int]:
     """The values at params of the doubled rows (((index, coefficient),
-    ...), offset): ``verify._affine_kernel``'s reference."""
+    ...), offset): ``nest.affine_kernel``'s reference."""
     out = []
     for coeffs, value in rows2:
         for i, c in coeffs:
@@ -962,29 +962,34 @@ def _interlace(j: tuple, closed: bool) -> list:
 def pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool, fibers_of=None) -> tuple:
     """``verify._pi_walk`` as the interpreted walk it replaced: per pi of
     the pi box, its fiber list (``fibers_of(pi)``, by default the closed
-    form of the record's rule), the dimensions through the weights kernels,
-    and SMF's per-theta tests with the theta space's membership."""
+    form of the record's rule), the dimensions of the doubled images of
+    ``_apply2`` through ``dimension2``, and SMF's per-theta tests with the
+    theta space's membership rows through ``_satisfies``: none of the
+    package's kernels."""
     if fibers_of is None:
         fibers_of = functools.partial(branch_fibers, record.branch_rule)
     dim_fail, smf_fail = [], []
     dim_runs = smf_runs = covered = 0
     if dim:
-        pi_label2 = verify._affine_kernel(tuple(verify._map_rows(record, "pi_label_map")))
-        pi_dimension = weights._dimension_kernel(record.pi_group.weyl)
-        nu_image = verify._affine_kernel(tuple(verify._map_rows(record, "nu")))
-        nu_dimension = weights._dimension_kernel(record.nu_group.weyl)
+        pi_label_rows = verify._map_rows(record, "pi_label_map")
+        nu_rows = verify._map_rows(record, "nu")
+        pi_weyl, nu_weyl = record.pi_group.weyl, record.nu_group.weyl
     if smf:
-        pi_image = verify._affine_kernel(tuple(verify._map_rows(record, "pi_of_theta")))
-    contains = record.theta.contains_ints
+        pi_rows = verify._map_rows(record, "pi_of_theta")
+    space = record.theta
+
+    def contains(theta):
+        return len(theta) == len(space.names) and _satisfies(space._membership, theta)
+
     for pi_params in record.pi_space.walk(bound):
         fibers = fibers_of(pi_params) if smf else None
         if dim:
             dim_runs += 1
             try:
-                want = pi_dimension(pi_label2(pi_params))
+                want = dimension2(pi_weyl, _apply2(pi_label_rows, pi_params))
                 if fibers is None:
                     fibers = fibers_of(pi_params)
-                total = sum(map(nu_dimension, map(nu_image, fibers)))
+                total = sum(dimension2(nu_weyl, _apply2(nu_rows, theta)) for theta in fibers)
             except (ValueError, AssertionError) as exc:
                 dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
             else:
@@ -992,7 +997,7 @@ def pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool, fibers_of=None
                     dim_fail.append(("dimension", pi_params, want, total))
         if not smf:
             continue
-        pi2 = [2 * p for p in pi_params]
+        pi2 = tuple(2 * p for p in pi_params)
         mine: set = set()
         smf_runs += 2 * len(fibers)
         for theta in fibers:
@@ -1002,7 +1007,7 @@ def pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool, fibers_of=None
                 smf_fail.append(("disjoint", theta, None, pi_params))
             else:
                 mine.add(theta)
-                doubled = pi_image(theta)
+                doubled = tuple(_apply2(pi_rows, theta))
                 if doubled != pi2:
                     smf_fail.append(("recovers-pi", theta, verify._halve(doubled), pi_params))
                 elif max(map(abs, theta), default=0) <= bound:

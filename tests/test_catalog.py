@@ -273,11 +273,15 @@ def test_membership_kernel_matches_the_row_loop():
     assert seen == {True, False}
 
 
-def test_kernels_leave_no_cycle():
+def test_kernels_leave_no_cycle(monkeypatch):
     # compiling the kernels of a fresh Weyl type, row tuple and space, and
-    # dropping them, leaves nothing for the cycle collector: each is a
-    # lambda evaluated against a module-level globals dict.  The builders
-    # are called past their caches, so that the kernels are freed here.
+    # dropping them, leaves nothing for the cycle collector: each is
+    # compiled by nest.kernel against a globals dict of the builtins and
+    # the helpers it names.  The builders and nest.kernel are called past
+    # their caches, and nest's first-compile map is a fresh one, cleared
+    # below, so that the kernels are freed here.
+    monkeypatch.setattr(nest, "kernel", nest.kernel.__wrapped__)
+    monkeypatch.setattr(nest, "_FIRST", {})
     t = weights.Product(weights.B(23), weights.Trivial(2), weights.G2)
     rows = ((((0, 3), (2, -1)), 987651), ((), -7), (((1, 2),), 0))
     gc.collect()
@@ -285,20 +289,21 @@ def test_kernels_leave_no_cycle():
     try:
         dimension = weights._dimension_kernel.__wrapped__(t)
         canonical = weights._canonical_kernel.__wrapped__(t, True)
-        image = verify._affine_kernel.__wrapped__(rows)
+        image = nest.affine_kernel.__wrapped__(rows)
         member = catalog._membership_kernel.__wrapped__(((((0, 1), (1, -1)), 5, 7),), 2)
         assert dimension((0,) * 27) == 1
         assert canonical([0] * 27) == (0,) * 27
-        assert image((1, 2, 3)) == [987651, -7, 4]
+        assert image((1, 2, 3)) == (987651, -7, 4)
         assert member((0, 5)) and not member((0, 0))
         space = ParamSpace(("a", "b"), ("nat", "int"), (Constraint((1, -1), 987650, 7),))
         assert space.contains((0, 987650)) and not space.contains((0, 0))
         # a theta kernel long enough to be a chain of two functions
         chain = ParamSpace(tuple("x%d" % i for i in range(17)), ("nat",) * 17)
         source = verify._theta_source(chain, 1, [], [], lambda value, totals, theta: [])
-        theta = nest.kernel.__wrapped__(source, "theta kernel chain")
+        theta = nest.kernel(source, "theta kernel chain")
         assert "_c1" in source and theta(1, (), *[None] * 7) == (2 ** 17, 0, 0)
         del dimension, canonical, image, member, space, theta
+        nest._FIRST.clear()
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,6 +1,6 @@
 """The package holds no code, public or private, that only the tests reach:
 no definition without a caller, and no optional parameter that no call
-passes."""
+passes.  And it compiles generated code in one place, ``nest.kernel``."""
 
 import ast
 import collections
@@ -196,3 +196,37 @@ def test_every_optional_parameter_is_passed():
         ):
             unpassed[(owner, name)] = path.name
     assert set(unpassed) == set(ALLOWED_OPTIONAL), unpassed
+
+
+# The builtins that compile generated code.
+_COMPILERS = {"eval", "exec", "compile"}
+
+
+def _compile_calls(tree):
+    """(name, node) of each call of ``_COMPILERS`` in an ast, bare or
+    through ``builtins``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "builtins":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in _COMPILERS:
+                yield name, node
+
+
+def test_nest_kernel_is_the_only_compile_site():
+    """Generated code is compiled in one place, ``nest.kernel``: an eval,
+    exec or compile call anywhere else in the package is a second compiler,
+    with its own globals and a name a profile cannot keep apart."""
+    elsewhere, inside = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "nest.py":
+            kernel = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "kernel")
+            inside = {id(node): name for name, node in _compile_calls(kernel)}
+        elsewhere += [(path.name, node.lineno) for _, node in _compile_calls(tree) if id(node) not in inside]
+    assert elsewhere == []
+    # the scan sees nest.kernel's own calls, so an empty list means something
+    assert sorted(inside.values()) == ["compile", "exec"]

@@ -1,6 +1,7 @@
 """Relation identities, transfer maps, independence certificates."""
 
 import collections
+import cProfile
 import hashlib
 import random
 from fractions import Fraction
@@ -998,14 +999,14 @@ def test_affine_kernel_matches_apply2_on_every_stacked_map():
     for r in catalog.build_records(3):
         for key in _map_keys(r):
             rows = verify._map_rows(r, key)
-            kernel = verify._affine_kernel(tuple(rows))
+            kernel = nest.affine_kernel(tuple(rows))
             n = _source_dim(r, key)
             for _ in range(12):
                 p = tuple(rng.randint(-9, 9) for _ in range(n))
-                assert kernel(p) == kernel(list(p)) == oracles._apply2(rows, p), (r.id, key, p)
+                assert kernel(p) == kernel(list(p)) == tuple(oracles._apply2(rows, p)), (r.id, key, p)
                 seen += 1
             short = (0,) * (n - 1) if n else ()
-            assert _raised(lambda: kernel(short)) == _raised(lambda: oracles._apply2(rows, short))
+            assert _raised(lambda: kernel(short)) == _raised(lambda: tuple(oracles._apply2(rows, short)))
     assert seen > 1000
 
 
@@ -1024,7 +1025,7 @@ def test_second_run_case_builds_no_kernel():
     builders = (
         weights._dimension_kernel,
         weights._canonical_kernel,
-        verify._affine_kernel,
+        nest.affine_kernel,
         catalog._membership_kernel,
         nest.kernel,
     )
@@ -1047,9 +1048,11 @@ def test_theta_kernel_is_filed_under_its_case(monkeypatch):
     kernels = []
     build = nest.kernel
 
-    def kept(source, name):
-        kernels.append(build(source, name))
-        return kernels[-1]
+    def kept(source, name, names=()):
+        fn = build(source, name, names)
+        if name.startswith(("theta kernel", "pi kernel")):
+            kernels.append(fn)
+        return fn
 
     monkeypatch.setattr(nest, "kernel", kept)
     r = next(r for r in catalog.build_records(10) if str(r.id) == "iv[n=10]")
@@ -1062,6 +1065,30 @@ def test_theta_kernel_is_filed_under_its_case(monkeypatch):
             fn = fn.__defaults__[-1] if fn.__defaults__ else None
         chains.append(files)
     assert sorted(chains) == [["<pi kernel iv[n=10]>"] * 2, ["<theta kernel iv[n=10]>"] * 2]
+
+
+def test_profile_keeps_every_generated_kernel_apart():
+    # pstats files a profile's entries by (file, line, name) and keeps one
+    # per label, so two generated code objects under one label would hide
+    # each other's cost: every kernel that run_case runs, on every record of
+    # build_records(2) and on iv[n=3], has a label of its own, and none is
+    # an anonymous <string> or <lambda>
+    records = catalog.build_records(2)
+    records.append(next(r for r in catalog.build_records(3) if str(r.id) == "iv[n=3]"))
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        for r in records:
+            verify.run_case(r, 2, 2)
+    finally:
+        profile.disable()
+    codes = [e.code for e in profile.getstats() if not isinstance(e.code, str)]
+    kernels = [c for c in codes if " kernel " in c.co_filename]
+    labels = collections.Counter((c.co_filename, c.co_firstlineno, c.co_name) for c in kernels)
+    assert labels.most_common(1)[0][1] == 1, labels.most_common(3)
+    assert not [c for c in codes if (c.co_filename, c.co_name) == ("<string>", "<lambda>")]
+    kinds = {file.split(" kernel ")[0] for file, _, _ in labels}
+    assert kinds == {"<theta", "<pi", "<affine", "<membership", "<dimension", "<dominance", "<canonical"}, kinds
 
 
 def test_smf_count_fails_wherever_the_maps_fail():
