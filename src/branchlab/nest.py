@@ -10,6 +10,14 @@ of ``weights``, ``catalog`` and ``affine_kernel`` are ``def _c0`` sources
 that ``kernel``, the package's one compiler, compiles too.  The helpers on
 integer rows (((index, coefficient), ...), offset) compose and reduce the
 rows a kernel reads.
+
+``always`` is the rule by which a writer leaves a per-point test out of a
+kernel's source: a test that holds at every point the loops reach,
+whatever the bound.  It decides a congruence whose modulus divides the
+row, and a sign or box test that the loops' own ranges prove; it is sound
+because every point a kernel reaches lies within every loop's range.  A
+test it cannot prove stays as it is.  A row value that no line of a source
+reads is not written.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import itertools
 import math
 import types
 import zlib
+from fractions import Fraction
 
 from .linalg import int_affine_source
 
@@ -44,10 +53,11 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
     0 at the start.  The one writer of the box pass's compiled walks.
 
     coords[t] is (lo, hi, limits): coordinate t, the local vt, runs from the
-    maximum of lo and the lower bounds of ``limits`` to the minimum of hi and
-    their upper bounds; limits has the format of ``ParamSpace.limits``, and
-    lo or hi is None where only the limits bound it.  Fresh locals follow
-    the coordinates.  At depth d, once d coordinates are placed, the body
+    maximum of lo·bound and the lower bounds of ``limits`` to the minimum of
+    hi·bound and their upper bounds, ``bound`` being an argument of the
+    kernel; limits has the format of ``ParamSpace.limits``, and lo or hi is
+    None where only the limits bound it.  Fresh locals follow the
+    coordinates.  At depth d, once d coordinates are placed, the body
     tests the sources conds[d], then runs the lines ``at`` writes for d: some
     before the loops below d, some after them.
 
@@ -96,9 +106,17 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
     named: list = []
     functions: list = []
 
+    # the locals of row values that a line reads, and per line that updates
+    # a row's value, its local: (the line, the local it updates or None)
+    read: set = set()
+    updates: dict = {}
+
     def value(row) -> str:
         at_, off = current[row]
-        return "%d" % off if at_ is None else "v%d" % at_
+        if at_ is None:
+            return "%d" % off
+        read.add(at_)
+        return "v%d" % at_
 
     def place(d) -> list:
         # the lines once d coordinates are placed: the rows with a column at
@@ -112,6 +130,7 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
             terms = ((d - 1, c),) if at_ is None else ((at_, 1), (d - 1, c))
             current[row] = (next(fresh), 0)
             out.append("v%d = %s" % (current[row][0], int_affine_source("v%d", terms, off)))
+            updates[current[row][0]] = (out[-1], at_)
         for r, j in final[d]:
             got = "m%d[%s]" % (j, value(rows[r]))
             slots = [k for k, poly in enumerate(memos[j].polys) if poly]
@@ -141,6 +160,7 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
         # the first lines of the function for the coordinates from k, the
         # locals it takes from the function before, and those it gives back
         live = {"v%d" % i for i in range(k)}
+        read.update(at_ for at_, _ in current.values() if at_ is not None)
         live |= {"v%d" % at_ for at_, _ in current.values() if at_ is not None}
         live |= {t for t in totals + carried if t}
         live = sorted(live, key=lambda v: int(v[1:]))
@@ -155,7 +175,8 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
 
     def for_line(d) -> str:
         lo, hi, limits = coords[d]
-        los, his = [lo] if lo else [], [hi] if hi else []
+        los = [] if lo is None else [_times_bound(lo)]
+        his = [] if hi is None else [_times_bound(hi)]
         for a, prefix, const in limits:
             rest = int_affine_source("v%d", prefix, const)
             if a > 0:
@@ -202,7 +223,107 @@ def source(coords, conds, args: str, accs, rows, sums, folds, at) -> str:
     emit(0, out, "    ")
     emit = None  # the recursive closure refers to itself: drop that cycle
     functions.append(out + ["    return %s" % tuple_source(accs)])
-    return "".join(line + "\n" for f in functions for line in f)
+    # a row value that no line reads, nor an update that is read, is dropped
+    for local in sorted(updates, reverse=True):
+        if local in read and updates[local][1] is not None:
+            read.add(updates[local][1])
+    dead = {line for local, (line, _) in updates.items() if local not in read}
+    return "".join(line + "\n" for f in functions for line in f if line.lstrip() not in dead)
+
+
+def _times_bound(k: int) -> str:
+    return {0: "0", 1: "bound", -1: "-bound"}.get(k, "%d * bound" % k)
+
+
+def always(coords):
+    """The rule by which a kernel's writer leaves a per-point test out of
+    the source: the function (row, mod=0, k=0) ↦ whether the test on the
+    integer row (((index, coefficient), ...), offset) holds at every point
+    that a loop nest over ``coords`` (``source``'s) reaches, whatever the
+    bound >= 0: row % mod == 0 when mod > 0, else row + k·bound >= 0.
+    Where it cannot tell, it says False and the test stays.
+
+    A congruence holds where mod divides every coefficient and the offset.
+    An inequality holds where its least value on the coordinates' intervals
+    (``_intervals``) is α·bound + β with α, β >= 0, either as it is or after
+    one step that eliminates its last coordinate t, whose coefficient is c:
+    for a bound a·vt + rest >= 0 of t (a limit, lo or hi) with a of c's
+    sign, |a|·row - |c|·(a·vt + rest) has no vt, and where it is >= 0, so
+    is |a|·row, since the bound is.  Every point the nest reaches lies
+    within every loop's range, so a test proved so cannot fail there."""
+    intervals = _intervals(coords)
+
+    def nonnegative(coeffs, kb, off) -> bool:
+        least = _least(coeffs, kb, off, intervals)
+        return least is not None and least[0] >= 0 and least[1] >= 0
+
+    def holds(row, mod: int = 0, k: int = 0) -> bool:
+        coeffs, off = row
+        if mod:
+            return off % mod == 0 and all(c % mod == 0 for _, c in coeffs)
+        coeffs = {i: c for i, c in coeffs if c}
+        if nonnegative(coeffs, k, off):
+            return True
+        if not coeffs:
+            return False
+        t = max(coeffs)
+        c = coeffs[t]
+        for a, prefix, kb, const in _bounds(coords[t]):
+            if (a > 0) == (c > 0):
+                rest = {i: abs(a) * x for i, x in coeffs.items() if i != t}
+                for i, x in prefix:
+                    rest[i] = rest.get(i, 0) - abs(c) * x
+                if nonnegative(rest, abs(a) * k - abs(c) * kb, abs(a) * off - abs(c) * const):
+                    return True
+        return False
+
+    return holds
+
+
+def _bounds(coord) -> list:
+    """The bounds a·vt + (row of prefix) + kb·bound + const >= 0 of a
+    coordinate of ``source``'s coords, as (a, prefix, kb, const): lo and
+    hi, then the limits."""
+    lo, hi, limits = coord
+    out = [] if lo is None else [(1, (), -lo, 0)]
+    out += [] if hi is None else [(-1, (), hi, 0)]
+    return out + [(a, prefix, 0, const) for a, prefix, const in limits]
+
+
+def _least(coeffs: dict, kb, off, intervals):
+    """The least value of sum(c·vi) + kb·bound + off on the intervals, as
+    (α, β) for α·bound + β, or None where it reads an open end."""
+    alpha, beta = kb, off
+    for i, c in coeffs.items():
+        end = intervals[i][0 if c > 0 else 1]
+        if end is None:
+            return None
+        alpha += c * end[0]
+        beta += c * end[1]
+    return alpha, beta
+
+
+def _intervals(coords) -> list:
+    """Per coordinate, (low, high): ends α·bound + β, as (α, β), within
+    which it lies at every point the nest reaches, or None for an open end.
+    A bound a·vt + rest >= 0 bounds vt by (least of -rest) / a, below when
+    a > 0 and above otherwise; of several ends one keeps the first unless a
+    later one is tighter for every bound >= 0."""
+    out: list = []
+    for coord in coords:
+        ends = [None, None]
+        for a, prefix, kb, const in _bounds(coord):
+            least = _least({i: -x for i, x in prefix}, -kb, -const, out)
+            if least is None:
+                continue
+            # a is ±1 but where a limit's last coefficient is larger
+            end = tuple(x * a if abs(a) == 1 else Fraction(x) / a for x in least)
+            side, sign = (0, 1) if a > 0 else (1, -1)
+            old = ends[side]
+            if old is None or (sign * end[0] >= sign * old[0] and sign * end[1] >= sign * old[1]):
+                ends[side] = end
+        out.append(tuple(ends))
+    return out
 
 
 def returning(arg: str, expr: str, lines=()) -> str:

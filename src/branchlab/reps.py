@@ -96,6 +96,13 @@ class GroupDescriptor:
             for f, sl in self.factor_slices
         )
 
+    @functools.cached_property
+    def _is_dominant(self):
+        """w2 ↦ <w2, a> >= 0 for every simple root a of the Weyl type: its
+        ``weights._dominance_kernel``, looked up once per descriptor rather
+        than once per label."""
+        return weights._dominance_kernel(self.weyl)
+
     def _validate2(self, w2: tuple[int, ...]) -> None:
         """Raise ValueError unless the doubled weight w2 is a highest weight."""
         if len(w2) != self.rank:
@@ -110,7 +117,7 @@ class GroupDescriptor:
                     "label %s fails the covering parity of %s" % (_halve(w2), self.name)
                 )
             return
-        if not weights.is_dominant(self.weyl, w2):
+        if not self._is_dominant(w2):
             raise ValueError("label %s is not dominant for %s" % (_halve(w2), self.name))
         odd = [x & 1 for x in w2]
         if self.kind == "Spin":

@@ -795,8 +795,12 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     they read, the relation totals and the P-side Casimir numerators
     (``_walk_sums``) in locals, as a chain of functions past 16
     coordinates (``iv[n=10]`` has 21); transfer compares two
-    ``weights._canonical_kernel`` forms of fixed rows of it.  The box is
-    streamed.  The pass reads the record's compiled forms and doubled
+    ``weights._canonical_kernel`` forms of fixed rows of it.  Both kernels
+    leave out, when they are written, each per-point test that cannot fail
+    at any point their loops reach: transfer on rows equal to nu+rho's
+    (``_leaf_lines``), and the parity, sign and box tests that
+    ``nest.always`` proves from the loops' own ranges, so a report is the
+    same with or without them.  The box is streamed.  The pass reads the record's compiled forms and doubled
     rows, which are compiled once per record (``_symbol_cache``), and
     kernels compiled once per Weyl type, row tuple or source; none grows
     with the box.  What the pass itself keeps: one pi's set of fiber theta,
@@ -849,15 +853,12 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     rel_fail, transfer_fail, dim_fail, smf_fail, pi_fail = failures.values()
     stack = _Stack(record)
     rel = _compile_relations(record) if "relations" in names else None
-    transfer = (
-        (
-            stack.add("transfer"),
-            stack.add("nurho"),
-            weights._canonical_kernel(record.nu_group.weyl, record.mod_trace),
-        )
-        if "transfer" in names
-        else None
-    )
+    transfer = canonical = None
+    if "transfer" in names:
+        # the canonical kernel is built even where the theta kernel calls
+        # it at no theta, so that a type it cannot take is a setup error
+        transfer = (stack.add("transfer"), stack.add("nurho"), record.nu_group.weyl.ncoords)
+        canonical = weights._canonical_kernel(record.nu_group.weyl, record.mod_trace)
     dim = "dimension-conservation" in names
     smf = _smf_plan(record, stack) if "strong-multiplicity-freeness" in names else None
     pi_side = _pi_side_plan(record, stack) if "pi-side-consistency" in names else None
@@ -880,7 +881,6 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     pi_symbols, pi_slots, pi_label = pi_side if pi_side is not None else ((), (), None)
     sums = _walk_sums(rel_slots + pi_slots, stack)
     pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
-    canonical = transfer[2] if transfer is not None else None
     get_targets = new_targets = pi_mismatch = None
     if pi_side is not None:
         pi_group = record.pi_group
@@ -907,8 +907,10 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
         leaf = functools.partial(
             _leaf_lines,
+            rows=stack.rows,
+            holds=nest.always(_box_coords(record.theta)),
             rel_names=[name for name, _ in rel_slots],
-            transfer=transfer[:2] if transfer is not None else None,
+            transfer=transfer,
             pi_sl=pi_sl,
             smf=smf is not None,
             pi_side=pi_side is not None,
@@ -972,10 +974,7 @@ def _theta_source(space, bound: int, rows, sums, leaf) -> str:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     n = len(space.names)
-    coords = [
-        ("0" if domain == "nat" else "-bound", "bound", limits)
-        for domain, limits in zip(space.domains, space.limits)
-    ]
+    coords = _box_coords(space)
     conds = [[] for _ in range(n)] + [membership_source(space.leaf_rows, "v%d")]
     theta = nest.tuple_source(["v%d" % t for t in range(n)])
 
@@ -987,6 +986,23 @@ def _theta_source(space, bound: int, rows, sums, leaf) -> str:
         return before, [], ["b2"] if d == 0 else []
 
     return nest.source(coords, conds, _KERNEL_ARGS, ("n", "e", "o"), rows, sums, (), at)
+
+
+def _box_coords(space) -> list:
+    """``nest.source``'s coords of the box of ``space``: per coordinate,
+    from 0 (nat) or -bound to bound, within ``space.limits``."""
+    return [(0 if domain == "nat" else -1, 1, limits) for domain, limits in zip(space.domains, space.limits)]
+
+
+def _box_template(holds, row, k: int, name: str):
+    """The template of the test -name <= row <= name, name k·bound, with
+    each half that ``holds``, a loop nest's ``nest.always``, decides left
+    out, or None when both are."""
+    low = not holds(row, k=k)
+    high = not holds((tuple((i, -c) for i, c in row[0]), -row[1]), k=k)
+    if not (low or high):
+        return None
+    return ("-%s <= " % name if low else "") + "%s" + (" <= %s" % name if high else "")
 
 
 # The parameters of a pi kernel.
@@ -1019,16 +1035,20 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
     theta rows; theta is not in the pi's set of theta so far
     (``disjoint``); pi(theta), pi_of_theta's doubled rows composed with the
     theta rows, is pi (``recovers-pi``); and theta in the box adds one to
-    covered."""
+    covered.
+
+    A fold term whose test ``nest.always`` proves for every point of these
+    loops, whatever the bound, is left out of its fold, and a fold with no
+    term left out of its test: a dominance or branch-valid row that is a
+    loop's own limit, a congruence whose modulus divides the row, a half of
+    the box test that the pi box and the fiber's limits keep.  A factor 1 of
+    a product and a recovers-pi row that is 0 are left out too."""
     npi = len(record.pi_space.names)
     space = fibers.space
     n = len(space.names)
     theta_rows = fibers.theta
 
-    coords = [
-        ("0" if domain == "nat" else "-bound", "bound", limits)
-        for domain, limits in zip(record.pi_space.domains, record.pi_space.limits)
-    ] + [(None, None, limits) for limits in space.limits[npi:]]
+    coords = _box_coords(record.pi_space) + [(None, None, limits) for limits in space.limits[npi:]]
     conds: list[list] = [[] for _ in range(n + 1)]
     conds[npi] += membership_source(record.pi_space.leaf_rows, "v%d")
     for row in space.leaf_rows:
@@ -1040,10 +1060,11 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
         folds.append((op, terms))
         return len(folds) - 1
 
-    def varies(row, holds) -> bool:
-        # a row with no column is decided here: it drops out of its fold
-        # when its test holds, or its factor is 1, at every point
-        return bool(row[0]) or not holds(row[1])
+    holds = nest.always(coords)
+
+    def kept(row, mod=0) -> bool:
+        # a term whose test holds at every point drops out of its fold
+        return not holds(row, mod)
 
     if dim:
         # nu(theta)'s Weyl dimension, as weights._dimension_kernel writes it
@@ -1071,16 +1092,13 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
                 # the pairing and its value at nu = 0 divided by a common
                 # factor, which leaves their quotient as it is
                 row, g = nest.reduced(row, const)
-                if varies(row, lambda v: v == 1) or const != g:
+                if row != ((), 1) or const != g:  # else a factor 1
                     den *= const // g
                     pairings.append((row, "%s"))
             dims.append((fold("*", pairings), den))
             simple = weights._dominance_rows(f.family, f.ncoords)
-            dominance += nest.compose([(row, 0) for row in simple], nu)
-        dominant = fold(
-            "and",
-            [(nest.reduced(row)[0], "%s >= 0") for row in dominance if varies(row, lambda v: v >= 0)],
-        )
+            dominance += [nest.reduced(row)[0] for row in nest.compose([(row, 0) for row in simple], nu)]
+        dominant = fold("and", [(row, "%s >= 0") for row in dominance if kept(row)])
     # SMF's folds; None for a test that fails at every theta: a theta of the
     # wrong length is never in the theta space, and a pi(theta) of the wrong
     # length never recovers pi
@@ -1093,7 +1111,7 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
             [
                 (row, "%%s %%%% %d == 0" % mod) if mod else (nest.reduced(row)[0], "%s >= 0")
                 for row, (_, _, mod) in zip(composed, member)
-                if varies(row, lambda v: v % mod == 0 if mod else v >= 0)
+                if kept(row, mod)
             ],
         )
         doubled = nest.compose(_map_rows(record, "pi_of_theta"), theta_rows)
@@ -1105,9 +1123,11 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
                 diffs.append((tuple(sorted((j, x) for j, x in acc.items() if x)), off))
             recovers = fold(
                 "and",
-                [(nest.reduced(row)[0], "%s == 0") for row in diffs if varies(row, lambda v: v == 0)],
+                [(nest.reduced(row)[0], "%s == 0") for row in diffs if row != ((), 0)],
             )
-        inbox = fold("and", [(row, "-bound <= %s <= bound") for row in theta_rows])
+        inbox = fold(
+            "and", [(row, t) for row in theta_rows if (t := _box_template(holds, row, 1, "bound"))]
+        )
 
     pi = nest.tuple_source(["v%d" % t for t in range(npi)])
 
@@ -1136,6 +1156,7 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
                     folded[p] if den == 1 else "(%s // %d)" % (folded[p], den) for p, den in dims
                 )
                 tests.append("(_d := %s) > 0" % (quotient or "1"))
+                tests = [t for t in tests if t != "True"]
                 slow = ["if %s:" % " and ".join(tests), "    _t += _d", "elif " + slow[0]] + slow[1:]
             else:
                 slow[0] = "if " + slow[0]
@@ -1145,13 +1166,14 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
             def test(f):
                 return "False" if f is None else folded[f]
 
+            tests = [t for t in (test(valid), test(recovers)) if t != "True"]
+            count = ["c += 1"] if test(inbox) == "True" else ["if %s:" % test(inbox), "    c += 1"]
             before += [
                 "_h = %s" % theta_src,
                 "s += 1",
-                "if %s and %s and _h not in _m:" % (test(valid), test(recovers)),
+                "if %s:" % " and ".join(tests + ["_h not in _m"]),
                 "    _m.add(_h)",
-                "    if %s:" % test(inbox),
-                "        c += 1",
+                *["    " + line for line in count],
                 "else:",
                 "    fiber_fail(_p, _h, _m, %s)" % test(valid),
             ]
@@ -1172,27 +1194,30 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
     dim_fail: list = []
     smf_fail: list = []
 
-    def dimension(pi_params, group, label2):
-        # the weights kernel's dimension of the group's doubled label, or
-        # None and a computable entry for pi_params
+    def dimension(pi_params, kernel, label2):
+        # the weights kernel's dimension of a doubled label, or None and a
+        # computable entry for pi_params
         try:
-            return weights._dimension_kernel(group.weyl)(label2)
+            return kernel(label2)
         except (ValueError, AssertionError) as exc:
             dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
 
     if dim:
-        # built here, so that a pi label map or a Weyl type the kernels
-        # cannot take is a setup error of the pass
+        # built here, once, so that a pi label map or a Weyl type the
+        # kernels cannot take is a setup error of the pass
         pi_label2 = nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))
-        weights._dimension_kernel(record.pi_group.weyl)
+        pi_dimension = weights._dimension_kernel(record.pi_group.weyl)
 
     def pi_want(pi_params):
-        return dimension(pi_params, record.pi_group, pi_label2(pi_params))
+        return dimension(pi_params, pi_dimension, pi_label2(pi_params))
+
+    def nu_dimension(nu2):
+        return weights._dimension_kernel(record.nu_group.weyl)(nu2)
 
     def nu_slow(pi_params, theta):
         # the slow path, which alone builds nu's kernels
         nu2 = nest.affine_kernel(tuple(_map_rows(record, "nu")))(theta)
-        return dimension(pi_params, record.nu_group, nu2)
+        return dimension(pi_params, nu_dimension, nu2)
 
     def fiber_fail(pi_params, theta, mine, valid):
         # the first SMF test a fiber theta fails, in the kernel's order
@@ -1213,21 +1238,40 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
     return runs, dim_fail, 2 * count, smf_fail, covered
 
 
-def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) -> list:
+def _leaf_lines(
+    value, totals, theta, rows, holds, rel_names, transfer, pi_sl, smf, pi_side
+) -> list:
     """The leaf of a box pass's theta kernel, as ``_theta_source`` asks for
     it: the four theta-walk checks, each only when it runs, in this order.
 
     - relations (``rel_names``, the first totals): a total that is not 0 is
       a failure; a total that no term reaches has no test;
     - transfer (``transfer``, the slices of the transfer image and of
-      nu+rho): their ``canonical`` forms must be equal;
+      nu+rho in the stacked ``rows``, and the count of coordinates of nu's
+      Weyl type): their ``canonical`` forms must be equal;
     - SMF's theta half (``smf``): pi(theta) is integral when the bitwise or
       of its doubles d_i (``pi_sl``) is even, else o counts it; an integral
       one in the pi box, -2·bound <= d_i <= 2·bound, e counts;
     - pi-side (``pi_side``, the totals after the relations'): the targets
       of the pi parameters d_i >> 1, from ``get_targets`` or else
       ``new_targets``, against the carried P-side numerators; ``pi_fail``
-      gets theta, the pi parameters and the numerators of a mismatch."""
+      gets theta, the pi parameters and the numerators of a mismatch.
+
+    A test that cannot fail at any theta of the loops is decided here and
+    left out of the source; every other test is written as above.
+
+    - Transfer, where the two slices hold the same stacked rows, one per
+      coordinate of the type: the two forms are of one tuple, and the
+      canonical kernel is a function of its argument that raises on a
+      wrong length only, so the forms are equal.  No canonical call is
+      written, and run still counts every theta.
+    - A double d_i whose row ``holds`` (the theta loops' ``nest.always``)
+      proves even: every coefficient and the offset are even, so d_i is
+      never odd; pi-side reads the halved row in place of d_i >> 1.
+    - A half of the box test whose row ``holds`` proves within ±2·bound
+      from the loops' ranges.
+
+    A row value that no written line reads is then not carried."""
 
     def values(sl):
         return [value(r) for r in range(sl.start, sl.stop)] if sl is not None else []
@@ -1237,28 +1281,42 @@ def _leaf_lines(value, totals, theta, rel_names, transfer, pi_sl, smf, pi_side) 
         if total != "0":
             lines += ["if %s:" % total, "    rel_fail((%r, %s, 0, %s))" % ("relation:" + name, theta, total)]
     if transfer is not None:
-        image, nu_rho = map(values, transfer)
-        lines += [
-            "_l = canonical(%s)" % nest.tuple_source(image),
-            "_r = canonical(%s)" % nest.tuple_source(nu_rho),
-            "if _l != _r:",
-            "    transfer_fail(('transfer', %s, _r, _l))" % theta,
-        ]
-    doubled = values(pi_sl)
-    if smf and doubled:
-        lines += [
-            "if (%s) & 1:" % " | ".join(doubled),
-            "    smf_fail(('integral-pi', %s, True, False))" % theta,
-            "    o += 1",
-            "elif %s:" % " and ".join("-b2 <= %s <= b2" % d for d in doubled),
-            "    e += 1",
-        ]
+        image, nu_rho, ncoords = transfer
+        if rows[image] != rows[nu_rho] or len(rows[image]) != ncoords:
+            lines += [
+                "_l = canonical(%s)" % nest.tuple_source(values(image)),
+                "_r = canonical(%s)" % nest.tuple_source(values(nu_rho)),
+                "if _l != _r:",
+                "    transfer_fail(('transfer', %s, _r, _l))" % theta,
+            ]
+    # the stacked rows of pi(theta)'s doubles; a value is read only where a
+    # line reads it, so that the kernel carries no other
+    pi = range(pi_sl.start, pi_sl.stop) if pi_sl is not None else ()
+    even = [holds(rows[r], 2) for r in pi]
+    if smf and pi:
+        odd = [value(r) for r, e in zip(pi, even) if not e]
+        box = [t % value(r) for r in pi if (t := _box_template(holds, rows[r], 2, "b2"))]
+        if odd:
+            lines += [
+                "if (%s) & 1:" % " | ".join(odd),
+                "    smf_fail(('integral-pi', %s, True, False))" % theta,
+                "    o += 1",
+            ]
+            lines += ["elif %s:" % " and ".join(box), "    e += 1"] if box else ["else:", "    e += 1"]
+        elif box:
+            lines += ["if %s:" % " and ".join(box), "    e += 1"]
+        else:
+            lines.append("e += 1")
     elif smf:
         lines.append("e += 1")
     nums = totals[len(rel_names) :]
     if pi_side:
+        halves = [
+            linalg.int_affine_source("v%d", *nest.reduced(rows[r], 2)[0]) if e else "%s >> 1" % value(r)
+            for r, e in zip(pi, even)
+        ]
         lines += [
-            "_k = %s" % nest.tuple_source(["%s >> 1" % d for d in doubled]),
+            "_k = %s" % nest.tuple_source(halves),
             "_g = get_targets(_k)",
             "if _g is None:",
             "    _g = new_targets(_k)",

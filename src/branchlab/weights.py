@@ -11,13 +11,15 @@ dominance keep the number type they get.
 The box checks ask for a dimension and a canonical form at every point of a
 box, for one type, so each Weyl-group test is compiled once per type into
 one Python expression (``_dominance_kernel``, ``_canonical_kernel``,
-``_dimension_kernel``), and that kernel is its only route: ``is_dominant``,
+``_dimension_kernel``), and that kernel is its only route:
 ``dominant_representative`` and ``weyl_dimension`` call it, as the box pass
-does.  The source is written from integers and the fixed family letters
-only, as a ``def _c0`` that ``nest.kernel`` compiles under the kernel's
-kind and type, such as ``<canonical kernel A(6) mod_trace>``; it reads the
-builtins and this module's six helpers (``_HELPERS``) only, so a kernel
-makes no reference cycle.
+does, and a group descriptor's label validation holds its type's dominance
+kernel (``reps.GroupDescriptor._is_dominant``).  The source is written from
+integers and the fixed family letters only, as a ``def _c0`` that
+``nest.kernel`` compiles under the kernel's kind and type, such as
+``<canonical kernel A(6) mod_trace>``; it reads the builtins and this
+module's six helpers (``_HELPERS``) only, so a kernel makes no reference
+cycle.
 """
 
 from __future__ import annotations
@@ -135,12 +137,6 @@ def _double(w: Sequence) -> tuple[int, ...]:
 
 def _wrong_length(n: int, v) -> None:
     raise ValueError("expected %d coordinates, got %d" % (n, len(v)))
-
-
-def is_dominant(t: WeylType, v: Sequence) -> bool:
-    """<v, a> >= 0 for every simple root a, read off the coordinates
-    (``_dominance_kernel``); always True for Trivial."""
-    return t.family == "Trivial" or _dominance_kernel(t)(v)
 
 
 def dominant_representative(t: WeylType, v: Sequence) -> tuple:

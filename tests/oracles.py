@@ -507,7 +507,7 @@ def validate_weight(group, w) -> None:
                 "label %s fails the covering parity of %s" % (w, group.name)
             )
         return
-    if not weights.is_dominant(group.weyl, w):
+    if not weights._dominance_kernel(group.weyl)(w):
         raise ValueError("label %s is not dominant for %s" % (w, group.name))
     if group.kind == "Spin":
         frac = {x % 1 for x in w}

@@ -234,6 +234,24 @@ def test_walk_carries_sums_of_row_values(case):
         assert list(totals) == direct, (p, totals)
 
 
+@given(_walk_with_sums())
+@settings(max_examples=150, deadline=None)
+def test_always_holds_at_every_point_of_the_walk(case):
+    # nest.always on random spaces and rows: a test it proves holds at
+    # every point of the space's walk, at the bound drawn and at 0..4
+    space, bound, rows, _ = case
+    holds = nest.always(verify._box_coords(space))
+    points = {b: space.enumerate(b) for b in {bound, *range(5)}}
+    for coeffs, off in rows:
+        for row in ((coeffs, off), (tuple((i, -c) for i, c in coeffs), -off)):
+            for mod, k in ((0, 0), (0, 1), (0, 2), (2, 0), (3, 0)):
+                if holds(row, mod, k):
+                    for b, walk in points.items():
+                        for p in walk:
+                            (value,) = oracles._apply2([row], p)
+                            assert value % mod == 0 if mod else value + k * b >= 0, (row, mod, k, b, p)
+
+
 def test_enumerate_leaves_no_cycle(records):
     # nor does a run_case, whose theta kernel takes the pass's callables as
     # arguments

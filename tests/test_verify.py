@@ -1295,11 +1295,12 @@ def test_box_check_error_stops_only_that_check(monkeypatch):
     # transfer runs alone: transfer alone gets the error entry, and every
     # other box check runs the whole box.  (The relation totals are carried
     # by the walk, so relations has no per-theta code of its own left to
-    # fail.)
+    # fail.)  i_prime's transfer image differs from its nu+rho, so its
+    # kernel calls the canonical forms at every theta.
     import dataclasses
     import itertools
 
-    clean = next(r for r in catalog.build_records(2) if str(r.id) == "i[n=2]")
+    clean = next(r for r in catalog.build_records(2) if str(r.id) == "i_prime[n=2]")
     k = 7
     expected = verify.run_case(clean, 4, 2)
     real = weights._canonical_kernel
@@ -1393,6 +1394,8 @@ def test_fault_that_fires_once_reaches_every_box_check(monkeypatch):
 
 
 def test_check_transfer_raises_the_planted_error(monkeypatch, records):
+    # on i_prime, whose transfer image differs from its nu+rho, so that the
+    # kernel calls the canonical forms
     planted = RuntimeError("planted in transfer")
 
     def kernel(values2):
@@ -1400,9 +1403,58 @@ def test_check_transfer_raises_the_planted_error(monkeypatch, records):
 
     monkeypatch.setattr(weights, "_canonical_kernel", lambda weyl, mod_trace: kernel)
     with pytest.raises(RuntimeError) as raised:
-        check_transfer(rec(records, "i", 2), 3)
+        check_transfer(rec(records, "i_prime", 2), 3)
     assert raised.value is planted
-    assert check_relations(rec(records, "i", 2), 3).failures == []
+    assert check_relations(rec(records, "i_prime", 2), 3).failures == []
+
+
+def _counting_canonical(monkeypatch) -> list:
+    """Patch ``weights._canonical_kernel`` so that each form it returns
+    appends its argument to the list returned."""
+    calls = []
+    real = weights._canonical_kernel
+
+    def counting(weyl, mod_trace):
+        canonical = real(weyl, mod_trace)
+
+        def kernel(values2):
+            calls.append(values2)
+            return canonical(values2)
+
+        return kernel
+
+    monkeypatch.setattr(weights, "_canonical_kernel", counting)
+    return calls
+
+
+def test_transfer_of_rows_equal_to_nu_rho_calls_no_canonical_form(monkeypatch, records):
+    # i's transfer image has nu+rho's rows, one per coordinate of A(1): the
+    # comparison of two forms of one tuple is decided when the kernel is
+    # written, and run still counts every theta
+    r = rec(records, "i", 2)
+    assert verify._map_rows(r, "transfer") == verify._map_rows(r, "nurho")
+    calls = _counting_canonical(monkeypatch)
+    report = check_transfer(r, 4)
+    assert calls == []
+    assert report.checks_run == len(r.theta.enumerate(4)) > 0
+    assert report.failures == []
+
+
+def test_transfer_offset_bumped_on_equal_rows_calls_the_forms_again(monkeypatch, records):
+    # one more in the transfer offset makes the rows differ: the forms are
+    # compared at every theta again, and the first failure is the oracle's
+    import dataclasses
+
+    r = rec(records, "i", 2)
+    offset = list(r.transfer_offset)
+    offset[0] += 1
+    broken = dataclasses.replace(r, transfer_offset=tuple(offset))
+    calls = _counting_canonical(monkeypatch)
+    report = check_transfer(broken, 4)
+    expected = oracles.check_transfer(broken, 4)
+    assert len(calls) == 2 * len(r.theta.enumerate(4))
+    assert report.checks_run == expected.checks_run
+    assert report.failures and report.failures[0] == expected.failures[0]
 
 
 def _ix_with_uncompiled_c_k():
@@ -1433,3 +1485,120 @@ def test_relation_on_a_kind_the_compiled_form_refuses_is_a_setup_error(monkeypat
     monkeypatch.setattr(catalog, "load_default", lambda max_n=2: [tampered])
     assert cli.main(["verify", "--cases", "ix", "--bound", "6"]) == 1
     assert "relations" in capsys.readouterr().out
+
+
+def _proved_tests(monkeypatch, record) -> dict:
+    """{"theta": [...], "pi": [...]}: each (coords, row, mod, k) that
+    ``nest.always`` proves while ``_box_pass`` writes the record's theta
+    kernel and its pi kernel, by the kernel it leaves the test out of."""
+    proved: dict = {"theta": [], "pi": []}
+    writer = ["theta"]
+    real_always, real_pi_source = nest.always, verify._pi_source
+
+    def always(coords):
+        decide, kind = real_always(coords), writer[-1]
+
+        def spy(row, mod=0, k=0):
+            holds = decide(row, mod, k)
+            if holds:
+                proved[kind].append((coords, row, mod, k))
+            return holds
+
+        return spy
+
+    def pi_source(*args):
+        writer.append("pi")
+        try:
+            return real_pi_source(*args)
+        finally:
+            writer.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nest, "always", always)
+        patch.setattr(verify, "_pi_source", pi_source)
+        verify._box_pass(record, 0)
+    return proved
+
+
+def _fiber_points(record, pi) -> list:
+    """The points (pi, free coordinates) of the pi kernel's fiber loops over
+    pi, read off the fiber theta of ``oracles.branch_fibers``: each free
+    coordinate of the rule is a coordinate of theta."""
+    polytope = fibers.fiber_polytope(record.branch_rule, len(pi))
+    free = range(polytope.npi, len(polytope.space.names))
+    at = [polytope.theta.index((((f, 1),), 0)) for f in free]
+    return [tuple(pi) + tuple(theta[t] for t in at) for theta in oracles.branch_fibers(record.branch_rule, pi)]
+
+
+def _assert_holds(proved, points, bound, where) -> None:
+    for coords, row, mod, k in proved:
+        for point in points:
+            (value,) = oracles._apply2([row], point)
+            assert value % mod == 0 if mod else value + k * bound >= 0, (where, bound, point, row, mod, k)
+
+
+def test_every_test_left_out_of_a_kernel_holds_at_every_point(monkeypatch):
+    # the write-time rule against a brute-force walk: at every theta of
+    # ParamSpace.walk, and at every point over the fibers of
+    # oracles.branch_fibers, each test that nest.always proves (and so that
+    # the writer leaves out) holds; on every record of build_records(3) at
+    # bounds 0..6, and the star at bound 12
+    records = catalog.build_records(3)
+    left_out = collections.Counter()
+    for r in records:
+        proved = _proved_tests(monkeypatch, r)
+        for coords, _, _, _ in proved["theta"]:
+            assert coords == verify._box_coords(r.theta)
+        left_out.update({kind: len(tests) for kind, tests in proved.items()})
+        for bound in [*range(7), 12] if r.id.tag == "star" else range(7):
+            _assert_holds(proved["theta"], list(r.theta.walk(bound)), bound, (r.id, "theta"))
+            points = [p for pi in r.pi_space.walk(bound) for p in _fiber_points(r, pi)]
+            _assert_holds(proved["pi"], points, bound, (r.id, "pi"))
+    assert left_out["theta"] and left_out["pi"], left_out
+
+
+def test_kernel_tests_that_can_fail_stay(monkeypatch):
+    # the star's fibers leave the box, a up to j + j', so its pi kernel
+    # keeps the box test; and a fiber polytope whose limit k0 <= j0 is
+    # shifted to k0 <= j0 + 1 keeps the tests that limit decided
+    import dataclasses
+
+    by_id = {str(r.id): r for r in catalog.build_records(3)}
+    star, iv = by_id["star"], by_id["iv[n=2]"]
+    star_fibers = fibers.fiber_polytope(star.branch_rule, 2)
+    source = verify._pi_source(star, star_fibers, True, True)
+    assert "v2) <= bound" in source
+    assert max(p[2] for p in _fiber_points(star, (12, 12))) > 12
+
+    real = fibers.fiber_polytope(iv.branch_rule, len(iv.pi_space.names))
+    assert real.space.names == ("j0", "j1", "j2", "k0", "k1")
+    upper = catalog.Constraint((1, 0, 0, -1, 0), 0)  # j0 - k0 >= 0
+    assert upper in real.space.constraints
+    shifted = tuple(dataclasses.replace(c, const=1) if c == upper else c for c in real.space.constraints)
+    tampered = dataclasses.replace(real, space=dataclasses.replace(real.space, constraints=shifted))
+    clean, source = verify._pi_source(iv, real, True, True), verify._pi_source(iv, tampered, True, True)
+    assert "<= bound" not in clean and ">= 0" not in clean
+    # k0 = v3 reaches j0 + 1, above the box and above nu's dominance
+    assert "(v3) <= bound" in source and "(v0 - v3) >= 0" in source
+
+
+def test_kernel_sources_leave_out_the_tests_decided_when_written(monkeypatch):
+    # iv[n=3]'s theta kernel calls no canonical form and tests no parity or
+    # box, and its pi kernel keeps no dominance, branch-valid or box term;
+    # i_prime[n=2]'s theta kernel, whose transfer rows differ from nu+rho's,
+    # keeps both canonical calls
+    sources = {}
+    build = nest.kernel
+
+    def kept(source, name, names=()):
+        sources[name] = source
+        return build(source, name, names)
+
+    monkeypatch.setattr(nest, "kernel", kept)
+    by_id = {str(r.id): r for r in catalog.build_records(3)}
+    for case in ("iv[n=3]", "i_prime[n=2]"):
+        verify._box_pass(by_id[case], 0)
+    theta, pi = sources["theta kernel iv[n=3]"], sources["pi kernel iv[n=3]"]
+    assert "canonical(" not in theta and "& 1" not in theta and "<= b2" not in theta
+    assert "<= bound" not in pi and ">= 0" not in pi
+    assert sources["theta kernel i_prime[n=2]"].count("canonical(") == 2

@@ -161,16 +161,16 @@ def test_is_dominant_matches_simple_root_pairings(t):
     seen = set()
     for v in _half_integer_grid(t.ncoords):
         expected = all(oracles.pairing(t, v, a) >= 0 for a in simple)
-        assert weights.is_dominant(t, v) == expected, v
+        assert weights._dominance_kernel(t)(v) == expected, v
         seen.add(expected)
     assert seen == {True, False}
 
 
 def test_is_dominant_rejects_D1_and_wrong_length():
     with pytest.raises(ValueError):
-        weights.is_dominant(D(1), F(1))
+        weights._dominance_kernel(D(1))(F(1))
     with pytest.raises(ValueError):
-        weights.is_dominant(B(2), F(1, 0, 0))
+        weights._dominance_kernel(B(2))(F(1, 0, 0))
 
 
 def test_rho_values():
@@ -239,7 +239,7 @@ def test_canonicalization_matches_orbit_enumeration(t):
     for _ in range(12):
         v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(t.ncoords))
         orbit = full_orbit(t, v)
-        dominant = [w for w in orbit if weights.is_dominant(t, w)]
+        dominant = [w for w in orbit if weights._dominance_kernel(t)(w)]
         assert dominant, (t, v)
         canon = dominant_representative(t, v)
         assert canon in orbit
@@ -255,7 +255,7 @@ def test_canonicalization_matches_orbit_enumeration(t):
 def test_canonicalization_D4_hypothesis(coords):
     v = tuple(Fraction(c) for c in coords)
     canon = dominant_representative(D(4), v)
-    assert weights.is_dominant(D(4), canon)
+    assert weights._dominance_kernel(D(4))(canon)
     flips = sum(1 for x in v if x < 0)
     if 0 not in [abs(x) for x in v]:
         assert sorted(map(abs, canon), reverse=True) == sorted(map(abs, v), reverse=True)
@@ -468,7 +468,7 @@ def test_canonical_kernel_matches_dominant_representative(t, mod_trace):
 
 @pytest.mark.parametrize("t", CANONICAL_TYPES, ids=str)
 def test_dominance_kernel_matches_the_interpreted_test(t):
-    # is_dominant's compiled route against the per-factor loop it replaced,
+    # the compiled dominance test against the per-factor loop it replaced,
     # on random doubled vectors and on their dominant forms, products
     # included; a wrong length is a ValueError except for Trivial
     rng = random.Random("dominance/%s" % t)
@@ -482,9 +482,9 @@ def test_dominance_kernel_matches_the_interpreted_test(t):
             expected = all(
                 f.family == "Trivial" or oracles._dominant(f.family, part) for f, part in parts
             )
-            assert weights.is_dominant(t, v) is expected, v
+            assert weights._dominance_kernel(t)(v) is expected, v
             seen.add(expected)
     assert seen == ({True} if all(f.family == "Trivial" for f in factors) else {True, False})
     if t.family != "Trivial":
         with pytest.raises(ValueError, match="expected %d coordinates" % n):
-            weights.is_dominant(t, [0] * (n + 1))
+            weights._dominance_kernel(t)([0] * (n + 1))
