@@ -1,10 +1,14 @@
 """Graded-dimension bookkeeping: the v_m(N) counting sequence and the
 case-specific combinatorial models certifying the claimed generator degrees.
+
+``check_generator_degrees`` compares two lists over N = 0..Nmax: the
+v-sequence of the claimed degrees, by dynamic programming, and the model's
+dimensions, by an independent count (``graded_invariant_dims``), which for
+a weighted model visits each exponent tuple of weighted sum <= Nmax once.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Sequence
 
@@ -56,25 +60,30 @@ def _interlaced_tail(pairs_left: int, upper: int, target: int) -> int:
     return total
 
 
-def graded_invariant_dim(record, N: int) -> int:
-    """dim S^N(g_C/h_C)^H from the case's stored combinatorial model."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+def graded_invariant_dims(record, Nmax: int) -> list[int]:
+    """[dim S^N(g_C/h_C)^H for N = 0..Nmax] from the case's stored
+    combinatorial model.  A weighted model counts each exponent tuple of
+    weighted sum <= Nmax once, by its sum: a deliberate brute force,
+    independent of the v_sequence dynamic program.  The interlaced model of
+    case (iv) counts its chains per N by its own recursion."""
+    if Nmax < 0:
+        raise ValueError("Nmax must be >= 0")
     model = record.hilbert_model
     if model is None:
         raise ValueError(
             "case %s has no stored combinatorial model (external tables)" % record.id
         )
     if model["kind"] == "weighted":
-        weights = tuple(model["weights"])
-        # deliberate brute force, independent of the v_sequence DP
-        count = 0
-        for combo in itertools.product(*(range(N // d + 1) for d in weights)):
-            if sum(a * d for a, d in zip(combo, weights)) == N:
-                count += 1
-        return count
+        # the weighted sum of each exponent tuple, one coordinate at a time
+        sums = [0]
+        for d in model["weights"]:
+            sums = [t for s in sums for t in range(s, Nmax + 1, d)]
+        counts = [0] * (Nmax + 1)
+        for total in sums:
+            counts[total] += 1
+        return counts
     if model["kind"] == "interlaced_iv":
-        return _interlaced_iv_dim(model["n"], N)
+        return [_interlaced_iv_dim(model["n"], N) for N in range(Nmax + 1)]
     raise ValueError("unknown model %r" % (model,))
 
 
@@ -87,6 +96,4 @@ def check_generator_degrees(record, Nmax: int) -> bool:
     degrees = claimed_degrees(record)
     if Nmax < max(degrees, default=0):
         raise ValueError("Nmax must cover the largest claimed degree")
-    return all(
-        v_sequence(degrees, N) == graded_invariant_dim(record, N) for N in range(Nmax + 1)
-    )
+    return [v_sequence(degrees, N) for N in range(Nmax + 1)] == graded_invariant_dims(record, Nmax)

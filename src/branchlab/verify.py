@@ -18,6 +18,9 @@ image of a row list (``nest.affine_kernel``), a type's Weyl dimension and
 canonical form (``weights._dimension_kernel``, ``weights._canonical_kernel``)
 and a space's membership (``ParamSpace.contains_ints``), cross-checked
 against the straightforward reference evaluation in the test suite.  The
+box pass builds a dimension kernel only on its slow path, since its pi
+kernel writes the Weyl dimensions of pi and nu into its own loops, and a
+canonical kernel only for a theta kernel that compares forms.  The
 independence certificate and the parity gap reduce moment matrices of the
 symbols' integer numerators in ``linalg``'s integer echelon.
 
@@ -33,8 +36,8 @@ theta box for relations, transfer, the theta half of strong
 multiplicity-freeness and pi-side consistency.  Each walk is a kernel
 compiled per case by the one loop-nest writer, ``nest.source``: the pi
 kernel (``_pi_source``) runs the pi box's loops and then the loops of the
-free coordinates of the rule's ``fibers.FiberPolytope``, with nu's Weyl
-product carried down the nest; the theta kernel (``_theta_source``) carries
+free coordinates of the rule's ``fibers.FiberPolytope``, with pi's and
+nu's Weyl products carried down the nest; the theta kernel (``_theta_source``) carries
 the rows of one stacked doubled-integer matrix of every map the theta walk
 reads (``_Stack``) and the sums, with the four checks inline at the leaf.
 Past 16 coordinates a loop nest is a chain of functions, since CPython
@@ -783,9 +786,11 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     it multiplies in only the Weyl-product pairings of nu(theta) that its
     innermost coordinate makes final (six of iv[n=3]'s 21), the others being
     carried from the loops outside, and it tests dominance, integrality and
-    positivity of the nu dimension; SMF's per-theta tests are folds carried
-    the same way, and its set per pi catches a repeated theta.  A theta
-    that fails a dimension test takes the slow path, which rebuilds the
+    positivity of the nu dimension; pi's dimension is the same product,
+    final once pi is placed.  SMF's per-theta tests are folds carried the
+    same way, and its set per pi catches a repeated theta where theta is
+    not injective in the fiber's free coordinates.  A pi or a theta that
+    fails a dimension test takes the slow path, which rebuilds the
     exception through ``weights._dimension_kernel``, so a ``computable``
     entry reads as before.  Relations, transfer, the theta half of SMF and
     pi-side consistency then share one walk of the theta box, a kernel
@@ -797,13 +802,17 @@ def _box_pass(record: CaseRecord, bound: int, names=BOX_CHECKS) -> dict:
     coordinates (``iv[n=10]`` has 21); transfer compares two
     ``weights._canonical_kernel`` forms of fixed rows of it.  Both kernels
     leave out, when they are written, each per-point test that cannot fail
-    at any point their loops reach: transfer on rows equal to nu+rho's
-    (``_leaf_lines``), and the parity, sign and box tests that
-    ``nest.always`` proves from the loops' own ranges, so a report is the
-    same with or without them.  The box is streamed.  The pass reads the record's compiled forms and doubled
-    rows, which are compiled once per record (``_symbol_cache``), and
-    kernels compiled once per Weyl type, row tuple or source; none grows
-    with the box.  What the pass itself keeps: one pi's set of fiber theta,
+    at any point their loops reach, so a report is the same with or
+    without them: transfer on rows equal to nu+rho's (``_leaf_lines``),
+    whose canonical kernel is then not built either; the parity, sign and
+    box tests that ``nest.always`` proves from the loops' own ranges; a
+    branch-valid congruence that the fiber polytope's own leaf rows test
+    (``_leaf_tested``); and ``disjoint``, where theta is injective in the
+    fiber's free coordinates.  The box is streamed.  The pass reads the
+    record's compiled forms and doubled rows, which are compiled once per
+    record (``_symbol_cache``), and kernels compiled once per Weyl type,
+    row tuple or source; none grows with the box.  What the pass itself
+    keeps: one pi's set of fiber theta where theta may repeat,
     pi-side's integer targets per distinct pi(theta) (``None`` where none
     exists; the expected value is recomputed only for a failure entry),
     and the ``_RowSums`` memos, made fresh per pass, one per row the sums
@@ -855,10 +864,12 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     rel = _compile_relations(record) if "relations" in names else None
     transfer = canonical = None
     if "transfer" in names:
-        # the canonical kernel is built even where the theta kernel calls
-        # it at no theta, so that a type it cannot take is a setup error
         transfer = (stack.add("transfer"), stack.add("nurho"), record.nu_group.weyl.ncoords)
-        canonical = weights._canonical_kernel(record.nu_group.weyl, record.mod_trace)
+        # a type no canonical kernel takes is a setup error even where the
+        # theta kernel compares no forms; the kernel is built only where it does
+        weights._canonical_parts(record.nu_group.weyl)
+        if _compares_forms(stack.rows, transfer):
+            canonical = weights._canonical_kernel(record.nu_group.weyl, record.mod_trace)
     dim = "dimension-conservation" in names
     smf = _smf_plan(record, stack) if "strong-multiplicity-freeness" in names else None
     pi_side = _pi_side_plan(record, stack) if "pi-side-consistency" in names else None
@@ -1017,32 +1028,40 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
     the leaf runs once per fiber theta, in the order of ``walk``.
 
     Per pi of the box, for dimension conservation (``dim``): the dimension
-    of pi from ``pi_want`` (None when it is not computable) and the sum of
-    the nu dimensions of its fiber, compared after the fiber's loops.  The
-    nu dimension of a theta is the Weyl dimension formula on nu(theta),
-    written out: nu's doubled rows composed with the theta rows are rows in
-    the loop coordinates, and so is each positive root's pairing with
-    nu(theta) + rho.  Each factor's product of pairings is a fold, so a
-    pairing is multiplied in where it is final, and dominance is a fold of
-    the simple roots' pairings; the leaf tests dominance, the divisibility
-    of each factor's product and the positivity of the dimension, as
-    ``weights._dimension_kernel`` does.  A theta that fails a test, or a
-    fiber whose theta rows cannot feed nu's rows, takes ``nu_slow``, which
-    rebuilds the exact exception through that kernel.
+    of pi (None when it is not computable) and the sum of the nu
+    dimensions of its fiber, compared after the fiber's loops.  Both are
+    the Weyl dimension formula written out (``_weyl_folds``): pi's doubled
+    ``pi_label_map`` rows read the pi box's coordinates, and nu's doubled
+    rows composed with the theta rows are rows in the loop coordinates, and
+    so is each positive root's pairing with the label + 2·rho.  Each
+    factor's product of pairings is a fold, so a pairing is multiplied in
+    where it is final, and dominance is a fold of the simple roots'
+    pairings; once pi is placed, and at the leaf for nu, the kernel tests
+    dominance, the divisibility of each factor's product and the
+    positivity of the dimension, as ``weights._dimension_kernel`` does
+    (``_weyl_test``).  A pi that fails a test, or a label map that cannot
+    feed pi's type, takes ``pi_want``, and such a theta, or a fiber whose
+    theta rows cannot feed nu's rows, takes ``nu_slow``: each rebuilds the
+    exact exception through that kernel.
 
     Per fiber theta, for SMF (``smf``), in this order: theta lies in the
     theta space (``branch-valid``), a fold of its rows composed with the
     theta rows; theta is not in the pi's set of theta so far
     (``disjoint``); pi(theta), pi_of_theta's doubled rows composed with the
     theta rows, is pi (``recovers-pi``); and theta in the box adds one to
-    covered.
+    covered.  Where the theta rows' columns of the free coordinates have
+    full rank, theta is injective in them at a fixed pi, so distinct
+    points of the fiber's loops are distinct theta: ``disjoint`` cannot
+    fail, no set is kept and ``fiber_fail`` gets a fresh one.
 
     A fold term whose test ``nest.always`` proves for every point of these
     loops, whatever the bound, is left out of its fold, and a fold with no
     term left out of its test: a dominance or branch-valid row that is a
     loop's own limit, a congruence whose modulus divides the row, a half of
-    the box test that the pi box and the fiber's limits keep.  A factor 1 of
-    a product and a recovers-pi row that is 0 are left out too."""
+    the box test that the pi box and the fiber's limits keep.  So is a
+    branch-valid congruence that one of the fiber's leaf rows decides
+    (``_leaf_tested``).  A factor 1 of a product and a recovers-pi row that
+    is 0 are left out too."""
     npi = len(record.pi_space.names)
     space = fibers.space
     n = len(space.names)
@@ -1067,38 +1086,12 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
         return not holds(row, mod)
 
     if dim:
-        # nu(theta)'s Weyl dimension, as weights._dimension_kernel writes it
-        # on the doubled label: per factor the product of the positive
-        # roots' pairings with nu + rho and its value at nu = 0, and the
-        # simple roots' pairings for dominance.  The kernel cannot use it
-        # when the nu rows do not fit the type or read a coordinate theta
-        # lacks; the slow path then reports what the weights kernel raises.
-        nu_rows = _map_rows(record, "nu")
-        weyl = record.nu_group.weyl
-        blocks, pos = [], 0
-        for f in weyl.factors or (weyl,):
-            if f.family != "Trivial":
-                blocks.append((pos, f, weights._rho2(f), weights._root_rows(f.family, f.ncoords)))
-            pos += f.ncoords
-        width = len(theta_rows)
-        fast = len(nu_rows) == weyl.ncoords and all(i < width for c, _ in nu_rows for i, _ in c)
-        dims, dominance = [], []
-        for pos, f, rho2, roots in blocks if fast else ():
-            nu = nest.compose(nu_rows[pos : pos + f.ncoords], theta_rows)
-            consts = [sum(x * rho2[i] for i, x in root) for root in roots]
-            den = 1
-            pairings = []
-            for row, const in zip(nest.compose(list(zip(roots, consts)), nu), consts):
-                # the pairing and its value at nu = 0 divided by a common
-                # factor, which leaves their quotient as it is
-                row, g = nest.reduced(row, const)
-                if row != ((), 1) or const != g:  # else a factor 1
-                    den *= const // g
-                    pairings.append((row, "%s"))
-            dims.append((fold("*", pairings), den))
-            simple = weights._dominance_rows(f.family, f.ncoords)
-            dominance += [nest.reduced(row)[0] for row in nest.compose([(row, 0) for row in simple], nu)]
-        dominant = fold("and", [(row, "%s >= 0") for row in dominance if kept(row)])
+        # the Weyl dimensions of pi, on the doubled pi label rows of the pi
+        # box's coordinates, and of nu(theta), on nu's doubled rows composed
+        # with the theta rows
+        pi_box = [(((i, 1),), 0) for i in range(npi)]
+        pi_dim = _weyl_folds(fold, kept, record.pi_group.weyl, _map_rows(record, "pi_label_map"), pi_box)
+        nu_dim = _weyl_folds(fold, kept, record.nu_group.weyl, _map_rows(record, "nu"), theta_rows)
     # SMF's folds; None for a test that fails at every theta: a theta of the
     # wrong length is never in the theta space, and a pi(theta) of the wrong
     # length never recovers pi
@@ -1111,7 +1104,7 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
             [
                 (row, "%%s %%%% %d == 0" % mod) if mod else (nest.reduced(row)[0], "%s >= 0")
                 for row, (_, _, mod) in zip(composed, member)
-                if kept(row, mod)
+                if kept(row, mod) and not (mod and _leaf_tested(holds, space.leaf_rows, row, mod))
             ],
         )
         doubled = nest.compose(_map_rows(record, "pi_of_theta"), theta_rows)
@@ -1129,6 +1122,11 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
             "and", [(row, t) for row in theta_rows if (t := _box_template(holds, row, 1, "bound"))]
         )
 
+    # theta is injective in the free coordinates at a fixed pi where their
+    # columns of the theta rows have full rank, and then no theta of a
+    # pi's fiber repeats: ``disjoint`` cannot fail
+    free = range(npi, n)
+    distinct = linalg.rank([[dict(c).get(j, 0) for j in free] for c, _ in theta_rows]) == len(free)
     pi = nest.tuple_source(["v%d" % t for t in range(npi)])
 
     def at(d, value, totals, folded):
@@ -1137,10 +1135,15 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
             before.append("_p = %s" % pi)
             names.append("_p")
             if dim:
-                before += ["r += 1", "_w = pi_want(_p)", "_t = 0"]
+                before.append("r += 1")
+                if pi_dim is None:
+                    before.append("_w = pi_want(_p)")
+                else:
+                    before += ["if not (%s):" % _weyl_test(folded, pi_dim, "_w"), "    _w = pi_want(_p)"]
+                before.append("_t = 0")
                 after += ["if _w is not None and _w != _t:", "    dim_fail(('dimension', _p, _w, _t))"]
                 names += ["_w", "_t"]
-            if smf:
+            if smf and not distinct:
                 before.append("_m = set()")
                 names.append("_m")
         if d < n:
@@ -1148,16 +1151,9 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
         theta_src = nest.tuple_source([value(r) for r in range(len(theta_rows))])
         if dim:
             slow = ["(_d := nu_slow(_p, %s)) is None:" % theta_src, "    _w = None", "else:", "    _t += _d"]
-            if fast:
-                # weights._dimension_kernel's tests, in its order
-                tests = [folded[dominant]]
-                tests += ["%s %% %d == 0" % (folded[p], den) for p, den in dims if den != 1]
-                quotient = " * ".join(
-                    folded[p] if den == 1 else "(%s // %d)" % (folded[p], den) for p, den in dims
-                )
-                tests.append("(_d := %s) > 0" % (quotient or "1"))
-                tests = [t for t in tests if t != "True"]
-                slow = ["if %s:" % " and ".join(tests), "    _t += _d", "elif " + slow[0]] + slow[1:]
+            if nu_dim is not None:
+                passes = _weyl_test(folded, nu_dim, "_d")
+                slow = ["if %s:" % passes, "    _t += _d", "elif " + slow[0]] + slow[1:]
             else:
                 slow[0] = "if " + slow[0]
             before += ["if _w is not None:"] + ["    " + line for line in slow]
@@ -1168,18 +1164,101 @@ def _pi_source(record: CaseRecord, fibers, dim: bool, smf: bool) -> str:
 
             tests = [t for t in (test(valid), test(recovers)) if t != "True"]
             count = ["c += 1"] if test(inbox) == "True" else ["if %s:" % test(inbox), "    c += 1"]
-            before += [
-                "_h = %s" % theta_src,
-                "s += 1",
-                "if %s:" % " and ".join(tests + ["_h not in _m"]),
-                "    _m.add(_h)",
-                *["    " + line for line in count],
-                "else:",
-                "    fiber_fail(_p, _h, _m, %s)" % test(valid),
-            ]
+            if distinct:  # no fiber theta repeats: no set, and fiber_fail gets a fresh one
+                before.append("s += 1")
+                if tests:
+                    before.append("if %s:" % " and ".join(tests))
+                    count = ["    " + line for line in count]
+                    count += ["else:", "    fiber_fail(_p, %s, set(), %s)" % (theta_src, test(valid))]
+                before += count
+            else:
+                before += [
+                    "_h = %s" % theta_src,
+                    "s += 1",
+                    "if %s:" % " and ".join(tests + ["_h not in _m"]),
+                    "    _m.add(_h)",
+                    *["    " + line for line in count],
+                    "else:",
+                    "    fiber_fail(_p, _h, _m, %s)" % test(valid),
+                ]
         return before, after, names
 
     return nest.source(coords, conds, _PI_ARGS, ("r", "s", "c"), rows, (), folds, at)
+
+
+def _leaf_tested(holds, leaf_rows, row, mod: int) -> bool:
+    """Whether the congruence row % mod == 0 follows from one of the
+    ``leaf_rows`` (((index, coefficient), ...), const, mod) of a fiber
+    polytope that has the same modulus: the two rows differ by a multiple
+    of it (``holds``, a loop nest's ``nest.always``, decides that).  The
+    pi kernel tests each such row at the depth where it is final, around
+    every leaf, and reads its folds only at the leaf, so a fold term so
+    decided cannot fail where it is read."""
+    for coeffs, const, m in leaf_rows:
+        if m == mod:
+            acc = dict(row[0])
+            for i, c in coeffs:
+                acc[i] = acc.get(i, 0) - c
+            if holds((tuple(acc.items()), row[1] - const), mod):
+                return True
+    return False
+
+
+def _weyl_folds(fold, kept, weyl, label_rows, inner):
+    """The folds of a pi kernel that compute the Weyl dimension of a doubled
+    label as ``weights._dimension_kernel`` does, or None where the kernel
+    cannot use them: ``label_rows``, the label's doubled rows, must be one
+    per coordinate of ``weyl`` and read only the rows ``inner`` of the
+    loop coordinates.  ``fold(op, terms)`` files a fold and returns its
+    index; ``kept(row)`` says whether a dominance term may fail.
+
+    The pairings of the positive roots with the label plus 2·rho are rows
+    in the loop coordinates, and each non-trivial factor's product of them
+    is a "*" fold, so a pairing is multiplied in where it is final; each
+    pairing and its value at the label 0 are divided by their gcd, which
+    leaves the factor's quotient and its divisibility as they are, and a
+    factor 1 is left out.  Dominance is an "and" fold of the simple roots'
+    pairings.  Returns (dims, dominant): [(product fold, its value at the
+    label 0)] per factor and the dominance fold.  ``weights._rho2`` and
+    ``weights._root_rows`` are read for every factor first, so a type with
+    no root data is a ValueError."""
+    blocks, pos = [], 0
+    for f in weyl.factors or (weyl,):
+        if f.family != "Trivial":
+            blocks.append((pos, f, weights._rho2(f), weights._root_rows(f.family, f.ncoords)))
+        pos += f.ncoords
+    width = len(inner)
+    if len(label_rows) != weyl.ncoords or any(i >= width for c, _ in label_rows for i, _ in c):
+        return None
+    dims, dominance = [], []
+    for pos, f, rho2, roots in blocks:
+        label = nest.compose(label_rows[pos : pos + f.ncoords], inner)
+        consts = [sum(x * rho2[i] for i, x in root) for root in roots]
+        den = 1
+        pairings = []
+        for row, const in zip(nest.compose(list(zip(roots, consts)), label), consts):
+            row, g = nest.reduced(row, const)
+            if row != ((), 1) or const != g:  # else a factor 1
+                den *= const // g
+                pairings.append((row, "%s"))
+        dims.append((fold("*", pairings), den))
+        simple = weights._dominance_rows(f.family, f.ncoords)
+        dominance += [nest.reduced(row)[0] for row in nest.compose([(row, 0) for row in simple], label)]
+    return dims, fold("and", [(row, "%s >= 0") for row in dominance if kept(row)])
+
+
+def _weyl_test(folded, plan, name: str) -> str:
+    """The source of ``weights._dimension_kernel``'s tests, in its order, on
+    the folds of ``plan`` (``_weyl_folds``) as ``folded`` writes them: true
+    where the label is dominant, each factor's product divides and the
+    dimension is positive, and then the local ``name`` holds the
+    dimension."""
+    dims, dominant = plan
+    tests = [folded[dominant]]
+    tests += ["%s %% %d == 0" % (folded[p], den) for p, den in dims if den != 1]
+    quotient = " * ".join(folded[p] if den == 1 else "(%s // %d)" % (folded[p], den) for p, den in dims)
+    tests.append("(%s := %s) > 0" % (name, quotient or "1"))
+    return " and ".join(t for t in tests if t != "True")
 
 
 def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
@@ -1190,7 +1269,10 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
     (``_pi_source``), compiled once per source.  A dimension that is not
     computable, of pi or of a fiber theta, is a ``computable`` failure
     entry holding the repr of the ValueError or AssertionError of the
-    weights kernel, and ends the sum of that pi."""
+    weights kernel, and ends the sum of that pi.  The kernel computes
+    every dimension that passes its tests itself; ``pi_want`` and
+    ``nu_slow`` are the slow path of one that fails, and alone build the
+    label's affine kernel and the type's ``weights._dimension_kernel``."""
     dim_fail: list = []
     smf_fail: list = []
 
@@ -1202,22 +1284,15 @@ def _pi_walk(record: CaseRecord, bound: int, dim: bool, smf: bool) -> tuple:
         except (ValueError, AssertionError) as exc:
             dim_fail.append(("dimension", pi_params, "computable", repr(exc)))
 
-    if dim:
-        # built here, once, so that a pi label map or a Weyl type the
-        # kernels cannot take is a setup error of the pass
-        pi_label2 = nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))
-        pi_dimension = weights._dimension_kernel(record.pi_group.weyl)
-
     def pi_want(pi_params):
-        return dimension(pi_params, pi_dimension, pi_label2(pi_params))
-
-    def nu_dimension(nu2):
-        return weights._dimension_kernel(record.nu_group.weyl)(nu2)
+        # the slow path, which alone builds pi's kernels
+        pi2 = nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))(pi_params)
+        return dimension(pi_params, weights._dimension_kernel(record.pi_group.weyl), pi2)
 
     def nu_slow(pi_params, theta):
         # the slow path, which alone builds nu's kernels
         nu2 = nest.affine_kernel(tuple(_map_rows(record, "nu")))(theta)
-        return dimension(pi_params, nu_dimension, nu2)
+        return dimension(pi_params, weights._dimension_kernel(record.nu_group.weyl), nu2)
 
     def fiber_fail(pi_params, theta, mine, valid):
         # the first SMF test a fiber theta fails, in the kernel's order
@@ -1280,15 +1355,14 @@ def _leaf_lines(
     for name, total in zip(rel_names, totals):
         if total != "0":
             lines += ["if %s:" % total, "    rel_fail((%r, %s, 0, %s))" % ("relation:" + name, theta, total)]
-    if transfer is not None:
-        image, nu_rho, ncoords = transfer
-        if rows[image] != rows[nu_rho] or len(rows[image]) != ncoords:
-            lines += [
-                "_l = canonical(%s)" % nest.tuple_source(values(image)),
-                "_r = canonical(%s)" % nest.tuple_source(values(nu_rho)),
-                "if _l != _r:",
-                "    transfer_fail(('transfer', %s, _r, _l))" % theta,
-            ]
+    if transfer is not None and _compares_forms(rows, transfer):
+        image, nu_rho, _ = transfer
+        lines += [
+            "_l = canonical(%s)" % nest.tuple_source(values(image)),
+            "_r = canonical(%s)" % nest.tuple_source(values(nu_rho)),
+            "if _l != _r:",
+            "    transfer_fail(('transfer', %s, _r, _l))" % theta,
+        ]
     # the stacked rows of pi(theta)'s doubles; a value is read only where a
     # line reads it, so that the kernel carries no other
     pi = range(pi_sl.start, pi_sl.stop) if pi_sl is not None else ()
@@ -1327,6 +1401,15 @@ def _leaf_lines(
             "    pi_fail(%s, _k, %s)" % (theta, nest.tuple_source(nums)),
         ]
     return lines
+
+
+def _compares_forms(rows, transfer) -> bool:
+    """Whether a theta kernel compares two canonical forms for transfer
+    (``transfer`` as ``_leaf_lines`` takes it): not where the slices of the
+    transfer image and of nu+rho in the stacked ``rows`` hold the same rows,
+    one per coordinate of nu's Weyl type, which makes the forms equal."""
+    image, nu_rho, ncoords = transfer
+    return rows[image] != rows[nu_rho] or len(rows[image]) != ncoords
 
 
 def _halve(doubled) -> tuple:

@@ -174,14 +174,12 @@ _CANONICAL_SOURCE = {
 }
 
 
-@functools.cache
-def _canonical_kernel(t: WeylType, mod_trace: bool):
-    """The dominant representative of a weight of t as one expression
-    compiled once per type: a sort for type A, one slice per factor of a
-    product, and G2's reflection loop.  With mod_trace the same function
-    first takes n·v − sum(v), the trace direction removed and scaled by the
-    coordinate count n to stay integral."""
-    n = t.ncoords
+def _canonical_parts(t: WeylType) -> list:
+    """Per factor of t, the source of its dominant representative on v or
+    on its slice of v (``_CANONICAL_SOURCE``); ValueError for a type with a
+    factor no canonical kernel takes.  The one place that says which
+    families canonicalize: the box pass asks it of a type whose kernel it
+    never calls, so that such a type stays a setup error there."""
     factors = t.factors or (t,)
     parts = []
     pos = 0
@@ -192,6 +190,19 @@ def _canonical_kernel(t: WeylType, mod_trace: bool):
         part = "v" if len(factors) == 1 else "v[%d:%d]" % (pos, pos + k)
         parts.append(_CANONICAL_SOURCE[f.family] % part)
         pos += k
+    return parts
+
+
+@functools.cache
+def _canonical_kernel(t: WeylType, mod_trace: bool):
+    """The dominant representative of a weight of t as one expression
+    compiled once per type: a sort for type A, one slice per factor of a
+    product, and G2's reflection loop (``_canonical_parts``).  With
+    mod_trace the same function first takes n·v − sum(v), the trace
+    direction removed and scaled by the coordinate count n to stay
+    integral."""
+    n = t.ncoords
+    parts = _canonical_parts(t)
     trace = ("s = sum(v)", "v = [%d * x - s for x in v]" % n) if mod_trace else ()
     expr = "_wrong_length(%d, v) if len(v) != %d else %s" % (n, n, " + ".join(parts))
     name = "canonical kernel %s%s" % (t, " mod_trace" if mod_trace else "")

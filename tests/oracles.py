@@ -12,7 +12,9 @@ checks' separate per-check loops, which test_verify compares the one box
 pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
 canonical map at one theta) and ``branch`` (the branching of one pi), and
-``highest_weight``, which reads an irrep label's weight back.
+``highest_weight``, which reads an irrep label's weight back.  The
+per-degree brute force of a weighted Hilbert model
+(``graded_invariant_dim``) is the reference of ``hilbert``'s one pass.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from branchlab import linalg, verify, weights
+from branchlab import hilbert, linalg, verify, weights
 from branchlab.catalog import CaseRecord
 from branchlab.linalg import AffineMap, Matrix, Vector, dot, mat, vec
 from branchlab.reps import casimir_eigenvalue
@@ -1045,3 +1047,30 @@ def branch(record: CaseRecord, pi_params) -> list:
             raise AssertionError("branch rule produced invalid %s for %s" % (t, record.id))
         out.append((t, record.nu_label(t)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The graded invariant dimension of one degree N, as hilbert computed it per N
+# before it counted every degree up to Nmax in one pass.
+
+
+def graded_invariant_dim(record, N: int) -> int:
+    """dim S^N(g_C/h_C)^H from the case's stored combinatorial model: for a
+    weighted model, every exponent tuple in the product of ranges up to
+    N // weight whose weighted sum is N; the interlaced model of case (iv)
+    by ``hilbert``'s own recursion."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    model = record.hilbert_model
+    if model is None:
+        raise ValueError("case %s has no stored combinatorial model (external tables)" % record.id)
+    if model["kind"] == "weighted":
+        weights = tuple(model["weights"])
+        count = 0
+        for combo in itertools.product(*(range(N // d + 1) for d in weights)):
+            if sum(a * d for a, d in zip(combo, weights)) == N:
+                count += 1
+        return count
+    if model["kind"] == "interlaced_iv":
+        return hilbert._interlaced_iv_dim(model["n"], N)
+    raise ValueError("unknown model %r" % (model,))

@@ -1,6 +1,7 @@
 """The v_m(N) sequence and the graded invariant-dimension models."""
 
 import itertools
+import types
 
 import pytest
 
@@ -8,9 +9,10 @@ from branchlab import catalog
 from branchlab.hilbert import (
     check_generator_degrees,
     claimed_degrees,
-    graded_invariant_dim,
+    graded_invariant_dims,
     v_sequence,
 )
+import oracles
 
 
 def v_sequence_naive(degrees, N):
@@ -70,19 +72,40 @@ def records():
 
 
 def test_graded_invariant_dim_examples(records):
-    assert graded_invariant_dim(records[("i", 1)], 4) == 3
-    assert graded_invariant_dim(records[("star", None)], 2) == 3
+    assert graded_invariant_dims(records[("i", 1)], 4)[4] == 3
+    assert graded_invariant_dims(records[("star", None)], 2)[2] == 3
     # case (iv) n=1 model at N=2 includes the trace direction: the traceless
     # interlaced count is 2 and the full model gives 4 = v_{(1,1,2)}(2)
-    assert graded_invariant_dim(records[("iv", 1)], 2) == 4
+    assert graded_invariant_dims(records[("iv", 1)], 2)[2] == 4
     assert v_sequence((1, 1, 2), 2) == 4
 
 
 def test_model_absent_for_case_ii(records):
     with pytest.raises(ValueError):
-        graded_invariant_dim(records[("ii_odd", 3)], 2)
+        graded_invariant_dims(records[("ii_odd", 3)], 2)
     assert records[("ii_odd", 3)].hilbert_model is None
     assert records[("xiv", None)].hilbert_model is None
+
+
+def _weighted(weights):
+    """A stand-in record whose Hilbert model is the weighted one of ``weights``."""
+    model = {"kind": "weighted", "weights": list(weights)}
+    return types.SimpleNamespace(id="weights %s" % (weights,), hilbert_model=model)
+
+
+def test_graded_invariant_dims_match_the_per_degree_brute_force():
+    # the one pass against the per-N product of ranges it replaced, for N
+    # up to 16, on every model of the catalog and on weight tuples with a
+    # repeated weight and with a weight above Nmax
+    models = [r for r in catalog.build_records(10) if r.hilbert_model is not None]
+    synthetic = [(1,), (3,), (1, 1), (2, 2, 2), (1, 2, 2, 3), (5, 1, 5), (17,), (2, 17), (1, 1, 20, 3)]
+    assert {r.hilbert_model["kind"] for r in models} == {"weighted", "interlaced_iv"}
+    for r in models + [_weighted(w) for w in synthetic]:
+        for Nmax in (0, 1, 5, 16):
+            got = graded_invariant_dims(r, Nmax)
+            assert got == [oracles.graded_invariant_dim(r, N) for N in range(Nmax + 1)], (r.id, Nmax)
+    with pytest.raises(ValueError):
+        graded_invariant_dims(_weighted((1, 2)), -1)
 
 
 def test_check_generator_degrees_minimum_cases(records):

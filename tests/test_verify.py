@@ -1029,7 +1029,9 @@ def test_second_run_case_builds_no_kernel():
         catalog._membership_kernel,
         nest.kernel,
     )
-    records = catalog.build_records(3)
+    # a clean record builds no dimension kernel; vi with vii's branch rule
+    # takes the slow path, which builds one
+    records = catalog.build_records(3) + [_tampered_records()[0]]
     for r in records:
         verify.run_case(r, 3, 2)
     before = [b.cache_info() for b in builders]
@@ -1072,8 +1074,12 @@ def test_profile_keeps_every_generated_kernel_apart():
     # per label, so two generated code objects under one label would hide
     # each other's cost: every kernel that run_case runs, on every record of
     # build_records(2) and on iv[n=3], has a label of its own, and none is
-    # an anonymous <string> or <lambda>
-    records = catalog.build_records(2)
+    # an anonymous <string> or <lambda>.  vi with vii's branch rule stands
+    # in for vi, since a record and its tampered copy file their kernels
+    # under one case's labels: its fiber theta take the slow path, which
+    # runs the dimension kernel
+    slow = _tampered_records()[0]
+    records = [r for r in catalog.build_records(2) if r.id != slow.id] + [slow]
     records.append(next(r for r in catalog.build_records(3) if str(r.id) == "iv[n=3]"))
     profile = cProfile.Profile()
     profile.enable()
@@ -1174,8 +1180,9 @@ def _pi_walk_cases():
     """(clean, tampered): the records of build_records(3), and (record,
     fiber description or None for the rule's own) pairs that fail the pi
     walk's tests: +1 bumps of nu_label_map, pi_of_theta and pi_label_map, a
-    nu that is not dominant, a theta row that repeats theta, and a limit
-    that drops a theta of the box."""
+    nu that is not dominant, a theta row that repeats theta, a limit that
+    drops a theta of the box, and a pi label that is not dominant, so that
+    pi's folded dimension fails its test (the last pair)."""
     import dataclasses
 
     from branchlab.linalg import mat
@@ -1192,6 +1199,7 @@ def _pi_walk_cases():
     nu = [list(row) for row in iv2.nu_label_map.matrix]
     nu[0][0] += 1
     flipped = [[-x for x in row] if i == 0 else list(row) for i, row in enumerate(vi.nu_label_map.matrix)]
+    negated = [[-x for x in row] for row in i1.pi_label_map.matrix]
     repeats = fibers.fiber_polytope(vii.branch_rule, 1)
     repeats = dataclasses.replace(repeats, theta=repeats.theta[:1] + (((), 0),))
     drops = fibers.fiber_polytope(star.branch_rule, 2)
@@ -1204,6 +1212,7 @@ def _pi_walk_cases():
         (dataclasses.replace(vi, nu_label_map=bumped(vi.nu_label_map, flipped)), None),
         (vii, repeats),
         (star, drops),
+        (dataclasses.replace(i1, pi_label_map=bumped(i1.pi_label_map, negated)), None),
     ]
 
 
@@ -1211,9 +1220,12 @@ def test_pi_kernel_matches_the_reference_walk(monkeypatch):
     # the compiled pi kernel against the interpreted pi walk it replaced
     # (tests/oracles.py), dimension and SMF alone and together: the runs,
     # the failure lists in order and the covered count, on every record of
-    # build_records(3) at bounds 0..6 and on records that fail each test
+    # build_records(3) at bounds 0..6 and on records that fail each test,
+    # among them a pi label whose folded dimension fails, which the slow
+    # path turns into the computable entries of the weights kernel
     clean, tampered = _pi_walk_cases()
     kinds = set()
+    pi_computable = []
     for r, description, is_clean in [(r, None, True) for r in clean] + [
         (r, description, False) for r, description in tampered
     ]:
@@ -1233,7 +1245,11 @@ def test_pi_kernel_matches_the_reference_walk(monkeypatch):
                         assert got[1] == got[3] == [], (r.id, bound)
                     else:
                         kinds.update(e[2] if e[2] == "computable" else e[0] for e in got[1] + got[3])
+                    if r is tampered[-1][0] and dim:
+                        pi_computable += [e for e in got[1] if e[2] == "computable"]
     assert {"dimension", "computable", "recovers-pi", "disjoint"} <= kinds, kinds
+    # i[n=1]'s pi label (-j, 0) is dominant for D(2) at j = 0 only
+    assert pi_computable and all("not dominant for D" in e[3] and e[1] != (0,) for e in pi_computable)
 
 
 def _outcome_of(fn):
@@ -1457,6 +1473,47 @@ def test_transfer_offset_bumped_on_equal_rows_calls_the_forms_again(monkeypatch,
     assert report.failures and report.failures[0] == expected.failures[0]
 
 
+def test_clean_run_builds_no_dimension_kernel_and_only_the_canonical_kernels_it_calls(monkeypatch):
+    # every pi and nu dimension of the catalog passes its folded test, so no
+    # clean case takes the slow path that builds a dimension kernel; and a
+    # canonical kernel is built only where the transfer rows differ from
+    # nu+rho's, so that the theta kernel compares forms
+    built = {"dimension": set(), "canonical": set()}
+    current = [None]
+
+    def spy(kind, real):
+        def build(*args):
+            built[kind].add(str(current[0]))
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(weights, "_dimension_kernel", spy("dimension", weights._dimension_kernel))
+    monkeypatch.setattr(weights, "_canonical_kernel", spy("canonical", weights._canonical_kernel))
+    for r in catalog.build_records(6):
+        current[0] = r.id
+        verify.run_case(r, 2, 2)
+    assert built["dimension"] == set()
+    assert built["canonical"] == {"i_prime[n=%d]" % n for n in range(2, 7)} | {"xiii_prime"}
+
+
+def test_type_no_canonical_kernel_takes_is_a_setup_error_where_no_form_is_compared(monkeypatch, records):
+    # i[n=2]'s transfer rows are nu+rho's, so its theta kernel compares no
+    # forms and builds no canonical kernel; a nu type that the canonical
+    # kernel would reject is still transfer's setup error, and only transfer's
+    r = rec(records, "i", 2)
+    stack = verify._Stack(r)
+    transfer = (stack.add("transfer"), stack.add("nurho"), r.nu_group.weyl.ncoords)
+    assert not verify._compares_forms(stack.rows, transfer)
+    assert r.nu_group.weyl.family == "A"
+    monkeypatch.delitem(weights._CANONICAL_SOURCE, "A")
+    with pytest.raises(ValueError, match="cannot canonicalize type A"):
+        check_transfer(r, 2)
+    box = verify._box_pass(r, 2)
+    assert isinstance(box["transfer"], ValueError)
+    assert all(isinstance(box[name], verify.CaseReport) for name in verify.BOX_CHECKS if name != "transfer")
+
+
 def _ix_with_uncompiled_c_k():
     """ix whose C_K, which its relation reads, is a "theta_poly" j·k: a
     symbol kind that neither the compiled form nor the reference route
@@ -1580,6 +1637,34 @@ def test_kernel_tests_that_can_fail_stay(monkeypatch):
     assert "<= bound" not in clean and ">= 0" not in clean
     # k0 = v3 reaches j0 + 1, above the box and above nu's dominance
     assert "(v3) <= bound" in source and "(v0 - v3) >= 0" in source
+
+
+def test_star_pi_kernel_tests_its_fiber_congruence_once():
+    # a + j + j' even is a leaf condition of the star's fiber polytope, and
+    # the theta space's branch-valid congruence composes to the same row:
+    # the kernel tests it around the leaf and folds no second copy
+    star = next(r for r in catalog.build_records(2) if str(r.id) == "star")
+    polytope = fibers.fiber_polytope(star.branch_rule, 2)
+    assert (((0, 1), (1, 1), (2, 1)), 0, 2) in polytope.space.leaf_rows
+    source = verify._pi_source(star, polytope, True, True)
+    assert source.count("(v0 + v1 + v2) % 2 == 0") == 1
+
+
+def test_pi_kernel_keeps_no_set_where_theta_is_injective_in_the_fiber():
+    # on every record of the catalog theta is injective in the free
+    # coordinates at a fixed pi, so no fiber theta repeats and the kernel
+    # keeps no set of them; a theta row that drops k repeats theta, and
+    # keeps the disjoint test
+    import dataclasses
+
+    for r in catalog.build_records(10):
+        polytope = fibers.fiber_polytope(r.branch_rule, len(r.pi_space.names))
+        source = verify._pi_source(r, polytope, True, True)
+        assert "_m" not in source and "s += 1" in source, r.id
+    vii = next(r for r in catalog.build_records(2) if str(r.id) == "vii")
+    real = fibers.fiber_polytope(vii.branch_rule, 1)
+    repeats = dataclasses.replace(real, theta=real.theta[:1] + (((), 0),))
+    assert "_h not in _m" in verify._pi_source(vii, repeats, True, True)
 
 
 def test_kernel_sources_leave_out_the_tests_decided_when_written(monkeypatch):
