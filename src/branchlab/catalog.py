@@ -8,10 +8,15 @@ The ``_case_*`` builders are the single source of the catalog: ``build_records``
 (``python -m branchlab.catalog``, ``"schema": 2``) that holds every field of
 every dataclass of each record; nothing reads that document back.
 
+Every map a record stores is a ``linalg.AffineMap`` built by ``_amap``; the
+transfer family alone is three ``Fraction`` fields, ``transfer_*``, that its
+readers turn into an ``AffineMap`` through ``AffineMap.of``.
+
 The export and the CLI reports share the one output layer at the end of this
 module: ``to_json`` encodes (a rational as its ``fraction_str``, "p" or
-"p/q"; a dataclass as all its fields) and ``write_output`` writes to
-``--out`` or to stdout.
+"p/q"; an ``AffineMap`` as its rational matrix, offset and source; any other
+dataclass as all its fields) and ``write_output`` writes to ``--out`` or to
+stdout.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import nest
-from .linalg import AffineMap, Matrix, Vector, int_affine_source, mat, mat_vec, vec
+from .linalg import AffineMap, Matrix, Vector, int_affine_source
 from .reps import (
     SO,
     SU,
@@ -316,15 +322,20 @@ class CaseRecord:
             raise ValueError("%s is not in Disc(G/H) for case %s" % (params, self.id))
         return tuple(int(p) for p in params)
 
-    def _ints(self, v: Vector) -> tuple[int, ...]:
-        assert all(x.denominator == 1 for x in v), v
-        return tuple(int(x) for x in v)
+    def _ints(self, key: str, theta: Sequence[int]) -> tuple[int, ...]:
+        """The image of theta under the record's map ``key``; ValueError,
+        naming the case and the map, where it is not integral."""
+        amap = getattr(self, key)
+        values = amap.numerators(theta)
+        if any(x % amap.den for x in values):
+            raise ValueError("case %s: map %s is not integral" % (self.id, key))
+        return tuple(x // amap.den for x in values)
 
     def pi_params_of(self, theta: Sequence[int]) -> tuple[int, ...]:
-        return self._ints(self.pi_of_theta.apply(theta))
+        return self._ints("pi_of_theta", theta)
 
     def tau_params_of(self, theta: Sequence[int]) -> tuple[int, ...]:
-        return self._ints(self.tau_of_theta.apply(theta))
+        return self._ints("tau_of_theta", theta)
 
     def require_pi(self, pi_params: Sequence[int]) -> None:
         if not self.pi_space.contains(pi_params):
@@ -351,31 +362,20 @@ class CaseRecord:
     def transfer(self, tau_params: Sequence[int]) -> AffineMap:
         if not self.tau_space.contains(tau_params):
             raise ValueError("%s not in Disc(K/H) for %s" % (tau_params, self.id))
-        offset = vec(
-            tuple(
-                o + x
-                for o, x in zip(self.transfer_offset, mat_vec(self.transfer_tau, vec(tau_params)))
-            )
-        )
-        return AffineMap(self.transfer_matrix, offset)
+        offset = [
+            o + sum(map(operator.mul, row, tau_params))
+            for o, row in zip(self.transfer_offset, self.transfer_tau)
+        ]
+        return AffineMap.of(self.transfer_matrix, offset, len(self.lam_rhoa_map.rows))
 
 
 # ---------------------------------------------------------------------------
 # assembly helpers
 
 
-def _row(names: Sequence[str], terms: dict, const=0) -> tuple[list, Fraction]:
-    coeffs = [Fraction(terms.get(nm, 0)) for nm in names]
-    return coeffs, Fraction(const)
-
-
 def _amap(names: Sequence[str], rows: Sequence[tuple[dict, object]]) -> AffineMap:
-    matrix, offset = [], []
-    for terms, const in rows:
-        coeffs, c = _row(names, terms, const)
-        matrix.append(coeffs)
-        offset.append(c)
-    return AffineMap(mat(matrix), vec(offset), source=len(names))
+    matrix = [[terms.get(nm, 0) for nm in names] for terms, _ in rows]
+    return AffineMap.of(matrix, [const for _, const in rows], len(names))
 
 
 def _con(names: Sequence[str], terms: dict, const=0, mod=0) -> Constraint:
@@ -408,12 +408,11 @@ def _zeros(n):
 
 def _transfer(lam_dim, tau_names, rows):
     """rows: list of (lam_terms: dict[int, coeff], tau_terms: dict[name, coeff], const)."""
-    M, T, off = [], [], []
-    for lam_terms, tau_terms, const in rows:
-        M.append([Fraction(lam_terms.get(i, 0)) for i in range(lam_dim)])
-        T.append([Fraction(tau_terms.get(nm, 0)) for nm in tau_names])
-        off.append(Fraction(const))
-    return mat(M), mat(T), vec(off)
+    return (
+        tuple(tuple(Fraction(lam.get(i, 0)) for i in range(lam_dim)) for lam, _, _ in rows),
+        tuple(tuple(Fraction(tau.get(nm, 0)) for nm in tau_names) for _, tau, _ in rows),
+        tuple(Fraction(const) for _, _, const in rows),
+    )
 
 
 def _sphere_ch(ambient_dim: int, block_starts=(0,)) -> dict:
@@ -1570,12 +1569,15 @@ def fraction_str(x) -> str:
 
 
 def _encode(obj):
-    """obj in JSON types: a Fraction as its ``fraction_str``, a dataclass as
-    the dict of all its fields, tuples and lists as lists, dict keys as
-    strings; anything else as it is."""
+    """obj in JSON types: a Fraction as its ``fraction_str``, an AffineMap as
+    the dict of its rational view {matrix, offset, source}, any other
+    dataclass as the dict of all its fields, tuples and lists as lists, dict
+    keys as strings; anything else as it is."""
     if isinstance(obj, Fraction):
         return fraction_str(obj)
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, AffineMap):
+        obj = {"matrix": obj.matrix, "offset": obj.offset, "source": obj.source}
+    elif dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}

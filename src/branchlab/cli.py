@@ -141,9 +141,9 @@ def cmd_transfer(args) -> int:
         smap = record.transfer(tau)
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    if len(lam) != smap.source_dim:
+    if len(lam) != smap.source:
         raise SystemExit2(
-            "lambda needs %d coordinates, got %d" % (smap.source_dim, len(lam))
+            "lambda needs %d coordinates, got %d" % (smap.source, len(lam))
         )
     image = smap.apply(lam)
     # canonicalized on the integers image·scale by the transfer check's

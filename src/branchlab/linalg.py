@@ -1,13 +1,15 @@
-"""Exact linear algebra: vectors, affine maps, and the package's one row
-reducer.
+"""Exact linear algebra in integers: affine maps, the writer of the source
+of their rows, and the package's one row reducer.
 
-Vectors and matrices are tuples of ``fractions.Fraction``.  ``IntEchelon``
-is a reduced row echelon over the integers that never divides: it answers
-rank, independence and span membership, with the integer combination that
-expresses a member when asked for one.  It serves the rank, the independence
-certificate and the parity gap in ``verify``, and subalgebra membership in
-``dgx``, where only ``dgx.membership`` asks for combinations.  Nothing here
-ever touches floating point.
+An ``AffineMap`` is sparse integer rows over one positive denominator, with
+a ``Fraction`` view for the readers that print it or evaluate it at
+rational points.  ``IntEchelon`` is a reduced row echelon over the integers
+that never divides: it answers rank, independence and span membership, with
+the integer combination that expresses a member when asked for one.  It
+serves the rank, the independence certificate and the parity gap in
+``verify``, and subalgebra membership in ``dgx``, where only
+``dgx.membership`` asks for combinations.  Nothing here ever touches
+floating point.
 """
 
 from __future__ import annotations
@@ -20,30 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-
-
-def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def dot(a: Vector, b: Vector) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
 
 
 def _primitive(terms: dict, payload: dict) -> tuple[dict, dict]:
@@ -149,41 +127,61 @@ def int_affine_source(var: str, coeffs: Iterable[tuple[int, int]], const: int) -
     return "(%s)" % out
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    """The rank over the rationals of rows of integers or Fractions: each row
-    is scaled to integers by the lcm of its denominators."""
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """The rank over the rationals of dense rows of integers."""
     echelon = IntEchelon()
     for row in m:
-        den = math.lcm(1, *(x.denominator for x in row))
-        echelon.add([x.numerator * (den // x.denominator) for x in row])
+        echelon.add(row)
     return echelon.rank
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """v ↦ matrix·v + offset over the rationals."""
+    """v ↦ (rows·v + offset) / den on ``source`` coordinates: one sparse
+    integer row (((index, coefficient), ...), offset) per image coordinate,
+    indices increasing and no coefficient zero, the row format of ``nest``,
+    over a positive den in lowest terms with the entries.  ``of`` is the one
+    place where rationals become rows; ``matrix``, ``offset`` and ``apply``
+    are the rational view for the export, the CLI and the reference
+    evaluator."""
 
-    matrix: Matrix
-    offset: Vector
-    source: Optional[int] = None  # needed only when the matrix has no rows
+    rows: tuple
+    den: int
+    source: int
 
-    def __post_init__(self):
-        for row in self.matrix:
-            if len(row) != self.source_dim:
-                raise ValueError("ragged matrix")
-        if len(self.matrix) != len(self.offset):
+    @classmethod
+    def of(cls, matrix: Sequence[Sequence], offset: Sequence, source: int) -> "AffineMap":
+        """v ↦ matrix·v + offset on ``source`` coordinates, from entries
+        that ``Fraction`` takes; ValueError if the shapes disagree."""
+        rows = [
+            [*map(Fraction, row), Fraction(off)] for row, off in zip(matrix, offset, strict=True)
+        ]
+        if any(len(row) != source + 1 for row in rows):
             raise ValueError("matrix/offset dimension mismatch")
+        den = math.lcm(1, *(x.denominator for row in rows for x in row))
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        return cls(
+            tuple((tuple((i, x) for i, x in enumerate(row[:-1]) if x), row[-1]) for row in ints),
+            den,
+            source,
+        )
 
     @property
-    def source_dim(self) -> int:
-        if self.matrix:
-            return len(self.matrix[0])
-        return self.source if self.source is not None else 0
+    def matrix(self) -> Matrix:
+        return tuple(
+            tuple(Fraction(row.get(j, 0), self.den) for j in range(self.source))
+            for row in (dict(coeffs) for coeffs, _ in self.rows)
+        )
+
+    @property
+    def offset(self) -> Vector:
+        return tuple(Fraction(off, self.den) for _, off in self.rows)
+
+    def numerators(self, v: Sequence) -> tuple:
+        """den times the image of v: its numerators over den for integral v."""
+        if len(v) != self.source:
+            raise ValueError("affine map expects dimension %d, got %d" % (self.source, len(v)))
+        return tuple(off + sum(c * v[i] for i, c in coeffs) for coeffs, off in self.rows)
 
     def apply(self, v: Sequence) -> Vector:
-        w = vec(v)
-        if len(w) != self.source_dim:
-            raise ValueError(
-                "affine map expects dimension %d, got %d" % (self.source_dim, len(w))
-            )
-        return vadd(mat_vec(self.matrix, w), self.offset)
+        return tuple(Fraction(x, self.den) for x in self.numerators(v))

@@ -7,22 +7,22 @@ The bound-8 boxes of the rank-7 cases make the inner loops hot, so the checks
 compile symbols down to arithmetic on doubled integers.  Every affine map in
 the catalog is half-integral, and ``_stored_rows`` raises, naming the case
 and the map, on one that is not, so there is no second route behind the
-compiled one.  The maps' rows are built
-from the entries' numerators and denominators, composites composed in
-integers and halved once, with no ``Fraction`` arithmetic (``_MAPS``).
-Weyl-group arithmetic (canonical orbit forms, dimensions) is the ``weights``
-module's, called on the same doubled integers, G2 included.  The work that
-is fixed per record and repeated per point is compiled once into
-straight-line Python by the one compiler, ``nest.kernel``: the doubled
-image of a row list (``nest.affine_kernel``), a type's Weyl dimension and
-canonical form (``weights._dimension_kernel``, ``weights._canonical_kernel``)
-and a space's membership (``ParamSpace.contains_ints``), cross-checked
-against the straightforward reference evaluation in the test suite.  The
-box pass builds a dimension kernel only on its slow path, since its pi
-kernel writes the Weyl dimensions of pi and nu into its own loops, and a
-canonical kernel only for a theta kernel that compares forms.  The
-independence certificate and the parity gap reduce moment matrices of the
-symbols' integer numerators in ``linalg``'s integer echelon.
+compiled one.  The checks read each map's integer rows (``_MAPS``), a
+stored map doubled and a composite composed and halved once, with no
+``Fraction`` arithmetic.  Weyl-group arithmetic (canonical orbit forms,
+dimensions) is the ``weights`` module's, called on the same doubled
+integers, G2 included.  The work that is fixed per record and repeated per
+point is compiled once into straight-line Python by the one compiler,
+``nest.kernel``: the doubled image of a row list (``nest.affine_kernel``), a
+type's Weyl dimension and canonical form (``weights._dimension_kernel``,
+``weights._canonical_kernel``) and a space's membership
+(``ParamSpace.contains_ints``), cross-checked against the straightforward
+reference evaluation in the test suite.  The box pass builds a dimension
+kernel only on its slow path, since its pi kernel writes the Weyl
+dimensions of pi and nu into its own loops, and a canonical kernel only for
+a theta kernel that compares forms.  The independence certificate and the
+parity gap reduce moment matrices of the symbols' integer numerators in
+``linalg``'s integer echelon.
 
 Pi-side consistency compares the compiled P-side Casimirs, which read the
 composite map theta ↦ pi label, with a second route: per distinct pi(theta),
@@ -161,24 +161,9 @@ def evaluate_generator_reference(record: CaseRecord, name: str, theta: Sequence[
 # compiled evaluation on doubled integers
 
 
-def _scaled(amap: AffineMap):
-    """(s, rows): s·amap as sparse integer rows (((index, coefficient), ...),
-    offset), s the lcm of its entries' denominators, read from each entry's
-    numerator and denominator."""
-    s = math.lcm(*(x.denominator for row in amap.matrix + (amap.offset,) for x in row))
-
-    def num(x):
-        return x.numerator * (s // x.denominator)
-
-    return s, [
-        (tuple((i, num(x)) for i, x in enumerate(row) if x), num(off))
-        for row, off in zip(amap.matrix, amap.offset)
-    ]
-
-
 def _doubled(s, rows, message):
-    """The doubled rows 2/s·rows of a map given as s·map, in rows with no
-    zero coefficient; ValueError(message()) if the map is not half-integral."""
+    """The doubled rows 2/s·rows of the map rows/s, which have no zero
+    coefficient; ValueError(message()) if the map is not half-integral."""
     out = []
     for coeffs, off in rows:
         if (2 * off) % s or any((2 * x) % s for _, x in coeffs):
@@ -199,42 +184,35 @@ def _stored_rows(record: CaseRecord, key, amap: AffineMap):
             name = "Euler form of %s" % ", ".join(euler)
         return "case %s: map %s is not half-integral" % (record.id, name)
 
-    return _doubled(*_scaled(amap), message)
+    return _doubled(amap.den, amap.rows, message)
 
 
-def _composite_rows(record: CaseRecord, key: str, *parts):
-    """The doubled rows of the record's map ``key``, the sum of outer ∘ inner
-    over ``parts``, (outer, inner) AffineMaps: composed on ``_scaled`` rows
-    at the scale lcm(s_outer·s_inner) and halved once; ValueError, naming
-    the case and the key, if the sum is not half-integral."""
-    parts = [(_scaled(outer), _scaled(inner)) for outer, inner in parts]
-    scale = math.lcm(*(so * si for (so, _), (si, _) in parts))
-    rows = []
-    for i in range(len(parts[0][0][1])):
-        acc, total = {}, 0
-        for (so, outer), (si, inner) in parts:
-            m = scale // (so * si)
-            coeffs, off = outer[i]
-            total += m * si * off
-            for k, a in coeffs:
-                row, inner_off = inner[k]
-                total += m * a * inner_off
-                for j, b in row:
-                    acc[j] = acc.get(j, 0) + m * a * b
-        rows.append((tuple(sorted((j, x) for j, x in acc.items() if x)), total))
-    return _doubled(scale, rows, lambda: "case %s: map %s is not half-integral" % (record.id, key))
+def _composite_rows(record: CaseRecord, key: str, outer: AffineMap, *inner: AffineMap):
+    """The doubled rows of the record's map ``key``, outer ∘ the maps
+    ``inner`` stacked: their integer rows brought to one denominator d,
+    composed with outer's over outer.den·d and halved once; ValueError,
+    naming the case and the key, if it is not half-integral."""
+    d = math.lcm(*(m.den for m in inner))
+    stacked = [
+        (tuple((i, d // m.den * c) for i, c in coeffs), d // m.den * off)
+        for m in inner
+        for coeffs, off in m.rows
+    ]
+    rows = nest.compose([(coeffs, d * off) for coeffs, off in outer.rows], stacked)
+    return _doubled(outer.den * d, rows, lambda: "case %s: map %s is not half-integral" % (record.id, key))
 
 
-# Builders of the doubled rows of the maps the checks read, in integers from
-# the record's stored maps, by the key ``_map_rows`` keeps them under: theta ↦
-# highest-weight coordinates of pi, nu and tau (a Casimir's label), a and b of
-# the power sums, nu+rho, the transfer image, pi(theta), the pi label map.  A
-# stored map goes through ``_stored_rows``, a composite through
-# ``_composite_rows``.
+# Builders of the doubled rows of the maps the checks read, from the integer
+# rows of the record's stored maps, by the key ``_map_rows`` keeps them under:
+# theta ↦ highest-weight coordinates of pi, nu and tau (a Casimir's label), a
+# and b of the power sums, nu+rho, the transfer image, pi(theta), the pi label
+# map.  A stored map goes through ``_stored_rows``, a composite through
+# ``_composite_rows``; the transfer image is [transfer_matrix | transfer_tau]
+# after lam_rhoa_map stacked on tau_of_theta.
 _MAPS = {
-    "pi": lambda r: _composite_rows(r, "pi", (r.pi_label_map, r.pi_of_theta)),
+    "pi": lambda r: _composite_rows(r, "pi", r.pi_label_map, r.pi_of_theta),
     "nu": lambda r: _stored_rows(r, "nu", r.nu_label_map),
-    "tau": lambda r: _composite_rows(r, "tau", (r.tau_label_map, r.tau_of_theta)),
+    "tau": lambda r: _composite_rows(r, "tau", r.tau_label_map, r.tau_of_theta),
     "a": lambda r: _stored_rows(r, "a", r.a_map),
     "b": lambda r: _stored_rows(r, "b", r.b_map),
     "nurho": lambda r: [
@@ -244,8 +222,13 @@ _MAPS = {
     "transfer": lambda r: _composite_rows(
         r,
         "transfer",
-        (AffineMap(r.transfer_matrix, r.transfer_offset), r.lam_rhoa_map),
-        (AffineMap(r.transfer_tau, (0,) * len(r.transfer_offset)), r.tau_of_theta),
+        AffineMap.of(
+            [m + t for m, t in zip(r.transfer_matrix, r.transfer_tau)],
+            r.transfer_offset,
+            len(r.lam_rhoa_map.rows) + len(r.tau_of_theta.rows),
+        ),
+        r.lam_rhoa_map,
+        r.tau_of_theta,
     ),
     "pi_of_theta": lambda r: _stored_rows(r, "pi_of_theta", r.pi_of_theta),
     "pi_label_map": lambda r: _stored_rows(r, "pi_label_map", r.pi_label_map),
@@ -1425,7 +1408,8 @@ def _smf_plan(record: CaseRecord, stack: _Stack):
     not k."""
     rows = tuple(stack.rows[stack.add("pi_of_theta")])
     k = len(record.theta.names)
-    rank = linalg.rank(record.nu_label_map.matrix)
+    nu = record.nu_label_map
+    rank = linalg.rank([[dict(c).get(j, 0) for j in range(nu.source)] for c, _ in nu.rows])
     return rows, None if rank == k else ("nu-injective", None, k, rank)
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import nest
-from .linalg import Vector, int_affine_source, vec
+from .linalg import Vector, int_affine_source
 
 LETTERED = ("A", "B", "C", "D")
 
@@ -129,9 +129,9 @@ def _rho2(t: WeylType) -> tuple[int, ...]:
 
 def _double(w: Sequence) -> tuple[int, ...]:
     """2·w as integers; ValueError unless w is half-integral."""
-    w2 = [2 * x for x in vec(w)]
+    w2 = [2 * Fraction(x) for x in w]
     if any(x.denominator != 1 for x in w2):
-        raise ValueError("weight %s is not half-integral" % (vec(w),))
+        raise ValueError("weight %s is not half-integral" % (tuple(x / 2 for x in w2),))
     return tuple(int(x) for x in w2)
 
 

@@ -1,13 +1,16 @@
 """Reference oracles: routes in Fractions that the package's integer code is
-compared against, among them the listed positive roots whose half-sum is
-rho (``positive_roots``, ``half_sum``), the canonical orbit form of a
+compared against, on Fraction vectors and matrices, which the package does
+not use (``vec``, ``vadd``, ``dot``, ``mat``, ``mat_vec``, with
+``fraction_rank``, ``fraction_apply`` and ``transfer_image``), among them
+the listed positive roots whose half-sum is rho (``positive_roots``,
+``half_sum``), the canonical orbit form of a
 transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
 test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
 ``dgx.Poly`` on a dict of Fraction coefficients), the generic per-point
 loops that the package's compiled kernels replaced (``_apply2``,
 ``_satisfies``, ``_canonical2`` with ``dominant_representative``,
 ``_dominant``, ``dimension2``), the composite maps in Fractions
-(``fraction_maps``) that verify now composes in integers, and the box
+(``fraction_maps``) that verify composes on integer rows, and the box
 checks' separate per-check loops, which test_verify compares the one box
 pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
@@ -29,7 +32,7 @@ from typing import Iterable, Optional
 
 from branchlab import hilbert, linalg, verify, weights
 from branchlab.catalog import CaseRecord
-from branchlab.linalg import AffineMap, Matrix, Vector, dot, mat, vec
+from branchlab.linalg import AffineMap, Matrix, Vector
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import CaseReport
 from branchlab.weights import _dominant_D, _dominant_G2, _rho2
@@ -166,6 +169,52 @@ class FractionPoly:
             )
             bits.append("%s%s" % (c, ("*" + mono) if mono else ""))
         return " + ".join(bits)
+
+
+def vec(values: Iterable) -> Vector:
+    return tuple(Fraction(v) for v in values)
+
+
+def vadd(a: Vector, b: Vector) -> Vector:
+    if len(a) != len(b):
+        raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def dot(a: Vector, b: Vector) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError("length mismatch: %d vs %d" % (len(a), len(b)))
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def mat(rows: Iterable[Iterable]) -> Matrix:
+    return tuple(vec(r) for r in rows)
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(dot(row, v) for row in m)
+
+
+def fraction_rank(m) -> int:
+    """The rank of rows of rationals: ``linalg.rank`` of each row scaled to
+    integers by the lcm of its denominators."""
+    scaled = []
+    for row in mat(m):
+        den = math.lcm(1, *(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return linalg.rank(scaled)
+
+
+def fraction_apply(amap: AffineMap, v) -> Vector:
+    """amap at v by its Fraction matrix and offset, apart from the integer
+    rows that ``AffineMap.apply`` reads."""
+    return vadd(mat_vec(amap.matrix, vec(v)), amap.offset)
+
+
+def transfer_image(record: CaseRecord, tau, lam) -> Vector:
+    """S_tau(lam) from the record's three transfer fields in Fractions."""
+    shift = vadd(mat_vec(record.transfer_tau, vec(tau)), record.transfer_offset)
+    return vadd(mat_vec(record.transfer_matrix, vec(lam)), shift)
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
@@ -592,26 +641,27 @@ def independence_certificate(record, gens, bound: int, degree: int):
 
 
 def _compose_affine(outer_matrix, outer_offset, inner: AffineMap) -> AffineMap:
+    matrix, inner_offset = inner.matrix, inner.offset
     rows = []
     for row in outer_matrix:
         rows.append(
             tuple(
-                sum(row[k] * inner.matrix[k][j] for k in range(len(row)))
-                for j in range(inner.source_dim)
+                sum(row[k] * matrix[k][j] for k in range(len(row)))
+                for j in range(inner.source)
             )
         )
     offset = tuple(
-        o + sum(row[k] * inner.offset[k] for k in range(len(row)))
+        o + sum(row[k] * inner_offset[k] for k in range(len(row)))
         for row, o in zip(outer_matrix, outer_offset)
     )
-    return AffineMap(mat(rows), vec(offset), source=inner.source_dim)
+    return AffineMap.of(rows, offset, inner.source)
 
 
 def _nu_rho_map(record: CaseRecord) -> AffineMap:
     """theta ↦ nu(theta) + rho, the Z(g_C) side of transfer."""
     nu = record.nu_label_map
     offset = vec(tuple(a + b for a, b in zip(nu.offset, record.nu_group.rho)))
-    return AffineMap(nu.matrix, offset, source=nu.source_dim)
+    return AffineMap.of(nu.matrix, offset, nu.source)
 
 
 def _transfer_image_map(record: CaseRecord) -> AffineMap:
@@ -622,12 +672,8 @@ def _transfer_image_map(record: CaseRecord) -> AffineMap:
         vec([0] * len(record.transfer_offset)),
         record.tau_of_theta,
     )
-    rows = mat(
-        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.matrix, b.matrix))
-    )
-    return AffineMap(
-        rows, vec(tuple(x + y for x, y in zip(a.offset, b.offset))), source=a.source_dim
-    )
+    rows = [vadd(r1, r2) for r1, r2 in zip(a.matrix, b.matrix)]
+    return AffineMap.of(rows, vadd(a.offset, b.offset), a.source)
 
 
 def fraction_maps(record: CaseRecord) -> dict:
@@ -764,7 +810,7 @@ def check_strong_multiplicity_freeness(
     report = CaseReport(record.id, bound)
     failures = report.failures
     k = len(record.theta.names)
-    rank = linalg.rank(record.nu_label_map.matrix)
+    rank = fraction_rank(record.nu_label_map.matrix)
     if rank != k:
         failures.append(("nu-injective", None, k, rank))
     pi2 = _rows2(record.pi_of_theta)
@@ -899,9 +945,9 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
 
 def _rows2(amap: AffineMap):
     """[(sparse integer row, offset)] for 2·amap, through the package's own
-    reading of the entries; ValueError if not half-integral."""
+    reading of its rows; ValueError if not half-integral."""
     return verify._doubled(
-        *verify._scaled(amap), lambda: "affine map is not half-integral: %r" % (amap,)
+        amap.den, amap.rows, lambda: "affine map is not half-integral: %r" % (amap,)
     )
 
 

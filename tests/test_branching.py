@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from branchlab import catalog, fibers, weights
-from branchlab.linalg import vec
 import oracles
+from oracles import vec
 
 
 def F(*args):

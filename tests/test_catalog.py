@@ -366,6 +366,50 @@ def test_pi_tau_rejects_invalid_theta(records):
         oracles.pi_tau(rec(records, "star"), (1, 1, 1))  # parity fails
 
 
+@pytest.mark.parametrize(
+    "key,query", [("pi_of_theta", "pi_params_of"), ("tau_of_theta", "tau_params_of")]
+)
+def test_map_not_integral_at_theta_is_a_value_error(records, key, query):
+    # a half in the offset makes the image at (0, 0) a half: an error that
+    # names the case and the map, and not a truncated image
+    vi = rec(records, "vi")
+    amap = getattr(vi, key)
+    offset = (amap.offset[0] + Fraction(1, 2),) + amap.offset[1:]
+    half = AffineMap.of(amap.matrix, offset, amap.source)
+    assert half.den == 2
+    broken = dataclasses.replace(vi, **{key: half})
+    with pytest.raises(ValueError, match=r"^case vi: map %s is not integral$" % key):
+        getattr(broken, query)((0, 0))
+    assert getattr(vi, query)((0, 0)) == tuple(int(x) for x in amap.apply((0, 0)))
+
+
+def _stored_maps(r):
+    """(name, map) of each AffineMap the record stores: its map fields and
+    its Euler forms."""
+    for f in dataclasses.fields(r):
+        if isinstance(getattr(r, f.name), AffineMap):
+            yield f.name, getattr(r, f.name)
+    for name, spec in sorted(r.symbols.items()):
+        if spec.form is not None:
+            yield name, spec.form
+
+
+def test_every_stored_map_is_integer_rows_over_one_or_two():
+    # the rows are in the form ``AffineMap`` requires, and no map needs a
+    # denominator other than 1 or 2
+    stored = 0
+    for r in build_records(10):
+        for name, amap in _stored_maps(r):
+            assert type(amap) is AffineMap and amap.den in (1, 2), (r.id, name, amap.den)
+            for coeffs, off in amap.rows:
+                indices = [i for i, _ in coeffs]
+                assert indices == sorted(set(indices)) and all(0 <= i < amap.source for i in indices)
+                assert all(type(c) is int and c for _, c in coeffs) and type(off) is int
+            stored += 1
+    # the eight map fields, less the absent a and b maps, and the Euler forms
+    assert stored == 567
+
+
 def test_pi_tau_injective_on_box(records):
     for r in records.values():
         seen = set()
@@ -440,7 +484,7 @@ def _field_names(cls):
 
 def test_export_has_every_dataclass_field():
     """The export is the records' dataclasses, field for field, with each
-    rational as its "p/q" string."""
+    rational as its "p/q" string and each AffineMap as its rational view."""
     records = build_records(2)
     cases = json.loads(catalog.dump_catalog(records))["cases"]
     assert len(cases) == len(records)
@@ -451,7 +495,9 @@ def test_export_has_every_dataclass_field():
             group(f)
 
     def amap(m):
-        assert set(m) == _field_names(AffineMap), m
+        assert set(m) == {"matrix", "offset", "source"}, m
+        assert len(m["matrix"]) == len(m["offset"])
+        assert all(len(row) == m["source"] for row in m["matrix"]), m
 
     for r, case in zip(records, cases):
         assert set(case) == _field_names(CaseRecord)

@@ -1,4 +1,5 @@
-"""Exact rational matrices, affine maps and the integer row reducer."""
+"""Integer affine maps and the integer row reducer, against the Fraction
+vectors and matrices of the oracles."""
 
 import math
 import random
@@ -6,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab.linalg import AffineMap, IntEchelon, dot, mat, rank, vec
-from oracles import solve
+from branchlab.linalg import AffineMap, IntEchelon, rank
+from oracles import dot, fraction_apply, mat, solve, vec
 
 
 def test_vec_and_dot():
@@ -19,10 +20,10 @@ def test_vec_and_dot():
 
 
 def test_rank():
-    assert rank(mat([[1, 2], [2, 4]])) == 1
-    assert rank(mat([[1, 2], [3, 4]])) == 2
-    assert rank(mat([[0, 0], [0, 0]])) == 0
-    assert rank(mat([["1/2", 1, 0], [0, 1, 1]])) == 2
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 2], [3, 4]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2, 0], [0, 1, 1]]) == 2
 
 
 def test_solve_consistent_and_inconsistent():
@@ -68,9 +69,10 @@ def test_rank_and_pivot_rows_match_full_reduction():
         m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         if rng.random() < 0.3:  # a dependent row
             m = m + (tuple(a + b for a, b in zip(m[0], m[-1])),)
-        assert rank(m) == _gauss_jordan(m)[0]
+        # every entry times 3 is an integer
+        assert rank([[int(3 * x) for x in row] for row in m]) == _gauss_jordan(m)[0]
         # the integer echelon keeps exactly the rows that raise the rank of
-        # the rows before them (every entry times 3 is an integer)
+        # the rows before them
         echelon = IntEchelon()
         kept = [i for i, row in enumerate(m) if echelon.add([int(3 * x) for x in row])]
         assert kept == [
@@ -135,12 +137,38 @@ def test_solve_on_sparse_systems():
 
 
 def test_affine_map():
-    f = AffineMap(mat([[1, 2], [0, 1]]), vec([5, "1/2"]))
+    f = AffineMap.of([[1, 2], [0, 1]], [5, "1/2"], 2)
+    assert f.rows == ((((0, 2), (1, 4)), 10), (((1, 2),), 1))
+    assert f.den == 2 and f.source == 2
+    assert f.matrix == mat([[1, 2], [0, 1]]) and f.offset == vec([5, "1/2"])
     assert f.apply((1, 1)) == (Fraction(8), Fraction(3, 2))
-    assert f.source_dim == 2
+    assert f.numerators((1, 1)) == (16, 3)
+    assert f.apply((Fraction(1, 3), 0)) == fraction_apply(f, (Fraction(1, 3), 0))
     with pytest.raises(ValueError):
         f.apply((1, 2, 3))
-    empty = AffineMap(mat([]), vec([]), source=3)
+    empty = AffineMap.of([], [], 3)
+    assert (empty.rows, empty.den) == ((), 1)
     assert empty.apply((1, 2, 3)) == ()
     with pytest.raises(ValueError):
-        AffineMap(mat([[1, 2]]), vec([1, 2]))
+        AffineMap.of([[1, 2]], [1, 2], 2)
+    with pytest.raises(ValueError):
+        AffineMap.of([[1, 2]], [1], 3)
+
+
+def test_affine_map_of_builds_its_documented_form_and_matches_the_fraction_route():
+    rng = random.Random(8)
+    for _ in range(200):
+        source = rng.randint(0, 5)
+        m = _sparse_matrix(rng, rng.randint(0, 5), source) if source else ()
+        offset = vec(rng.choice((0, 1, "-3/2", "1/6")) for _ in m)
+        f = AffineMap.of(m, offset, source)
+        assert f.matrix == m and f.offset == offset
+        # rows in the form AffineMap documents
+        entries = [f.den]
+        for coeffs, off in f.rows:
+            assert [i for i, _ in coeffs] == sorted({i for i, _ in coeffs if 0 <= i < source})
+            entries += [off] + [c for _, c in coeffs]
+            assert all(type(x) is int for x in entries) and all(c for _, c in coeffs)
+        assert f.den > 0 and math.gcd(*entries) == 1
+        v = vec(rng.choice((0, 2, -1, "5/2")) for _ in range(source))
+        assert f.apply(v) == fraction_apply(f, v) == tuple(dot(r, v) + o for r, o in zip(m, offset))

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from branchlab import catalog, weights
-from branchlab.linalg import dot, vec
 from branchlab.reps import (
     SO,
     SU,
@@ -20,7 +19,7 @@ from branchlab.reps import (
     casimir_eigenvalue,
 )
 import oracles
-from oracles import random_weyl_image
+from oracles import dot, random_weyl_image, vec
 
 
 def F(*args):

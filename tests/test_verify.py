@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from branchlab import catalog, fibers, nest, verify, weights
+from branchlab.linalg import AffineMap
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import (
     InsufficientSampleError,
@@ -29,6 +30,16 @@ def records():
 
 def rec(records, tag, n=None):
     return records[(tag, n)]
+
+
+def _rebuilt(amap, matrix=None, offset=None):
+    """amap with its Fraction matrix or offset replaced, rebuilt through
+    ``AffineMap.of``."""
+    return AffineMap.of(
+        amap.matrix if matrix is None else matrix,
+        amap.offset if offset is None else offset,
+        amap.source,
+    )
 
 
 def test_evaluate_generator_examples(records):
@@ -237,6 +248,30 @@ def test_transfer_map_examples(records):
     assert smap.apply((9,)) == tuple(Fraction(x, 2) for x in (11, 9, 7))
 
 
+def test_every_transfer_map_matches_the_fraction_route():
+    # S_tau of every record at tau in Disc(K/H) and rational lambda, against
+    # the three transfer fields in Fractions; and at tau(theta), applied to
+    # lambda(theta) + rho_a, against the composite transfer image
+    import itertools
+
+    rng = random.Random(30)
+    checked = 0
+    for r in catalog.build_records(6):
+        taus = list(itertools.islice(r.tau_space.walk(2), 30))
+        for tau in rng.sample(taus, min(3, len(taus))):
+            smap = r.transfer(tau)
+            for _ in range(2):
+                lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(smap.source))
+                assert smap.apply(lam) == oracles.transfer_image(r, tau, lam), (r.id, tau, lam)
+                checked += 1
+        image = oracles._transfer_image_map(r)
+        for theta in itertools.islice(r.theta.walk(2), 4):
+            smap = r.transfer(r.tau_params_of(theta))
+            got = smap.apply(r.lam_rhoa_map.apply(theta))
+            assert got == oracles.fraction_apply(image, theta), (r.id, theta)
+    assert checked >= 2 * len(catalog.build_records(6))
+
+
 def test_transfer_map_rejects_invalid_tau(records):
     with pytest.raises(ValueError):
         rec(records, "vi").transfer((-1,))
@@ -310,8 +345,6 @@ def test_independence_insufficient_sample(records):
 
 
 def test_independence_witness_is_invertible_minor(records):
-    from branchlab import linalg
-
     r = rec(records, "vi")
     ok, witness = independence_certificate(r, ("C_Gt", "C_K"), 5, 2)
     assert ok
@@ -323,7 +356,7 @@ def test_independence_witness_is_invertible_minor(records):
             evaluate_generator(r, "C_K", theta),
         ]
         rows.append([verify._prod(values, m) for m in monos])
-    assert linalg.rank(linalg.mat(rows)) == len(monos)
+    assert oracles.fraction_rank(rows) == len(monos)
 
 
 def test_ix_parity_gap(records):
@@ -439,12 +472,7 @@ def test_tampered_nu_label_breaks_relations(records):
     r = rec(records, "vi")
     rows = [list(row) for row in r.nu_label_map.matrix]
     rows[1][1] += 1  # nu = (j/2, 3k/2, k/2, k/2) instead of (j/2, k/2, k/2, k/2)
-    from branchlab.linalg import mat
-
-    broken = dataclasses.replace(
-        r,
-        nu_label_map=dataclasses.replace(r.nu_label_map, matrix=mat(rows)),
-    )
+    broken = dataclasses.replace(r, nu_label_map=_rebuilt(r.nu_label_map, matrix=rows))
     report = check_relations(broken, 4)
     assert report.failures
     report = check_transfer(broken, 4)
@@ -493,8 +521,6 @@ def test_canonical2_matches_weights_canonicalization(records):
     # the doubled-integer canonical form must agree with the exact route
     import random
 
-    from branchlab.linalg import vec
-
     rng = random.Random(424242)
     for r in records.values():
         weyl = r.nu_group.weyl
@@ -507,7 +533,7 @@ def test_canonical2_matches_weights_canonicalization(records):
             got = weights._canonical_kernel(weyl, r.mod_trace)(values2)
             assert all(type(x) is int for x in got), (r.id, got)
             reference = oracles.canonical_char(
-                r, vec([Fraction(v, 2) for v in values2])
+                r, tuple(Fraction(v, 2) for v in values2)
             )
             assert tuple(Fraction(x, 2) for x in got) == tuple(
                 scale * x for x in reference
@@ -554,19 +580,17 @@ def test_every_map_is_half_integral():
 
 
 def test_rows2_rejects_non_half_integral():
-    from branchlab.linalg import AffineMap, mat, vec
-
     for amap in (
-        AffineMap(mat([[Fraction(1, 3)]]), vec([0]), source=1),
-        AffineMap(mat([[Fraction(1, 4)]]), vec([0]), source=1),
-        AffineMap(mat([[1]]), vec([Fraction(1, 4)]), source=1),
+        AffineMap.of([[Fraction(1, 3)]], [0], 1),
+        AffineMap.of([[Fraction(1, 4)]], [0], 1),
+        AffineMap.of([[1]], [Fraction(1, 4)], 1),
     ):
         with pytest.raises(ValueError, match="affine map is not half-integral"):
             oracles._rows2(amap)
-    assert oracles._rows2(AffineMap(mat([[Fraction(1, 2)]]), vec([Fraction(3, 2)]), source=1)) == [
+    assert oracles._rows2(AffineMap.of([[Fraction(1, 2)]], [Fraction(3, 2)], 1)) == [
         (((0, 1),), 3)
     ]
-    assert oracles._rows2(AffineMap(mat([[0, -2]]), vec([-1]), source=2)) == [(((1, -4),), -2)]
+    assert oracles._rows2(AffineMap.of([[0, -2]], [-1], 2)) == [(((1, -4),), -2)]
 
 
 def test_doubled_rows_match_fraction_composition():
@@ -584,8 +608,9 @@ def test_doubled_rows_match_fraction_composition():
 
 
 def test_map_rows_do_no_fraction_arithmetic(monkeypatch):
-    # the rows are read from each entry's numerator and denominator: with
-    # Fraction's arithmetic made to raise, every key of fresh records builds
+    # the rows are the stored integer rows, and the transfer fields' are read
+    # from each entry's numerator and denominator: with Fraction's arithmetic
+    # made to raise, every key of fresh records builds
     records = catalog.build_records(3)
 
     def refuse(*args):
@@ -637,14 +662,10 @@ def test_quarter_integral_composite_is_an_error_entry(records):
     # itself report that map's own error, and the rest still run clean
     import dataclasses
 
-    from branchlab.linalg import AffineMap
-
     r = rec(records, "vi")
     rows = [list(row) for row in r.pi_label_map.matrix]
     rows[0][0] += Fraction(1, 4)
-    bad = dataclasses.replace(
-        r, pi_label_map=AffineMap(tuple(map(tuple, rows)), r.pi_label_map.offset)
-    )
+    bad = dataclasses.replace(r, pi_label_map=_rebuilt(r.pi_label_map, matrix=rows))
     entries = {e["name"]: e for e in verify.run_case(bad, 3, 2)}
     composite = "error: ValueError: case vi: map pi is not half-integral"
     for name in ("relations", "independence", "pi-side-consistency"):
@@ -672,9 +693,7 @@ def test_stored_map_error_names_the_case_and_the_map(records):
     r = rec(records, "vi")
     rows = [list(row) for row in r.nu_label_map.matrix]
     rows[0][0] += Fraction(1, 4)
-    bad = dataclasses.replace(
-        r, nu_label_map=dataclasses.replace(r.nu_label_map, matrix=tuple(map(tuple, rows)))
-    )
+    bad = dataclasses.replace(r, nu_label_map=_rebuilt(r.nu_label_map, matrix=rows))
     entries = {e["name"]: e for e in verify.run_case(bad, 3, 2)}
     message = "error: ValueError: case vi: map nu is not half-integral"
     for name in ("relations", "transfer", "dimension-conservation"):
@@ -682,7 +701,7 @@ def test_stored_map_error_names_the_case_and_the_map(records):
     assert not any("AffineMap(" in e.get("first_failure", "") for e in entries.values())
     ix = rec(records, "ix")
     name, spec = next((n, s) for n, s in sorted(ix.symbols.items()) if s.kind == "euler")
-    form = dataclasses.replace(spec.form, offset=(spec.form.offset[0] + Fraction(1, 4),))
+    form = _rebuilt(spec.form, offset=(spec.form.offset[0] + Fraction(1, 4),))
     bad = dataclasses.replace(
         ix, symbols={**ix.symbols, name: dataclasses.replace(spec, form=form)}
     )
@@ -709,9 +728,7 @@ def test_run_case_check_error_is_that_checks_failure(records):
     r = rec(records, "i", 1)
     offset = list(r.pi_label_map.offset)
     offset[1] += 1
-    broken = dataclasses.replace(
-        r, pi_label_map=dataclasses.replace(r.pi_label_map, offset=tuple(offset))
-    )
+    broken = dataclasses.replace(r, pi_label_map=_rebuilt(r.pi_label_map, offset=offset))
     entries = verify.run_case(broken, 4, 2)
     assert [e["name"] for e in entries] == [e["name"] for e in verify.run_case(r, 4, 2)]
     errored = [e for e in entries if e.get("first_failure", "").startswith("error: ")]
@@ -804,8 +821,6 @@ def _outcome(check):
 def _tampered_records():
     import dataclasses
 
-    from branchlab.linalg import mat
-
     by_id = {str(r.id): r for r in catalog.build_records(2)}
     vi, star, i1, iv2 = by_id["vi"], by_id["star"], by_id["i[n=1]"], by_id["iv[n=2]"]
     vii, viii = by_id["vii"], by_id["viii"]
@@ -821,13 +836,9 @@ def _tampered_records():
     zeroed = [[0 if j == 1 else x for j, x in enumerate(row)] for row in vii.nu_label_map.matrix]
     return [
         dataclasses.replace(vi, branch_rule=("tail_le",)),
-        dataclasses.replace(
-            vi, nu_label_map=dataclasses.replace(vi.nu_label_map, matrix=mat(rows))
-        ),
+        dataclasses.replace(vi, nu_label_map=_rebuilt(vi.nu_label_map, matrix=rows)),
         dataclasses.replace(star, transfer_offset=tuple(offset)),
-        dataclasses.replace(
-            i1, pi_label_map=dataclasses.replace(i1.pi_label_map, offset=tuple(pi_offset))
-        ),
+        dataclasses.replace(i1, pi_label_map=_rebuilt(i1.pi_label_map, offset=pi_offset)),
         dataclasses.replace(
             iv2, relations=(dataclasses.replace(rel, terms=terms),) + iv2.relations[1:]
         ),
@@ -839,14 +850,12 @@ def _tampered_records():
         # forgets k
         dataclasses.replace(
             vi,
-            pi_of_theta=dataclasses.replace(
+            pi_of_theta=_rebuilt(
                 pi_of_theta, offset=(pi_of_theta.offset[0] + 1,) + pi_of_theta.offset[1:]
             ),
         ),
         dataclasses.replace(vii, branch_rule=("parity_tail",)),
-        dataclasses.replace(
-            vii, nu_label_map=dataclasses.replace(vii.nu_label_map, matrix=mat(zeroed))
-        ),
+        dataclasses.replace(vii, nu_label_map=_rebuilt(vii.nu_label_map, matrix=zeroed)),
         # fibers of three coordinates in a two-coordinate theta space: the nu
         # label reads their prefix, and no fiber is a valid theta
         dataclasses.replace(vii, branch_rule=("tail_le_charge",)),
@@ -900,7 +909,6 @@ def test_chunked_kernel_visits_the_walk_in_order():
     import dataclasses
 
     from branchlab.catalog import Constraint, ParamSpace, Relation, SymbolSpec
-    from branchlab.linalg import AffineMap, mat, vec
 
     n = 25
     assert n > 20 > nest.CHUNK
@@ -910,7 +918,7 @@ def test_chunked_kernel_visits_the_walk_in_order():
     )
     parity = Constraint((1,) + (0,) * (n - 2) + (1,), 0, 2)
     space = ParamSpace(tuple("x%d" % i for i in range(n)), ("int",) * n, chain + (parity,))
-    form = AffineMap(mat([[i % 3 - 1 or 2 for i in range(n)]]), vec([Fraction(1, 2)]), source=n)
+    form = AffineMap.of([[i % 3 - 1 or 2 for i in range(n)]], [Fraction(1, 2)], n)
     synthetic = dataclasses.replace(
         next(r for r in catalog.build_records(1) if str(r.id) == "vi"),
         id=catalog.CaseId("iv", n),
@@ -1185,16 +1193,14 @@ def _pi_walk_cases():
     pi's folded dimension fails its test (the last pair)."""
     import dataclasses
 
-    from branchlab.linalg import mat
-
     records = catalog.build_records(3)
     by_id = {str(r.id): r for r in records}
     vi, vii, star, i1, iv2 = (by_id[k] for k in ("vi", "vii", "star", "i[n=1]", "iv[n=2]"))
 
     def bumped(amap, rows=None):
         if rows is None:
-            return dataclasses.replace(amap, offset=(amap.offset[0] + 1,) + amap.offset[1:])
-        return dataclasses.replace(amap, matrix=mat(rows))
+            return _rebuilt(amap, offset=(amap.offset[0] + 1,) + amap.offset[1:])
+        return _rebuilt(amap, matrix=rows)
 
     nu = [list(row) for row in iv2.nu_label_map.matrix]
     nu[0][0] += 1

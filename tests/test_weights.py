@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab import weights
-from branchlab.linalg import dot, vec
 from branchlab.weights import (
     A,
     B,
@@ -25,7 +24,7 @@ from branchlab.weights import (
     weyl_dimension,
 )
 import oracles
-from oracles import half_sum, positive_roots, random_weyl_image, reflect, simple_roots
+from oracles import dot, half_sum, positive_roots, random_weyl_image, reflect, simple_roots, vec
 
 
 def F(*args):
