@@ -1,19 +1,23 @@
 """Exact linear algebra in integers: affine maps, the writer of the source
-of their rows, and the package's one row reducer.
+of their rows, the package's one exact row reducer, and the mod-P filter in
+front of it for the independence certificate.
 
 An ``AffineMap`` is sparse integer rows over one positive denominator, with
 a ``Fraction`` view for the readers that print it or evaluate it at
 rational points.  ``IntEchelon`` is a reduced row echelon over the integers
 that never divides: it answers rank, independence and span membership, with
 the integer combination that expresses a member when asked for one.  It
-serves the rank, the independence certificate and the parity gap in
-``verify``, and subalgebra membership in ``dgx``, where only
-``dgx.membership`` asks for combinations.  Nothing here ever touches
+serves the rank and the parity gap in ``verify``, and subalgebra membership
+in ``dgx``, where only ``dgx.membership`` asks for combinations.
+``independent_rows`` keeps the rows of the independence certificate by
+their residues mod the prime P, and hands over to ``IntEchelon`` only at
+the first row that the prime cannot decide.  Nothing here ever touches
 floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -104,6 +108,80 @@ class IntEchelon:
     def add(self, row: Sequence[int]) -> bool:
         """insert of a dense row, keyed by column index."""
         return self.insert({c: x for c, x in enumerate(row) if x})
+
+
+# The largest prime below 2**15: a product of two residues stays below 2**30,
+# one digit of a CPython int.
+P = 32749
+
+
+def independent_rows(rows: Iterable, ncols: int, exact) -> tuple[bool, list]:
+    """(full rank, kept): the labels of the rows, in order, that are
+    independent over the rationals of the rows kept before them, and
+    whether ``ncols`` of them were kept, where the walk of ``rows`` stops.
+
+    ``rows`` yields (label, row) with row a list of ``ncols`` integers
+    congruent mod P to the label's exact integer row, which ``exact(label)``
+    gives.  Each row is reduced mod P, forward only, against the rows kept
+    so far, each scaled to 1 at its pivot; a row left non-zero is kept.  At
+    the first row that reduces to zero, the exact rows of the labels kept so
+    far go into an ``IntEchelon``, which goes on from that row.
+
+    Why the labels are those of the exact route alone:
+    - Rows independent mod P are independent over the rationals: a minor of
+      theirs is non-zero mod P, so the integer minor is non-zero.  A full
+      rank reached mod P is full rank, with no rational arithmetic.
+    - A row dependent over the rationals on the rows kept before it has an
+      integer relation with them whose coefficients have gcd 1, so the
+      relation is non-trivial mod P.  Its coefficient of the row is non-zero
+      mod P, since the kept rows are independent mod P, so the row reduces
+      to zero mod P.
+    - So while no row has reduced to zero, the rows kept mod P are exactly
+      those the exact route keeps.  A row that reduces to zero proves
+      nothing, so the exact route takes over there.
+
+    A row being reduced is one integer, ``size`` bytes per entry, and a
+    kept row is stored negated mod P in the same layout, so that one row
+    operation is one integer multiply-add.  An entry starts below P and
+    takes fewer than ``ncols`` additions, each below P², so it stays below
+    ncols·P² and never carries into the next entry.
+    """
+    size = (2 * P.bit_length() + ncols.bit_length() + 7) // 8
+    mask = (1 << 8 * size) - 1
+
+    def pack(row) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row), "little")
+
+    kept: list = []
+    pivots: list = []
+    rows = iter(rows)
+    for label, row in rows:
+        packed = pack([x % P for x in row])
+        for shift, negated in pivots:
+            f = (packed >> shift & mask) % P
+            if f:
+                packed += f * negated
+        data = packed.to_bytes(size * ncols, "little")
+        row = [int.from_bytes(data[i : i + size], "little") % P for i in range(0, len(data), size)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        inverse = pow(row[c], -1, P)
+        pivots.append((8 * size * c, pack([-x * inverse % P for x in row])))
+        kept.append(label)
+        if len(kept) == ncols:
+            return True, kept
+    else:
+        return False, kept
+    echelon = IntEchelon()
+    for done in kept:
+        echelon.add(exact(done))
+    for label, _ in itertools.chain([(label, row)], rows):
+        if echelon.add(exact(label)):
+            kept.append(label)
+            if echelon.rank == ncols:
+                return True, kept
+    return False, kept
 
 
 def int_affine_source(var: str, coeffs: Iterable[tuple[int, int]], const: int) -> str:

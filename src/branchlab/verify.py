@@ -21,8 +21,10 @@ reference evaluation in the test suite.  The box pass builds a dimension
 kernel only on its slow path, since its pi kernel writes the Weyl
 dimensions of pi and nu into its own loops, and a canonical kernel only for
 a theta kernel that compares forms.  The independence certificate and the
-parity gap reduce moment matrices of the symbols' integer numerators in
-``linalg``'s integer echelon.
+parity gap reduce moment matrices of the symbols' integer numerators: the
+certificate mod a prime in ``linalg.independent_rows``, which hands over to
+``linalg``'s integer echelon where the prime cannot decide, and the parity
+gap in that echelon.
 
 Pi-side consistency compares the compiled P-side Casimirs, which read the
 composite map theta ↦ pi label, with a second route: per distinct pi(theta),
@@ -531,22 +533,34 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _prod(values, mono):
-    out = 1
-    for v, e in zip(values, mono):
-        if e:
-            out *= v ** e
-    return out
+def _moment_basis(record: CaseRecord, gens: Sequence[str], degree: int):
+    """(fns, steps): per generator, its integer numerator as a function of
+    theta; per monomial of ``_monomials`` after the constant 1, (the position
+    of the monomial that it is x_v times, v).  That monomial comes first in
+    the order, since lowering an exponent lowers the tuple."""
+    monos = _monomials(len(gens), degree)
+    index = {mono: i for i, mono in enumerate(monos)}
+    steps = []
+    for mono in monos[1:]:
+        v = max(i for i, e in enumerate(mono) if e)
+        steps.append((index[mono[:v] + (mono[v] - 1,) + mono[v + 1 :]], v))
+    return [_int_eval(record, g)[0] for g in gens], steps
+
+
+def _moment_row(values, steps) -> list:
+    """Every monomial in the values, in the order of ``_monomials``."""
+    row = [1]
+    for parent, v in steps:
+        row.append(row[parent] * values[v])
+    return row
 
 
 def _moment_rows(record: CaseRecord, gens: Sequence[str], degree: int, thetas):
     """Per theta, (theta, its row): every monomial of total degree <= degree
     in the generators' integer numerators, in the order of ``_monomials``."""
-    monos = _monomials(len(gens), degree)
-    fns = [_int_eval(record, g)[0] for g in gens]
+    fns, steps = _moment_basis(record, gens, degree)
     for theta in thetas:
-        values = [fn(theta) for fn in fns]
-        yield theta, [_prod(values, mono) for mono in monos]
+        yield theta, _moment_row([fn(theta) for fn in fns], steps)
 
 
 def independence_certificate(
@@ -562,29 +576,34 @@ def independence_certificate(
     The moment matrix is reduced in integers: its rows hold the monomials of
     the generators' integer numerators, which scales each column by a non-zero
     constant and so changes neither the rank nor which rows are kept.  A box
-    of fewer points than columns is an InsufficientSampleError, found by
-    walking at most that many points before any row is reduced; otherwise
-    the box is streamed in one walk, which stops at full rank.
+    of fewer points than columns is an InsufficientSampleError, found from
+    the first points of the walk before any row is reduced; otherwise the
+    walk goes on into ``linalg.independent_rows``, which stops at full rank.
+    It reduces the rows mod ``linalg.P``, built from the numerators' residues,
+    and keeps exactly the rows that exact elimination keeps: only from the
+    first row that reduces to zero mod P does it reduce exact rows, rebuilt
+    from their theta.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
         return True, []
     ncols = math.comb(len(gens) + degree, degree)
-    count = sum(1 for _ in itertools.islice(record.theta.walk(bound), ncols))
-    if count < ncols:
+    walk = record.theta.walk(bound)
+    head = list(itertools.islice(walk, ncols))
+    if len(head) < ncols:
         raise InsufficientSampleError(
             "box with %d points cannot certify degree %d over %d generators"
-            % (count, degree, len(gens))
+            % (len(head), degree, len(gens))
         )
-    echelon = linalg.IntEchelon()
-    witness: list[tuple[int, ...]] = []
-    for theta, row in _moment_rows(record, gens, degree, record.theta.walk(bound)):
-        if echelon.add(row):
-            witness.append(theta)
-            if echelon.rank == ncols:
-                return True, witness
-    return False, witness
+    fns, steps = _moment_basis(record, gens, degree)
+    residues = (
+        (theta, _moment_row([fn(theta) % linalg.P for fn in fns], steps))
+        for theta in itertools.chain(head, walk)
+    )
+    return linalg.independent_rows(
+        residues, ncols, lambda theta: _moment_row([fn(theta) for fn in fns], steps)
+    )
 
 
 def check_independence(record: CaseRecord, bound: int, degree: int) -> bool:

@@ -15,8 +15,9 @@ checks' separate per-check loops, which test_verify compares the one box
 pass against.  It also holds two
 record queries that only the tests ask: ``pi_tau`` (the labels of the
 canonical map at one theta) and ``branch`` (the branching of one pi), and
-``highest_weight``, which reads an irrep label's weight back.  The
-per-degree brute force of a weighted Hilbert model
+``highest_weight``, which reads an irrep label's weight back.
+``monomial`` gives one entry of a moment row, which the package builds a
+row at a time.  The per-degree brute force of a weighted Hilbert model
 (``graded_invariant_dim``) is the reference of ``hilbert``'s one pass.
 
 Nothing in branchlab calls these; they exist only to cross-check it.
@@ -590,6 +591,15 @@ def casimir(group, w):
     if group.kind == "Product":
         return tuple(_simple_casimir(f, w[sl]) for f, sl in group.factor_slices)
     return _simple_casimir(group, w)
+
+
+def monomial(values, mono):
+    """The product of values[i] ** mono[i]: one entry of a moment row."""
+    out = 1
+    for v, e in zip(values, mono):
+        if e:
+            out *= v ** e
+    return out
 
 
 def independence_certificate(record, gens, bound: int, degree: int):

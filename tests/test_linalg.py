@@ -1,13 +1,15 @@
-"""Integer affine maps and the integer row reducer, against the Fraction
-vectors and matrices of the oracles."""
+"""Integer affine maps, the integer row reducer and the mod-P filter in
+front of it, against the Fraction vectors and matrices of the oracles."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branchlab.linalg import AffineMap, IntEchelon, rank
+from branchlab.linalg import P, AffineMap, IntEchelon, independent_rows, rank
 from oracles import dot, fraction_apply, mat, solve, vec
 
 
@@ -121,6 +123,95 @@ def test_int_echelon_keeps_reduced_primitive_rows_and_combinations():
         for j in range(4):
             copy.insert(_sparse_vector(rng, ncols + 1), {len(vectors) + j: 1})
         assert echelon.rank == len(before) and echelon.rows == before
+
+
+def _exact_kept(m, ncols):
+    """(full rank, kept) of a plain IntEchelon loop over the rows of m,
+    stopping at ncols kept rows."""
+    echelon = IntEchelon()
+    kept = []
+    for i, row in enumerate(m):
+        if echelon.add(row):
+            kept.append(i)
+            if echelon.rank == ncols:
+                return True, kept
+    return False, kept
+
+
+def _independent_rows(m, ncols, residues=False):
+    """independent_rows over the labelled rows of m, given exact or as their
+    residues mod P, and the labels whose exact rows it asked for: none
+    unless it handed over to IntEchelon."""
+    asked = []
+
+    def exact(i):
+        asked.append(i)
+        return m[i]
+
+    rows = [[x % P for x in row] if residues else row for row in m]
+    return independent_rows(enumerate(rows), ncols, exact), asked
+
+
+def test_independent_rows_hands_over_where_the_determinant_is_divisible_by_p():
+    # full rank over the rationals with determinant P: the prime keeps the
+    # first two rows and reduces the third to zero, so the exact route keeps it
+    m = [[1, 2, 0], [0, 1, 5], [0, 0, P]]
+    assert _independent_rows(m, 3) == ((True, [0, 1, 2]), [0, 1, 2])
+    # rows 0 and 1 have determinant P, row 2 is twice row 0: the exact route
+    # takes over at row 1, keeps it, leaves out row 2 and keeps row 3
+    m = [[1, 1, 0], [1, 1 + P, 0], [2, 2, 0], [0, 0, 1]]
+    assert _exact_kept(m, 3) == (True, [0, 1, 3])
+    for residues in (False, True):
+        assert _independent_rows(m, 3, residues) == ((True, [0, 1, 3]), [0, 1, 2, 3])
+
+
+def test_independent_rows_leaves_out_a_planted_dependent_row():
+    rng = random.Random(11)
+    for _ in range(100):
+        ncols = rng.randint(2, 6)
+        m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(ncols - 1)]
+        a, b = rng.randint(-3, 3), rng.randint(1, 3)
+        planted = len(m)
+        m.append([a * x - b * y for x, y in zip(m[0], m[-1])])
+        m += [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(3)]
+        expected = _exact_kept(m, ncols)
+        assert planted not in expected[1]
+        assert _independent_rows(m, ncols)[0] == expected
+
+
+def test_independent_rows_keeps_the_prime_route_where_nothing_is_skipped():
+    # dense residues up to P - 1 take the most additions per entry that the
+    # packed rows must hold without a carry; these reach full rank mod P
+    rng = random.Random(12)
+    for ncols in (1, 7, 40):
+        m = [[rng.randrange(P) for _ in range(ncols)] for _ in range(ncols + 2)]
+        assert _independent_rows(m, ncols) == (_exact_kept(m, ncols), [])
+        assert _exact_kept(m, ncols) == (True, list(range(ncols)))
+    # the identity never hands over, and stops at full rank
+    m = [[int(i == j) for j in range(5)] for i in range(5)] + [[1] * 5]
+    assert _independent_rows(m, 5) == ((True, [0, 1, 2, 3, 4]), [])
+    # no rows, or too few, are not full rank
+    assert _independent_rows([], 3) == ((False, []), [])
+    assert _independent_rows([[1, 0, 0], [0, 1, 0]], 3) == ((False, [0, 1]), [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(
+                st.sampled_from((0, 0, 1, -1, 2, P, -P, 2 * P, P + 1, P * P)),
+                min_size=ncols,
+                max_size=ncols,
+            ),
+            max_size=8,
+        ).map(lambda m: (ncols, m))
+    ),
+    st.booleans(),
+)
+def test_independent_rows_keeps_the_rows_int_echelon_keeps(case, residues):
+    ncols, m = case
+    assert _independent_rows(m, ncols, residues)[0] == _exact_kept(m, ncols)
 
 
 def test_solve_on_sparse_systems():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, fibers, nest, verify, weights
+from branchlab import catalog, fibers, linalg, nest, verify, weights
 from branchlab.linalg import AffineMap
 from branchlab.reps import casimir_eigenvalue
 from branchlab.verify import (
@@ -334,6 +334,45 @@ def test_independence_certificate_matches_fraction_oracle(records):
     assert results == {True, False, "insufficient"}
 
 
+def test_independence_certificate_of_dependent_generators_matches_the_oracle(records):
+    """A generator list with a planted dependence, a generator repeated or a
+    symbol that a stored relation ties to the others, is not independent:
+    the certificate gives the Fraction oracle's (False, witness)."""
+    planted = [
+        (rec(records, "vi"), ("C_Gt", "C_Gt")),
+        # casimir: C_Gt - 4·C_G + 3·C_K = 0
+        (rec(records, "vi"), ("C_Gt", "C_K", "C_G")),
+        # fiber-casimir: C_G2 = C_K
+        (rec(records, "v", 2), ("C_Gt", "C_K", "C_G2")),
+        # casimir: 3·C_Gt1 + 3·C_Gt2 - 6·C_G + 4·C_K = 0
+        (rec(records, "star"), ("C_Gt1", "C_Gt2", "C_K", "C_G")),
+    ]
+    for r, gens in planted:
+        for degree in (1, 2):
+            got = independence_certificate(r, gens, 5, degree)
+            assert got[0] is False, (r.id, gens, degree)
+            assert got == oracles.independence_certificate(r, gens, 5, degree), (r.id, gens)
+
+
+def test_independence_certificate_of_iv_never_leaves_the_prime(monkeypatch, records):
+    """On the iv family at degree 2 the rows reduced mod linalg.P reach full
+    rank without skipping a row, so no exact IntEchelon is ever built."""
+    built = []
+
+    class Counted(linalg.IntEchelon):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "IntEchelon", Counted)
+    cases = [(rec(records, "iv", n), 5) for n in (1, 2, 3)]
+    cases += [(r, 1) for r in catalog.build_records(6) if r.id.tag == "iv" and r.id.n >= 4]
+    assert len(cases) == 6
+    for r, bound in cases:
+        assert independence_certificate(r, r.indep_gens, bound, 2)[0] is True, r.id
+    assert built == []
+
+
 def test_independence_degree_zero_trivial(records):
     ok, witness = independence_certificate(rec(records, "vi"), ("C_Gt",), 3, 0)
     assert ok and witness == []
@@ -355,7 +394,7 @@ def test_independence_witness_is_invertible_minor(records):
             evaluate_generator(r, "C_Gt", theta),
             evaluate_generator(r, "C_K", theta),
         ]
-        rows.append([verify._prod(values, m) for m in monos])
+        rows.append([oracles.monomial(values, m) for m in monos])
     assert oracles.fraction_rank(rows) == len(monos)
 
 
