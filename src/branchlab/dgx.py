@@ -6,11 +6,12 @@ R + R·x module decomposition.
 A ``Poly`` is integer numerators over one positive denominator in lowest
 terms, so its arithmetic, its evaluation at integer points and the echelon
 rows built from it all run in integers; ``Poly.terms`` is the exact-rational
-view.  The generator products are built once and reduced in two chains of
-``linalg.IntEchelon``s.  ``in_subalgebra`` decides membership on
-rows that carry nothing else; ``membership`` reduces in rows that carry each
-product's index as payload, so a member comes back with its combination of
-products.  The checks only decide, so they never build a payload row.
+view.  The span of the generator products within each degree bound is a
+``linalg.IntEchelon`` grown from the rows the bound below added, times a
+generator, so no product is built (``_Span``).  ``in_subalgebra`` decides
+on rows that carry nothing else; ``membership`` on rows that carry the
+combination of products each equals.  The checks only decide, so they never
+build a payload row.
 ``decompose_R_plus_Rx`` takes the powers of x and y it recombines from memos
 grown to the largest exponent asked for.
 """
@@ -228,56 +229,51 @@ def subalgebra_generators() -> dict[str, Poly]:
 
 
 class _Span:
-    """The span of the generator products of one generator set, for every
-    degree bound asked for so far.
+    """The spans V_d of one generator set, for every bound d asked for so
+    far: V_d is the span of the products prod g^e of weight at most d, where
+    g_i weighs its degree and a generator of degree 0 weighs 1.
 
-    Each product prod g^e is built once, in integers, and filed by its
-    degree, counting a generator of degree 0 as degree 1; the products within
-    degree bound d are the levels 0..d.  Two chains map each bound d to an
-    echelon of the levels 0..d: ``spans`` keeps bare rows, which decide
+    Two chains map each bound d to E_d, the reduced echelon of V_d, from
+    bound -1, which spans nothing: ``spans`` keeps bare rows, which decide
     membership, and ``solvers`` keeps rows carrying the combination of
-    products each equals, which only ``combination`` builds.  The echelon
-    for bound d is a copy of the one for bound d-1 with level d inserted.
+    products each equals, keyed by exponent tuple, which only
+    ``combination`` builds.  No product is built.  E_0 is the row 1, and
+    E_w is a copy of E_(w-1) with g_i·r inserted for each generator g_i and
+    each r in N_(w - deg g_i), the rows of that echelon whose pivots the
+    echelon below it lacks.  That spans V_w:
+
+    - V_d = V_(d-1) ⊕ span N_d.  E_d is reduced, so a combination of N_d
+      rows is 0 at every pivot of E_(d-1), which no non-zero member of
+      V_(d-1) is; so the sum is direct, of the dimension |E_d| of V_d.
+    - Every product of weight w is g_i times a product of weight w - deg g_i,
+      and g_i·V_(w-1-deg g_i) ⊂ V_(w-1).  So V_w = V_(w-1) + Σ_i g_i·N_(w - deg g_i).
+
+    g_i·r goes in as r's terms times g_i's numerators, so a payload {e: c}
+    becomes {e + 1_i: c·den(g_i)} and a row's terms stay Σ c·prod g^e.
     """
 
     def __init__(self, gens: dict[str, Poly]):
         self.names = tuple(sorted(gens))
         self.gens = [(max(p.degree(), 1), p.num, p.den) for p in (gens[k] for k in self.names)]
-        # Product index -> exponent tuple; levels[w] lists (index, terms, den).
-        self.exps: list[tuple[int, ...]] = [(0,) * len(self.names)]
-        self.levels: list[list[tuple[int, dict, int]]] = [[(0, {(0, 0, 0): 1}, 1)]]
-        # Bound -1 spans nothing; every other echelon extends the one below it.
         self.spans: dict[int, IntEchelon] = {-1: IntEchelon()}
         self.solvers: dict[int, IntEchelon] = {-1: IntEchelon()}
 
-    def _level(self, w: int) -> list:
-        while len(self.levels) <= w:
-            top = len(self.levels)
-            level = []
-            for i, (gdeg, gterms, gden) in enumerate(self.gens):
-                if gdeg > top:
-                    continue
-                # Extend only products whose last nonzero exponent is at
-                # generator i or before, so each exponent tuple comes once.
-                for idx, terms, den in self.levels[top - gdeg]:
-                    exps = self.exps[idx]
-                    if any(exps[i + 1:]):
-                        continue
-                    self.exps.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
-                    level.append((len(self.exps) - 1, _int_mul(terms, gterms), den * gden))
-            self.levels.append(level)
-        return self.levels[w]
-
     def _echelon(self, chain: dict, degree_bound: int, payloads: bool) -> IntEchelon:
-        if degree_bound not in chain:
-            below = max(b for b in chain if b < degree_bound)
-            echelon = chain[below]
-            for w in range(below + 1, degree_bound + 1):
-                echelon = IntEchelon(echelon.rows)
-                for idx, terms, den in self._level(w):
-                    # terms = den · product, so the payload counts whole products.
-                    echelon.insert(terms, {idx: den} if payloads else None)
-                chain[w] = echelon
+        for w in range(max(chain) + 1, degree_bound + 1):
+            echelon = IntEchelon(chain[w - 1].rows)
+            if w == 0:
+                echelon.insert({(0, 0, 0): 1}, {(0,) * len(self.names): 1} if payloads else None)
+            for i, (gdeg, gnum, gden) in enumerate(self.gens):
+                if gdeg > w:
+                    continue
+                lower = chain[w - gdeg - 1].rows
+                for p, (terms, payload) in chain[w - gdeg].rows.items():
+                    if p not in lower:
+                        echelon.insert(
+                            _int_mul(terms, gnum),
+                            {(*e[:i], e[i] + 1, *e[i + 1 :]): c * gden for e, c in payload.items()},
+                        )
+            chain[w] = echelon
         return chain[degree_bound]
 
     def contains(self, f: Poly, degree_bound: int) -> bool:
@@ -288,10 +284,7 @@ class _Span:
         scale, residual, used = self._echelon(self.solvers, degree_bound, True).reduce(f.num)
         if residual:
             return None
-        return {
-            tuple(zip(self.names, self.exps[idx])): Fraction(c, scale * f.den)
-            for idx, c in used.items()
-        }
+        return {tuple(zip(self.names, e)): Fraction(c, scale * f.den) for e, c in used.items()}
 
 
 # Process-lifetime cache: generator set -> _Span (decompose_R_plus_Rx's power

@@ -1221,24 +1221,23 @@ def _weyl_folds(fold, kept, weyl, label_rows, inner):
     leaves the factor's quotient and its divisibility as they are, and a
     factor 1 is left out.  Dominance is an "and" fold of the simple roots'
     pairings.  Returns (dims, dominant): [(product fold, its value at the
-    label 0)] per factor and the dominance fold.  ``weights._rho2`` and
-    ``weights._root_rows`` are read for every factor first, so a type with
-    no root data is a ValueError."""
+    label 0)] per factor and the dominance fold.  ``weights._root_pairings``
+    is read for every factor first, so a type with no root data is a
+    ValueError."""
     blocks, pos = [], 0
     for f in weyl.factors or (weyl,):
         if f.family != "Trivial":
-            blocks.append((pos, f, weights._rho2(f), weights._root_rows(f.family, f.ncoords)))
+            blocks.append((pos, f, weights._root_pairings(f)))
         pos += f.ncoords
     width = len(inner)
     if len(label_rows) != weyl.ncoords or any(i >= width for c, _ in label_rows for i, _ in c):
         return None
     dims, dominance = [], []
-    for pos, f, rho2, roots in blocks:
+    for pos, f, roots in blocks:
         label = nest.compose(label_rows[pos : pos + f.ncoords], inner)
-        consts = [sum(x * rho2[i] for i, x in root) for root in roots]
         den = 1
         pairings = []
-        for row, const in zip(nest.compose(list(zip(roots, consts)), label), consts):
+        for row, (_, const) in zip(nest.compose(roots, label), roots):
             row, g = nest.reduced(row, const)
             if row != ((), 1) or const != g:  # else a factor 1
                 den *= const // g

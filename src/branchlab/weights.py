@@ -4,7 +4,8 @@ Weights are in the standard orthonormal coordinates of each type, except G2
 which uses the two-coordinate fundamental-weight basis (a, b) ↦ a·ω1 + b·ω2,
 with the invariant form normalized so the short root has length 1.  No root
 is listed: 2·rho has a closed form per family (``_rho2``), and the dimension
-formula generates the positive roots' pairings per family (``_root_rows``).
+formula generates the positive roots' pairings per family (``_root_rows``),
+with their pairings with 2·rho once per type (``_root_pairings``).
 The checks pass weights doubled, as integers, and canonicalization and
 dominance keep the number type they get.
 
@@ -237,6 +238,14 @@ def _root_rows(fam: str, n: int) -> tuple:
 
 
 @functools.cache
+def _root_pairings(t: WeylType) -> tuple:
+    """Per positive root of the factor type t, (row, const): its row of
+    ``_root_rows`` and its pairing with 2·rho, built once per type."""
+    rho2 = _rho2(t)
+    return tuple((row, sum(x * rho2[i] for i, x in row)) for row in _root_rows(t.family, t.ncoords))
+
+
+@functools.cache
 def _dimension_kernel(t: WeylType):
     """The Weyl dimension from doubled coordinates lam2, as one expression
     compiled once per type.  Per non-trivial factor, in order: the dominance
@@ -251,10 +260,8 @@ def _dimension_kernel(t: WeylType):
     for k, f in enumerate(t.factors or (t,)):
         m = f.ncoords
         if f.family != "Trivial":
-            rho2 = _rho2(f)
             den, pairings = 1, []
-            for row in _root_rows(f.family, m):
-                const = sum(x * rho2[i] for i, x in row)
+            for row, const in _root_pairings(f):
                 den *= const
                 pairings.append(int_affine_source("a[%d]", ((pos + i, x) for i, x in row), const))
             branches.append(

@@ -5,8 +5,10 @@ not use (``vec``, ``vadd``, ``dot``, ``mat``, ``mat_vec``, with
 the listed positive roots whose half-sum is rho (``positive_roots``,
 ``half_sum``), the canonical orbit form of a
 transfer image (``canonical_char``), the dense Gauss–Jordan ``solve`` behind
-test_dgx's membership oracle, ``FractionPoly`` (the polynomial arithmetic of
-``dgx.Poly`` on a dict of Fraction coefficients), the generic per-point
+test_dgx's membership oracle and the row elimination of the independence
+certificate (``independent_witness``), both exact whatever their entries'
+type, ``FractionPoly`` (the polynomial arithmetic of ``dgx.Poly`` on a
+dict of Fraction coefficients), the generic per-point
 loops that the package's compiled kernels replaced (``_apply2``,
 ``_satisfies``, ``_canonical2`` with ``dominant_representative``,
 ``_dominant``, ``dimension2``), the composite maps in Fractions
@@ -43,7 +45,7 @@ def _clear_column(rows: list[list[Fraction]], r: int, c: int, targets: Iterable[
     """Scale row r to 1 at column c and subtract it from each target row
     with a non-zero entry there, touching only the pivot row's non-zero columns."""
     pivot_row = rows[r]
-    inv = 1 / pivot_row[c]
+    inv = Fraction(1) / pivot_row[c]
     support = [(j, x * inv) for j, x in enumerate(pivot_row) if x != 0]
     for j, y in support:
         pivot_row[j] = y
@@ -618,12 +620,23 @@ def independence_certificate(record, gens, bound: int, degree: int):
             % (len(thetas), degree, len(gens))
         )
     evals = [verify._int_eval(record, g) for g in gens]
+
+    def row(theta):
+        values = [Fraction(fn(theta), den) for fn, den in evals]
+        return [math.prod(v ** e for v, e in zip(values, mono)) for mono in monos]
+
+    return independent_witness(((theta, row(theta)) for theta in thetas), ncols)
+
+
+def independent_witness(rows, ncols: int):
+    """(full rank, witness): the labels of the rows (label, row), in order,
+    that are independent of the rows kept before them, and whether ``ncols``
+    were kept, where the walk stops.  Every division is a ``Fraction``'s, so
+    int entries are eliminated as exactly as rational ones."""
     basis: list = []
     pivots: dict = {}
     witness: list = []
-    for theta in thetas:
-        values = [Fraction(fn(theta), den) for fn, den in evals]
-        row = [math.prod(v ** e for v, e in zip(values, mono)) for mono in monos]
+    for label, row in rows:
         while True:
             lead = next((c for c in range(ncols) if row[c] != 0), None)
             if lead is None or lead not in pivots:
@@ -633,11 +646,11 @@ def independence_certificate(record, gens, bound: int, degree: int):
             row = [x - f * y if y else x for x, y in zip(row, brow)]
         if lead is None:
             continue
-        inv = 1 / row[lead]
+        inv = Fraction(1) / row[lead]
         row = [x * inv for x in row]
         pivots[lead] = len(basis)
         basis.append(row)
-        witness.append(theta)
+        witness.append(label)
         if len(basis) == ncols:
             return True, witness
     return False, witness

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from branchlab.dgx import (
     subalgebra_generators,
     x_not_in_R_witness,
 )
+from branchlab.linalg import IntEchelon
 import oracles
 
 ONE = Poly.const(1)
@@ -197,6 +199,56 @@ def test_membership_matches_dense_oracle():
             if comb is not None:
                 assert combination_value(comb, gens) == f, (d, f)
                 assert all([n for n, _ in key] == sorted(gens) for key in comb), comb
+
+
+def _assert_spans_products(echelon, products):
+    """The rows of ``echelon`` span what ``products`` span: each product
+    reduces to 0 against the rows, and each row reduces to 0 against an
+    echelon of the products' numerators built here; returns that echelon."""
+    built = IntEchelon()
+    for p in products:
+        built.insert(p.num)
+        assert not echelon.reduce(p.num)[1], p
+    for terms, _ in echelon.rows.values():
+        assert not built.reduce(terms)[1], terms
+    assert built.rank == echelon.rank
+    return built
+
+
+def test_span_chain_spans_the_generator_products():
+    # Each E_d is grown from the rows E_(d-1) added times a generator; the
+    # products themselves are built here only.
+    gens = subalgebra_generators()
+    assert in_subalgebra(ONE, gens, 8) and membership(ONE, gens, 8) is not None
+    span = dgx._cached_span(gens)
+    for chain in (span.spans, span.solvers):
+        ranks = [_assert_spans_products(chain[d], _products_by_poly(gens, d)).rank for d in range(9)]
+        assert ranks == [1, 3, 8, 16, 29, 47, 72, 104, 145]
+
+
+_LOW_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2), _COEFFS, max_size=4
+)
+
+
+@given(st.lists(_LOW_TERMS, min_size=2, max_size=3), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_span_chain_of_random_generators(terms, d):
+    # Generators of degree <= 2, a constant or zero one among them at times,
+    # with denominators: E_d spans the products of weight <= d, membership
+    # decides as the products' echelon does, and its combinations re-evaluate.
+    gens = {"g%d" % i: Poly(t) for i, t in enumerate(terms)}
+    with mock.patch.dict(dgx._SPAN_CACHE, clear=True):
+        in_subalgebra(ONE, gens, d)
+        products = _products_by_poly(gens, d)
+        built = _assert_spans_products(dgx._cached_span(gens).spans[d], products)
+        monos = [Poly({e: 1}) for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
+        mixed = sum((k * p for k, p in enumerate(products, 1)), Poly())
+        for f in products + monos + [mixed]:
+            comb = membership(f, gens, d)
+            assert (comb is not None) == in_subalgebra(f, gens, d) == (not built.reduce(f.num)[1]), f
+            if comb is not None:
+                assert combination_value(comb, gens) == f, f
 
 
 def test_in_subalgebra_agrees_with_membership():

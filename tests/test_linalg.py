@@ -39,6 +39,13 @@ def test_solve_consistent_and_inconsistent():
     assert sum(a * b for a, b in zip(m[0], x)) == 5
 
 
+def test_solve_is_exact_on_int_entries():
+    # 49 * (1 / 49) is not 1 in floats: a float division would leave the
+    # second row non-zero and the consistent system without a solution.
+    rows, rhs = [[49, 1], [98, 2]], [50, 100]
+    assert solve(rows, rhs) == solve(mat(rows), vec(rhs)) == (Fraction(50, 49), Fraction(0))
+
+
 def _gauss_jordan(m):
     """Oracle: full reduction of every row, pivots in the original row order."""
     rows = [list(row) for row in m]

@@ -334,6 +334,26 @@ def test_independence_certificate_matches_fraction_oracle(records):
     assert results == {True, False, "insufficient"}
 
 
+def test_independence_oracle_is_exact_on_int_entries(records):
+    """The oracle's elimination gives the same witness on int rows as on
+    the same rows in Fractions: on a crafted matrix where a float division
+    keeps b = 2·a (49 * (1 / 49) is not 1 in floats), and on every record's
+    integer moment rows, whose witness is the certificate's."""
+    rows = [("a", [49, 1, 0]), ("b", [98, 2, 0]), ("c", [0, 7, 3]), ("d", [49, 8, 3]), ("e", [1, 0, 0])]
+    as_fractions = [(label, [Fraction(x) for x in row]) for label, row in rows]
+    assert oracles.independent_witness(rows, 3) == (True, ["a", "c", "e"])
+    assert oracles.independent_witness(as_fractions, 3) == (True, ["a", "c", "e"])
+    for r in records.values():
+        for degree in (1, 2):
+            thetas = r.theta.enumerate(4)
+            ncols = len(verify._monomials(len(r.indep_gens), degree))
+            if len(thetas) < ncols:
+                continue
+            moment_rows = verify._moment_rows(r, r.indep_gens, degree, thetas)
+            expected = oracles.independence_certificate(r, r.indep_gens, 4, degree)
+            assert oracles.independent_witness(moment_rows, ncols) == expected, (r.id, degree)
+
+
 def test_independence_certificate_of_dependent_generators_matches_the_oracle(records):
     """A generator list with a planted dependence, a generator repeated or a
     symbol that a stored relation ties to the others, is not independent:
