@@ -353,10 +353,6 @@ class CaseRecord:
             raise ValueError("%s not in Disc(K/H) for %s" % (tau_params, self.id))
         return IrrepLabel(self.tau_group, self.tau_label_map.apply(tau_params))
 
-    def nu_plus_rho(self, theta: Sequence[int]) -> Vector:
-        nu = self.nu_label_map.apply(theta)
-        return tuple(a + b for a, b in zip(nu, self.nu_group.rho))
-
     # -- transfer ----------------------------------------------------------
 
     def transfer(self, tau_params: Sequence[int]) -> AffineMap:

@@ -1,9 +1,10 @@
 """Compact-group descriptors, irrep labels with lattice validation, Casimir scalars.
 
 Labels are validated and Casimirs computed on doubled integers: a label
-keeps 2·(highest weight), which is integral for every half-integral weight,
-and nothing here does ``Fraction`` arithmetic except to return the Casimir
-value and to print a weight in an error message.
+keeps 2·(highest weight), which is integral for every half-integral weight.
+The one Casimir formula, ``casimir_numerators``, gives each factor's as an
+integer over a fixed denominator; only its view ``casimir_eigenvalue`` and
+the weights that error messages print are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -90,11 +91,14 @@ class GroupDescriptor:
 
     @functools.cached_property
     def casimir_plan(self) -> tuple:
-        """Per factor: (its kind, its rank, its slice, 4·rho)."""
-        return tuple(
+        """((kind, rank, slice, 4·rho) per factor, and per factor the
+        denominator of its Casimir: 8 for G2, 4·rank for SU, else 4)."""
+        factors = tuple(
             (f.kind, f.rank, sl, tuple(2 * r for r in weights._rho2(f.weyl)))
             for f, sl in self.factor_slices
         )
+        dens = tuple(8 if k == "G2" else 4 * n if k == "SU" else 4 for k, n, _, _ in factors)
+        return factors, dens
 
     @functools.cached_property
     def _is_dominant(self):
@@ -174,47 +178,42 @@ class IrrepLabel:
     doubled: tuple[int, ...]
 
     def __init__(self, group: GroupDescriptor, highest_weight: Sequence):
-        self._set(group, weights._double(highest_weight))
-
-    @classmethod
-    def from_doubled(cls, group: GroupDescriptor, doubled: Sequence[int]) -> "IrrepLabel":
-        label = cls.__new__(cls)
-        label._set(group, tuple(doubled))
-        return label
-
-    def _set(self, group: GroupDescriptor, doubled: tuple[int, ...]) -> None:
+        doubled = weights._double(highest_weight)
         group._validate2(doubled)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "doubled", doubled)
 
 
-def _casimir2(kind: str, n: int, w2: Sequence[int], rho4: Sequence[int]) -> Fraction:
-    """<lam, lam + 2 rho> of a simple group from lam2 = 2·lam: it is
-    <lam2, lam2 + 4·rho> / 4, less the SU trace term; G2 pairs through twice
-    its Gram matrix, which gives 8 times the value."""
-    shifted = [a + r for a, r in zip(w2, rho4)]
+def _casimir2(kind: str, n: int, w2: Sequence[int], rho4: Sequence[int]) -> int:
+    """<lam, lam + 2 rho> of a simple group over its ``casimir_plan``
+    denominator, from lam2 = 2·lam: <lam2, lam2 + 4·rho> over 4; SU: n·that
+    − (Σ lam2)² over 4n; G2: lam2ᵀ·G·(lam2 + 4·rho) over 8, G twice its Gram."""
     if kind == "G2":
-        gram = weights._G2_GRAM2
-        return Fraction(
-            sum(w2[i] * gram[i][j] * shifted[j] for i in range(2) for j in range(2)), 8
-        )
-    value = sum(a * b for a, b in zip(w2, shifted))
+        gram, shifted = weights._G2_GRAM2, [a + r for a, r in zip(w2, rho4)]
+        return sum(w2[i] * gram[i][j] * shifted[j] for i in range(2) for j in range(2))
+    value = sum([a * (a + r) for a, r in zip(w2, rho4)])
     if kind == "SU":
         # Trace-free normalization: the U(n) coordinates are defined modulo the
         # diagonal direction, which is orthogonal to every root.
         s = sum(w2)
-        return Fraction(n * value - s * s, 4 * n)
-    return Fraction(value, 4)
+        return n * value - s * s
+    return value
+
+
+def casimir_numerators(group: GroupDescriptor, w2: Sequence[int]) -> tuple:
+    """(numerators, denominators), one each per factor of group, of
+    <lam, lam + 2 rho> at the doubled highest weight w2 = 2·lam, which the
+    caller has validated."""
+    factors, dens = group.casimir_plan
+    return tuple([_casimir2(kind, n, w2[sl], rho4) for kind, n, sl, rho4 in factors]), dens
 
 
 def casimir_eigenvalue(r: IrrepLabel):
-    """<lam, lam + 2 rho> with B(e_i, e_i) = 1 (G2: short root of length 1).
+    """<lam, lam + 2 rho> with B(e_i, e_i) = 1 (G2: short root of length 1),
+    the ``Fraction`` view of ``casimir_numerators``.
 
     Returns a Fraction for a simple group and a tuple of per-factor values for
     a product or almost-product.
     """
-    values = tuple(
-        _casimir2(kind, n, r.doubled[sl], rho4)
-        for kind, n, sl, rho4 in r.group.casimir_plan
-    )
+    values = tuple(map(Fraction, *casimir_numerators(r.group, r.doubled)))
     return values if r.group.kind == "Product" else values[0]

@@ -27,9 +27,10 @@ certificate mod a prime in ``linalg.independent_rows``, which hands over to
 gap in that echelon.
 
 Pi-side consistency compares the compiled P-side Casimirs, which read the
-composite map theta ↦ pi label, with a second route: per distinct pi(theta),
-``pi_space.contains``, the doubled rows of ``pi_label_map`` alone, and
-``casimir_eigenvalue`` of the ``IrrepLabel`` they give, in integers too.
+composite map theta ↦ pi label, with a second route in integers: per
+distinct pi(theta), ``pi_space.contains_ints``, the doubled rows of
+``pi_label_map`` alone, the group's label validation and
+``reps.casimir_numerators``; only a failure entry builds a ``Fraction``.
 
 The five checks that walk a box run in one pass per case, ``_box_pass``:
 one walk of the pi box and of each pi's fiber for dimension conservation
@@ -93,7 +94,7 @@ from . import dgx, hilbert, linalg, nest, weights
 from .catalog import CaseId, CaseRecord, SymbolSpec, membership_source
 from .fibers import _branch_fibers, fiber_polytope
 from .linalg import AffineMap
-from .reps import IrrepLabel, casimir_eigenvalue
+from .reps import casimir_eigenvalue, casimir_numerators
 
 
 class InsufficientSampleError(ValueError):
@@ -143,15 +144,17 @@ def evaluate_generator_reference(record: CaseRecord, name: str, theta: Sequence[
         return value
     if spec.kind == "euler":
         return spec.form.apply(theta)[0]
-    if spec.kind == "power_ab":
-        vmap = record.a_map if spec.vecname == "a" else record.b_map
-        values = vmap.apply(theta)
-        return Fraction(spec.base) ** spec.k * sum(
-            (v ** (spec.scale * spec.k) for v in values), Fraction(0)
-        )
-    if spec.kind == "power_nu":
-        values = record.nu_plus_rho(theta)
-        return sum((v ** (spec.scale * spec.k) for v in values), Fraction(0))
+    if spec.kind in ("power_ab", "power_nu"):
+        # a power sum of numerators m_i over one denominator d is Σ m_i^e / d^e;
+        # nu+rho's are 2·(nu's numerators) + d·2·rho over 2·d
+        e = spec.scale * spec.k
+        if spec.kind == "power_ab":
+            vmap = record.a_map if spec.vecname == "a" else record.b_map
+            total = spec.base ** spec.k * sum(m ** e for m in vmap.numerators(theta))
+            return Fraction(total, vmap.den ** e)
+        nu, rho2 = record.nu_label_map, weights._rho2(record.nu_group.weyl)
+        nums = [2 * m + nu.den * r for m, r in zip(nu.numerators(theta), rho2)]
+        return Fraction(sum(m ** e for m in nums), (2 * nu.den) ** e)
     if spec.kind == "xyz_poly":
         j, jp, a = theta
         xyz = (Fraction((j + 3) ** 2), Fraction((jp + 3) ** 2), Fraction((a + 3) ** 2))
@@ -416,7 +419,10 @@ def _form_value(form: dict, theta) -> int:
 def _int_eval(record: CaseRecord, name: str):
     """(fn(theta) -> int numerator, denominator) of one symbol: its compiled
     form (``_compiled``) at theta, or for an xyz_poly its ``dgx.Poly``,
-    built once per record, at ``dgx.xyz_of(theta)``."""
+    built once per record, at ``dgx.xyz_of(theta)``; KeyError, naming the
+    case, for a symbol the record lacks."""
+    if name not in record.symbols:
+        raise KeyError("case %s has no generator %r" % (record.id, name))
     spec = record.symbols[name]
     if spec.kind == "xyz_poly":
         polys = _symbol_cache(record)["polys"]
@@ -431,8 +437,6 @@ def _int_eval(record: CaseRecord, name: str):
 def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> Fraction:
     """The exact scalar by which the named generator acts on the theta-isotypic part."""
     theta = record.require_theta(theta)
-    if name not in record.symbols:
-        raise KeyError("case %s has no generator %r" % (record.id, name))
     fn, den = _int_eval(record, name)
     return Fraction(fn(theta), den)
 
@@ -896,25 +900,19 @@ def _one_pass(record: CaseRecord, bound: int, names) -> dict:
     pi_sl = stack.slices.get("pi_of_theta")  # SMF and pi-side read pi(theta)
     get_targets = new_targets = pi_mismatch = None
     if pi_side is not None:
-        pi_group = record.pi_group
+        targets = _pi_side_targets(record, pi_symbols, pi_label)
         targets_of: dict[tuple, tuple] = {}
         get_targets = targets_of.get
 
-        def casimir(pi_params):
-            return casimir_eigenvalue(IrrepLabel.from_doubled(pi_group, pi_label(pi_params)))
-
         def new_targets(pi_params):
             # only the integer targets are kept, one tuple per distinct pi
-            record.require_pi(pi_params)
-            targets = _pi_side_targets(casimir(pi_params), pi_symbols)
-            targets_of[pi_params] = out = tuple([target for _, target in targets])
+            targets_of[pi_params] = out = tuple([target for _, _, target in targets(pi_params)])
             return out
 
         def pi_mismatch(theta, pi_params, nums):
-            targets = _pi_side_targets(casimir(pi_params), pi_symbols)
-            for (name, den, _), num, (want, target) in zip(pi_symbols, nums, targets):
+            for (name, den, _), num, (n, d, target) in zip(pi_symbols, nums, targets(pi_params)):
                 if num != target:
-                    pi_fail.append(("pi-side:%s" % name, theta, want, Fraction(num, den)))
+                    pi_fail.append(("pi-side:%s" % name, theta, Fraction(n, d), Fraction(num, den)))
 
     odd = expected = 0
     if any(c is not None for c in (rel, transfer, smf, pi_side)):
@@ -1446,18 +1444,32 @@ def _pi_side_plan(record: CaseRecord, stack: _Stack):
     return tuple(symbols), tuple(slots), nest.affine_kernel(tuple(_map_rows(record, "pi_label_map")))
 
 
-def _pi_side_targets(value, symbols) -> list:
-    """Per symbol (expected, target) for the Casimir value of pi(theta): the
-    integer numerator equals target exactly when numerator/den == expected;
-    target is None when den is not a multiple of expected's denominator."""
-    targets = []
-    for _, den, factor in symbols:
-        if isinstance(value, tuple):
-            expected = value[factor] if factor is not None else sum(value, Fraction(0))
-        else:
-            expected = value
-        q, r = divmod(den, expected.denominator)
-        targets.append((expected, None if r else expected.numerator * q))
+def _pi_side_targets(record: CaseRecord, symbols, pi_label):
+    """pi parameters ↦ (N, D, target) per symbol of ``_pi_side_plan``: pi's
+    Casimir, from ``pi_label``'s doubled label alone, is N/D, which num/den
+    equals exactly when num == target = N·den / D (None where D does not
+    divide N·den).  It raises as ``require_pi`` and label validation do."""
+    group = record.pi_group
+    contains, validate = record.pi_space.contains_ints, group._validate2
+    # a simple group's value, a product factor's, or the sum over the factors (last)
+    picks = [0 if group.kind != "Product" else -1 if f is None else f for _, _, f in symbols]
+    summed = -1 in picks
+
+    def targets(pi_params):
+        if not contains(pi_params):
+            record.require_pi(pi_params)
+        label2 = pi_label(pi_params)
+        validate(label2)
+        nums, dens = casimir_numerators(group, label2)
+        values = list(zip(nums, dens))
+        if summed:
+            d = math.lcm(*dens)
+            values.append((sum([n * (d // e) for n, e in zip(nums, dens)]), d))
+        return [
+            (n, d, None if n * den % d else n * den // d)
+            for (_, den, _), (n, d) in zip(symbols, [values[k] for k in picks])
+        ]
+
     return targets
 
 
@@ -1543,13 +1555,16 @@ def _run_star_suite(run, record: CaseRecord, bound: int) -> None:
         return True
 
     run("dgx-module-decomposition", decompositions)
-    table = dgx.dgx_generators()
-    run(
-        "dgx-cross-evaluation",
-        lambda: all(
-            table[g].evaluate(*dgx.xyz_of(t)) == evaluate_generator(record, s, t)
+
+    def cross_evaluation():
+        # p(x, y, z) == fn(theta) / den as num_at · den == fn(theta) · p.den
+        table = dgx.dgx_generators()
+        pairs = [(table[g], *_int_eval(record, s)) for g, s in dgx.SYMBOL_PAIRS]
+        return all(
+            poly.num_at(*xyz) * den == fn(t) * poly.den
             for t in record.theta.enumerate(min(bound, 6))
-            for g, s in dgx.SYMBOL_PAIRS
-        ),
-        "polynomial model disagrees with the case table",
-    )
+            for xyz in [dgx.xyz_of(t)]
+            for poly, fn, den in pairs
+        )
+
+    run("dgx-cross-evaluation", cross_evaluation, "polynomial model disagrees with the case table")

@@ -214,6 +214,11 @@ def fraction_apply(amap: AffineMap, v) -> Vector:
     return vadd(mat_vec(amap.matrix, vec(v)), amap.offset)
 
 
+def nu_plus_rho(record: CaseRecord, theta) -> Vector:
+    """nu(theta) + rho by Fractions, through the oracle's own half sum."""
+    return vadd(fraction_apply(record.nu_label_map, theta), half_sum(record.nu_group.weyl))
+
+
 def transfer_image(record: CaseRecord, tau, lam) -> Vector:
     """S_tau(lam) from the record's three transfer fields in Fractions."""
     shift = vadd(mat_vec(record.transfer_tau, vec(tau)), record.transfer_offset)
@@ -921,6 +926,23 @@ def check_strong_multiplicity_freeness_by_maps(record: CaseRecord, bound: int) -
     return report
 
 
+def pi_side_targets(value, symbols) -> list:
+    """Per symbol (name, den, factor): (expected, target) for the Casimir
+    value of pi(theta), a Fraction or a tuple per factor.  An integer
+    numerator over den equals expected exactly when it equals target;
+    target is None when den is not a multiple of expected's denominator.
+    The Fraction route of ``verify._pi_side_targets``."""
+    targets = []
+    for _, den, factor in symbols:
+        if isinstance(value, tuple):
+            expected = value[factor] if factor is not None else sum(value, Fraction(0))
+        else:
+            expected = value
+        q, r = divmod(den, expected.denominator)
+        targets.append((expected, None if r else expected.numerator * q))
+    return targets
+
+
 def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
     """evaluate_generator on the P-side Casimir equals casimir_eigenvalue of the
     independently constructed pi(theta) label (per factor for products)."""
@@ -931,9 +953,7 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
         if s.kind == "casimir" and s.label == "pi"
     ]
     pi2 = _rows2(record.pi_of_theta)
-    # per pi(theta): (expected, target) for each symbol, where the integer
-    # numerator fn(theta) equals target exactly when fn(theta)/den == expected;
-    # target is None when den is not a multiple of expected's denominator
+    symbols = [(name, den, s.factor) for name, s, (_, den) in casimir_syms]
     cache: dict[tuple, list] = {}
     count = 0
     failures = []
@@ -942,14 +962,7 @@ def check_pi_side_consistency(record: CaseRecord, bound: int) -> CaseReport:
         targets = cache.get(pi_params)
         if targets is None:
             value = casimir_eigenvalue(record.pi_label(pi_params))
-            targets = cache[pi_params] = []
-            for _, s, (_, den) in casimir_syms:
-                if isinstance(value, tuple):
-                    expected = value[s.factor] if s.factor is not None else sum(value, Fraction(0))
-                else:
-                    expected = value
-                q, r = divmod(den, expected.denominator)
-                targets.append((expected, None if r else expected.numerator * q))
+            targets = cache[pi_params] = pi_side_targets(value, symbols)
         memo: dict = {}
         for (name, _, (fn, den)), (expected, target) in zip(casimir_syms, targets):
             count += 1

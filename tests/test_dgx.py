@@ -252,11 +252,18 @@ def test_span_chain_of_random_generators(terms, d):
 
 
 def test_in_subalgebra_agrees_with_membership():
+    # Both chains decide each monomial and X as the test's own echelon of the
+    # generator products does, and membership's combinations re-evaluate.
     gens = subalgebra_generators()
     for d in range(1, 9):
         monos = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
-        for f in [Poly({m: 1}) for m in monos] + [X]:
-            assert in_subalgebra(f, gens, d) == (membership(f, gens, d) is not None), (d, f)
+        targets = [Poly({m: 1}) for m in monos] + [X]
+        decided = [(in_subalgebra(f, gens, d), membership(f, gens, d)) for f in targets]
+        built = _assert_spans_products(dgx._cached_span(gens).spans[d], _products_by_poly(gens, d))
+        for f, (inside, comb) in zip(targets, decided):
+            assert inside == (comb is not None) == (not built.reduce(f.num)[1]), (d, f)
+            if comb is not None:
+                assert combination_value(comb, gens) == f, (d, f)
 
 
 def test_checks_build_no_payload_rows(monkeypatch):

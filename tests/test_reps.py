@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchlab import catalog, weights
 from branchlab.reps import (
@@ -17,6 +19,7 @@ from branchlab.reps import (
     IrrepLabel,
     ProductGroup,
     casimir_eigenvalue,
+    casimir_numerators,
 )
 import oracles
 from oracles import dot, random_weyl_image, vec
@@ -237,13 +240,16 @@ def test_labels_and_casimirs_match_fraction_oracle(group):
         expected = _outcome(fraction_route, w)
         got = _outcome(lambda w: casimir_eigenvalue(IrrepLabel(group, w)), w)
         assert got == expected and type(got) is type(expected), (w, got, expected)
+        # pi-side validates a doubled label without building one
         doubled = tuple(int(2 * x) for x in w)
-        label = _outcome(lambda w2: IrrepLabel.from_doubled(group, w2), doubled)
-        assert label == _outcome(lambda w: IrrepLabel(group, w), w)
+        checked = _outcome(group._validate2, doubled)
+        label = _outcome(lambda w: IrrepLabel(group, w), w)
         if isinstance(label, IrrepLabel):
+            assert checked is None and label.doubled == doubled
             assert oracles.highest_weight(label) == w
             values += 1
         else:
+            assert checked == label
             errors += 1
     assert errors and values
 
@@ -315,5 +321,56 @@ def test_descriptor_builds_its_weyl_data_once():
     assert g.weyl is g.weyl and g.factor_slices is g.factor_slices
     assert g.casimir_plan is g.casimir_plan
     assert [sl for _, sl in g.factor_slices] == [slice(0, 2), slice(2, 5)]
-    label = IrrepLabel.from_doubled(g, (4, 2, 2, 0, -2))
-    assert casimir_eigenvalue(label) == casimir_eigenvalue(IrrepLabel.from_doubled(g, label.doubled))
+    label = IrrepLabel(g, (2, 1, 1, 0, -1))
+    assert casimir_eigenvalue(label) == casimir_eigenvalue(IrrepLabel(g, (2, 1, 1, 0, -1)))
+
+
+CASIMIR_GROUPS = (
+    U(1),
+    U(4),
+    SU(2),
+    SU(5),
+    SO(2),
+    SO(3),
+    SO(7),
+    SO(8),
+    Spin(5),
+    Spin(8),
+    Sp(3),
+    G2Group(),
+    ProductGroup(Spin(7), SU(3)),
+    ProductGroup(Sp(2), U(1), almost=True),
+    ProductGroup(G2Group(), Spin(6), U(2)),
+)
+
+
+@st.composite
+def highest_weights(draw, group):
+    """A highest weight of group: per factor, random coordinates moved to
+    the dominant chamber by the oracle's Weyl action, half-integral at
+    times for a Spin factor; an almost product's covering parity is left to
+    the caller."""
+    w = ()
+    for f, _ in group.factor_slices:
+        half = f.kind == "Spin" and draw(st.booleans())
+        coords = draw(st.lists(st.integers(-9, 9), min_size=f.rank, max_size=f.rank))
+        w += oracles.dominant_representative(f.weyl, [Fraction(2 * x + half, 2) for x in coords])
+    return w
+
+
+@given(st.sampled_from(CASIMIR_GROUPS).flatmap(lambda g: st.tuples(st.just(g), highest_weights(g))))
+@settings(max_examples=300, deadline=None)
+def test_casimir_numerators_match_the_fraction_oracle(group_and_weight):
+    # each factor's integer numerator over its fixed denominator (4, 4n for
+    # SU(n), 8 for G2) is the oracle's Fraction <lam, lam + 2 rho>
+    group, w = group_and_weight
+    try:
+        oracles.validate_weight(group, w)
+    except ValueError:
+        assume(False)
+    nums, dens = casimir_numerators(group, tuple(int(2 * x) for x in w))
+    want = oracles.casimir(group, w)
+    want = want if group.kind == "Product" else (want,)
+    kinds = [(f.kind, f.rank) for f, _ in group.factor_slices]
+    assert dens == tuple(8 if k == "G2" else 4 * n if k == "SU" else 4 for k, n in kinds)
+    assert [v * d for v, d in zip(want, dens)] == list(nums)

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from branchlab import catalog, fibers, linalg, nest, verify, weights
+from branchlab import catalog, fibers, linalg, nest, reps, verify, weights
 from branchlab.linalg import AffineMap
-from branchlab.reps import casimir_eigenvalue
+from branchlab.reps import casimir_eigenvalue, casimir_numerators
 from branchlab.verify import (
     InsufficientSampleError,
     check_ix_parity_gap,
@@ -292,12 +292,12 @@ def test_check_transfer_example_values(records):
     assert lam == (Fraction(5),)
     image = r.transfer(r.tau_params_of(theta)).apply(lam)
     assert image == (Fraction(3), Fraction(0), Fraction(-2))
-    assert image == r.nu_plus_rho(theta)
+    assert image == oracles.nu_plus_rho(r, theta)
 
     r = rec(records, "xi")
     theta = (3,)
     image = r.transfer(()).apply(r.lam_rhoa_map.apply(theta))
-    assert image == r.nu_plus_rho(theta) == (Fraction(11, 2), Fraction(9, 2), Fraction(7, 2))
+    assert image == oracles.nu_plus_rho(r, theta) == (Fraction(11, 2), Fraction(9, 2), Fraction(7, 2))
 
 
 def test_independence_certificates(records):
@@ -463,12 +463,28 @@ def test_pi_side_consistency_all(records):
         assert not rep.failures, (r.id, rep.failures[:2])
 
 
+def _scaled_numerators(scale):
+    """``reps.casimir_numerators`` with every Casimir times scale: numerators
+    times its numerator over denominators times its denominator."""
+
+    def scaled(group, w2):
+        nums, dens = casimir_numerators(group, w2)
+        return (
+            tuple(n * scale.numerator for n in nums),
+            tuple(d * scale.denominator for d in dens),
+        )
+
+    return scaled
+
+
 @pytest.mark.parametrize("scale", [Fraction(4, 3), Fraction(1, 8), Fraction(3)])
 def test_pi_side_compares_exact_values(records, monkeypatch, scale):
     # C_Gt of i[n=2] has denominator 4; a claimed Casimir c·scale is a failure
-    # wherever c != 0, also when its denominator (3, 8) does not divide 4
+    # wherever c != 0, also when its denominator (3, 8) does not divide 4.
+    # The claim is planted in the integer route pi-side reads: numerators
+    # times scale's numerator over denominators times its denominator.
     r = rec(records, "i", 2)
-    monkeypatch.setattr(verify, "casimir_eigenvalue", lambda label: casimir_eigenvalue(label) * scale)
+    monkeypatch.setattr(verify, "casimir_numerators", _scaled_numerators(scale))
     rep = verify.check_pi_side_consistency(r, 3)
     thetas = r.theta.enumerate(3)
     assert rep.checks_run == len(thetas)
@@ -479,6 +495,54 @@ def test_pi_side_compares_exact_values(records, monkeypatch, scale):
         if got != 0
     ]
     assert expected and rep.failures == expected
+
+
+@pytest.mark.parametrize("scale, max_n", [(Fraction(1), 6), (Fraction(4, 3), 3)])
+def test_pi_side_targets_match_the_fraction_route(monkeypatch, scale, max_n):
+    # at every pi(theta) of build_records(max_n) at bound 4, halved from the
+    # doubled rows the theta kernel reads, the integer route's values N/D and
+    # targets are the Fraction route's, from casimir_eigenvalue of the
+    # record's own pi label (11,870 pi at max_n 6, 937 at 3); scaled by 4/3,
+    # 611 targets are None
+    monkeypatch.setattr(verify, "casimir_numerators", _scaled_numerators(scale))
+    seen = nones = 0
+    for r in catalog.build_records(max_n):
+        symbols, _, pi_label = verify._pi_side_plan(r, verify._Stack(r))
+        targets = verify._pi_side_targets(r, symbols, pi_label)
+        image = nest.affine_kernel(tuple(verify._map_rows(r, "pi_of_theta")))
+        for pi_params in sorted({tuple([v >> 1 for v in image(t)]) for t in r.theta.walk(4)}):
+            value = casimir_eigenvalue(r.pi_label(pi_params))
+            value = tuple(v * scale for v in value) if isinstance(value, tuple) else value * scale
+            want = oracles.pi_side_targets(value, symbols)
+            got = [(Fraction(n, d), target) for n, d, target in targets(pi_params)]
+            assert got == want, (r.id, pi_params)
+            seen += bool(symbols)
+            nones += sum(target is None for _, target in want)
+    assert seen > 900 and (nones > 600) == (scale != 1)
+
+
+def test_clean_pi_side_and_cross_evaluation_build_no_fraction(records, monkeypatch):
+    # a Fraction is built only for a failure entry
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(verify, "Fraction", no_fraction)
+    monkeypatch.setattr(reps, "Fraction", no_fraction)
+    for r in records.values():
+        assert not verify.check_pi_side_consistency(r, 4).failures, r.id
+    entries = {e["name"]: e for e in verify.run_case(rec(records, "star"), 6, 2)}
+    assert entries["dgx-cross-evaluation"] == {"name": "dgx-cross-evaluation", "run": 1, "failed": 0}
+
+
+def test_cross_evaluation_of_a_missing_symbol_raises_evaluate_generators_error(records):
+    import dataclasses
+
+    r = rec(records, "star")
+    broken = dataclasses.replace(r, symbols={k: v for k, v in r.symbols.items() if k != "C_K"})
+    with pytest.raises(KeyError) as raised:
+        evaluate_generator(broken, "C_K", (0, 0, 0))
+    entries = {e["name"]: e for e in verify.run_case(broken, 3, 2)}
+    assert entries["dgx-cross-evaluation"]["first_failure"] == "error: KeyError: %s" % raised.value
 
 
 def test_dimension_conservation_and_strong_mult_freeness(records):
@@ -519,7 +583,7 @@ def test_tampered_transfer_fails(records):
     smap = broken.transfer(broken.tau_params_of(theta))
     image = smap.apply(broken.lam_rhoa_map.apply(theta))
     assert oracles.canonical_char(broken, image) != oracles.canonical_char(
-        broken, broken.nu_plus_rho(theta)
+        broken, oracles.nu_plus_rho(broken, theta)
     )
 
 
