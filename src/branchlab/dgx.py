@@ -5,15 +5,21 @@ R + R·x module decomposition.
 
 A ``Poly`` is integer numerators over one positive denominator in lowest
 terms, so its arithmetic, its evaluation at integer points and the echelon
-rows built from it all run in integers; ``Poly.terms`` is the exact-rational
-view.  The span of the generator products within each degree bound is a
+rows built from it all run in integers: an int constant or coerced int is
+its own numerator over 1, and a power squares the numerators.  A
+``Fraction`` is built only for each coefficient given to the constructor,
+for ``Poly.terms`` (the exact-rational view), for ``evaluate``'s result,
+for ``substitute_z`` and for a combination's coefficients.  The span of
+the generator products within each degree bound is a
 ``linalg.IntEchelon`` grown from the rows the bound below added, times a
 generator, so no product is built (``_Span``).  ``in_subalgebra`` decides
 on rows that carry nothing else; ``membership`` on rows that carry the
 combination of products each equals.  The checks only decide, so they never
 build a payload row.
 ``decompose_R_plus_Rx`` takes the powers of x and y it recombines from memos
-grown to the largest exponent asked for.
+grown to the largest exponent asked for, and finds R's span in the span
+cache under a key computed once at import; ``in_subalgebra`` and
+``membership`` key a caller's generator set by its content.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> "Poly":
+        # An int is its own numerator over 1, so no Fraction is built.
+        if type(c) is int:
+            return cls._lowest({(0, 0, 0): c} if c else {}, 1)
         return cls({(0, 0, 0): c})
 
     @classmethod
@@ -79,13 +88,14 @@ class Poly:
         i = VARS.index(name)
         exps = [0, 0, 0]
         exps[i] = 1
-        return cls({tuple(exps): 1})
+        return cls._lowest({tuple(exps): 1}, 1)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # Equal polynomials have equal (num, den), by the lowest-terms invariant.
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
@@ -119,21 +129,31 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative exponent %d" % k)
-        out = Poly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        # Square and multiply on the numerators; num^k / den^k is already in
+        # lowest terms (Gauss's lemma), and _lowest runs once.
+        out, base, n = {(0, 0, 0): 1}, self.num, k
+        while n:
+            if n & 1:
+                out = _int_mul(out, base)
+            n >>= 1
+            if n:
+                base = _int_mul(base, base)
+        return Poly._lowest(out, self.den ** k)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.num), default=0)
 
     def num_at(self, x, y, z):
         """den · p(x, y, z): an int at integer coordinates."""
-        return sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.num.items())
+        total = 0
+        for (a, b, e), c in self.num.items():
+            total += c * x ** a * y ** b * z ** e
+        return total
 
     def evaluate(self, x, y, z) -> Fraction:
         # Integer coordinates keep the sum in integers; it is divided once.
-        x, y, z = (v if type(v) is int else Fraction(v) for v in (x, y, z))
+        if not (type(x) is type(y) is type(z) is int):
+            x, y, z = Fraction(x), Fraction(y), Fraction(z)
         return Fraction(self.num_at(x, y, z), self.den)
 
     def substitute_z(self, value) -> "Poly":
@@ -287,13 +307,21 @@ class _Span:
         return {tuple(zip(self.names, e)): Fraction(c, scale * f.den) for e, c in used.items()}
 
 
-# Process-lifetime cache: generator set -> _Span (decompose_R_plus_Rx's power
-# memos below are the module's others).
+# Process-lifetime cache: generator set, keyed by content (``_span_key``) ->
+# _Span.  R's key, computed once below, and decompose_R_plus_Rx's power memos
+# are the module's other process-lifetime state.
 _SPAN_CACHE: dict = {}
 
 
-def _cached_span(gens: dict[str, Poly]) -> _Span:
-    key = tuple(sorted((k, p.den, tuple(sorted(p.num.items()))) for k, p in gens.items()))
+def _span_key(gens: dict[str, Poly]) -> tuple:
+    return tuple(sorted((k, p.den, tuple(sorted(p.num.items()))) for k, p in gens.items()))
+
+
+def _cached_span(gens: dict[str, Poly], key: Optional[tuple] = None) -> _Span:
+    """The _Span of ``gens``, under ``key`` when the caller has computed
+    ``_span_key(gens)`` already."""
+    if key is None:
+        key = _span_key(gens)
     span = _SPAN_CACHE.get(key)
     if span is None:
         span = _SPAN_CACHE[key] = _Span(gens)
@@ -359,9 +387,10 @@ def _base_members(gens: dict[str, Poly]):
     return z, s, w, m
 
 
-# R's generators and its members z, x+y, xz+y, xy written through them, built
-# once for decompose_R_plus_Rx.
+# R's generators, their span's cache key, and R's members z, x+y, xz+y, xy
+# written through them, built once for decompose_R_plus_Rx.
 _R_GENERATORS = subalgebra_generators()
+_R_SPAN_KEY = _span_key(_R_GENERATORS)
 _BASE_MEMBERS = _base_members(_R_GENERATORS)
 
 
@@ -395,7 +424,8 @@ def _next_y_power(gh: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     """f = g + h·x with g and h in R; the identity is exact and both parts are
-    certified in R by ``in_subalgebra``.
+    certified in R by reduction against R's span, as ``in_subalgebra`` does,
+    found in ``_SPAN_CACHE`` under R's key without re-keying it.
 
     Constructive: z, x+y, xz+y, xy lie in R, and x^n, y^n lie in R + R·x by
     the recursion x^2 = -xy + (x+y)·x; a monomial x^l y^m z^n strips z and xy
@@ -418,8 +448,9 @@ def decompose_R_plus_Rx(f: Poly, degree_bound: int):
     h_total = Poly._lowest(h_total.num, h_total.den * f.den)
     if (g_total + h_total * X) != f:
         raise AssertionError("inexact recomposition for %r" % (f,))
+    span = _cached_span(_R_GENERATORS, _R_SPAN_KEY)
     for part, name in ((g_total, "g"), (h_total, "h")):
-        if not part.is_zero() and not in_subalgebra(part, _R_GENERATORS, max(part.degree(), 1)):
+        if not part.is_zero() and not span.contains(part, max(part.degree(), 1)):
             raise ValueError(
                 "%s-part of the decomposition escapes R at degree %d"
                 % (name, part.degree())

@@ -230,16 +230,23 @@ class AffineMap:
     @classmethod
     def of(cls, matrix: Sequence[Sequence], offset: Sequence, source: int) -> "AffineMap":
         """v ↦ matrix·v + offset on ``source`` coordinates, from entries
-        that ``Fraction`` takes; ValueError if the shapes disagree."""
+        that ``Fraction`` takes; ValueError if the shapes disagree.  An int
+        entry is kept as it is, so den comes from the other entries alone."""
         rows = [
-            [*map(Fraction, row), Fraction(off)] for row, off in zip(matrix, offset, strict=True)
+            [x if type(x) is int else Fraction(x) for x in (*row, off)]
+            for row, off in zip(matrix, offset, strict=True)
         ]
         if any(len(row) != source + 1 for row in rows):
             raise ValueError("matrix/offset dimension mismatch")
-        den = math.lcm(1, *(x.denominator for row in rows for x in row))
-        ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        dens = [x.denominator for row in rows for x in row if type(x) is not int]
+        den = math.lcm(1, *dens)
+        if dens:
+            rows = [
+                [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
+                for row in rows
+            ]
         return cls(
-            tuple((tuple((i, x) for i, x in enumerate(row[:-1]) if x), row[-1]) for row in ints),
+            tuple((tuple((i, x) for i, x in enumerate(row[:-1]) if x), row[-1]) for row in rows),
             den,
             source,
         )

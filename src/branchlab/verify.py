@@ -243,10 +243,10 @@ _MAPS = {
 def _symbol_cache(record: CaseRecord) -> dict:
     """The record's compiled data, kept for its life and not grown by a box:
     {"rows": doubled rows by map (``_map_rows``), "forms": {symbol: (form,
-    den) of ``_separable``}, "polys": {xyz_poly symbol: its ``dgx.Poly``}}."""
+    den) of ``_separable``}, "evals": {symbol: (fn, den) of ``_int_eval``}}."""
     cache = record.__dict__.get("_symbol_cache")
     if cache is None:
-        cache = {"rows": {}, "forms": {}, "polys": {}}
+        cache = {"rows": {}, "forms": {}, "evals": {}}
         object.__setattr__(record, "_symbol_cache", cache)
     return cache
 
@@ -417,21 +417,22 @@ def _form_value(form: dict, theta) -> int:
 
 
 def _int_eval(record: CaseRecord, name: str):
-    """(fn(theta) -> int numerator, denominator) of one symbol: its compiled
-    form (``_compiled``) at theta, or for an xyz_poly its ``dgx.Poly``,
-    built once per record, at ``dgx.xyz_of(theta)``; KeyError, naming the
+    """(fn(theta) -> int numerator, denominator) of one symbol, built once
+    per record: its compiled form (``_compiled``) at theta, or for an
+    xyz_poly its ``dgx.Poly`` at ``dgx.xyz_of(theta)``; KeyError, naming the
     case, for a symbol the record lacks."""
-    if name not in record.symbols:
-        raise KeyError("case %s has no generator %r" % (record.id, name))
-    spec = record.symbols[name]
-    if spec.kind == "xyz_poly":
-        polys = _symbol_cache(record)["polys"]
-        if name not in polys:
-            polys[name] = dgx.Poly(dict(spec.poly))
-        poly = polys[name]
-        return (lambda theta: poly.num_at(*dgx.xyz_of(theta))), poly.den
-    form, den = _compiled(record, name)
-    return (lambda theta: _form_value(form, theta)), den
+    evals = _symbol_cache(record)["evals"]
+    if name not in evals:
+        if name not in record.symbols:
+            raise KeyError("case %s has no generator %r" % (record.id, name))
+        spec = record.symbols[name]
+        if spec.kind == "xyz_poly":
+            poly = dgx.Poly(dict(spec.poly))
+            evals[name] = (lambda theta: poly.num_at(*dgx.xyz_of(theta))), poly.den
+        else:
+            form, den = _compiled(record, name)
+            evals[name] = functools.partial(_form_value, form), den
+    return evals[name]
 
 
 def evaluate_generator(record: CaseRecord, name: str, theta: Sequence[int]) -> Fraction:

@@ -129,7 +129,9 @@ def test_poly_matches_fraction_oracle(t1, t2, ipoint, fpoint, value, k):
         assert got.terms == want.terms
         assert repr(sorted(got.terms.items())) == repr(sorted(want.terms.items()))
         assert repr(got) == repr(want)
-        assert hash(got) == hash(want)
+        # The oracle is not a Poly; the hash must agree with the Poly built
+        # from its terms, another route to an equal polynomial.
+        assert got == Poly(want.terms) and hash(got) == hash(Poly(want.terms))
         assert got.degree() == want.degree()
         assert got.is_zero() == (not want.terms)
         for point in (ipoint, fpoint):
@@ -137,6 +139,93 @@ def test_poly_matches_fraction_oracle(t1, t2, ipoint, fpoint, value, k):
             assert type(value_at) is Fraction and value_at == want.evaluate(*point)
     assert (p == q) == (o == r)
     assert p == Poly(o.terms) and hash(p) == hash(Poly(o.terms))
+
+
+def test_equal_polys_built_by_different_routes_hash_equal():
+    half = Fraction(1, 2)
+    routes = [
+        [X, half * X + half * X, Poly({(1, 0, 0): Fraction(2, 2)}), (X * Y).substitute_z(0) * 0 + X],
+        # The same terms in other orders of insertion.
+        [
+            (X + Y) ** 2,
+            X * X + 2 * X * Y + Y * Y,
+            Y * Y + 2 * X * Y + X * X,
+            Poly({(2, 0, 0): 1, (1, 1, 0): "2", (0, 2, 0): 1}),
+            Poly({(0, 2, 0): 1, (1, 1, 0): 2, (2, 0, 0): 1}),
+        ],
+        [Poly.const(3), 3 * ONE, Poly({(0, 0, 0): Fraction(6, 2)}), ONE + 2, 5 - Poly.const(2)],
+        [Poly(), X - X, Poly.const(0), Poly() ** 3, 0 * X, Poly({(1, 2, 3): 0})],
+        [Fraction(3, 4) * (Z - 9), Poly({(0, 0, 1): "3/4", (0, 0, 0): Fraction(-27, 4)}), (3 * Z - 27) * Fraction(1, 4)],
+        [(half * X - Z) ** 3, (half * X - Z) * (half * X - Z) * (half * X - Z)],
+    ]
+    for polys in routes:
+        assert all(p == polys[0] for p in polys), polys
+        assert len({hash(p) for p in polys}) == 1, polys
+        assert len(set(polys)) == 1
+    assert len({polys[0] for polys in routes}) == len(routes)
+
+
+_POW_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=4)
+
+
+@given(_POW_TERMS, st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_pow_matches_repeated_multiplication_and_the_oracle(terms, k):
+    # The zero polynomial and non-integral coefficients are in the strategy.
+    p = Poly(terms)
+    before = repr(p), dict(p.num), p.den
+    power = p ** k
+    product = ONE
+    for _ in range(k):
+        product = product * p
+    assert _well_formed(power), (power.num, power.den)
+    assert power == product and power.terms == (oracles.FractionPoly(terms) ** k).terms
+    assert hash(power) == hash(product)
+    # The power shares no dict with its base: mutating it leaves p as it was.
+    assert power.num is not p.num
+    power.num[(0, 0, 0)] = 12345
+    power.num.clear()
+    assert (repr(p), p.num, p.den) == before
+    assert p ** k == product
+    with pytest.raises(ValueError):
+        p ** -(k + 1)
+
+
+def test_integer_path_builds_no_fraction(monkeypatch):
+    # Integer-coefficient arithmetic (constants, coercion of an int, powers,
+    # products, num_at) and the 165 degree-8 decompositions call no
+    # Fraction, and R's span is found under the key computed at import.
+    fractions, keys = [], []
+    real_fraction, real_key = dgx.Fraction, dgx._span_key
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return real_fraction(*args)
+
+    def counted_key(gens):
+        keys.append(gens)
+        return real_key(gens)
+
+    monkeypatch.setattr(dgx, "Fraction", counted_fraction)
+    monkeypatch.setattr(dgx, "_span_key", counted_key)
+    monkeypatch.setattr(dgx, "_SPAN_CACHE", {})
+    exps = _degree_8_monomials()
+    monomials = [X ** a * Y ** b * Z ** c for a, b, c in exps]
+    assert [(m.num, m.den) for m in monomials] == [({e: 1}, 1) for e in exps]
+    p = 6 * Z * X
+    assert (p.num, p.den) == ({(1, 0, 1): 6}, 1)
+    q = 2 - X + Poly.const(7) * Y ** 0
+    assert (q.num, q.den) == ({(0, 0, 0): 9, (1, 0, 0): -1}, 1)
+    assert [m.num_at(2, -3, 5) for m in monomials] == [2 ** a * (-3) ** b * 5 ** c for a, b, c in exps]
+    for f in monomials:
+        decompose_R_plus_Rx(f, 8)
+    assert fractions == [] and keys == []
+    assert list(dgx._SPAN_CACHE) == [dgx._R_SPAN_KEY]
+    # The counters see what they count: a rational constant builds a
+    # Fraction, and a caller's generator set is keyed by its content.
+    Poly.const(Fraction(1, 2))
+    assert in_subalgebra(Z, subalgebra_generators(), 4)
+    assert fractions and len(keys) == 1 and len(dgx._SPAN_CACHE) == 1
 
 
 def test_poly_terms_is_a_fresh_view():

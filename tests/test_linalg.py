@@ -270,3 +270,23 @@ def test_affine_map_of_builds_its_documented_form_and_matches_the_fraction_route
         assert f.den > 0 and math.gcd(*entries) == 1
         v = vec(rng.choice((0, 2, -1, "5/2")) for _ in range(source))
         assert f.apply(v) == fraction_apply(f, v) == tuple(dot(r, v) + o for r, o in zip(m, offset))
+
+
+def test_affine_map_of_keeps_int_entries_and_matches_the_all_fraction_route():
+    # Int entries stay ints, an integral Fraction becomes one, and the rows
+    # and den are those the same entries give as Fractions.
+    rng = random.Random(34)
+    choices = (0, 1, -2, 7, Fraction(3), Fraction(-1, 2), "5/3", Fraction(4, 6), True)
+    for _ in range(300):
+        source = rng.randint(0, 4)
+        m = [[rng.choice(choices) for _ in range(source)] for _ in range(rng.randint(0, 4))]
+        offset = [rng.choice(choices) for _ in m]
+        f = AffineMap.of(m, offset, source)
+        exact = [[Fraction(x) for x in (*row, off)] for row, off in zip(m, offset)]
+        den = math.lcm(1, *(x.denominator for row in exact for x in row))
+        want = tuple(
+            (tuple((i, int(x * den)) for i, x in enumerate(row[:-1]) if x), int(row[-1] * den))
+            for row in exact
+        )
+        assert (f.rows, f.den) == (want, den)
+        assert all(type(x) is int for coeffs, off in f.rows for x in (off, *(c for _, c in coeffs)))

@@ -702,6 +702,24 @@ def test_every_map_is_half_integral():
             assert all(i < n for coeffs, _ in rows for i, _ in coeffs), (r.id, key)
 
 
+def test_each_symbol_has_one_evaluator_per_record():
+    # evaluate_generator reads the (fn, den) _int_eval keeps in the record's
+    # cache, an xyz_poly's as well as a compiled form's; a symbol the record
+    # lacks raises and leaves no entry.
+    star = next(r for r in catalog.build_records(1) if r.id.tag == "star")
+    theta = star.theta.enumerate(2)[0]
+    first = {name: verify._int_eval(star, name) for name in star.symbols}
+    kinds = {star.symbols[name].kind for name in first}
+    assert "xyz_poly" in kinds and len(kinds) > 1
+    for name, (fn, den) in first.items():
+        assert verify.evaluate_generator(star, name, theta) == Fraction(fn(theta), den)
+        assert verify._int_eval(star, name) is first[name]
+    assert verify._symbol_cache(star)["evals"] == first
+    with pytest.raises(KeyError, match="no generator"):
+        verify.evaluate_generator(star, "no such symbol", theta)
+    assert verify._symbol_cache(star)["evals"] == first
+
+
 def test_rows2_rejects_non_half_integral():
     for amap in (
         AffineMap.of([[Fraction(1, 3)]], [0], 1),
