@@ -5,8 +5,12 @@ forms, relation set, transfer-map family, ranks, and generator degrees.
 The ``_case_*`` builders are the single source of the catalog: ``build_records``
 (and ``load_default``, which the CLI calls) instantiates them in memory.
 ``dump_catalog`` exports the records as a versioned JSON document
-(``python -m branchlab.catalog``, ``"schema": 2``) that holds every field of
+(``python -m branchlab.catalog``, ``"schema": 3``) that holds every field of
 every dataclass of each record; nothing reads that document back.
+
+Every field of every dataclass here is read beyond the builders and the
+export (``tests/test_package.py``).  A triality alias is its base's record
+under its own id and groups; the reason is a comment at its ``_alias`` call.
 
 Every map a record stores is a ``linalg.AffineMap`` built by ``_amap``; the
 transfer family alone is three ``Fraction`` fields, ``transfer_*``, that its
@@ -46,7 +50,7 @@ from .reps import (
     ProductGroup,
 )
 
-CATALOG_SCHEMA = 2
+CATALOG_SCHEMA = 3
 
 TAG_ORDER = (
     "i",
@@ -146,10 +150,12 @@ class ParamSpace:
         )
 
     def contains(self, params: Sequence[int]) -> bool:
+        """Is params a point of the space?  A coordinate is an int, bool,
+        Fraction or float of integral value; a str or None is in no space."""
         if len(params) != len(self.names):
             return False
         if not all(type(p) is int for p in params):
-            if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
+            if not all(isinstance(p, (int, Fraction, float)) and p % 1 == 0 for p in params):
                 return False
             params = [int(p) for p in params]
         return self.contains_ints(params)
@@ -308,11 +314,9 @@ class CaseRecord:
     branch_rule: tuple
     a_map: Optional[AffineMap] = None
     b_map: Optional[AffineMap] = None
-    ch: Optional[dict] = None
     mod_trace: bool = False
     parity_gap_gens: tuple[str, ...] = ()
     alias_of: Optional[CaseId] = None
-    triality_note: str = ""
 
     # -- basic queries -----------------------------------------------------
 
@@ -398,10 +402,6 @@ def _weighted_model(*wts: int) -> dict:
     return {"kind": "weighted", "weights": list(wts)}
 
 
-def _zeros(n):
-    return [Fraction(0)] * n
-
-
 def _transfer(lam_dim, tau_names, rows):
     """rows: list of (lam_terms: dict[int, coeff], tau_terms: dict[name, coeff], const)."""
     return (
@@ -409,17 +409,6 @@ def _transfer(lam_dim, tau_names, rows):
         tuple(tuple(Fraction(tau.get(nm, 0)) for nm in tau_names) for _, tau, _ in rows),
         tuple(Fraction(const) for _, _, const in rows),
     )
-
-
-def _sphere_ch(ambient_dim: int, block_starts=(0,)) -> dict:
-    """CH data for (a product of) spheres: restricted roots e_1 per block."""
-    roots = [[Fraction(1 if i == s else 0) for i in range(ambient_dim)] for s in block_starts]
-    kill = [
-        [Fraction(1 if i == j else 0) for i in range(ambient_dim)]
-        for j in range(ambient_dim)
-        if j not in block_starts
-    ]
-    return {"restricted_pos": roots, "kill": kill}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +420,6 @@ def _case_i(n: int) -> CaseRecord:
     theta = ParamSpace(names, ("nat", "nat"))
     pi_space = ParamSpace(("j",), ("nat",))
     tau_space = ParamSpace(("a",), ("int",))
-    N = n + 1
     pi_label = _amap(("j",), [({"j": 1}, 0)] + [({}, 0)] * n)
     nu_rows = [({"k": 1}, 0)] + [({}, 0)] * (n - 1) + [({"l": -1}, 0)]
     tau_rows = [({}, 0)] * n + [({"a": 1}, 0)]
@@ -480,7 +468,6 @@ def _case_i(n: int) -> CaseRecord:
         hilbert_model=_weighted_model(1, 2),
         indep_gens=("C_Gt", "E_K"),
         branch_rule=("charge_split",),
-        ch=_sphere_ch(N),
     )
 
 
@@ -557,7 +544,6 @@ def _case_ii(n: int) -> CaseRecord:
         a_rows = [({jn[i]: 1}, Fraction(4 * (m - 1 - i) + 1, 2)) for i in range(m)]
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) - 1, 2)) for i in range(m - 1)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 1) for i in range(m)]
-        target = 2 * m - 1
         rows = []
         for i in range(m):
             rows.append(({i: Fraction(1, 2)}, {}, 0))
@@ -568,7 +554,6 @@ def _case_ii(n: int) -> CaseRecord:
         rank3 = (m, m - 1, 2 * m - 1)
         branch_rule = ("interlace_ii_odd", m)
         tag = "ii_odd"
-        ch = _ch_case_ii(m, odd=True)
     else:
         gt, ht, g, h, kk = SO(4 * m + 2), U(2 * m + 1), SO(4 * m + 1), U(2 * m), SO(4 * m)
         pi_rows = []
@@ -581,7 +566,6 @@ def _case_ii(n: int) -> CaseRecord:
         a_rows = [({jn[i]: 1}, Fraction(4 * (m - 1 - i) + 3, 2)) for i in range(m)]
         b_rows = [({kn[i]: 1}, Fraction(4 * (m - 1 - i) + 1, 2)) for i in range(m)]
         lam_rows = [({jn[i]: 2}, 4 * (m - 1 - i) + 3) for i in range(m)]
-        target = 2 * m
         rows = []
         for i in range(m):
             rows.append(({i: Fraction(1, 2)}, {}, 0))
@@ -591,7 +575,6 @@ def _case_ii(n: int) -> CaseRecord:
         rank3 = (m, m, 2 * m)
         branch_rule = ("interlace_ii_even", m)
         tag = "ii_even"
-        ch = _ch_case_ii(m, odd=False)
     M, T, off = _transfer(m, tuple(kn), rows)
 
     symbols = {
@@ -644,42 +627,7 @@ def _case_ii(n: int) -> CaseRecord:
         branch_rule=branch_rule,
         a_map=_amap(names, a_rows),
         b_map=_amap(names, b_rows) if kn else _amap(names, []),
-        ch=ch,
     )
-
-
-def _ch_case_ii(m: int, odd: bool) -> dict:
-    dim = 2 * m if odd else 2 * m + 1
-    half = Fraction(1, 2)
-
-    def pairvec(i, coef):
-        v = _zeros(dim)
-        v[2 * i] = coef
-        v[2 * i + 1] = coef
-        return v
-
-    roots = []
-    for i in range(m):
-        roots.append(pairvec(i, Fraction(1)))  # image of 2 h_i
-        if not odd:
-            roots.append(pairvec(i, half))  # image of h_i (BC short root)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for sign in (1, -1):
-                v = pairvec(i, half)
-                w = pairvec(j, half)
-                roots.append([a + sign * b for a, b in zip(v, w)])
-    kill = []
-    for i in range(m):
-        row = _zeros(dim)
-        row[2 * i] = Fraction(1)
-        row[2 * i + 1] = Fraction(-1)
-        kill.append(row)
-    if not odd:
-        row = _zeros(dim)
-        row[dim - 1] = Fraction(1)
-        kill.append(row)
-    return {"restricted_pos": roots, "kill": kill}
 
 
 def _case_iii(n: int) -> CaseRecord:
@@ -691,7 +639,6 @@ def _case_iii(n: int) -> CaseRecord:
     )
     pi_space = ParamSpace(("j",), ("nat",))
     tau_space = ParamSpace(("a",), ("nat",))
-    dim = 2 * n + 2
     pi_rows = [({"j": 1}, 0)] + [({}, 0)] * (2 * n) + [({"j": -1}, 0)]
     nu_rows = [({"k": 1}, 0), ({"l": 1}, 0)] + [({}, 0)] * (n - 1)
     tau_rows = [({}, 0)] * n + [({"a": 2}, 0)]
@@ -705,17 +652,6 @@ def _case_iii(n: int) -> CaseRecord:
         ]
         + [({}, {}, n - i) for i in range(1, n)],
     )
-    ch_kill = [
-        [Fraction(1 if i == j else 0) for i in range(dim)] for j in range(1, dim - 1)
-    ]
-    ch_kill.append([Fraction(1 if i in (0, dim - 1) else 0) for i in range(dim)])
-    ch = {
-        "restricted_pos": [
-            [Fraction(1, 2) if i == 0 else Fraction(-1, 2) if i == dim - 1 else Fraction(0) for i in range(dim)],
-            [Fraction(1) if i == 0 else Fraction(-1) if i == dim - 1 else Fraction(0) for i in range(dim)],
-        ],
-        "kill": ch_kill,
-    }
     return CaseRecord(
         id=CaseId("iii", n),
         groups={
@@ -753,7 +689,6 @@ def _case_iii(n: int) -> CaseRecord:
         hilbert_model=_weighted_model(2, 2),
         indep_gens=("C_Gt", "C_K"),
         branch_rule=("quaternion_split",),
-        ch=ch,
     )
 
 
@@ -816,23 +751,6 @@ def _case_iv(n: int) -> CaseRecord:
                 (-(2 ** kdx), "R_%d" % kdx),
             )
         )
-    dim = 2 * n + 2
-    half = Fraction(1, 2)
-    ch_roots = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            v = _zeros(dim)
-            v[2 * i] = half
-            v[2 * i + 1] = half
-            v[2 * j] = -half
-            v[2 * j + 1] = -half
-            ch_roots.append(v)
-    ch_kill = []
-    for i in range(n + 1):
-        row = _zeros(dim)
-        row[2 * i] = Fraction(1)
-        row[2 * i + 1] = Fraction(-1)
-        ch_kill.append(row)
     return CaseRecord(
         id=CaseId("iv", n),
         groups={
@@ -873,7 +791,6 @@ def _case_iv(n: int) -> CaseRecord:
         branch_rule=("interlace_iv", n),
         a_map=_amap(names, a_rows),
         b_map=_amap(names, b_rows),
-        ch={"restricted_pos": ch_roots, "kill": ch_kill},
     )
 
 
@@ -882,7 +799,6 @@ def _case_v(n: int) -> CaseRecord:
     theta = ParamSpace(names, ("nat", "nat"), (_con(names, {"k": 1, "l": -1}),))
     pi_space = ParamSpace(("j",), ("nat",))
     tau_space = ParamSpace(("a",), ("nat",), (_con(("a",), {"a": 1}, -1),))
-    dim = 2 * n + 2
     g = ProductGroup(Sp(n + 1), Sp(1), almost=True)
     kk = ProductGroup(Sp(n), Sp(1), Sp(1), almost=True)
     nu_rows = [({"k": 1}, 0), ({"l": 1}, 0)] + [({}, 0)] * (n - 1) + [({"k": 1, "l": -1}, 0)]
@@ -915,7 +831,7 @@ def _case_v(n: int) -> CaseRecord:
         tau_space=tau_space,
         pi_of_theta=_amap(names, [({"k": 1, "l": 1}, 0)]),
         tau_of_theta=_amap(names, [({"k": 1, "l": -1}, 1)]),
-        pi_label_map=_amap(("j",), [({"j": 1}, 0)] + [({}, 0)] * (dim - 1)),
+        pi_label_map=_amap(("j",), [({"j": 1}, 0)] + [({}, 0)] * (2 * n + 1)),
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(("a",), tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
@@ -939,7 +855,6 @@ def _case_v(n: int) -> CaseRecord:
         hilbert_model=_weighted_model(2, 2),
         indep_gens=("C_Gt", "C_K"),
         branch_rule=("sphere_sp1",),
-        ch=_sphere_ch(dim),
     )
 
 
@@ -963,7 +878,6 @@ def _case_v_prime(n: int) -> CaseRecord:
             _con(tau_names, {"c": 1, "b": 1}, mod=2),
         ),
     )
-    dim = 2 * n + 2
     g = ProductGroup(Sp(n + 1), U(1), almost=True)
     kk = ProductGroup(Sp(n), Sp(1), U(1), almost=True)
     nu_rows = [({"k": 1}, 0), ({"l": 1}, 0)] + [({}, 0)] * (n - 1) + [({"b": 1}, 0)]
@@ -996,7 +910,7 @@ def _case_v_prime(n: int) -> CaseRecord:
         tau_space=tau_space,
         pi_of_theta=_amap(names, [({"k": 1, "l": 1}, 0)]),
         tau_of_theta=_amap(names, [({"k": 1, "l": -1}, 0), ({"b": 1}, 0)]),
-        pi_label_map=_amap(("j",), [({"j": 1}, 0)] + [({}, 0)] * (dim - 1)),
+        pi_label_map=_amap(("j",), [({"j": 1}, 0)] + [({}, 0)] * (2 * n + 1)),
         nu_label_map=_amap(names, nu_rows),
         tau_label_map=_amap(tau_names, tau_rows),
         lam_rhoa_map=_amap(names, [({"k": 1, "l": 1}, 2 * n + 1)]),
@@ -1021,7 +935,6 @@ def _case_v_prime(n: int) -> CaseRecord:
         hilbert_model=_weighted_model(1, 2, 2),
         indep_gens=("C_Gt", "C_K2", "E_K"),
         branch_rule=("sphere_sp1_u1",),
-        ch=_sphere_ch(dim),
     )
 
 
@@ -1080,7 +993,6 @@ def _case_vi() -> CaseRecord:
         hilbert_model=_weighted_model(2, 2),
         indep_gens=("C_Gt", "C_K"),
         branch_rule=("parity_tail",),
-        ch=_sphere_ch(8),
     )
 
 
@@ -1136,7 +1048,6 @@ def _case_vii() -> CaseRecord:
         hilbert_model=_weighted_model(2, 2),
         indep_gens=("C_Gt", "Cp_K"),
         branch_rule=("tail_le",),
-        ch=None,  # Gtilde/Htilde = SO(8)/Spin(7) is not symmetric
     )
 
 
@@ -1204,7 +1115,6 @@ def _case_viii() -> CaseRecord:
         hilbert_model=_weighted_model(1, 2, 2),
         indep_gens=("C_Gt", "C_K1", "E_K"),
         branch_rule=("tail_le_charge",),
-        ch=None,  # SO(7)/G2 is not symmetric
     )
 
 
@@ -1257,7 +1167,6 @@ def _case_ix() -> CaseRecord:
         hilbert_model=_weighted_model(1, 2),
         indep_gens=("C_Gt", "E_K"),
         branch_rule=("charge_pm",),
-        ch=None,  # SO(7)/G2 is not symmetric
         parity_gap_gens=("C_Gt", "C_G"),
         b_map=_amap(names, [({"k": 1}, 0)]),
     )
@@ -1303,7 +1212,6 @@ def _case_x() -> CaseRecord:
         hilbert_model=_weighted_model(2),
         indep_gens=("C_Gt",),
         branch_rule=("identity",),
-        ch=_sphere_ch(3),
     )
 
 
@@ -1348,7 +1256,6 @@ def _case_xi() -> CaseRecord:
         hilbert_model=_weighted_model(2),
         indep_gens=("C_Gt",),
         branch_rule=("identity",),
-        ch=None,  # SO(8)/Spin(7) is not symmetric
     )
 
 
@@ -1450,19 +1357,11 @@ def _case_star() -> CaseRecord:
         hilbert_model=_weighted_model(2, 2, 2),
         indep_gens=("C_Gt1", "C_Gt2", "C_K"),
         branch_rule=("triangle",),
-        ch=_sphere_ch(8, block_starts=(0, 4)),
     )
 
 
-def _alias(tag: str, base: CaseRecord, groups: dict, note: str) -> CaseRecord:
-    return dataclasses.replace(
-        base,
-        id=CaseId(tag),
-        groups=groups,
-        alias_of=base.id,
-        triality_note=note,
-        ch=None,
-    )
+def _alias(tag: str, base: CaseRecord, groups: dict) -> CaseRecord:
+    return dataclasses.replace(base, id=CaseId(tag), groups=groups, alias_of=base.id)
 
 
 def build_records(max_n: int) -> list[CaseRecord]:
@@ -1490,6 +1389,7 @@ def build_records(max_n: int) -> list[CaseRecord]:
         [_case_vi(), _case_vii(), _case_viii(), _case_ix(), _case_x(), _case_xi()]
     )
     xi_rec = next(r for r in out if r.id.tag == "xi")
+    # triality ς* swaps so(7) and spin(7); all data delegated to case (xi)
     out.append(
         _alias(
             "xii",
@@ -1501,11 +1401,11 @@ def build_records(max_n: int) -> list[CaseRecord]:
                 "h": G2Group(),
                 "k": G2Group(),
             },
-            "triality ς* swaps so(7) and spin(7); all data delegated to case (xi)",
         )
     )
     if max_n >= 3:
         i3 = next(r for r in out if r.id == CaseId("i", 3))
+        # triality ς*(e1)=ω+ takes the triple to case (i) with n=3
         out.append(
             _alias(
                 "xiii",
@@ -1517,10 +1417,10 @@ def build_records(max_n: int) -> list[CaseRecord]:
                     "h": Named("ι13(Ũ(3))"),
                     "k": ProductGroup(U(3), SO(2)),
                 },
-                "triality ς*(e1)=ω+ takes the triple to case (i) with n=3",
             )
         )
         i3p = next(r for r in out if r.id == CaseId("i_prime", 3))
+        # triality reduction to case (i)' with n=3
         out.append(
             _alias(
                 "xiii_prime",
@@ -1532,10 +1432,10 @@ def build_records(max_n: int) -> list[CaseRecord]:
                     "h": SU(3),
                     "k": U(3),
                 },
-                "triality reduction to case (i)' with n=3",
             )
         )
         ii3 = next(r for r in out if r.id == CaseId("ii_odd", 3))
+        # triality reduction to case (ii) with n=3
         out.append(
             _alias(
                 "xiv",
@@ -1547,7 +1447,6 @@ def build_records(max_n: int) -> list[CaseRecord]:
                     "h": Named("ι14(Ũ(3))"),
                     "k": Spin(6),
                 },
-                "triality reduction to case (ii) with n=3",
             )
         )
     out.append(_case_star())

@@ -727,8 +727,19 @@ def check_rank_identity(record: CaseRecord) -> bool:
     return a + b == c
 
 
-def check_degree_counts(record: CaseRecord) -> bool:
-    return len(record.degrees_p) + len(record.degrees_q) == record.degrees_rank
+def check_degree_counts(record: CaseRecord) -> CaseReport:
+    """With m = len(degrees_p) and n = len(degrees_q): m + n = degrees_rank,
+    and indep_gens holds m P-side and n Q-side generators (their symbols'
+    ``side``).  One check, whose one failure names each tie that fails."""
+    m, n = len(record.degrees_p), len(record.degrees_q)
+    sides = [record.symbols[name].side for name in record.indep_gens]
+    ties = (
+        ("m+n != rank", m + n, record.degrees_rank),
+        ("P-side indep_gens != len(degrees_p)", sides.count("P"), m),
+        ("Q-side indep_gens != len(degrees_q)", sides.count("Q"), n),
+    )
+    failed = ["%s: %d != %d" % tie for tie in ties if tie[1] != tie[2]]
+    return CaseReport(record.id, 0, 1, ["; ".join(failed)] if failed else [])
 
 
 def check_dimension_conservation(record: CaseRecord, bound: int) -> CaseReport:
@@ -1512,7 +1523,7 @@ def run_case(record: CaseRecord, bound: int, degree: int) -> list[dict]:
     run("relations", lambda: _report(box["relations"]))
     run("transfer", lambda: _report(box["transfer"]))
     run("rank-identity", lambda: check_rank_identity(record), "rank triple fails")
-    run("degree-counts", lambda: check_degree_counts(record), "m+n != rank")
+    run("degree-counts", lambda: check_degree_counts(record))
     run("dimension-conservation", lambda: _report(box["dimension-conservation"]))
     run("strong-multiplicity-freeness", lambda: _report(box["strong-multiplicity-freeness"]))
     run(

@@ -21,6 +21,9 @@ canonical map at one theta) and ``branch`` (the branching of one pi), and
 ``monomial`` gives one entry of a moment row, which the package builds a
 row at a time.  The per-degree brute force of a weighted Hilbert model
 (``graded_invariant_dim``) is the reference of ``hilbert``'s one pass.
+The restricted roots and kill rows of each symmetric case
+(``cartan_helgason_data``) give test_reps an independent route to the
+spherical pi of Disc(Gtilde/Htilde).
 
 Nothing in branchlab calls these; they exist only to cross-check it.
 """
@@ -1156,3 +1159,77 @@ def graded_invariant_dim(record, N: int) -> int:
     if model["kind"] == "interlaced_iv":
         return hilbert._interlaced_iv_dim(model["n"], N)
     raise ValueError("unknown model %r" % (model,))
+
+
+# ---------------------------------------------------------------------------
+# Cartan–Helgason data of the symmetric cases: an independent route to the
+# spherical pi of Disc(Gtilde/Htilde), which test_reps compares with the
+# catalog's pi spaces and pi label maps.
+
+
+def _sparse_vec(dim: int, entries: dict) -> Vector:
+    """The vector of length dim with the given {index: coefficient}."""
+    return vec(entries.get(i, 0) for i in range(dim))
+
+
+def _sphere(dim: int, starts=(0,)) -> dict:
+    """(A product of) spheres: the restricted root e_s of each block starting
+    at s, and every other coordinate killed."""
+    return {
+        "restricted_pos": [_sparse_vec(dim, {s: 1}) for s in starts],
+        "kill": [_sparse_vec(dim, {j: 1}) for j in range(dim) if j not in starts],
+    }
+
+
+def cartan_helgason_data(tag: str, n: Optional[int]) -> dict:
+    """{"restricted_pos": the positive restricted roots, "kill": rows whose
+    zero set is the weights that vanish on t_C}, on pi's label coordinates,
+    for the catalog case (tag, n) whose Gtilde/Htilde is symmetric."""
+    if tag in ("i", "i_prime"):
+        return _sphere(n + 1)
+    if tag in ("v", "v_prime"):
+        return _sphere(2 * n + 2)
+    if tag in ("vi", "x", "star"):
+        return {"vi": _sphere(8), "x": _sphere(3), "star": _sphere(8, (0, 4))}[tag]
+    if tag in ("ii_odd", "ii_even"):
+        # on the pair blocks (2i, 2i+1), i < m: twice a block's unit (and the
+        # unit itself when n is even, type BC), and half the sum or the
+        # difference of two blocks' units; each block's difference is killed
+        odd = tag == "ii_odd"
+        m = (n + 1) // 2 if odd else n // 2
+        dim, half = (2 * m if odd else 2 * m + 1), Fraction(1, 2)
+        roots = []
+        for i in range(m):
+            roots.append(_sparse_vec(dim, {2 * i: 1, 2 * i + 1: 1}))
+            if not odd:
+                roots.append(_sparse_vec(dim, {2 * i: half, 2 * i + 1: half}))
+        roots += [
+            _sparse_vec(dim, {2 * i: half, 2 * i + 1: half, 2 * j: s * half, 2 * j + 1: s * half})
+            for i in range(m)
+            for j in range(i + 1, m)
+            for s in (1, -1)
+        ]
+        kill = [_sparse_vec(dim, {2 * i: 1, 2 * i + 1: -1}) for i in range(m)]
+        if not odd:
+            kill.append(_sparse_vec(dim, {dim - 1: 1}))
+        return {"restricted_pos": roots, "kill": kill}
+    if tag == "iii":
+        dim = 2 * n + 2
+        return {
+            "restricted_pos": [
+                _sparse_vec(dim, {0: Fraction(1, 2), dim - 1: Fraction(-1, 2)}),
+                _sparse_vec(dim, {0: 1, dim - 1: -1}),
+            ],
+            "kill": [_sparse_vec(dim, {j: 1}) for j in range(1, dim - 1)]
+            + [_sparse_vec(dim, {0: 1, dim - 1: 1})],
+        }
+    if tag == "iv":
+        dim, half = 2 * n + 2, Fraction(1, 2)
+        roots = [
+            _sparse_vec(dim, {2 * i: half, 2 * i + 1: half, 2 * j: -half, 2 * j + 1: -half})
+            for i in range(n + 1)
+            for j in range(i + 1, n + 1)
+        ]
+        kill = [_sparse_vec(dim, {2 * i: 1, 2 * i + 1: -1}) for i in range(n + 1)]
+        return {"restricted_pos": roots, "kill": kill}
+    raise ValueError("case %s has no Cartan–Helgason data here" % tag)

@@ -111,13 +111,15 @@ def test_enumerate_matches_box_filter(constraints):
 
 
 def _contains_by_constraints(space, params):
-    """Membership as defined: the right length, integral entries, nat
-    coordinates >= 0, and every constraint: sum(coeffs · params) + const
-    >= 0, or == 0 mod ``mod`` when mod > 0."""
+    """Membership as defined: the right length, integral entries (an int,
+    or a Fraction or float of integral value), nat coordinates >= 0, and
+    every constraint: sum(coeffs · params) + const >= 0, or == 0 mod
+    ``mod`` when mod > 0."""
     if len(params) != len(space.names):
         return False
-    if any(not isinstance(p, int) and Fraction(p).denominator != 1 for p in params):
-        return False
+    for p in params:
+        if not isinstance(p, (int, Fraction, float)) or p != int(p):
+            return False
     params = [int(p) for p in params]
     if any(p < 0 for p, d in zip(params, space.domains) if d == "nat"):
         return False
@@ -144,7 +146,7 @@ def test_compiled_contains_matches_constraints():
         inputs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(200)]
         inputs += [(), (0,) * (n + 1), (1,) * (n - 1)]
         for p in inputs[:20]:
-            for odd in (Fraction(4, 2), 2.0, True, Fraction(1, 2)):
+            for odd in (Fraction(4, 2), 2.0, True, Fraction(1, 2), "2", None):
                 for i in range(n):
                     inputs.append(p[:i] + (odd,) + p[i + 1:])
         for p in inputs:
@@ -153,11 +155,12 @@ def test_compiled_contains_matches_constraints():
             assert space.contains(list(p)) is expected, (space, p)
             seen.add(expected)
     assert seen == {True, False}
-    # the answers for non-int entries stay what they were
+    # an integral Fraction, float or bool is a coordinate; a str or None,
+    # whatever it spells, is not
     nat = ParamSpace(("a",), ("nat",))
-    assert [nat.contains((x,)) for x in (Fraction(4, 2), 2.0, True, Fraction(1, 2))] == [
-        True, True, True, False,
-    ]
+    odd = (Fraction(4, 2), 2.0, True, Fraction(1, 2), "2", None)
+    assert [nat.contains((x,)) for x in odd] == [True, True, True, False, False, False]
+    assert not nat.contains((float("nan"),)) and not nat.contains((float("inf"),))
     assert not nat.contains((1, 2)) and not nat.contains(())
 
 
@@ -430,9 +433,13 @@ def test_rank_triples(records):
         assert a + b == c, r.id
 
 
-def test_generator_degree_counts(records):
-    for r in records.values():
+def test_generator_degree_counts():
+    # m + n = rank, and the P-side and Q-side generators of indep_gens
+    # number m = len(degrees_p) and n = len(degrees_q), on every record
+    for r in build_records(10):
         assert len(r.degrees_p) + len(r.degrees_q) == r.degrees_rank, r.id
+        report = verify.check_degree_counts(r)
+        assert (report.checks_run, report.failures) == (1, []), (r.id, report.failures)
 
 
 def test_aliases_delegate(records):
@@ -445,7 +452,6 @@ def test_aliases_delegate(records):
     xiv = rec(records, "xiv")
     assert xiv.alias_of == CaseId("ii_odd", 3)
     assert xiv.groups["k"].name == "Spin(6)"
-    assert xiv.triality_note
 
 
 def test_tau_space_validation(records):
@@ -473,7 +479,7 @@ def test_export_is_deterministic():
     # the module runs once, as __main__, so runpy has nothing to warn about
     assert [proc.stderr for proc in runs] == ["", ""]
     payload = json.loads(first)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     ids = [CaseId(c["id"]["tag"], c["id"]["n"]) for c in payload["cases"]]
     assert ids == [r.id for r in build_records(2)]
 

@@ -1,6 +1,7 @@
 """The package holds no code, public or private, that only the tests reach:
-no definition without a caller, and no optional parameter that no call
-passes.  And it compiles generated code in one place, ``nest.kernel``."""
+no definition without a caller, no optional parameter that no call passes,
+and no catalog field that nothing reads.  And it compiles generated code in
+one place, ``nest.kernel``."""
 
 import ast
 import collections
@@ -196,6 +197,46 @@ def test_every_optional_parameter_is_passed():
         ):
             unpassed[(owner, name)] = path.name
     assert set(unpassed) == set(ALLOWED_OPTIONAL), unpassed
+
+
+def _field_walks(tree):
+    """The nodes of each comprehension or loop over ``dataclasses.fields``:
+    such a walk (the export's) reads every field by name, none in
+    particular."""
+    for node in ast.walk(tree):
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        for loop in loops:
+            if isinstance(loop.iter, ast.Call) and ast.unparse(loop.iter.func) == "dataclasses.fields":
+                yield from ast.walk(node)
+
+
+def test_every_catalog_field_is_read():
+    """Each field of each dataclass in catalog.py is read as an attribute
+    somewhere in the package or the benchmark.  A class's declaration and
+    the keywords that build or replace it pass a field, they do not read
+    it, and the export's walk of ``dataclasses.fields`` reads every field
+    alike.  A field that nothing reads is data to delete; no field is
+    exempt."""
+    reads = set()
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        walks = {id(node) for node in _field_walks(tree)}
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in walks
+        }
+    unread = [
+        "%s.%s" % (node.name, field.target.id)
+        for node in ast.parse((PACKAGE / "catalog.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in reads
+    ]
+    assert unread == [], unread
 
 
 # The builtins that compile generated code.

@@ -266,8 +266,8 @@ def test_cartan_helgason_sphere():
 
 
 def _ch_filter(record, bound):
-    roots = record.ch["restricted_pos"]
-    kill_rows = record.ch["kill"]
+    ch = oracles.cartan_helgason_data(record.id.tag, record.id.n)
+    roots, kill_rows = ch["restricted_pos"], ch["kill"]
 
     def t_kill(lam):
         return all(sum(r * x for r, x in zip(row, lam)) == 0 for row in kill_rows)

@@ -825,6 +825,25 @@ def test_quarter_integral_composite_is_an_error_entry(records):
     assert all(entries[name]["run"] > 1 for name in ("transfer", "strong-multiplicity-freeness"))
 
 
+def test_a_swapped_side_fails_degree_counts(records):
+    # one P-side generator of indep_gens relabelled Q fails run_case's
+    # degree-counts entry, whose message names the two side ties; the side
+    # is read by no other check, so every other entry is unchanged
+    import dataclasses
+
+    r = rec(records, "vi")
+    name = r.indep_gens[0]
+    assert r.symbols[name].side == "P"
+    symbols = {**r.symbols, name: dataclasses.replace(r.symbols[name], side="Q")}
+    swapped = {e["name"]: e for e in verify.run_case(dataclasses.replace(r, symbols=symbols), 3, 2)}
+    entry = swapped.pop("degree-counts")
+    message = "P-side indep_gens != len(degrees_p): 0 != 1; Q-side indep_gens != len(degrees_q): 2 != 1"
+    assert entry == {"name": "degree-counts", "run": 1, "failed": 1, "first_failure": repr(message)}
+    clean = {e["name"]: e for e in verify.run_case(r, 3, 2)}
+    assert clean.pop("degree-counts") == {"name": "degree-counts", "run": 1, "failed": 0}
+    assert swapped == clean
+
+
 def test_stored_map_error_names_the_case_and_the_map(records):
     # a quarter in a stored map, nu_label_map or an Euler form, is an error
     # entry that names the case and the map, as a composite's is, and not
